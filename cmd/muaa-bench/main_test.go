@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -341,5 +342,54 @@ func TestRunJSONOutput(t *testing.T) {
 	// -json outside the perf experiments is a flag error.
 	if err := run(&buf, "fig8", 0.02, false, false, false, 2, 1, 1, path); err == nil {
 		t.Error("-json with a paper experiment must be rejected")
+	}
+}
+
+// TestPerformanceDocMatchesBenchFile holds the batch table in
+// docs/PERFORMANCE.md to the committed BENCH_broker.json it claims to quote:
+// every broker_batch point must appear as a row with the same ns/arrival
+// (rounded to the nanosecond) and speedup (two decimals), and no other rows.
+func TestPerformanceDocMatchesBenchFile(t *testing.T) {
+	root := filepath.Join("..", "..")
+	raw, err := os.ReadFile(filepath.Join(root, "BENCH_broker.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc benchDoc
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{} // batch column → the rest of the row
+	for _, p := range doc.Points {
+		if p.Series != "broker_batch" {
+			continue
+		}
+		want[strings.TrimPrefix(p.Label, "batch=")] = fmt.Sprintf("| %.0f | %.2f× |", p.NsPerOp, p.Speedup)
+	}
+	if len(want) == 0 {
+		t.Fatal("BENCH_broker.json holds no broker_batch points")
+	}
+
+	md, err := os.ReadFile(filepath.Join(root, "docs", "PERFORMANCE.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(md), "| batch | ns/arrival | speedup vs serial |\n|---|---|---|\n")
+	if !ok {
+		t.Fatal("docs/PERFORMANCE.md: batch table header not found")
+	}
+	rows := 0
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(line, "| ") {
+			break
+		}
+		batch, rest, _ := strings.Cut(strings.TrimPrefix(line, "| "), " ")
+		rows++
+		if rest != want[batch] {
+			t.Errorf("docs/PERFORMANCE.md batch row %q: doc says %q, BENCH_broker.json says %q", batch, rest, want[batch])
+		}
+	}
+	if rows != len(want) {
+		t.Errorf("docs/PERFORMANCE.md batch table has %d rows, BENCH_broker.json %d broker_batch points", rows, len(want))
 	}
 }

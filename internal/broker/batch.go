@@ -19,8 +19,6 @@ package broker
 
 import (
 	"encoding/binary"
-	"fmt"
-	"math"
 	"time"
 
 	"muaa/internal/trace"
@@ -126,19 +124,11 @@ func (b *Broker) arriveBatch(batch []Arrival, t *trace.Trace) []BatchResult {
 	results := make([]BatchResult, len(batch))
 	live := 0
 	for i := range batch {
-		a := &batch[i]
-		if a.Capacity < 0 {
+		if err := validateArrival(&batch[i]); err != nil {
 			if m != nil {
 				m.arrivalErrors.Inc()
 			}
-			results[i].Err = fmt.Errorf("broker: capacity %d", a.Capacity)
-			continue
-		}
-		if a.ViewProb < 0 || a.ViewProb > 1 || math.IsNaN(a.ViewProb) {
-			if m != nil {
-				m.arrivalErrors.Inc()
-			}
-			results[i].Err = fmt.Errorf("broker: view probability %g", a.ViewProb)
+			results[i].Err = err
 			continue
 		}
 		live++
@@ -183,19 +173,8 @@ func (b *Broker) arriveBatch(batch []Arrival, t *trace.Trace) []BatchResult {
 	if timed {
 		tStart = time.Now()
 	}
-	if m != nil {
-		for i := lo; i <= hi; i++ {
-			if !b.shards[i].mu.TryLock() {
-				m.stripeContended[i].Inc()
-				b.shards[i].mu.Lock()
-			}
-			m.stripeLocks[i].Inc()
-		}
-	} else {
-		for i := lo; i <= hi; i++ {
-			b.shards[i].mu.Lock()
-		}
-	}
+	b.lockStripes(lo, hi, m)
+	defer b.unlockStripes(lo, hi)
 	if timed {
 		d := time.Since(tStart)
 		elStage = d
@@ -209,18 +188,12 @@ func (b *Broker) arriveBatch(batch []Arrival, t *trace.Trace) []BatchResult {
 			t.Stages[trace.StageLockWait] = d
 		}
 	}
-	defer func() {
-		for i := hi; i >= lo; i-- {
-			b.shards[i].mu.Unlock()
-		}
-	}()
-
-	// The slate flag is read once under the locks (see arrive); the record
+	// The auction flag is read once under the locks (see scan); the record
 	// format additionally upgrades to v2 bodies only when billing is truly
 	// active, so a forced-slate all-fixed broker still writes the legacy
 	// stream byte-identically.
 	slateRec := b.billing.active.Load()
-	slate := slateRec || b.cfg.Slate
+	auction := slateRec || b.cfg.Slate
 
 	// One batch record frames the whole batch; each element is encoded right
 	// after its arrival's commit so it carries the same γ bits the serial
@@ -254,29 +227,10 @@ func (b *Broker) arriveBatch(batch []Arrival, t *trace.Trace) []BatchResult {
 		}
 		s0, s1 := b.stripes.Range(a.Loc.Y-maxR, a.Loc.Y+maxR)
 		dir := b.gatherCandidates(ar, a.Loc, s0, s1)
-		boost := 1.0
-		if b.controller != nil {
-			boost = b.phiBoost.Load()
-		}
-		var tally scanTally
-		if slate {
-			tally = b.scanSlate(ar, a, dir, boost)
-		} else {
-			tally = b.scanCandidates(ar, a, dir, boost)
-		}
-		agg.add(tally)
-		if b.funnel != nil {
-			// Fold per arrival: the arena's event slice is rebuilt by every
-			// scan, so attribution must land before the next arrival reuses it.
-			b.funnel.fold(ar)
-		}
+		agg.add(b.scan(ar, a, dir, auction))
 		n0 := len(offers)
 		if len(ar.cands) > 0 {
-			if slate {
-				offers = b.commitSlate(ar, offers)
-			} else {
-				offers = b.commitOffers(ar, offers)
-			}
+			offers = b.commit(ar, offers, auction)
 			// Full-slice expression: a later arrival's append can grow past
 			// this segment's length but never overwrite it.
 			results[i].Offers = offers[n0:len(offers):len(offers)]

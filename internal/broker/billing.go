@@ -48,7 +48,7 @@ type openOffer struct {
 type billingState struct {
 	// active flips true — monotonically, never cleared — when the first
 	// campaign with a non-fixed billing contract registers. Arrivals read
-	// it once, after their stripe locks are held, to pick the scan path.
+	// it once, after their stripe locks are held, to pick the slot resolver.
 	active atomic.Bool
 
 	mu sync.Mutex
@@ -91,12 +91,19 @@ func newBillingState(maxOpen int) *billingState {
 	}
 }
 
-// holdLocked registers a new escrowed offer and returns its ID. Caller holds
-// the campaign's shard lock and bl.mu; the campaign escrow and held
-// accumulators are the caller's to update (commit already has c in hand).
-func (bl *billingState) holdLocked(c *campaign, m model.BillingModel, hold float64) uint64 {
-	id := bl.nextID
-	bl.nextID++
+// holdLocked registers an escrowed offer and returns its ID: id 0 issues the
+// next one (a live commit), a recorded id is kept (WAL replay, so later
+// conversion records resolve; born is then recovery time — it is not
+// serialized, so the oldest-age gauge measures age since restart). Caller
+// holds the campaign's shard lock and bl.mu; the campaign escrow and held
+// accumulators are the caller's to update (charge already has c in hand).
+func (bl *billingState) holdLocked(c *campaign, m model.BillingModel, hold float64, id uint64) uint64 {
+	if id == 0 {
+		id = bl.nextID
+	}
+	if id >= bl.nextID {
+		bl.nextID = id + 1
+	}
 	bl.open[id] = openOffer{campaign: c.id, model: m, hold: hold, born: time.Now()}
 	bl.openCount.Add(1)
 	return id

@@ -97,13 +97,13 @@ type Config struct {
 	// also be driven manually (simulations, tests). Nil disables the
 	// controller entirely — the hot path then pays one pointer check.
 	Controller *pacing.Config
-	// Slate forces the slate scan path (MCKP slot fill + auction pricing)
-	// even when no billed campaign is registered. The slate path activates
-	// automatically the moment a campaign registers with a non-fixed billing
-	// contract; this flag exists for benchmarks and equivalence tests that
-	// exercise the slate machinery on an all-fixed fleet. With every arrival
-	// at capacity 1 the slate path's decisions are bit-identical to the
-	// legacy scan (TestSlateEquivalenceSerial).
+	// Slate forces auction resolution (the MCKP slot fill at capacity ≥ 2,
+	// per-model revenue accounting) even when no billed campaign is
+	// registered. Arrivals are auction-resolved automatically from the moment
+	// a campaign registers with a non-fixed billing contract; this flag exists
+	// for benchmarks and equivalence tests that exercise the slot solver on an
+	// all-fixed fleet. At capacity 1 it changes no decision: both settings run
+	// the same trim resolver (TestSlateEquivalenceSerial).
 	Slate bool
 	// MaxOpenOffers bounds the escrow table of outstanding CPC/CPA offers
 	// (and the conversion idempotency-key window). When a new escrowed offer
@@ -151,9 +151,8 @@ type Campaign struct {
 func (c *Campaign) Remaining() float64 { return c.Budget - c.Spent }
 
 // Offer is one ad pushed to an arriving customer. The billing fields (ID,
-// ChargeECPM, Hold, Model) are filled only by the slate path for campaigns
-// on auction billing; a fixed-cost offer carries Cost alone with the rest
-// zero, exactly as the legacy scan produced it.
+// ChargeECPM, Hold, Model) are filled only for campaigns on auction billing;
+// a fixed-cost offer carries Cost alone with the rest zero.
 type Offer struct {
 	Campaign   int32
 	AdType     int
@@ -195,7 +194,11 @@ type Stats struct {
 	BudgetSpent   float64
 	GammaMin      float64
 	GammaMax      float64
-	G             float64
+	// G is the threshold base, reporting-only and unclamped: the configured
+	// value, else e·γ_max/γ_min once two distinct efficiencies were observed
+	// (0 before). Admission clamps the derived base to [2e, 1e9];
+	// ExplainReport.G reports that in-effect value.
+	G float64
 	// PhiBoost is the pacing controller's multiplicative boost on the
 	// admission threshold (1 on a controller-less broker or before the first
 	// epoch); PacingEpoch counts controller steps applied. Both are recovered
@@ -280,7 +283,7 @@ type Broker struct {
 	// billing is the escrow/auction sidecar, always allocated (cheap). Its
 	// active flag flips true — monotonically — when the first campaign with
 	// a non-fixed contract registers; arrivals check it once, after their
-	// stripe locks are held, to pick the scan path.
+	// stripe locks are held, to pick the slot resolver.
 	billing *billingState
 
 	// funnel is nil unless Config.Funnel.Enabled; set once in newMemory and
@@ -428,7 +431,7 @@ type CampaignSpec struct {
 	Penalty    float64
 	// Billing is the campaign's billing contract. The zero value keeps the
 	// seed fixed-cost semantics; any non-fixed contract activates the
-	// broker's slate scan path for all subsequent arrivals.
+	// broker's auction resolution for all subsequent arrivals.
 	Billing model.Billing
 }
 
@@ -485,7 +488,7 @@ func (b *Broker) RegisterCampaignSpec(spec CampaignSpec) (int32, error) {
 		// Flipped before the directory (and therefore grid) publication: an
 		// arrival that can see this campaign as a candidate acquired the
 		// shard lock its grid entry was inserted under, so it also sees the
-		// flag and takes the slate path. Monotone — never cleared.
+		// flag and is auction-resolved. Monotone — never cleared.
 		b.billing.active.Store(true)
 	}
 	// Publish the directory entry before the grid entry: arrivals discover
@@ -580,13 +583,6 @@ func (b *Broker) campaign(id int32) (*campaign, error) {
 	return dir[id], nil
 }
 
-// candidate pairs a provisional offer with the campaign it draws on so the
-// commit step can charge it without re-resolving the ID.
-type candidate struct {
-	Offer
-	c *campaign
-}
-
 // Arrive processes a customer arrival with the O-AFA rule (Algorithm 2) over
 // live campaign state and commits the returned offers' costs to their
 // campaigns. Only the shards whose stripes the query disk overlaps are
@@ -657,25 +653,58 @@ func (b *Broker) ArriveTraced(a Arrival, req *trace.Request) ([]Offer, error) {
 	return out, err
 }
 
+// validateArrival rejects arrivals no decision is defined for. Serving and
+// Explain share it, so a request explain accepts is one arrive accepts.
+func validateArrival(a *Arrival) error {
+	if a.Capacity < 0 {
+		return fmt.Errorf("broker: capacity %d", a.Capacity)
+	}
+	if a.ViewProb < 0 || a.ViewProb > 1 || math.IsNaN(a.ViewProb) {
+		return fmt.Errorf("broker: view probability %g", a.ViewProb)
+	}
+	return nil
+}
+
+// lockStripes acquires the stripe locks lo..hi in ascending order — the
+// global lock order. With m set, each lock is first probed with TryLock — a
+// miss means another holder had it, the contention proxy — and counted. The
+// TryLock/Lock pair acquires the same lock in the same order, and no metric
+// value feeds back into admission, so the decision sequence is unchanged
+// (golden-pinned by TestReplayMatchesGoldenInstrumented).
+func (b *Broker) lockStripes(lo, hi int, m *brokerMetrics) {
+	for i := lo; i <= hi; i++ {
+		if m == nil {
+			b.shards[i].mu.Lock()
+			continue
+		}
+		if !b.shards[i].mu.TryLock() {
+			m.stripeContended[i].Inc()
+			b.shards[i].mu.Lock()
+		}
+		m.stripeLocks[i].Inc()
+	}
+}
+
+// unlockStripes releases what lockStripes acquired.
+func (b *Broker) unlockStripes(lo, hi int) {
+	for i := hi; i >= lo; i-- {
+		b.shards[i].mu.Unlock()
+	}
+}
+
 // arrive is the shared arrival pipeline: validate, lock the stripe interval,
-// then the arena passes — gather, scan, commit (see arena.go). Committed
+// then the kernel stages — gather, scan, commit (see kernel.go). Committed
 // offers are appended to dst (nil for the plain Arrive path). t, when
 // non-nil, collects the trace view of this arrival; stage boundaries are
 // timed once and fed to both the stage histograms and the trace, so tracing
 // adds no clock reads beyond the instrumented path's.
 func (b *Broker) arrive(dst []Offer, a Arrival, t *trace.Trace) ([]Offer, error) {
 	m := b.metrics
-	if a.Capacity < 0 {
+	if err := validateArrival(&a); err != nil {
 		if m != nil {
 			m.arrivalErrors.Inc()
 		}
-		return dst, fmt.Errorf("broker: capacity %d", a.Capacity)
-	}
-	if a.ViewProb < 0 || a.ViewProb > 1 || math.IsNaN(a.ViewProb) {
-		if m != nil {
-			m.arrivalErrors.Inc()
-		}
-		return dst, fmt.Errorf("broker: view probability %g", a.ViewProb)
+		return dst, err
 	}
 	if b.wal == nil {
 		b.arrivals.Add(1)
@@ -696,14 +725,8 @@ func (b *Broker) arrive(dst []Offer, a Arrival, t *trace.Trace) ([]Offer, error)
 
 	// A covering campaign's center is within maxRadius of the arrival, so
 	// only the stripes overlapping that Y-window can hold one. Lock them in
-	// ascending order (the global lock order) and hold through commit.
-	//
-	// Instrumented (m != nil), each stage of the path is timed into the
-	// stage histograms and each stripe lock is first probed with TryLock —
-	// a miss means another arrival held it, the contention proxy. The
-	// TryLock/Lock pair acquires the same lock in the same order, and no
-	// metric value feeds back into admission, so the decision sequence is
-	// unchanged (golden-pinned by TestReplayMatchesGoldenInstrumented).
+	// ascending order and hold through commit. Instrumented (m != nil), each
+	// stage of the path is additionally timed into the stage histograms.
 	maxR := b.maxRadius.Load()
 	s0, s1 := b.stripes.Range(a.Loc.Y-maxR, a.Loc.Y+maxR)
 	// One full time.Now() anchors the trace's wall-clock start; every later
@@ -717,19 +740,8 @@ func (b *Broker) arrive(dst []Offer, a Arrival, t *trace.Trace) ([]Offer, error)
 	if timed {
 		tStart = time.Now()
 	}
-	if m != nil {
-		for i := s0; i <= s1; i++ {
-			if !b.shards[i].mu.TryLock() {
-				m.stripeContended[i].Inc()
-				b.shards[i].mu.Lock()
-			}
-			m.stripeLocks[i].Inc()
-		}
-	} else {
-		for i := s0; i <= s1; i++ {
-			b.shards[i].mu.Lock()
-		}
-	}
+	b.lockStripes(s0, s1, m)
+	defer b.unlockStripes(s0, s1)
 	if timed {
 		d := time.Since(tStart)
 		elStage = d
@@ -743,11 +755,6 @@ func (b *Broker) arrive(dst []Offer, a Arrival, t *trace.Trace) ([]Offer, error)
 			t.Stages[trace.StageLockWait] = d
 		}
 	}
-	defer func() {
-		for i := s1; i >= s0; i-- {
-			b.shards[i].mu.Unlock()
-		}
-	}()
 	if b.wal != nil {
 		// Deferred to inside the stripe locks so the bump is atomic with
 		// the arrival record this path logs before unlocking.
@@ -755,11 +762,9 @@ func (b *Broker) arrive(dst []Offer, a Arrival, t *trace.Trace) ([]Offer, error)
 	}
 
 	// The lowest locked stripe's arena is exclusively ours while the locks
-	// are held (see scanArena's ownership rule). The slate flag is read
-	// after the stripe locks: a billed campaign visible in any held shard's
-	// grid was inserted under that shard's lock after the flag flipped, so
-	// a candidate on auction billing is never scanned by the legacy pass.
-	slate := b.cfg.Slate || b.billing.active.Load()
+	// are held (see scanArena's ownership rule), and the auction flag is read
+	// under them (see scan).
+	auction := b.cfg.Slate || b.billing.active.Load()
 	ar := &b.shards[s0].arena
 	dir := b.gatherCandidates(ar, a.Loc, s0, s1)
 	if timed {
@@ -774,24 +779,7 @@ func (b *Broker) arrive(dst []Offer, a Arrival, t *trace.Trace) ([]Offer, error)
 		}
 	}
 
-	// The controller's boost is loaded once per arrival so every candidate in
-	// the scan sees the same threshold scaling (PacingStep only swaps it
-	// under full shard quiescence, which this arrival's held locks exclude).
-	boost := 1.0
-	if b.controller != nil {
-		boost = b.phiBoost.Load()
-	}
-	var tally scanTally
-	if slate {
-		tally = b.scanSlate(ar, &a, dir, boost)
-	} else {
-		tally = b.scanCandidates(ar, &a, dir, boost)
-	}
-	if b.funnel != nil {
-		// Fold the scan's attribution events while the stripe locks still own
-		// the arena (the event slice is arena scratch).
-		b.funnel.fold(ar)
-	}
+	tally := b.scan(ar, &a, dir, auction)
 	if timed {
 		el := time.Since(tStart)
 		d := el - elStage
@@ -823,11 +811,7 @@ func (b *Broker) arrive(dst []Offer, a Arrival, t *trace.Trace) ([]Offer, error)
 		return dst, nil
 	}
 	n0 := len(dst)
-	if slate {
-		dst = b.commitSlate(ar, dst)
-	} else {
-		dst = b.commitOffers(ar, dst)
-	}
+	dst = b.commit(ar, dst, auction)
 	if b.wal != nil {
 		// Logged after every charge has landed and before the stripe locks
 		// release: the record carries the post-arrival γ bits and exactly
@@ -863,56 +847,11 @@ func (b *Broker) observeArrival(m *brokerMetrics, t *trace.Trace, lane int, d ti
 	}
 }
 
-// observeEfficiency folds a positive efficiency into the running γ bounds.
-// Lock-free: γ_min is lowered before γ_max is raised, so any reader that
-// sees γ_max > 0 (the "seen" signal) also sees a finite γ_min.
-func (b *Broker) observeEfficiency(eff float64) {
-	if eff <= 0 || math.IsNaN(eff) || math.IsInf(eff, 0) {
-		return
-	}
-	b.gammaMin.Min(eff)
-	b.gammaMax.Max(eff)
-}
-
-// guaranteeRelief scales the admission threshold for a guaranteed campaign
-// that is behind its pro-rated delivery floor: φ is quartered, not zeroed, so
-// catching up still prefers efficient offers.
-const guaranteeRelief = 0.25
-
-// threshold evaluates the adaptive admission threshold at used-budget ratio
-// delta, with g either configured or derived from the observed γ bounds.
-func (b *Broker) threshold(delta float64) float64 {
-	gmax := b.gammaMax.Load()
-	if gmax == 0 {
-		return 0 // nothing observed yet: admit anything (paper's intuition)
-	}
-	gmin := b.gammaMin.Load()
-	g := b.cfg.G
-	if g == 0 {
-		g = 2 * math.E
-		if gmax > gmin {
-			g = math.E * gmax / gmin
-			if g < 2*math.E {
-				g = 2 * math.E
-			}
-			if g > 1e9 {
-				g = 1e9
-			}
-		}
-	}
-	return gmin / math.E * math.Pow(g, delta)
-}
-
 // Stats returns a lock-free snapshot of the broker counters.
 func (b *Broker) Stats() Stats {
-	gmax := b.gammaMax.Load()
-	gmin := b.gammaMin.Load()
-	if gmax == 0 {
-		gmin = 0 // report the unseen state as zeros, as the original broker did
-	}
-	g := b.cfg.G
-	if g == 0 && gmax > gmin && gmax > 0 {
-		g = math.E * gmax / gmin
+	gs := b.gammaSeed()
+	if gs.max == 0 {
+		gs.min = 0 // report the unseen state as zeros, as the original broker did
 	}
 	return Stats{
 		Campaigns:     len(*b.dir.Load()),
@@ -920,9 +859,9 @@ func (b *Broker) Stats() Stats {
 		OffersPushed:  b.offers.Load(),
 		UtilityServed: b.utility.Load(),
 		BudgetSpent:   b.spent.Load(),
-		GammaMin:      gmin,
-		GammaMax:      gmax,
-		G:             g,
+		GammaMin:      gs.min,
+		GammaMax:      gs.max,
+		G:             gs.reportedG(),
 		PhiBoost:      b.phiBoost.Load(),
 		PacingEpoch:   b.pacingEpoch.Load(),
 

@@ -375,10 +375,10 @@ func (b *Broker) logPause(id int32, paused bool) {
 // the bounds are monotone — every observation is ≤/≥ the bits some record
 // carries.
 func (b *Broker) logArrival(a *Arrival, offers []Offer) {
-	// The slate record format rides the same monotone flag the scan path
-	// reads: once billing is active every arrival (under its stripe locks,
-	// which this call still holds) scans slates, so checking here can never
-	// write a legacy record for a slate-committed offer set.
+	// The slate record format rides the same monotone flag the arrival read
+	// under its stripe locks (which this call still holds): once billing is
+	// active every arrival is auction-resolved, so checking here can never
+	// write a legacy record for an auction-priced offer set.
 	slate := b.billing.active.Load()
 	bp := recPool.Get().(*[]byte)
 	kind := recArrivalV2
@@ -556,28 +556,18 @@ func (b *Broker) applyRecord(rec []byte) error {
 		return b.TopUp(d.Campaign, d.Amount)
 	case RecordPause:
 		return b.SetPaused(d.Campaign, d.Paused)
-	case RecordArrival, RecordArrivalV2:
+	case RecordArrival, RecordArrivalV2, RecordArrivalSlate:
 		// Replay in the original commit order: counter, γ fold, then each
 		// offer's charge — the same accumulator sequence Arrive performed,
 		// so serial replay reproduces every float bit for bit.
-		return b.applyArrival(d.GammaMin, d.GammaMax, d.Offers)
-	case RecordArrivalBatch:
+		return b.applyArrival(d.GammaMin, d.GammaMax, d.Offers, d.Kind == RecordArrivalSlate)
+	case RecordArrivalBatch, RecordArrivalBatchV2:
 		// Each element replays exactly like a serial arrival record, in the
 		// batch's processing order, so a batched history recovers to the
 		// same bits as the equivalent serial one.
 		for i := range d.Batch {
 			e := &d.Batch[i]
-			if err := b.applyArrival(e.GammaMin, e.GammaMax, e.Offers); err != nil {
-				return err
-			}
-		}
-		return nil
-	case RecordArrivalSlate:
-		return b.applyArrivalSlate(d.GammaMin, d.GammaMax, d.Offers)
-	case RecordArrivalBatchV2:
-		for i := range d.Batch {
-			e := &d.Batch[i]
-			if err := b.applyArrivalSlate(e.GammaMin, e.GammaMax, e.Offers); err != nil {
+			if err := b.applyArrival(e.GammaMin, e.GammaMax, e.Offers, d.Kind == RecordArrivalBatchV2); err != nil {
 				return err
 			}
 		}
@@ -589,62 +579,20 @@ func (b *Broker) applyRecord(rec []byte) error {
 }
 
 // applyArrival folds one logged arrival into the recovering broker: the
-// counter, the γ bounds, then every offer's charge, in commit order.
-func (b *Broker) applyArrival(gammaMin, gammaMax float64, offers []Offer) error {
+// counter, the γ bounds, then every offer's charge in commit order, through
+// the same Broker.charge the live commit used. auction marks the slate
+// record formats (written only once billing is active), whose offers carry
+// escrow IDs and feed the revenue counters.
+func (b *Broker) applyArrival(gammaMin, gammaMax float64, offers []Offer, auction bool) error {
 	b.arrivals.Add(1)
 	b.gammaMin.Min(gammaMin)
 	b.gammaMax.Max(gammaMax)
 	for i := range offers {
-		o := &offers[i]
-		c, err := b.campaign(o.Campaign)
+		c, err := b.campaign(offers[i].Campaign)
 		if err != nil {
 			return err
 		}
-		c.spent.Store(c.spent.Load() + o.Cost)
-		b.spent.Add(o.Cost)
-		b.utility.Add(o.Utility)
-		b.offers.Add(1)
-	}
-	return nil
-}
-
-// applyArrivalSlate replays one slate-format arrival: the legacy
-// accumulator sequence plus the billing effects commitSlate performed —
-// escrow registration (under the recorded offer ID, so later conversion
-// records resolve) for deferred offers, revenue accounting for the rest.
-func (b *Broker) applyArrivalSlate(gammaMin, gammaMax float64, offers []Offer) error {
-	b.arrivals.Add(1)
-	b.gammaMin.Min(gammaMin)
-	b.gammaMax.Max(gammaMax)
-	bl := b.billing
-	for i := range offers {
-		o := &offers[i]
-		c, err := b.campaign(o.Campaign)
-		if err != nil {
-			return err
-		}
-		if o.Hold > 0 {
-			bl.mu.Lock()
-			// born is stamped at recovery time — it is not serialized, so the
-			// oldest-age gauge measures age since restart for recovered holds.
-			bl.open[o.ID] = openOffer{campaign: o.Campaign, model: o.Model, hold: o.Hold, born: time.Now()}
-			if o.ID >= bl.nextID {
-				bl.nextID = o.ID + 1
-			}
-			bl.openCount.Add(1)
-			c.escrow.Store(c.escrow.Load() + o.Hold)
-			bl.held.Add(o.Hold)
-			if len(bl.open) > bl.maxOpen {
-				bl.evictLocked(*b.dir.Load())
-			}
-			bl.mu.Unlock()
-		} else {
-			bl.revenue[o.Model].Add(o.Cost)
-		}
-		c.spent.Store(c.spent.Load() + o.Cost)
-		b.spent.Add(o.Cost)
-		b.utility.Add(o.Utility)
-		b.offers.Add(1)
+		b.charge(c, &offers[i], auction)
 	}
 	return nil
 }

@@ -2,46 +2,48 @@ package broker
 
 // Explain-replay: "why did (or didn't) this arrival get these offers?"
 //
-// Explain runs the real decision pipeline — the same gather, the same filter
-// sequence, the same sequential O-AFA threshold walk, the same slate auction
-// when billing is active — over a hypothetical arrival, under the covering
-// stripe locks, and returns the full per-candidate breakdown instead of
-// committing anything. Nothing observable changes: no spend, no WAL record,
-// no arrivals counter, no funnel attribution, and crucially no γ
-// observations — the walk's feed-forward γ updates run against a local
-// simulation seeded from the live bounds, so the predicted thresholds are
-// exactly what an immediately-following Arrive would compute, while the live
-// bounds stay untouched. Read-only-ness is pinned by the golden replay
-// transcripts with explain calls interleaved
+// Explain runs the decision kernel itself (kernel.go) — the same gather, the
+// same terms, walk and resolver an immediately-following Arrive would run —
+// over a hypothetical arrival, under the covering stripe locks, and renders
+// the per-candidate breakdown from what the kernel recorded instead of
+// committing anything. It is read-only by construction: the kernel's decide
+// stage writes nothing outside the arena it is handed, and Explain hands it
+// a private arena whose γ-state is seeded from the live bounds and then
+// thrown away — never merged back — so the predicted thresholds are exactly
+// what the real arrival would compute while the live bounds stay untouched.
+// No spend, no WAL record, no arrivals counter, no funnel fold, no metrics.
+// Pinned by the golden replay transcripts with explain calls interleaved
 // (TestReplayMatchesGoldenExplainInterleaved).
 //
-// Explain allocates freely (fresh slices per call, never the stripe arena):
-// it is a debug endpoint, not the hot path, and borrowing the arena would
-// couple its high-water marks to diagnostic traffic.
+// Explain allocates freely: it is a debug endpoint, not the hot path, and
+// borrowing a stripe arena would couple its high-water marks to diagnostic
+// traffic.
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"slices"
 
 	"muaa/internal/geo"
-	"muaa/internal/knapsack"
 	"muaa/internal/model"
 )
 
 // ExplainReport is the full decision breakdown for one hypothetical arrival.
 type ExplainReport struct {
-	// Slate reports which scan path ran: the MCKP slate auction (billing
-	// active or Config.Slate) or the legacy per-candidate scan.
+	// Slate reports whether the arrival was auction-resolved (billing active
+	// or Config.Slate): reserve gates and second-price charges apply, and at
+	// capacity ≥ 2 the MCKP slot solver fills the slate.
 	Slate bool `json:"slate"`
 	// Boost is the pacing controller's threshold multiplier the scan applied
 	// (1 without a controller).
 	Boost float64 `json:"boost"`
 	// GammaMin/GammaMax are the live γ bounds at entry (zeros before the
-	// first observation, as Stats reports them) and G the threshold base in
-	// effect at entry — configured, or derived from the bounds.
+	// first observation, as Stats reports them) and G the threshold base the
+	// walk used at entry — configured, or derived from the bounds and clamped
+	// to [2e, 1e9] — so gamma_min/e · g^delta · boost (· 0.25 under relief)
+	// reproduces the first walked candidate's threshold. Unlike Stats.G, which
+	// is reporting-only and unclamped.
 	GammaMin float64 `json:"gamma_min"`
 	GammaMax float64 `json:"gamma_max"`
 	G        float64 `json:"g"`
@@ -76,9 +78,9 @@ type ExplainCandidate struct {
 	Threshold float64 `json:"threshold"`
 	// Base is the Eq. 4 per-effect value (viewProb × score / distance).
 	Base float64 `json:"base,omitempty"`
-	// Remaining is the spendable budget after pacing caps (and escrow on the
-	// slate path); Headroom the raw unspent budget; Escrow the budget held
-	// against open offers (slate path only).
+	// Remaining is the spendable budget after escrow and pacing caps; Headroom
+	// the raw unspent, unescrowed budget; Escrow the budget held against open
+	// offers (nonzero only for campaigns billed per event).
 	Remaining float64 `json:"remaining,omitempty"`
 	Headroom  float64 `json:"headroom,omitempty"`
 	Escrow    float64 `json:"escrow,omitempty"`
@@ -97,16 +99,17 @@ type ExplainBid struct {
 	Cost   float64 `json:"cost"`
 	// Affordable: the catalog cost fits the spendable budget.
 	Affordable bool `json:"affordable"`
-	// BidECPM and AboveReserve appear on the slate path only: the campaign's
-	// eCPM-normalized bid and whether it cleared its own reserve.
+	// BidECPM and AboveReserve appear on auction-resolved arrivals only: the
+	// campaign's eCPM-normalized bid and whether it cleared its own reserve.
 	BidECPM      float64 `json:"bid_ecpm,omitempty"`
 	AboveReserve bool    `json:"above_reserve,omitempty"`
 	// Utility and Efficiency are the admission currency (efficiency divides
-	// by expected cost on the slate path).
+	// by the billing-expected cost).
 	Utility    float64 `json:"utility,omitempty"`
 	Efficiency float64 `json:"efficiency,omitempty"`
-	// Admitted: efficiency met the threshold. Chosen: this ad type was the
-	// candidate's best admitted pick.
+	// Admitted: efficiency met the threshold. Chosen: the ad type the
+	// candidate serves if it holds a slot — its best admitted pick, or the
+	// slot solver's pick for a slate winner.
 	Admitted bool `json:"admitted,omitempty"`
 	Chosen   bool `json:"chosen,omitempty"`
 }
@@ -124,509 +127,129 @@ type ExplainOffer struct {
 	ChargeECPM float64 `json:"charge_ecpm,omitempty"`
 	Hold       float64 `json:"hold,omitempty"`
 	Model      string  `json:"model,omitempty"`
-	// Slot is the slate position (0-based); -1 on the legacy path before the
-	// capacity trim orders survivors.
+	// Slot is the 0-based position in the committed offer list.
 	Slot int `json:"slot"`
 }
 
-// gammaSim simulates the broker's γ bounds and adaptive threshold locally:
-// seeded from the live atomics, observed into plain fields. The arithmetic
-// mirrors observeEfficiency and threshold exactly, so within one explain the
-// feed-forward sequence is bit-identical to what the real scan would compute
-// — without a single store to the shared bounds.
-type gammaSim struct {
-	gmin, gmax float64
-	cfgG       float64
+// explainLog is the detail the kernel keeps for Explain beyond the funnel's
+// disposition events (scanArena.why; nil on the serving path): terms and phi
+// are index-aligned with ar.cand, bids holds len(AdTypes) rows per ar.cand
+// entry in walk order.
+type explainLog struct {
+	lowScore map[int32]float64 // campaign → the non-positive score that dropped it
+	terms    []explainTerms
+	phi      []float64
+	bids     []ExplainBid
 }
 
-func (b *Broker) newGammaSim() gammaSim {
-	return gammaSim{gmin: b.gammaMin.Load(), gmax: b.gammaMax.Load(), cfgG: b.cfg.G}
+// explainTerms is what terms computes per survivor but the walk never reads.
+type explainTerms struct{ dist, score float64 }
+
+// bidGate is how far one (candidate, ad type) evaluation got in the walk;
+// ordered, so "reached at least" is a comparison.
+type bidGate uint8
+
+const (
+	bidUnaffordable bidGate = iota
+	bidBelowReserve
+	bidBelowThreshold
+	bidAdmitted
+)
+
+// bid records one walk evaluation.
+func (w *explainLog) bid(k int, t model.AdType, gate bidGate, bid, util, eff float64) {
+	w.bids = append(w.bids, ExplainBid{
+		AdType: k, Name: t.Name, Cost: t.Cost,
+		Affordable:   gate >= bidBelowReserve,
+		BidECPM:      bid,
+		AboveReserve: gate >= bidBelowThreshold,
+		Utility:      util, Efficiency: eff,
+		Admitted: gate == bidAdmitted,
+	})
 }
 
-// observe mirrors Broker.observeEfficiency.
-func (s *gammaSim) observe(eff float64) {
-	if eff <= 0 || math.IsNaN(eff) || math.IsInf(eff, 0) {
-		return
-	}
-	if eff < s.gmin {
-		s.gmin = eff
-	}
-	if eff > s.gmax {
-		s.gmax = eff
-	}
-}
-
-// threshold mirrors Broker.threshold against the simulated bounds.
-func (s *gammaSim) threshold(delta float64) float64 {
-	if s.gmax == 0 {
-		return 0
-	}
-	g := s.cfgG
-	if g == 0 {
-		g = 2 * math.E
-		if s.gmax > s.gmin {
-			g = math.E * s.gmax / s.gmin
-			if g < 2*math.E {
-				g = 2 * math.E
-			}
-			if g > 1e9 {
-				g = 1e9
-			}
-		}
-	}
-	return s.gmin / math.E * math.Pow(g, delta)
-}
-
-// explainScratch is one candidate's pass-A terms awaiting the walk.
-type explainScratch struct {
-	c         *campaign
-	ci        int // index into report.Candidates
-	base      float64
-	delta     float64
-	remaining float64
-	headroom  float64
-	relief    bool
-}
-
-// explainPick is one admitted candidate awaiting slot resolution.
-type explainPick struct {
-	ci         int // index into report.Candidates
-	c          *campaign
-	k          int
-	util, eff  float64
-	bid        float64
-	campaignID int32
-}
-
-// Explain runs the decision pipeline read-only over a hypothetical arrival
+// Explain runs the decision kernel read-only over a hypothetical arrival
 // and returns the per-candidate breakdown. Validation matches Arrive;
 // capacity 0 returns an empty report (Arrive would only count the arrival).
 func (b *Broker) Explain(a Arrival) (*ExplainReport, error) {
-	if a.Capacity < 0 {
-		return nil, fmt.Errorf("broker: capacity %d", a.Capacity)
-	}
-	if a.ViewProb < 0 || a.ViewProb > 1 || math.IsNaN(a.ViewProb) {
-		return nil, fmt.Errorf("broker: view probability %g", a.ViewProb)
+	if err := validateArrival(&a); err != nil {
+		return nil, err
 	}
 	rep := &ExplainReport{Boost: 1, Candidates: []ExplainCandidate{}}
 	if a.Capacity == 0 {
 		return rep, nil
 	}
 
-	// Lock the same covering stripe interval an arrival would, in the same
-	// ascending order, so explain serializes against live traffic exactly
-	// like a real arrival — the breakdown is a consistent snapshot.
+	// Lock the same covering stripe interval an arrival would, so explain
+	// serializes against live traffic exactly like a real arrival — the
+	// breakdown is a consistent snapshot. No metrics: explain is not traffic.
 	maxR := b.maxRadius.Load()
 	s0, s1 := b.stripes.Range(a.Loc.Y-maxR, a.Loc.Y+maxR)
-	for i := s0; i <= s1; i++ {
-		b.shards[i].mu.Lock()
-	}
-	defer func() {
-		for i := s1; i >= s0; i-- {
-			b.shards[i].mu.Unlock()
-		}
-	}()
+	b.lockStripes(s0, s1, nil)
+	defer b.unlockStripes(s0, s1)
+
+	auction := b.cfg.Slate || b.billing.active.Load()
+	why := &explainLog{lowScore: map[int32]float64{}}
+	ar := &scanArena{rec: true, why: why}
+	dir := b.gatherCandidates(ar, a.Loc, s0, s1)
+	ar.gamma = b.gammaSeed()
+	entry := ar.gamma
+	b.decide(ar, &a, dir, auction)
+
+	rep.Slate = auction
+	rep.Boost = b.boost()
 	rep.StripeLo, rep.StripeHi = s0, s1
-
-	slate := b.cfg.Slate || b.billing.active.Load()
-	rep.Slate = slate
-
-	// Gather into fresh slices (never the stripe arena — see the file
-	// comment), same probes, same ascending sort.
-	var ids []int32
-	for i := s0; i <= s1; i++ {
-		ids = b.shards[i].grid.CoveredBy(ids, a.Loc)
+	if entry.max != 0 {
+		// Report the entry bounds the way Stats does (zeros until seen).
+		rep.GammaMin, rep.GammaMax = entry.min, entry.max
 	}
-	slices.Sort(ids)
-	dir := *b.dir.Load()
-	rep.Gathered = len(ids)
+	rep.G = entry.base()
+	rep.Gathered = len(ar.ids)
+	rep.Offered = len(ar.cands)
 
-	if b.controller != nil {
-		rep.Boost = b.phiBoost.Load()
+	// Render: candidates are ar.ids in scan order (ascending, unique), so
+	// everything the kernel keyed by campaign id joins by binary search.
+	rep.Candidates = make([]ExplainCandidate, len(ar.ids))
+	for i, id := range ar.ids {
+		rep.Candidates[i].Campaign = id
 	}
-	sim := b.newGammaSim()
-	// Report the entry bounds the way Stats does (zeros until seen).
-	if sim.gmax != 0 {
-		rep.GammaMin, rep.GammaMax = sim.gmin, sim.gmax
+	at := func(id int32) *ExplainCandidate {
+		i, _ := slices.BinarySearch(ar.ids, id)
+		return &rep.Candidates[i]
 	}
-	rep.G = sim.cfgG
-	if rep.G == 0 && sim.gmax > sim.gmin && sim.gmax > 0 {
-		rep.G = math.E * sim.gmax / sim.gmin
+	for _, ev := range ar.fev {
+		at(ev.id).Disposition = dispositionNames[ev.disp]
 	}
-
-	// Pass A: the exact filter sequence of scanCandidates/scanSlate pass A,
-	// recording every disposition into the report instead of a tally.
-	cu := model.Customer{Loc: a.Loc, Capacity: a.Capacity, ViewProb: a.ViewProb,
-		Interests: a.Interests, Arrival: a.Hour}
-	var ve model.Vendor
-	var weights []float64
-	var live []explainScratch
-	for _, id := range ids {
-		c := dir[id]
-		rep.Candidates = append(rep.Candidates, ExplainCandidate{Campaign: id})
-		ec := &rep.Candidates[len(rep.Candidates)-1]
-		if c.paused.Load() {
-			ec.Disposition = dispositionNames[dispPaused]
-			continue
-		}
-		budget := c.budget.Load()
-		if budget <= 0 {
-			ec.Disposition = dispositionNames[dispExhausted]
-			continue
-		}
-		if b.vectorPref && len(c.tags) != len(a.Interests) {
-			ec.Disposition = dispositionNames[dispTagMismatch]
-			continue
-		}
-		spent := c.spent.Load()
-		ve = model.Vendor{Loc: c.loc, Radius: c.radius, Budget: budget, Tags: c.tags}
-		var s float64
-		if b.vectorPref {
-			s, weights = b.pearson.ScoreScratch(&cu, &ve, a.Hour, weights)
-		} else {
-			s = b.pref.Score(&cu, &ve, a.Hour)
-		}
-		if s <= 0 || math.IsNaN(s) {
-			ec.Disposition = dispositionNames[dispLowScore]
-			ec.Score = s
-			continue
-		}
-		if s > 1 {
-			s = 1
-		}
-		d := a.Loc.Dist(c.loc)
-		if d < b.minDist {
-			d = b.minDist
-		}
-		base := a.ViewProb * s / d
-		delta := spent / budget
-		relief := c.guaranteed && c.floor > 0 && spent < c.floor*budget*(a.Hour/24)
-		var escrow float64
-		remaining := budget - spent
-		if slate {
-			escrow = c.escrow.Load()
-			remaining = budget - spent - escrow
-		}
-		headroom := remaining
-		if b.cfg.Pacing > 0 {
-			allowance := b.cfg.Pacing * budget * a.Hour / 24
-			if paced := allowance - spent; paced < remaining {
-				remaining = paced
+	for id, s := range why.lowScore {
+		at(id).Score = s
+	}
+	nTypes := len(b.cfg.AdTypes)
+	for i, c := range ar.cand {
+		ec := at(c.id)
+		ec.Distance, ec.Score = why.terms[i].dist, why.terms[i].score
+		ec.Delta, ec.Relief, ec.Threshold = ar.delta[i], ar.relief[i], why.phi[i]
+		ec.Base, ec.Remaining, ec.Headroom = ar.base[i], ar.remaining[i], ar.headroom[i]
+		ec.Escrow = c.escrow.Load()
+		ec.Bids = why.bids[i*nTypes : (i+1)*nTypes : (i+1)*nTypes]
+		if !auction {
+			for k := range ec.Bids {
+				ec.Bids[k].BidECPM, ec.Bids[k].AboveReserve = 0, false
 			}
 		}
-		if b.controller != nil {
-			if paced := c.allowance.Load() - spent; paced < remaining {
-				remaining = paced
-			}
-		}
-		ec.Distance = d
-		ec.Score = s
-		ec.Delta = delta
-		ec.Relief = relief
-		ec.Base = base
-		ec.Remaining = remaining
-		ec.Headroom = headroom
-		ec.Escrow = escrow
-		live = append(live, explainScratch{
-			c: c, ci: len(rep.Candidates) - 1, base: base, delta: delta,
-			remaining: remaining, headroom: headroom, relief: relief,
-		})
 	}
-
-	// Pass B: the sequential threshold walk against the γ simulation.
-	var picks []explainPick
-	if slate {
-		picks = b.explainSlateWalk(rep, live, &sim, a.Capacity)
-	} else {
-		picks = b.explainLegacyWalk(rep, live, &sim)
+	for i := range ar.reps {
+		r := &ar.reps[i]
+		at(ar.cand[r.ci].id).Bids[r.k].Chosen = true
 	}
-
-	// Slot resolution, mirroring the committed paths' ordering exactly.
-	b.explainResolve(rep, picks, slate, a.Capacity)
+	for slot := range ar.cands {
+		cd := &ar.cands[slot]
+		at(cd.Campaign).Offer = explainOfferFrom(cd, b.cfg.AdTypes, slot)
+	}
 	return rep, nil
 }
 
-// explainLegacyWalk mirrors scanCandidates pass B: per-candidate best
-// admitted pick at catalog cost, γ observed (into the sim) for every
-// affordable ad type.
-func (b *Broker) explainLegacyWalk(rep *ExplainReport, live []explainScratch, sim *gammaSim) []explainPick {
-	adTypes := b.cfg.AdTypes
-	var picks []explainPick
-	for i := range live {
-		sc := &live[i]
-		ec := &rep.Candidates[sc.ci]
-		phi := sim.threshold(sc.delta)
-		if rep.Boost != 1 {
-			phi *= rep.Boost
-		}
-		if sc.relief {
-			phi *= guaranteeRelief
-		}
-		ec.Threshold = phi
-		bestK, bestU, bestEff := -1, 0.0, 0.0
-		affordable := false
-		ec.Bids = make([]ExplainBid, 0, len(adTypes))
-		for k, t := range adTypes {
-			bid := ExplainBid{AdType: k, Name: t.Name, Cost: t.Cost}
-			if t.Cost > sc.remaining+1e-12 {
-				ec.Bids = append(ec.Bids, bid)
-				continue
-			}
-			affordable = true
-			bid.Affordable = true
-			util := sc.base * t.Effect
-			eff := util / t.Cost
-			sim.observe(eff)
-			bid.Utility, bid.Efficiency = util, eff
-			if eff >= phi {
-				bid.Admitted = true
-				if util > bestU {
-					bestK, bestU, bestEff = k, util, eff
-				}
-			}
-			ec.Bids = append(ec.Bids, bid)
-		}
-		switch {
-		case bestK >= 0:
-			ec.Bids[bestK].Chosen = true
-			picks = append(picks, explainPick{
-				ci: sc.ci, c: sc.c, k: bestK, util: bestU, eff: bestEff,
-				campaignID: sc.c.id,
-			})
-		case affordable:
-			ec.Disposition = dispositionNames[dispBelowThreshold]
-		case sc.headroom < b.minAdCost:
-			ec.Disposition = dispositionNames[dispExhausted]
-		default:
-			ec.Disposition = dispositionNames[dispUnaffordable]
-		}
-	}
-	return picks
-}
-
-// explainSlateWalk mirrors slatePassSingle/slatePassSlots' admission: per
-// ad type the eCPM bid, the reserve gate, and expected-cost efficiency. The
-// per-candidate best pick shape matches the capacity-1 walk; at higher
-// capacities the solver resolves slots in explainResolve, fed the same
-// (expected cost, utility) items in the same order.
-func (b *Broker) explainSlateWalk(rep *ExplainReport, live []explainScratch, sim *gammaSim, capacity int) []explainPick {
-	adTypes := b.cfg.AdTypes
-	single := capacity == 1
-	var picks []explainPick
-	for i := range live {
-		sc := &live[i]
-		ec := &rep.Candidates[sc.ci]
-		phi := sim.threshold(sc.delta)
-		if rep.Boost != 1 {
-			phi *= rep.Boost
-		}
-		if sc.relief {
-			phi *= guaranteeRelief
-		}
-		ec.Threshold = phi
-		bi := sc.c.billing
-		bestK, bestU, bestEff, bestBid := -1, 0.0, 0.0, 0.0
-		affordable, aboveReserve := false, false
-		ec.Bids = make([]ExplainBid, 0, len(adTypes))
-		for k, t := range adTypes {
-			eb := ExplainBid{AdType: k, Name: t.Name, Cost: t.Cost}
-			if t.Cost > sc.remaining+1e-12 {
-				ec.Bids = append(ec.Bids, eb)
-				continue
-			}
-			affordable = true
-			eb.Affordable = true
-			bid := bi.BidECPM(t.Cost)
-			eb.BidECPM = bid
-			if bid < bi.ReserveECPM {
-				ec.Bids = append(ec.Bids, eb)
-				continue
-			}
-			aboveReserve = true
-			eb.AboveReserve = true
-			util := sc.base * t.Effect
-			eff := util / bi.ExpectedCost(t.Cost)
-			sim.observe(eff)
-			eb.Utility, eb.Efficiency = util, eff
-			admitted := eff >= phi
-			if !single && util <= 0 {
-				admitted = false // the slot solver rejects zero-profit items
-			}
-			if admitted {
-				eb.Admitted = true
-				if single {
-					if util > bestU {
-						bestK, bestU, bestEff, bestBid = k, util, eff, bid
-					}
-				} else {
-					// Slots path: every admitted item joins the candidate's MCKP
-					// class; the first admitted one marks the class open.
-					if bestK < 0 {
-						bestK = k
-					}
-					picks = append(picks, explainPick{
-						ci: sc.ci, c: sc.c, k: k, util: util, eff: eff, bid: bid,
-						campaignID: sc.c.id,
-					})
-				}
-			}
-			ec.Bids = append(ec.Bids, eb)
-		}
-		if single && bestK >= 0 {
-			ec.Bids[bestK].Chosen = true
-			picks = append(picks, explainPick{
-				ci: sc.ci, c: sc.c, k: bestK, util: bestU, eff: bestEff,
-				bid: bestBid, campaignID: sc.c.id,
-			})
-		}
-		if bestK < 0 {
-			switch {
-			case aboveReserve:
-				ec.Disposition = dispositionNames[dispBelowThreshold]
-			case affordable:
-				ec.Disposition = dispositionNames[dispBelowReserve]
-			case sc.headroom < b.minAdCost:
-				ec.Disposition = dispositionNames[dispExhausted]
-			default:
-				ec.Disposition = dispositionNames[dispUnaffordable]
-			}
-		}
-	}
-	return picks
-}
-
-// explainResolve assigns the winners: the legacy capacity trim, the slate
-// single-slot winner/runner scan, or the MCKP slot solve — each mirroring
-// the committed path's exact ordering and pricing.
-func (b *Broker) explainResolve(rep *ExplainReport, picks []explainPick, slate bool, capacity int) {
-	adTypes := b.cfg.AdTypes
-	switch {
-	case !slate:
-		// Legacy: capacity trim by (efficiency desc, campaign asc) — but only
-		// when a trim is needed; within capacity the committed path keeps the
-		// admitted candidates in scan order, and so do the slots here.
-		order := make([]int, len(picks))
-		for i := range order {
-			order[i] = i
-		}
-		if len(picks) > capacity {
-			slices.SortFunc(order, func(x, y int) int {
-				px, py := &picks[x], &picks[y]
-				if px.eff != py.eff {
-					if px.eff > py.eff {
-						return -1
-					}
-					return 1
-				}
-				if px.campaignID != py.campaignID {
-					if px.campaignID < py.campaignID {
-						return -1
-					}
-					return 1
-				}
-				return 0
-			})
-		}
-		n := len(order)
-		if n > capacity {
-			n = capacity
-		}
-		for slot, oi := range order[:n] {
-			p := &picks[oi]
-			ec := &rep.Candidates[p.ci]
-			ec.Disposition = dispositionNames[dispOffered]
-			ec.Offer = &ExplainOffer{
-				AdType: p.k, Name: adTypes[p.k].Name, Utility: p.util,
-				Efficiency: p.eff, Cost: adTypes[p.k].Cost, Slot: slot,
-			}
-			rep.Offered++
-		}
-		for _, oi := range order[n:] {
-			rep.Candidates[picks[oi].ci].Disposition = dispositionNames[dispDisplaced]
-		}
-
-	case capacity == 1:
-		// Slate single slot: winner/runner scan by (efficiency desc, campaign
-		// asc — picks ascend by campaign, strict > keeps the lower id).
-		if len(picks) == 0 {
-			return
-		}
-		wi, ri := -1, -1
-		for j := range picks {
-			switch {
-			case wi < 0 || picks[j].eff > picks[wi].eff:
-				ri = wi
-				wi = j
-			case ri < 0 || picks[j].eff > picks[ri].eff:
-				ri = j
-			}
-		}
-		runnerBid := 0.0
-		if ri >= 0 {
-			runnerBid = picks[ri].bid
-		}
-		for j := range picks {
-			ec := &rep.Candidates[picks[j].ci]
-			if j != wi {
-				ec.Disposition = dispositionNames[dispDisplaced]
-				continue
-			}
-			p := &picks[j]
-			ec.Disposition = dispositionNames[dispOffered]
-			ec.Offer = explainOfferFrom(
-				priceSlateOffer(p.c, adTypes, p.k, p.util, p.eff, p.bid, runnerBid),
-				adTypes, 0)
-			rep.Offered++
-		}
-
-	default:
-		// Slate slots: rebuild the MCKP classes in walk order and solve with
-		// a local solver — same items, same order, same tie-breaking.
-		if len(picks) == 0 {
-			return
-		}
-		var s knapsack.SlotSolver
-		var classPick [][]int // class → indices into picks
-		lastCI := -1
-		for j := range picks {
-			if picks[j].ci != lastCI {
-				lastCI = picks[j].ci
-				s.Begin()
-				classPick = append(classPick, nil)
-			}
-			s.Item(picks[j].c.billing.ExpectedCost(adTypes[picks[j].k].Cost), picks[j].util)
-			classPick[len(classPick)-1] = append(classPick[len(classPick)-1], j)
-		}
-		s.Solve(capacity)
-		runnerBid := 0.0
-		if rc := s.Runner(); rc >= 0 {
-			if rp := s.RunnerPick(); rp >= 0 {
-				runnerBid = picks[classPick[rc][rp]].bid
-			}
-		}
-		won := make([]bool, len(classPick))
-		for slot, ci := range s.Order() {
-			won[ci] = true
-			p := &picks[classPick[ci][s.Pick(int(ci))]]
-			ec := &rep.Candidates[p.ci]
-			ec.Disposition = dispositionNames[dispOffered]
-			ec.Bids[p.k].Chosen = true
-			ec.Offer = explainOfferFrom(
-				priceSlateOffer(p.c, adTypes, p.k, p.util, p.eff, p.bid, runnerBid),
-				adTypes, slot)
-			rep.Offered++
-		}
-		for ci, w := range won {
-			if !w {
-				rep.Candidates[picks[classPick[ci][0]].ci].Disposition =
-					dispositionNames[dispDisplaced]
-			}
-		}
-	}
-}
-
-// explainOfferFrom converts a priced slate candidate to the report view.
-func explainOfferFrom(cd candidate, adTypes []model.AdType, slot int) *ExplainOffer {
+// explainOfferFrom converts a priced winner to the report view.
+func explainOfferFrom(cd *candidate, adTypes []model.AdType, slot int) *ExplainOffer {
 	out := &ExplainOffer{
 		AdType: cd.AdType, Name: adTypes[cd.AdType].Name,
 		Utility: cd.Utility, Efficiency: cd.Efficiency,

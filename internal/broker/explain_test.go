@@ -8,6 +8,7 @@ package broker
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -18,6 +19,7 @@ import (
 	"muaa/internal/geo"
 	"muaa/internal/model"
 	"muaa/internal/obs"
+	"muaa/internal/pacing"
 	"muaa/internal/stats"
 	"muaa/internal/workload"
 )
@@ -95,35 +97,166 @@ func matchPrediction(t *testing.T, op int, rep *ExplainReport, offers []Offer) {
 	}
 }
 
+// explainSelfConsistent asserts the report's own γ summary reproduces the
+// threshold its first walked candidate saw: gamma_min/e · g^delta, then the
+// boost and relief factors, in the kernel's operation order — exact, not
+// approximate. (Fails if G is the unclamped reporting value.)
+func explainSelfConsistent(t *testing.T, op int, rep *ExplainReport) {
+	t.Helper()
+	for i := range rep.Candidates {
+		c := &rep.Candidates[i]
+		if len(c.Bids) == 0 {
+			continue // filtered before the walk
+		}
+		want := rep.GammaMin / math.E * math.Pow(rep.G, c.Delta)
+		if rep.Boost != 1 {
+			want *= rep.Boost
+		}
+		if c.Relief {
+			want *= guaranteeRelief
+		}
+		if c.Threshold != want {
+			t.Fatalf("op %d: candidate %d threshold %v, but gamma_min %v / e · g %v ^ delta %v · boost %v (relief %v) = %v",
+				op, c.Campaign, c.Threshold, rep.GammaMin, rep.G, c.Delta, rep.Boost, c.Relief, want)
+		}
+		return
+	}
+}
+
+// funnelRows reads the funnel row of every candidate in the report.
+func funnelRows(t *testing.T, b *Broker, rep *ExplainReport) []FunnelCounts {
+	t.Helper()
+	rows := make([]FunnelCounts, len(rep.Candidates))
+	for i := range rep.Candidates {
+		fc, err := b.CampaignFunnel(rep.Candidates[i].Campaign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[i] = fc
+	}
+	return rows
+}
+
+// matchFunnel asserts the arrival that followed the report moved each
+// candidate's funnel row by exactly one event, in the disposition the report
+// predicted for it.
+func matchFunnel(t *testing.T, op int, b *Broker, rep *ExplainReport, before []FunnelCounts) {
+	t.Helper()
+	after := funnelRows(t, b, rep)
+	for i := range rep.Candidates {
+		c := &rep.Candidates[i]
+		if after[i].Gathered != before[i].Gathered+1 {
+			t.Fatalf("op %d: campaign %d gathered moved %d → %d, want +1",
+				op, c.Campaign, before[i].Gathered, after[i].Gathered)
+		}
+		was, got := before[i].dispositions(), after[i].dispositions()
+		for d := range got {
+			want := was[d]
+			if dispositionNames[d] == c.Disposition {
+				want++
+			}
+			if got[d] != want {
+				t.Fatalf("op %d: campaign %d explained as %q, but funnel %s moved %d → %d",
+					op, c.Campaign, c.Disposition, dispositionNames[d], was[d], got[d])
+			}
+		}
+	}
+}
+
 // TestExplainPredictsArrive replays seeded mixed traffic and, before every
 // arrival, asks Explain for its prediction: the immediately-following Arrive
-// must commit exactly the predicted offers. Covers the legacy scan, pacing,
-// fixed g, the slate single-slot auction, and the MCKP slots path.
+// must commit exactly the predicted offers and move every candidate's funnel
+// row by exactly the predicted disposition — explain and funnel are the same
+// kernel events, so they must agree candidate by candidate. Covers the trim
+// resolver plain, paced, with fixed g, forced onto the auction path and under
+// single-slot auction; the MCKP slots resolver; a pacing controller (boost
+// and allowance caps); and guaranteed campaigns behind their floor (relief).
 func TestExplainPredictsArrive(t *testing.T) {
 	type tcase struct {
 		name string
 		cfg  Config
 		load workload.BrokerLoadConfig
+		// shape, when set, edits campaign i's spec before registration.
+		shape func(i int, s *CampaignSpec)
+		// tick, when set, runs before the n-th arrival's explain.
+		tick func(b *Broker, n int)
+		// covers, when set, must hold for at least one report: proof the case
+		// reached the path it is named for.
+		covers func(rep *ExplainReport) bool
 	}
+	anyCandidate := func(rep *ExplainReport, f func(*ExplainCandidate) bool) bool {
+		for i := range rep.Candidates {
+			if f(&rep.Candidates[i]) {
+				return true
+			}
+		}
+		return false
+	}
+	ctl := pacing.Default()
 	cases := []tcase{
-		{"legacy", Config{AdTypes: workload.DefaultAdTypes()},
-			workload.DefaultBrokerLoadConfig(24, 1500, 11)},
-		{"paced", Config{AdTypes: workload.DefaultAdTypes(), Pacing: 1.25},
-			workload.DefaultBrokerLoadConfig(24, 1500, 12)},
-		{"fixed_g", Config{AdTypes: workload.DefaultAdTypes(), G: 8},
-			workload.DefaultBrokerLoadConfig(24, 1500, 13)},
-		{"slate_single", Config{AdTypes: workload.DefaultAdTypes()},
-			func() workload.BrokerLoadConfig {
+		{name: "legacy", cfg: Config{AdTypes: workload.DefaultAdTypes()},
+			load: workload.DefaultBrokerLoadConfig(24, 1500, 11)},
+		{name: "paced", cfg: Config{AdTypes: workload.DefaultAdTypes(), Pacing: 1.25},
+			load: workload.DefaultBrokerLoadConfig(24, 1500, 12)},
+		{name: "fixed_g", cfg: Config{AdTypes: workload.DefaultAdTypes(), G: 8},
+			load: workload.DefaultBrokerLoadConfig(24, 1500, 13)},
+		{name: "slate_single", cfg: Config{AdTypes: workload.DefaultAdTypes()},
+			load: func() workload.BrokerLoadConfig {
 				c := workload.BilledBrokerLoadConfig(24, 1500, 14)
 				c.Capacity = stats.Range{Lo: 1, Hi: 1}
 				return c
 			}()},
-		{"slate_slots", Config{AdTypes: workload.DefaultAdTypes()},
-			func() workload.BrokerLoadConfig {
+		{name: "slate_slots", cfg: Config{AdTypes: workload.DefaultAdTypes()},
+			load: func() workload.BrokerLoadConfig {
 				c := workload.BilledBrokerLoadConfig(24, 1500, 15)
 				c.Capacity = stats.Range{Lo: 2, Hi: 4}
 				return c
 			}()},
+		// Config.Slate on an all-fixed fleet: trim at capacity 1, the slot
+		// solver at 2–4, catalog prices throughout.
+		{name: "forced_slate", cfg: Config{AdTypes: workload.DefaultAdTypes(), Slate: true},
+			load: workload.DefaultBrokerLoadConfig(96, 1500, 16),
+			covers: func(rep *ExplainReport) bool {
+				return rep.Slate && rep.Offered > 1 && anyCandidate(rep, func(c *ExplainCandidate) bool {
+					return c.Disposition == dispositionNames[dispDisplaced]
+				})
+			}},
+		// A pacing controller mid-flight: every 150 arrivals an epoch swings
+		// the boost and puts even campaigns under a tight spend-rate cap.
+		{name: "controller", cfg: Config{AdTypes: workload.DefaultAdTypes(), Controller: &ctl},
+			load: workload.DefaultBrokerLoadConfig(24, 1500, 17),
+			tick: func(b *Broker, n int) {
+				if n%150 != 75 {
+					return
+				}
+				dec := pacing.Decision{Boost: 1.75}
+				if n%300 == 75 {
+					dec.Boost = 0.6
+				}
+				for id := int32(0); id < 24; id += 2 {
+					dec.Rates = append(dec.Rates, pacing.CampaignRate{ID: id, Rate: 0.02})
+				}
+				b.applyDecision(dec)
+			},
+			covers: func(rep *ExplainReport) bool {
+				return rep.Boost != 1 && anyCandidate(rep, func(c *ExplainCandidate) bool {
+					return c.Disposition == dispositionNames[dispUnaffordable]
+				})
+			}},
+		// Guaranteed campaigns that owe 90% of budget by end of day are behind
+		// their pro-rated floor from the first arrival: relieved thresholds.
+		{name: "relief", cfg: Config{AdTypes: workload.DefaultAdTypes()},
+			load: workload.DefaultBrokerLoadConfig(24, 1500, 18),
+			shape: func(i int, s *CampaignSpec) {
+				if i%3 == 0 {
+					s.Guaranteed, s.Floor, s.Penalty = true, 0.9, 1
+				}
+			},
+			covers: func(rep *ExplainReport) bool {
+				return rep.GammaMax > 0 && anyCandidate(rep, func(c *ExplainCandidate) bool {
+					return c.Relief && c.Offer != nil
+				})
+			}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -136,13 +269,25 @@ func TestExplainPredictsArrive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			registerLoad(t, b, specs)
+			for i, c := range specs {
+				spec := CampaignSpec{Loc: c.Loc, Radius: c.Radius, Budget: c.Budget,
+					Tags: c.Tags, Billing: c.Billing}
+				if tc.shape != nil {
+					tc.shape(i, &spec)
+				}
+				if _, err := b.RegisterCampaignSpec(spec); err != nil {
+					t.Fatal(err)
+				}
+			}
 			var open []uint64
-			arrivals, slate := 0, false
+			arrivals, slate, covered := 0, false, tc.covers == nil
 			for i, op := range ops {
 				if op.Kind != workload.OpArrival {
 					applyBilledOp(t, b, op, &open)
 					continue
+				}
+				if tc.tick != nil {
+					tc.tick(b, arrivals)
 				}
 				a := Arrival{Loc: op.Loc, Capacity: op.Capacity, ViewProb: op.ViewProb,
 					Interests: op.Interests, Hour: op.Hour}
@@ -151,11 +296,14 @@ func TestExplainPredictsArrive(t *testing.T) {
 					t.Fatalf("op %d: %v", i, err)
 				}
 				explainConserved(t, rep)
+				explainSelfConsistent(t, i, rep)
+				before := funnelRows(t, b, rep)
 				offers, err := b.Arrive(a)
 				if err != nil {
 					t.Fatalf("op %d: %v", i, err)
 				}
 				matchPrediction(t, i, rep, offers)
+				matchFunnel(t, i, b, rep, before)
 				for _, o := range offers {
 					if o.ID != 0 {
 						open = append(open, o.ID)
@@ -163,15 +311,52 @@ func TestExplainPredictsArrive(t *testing.T) {
 				}
 				arrivals++
 				slate = slate || rep.Slate
+				covered = covered || tc.covers(rep)
 			}
 			if arrivals == 0 {
 				t.Fatal("load produced no arrivals")
 			}
-			if wantSlate := tc.load.CPMFrac > 0; slate != wantSlate {
+			if wantSlate := tc.load.CPMFrac > 0 || tc.cfg.Slate; slate != wantSlate {
 				t.Fatalf("slate path = %v, want %v", slate, wantSlate)
+			}
+			if !covered {
+				t.Fatal("no report reached the path this case is named for")
 			}
 		})
 	}
+}
+
+// TestExplainReportsBaseInEffect pins ExplainReport.G to the base the walk
+// used, where it differs from the reporting-only Stats.G: after a single
+// observed efficiency γ_max == γ_min, so Stats.G is still 0 while admission
+// runs on the 2e floor.
+func TestExplainReportsBaseInEffect(t *testing.T) {
+	b, err := New(Config{AdTypes: []model.AdType{{Name: "banner", Cost: 1, Effect: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.RegisterCampaign(geo.Point{X: 0.5, Y: 0.5}, 0.2, 50, []float64{1, 0, 0.3}); err != nil {
+		t.Fatal(err)
+	}
+	a := Arrival{Loc: geo.Point{X: 0.49, Y: 0.51}, Capacity: 1, ViewProb: 0.7, Interests: []float64{0.9, 0.1, 0.3}}
+	if offers, err := b.Arrive(a); err != nil || len(offers) != 1 {
+		t.Fatalf("seed arrival: %v, %v", offers, err)
+	}
+	st := b.Stats()
+	if st.GammaMin != st.GammaMax || st.GammaMax == 0 || st.G != 0 {
+		t.Fatalf("stats after one observation = %+v, want γ_min == γ_max > 0 and the unclamped G = 0", st)
+	}
+	rep, err := b.Explain(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.G != 2*math.E {
+		t.Errorf("report g = %v, want the 2e floor in effect", rep.G)
+	}
+	if len(rep.Candidates) != 1 || rep.Candidates[0].Delta == 0 || rep.Candidates[0].Threshold == 0 {
+		t.Fatalf("report = %+v, want one walked candidate with spend behind it", rep)
+	}
+	explainSelfConsistent(t, 0, rep)
 }
 
 // TestReplayMatchesGoldenExplainInterleaved is the read-only pin: replaying

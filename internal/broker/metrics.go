@@ -1,7 +1,6 @@
 package broker
 
 import (
-	"math"
 	"strconv"
 
 	"muaa/internal/obs"
@@ -69,18 +68,18 @@ var (
 // foldScanTally adds one scan's outcome tallies (accumulated branch-free in
 // the scan loop) into the registered counters.
 func (m *brokerMetrics) foldScanTally(t *scanTally) {
-	m.scanOffered.Add(t.offered)
-	m.scanPaused.Add(t.paused)
-	m.scanExhausted.Add(t.exhausted)
-	m.scanMismatch.Add(t.mismatch)
-	m.scanLowScore.Add(t.lowScore)
-	m.scanUnaffordable.Add(t.unaffordable)
-	m.scanBelowThreshold.Add(t.belowThreshold)
-	if t.belowReserve > 0 {
-		m.scanBelowReserve.Add(t.belowReserve)
+	m.scanOffered.Add(t.admitted())
+	m.scanPaused.Add(t.disp[dispPaused])
+	m.scanExhausted.Add(t.disp[dispExhausted])
+	m.scanMismatch.Add(t.disp[dispTagMismatch])
+	m.scanLowScore.Add(t.disp[dispLowScore])
+	m.scanUnaffordable.Add(t.disp[dispUnaffordable])
+	m.scanBelowThreshold.Add(t.disp[dispBelowThreshold])
+	if n := t.disp[dispBelowReserve]; n > 0 {
+		m.scanBelowReserve.Add(n)
 	}
-	if t.trimmed > 0 {
-		m.capacityTrimmed.Add(t.trimmed)
+	if n := t.disp[dispDisplaced]; n > 0 {
+		m.capacityTrimmed.Add(n)
 	}
 }
 
@@ -190,21 +189,22 @@ func newBrokerMetrics(reg *obs.Registry, b *Broker) *brokerMetrics {
 	reg.NewGaugeFunc("muaa_broker_gamma_max",
 		"Running maximum observed offer efficiency.",
 		func() float64 { return b.gammaMax.Load() })
+	// Reporting-only, unclamped (gammaState.reportedG, shared with Stats.G):
+	// admission clamps the derived base to [2e, 1e9], this gauge does not.
 	reg.NewGaugeFunc("muaa_broker_threshold_g",
 		"Adaptive threshold base g: configured, or derived as e·γ_max/γ_min once observations exist.",
 		func() float64 {
-			g := b.cfg.G
-			gmax, gmin := b.gammaMax.Load(), b.gammaMin.Load()
-			if g == 0 && gmax > gmin && gmax > 0 {
-				g = math.E * gmax / gmin
-			}
-			return g
+			gs := b.gammaSeed()
+			return gs.reportedG()
 		})
 	for _, delta := range []float64{0, 0.5, 1} {
 		delta := delta
 		reg.NewGaugeFunc("muaa_broker_threshold",
 			"Live admission threshold φ(δ) = γ_min/e · g^δ at reference budget-usage ratios δ.",
-			func() float64 { return b.threshold(delta) },
+			func() float64 {
+				gs := b.gammaSeed()
+				return gs.threshold(delta)
+			},
 			obs.L("delta", strconv.FormatFloat(delta, 'g', -1, 64)))
 	}
 	registerBillingMetrics(reg, b.billing)

@@ -2,6 +2,7 @@ package broker
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -323,5 +324,114 @@ func TestConcurrentBatchSoak(t *testing.T) {
 	}
 	if math.Abs(campaignSpend-st.BudgetSpent) > 1e-6 {
 		t.Errorf("per-campaign spend %g disagrees with global counter %g", campaignSpend, st.BudgetSpent)
+	}
+}
+
+// TestGammaMergeLosesNothing pins the γ-state seed/merge rule under
+// concurrency. Each goroutine serves its own arrivals inside its own stripe
+// (disjoint lock sets, so they truly run in parallel), every arrival walks a
+// private γ-state and merges it back with Min/Max. Budgets are effectively
+// unlimited, so the set of efficiencies observed does not depend on who
+// spent what when: the final bounds must equal, bit for bit, those of a
+// serial replay of the same arrivals — no merge may lose an observation.
+// Meanwhile a reader checks the ordering gammaSeed/gammaMerge document: a
+// snapshot that sees γ_max > 0 never holds γ_min = +Inf.
+func TestGammaMergeLosesNothing(t *testing.T) {
+	const stripes, perStripe, arrivalsEach = 8, 6, 250
+	// Everything in lane k sits within 0.01 of stripe k's midline and radii
+	// stay ≤ 0.04, so an arrival's lock window (its Y ± the fleet's largest
+	// radius) never leaves its own 0.125-high stripe — checked below.
+	near := func(rng *rand.Rand, mid float64) float64 { return mid + (rng.Float64()-0.5)*0.02 }
+	vec := func(rng *rand.Rand) []float64 { return []float64{rng.Float64(), rng.Float64(), rng.Float64()} }
+	build := func() (*Broker, [][]Arrival) {
+		b, err := New(Config{AdTypes: workload.DefaultAdTypes(), Shards: stripes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(99))
+		lanes := make([][]Arrival, stripes)
+		for k := range lanes {
+			mid := (float64(k) + 0.5) / stripes
+			for i := 0; i < perStripe; i++ {
+				loc := geo.Point{X: near(rng, 0.5), Y: near(rng, mid)}
+				if _, err := b.RegisterCampaign(loc, 0.03+0.01*rng.Float64(), 1e12, vec(rng)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < arrivalsEach; i++ {
+				lanes[k] = append(lanes[k], Arrival{
+					Loc:       geo.Point{X: near(rng, 0.5), Y: near(rng, mid)},
+					Capacity:  1 + i%4,
+					ViewProb:  0.1 + 0.8*rng.Float64(),
+					Interests: vec(rng),
+					Hour:      24 * rng.Float64(),
+				})
+			}
+		}
+		maxR := b.maxRadius.Load()
+		for k, lane := range lanes {
+			for _, a := range lane {
+				if s0, s1 := b.stripes.Range(a.Loc.Y-maxR, a.Loc.Y+maxR); s0 != k || s1 != k {
+					t.Fatalf("lane %d arrival locks stripes %d..%d; lanes must be disjoint", k, s0, s1)
+				}
+			}
+		}
+		return b, lanes
+	}
+
+	serial, lanes := build()
+	for _, lane := range lanes {
+		for _, a := range lane {
+			if _, err := serial.Arrive(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want := serial.Stats()
+	if want.GammaMax == 0 || want.GammaMin >= want.GammaMax {
+		t.Fatalf("serial replay observed nothing useful: %+v", want)
+	}
+
+	conc, lanes := build()
+	done := make(chan struct{})
+	var readers, workers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			if gs := conc.gammaSeed(); gs.max > 0 && math.IsInf(gs.min, 1) {
+				t.Errorf("snapshot saw γ_max = %v with γ_min still +Inf", gs.max)
+				return
+			}
+			select {
+			case <-done:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	for k := range lanes {
+		workers.Add(1)
+		go func(lane []Arrival) {
+			defer workers.Done()
+			for _, a := range lane {
+				if _, err := conc.Arrive(a); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(lanes[k])
+	}
+	workers.Wait()
+	close(done)
+	readers.Wait()
+	got := conc.Stats()
+	if got.GammaMin != want.GammaMin || got.GammaMax != want.GammaMax {
+		t.Fatalf("concurrent γ bounds [%v, %v], serial replay [%v, %v]: a merge lost an observation",
+			got.GammaMin, got.GammaMax, want.GammaMin, want.GammaMax)
+	}
+	if got.Arrivals != want.Arrivals {
+		t.Fatalf("arrivals %d, want %d", got.Arrivals, want.Arrivals)
 	}
 }
