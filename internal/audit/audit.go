@@ -34,18 +34,15 @@ func (o *Offer) revenue() float64 {
 	return o.Cost
 }
 
-// Arrival is one customer arrival as the decision stream recorded it.
-// HasFeatures reports whether the stream carried the customer's own features
-// (v2 WAL records do; v1 records only carry the offers) — only featured
-// arrivals can enter the oracle problem.
+// Arrival is one customer arrival as the decision stream recorded it: the
+// customer's own features and the offers committed for it.
 type Arrival struct {
-	Loc         geo.Point
-	Capacity    int
-	ViewProb    float64
-	Interests   []float64
-	Hour        float64
-	HasFeatures bool
-	Offers      []Offer
+	Loc       geo.Point
+	Capacity  int
+	ViewProb  float64
+	Interests []float64
+	Hour      float64
+	Offers    []Offer
 }
 
 // Campaign is one campaign's state over the audited stream: its geometry and
@@ -201,7 +198,7 @@ func Compute(in Input, cfg Config) (Report, error) {
 	var audited []int
 	for ai := range in.Arrivals {
 		a := &in.Arrivals[ai]
-		isAudited := a.HasFeatures && a.Capacity > 0
+		isAudited := a.Capacity > 0
 		if isAudited {
 			audited = append(audited, ai)
 			rep.HourFraction = math.Min(math.Max(a.Hour/24, 0), 1)

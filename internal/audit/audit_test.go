@@ -27,7 +27,7 @@ func oneVendorInput() Input {
 		}},
 		Arrivals: []Arrival{{
 			Loc: geo.Point{X: 0.5, Y: 0.6}, Capacity: 2, ViewProb: 0.8,
-			Interests: []float64{1, 0}, Hour: 12, HasFeatures: true,
+			Interests: []float64{1, 0}, Hour: 12,
 			Offers: []Offer{{Campaign: 0, AdType: 1, Cost: 2, Utility: 3}},
 		}},
 		GammaMin: 0.5,
@@ -80,27 +80,26 @@ func TestComputeBasics(t *testing.T) {
 	}
 }
 
-// TestComputeFeaturelessArrivals: offers of arrivals without recorded
-// features (legacy v1 records) charge budgets but join neither ratio side.
-func TestComputeFeaturelessArrivals(t *testing.T) {
+// TestComputeUnauditedArrivals: offers of arrivals outside the oracle
+// problem (capacity 0) charge budgets but join neither ratio side.
+func TestComputeUnauditedArrivals(t *testing.T) {
 	in := oneVendorInput()
 	in.Arrivals = append(in.Arrivals, Arrival{
-		HasFeatures: false,
-		Offers:      []Offer{{Campaign: 0, AdType: 0, Cost: 1, Utility: 99}},
+		Offers: []Offer{{Campaign: 0, AdType: 0, Cost: 1, Utility: 99}},
 	})
 	rep, err := Compute(in, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.OnlineUtility != 3 {
-		t.Fatalf("featureless offer leaked into online utility: %g", rep.OnlineUtility)
+		t.Fatalf("unaudited offer leaked into online utility: %g", rep.OnlineUtility)
 	}
 	if rep.AuditedArrivals != 1 || rep.Arrivals != 2 {
 		t.Fatalf("audited %d of %d", rep.AuditedArrivals, rep.Arrivals)
 	}
 	ca := rep.CampaignAudits[0]
 	if ca.SpentTotal != 3 {
-		t.Fatalf("featureless offer must still charge: spent %g", ca.SpentTotal)
+		t.Fatalf("unaudited offer must still charge: spent %g", ca.SpentTotal)
 	}
 	// The oracle's budget shrank by the unseen spend; with the bigger
 	// baseline removed the ratio still holds.

@@ -33,7 +33,7 @@ func pauseHeavyInput() Input {
 		Campaigns: campaigns,
 		Arrivals: []Arrival{{
 			Loc: geo.Point{X: 0.5, Y: 0.6}, Capacity: 3, ViewProb: 0.8,
-			Interests: []float64{1, 0}, Hour: 12, HasFeatures: true,
+			Interests: []float64{1, 0}, Hour: 12,
 			Offers: []Offer{{Campaign: 0, AdType: 1, Cost: 2, Utility: 12}},
 		}},
 		GammaMin: 0.5,

@@ -80,10 +80,9 @@ type Report struct {
 	// was forbidden to spend their budgets, so a counterfactual spending
 	// them would depress the ratio for reasons no admission policy can fix.
 	PausedCampaigns int `json:"paused_campaigns"`
-	// AuditedArrivals is how many arrivals carried the customer features the
-	// oracle problem needs (capacity > 0 and a v2 WAL record). Offers of
-	// non-audited arrivals still charge budgets but join neither side of the
-	// ratio.
+	// AuditedArrivals is how many arrivals entered the oracle problem (those
+	// with capacity > 0). Offers of non-audited arrivals still charge budgets
+	// but join neither side of the ratio.
 	AuditedArrivals int `json:"audited_arrivals"`
 	Campaigns       int `json:"campaigns"`
 	Offers          int `json:"offers"`

@@ -71,11 +71,10 @@ func newAuditState(window int, every time.Duration) *auditState {
 // approximation by design.
 func (s *auditState) capture(a *Arrival, offers []Offer) {
 	entry := audit.Arrival{
-		Loc:         a.Loc,
-		Capacity:    a.Capacity,
-		ViewProb:    a.ViewProb,
-		Hour:        a.Hour,
-		HasFeatures: true,
+		Loc:      a.Loc,
+		Capacity: a.Capacity,
+		ViewProb: a.ViewProb,
+		Hour:     a.Hour,
 	}
 	if len(a.Interests) > 0 {
 		entry.Interests = append([]float64(nil), a.Interests...)
@@ -331,7 +330,7 @@ type AuditConfig struct {
 
 // auditArrival converts one decoded arrival (and its committed offers) into
 // the audit stream's shape.
-func auditArrival(cu Arrival, hasFeatures bool, offers []Offer) audit.Arrival {
+func auditArrival(cu Arrival, offers []Offer) audit.Arrival {
 	out := make([]audit.Offer, len(offers))
 	for j := range offers {
 		o := &offers[j]
@@ -341,13 +340,12 @@ func auditArrival(cu Arrival, hasFeatures bool, offers []Offer) audit.Arrival {
 		}
 	}
 	return audit.Arrival{
-		Loc:         cu.Loc,
-		Capacity:    cu.Capacity,
-		ViewProb:    cu.ViewProb,
-		Interests:   cu.Interests,
-		Hour:        cu.Hour,
-		HasFeatures: hasFeatures,
-		Offers:      out,
+		Loc:       cu.Loc,
+		Capacity:  cu.Capacity,
+		ViewProb:  cu.ViewProb,
+		Interests: cu.Interests,
+		Hour:      cu.Hour,
+		Offers:    out,
 	}
 }
 
@@ -404,7 +402,7 @@ func ReplayAudit(dir string, cfg AuditConfig) (audit.Report, error) {
 			return audit.Report{}, fmt.Errorf("broker: audit record %d of %d: %w", i+1, len(v.Records), err)
 		}
 		switch d.Kind {
-		case RecordRegister, RecordRegisterV2, RecordRegisterV3:
+		case RecordRegister:
 			byID[d.Campaign] = len(in.Campaigns)
 			in.Campaigns = append(in.Campaigns, audit.Campaign{
 				ID: d.Campaign, Loc: d.Loc, Radius: d.Radius, Tags: d.Tags,
@@ -432,23 +430,12 @@ func ReplayAudit(dir string, cfg AuditConfig) (audit.Report, error) {
 				return audit.Report{}, fmt.Errorf("broker: audit record %d pauses unknown campaign %d", i+1, d.Campaign)
 			}
 			in.Campaigns[ci].Paused = d.Paused
-		case RecordArrival, RecordArrivalV2, RecordArrivalSlate:
-			gammaMin = math.Min(gammaMin, d.GammaMin)
-			gammaMax = math.Max(gammaMax, d.GammaMax)
-			in.Arrivals = append(in.Arrivals,
-				auditArrival(d.Customer, d.HasCustomer, d.Offers))
-			for j := range d.Offers {
-				in.EscrowHeld += d.Offers[j].Hold
-			}
-		case RecordArrivalBatch, RecordArrivalBatchV2:
-			// One record, many arrivals: fold each element exactly as a
-			// serial arrival record, in the batch's processing order.
-			for j := range d.Batch {
-				e := &d.Batch[j]
+		case RecordArrivals:
+			for j := range d.Arrivals {
+				e := &d.Arrivals[j]
 				gammaMin = math.Min(gammaMin, e.GammaMin)
 				gammaMax = math.Max(gammaMax, e.GammaMax)
-				in.Arrivals = append(in.Arrivals,
-					auditArrival(e.Customer, true, e.Offers))
+				in.Arrivals = append(in.Arrivals, auditArrival(e.Customer, e.Offers))
 				for k := range e.Offers {
 					in.EscrowHeld += e.Offers[k].Hold
 				}

@@ -1,6 +1,6 @@
 package broker
 
-// ReplayAudit integration tests for the v4 record kinds: billed streams
+// ReplayAudit integration tests for billed records: billed streams
 // (slate arrivals, conversions) and the pause-aware oracle.
 
 import (

@@ -18,7 +18,6 @@ package broker
 // processing order.
 
 import (
-	"encoding/binary"
 	"time"
 
 	"muaa/internal/trace"
@@ -36,7 +35,7 @@ type BatchResult struct {
 // ArriveBatch processes a window of arrivals as one unit: the covering
 // stripe interval is locked once, one clock anchor times the whole batch,
 // every arrival is processed in submission order by the serial pipeline's
-// own passes, and a durable broker appends a single v3 batch record framing
+// own passes, and a durable broker appends a single arrivals record framing
 // all of them. Results are per arrival, index-aligned with batch. Offer
 // slices in the results alias one shared buffer owned by the caller.
 func (b *Broker) ArriveBatch(batch []Arrival) []BatchResult {
@@ -188,26 +187,17 @@ func (b *Broker) arriveBatch(batch []Arrival, t *trace.Trace) []BatchResult {
 			t.Stages[trace.StageLockWait] = d
 		}
 	}
-	// The auction flag is read once under the locks (see scan); the record
-	// format additionally upgrades to v2 bodies only when billing is truly
-	// active, so a forced-slate all-fixed broker still writes the legacy
-	// stream byte-identically.
-	slateRec := b.billing.active.Load()
-	auction := slateRec || b.cfg.Slate
+	// The auction flag is read once under the locks (see scan).
+	auction := b.cfg.Slate || b.billing.active.Load()
 
-	// One batch record frames the whole batch; each element is encoded right
+	// One arrivals record frames the whole batch; each body is encoded right
 	// after its arrival's commit so it carries the same γ bits the serial
 	// record would.
 	var bp *[]byte
 	var buf []byte
 	if b.wal != nil {
 		bp = recPool.Get().(*[]byte)
-		kind := byte(recArrivalBatch)
-		if slateRec {
-			kind = recArrivalBatchV2
-		}
-		buf = append((*bp)[:0], kind)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(live))
+		buf = appendArrivalsHeader((*bp)[:0], live, auction)
 	}
 
 	ar := &b.shards[lo].arena
@@ -221,7 +211,7 @@ func (b *Broker) arriveBatch(batch []Arrival, t *trace.Trace) []BatchResult {
 		b.arrivals.Add(1)
 		if a.Capacity == 0 {
 			if b.wal != nil {
-				buf = b.appendArrivalBodyKind(buf, a, nil, slateRec)
+				buf = b.appendArrivalBody(buf, a, nil)
 			}
 			continue
 		}
@@ -236,7 +226,7 @@ func (b *Broker) arriveBatch(batch []Arrival, t *trace.Trace) []BatchResult {
 			results[i].Offers = offers[n0:len(offers):len(offers)]
 		}
 		if b.wal != nil {
-			buf = b.appendArrivalBodyKind(buf, a, results[i].Offers, slateRec)
+			buf = b.appendArrivalBody(buf, a, results[i].Offers)
 		}
 	}
 	if timed {

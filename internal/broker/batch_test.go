@@ -117,7 +117,7 @@ func replayTranscriptBatched(t *testing.T, cfg Config, campaigns, ops int, seed,
 // golden streams pushed through ArriveBatch with randomly sized windows must
 // reproduce the serial golden transcripts byte-for-byte — same offers, same
 // γ evolution, same final floats. This is the "replays bit-exactly" bar for
-// the v3 batch record's producer side.
+// the multi-arrival record's producer side.
 func TestBatchedReplayMatchesGolden(t *testing.T) {
 	cases := []struct {
 		name string
@@ -239,7 +239,7 @@ func TestBatchMatchesSerialProperty(t *testing.T) {
 	}
 }
 
-// TestBatchReplayBitExact pins the WAL v3 record round trip: a durable
+// TestBatchReplayBitExact pins the multi-arrival record round trip: a durable
 // broker fed batches, crashed without Close, and recovered must match —
 // bit for bit — a serial durable broker crashed and recovered at the same
 // point, and both must keep agreeing on traffic served after recovery.
@@ -312,7 +312,7 @@ func TestBatchReplayBitExact(t *testing.T) {
 	}
 	flush()
 
-	// The batched WAL must actually contain v3 records — otherwise this test
+	// The batched WAL must actually contain batch records — otherwise this test
 	// is vacuously comparing two serial logs.
 	if n := countBatchRecords(t, batchDir); n == 0 {
 		t.Fatal("batched broker's WAL contains no batch records")
@@ -348,7 +348,7 @@ func TestBatchReplayBitExact(t *testing.T) {
 }
 
 // countBatchRecords decodes a broker data directory's WAL and counts
-// RecordArrivalBatch frames.
+// RecordArrivals frames that carry more than one arrival.
 func countBatchRecords(t *testing.T, dir string) int {
 	t.Helper()
 	v, err := wal.ReadDir(dir)
@@ -361,7 +361,7 @@ func countBatchRecords(t *testing.T, dir string) int {
 		if err != nil {
 			t.Fatalf("undecodable WAL record: %v", err)
 		}
-		if d.Kind == RecordArrivalBatch {
+		if d.Kind == RecordArrivals && len(d.Arrivals) > 1 {
 			n++
 		}
 	}

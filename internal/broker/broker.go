@@ -718,7 +718,7 @@ func (b *Broker) arrive(dst []Offer, a Arrival, t *trace.Trace) ([]Offer, error)
 		sh := &b.shards[b.stripes.Of(a.Loc)]
 		sh.mu.Lock()
 		b.arrivals.Add(1)
-		b.logArrival(&a, nil)
+		b.logArrival(&a, nil, false) // nothing to resolve
 		sh.mu.Unlock()
 		return dst, nil
 	}
@@ -795,7 +795,7 @@ func (b *Broker) arrive(dst []Offer, a Arrival, t *trace.Trace) ([]Offer, error)
 	}
 	if len(ar.cands) == 0 {
 		if b.wal != nil {
-			b.logArrival(&a, nil)
+			b.logArrival(&a, nil, auction)
 		}
 		if timed {
 			// The commit stage histogram intentionally skips empty arrivals
@@ -816,7 +816,7 @@ func (b *Broker) arrive(dst []Offer, a Arrival, t *trace.Trace) ([]Offer, error)
 		// Logged after every charge has landed and before the stripe locks
 		// release: the record carries the post-arrival γ bits and exactly
 		// the offers committed.
-		b.logArrival(&a, dst[n0:])
+		b.logArrival(&a, dst[n0:], auction)
 	}
 	if timed {
 		el := time.Since(tStart)

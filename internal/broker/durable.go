@@ -15,51 +15,35 @@ import (
 	"muaa/internal/wal"
 )
 
-// The WAL record types. Each record is the delta of exactly one committed
+// The WAL record types: one current layout per logical record (DESIGN §10
+// has the field tables). Each record is the delta of exactly one committed
 // broker mutation, encoded little-endian with floats as IEEE-754 bits so
-// replay rebuilds bit-identical state.
+// replay rebuilds bit-identical state. A type byte is never reused for a
+// different layout: 1, 4, 5, 6, 8, 10 and 11 named layouts that are no
+// longer written or read, and DecodeRecord refuses them like any unknown
+// byte.
 const (
-	recRegister   byte = 1 // id, loc, radius, budget, tags
-	recTopUp      byte = 2 // id, amount
-	recPause      byte = 3 // id, paused flag
-	recArrival    byte = 4 // γ bound bits, committed offers (campaign, ad type, cost, utility)
-	recArrivalV2  byte = 5 // recArrival plus the customer's own features (loc, capacity, viewProb, interests, hour)
-	recRegisterV2 byte = 6 // recRegister plus the delivery class (guaranteed flag, floor, penalty)
-	recController byte = 7 // versioned controller epoch: boost bits + per-campaign rate/allowance bits
-
-	// recArrivalBatch is the v3 arrival record one ArriveBatch call appends:
-	// a u32 arrival count followed by that many back-to-back recArrivalV2
-	// bodies, each carrying the γ bits as they stood after that arrival's
-	// commit. Replaying the bodies in order therefore performs exactly the
-	// accumulator sequence serial replay would — batch and serial histories
-	// of the same stream are bit-identical (TestBatchReplayBitExact).
-	recArrivalBatch byte = 8 // count, then per arrival: γ bits, customer features, offers
-
-	// The v4 (economics-layer) records. They are written only once a campaign
-	// with a non-fixed billing contract has registered — an all-fixed broker
-	// keeps writing the exact pre-v4 stream, so old logs and old goldens stay
-	// byte-identical.
-	recRegisterV3     byte = 9  // recRegisterV2 plus the billing contract (model, reserve, event rate)
-	recArrivalSlate   byte = 10 // recArrivalV2 with offers extended by (id, chargeECPM, hold, model)
-	recArrivalBatchV2 byte = 11 // recArrivalBatch with recArrivalSlate-shaped bodies
-	recConversion     byte = 12 // offer id, campaign, model, charge bits, idempotency key
+	recTopUp      byte = 2  // id, amount
+	recPause      byte = 3  // id, paused flag
+	recController byte = 7  // version byte, epoch, boost bits, per-campaign rate/allowance bits
+	recRegister   byte = 9  // id, loc, radius, budget, class (guaranteed, floor, penalty), billing contract (model, reserve, event rate), tags
+	recConversion byte = 12 // offer id, campaign, model, charge bits, idempotency key
+	recArrivals   byte = 13 // count n ≥ 1, flags, then n bodies: γ bits, customer features, offers
 )
+
+// arrivalsAuction is bit 0 of a recArrivals flags byte: the arrivals were
+// auction-resolved, so replay folds their immediate charges into the
+// per-model revenue counters exactly as the live commit did. The other bits
+// are reserved and must be zero.
+const arrivalsAuction byte = 1
 
 // controllerRecVersion is the internal version byte of recController
 // payloads; bump on any layout change so old binaries fail loudly.
 const controllerRecVersion byte = 1
 
-// Snapshot payload versions. V2 adds controller state (boost bits, epoch)
-// and per-campaign class + rate/allowance bits; V3 adds billing state
-// (per-campaign contract + escrow accumulators, the open-offer escrow table
-// and the idempotency window). Old payloads are still decoded with inert
-// defaults. New snapshots are written as V3 only once billing is active, so
-// an all-fixed broker's snapshots stay byte-identical to pre-v4 ones.
-const (
-	snapshotV1 byte = 1
-	snapshotV2 byte = 2
-	snapshotV3 byte = 3
-)
+// snapshotVersion is the first byte of every snapshot payload. Versions 1
+// and 2 (no controller state, no billing state) are retired and refused.
+const snapshotVersion byte = 3
 
 // durable is the broker's durability sidecar: the open log, the snapshot
 // cadence bookkeeping and the background compaction goroutine. nil on an
@@ -280,20 +264,13 @@ func appendF64(buf []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 }
 
-// logRegister records a registration — as the v2 record for a fixed-billing
-// campaign (the pre-v4 stream, byte-identical), as the v3 record carrying
-// the billing contract otherwise. Called under regMu before the directory
-// entry is published, so any later mutation of this campaign — which can
-// only start after publication — appends after it.
+// logRegister records a registration. Called under regMu before the
+// directory entry is published, so any later mutation of this campaign —
+// which can only start after publication — appends after it.
 func (b *Broker) logRegister(id int32, spec CampaignSpec) {
 	bp := recPool.Get().(*[]byte)
 	buf := (*bp)[:0]
-	billed := !spec.Billing.Zero()
-	if billed {
-		buf = append(buf, recRegisterV3)
-	} else {
-		buf = append(buf, recRegisterV2)
-	}
+	buf = append(buf, recRegister)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
 	buf = appendF64(buf, spec.Loc.X)
 	buf = appendF64(buf, spec.Loc.Y)
@@ -306,11 +283,9 @@ func (b *Broker) logRegister(id int32, spec CampaignSpec) {
 	buf = append(buf, class)
 	buf = appendF64(buf, spec.Floor)
 	buf = appendF64(buf, spec.Penalty)
-	if billed {
-		buf = append(buf, byte(spec.Billing.Model))
-		buf = appendF64(buf, spec.Billing.ReserveECPM)
-		buf = appendF64(buf, spec.Billing.EventRate)
-	}
+	buf = append(buf, byte(spec.Billing.Model))
+	buf = appendF64(buf, spec.Billing.ReserveECPM)
+	buf = appendF64(buf, spec.Billing.EventRate)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(spec.Tags)))
 	for _, t := range spec.Tags {
 		buf = appendF64(buf, t)
@@ -367,28 +342,25 @@ func (b *Broker) logPause(id int32, paused bool) {
 	b.walAppend(bp)
 }
 
-// logArrival records one committed arrival: the post-arrival γ bounds (as
-// bits), the arriving customer's own features — what offline audit replays
-// into an oracle problem — and every offer charged. Called with the
-// arrival's stripe locks still held. Replay folds the bounds with Min/Max,
-// which is exact for a serial history and safe under concurrency because
-// the bounds are monotone — every observation is ≤/≥ the bits some record
-// carries.
-func (b *Broker) logArrival(a *Arrival, offers []Offer) {
-	// The slate record format rides the same monotone flag the arrival read
-	// under its stripe locks (which this call still holds): once billing is
-	// active every arrival is auction-resolved, so checking here can never
-	// write a legacy record for an auction-priced offer set.
-	slate := b.billing.active.Load()
+// logArrival records one committed arrival as the n = 1 case of the
+// arrivals record ArriveBatch writes. Called with the arrival's stripe locks
+// still held.
+func (b *Broker) logArrival(a *Arrival, offers []Offer, auction bool) {
 	bp := recPool.Get().(*[]byte)
-	kind := recArrivalV2
-	if slate {
-		kind = recArrivalSlate
-	}
-	buf := append((*bp)[:0], kind)
-	buf = b.appendArrivalBodyKind(buf, a, offers, slate)
-	*bp = buf
+	buf := appendArrivalsHeader((*bp)[:0], 1, auction)
+	*bp = b.appendArrivalBody(buf, a, offers)
 	b.walAppend(bp)
+}
+
+// appendArrivalsHeader starts a recArrivals record framing n bodies.
+func appendArrivalsHeader(buf []byte, n int, auction bool) []byte {
+	buf = append(buf, recArrivals)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+	var flags byte
+	if auction {
+		flags = arrivalsAuction
+	}
+	return append(buf, flags)
 }
 
 // logConversion records one collected conversion; called with the
@@ -407,39 +379,16 @@ func (b *Broker) logConversion(offerID uint64, o openOffer, key string) {
 	b.walAppend(bp)
 }
 
-// appendArrivalBodyKind encodes one arrival body in the legacy or slate
-// layout; the batch path passes its per-batch flag, logArrival its own.
-func (b *Broker) appendArrivalBodyKind(buf []byte, a *Arrival, offers []Offer, slate bool) []byte {
-	buf = b.appendArrivalHeader(buf, a)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(offers)))
-	for i := range offers {
-		o := &offers[i]
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(o.Campaign))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(o.AdType))
-		buf = appendF64(buf, o.Cost)
-		buf = appendF64(buf, o.Utility)
-		if slate {
-			buf = binary.LittleEndian.AppendUint64(buf, o.ID)
-			buf = appendF64(buf, o.ChargeECPM)
-			buf = appendF64(buf, o.Hold)
-			buf = append(buf, byte(o.Model))
-		}
-	}
-	return buf
-}
-
-// appendArrivalBody encodes the legacy arrival payload shared by
-// recArrivalV2 and each element of a recArrivalBatch: the γ bounds as this
-// broker holds them right now (the batch path calls this immediately after
-// each arrival's commit, matching the serial record's semantics), the
-// customer's features, and the committed offers.
+// appendArrivalBody encodes one arrival inside a recArrivals record: the γ
+// bounds as this broker holds them right now (callers encode immediately
+// after the arrival's commit, so a batch element carries the same bits the
+// serial record would), the arriving customer's own features — what offline
+// audit replays into an oracle problem — and every offer charged. Replay
+// folds the bounds with Min/Max, which is exact for a serial history and
+// safe under concurrency because the bounds are monotone — every observation
+// is ≤/≥ the bits some record carries. A fixed-cost offer is the zero-billing
+// instance of the one offer layout (id, charge eCPM and hold all zero).
 func (b *Broker) appendArrivalBody(buf []byte, a *Arrival, offers []Offer) []byte {
-	return b.appendArrivalBodyKind(buf, a, offers, false)
-}
-
-// appendArrivalHeader encodes the γ bounds and customer features every
-// arrival body layout shares.
-func (b *Broker) appendArrivalHeader(buf []byte, a *Arrival) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, b.gammaMin.bits.Load())
 	buf = binary.LittleEndian.AppendUint64(buf, b.gammaMax.bits.Load())
 	buf = appendF64(buf, a.Loc.X)
@@ -450,6 +399,18 @@ func (b *Broker) appendArrivalHeader(buf []byte, a *Arrival) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(a.Interests)))
 	for _, v := range a.Interests {
 		buf = appendF64(buf, v)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(offers)))
+	for i := range offers {
+		o := &offers[i]
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(o.Campaign))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(o.AdType))
+		buf = appendF64(buf, o.Cost)
+		buf = appendF64(buf, o.Utility)
+		buf = binary.LittleEndian.AppendUint64(buf, o.ID)
+		buf = appendF64(buf, o.ChargeECPM)
+		buf = appendF64(buf, o.Hold)
+		buf = append(buf, byte(o.Model))
 	}
 	return buf
 }
@@ -524,7 +485,7 @@ func (b *Broker) applyRecord(rec []byte) error {
 		return err
 	}
 	switch d.Kind {
-	case RecordRegister, RecordRegisterV2, RecordRegisterV3:
+	case RecordRegister:
 		got, err := b.RegisterCampaignSpec(CampaignSpec{
 			Loc: d.Loc, Radius: d.Radius, Budget: d.Budget, Tags: d.Tags,
 			Guaranteed: d.Guaranteed, Floor: d.Floor, Penalty: d.Penalty,
@@ -556,18 +517,13 @@ func (b *Broker) applyRecord(rec []byte) error {
 		return b.TopUp(d.Campaign, d.Amount)
 	case RecordPause:
 		return b.SetPaused(d.Campaign, d.Paused)
-	case RecordArrival, RecordArrivalV2, RecordArrivalSlate:
-		// Replay in the original commit order: counter, γ fold, then each
-		// offer's charge — the same accumulator sequence Arrive performed,
-		// so serial replay reproduces every float bit for bit.
-		return b.applyArrival(d.GammaMin, d.GammaMax, d.Offers, d.Kind == RecordArrivalSlate)
-	case RecordArrivalBatch, RecordArrivalBatchV2:
-		// Each element replays exactly like a serial arrival record, in the
-		// batch's processing order, so a batched history recovers to the
-		// same bits as the equivalent serial one.
-		for i := range d.Batch {
-			e := &d.Batch[i]
-			if err := b.applyArrival(e.GammaMin, e.GammaMax, e.Offers, d.Kind == RecordArrivalBatchV2); err != nil {
+	case RecordArrivals:
+		// Replay in the original commit order, one body at a time — counter,
+		// γ fold, then each offer's charge, the same accumulator sequence the
+		// live path performed — so serial and batched histories of one stream
+		// recover to the same bits (TestBatchReplayBitExact).
+		for i := range d.Arrivals {
+			if err := b.applyArrival(&d.Arrivals[i], d.Auction); err != nil {
 				return err
 			}
 		}
@@ -580,26 +536,25 @@ func (b *Broker) applyRecord(rec []byte) error {
 
 // applyArrival folds one logged arrival into the recovering broker: the
 // counter, the γ bounds, then every offer's charge in commit order, through
-// the same Broker.charge the live commit used. auction marks the slate
-// record formats (written only once billing is active), whose offers carry
-// escrow IDs and feed the revenue counters.
-func (b *Broker) applyArrival(gammaMin, gammaMax float64, offers []Offer, auction bool) error {
+// the same Broker.charge the live commit used, with the auction flag the
+// live commit recorded.
+func (b *Broker) applyArrival(e *ArrivalRecord, auction bool) error {
 	b.arrivals.Add(1)
-	b.gammaMin.Min(gammaMin)
-	b.gammaMax.Max(gammaMax)
-	for i := range offers {
-		c, err := b.campaign(offers[i].Campaign)
+	b.gammaMin.Min(e.GammaMin)
+	b.gammaMax.Max(e.GammaMax)
+	for i := range e.Offers {
+		c, err := b.campaign(e.Offers[i].Campaign)
 		if err != nil {
 			return err
 		}
-		b.charge(c, &offers[i], auction)
+		b.charge(c, &e.Offers[i], auction)
 	}
 	return nil
 }
 
 // applyConversion replays one conversion record: the recorded offer's hold
 // moves from escrow to spend, mirroring Convert. A serial history always
-// finds the table entry (the slate arrival record replayed before it); a
+// finds the table entry (the arrivals record replayed before it); a
 // missing entry means the log interleaved an eviction the record preceded,
 // which serial replay treats as corruption.
 func (b *Broker) applyConversion(d *DecodedRecord) error {
@@ -634,15 +589,8 @@ func (b *Broker) applyConversion(d *DecodedRecord) error {
 // stable and the encoding is a consistent cut.
 func (b *Broker) encodeSnapshot() []byte {
 	dir := *b.dir.Load()
-	// The v3 layout appears only once billing is active, so an all-fixed
-	// broker's snapshots stay byte-identical to the pre-v4 encoding.
-	v3 := b.billing.active.Load()
-	buf := make([]byte, 0, 64+len(dir)*160)
-	if v3 {
-		buf = append(buf, snapshotV3)
-	} else {
-		buf = append(buf, snapshotV2)
-	}
+	buf := make([]byte, 0, 256+len(dir)*200)
+	buf = append(buf, snapshotVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(b.arrivals.Load()))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(b.offers.Load()))
 	buf = binary.LittleEndian.AppendUint64(buf, b.utility.bits.Load())
@@ -673,26 +621,21 @@ func (b *Broker) encodeSnapshot() []byte {
 		buf = appendF64(buf, c.penalty)
 		buf = binary.LittleEndian.AppendUint64(buf, c.rate.bits.Load())
 		buf = binary.LittleEndian.AppendUint64(buf, c.allowance.bits.Load())
-		if v3 {
-			buf = append(buf, byte(c.billing.Model))
-			buf = appendF64(buf, c.billing.ReserveECPM)
-			buf = appendF64(buf, c.billing.EventRate)
-			buf = binary.LittleEndian.AppendUint64(buf, c.escrow.bits.Load())
-			buf = binary.LittleEndian.AppendUint64(buf, c.converted.bits.Load())
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(c.conversions.Load()))
-		}
+		buf = append(buf, byte(c.billing.Model))
+		buf = appendF64(buf, c.billing.ReserveECPM)
+		buf = appendF64(buf, c.billing.EventRate)
+		buf = binary.LittleEndian.AppendUint64(buf, c.escrow.bits.Load())
+		buf = binary.LittleEndian.AppendUint64(buf, c.converted.bits.Load())
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(c.conversions.Load()))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.tags)))
 		for _, t := range c.tags {
 			buf = appendF64(buf, t)
 		}
 	}
-	if v3 {
-		buf = b.encodeBillingSnapshot(buf)
-	}
-	return buf
+	return b.encodeBillingSnapshot(buf)
 }
 
-// encodeBillingSnapshot appends the global billing section of a v3
+// encodeBillingSnapshot appends the global billing section of the
 // snapshot. Called under full quiescence (regMu plus every shard lock);
 // since all billing mutations hold at least one shard lock, the sidecar's
 // state is stable and read without its mutex.
@@ -772,27 +715,25 @@ func (b *Broker) applySnapshot(data []byte) error {
 	b.gammaMax.bits.Store(s.GammaMaxBits)
 	b.phiBoost.bits.Store(s.PhiBoostBits)
 	b.pacingEpoch.Store(s.PacingEpoch)
-	if s.Billing != nil {
-		bl := b.billing
-		sb := s.Billing
-		bl.nextID = sb.NextID
-		bl.evictNext = sb.EvictNext
-		bl.held.bits.Store(sb.HeldBits)
-		bl.released.bits.Store(sb.ReleasedBits)
-		bl.convertedRev.bits.Store(sb.ConvertedRevBits)
-		bl.conversions.Store(sb.Conversions)
-		for m := range bl.revenue {
-			bl.revenue[m].bits.Store(sb.RevenueBits[m])
-		}
-		born := time.Now() // see openOffer.born: ages reset across restart
-		for i := range sb.Open {
-			e := &sb.Open[i]
-			bl.open[e.ID] = openOffer{campaign: e.Campaign, model: e.Model, hold: e.Hold, born: born}
-		}
-		bl.openCount.Store(int64(len(sb.Open)))
-		for _, k := range sb.IdemKeys {
-			bl.registerKeyLocked(k)
-		}
+	bl := b.billing
+	sb := &s.Billing
+	bl.nextID = sb.NextID
+	bl.evictNext = sb.EvictNext
+	bl.held.bits.Store(sb.HeldBits)
+	bl.released.bits.Store(sb.ReleasedBits)
+	bl.convertedRev.bits.Store(sb.ConvertedRevBits)
+	bl.conversions.Store(sb.Conversions)
+	for m := range bl.revenue {
+		bl.revenue[m].bits.Store(sb.RevenueBits[m])
+	}
+	born := time.Now() // see openOffer.born: ages reset across restart
+	for i := range sb.Open {
+		e := &sb.Open[i]
+		bl.open[e.ID] = openOffer{campaign: e.Campaign, model: e.Model, hold: e.Hold, born: born}
+	}
+	bl.openCount.Store(int64(len(sb.Open)))
+	for _, k := range sb.IdemKeys {
+		bl.registerKeyLocked(k)
 	}
 	return nil
 }

@@ -20,19 +20,12 @@ type RecordKind byte
 
 // The wire record types (see the rec* constants in durable.go).
 const (
-	RecordRegister     RecordKind = RecordKind(recRegister)
-	RecordTopUp        RecordKind = RecordKind(recTopUp)
-	RecordPause        RecordKind = RecordKind(recPause)
-	RecordArrival      RecordKind = RecordKind(recArrival)
-	RecordArrivalV2    RecordKind = RecordKind(recArrivalV2)
-	RecordRegisterV2   RecordKind = RecordKind(recRegisterV2)
-	RecordController   RecordKind = RecordKind(recController)
-	RecordArrivalBatch RecordKind = RecordKind(recArrivalBatch)
-
-	RecordRegisterV3     RecordKind = RecordKind(recRegisterV3)
-	RecordArrivalSlate   RecordKind = RecordKind(recArrivalSlate)
-	RecordArrivalBatchV2 RecordKind = RecordKind(recArrivalBatchV2)
-	RecordConversion     RecordKind = RecordKind(recConversion)
+	RecordRegister   RecordKind = RecordKind(recRegister)
+	RecordTopUp      RecordKind = RecordKind(recTopUp)
+	RecordPause      RecordKind = RecordKind(recPause)
+	RecordArrivals   RecordKind = RecordKind(recArrivals)
+	RecordConversion RecordKind = RecordKind(recConversion)
+	RecordController RecordKind = RecordKind(recController)
 )
 
 // String names the record kind for reports and errors.
@@ -44,34 +37,20 @@ func (k RecordKind) String() string {
 		return "topup"
 	case RecordPause:
 		return "pause"
-	case RecordArrival:
-		return "arrival"
-	case RecordArrivalV2:
-		return "arrival_v2"
-	case RecordRegisterV2:
-		return "register_v2"
-	case RecordController:
-		return "controller"
-	case RecordArrivalBatch:
-		return "arrival_batch"
-	case RecordRegisterV3:
-		return "register_v3"
-	case RecordArrivalSlate:
-		return "arrival_slate"
-	case RecordArrivalBatchV2:
-		return "arrival_batch_v2"
+	case RecordArrivals:
+		return "arrivals"
 	case RecordConversion:
 		return "conversion"
+	case RecordController:
+		return "controller"
 	}
 	return fmt.Sprintf("RecordKind(%d)", byte(k))
 }
 
 // DecodedRecord is one WAL record in structured form. Which fields are
 // meaningful depends on Kind: registrations fill Campaign/Loc/Radius/
-// Budget/Tags, top-ups Campaign/Amount, pauses Campaign/Paused, arrivals
-// GammaMin/GammaMax/Offers — and, for RecordArrivalV2, the arriving
-// customer itself (HasCustomer reports which arrival version was logged;
-// v1 records predate customer persistence).
+// Budget/Tags plus the class and billing contract, top-ups Campaign/Amount,
+// pauses Campaign/Paused, arrivals Auction/Arrivals.
 type DecodedRecord struct {
 	Kind     RecordKind
 	Campaign int32
@@ -82,15 +61,12 @@ type DecodedRecord struct {
 	Amount   float64
 	Paused   bool
 
-	// The delivery class a RecordRegisterV2 carries (zero for v1 records:
-	// every pre-class campaign is best-effort).
+	// The delivery class and billing contract a RecordRegister carries (the
+	// zero Billing is the fixed-cost contract).
 	Guaranteed bool
 	Floor      float64
 	Penalty    float64
-
-	// The billing contract a RecordRegisterV3 carries (the zero fixed-cost
-	// contract for earlier registration versions).
-	Billing model.Billing
+	Billing    model.Billing
 
 	// RecordConversion payload: the escrowed offer collected, its model,
 	// the charge moved from escrow to spend, and the idempotency key the
@@ -100,11 +76,11 @@ type DecodedRecord struct {
 	Charge   float64
 	EventKey string
 
-	GammaMin    float64
-	GammaMax    float64
-	HasCustomer bool
-	Customer    Arrival
-	Offers      []Offer
+	// RecordArrivals payload: one or more arrivals in processing order (one
+	// for a serial Arrive, the accepted window for an ArriveBatch), and
+	// whether they were auction-resolved.
+	Auction  bool
+	Arrivals []ArrivalRecord
 
 	// RecordController payload: the epoch counter, the threshold-boost bits,
 	// and the applied per-campaign rate/allowance bits. Bits, not floats —
@@ -112,14 +88,11 @@ type DecodedRecord struct {
 	Epoch      int64
 	BoostBits  uint64
 	Controller []ControllerEntry
-
-	// RecordArrivalBatch payload: the batched arrivals in processing order,
-	// each with the γ bounds as they stood after its commit.
-	Batch []ArrivalRecord
 }
 
-// ArrivalRecord is one arrival inside a RecordArrivalBatch payload — the
-// same fields a RecordArrivalV2 carries for its single arrival.
+// ArrivalRecord is one arrival inside a RecordArrivals payload: the γ
+// bounds as they stood after its commit, the arriving customer and the
+// offers committed for it.
 type ArrivalRecord struct {
 	GammaMin float64
 	GammaMax float64
@@ -144,21 +117,17 @@ func DecodeRecord(rec []byte) (DecodedRecord, error) {
 	d := DecodedRecord{Kind: RecordKind(rec[0])}
 	r := &recReader{data: rec[1:]}
 	switch rec[0] {
-	case recRegister, recRegisterV2, recRegisterV3:
+	case recRegister:
 		d.Campaign = r.i32()
 		d.Loc = geo.Point{X: r.f64(), Y: r.f64()}
 		d.Radius = r.f64()
 		d.Budget = r.f64()
-		if rec[0] != recRegister {
-			d.Guaranteed = r.u8() != 0
-			d.Floor = r.f64()
-			d.Penalty = r.f64()
-		}
-		if rec[0] == recRegisterV3 {
-			d.Billing.Model = model.BillingModel(r.u8())
-			d.Billing.ReserveECPM = r.f64()
-			d.Billing.EventRate = r.f64()
-		}
+		d.Guaranteed = r.u8() != 0
+		d.Floor = r.f64()
+		d.Penalty = r.f64()
+		d.Billing.Model = model.BillingModel(r.u8())
+		d.Billing.ReserveECPM = r.f64()
+		d.Billing.EventRate = r.f64()
 		n := r.u32()
 		if r.err != nil || int(n) > r.remaining()/8 {
 			return DecodedRecord{}, errors.New("malformed registration record")
@@ -192,48 +161,21 @@ func DecodeRecord(rec []byte) (DecodedRecord, error) {
 	case recPause:
 		d.Campaign = r.i32()
 		d.Paused = r.u8() != 0
-	case recArrival:
-		d.GammaMin = r.f64()
-		d.GammaMax = r.f64()
-		offers, ok := decodeOffers(r)
-		if !ok {
-			return DecodedRecord{}, errors.New("malformed arrival record")
-		}
-		d.Offers = offers
-	case recArrivalV2:
-		e, ok := decodeArrivalBody(r)
-		if !ok {
-			return DecodedRecord{}, errors.New("malformed arrival record")
-		}
-		d.GammaMin, d.GammaMax = e.GammaMin, e.GammaMax
-		d.HasCustomer = true
-		d.Customer = e.Customer
-		d.Offers = e.Offers
-	case recArrivalBatch, recArrivalBatchV2:
+	case recArrivals:
 		n := r.u32()
-		// Each batch element is at least 60 bytes (two γ words, the fixed
-		// customer fields, two empty-section counts).
-		if r.err != nil || int(n) > r.remaining()/60 {
-			return DecodedRecord{}, errors.New("malformed batch arrival record")
+		flags := r.u8()
+		// Each body is at least 60 bytes (two γ words, the fixed customer
+		// fields, two empty-section counts).
+		if r.err != nil || n == 0 || int(n) > r.remaining()/60 || flags&^arrivalsAuction != 0 {
+			return DecodedRecord{}, errors.New("malformed arrivals record")
 		}
-		slate := rec[0] == recArrivalBatchV2
-		d.Batch = make([]ArrivalRecord, 0, n)
-		for i := 0; i < int(n); i++ {
-			e, ok := decodeArrivalBodyKind(r, slate)
-			if !ok {
-				return DecodedRecord{}, errors.New("malformed batch arrival record")
+		d.Auction = flags&arrivalsAuction != 0
+		d.Arrivals = make([]ArrivalRecord, n)
+		for i := range d.Arrivals {
+			if !decodeArrivalBody(r, &d.Arrivals[i]) {
+				return DecodedRecord{}, errors.New("malformed arrivals record")
 			}
-			d.Batch = append(d.Batch, e)
 		}
-	case recArrivalSlate:
-		e, ok := decodeArrivalBodyKind(r, true)
-		if !ok {
-			return DecodedRecord{}, errors.New("malformed arrival record")
-		}
-		d.GammaMin, d.GammaMax = e.GammaMin, e.GammaMax
-		d.HasCustomer = true
-		d.Customer = e.Customer
-		d.Offers = e.Offers
 	case recConversion:
 		d.OfferID = r.u64()
 		d.Campaign = r.i32()
@@ -248,7 +190,7 @@ func DecodeRecord(rec []byte) (DecodedRecord, error) {
 			r.off += int(n)
 		}
 	default:
-		return DecodedRecord{}, fmt.Errorf("unknown record type %d", rec[0])
+		return DecodedRecord{}, fmt.Errorf("unsupported record type %d (unknown, or a retired layout written by an older build)", rec[0])
 	}
 	if err := r.done(); err != nil {
 		return DecodedRecord{}, err
@@ -256,17 +198,10 @@ func DecodeRecord(rec []byte) (DecodedRecord, error) {
 	return d, nil
 }
 
-// decodeArrivalBody decodes one v2-shaped arrival body (γ bounds, customer
-// features, offers) — the payload of a RecordArrivalV2 and of each
-// RecordArrivalBatch element. Returns ok=false on malformed input.
-func decodeArrivalBody(r *recReader) (ArrivalRecord, bool) {
-	return decodeArrivalBodyKind(r, false)
-}
-
-// decodeArrivalBodyKind decodes one arrival body in the legacy or slate
-// offer layout.
-func decodeArrivalBodyKind(r *recReader, slate bool) (ArrivalRecord, bool) {
-	var e ArrivalRecord
+// decodeArrivalBody decodes one arrival body of a RecordArrivals payload
+// into e: γ bounds, customer features, then the offers at 49 bytes each.
+// Returns false on malformed input.
+func decodeArrivalBody(r *recReader, e *ArrivalRecord) bool {
 	e.GammaMin = r.f64()
 	e.GammaMax = r.f64()
 	e.Customer.Loc = geo.Point{X: r.f64(), Y: r.f64()}
@@ -275,7 +210,7 @@ func decodeArrivalBodyKind(r *recReader, slate bool) (ArrivalRecord, bool) {
 	e.Customer.Hour = r.f64()
 	ni := r.u32()
 	if r.err != nil || int(ni) > r.remaining()/8 {
-		return ArrivalRecord{}, false
+		return false
 	}
 	if ni > 0 {
 		e.Customer.Interests = make([]float64, ni)
@@ -283,57 +218,31 @@ func decodeArrivalBodyKind(r *recReader, slate bool) (ArrivalRecord, bool) {
 			e.Customer.Interests[i] = r.f64()
 		}
 	}
-	offers, ok := decodeOffersKind(r, slate)
-	if !ok {
-		return ArrivalRecord{}, false
+	no := r.u32()
+	if r.err != nil || int(no) > r.remaining()/49 {
+		return false
 	}
-	e.Offers = offers
-	return e, true
-}
-
-// decodeOffers decodes a length-prefixed legacy offer list.
-func decodeOffers(r *recReader) ([]Offer, bool) {
-	return decodeOffersKind(r, false)
-}
-
-// decodeOffersKind decodes a length-prefixed offer list: 24 bytes per
-// legacy offer, 49 per slate offer (the legacy fields plus id, charge eCPM,
-// hold and billing model).
-func decodeOffersKind(r *recReader, slate bool) ([]Offer, bool) {
-	per := 24
-	if slate {
-		per = 49
-	}
-	n := r.u32()
-	if r.err != nil || int(n) > r.remaining()/per {
-		return nil, false
-	}
-	if n == 0 {
-		return nil, true
-	}
-	offers := make([]Offer, n)
-	for i := range offers {
-		o := &offers[i]
-		o.Campaign = r.i32()
-		o.AdType = int(r.u32())
-		o.Cost = r.f64()
-		o.Utility = r.f64()
-		if slate {
+	if no > 0 {
+		e.Offers = make([]Offer, no)
+		for i := range e.Offers {
+			o := &e.Offers[i]
+			o.Campaign = r.i32()
+			o.AdType = int(r.u32())
+			o.Cost = r.f64()
+			o.Utility = r.f64()
 			o.ID = r.u64()
 			o.ChargeECPM = r.f64()
 			o.Hold = r.f64()
 			o.Model = model.BillingModel(r.u8())
 		}
 	}
-	return offers, r.err == nil
+	return r.err == nil
 }
 
 // SnapshotCampaign is one campaign's state inside a decoded snapshot.
 // BudgetBits/SpentBits carry the exact IEEE-754 bits the snapshot recorded,
 // so replay restores bit-identical accumulators; Budget/Spent are the same
-// values as floats for consumers that only read. The class and controller
-// fields come from v2 snapshots; v1 payloads decode with the inert defaults
-// (best-effort, rate 1, allowance +Inf).
+// values as floats for consumers that only read.
 type SnapshotCampaign struct {
 	ID         int32
 	Loc        geo.Point
@@ -349,8 +258,8 @@ type SnapshotCampaign struct {
 	RateBits      uint64
 	AllowanceBits uint64
 
-	// Billing state from v3 snapshots; zero (fixed contract, no escrow)
-	// for earlier versions.
+	// Billing contract and escrow accumulators (a fixed-cost campaign has
+	// the zero contract and no escrow).
 	BillingModel  model.BillingModel
 	ReserveBits   uint64
 	EventRateBits uint64
@@ -374,9 +283,7 @@ func (c *SnapshotCampaign) Billing() model.Billing {
 	}
 }
 
-// SnapshotState is a decoded compacted-state payload. PhiBoostBits and
-// PacingEpoch come from v2 snapshots; v1 payloads decode with the inert
-// defaults (boost 1, epoch 0).
+// SnapshotState is a decoded compacted-state payload.
 type SnapshotState struct {
 	Arrivals     int64
 	Offers       int64
@@ -388,13 +295,11 @@ type SnapshotState struct {
 	PacingEpoch  int64
 	Campaigns    []SnapshotCampaign
 
-	// Billing is the global billing section of a v3 snapshot; nil for
-	// earlier versions (no billing state to restore).
-	Billing *SnapshotBilling
+	// Billing is the global billing section.
+	Billing SnapshotBilling
 }
 
-// SnapshotBilling is the global billing sidecar state a v3 snapshot
-// carries: accumulator bits, the open escrow table in ID order and the live
+// SnapshotBilling is the global billing sidecar state a snapshot carries: accumulator bits, the open escrow table in ID order and the live
 // idempotency-key window oldest-first.
 type SnapshotBilling struct {
 	NextID           uint64
@@ -408,7 +313,7 @@ type SnapshotBilling struct {
 	IdemKeys         []string
 }
 
-// SnapshotOpenOffer is one open escrowed offer inside a v3 snapshot.
+// SnapshotOpenOffer is one open escrowed offer inside a snapshot.
 type SnapshotOpenOffer struct {
 	ID       uint64
 	Campaign int32
@@ -426,11 +331,12 @@ func (s *SnapshotState) GammaMax() float64 { return math.Float64frombits(s.Gamma
 // DecodeSnapshot decodes a compacted-state payload. Like DecodeRecord it is
 // total: malformed input errors, never panics.
 func DecodeSnapshot(data []byte) (SnapshotState, error) {
-	if len(data) == 0 || data[0] < snapshotV1 || data[0] > snapshotV3 {
-		return SnapshotState{}, errors.New("unsupported snapshot version")
+	if len(data) == 0 {
+		return SnapshotState{}, errors.New("empty snapshot")
 	}
-	v2 := data[0] >= snapshotV2
-	v3 := data[0] == snapshotV3
+	if data[0] != snapshotVersion {
+		return SnapshotState{}, fmt.Errorf("unsupported snapshot version %d (unknown, or a retired layout written by an older build)", data[0])
+	}
 	r := &recReader{data: data[1:]}
 	s := SnapshotState{
 		Arrivals:     r.i64(),
@@ -439,11 +345,8 @@ func DecodeSnapshot(data []byte) (SnapshotState, error) {
 		SpentBits:    r.u64(),
 		GammaMinBits: r.u64(),
 		GammaMaxBits: r.u64(),
-		PhiBoostBits: math.Float64bits(1),
-	}
-	if v2 {
-		s.PhiBoostBits = r.u64()
-		s.PacingEpoch = r.i64()
+		PhiBoostBits: r.u64(),
+		PacingEpoch:  r.i64(),
 	}
 	n := r.u32()
 	if r.err != nil {
@@ -457,23 +360,17 @@ func DecodeSnapshot(data []byte) (SnapshotState, error) {
 			BudgetBits:    r.u64(),
 			SpentBits:     r.u64(),
 			Paused:        r.u8() != 0,
-			RateBits:      math.Float64bits(1),
-			AllowanceBits: math.Float64bits(math.Inf(1)),
-		}
-		if v2 {
-			c.Guaranteed = r.u8() != 0
-			c.Floor = r.f64()
-			c.Penalty = r.f64()
-			c.RateBits = r.u64()
-			c.AllowanceBits = r.u64()
-		}
-		if v3 {
-			c.BillingModel = model.BillingModel(r.u8())
-			c.ReserveBits = r.u64()
-			c.EventRateBits = r.u64()
-			c.EscrowBits = r.u64()
-			c.ConvertedBits = r.u64()
-			c.Conversions = r.i64()
+			Guaranteed:    r.u8() != 0,
+			Floor:         r.f64(),
+			Penalty:       r.f64(),
+			RateBits:      r.u64(),
+			AllowanceBits: r.u64(),
+			BillingModel:  model.BillingModel(r.u8()),
+			ReserveBits:   r.u64(),
+			EventRateBits: r.u64(),
+			EscrowBits:    r.u64(),
+			ConvertedBits: r.u64(),
+			Conversions:   r.i64(),
 		}
 		nt := r.u32()
 		if r.err != nil || int(nt) > r.remaining()/8 {
@@ -485,43 +382,39 @@ func DecodeSnapshot(data []byte) (SnapshotState, error) {
 		}
 		s.Campaigns = append(s.Campaigns, c)
 	}
-	if v3 {
-		sb := &SnapshotBilling{
-			NextID:           r.u64(),
-			EvictNext:        r.u64(),
-			HeldBits:         r.u64(),
-			ReleasedBits:     r.u64(),
-			ConvertedRevBits: r.u64(),
-			Conversions:      r.i64(),
-		}
-		for m := range sb.RevenueBits {
-			sb.RevenueBits[m] = r.u64()
-		}
-		no := r.u32()
-		if r.err != nil || int(no) > r.remaining()/21 {
-			return SnapshotState{}, errors.New("snapshot escrow table is malformed")
-		}
-		for i := 0; i < int(no); i++ {
-			sb.Open = append(sb.Open, SnapshotOpenOffer{
-				ID:       r.u64(),
-				Campaign: r.i32(),
-				Model:    model.BillingModel(r.u8()),
-				Hold:     r.f64(),
-			})
-		}
-		nk := r.u32()
-		if r.err != nil || int(nk) > r.remaining()/4 {
+	sb := &s.Billing
+	sb.NextID = r.u64()
+	sb.EvictNext = r.u64()
+	sb.HeldBits = r.u64()
+	sb.ReleasedBits = r.u64()
+	sb.ConvertedRevBits = r.u64()
+	sb.Conversions = r.i64()
+	for m := range sb.RevenueBits {
+		sb.RevenueBits[m] = r.u64()
+	}
+	no := r.u32()
+	if r.err != nil || int(no) > r.remaining()/21 {
+		return SnapshotState{}, errors.New("snapshot escrow table is malformed")
+	}
+	for i := 0; i < int(no); i++ {
+		sb.Open = append(sb.Open, SnapshotOpenOffer{
+			ID:       r.u64(),
+			Campaign: r.i32(),
+			Model:    model.BillingModel(r.u8()),
+			Hold:     r.f64(),
+		})
+	}
+	nk := r.u32()
+	if r.err != nil || int(nk) > r.remaining()/4 {
+		return SnapshotState{}, errors.New("snapshot idempotency window is malformed")
+	}
+	for i := 0; i < int(nk); i++ {
+		kl := r.u32()
+		if r.err != nil || int(kl) > r.remaining() {
 			return SnapshotState{}, errors.New("snapshot idempotency window is malformed")
 		}
-		for i := 0; i < int(nk); i++ {
-			kl := r.u32()
-			if r.err != nil || int(kl) > r.remaining() {
-				return SnapshotState{}, errors.New("snapshot idempotency window is malformed")
-			}
-			sb.IdemKeys = append(sb.IdemKeys, string(r.data[r.off:r.off+int(kl)]))
-			r.off += int(kl)
-		}
-		s.Billing = sb
+		sb.IdemKeys = append(sb.IdemKeys, string(r.data[r.off:r.off+int(kl)]))
+		r.off += int(kl)
 	}
 	if err := r.done(); err != nil {
 		return SnapshotState{}, err

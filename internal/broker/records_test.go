@@ -1,111 +1,265 @@
 package broker
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"muaa/internal/geo"
+	"muaa/internal/model"
+	"muaa/internal/pacing"
+	"muaa/internal/wal"
+	"muaa/internal/workload"
 )
 
-// encodeV1Arrival hand-builds a legacy type-4 arrival record (γ bounds +
-// offers, no customer block) the way pre-v2 brokers wrote it.
-func encodeV1Arrival(gmin, gmax float64, offers []Offer) []byte {
-	buf := []byte{recArrival}
-	buf = appendF64(buf, gmin)
-	buf = appendF64(buf, gmax)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(offers)))
-	for i := range offers {
-		o := &offers[i]
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(o.Campaign))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(o.AdType))
-		buf = appendF64(buf, o.Cost)
-		buf = appendF64(buf, o.Utility)
+// recordKinds enumerates the RecordKind constants through String(): a byte
+// the method names is a kind the package defines.
+func recordKinds() []RecordKind {
+	var kinds []RecordKind
+	for v := 0; v < 256; v++ {
+		if k := RecordKind(v); !strings.HasPrefix(k.String(), "RecordKind(") {
+			kinds = append(kinds, k)
+		}
 	}
-	return buf
+	return kinds
 }
 
-// TestDecodeRecordV1Arrival: legacy records decode with HasCustomer false
-// and the full offer list intact — old WALs stay replayable and auditable.
-func TestDecodeRecordV1Arrival(t *testing.T) {
-	offers := []Offer{
-		{Campaign: 3, AdType: 1, Cost: 0.25, Utility: 1.5},
-		{Campaign: 7, AdType: 0, Cost: 0.125, Utility: 0.75},
+// writtenRecord is one step of the production-writer scenario: the record a
+// log* writer (or the batch path) appended, and what it must decode to.
+type writtenRecord struct {
+	name    string
+	payload []byte
+	want    DecodedRecord
+}
+
+// writeEveryRecord drives every production WAL writer once — logRegister
+// (fixed and billed), logTopUp, logPause, logArrival, arriveBatch,
+// logConversion, logController — on a durable broker, mirrored op for op on
+// an in-memory twin the expectations are read from, and returns what the
+// log actually holds plus the broker's final snapshot payload.
+func writeEveryRecord(tb testing.TB) ([]writtenRecord, []byte) {
+	tb.Helper()
+	ctl := pacing.Default()
+	cfg := Config{
+		AdTypes: workload.DefaultAdTypes(), AuditWindow: 64, AuditEvery: time.Hour, Controller: &ctl,
 	}
-	d, err := DecodeRecord(encodeV1Arrival(0.5, 4.0, offers))
+	ref, err := New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer ref.Close()
+	dir := tb.TempDir()
+	cfg.DataDir, cfg.WAL = dir, crashWAL()
+	b, err := New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer b.Close()
+
+	var out []writtenRecord
+	gamma := func() (float64, float64) {
+		return math.Float64frombits(ref.gammaMin.bits.Load()), math.Float64frombits(ref.gammaMax.bits.Load())
+	}
+	logged := func(offers []Offer) []Offer { // Efficiency is derived, not logged
+		if len(offers) == 0 {
+			return nil
+		}
+		cp := append([]Offer(nil), offers...)
+		for i := range cp {
+			cp[i].Efficiency = 0
+		}
+		return cp
+	}
+	arrive := func(a Arrival) ArrivalRecord {
+		offers, err := ref.Arrive(a)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		e := ArrivalRecord{Customer: a, Offers: logged(offers)}
+		e.GammaMin, e.GammaMax = gamma()
+		return e
+	}
+
+	tags := []float64{1, 0, 0.5}
+	specs := []CampaignSpec{
+		{Loc: geo.Point{X: 0.5, Y: 0.5}, Radius: 0.2, Budget: 50, Tags: tags,
+			Guaranteed: true, Floor: 0.25, Penalty: 2},
+		{Loc: geo.Point{X: 0.52, Y: 0.5}, Radius: 0.25, Budget: 80, Tags: tags,
+			Billing: model.Billing{Model: model.BillingCPC, ReserveECPM: 5, EventRate: 0.1}},
+	}
+	for i, spec := range specs {
+		for _, br := range []*Broker{ref, b} {
+			if id, err := br.RegisterCampaignSpec(spec); err != nil || id != int32(i) {
+				tb.Fatalf("register %d: id %d, %v", i, id, err)
+			}
+		}
+		out = append(out, writtenRecord{name: fmt.Sprintf("register/%s", spec.Billing.Model), want: DecodedRecord{
+			Kind: RecordRegister, Campaign: int32(i), Loc: spec.Loc, Radius: spec.Radius, Budget: spec.Budget,
+			Tags: spec.Tags, Guaranteed: spec.Guaranteed, Floor: spec.Floor, Penalty: spec.Penalty, Billing: spec.Billing,
+		}})
+	}
+	for _, br := range []*Broker{ref, b} {
+		if err := br.TopUp(0, 12.5); err != nil {
+			tb.Fatal(err)
+		}
+		if err := br.SetPaused(0, true); err != nil {
+			tb.Fatal(err)
+		}
+		if err := br.SetPaused(0, false); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	out = append(out,
+		writtenRecord{name: "topup", want: DecodedRecord{Kind: RecordTopUp, Campaign: 0, Amount: 12.5}},
+		writtenRecord{name: "pause", want: DecodedRecord{Kind: RecordPause, Campaign: 0, Paused: true}},
+		writtenRecord{name: "resume", want: DecodedRecord{Kind: RecordPause, Campaign: 0}})
+
+	// A serial arrival (n = 1), then a batch whose invalid element is dropped
+	// and whose zero-capacity element is logged with no offers (n = 3).
+	customer := Arrival{Loc: geo.Point{X: 0.51, Y: 0.5}, Capacity: 2, ViewProb: 0.625,
+		Interests: []float64{0.9, 0.1, 0.4}, Hour: 13.5}
+	serial := arrive(customer)
+	if got, err := b.Arrive(customer); err != nil || !reflect.DeepEqual(logged(got), serial.Offers) {
+		tb.Fatalf("durable arrive diverged from twin: %+v, %v", got, err)
+	}
+	var offerID uint64
+	var hold float64
+	for _, o := range serial.Offers {
+		if o.ID != 0 {
+			offerID, hold = o.ID, o.Hold
+		}
+	}
+	if len(serial.Offers) < 2 || offerID == 0 {
+		tb.Fatalf("scenario must commit a fixed and an escrowed offer, got %+v", serial.Offers)
+	}
+	out = append(out, writtenRecord{name: "arrivals/serial", want: DecodedRecord{
+		Kind: RecordArrivals, Auction: true, Arrivals: []ArrivalRecord{serial}}})
+
+	batch := []Arrival{
+		{Loc: geo.Point{X: 0.49, Y: 0.51}, Capacity: 1, ViewProb: 0.5, Interests: []float64{1, 0, 1}, Hour: 14},
+		{Capacity: -1},
+		{Loc: geo.Point{X: 0.1, Y: 0.9}, ViewProb: 0.5, Hour: 15},
+		{Loc: geo.Point{X: 0.5, Y: 0.52}, Capacity: 3, ViewProb: 0.75, Interests: []float64{0.2, 0.3, 0.9}, Hour: 16},
+	}
+	want := DecodedRecord{Kind: RecordArrivals, Auction: true}
+	for _, a := range batch {
+		if a.Capacity >= 0 {
+			want.Arrivals = append(want.Arrivals, arrive(a))
+		}
+	}
+	for i, res := range b.ArriveBatch(batch) {
+		if (res.Err != nil) != (batch[i].Capacity < 0) {
+			tb.Fatalf("batch element %d: %v", i, res.Err)
+		}
+	}
+	out = append(out, writtenRecord{name: "arrivals/batch", want: want})
+
+	for _, br := range []*Broker{ref, b} {
+		if _, err := br.Convert(offerID, "evt-1"); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	out = append(out, writtenRecord{name: "conversion", want: DecodedRecord{
+		Kind: RecordConversion, OfferID: offerID, Campaign: 1, Model: model.BillingCPC, Charge: hold, EventKey: "evt-1"}})
+
+	var dec pacing.Decision
+	for _, br := range []*Broker{ref, b} {
+		if _, err := br.AuditNow(); err != nil {
+			tb.Fatal(err)
+		}
+		if dec, err = br.PacingStep(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	want = DecodedRecord{Kind: RecordController, Epoch: 1, BoostBits: ref.phiBoost.bits.Load()}
+	for _, r := range dec.Rates {
+		c := (*ref.dir.Load())[r.ID]
+		want.Controller = append(want.Controller, ControllerEntry{
+			Campaign: r.ID, RateBits: c.rate.bits.Load(), AllowanceBits: c.allowance.bits.Load()})
+	}
+	out = append(out, writtenRecord{name: "controller", want: want})
+
+	v, err := wal.ReadDir(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(v.Records) != len(out) {
+		tb.Fatalf("scenario expects %d records, the log holds %d", len(out), len(v.Records))
+	}
+	for i := range out {
+		out[i].payload = v.Records[i]
+	}
+	return out, b.encodeSnapshot()
+}
+
+// TestRecordRoundTrip decodes what the production writers actually wrote —
+// no hand-mirrored encoder — and requires every field back bit for bit, one
+// row per record, with every RecordKind covered.
+func TestRecordRoundTrip(t *testing.T) {
+	records, _ := writeEveryRecord(t)
+	covered := make(map[RecordKind]bool)
+	for _, rec := range records {
+		got, err := DecodeRecord(rec.payload)
+		if err != nil {
+			t.Fatalf("%s: %v", rec.name, err)
+		}
+		if !reflect.DeepEqual(got, rec.want) {
+			t.Errorf("%s: decoded\n got %+v\nwant %+v", rec.name, got, rec.want)
+		}
+		covered[got.Kind] = true
+	}
+	kinds := recordKinds()
+	if len(kinds) != 6 {
+		t.Errorf("RecordKind constants: %v, want exactly six", kinds)
+	}
+	for _, k := range kinds {
+		if !covered[k] {
+			t.Errorf("no production writer in the scenario produced a %v record", k)
+		}
+	}
+}
+
+// TestDesignRecordTable holds DESIGN.md §10's layout table to the code: one
+// row per RecordKind, named by its String() with its type byte, no other
+// rows, and the snapshot version the prose states.
+func TestDesignRecordTable(t *testing.T) {
+	md, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Kind != RecordArrival || d.HasCustomer {
-		t.Fatalf("v1 arrival decoded as %v HasCustomer=%v", d.Kind, d.HasCustomer)
+	_, table, ok := strings.Cut(string(md), "| record | type byte | payload after the type byte, in field order |\n|---|---|---|\n")
+	if !ok {
+		t.Fatal("DESIGN.md: record layout table header not found")
 	}
-	if d.GammaMin != 0.5 || d.GammaMax != 4.0 {
-		t.Fatalf("γ bounds %g/%g", d.GammaMin, d.GammaMax)
+	want := make(map[string]string)
+	for _, k := range recordKinds() {
+		want["`"+k.String()+"`"] = fmt.Sprint(byte(k))
 	}
-	if !reflect.DeepEqual(d.Offers, offers) {
-		t.Fatalf("offers %+v", d.Offers)
+	rows := 0
+	for _, line := range strings.Split(table, "\n") {
+		cells := strings.Split(line, " | ")
+		if !strings.HasPrefix(line, "| ") || len(cells) < 3 {
+			break
+		}
+		rows++
+		if name := strings.TrimPrefix(cells[0], "| "); want[name] != cells[1] {
+			t.Errorf("DESIGN.md record table row %s: doc says type byte %s, the code says %q", name, cells[1], want[name])
+		}
 	}
-}
-
-// TestDecodeRecordV2RoundTrip: logArrival's encoding decodes back to the
-// arrival and offers it was given, bit for bit.
-func TestDecodeRecordV2RoundTrip(t *testing.T) {
-	b := newTestBroker(t)
-	a := Arrival{
-		Loc:       geo.Point{X: 0.25, Y: 0.75},
-		Capacity:  3,
-		ViewProb:  0.625,
-		Interests: []float64{0.1, 0.9, 0.5},
-		Hour:      13.5,
+	if rows != len(want) {
+		t.Errorf("DESIGN.md record table has %d rows, the code %d RecordKinds", rows, len(want))
 	}
-	offers := []Offer{{Campaign: 2, AdType: 3, Cost: 1.0 / 3.0, Utility: math.Pi}}
-
-	// Capture the bytes logArrival would append by encoding through the same
-	// path: build the record manually with the broker's current γ bits.
-	bp := recPool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	buf = append(buf, recArrivalV2)
-	buf = binary.LittleEndian.AppendUint64(buf, b.gammaMin.bits.Load())
-	buf = binary.LittleEndian.AppendUint64(buf, b.gammaMax.bits.Load())
-	buf = appendF64(buf, a.Loc.X)
-	buf = appendF64(buf, a.Loc.Y)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(a.Capacity))
-	buf = appendF64(buf, a.ViewProb)
-	buf = appendF64(buf, a.Hour)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(a.Interests)))
-	for _, v := range a.Interests {
-		buf = appendF64(buf, v)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(offers)))
-	for i := range offers {
-		o := &offers[i]
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(o.Campaign))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(o.AdType))
-		buf = appendF64(buf, o.Cost)
-		buf = appendF64(buf, o.Utility)
-	}
-	rec := append([]byte(nil), buf...)
-	*bp = buf
-	recPool.Put(bp)
-
-	d, err := DecodeRecord(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Kind != RecordArrivalV2 || !d.HasCustomer {
-		t.Fatalf("kind %v HasCustomer=%v", d.Kind, d.HasCustomer)
-	}
-	if !reflect.DeepEqual(d.Customer, a) {
-		t.Fatalf("customer %+v != %+v", d.Customer, a)
-	}
-	if !reflect.DeepEqual(d.Offers, offers) {
-		t.Fatalf("offers %+v", d.Offers)
-	}
-	// Fresh broker: γ min is +Inf, max is 0 — the decoded floats must carry
-	// those exact values through the bits round-trip.
-	if !math.IsInf(d.GammaMin, 1) || d.GammaMax != 0 {
-		t.Fatalf("γ bounds %g/%g", d.GammaMin, d.GammaMax)
+	if stated := fmt.Sprintf("payload is version byte %d,", snapshotVersion); !strings.Contains(string(md), stated) {
+		t.Errorf("DESIGN.md §10 does not state the snapshot %q", stated)
 	}
 }
 
@@ -148,26 +302,230 @@ func TestDecodeSnapshotRoundTrip(t *testing.T) {
 // TestDecodeRecordMalformed: decoders are total — truncated, trailing-junk
 // and unknown-type payloads error, never panic.
 func TestDecodeRecordMalformed(t *testing.T) {
-	valid := encodeV1Arrival(1, 2, []Offer{{Campaign: 1, AdType: 0, Cost: 1, Utility: 1}})
+	records, snapshot := writeEveryRecord(t)
 	cases := map[string][]byte{
-		"empty":        nil,
-		"unknown type": {99, 0, 0},
-		"truncated":    valid[:len(valid)-3],
-		"trailing":     append(append([]byte(nil), valid...), 0xFF),
-		"huge count":   {recArrival, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF},
+		"empty":          nil,
+		"unknown type":   {99, 0, 0},
+		"huge count":     {recArrivals, 0xFF, 0xFF, 0xFF, 0xFF, 0},
+		"zero count":     {recArrivals, 0, 0, 0, 0, 0},
+		"reserved flags": append([]byte{recArrivals, 1, 0, 0, 0, 0x80}, make([]byte, 60)...),
+	}
+	for _, rec := range records {
+		cases[rec.name+" truncated"] = rec.payload[:len(rec.payload)-3]
+		cases[rec.name+" trailing"] = append(append([]byte(nil), rec.payload...), 0xFF)
 	}
 	for name, rec := range cases {
 		if _, err := DecodeRecord(rec); err == nil {
 			t.Errorf("%s: no error", name)
 		}
 	}
-	if _, err := DecodeSnapshot([]byte{snapshotV1, 1, 2}); err == nil {
-		t.Error("truncated v1 snapshot: no error")
+	for name, data := range map[string][]byte{
+		"empty":       nil,
+		"truncated":   snapshot[:len(snapshot)-3],
+		"trailing":    append(append([]byte(nil), snapshot...), 0xFF),
+		"bad version": {0xEE},
+	} {
+		if _, err := DecodeSnapshot(data); err == nil {
+			t.Errorf("snapshot %s: no error", name)
+		}
 	}
-	if _, err := DecodeSnapshot([]byte{snapshotV2, 1, 2}); err == nil {
-		t.Error("truncated v2 snapshot: no error")
+}
+
+// Hand-built payloads of the layouts older builds wrote, for the refusal
+// tests only: field for field what those writers emitted.
+func retiredOffers(buf []byte, wide bool) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, 1)
+	buf = binary.LittleEndian.AppendUint32(buf, 3) // campaign
+	buf = binary.LittleEndian.AppendUint32(buf, 1) // ad type
+	buf = appendF64(appendF64(buf, 0.25), 1.5)     // cost, utility
+	if wide {
+		buf = binary.LittleEndian.AppendUint64(buf, 7)
+		buf = append(appendF64(appendF64(buf, 12), 0.5), byte(model.BillingCPC))
 	}
-	if _, err := DecodeSnapshot([]byte{0xEE}); err == nil {
-		t.Error("bad version: no error")
+	return buf
+}
+
+func retiredBody(buf []byte, wide bool) []byte {
+	buf = appendF64(appendF64(buf, 0.5), 4)        // γ bounds
+	buf = appendF64(appendF64(buf, 0.25), 0.75)    // loc
+	buf = binary.LittleEndian.AppendUint32(buf, 2) // capacity
+	buf = appendF64(appendF64(buf, 0.6), 13)       // view prob, hour
+	buf = binary.LittleEndian.AppendUint32(buf, 1)
+	buf = appendF64(buf, 0.9) // one interest
+	return retiredOffers(buf, wide)
+}
+
+func retiredRegister(kind byte) []byte {
+	buf := binary.LittleEndian.AppendUint32([]byte{kind}, 0)
+	for _, v := range []float64{0.5, 0.5, 0.2, 10} { // loc, radius, budget
+		buf = appendF64(buf, v)
 	}
+	if kind == 6 { // the delivery class
+		buf = appendF64(appendF64(append(buf, 1), 0.3), 2)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, 1)
+	return appendF64(buf, 1)
+}
+
+func retiredRecords() map[byte][]byte {
+	return map[byte][]byte{
+		1:  retiredRegister(1),
+		4:  retiredOffers(appendF64(appendF64([]byte{4}, 0.5), 4), false),
+		5:  retiredBody([]byte{5}, false),
+		6:  retiredRegister(6),
+		8:  retiredBody([]byte{8, 1, 0, 0, 0}, false),
+		10: retiredBody([]byte{10}, true),
+		11: retiredBody([]byte{11, 1, 0, 0, 0}, true),
+	}
+}
+
+// TestRetiredFormatsRefused: every type byte and snapshot version an older
+// build wrote is refused with an error naming the byte — never decoded as
+// something else — and recovery from a directory holding one fails without
+// touching a file.
+func TestRetiredFormatsRefused(t *testing.T) {
+	retired := retiredRecords()
+	live := make(map[byte]bool)
+	for _, k := range recordKinds() {
+		live[byte(k)] = true
+	}
+	for v := byte(1); v <= recArrivals; v++ {
+		if _, ok := retired[v]; ok == live[v] {
+			t.Errorf("type byte %d: retired %v, live %v — every byte up to %d is exactly one", v, ok, live[v], recArrivals)
+		}
+	}
+	for kind, payload := range retired {
+		_, err := DecodeRecord(payload)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("record type %d ", kind)) {
+			t.Errorf("retired record type %d: error %v does not name the byte", kind, err)
+		}
+	}
+	for _, version := range []byte{1, 2} {
+		words := 6 // v1: counters, accumulators, γ bounds
+		if version == 2 {
+			words = 8 // plus boost and epoch
+		}
+		payload := append([]byte{version}, make([]byte, words*8+4)...) // no campaigns
+		_, err := DecodeSnapshot(payload)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("snapshot version %d ", version)) {
+			t.Errorf("retired snapshot version %d: error %v does not name the byte", version, err)
+		}
+	}
+
+	// Directory level: a current snapshot followed by a segment that holds a
+	// retired record.
+	dir := t.TempDir()
+	cfg := Config{AdTypes: workload.DefaultAdTypes(), DataDir: dir, WAL: crashWAL()}
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.RegisterCampaign(geo.Point{X: 0.5, Y: 0.5}, 0.2, 10, []float64{1, 0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, _, err := wal.Open(dir, cfg.WAL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Append(retired[5]); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := hashDir(t, dir)
+	if len(before) != 2 {
+		t.Fatalf("want a snapshot and one segment, got %v", before)
+	}
+	if _, err := Recover(dir, cfg); err == nil || !strings.Contains(err.Error(), "record type 5 ") {
+		t.Fatalf("recovery over a retired record: %v", err)
+	}
+	if after := hashDir(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatalf("refused recovery modified the directory:\nbefore %v\nafter  %v", before, after)
+	}
+}
+
+// hashDir maps every file in dir to the SHA-256 of its contents.
+func hashDir(t *testing.T, dir string) map[string][sha256.Size]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][sha256.Size]byte)
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = sha256.Sum256(data)
+	}
+	return out
+}
+
+// decodeAllocated reports the bytes fn allocated: the smallest of three
+// process-wide TotalAlloc deltas, so a background goroutine's allocation in
+// one of them does not count against the decoder.
+func decodeAllocated(fn func()) uint64 {
+	least := uint64(math.MaxUint64)
+	var m0, m1 runtime.MemStats
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&m0)
+		fn()
+		runtime.ReadMemStats(&m1)
+		if d := m1.TotalAlloc - m0.TotalAlloc; d < least {
+			least = d
+		}
+	}
+	return least
+}
+
+// checkDecoder is the fuzz contract both decoders share: on any input decode
+// never panics and allocates O(len(payload)) — the factor covers the widest
+// expansion, a 4-byte empty idempotency key becoming a 16-byte string header
+// in a slice grown by doubling — and a payload it accepts was consumed to
+// the last byte, so the same payload with one more byte is refused.
+func checkDecoder(t *testing.T, payload []byte, decode func([]byte) error) {
+	var err error
+	if got, limit := decodeAllocated(func() { err = decode(payload) }), 64*uint64(len(payload))+4096; got > limit {
+		t.Fatalf("decoding %d bytes allocated %d, bound %d", len(payload), got, limit)
+	}
+	if err != nil {
+		return
+	}
+	if decode(append(bytes.Clone(payload), 0)) == nil {
+		t.Fatalf("payload %x decodes with and without a trailing byte", payload)
+	}
+}
+
+// FuzzDecodeRecord holds DecodeRecord to checkDecoder, seeded with what the
+// production writers wrote, truncations of it, and the retired layouts.
+func FuzzDecodeRecord(f *testing.F) {
+	records, _ := writeEveryRecord(f)
+	for _, rec := range records {
+		f.Add(rec.payload)
+		f.Add(rec.payload[:len(rec.payload)/2])
+	}
+	for _, payload := range retiredRecords() {
+		f.Add(payload)
+	}
+	f.Add([]byte{recArrivals, 0xFF, 0xFF, 0xFF, 0xFF, 0})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		checkDecoder(t, payload, func(p []byte) error { _, err := DecodeRecord(p); return err })
+	})
+}
+
+// FuzzDecodeSnapshot holds DecodeSnapshot to the same contract.
+func FuzzDecodeSnapshot(f *testing.F) {
+	_, snapshot := writeEveryRecord(f)
+	f.Add(snapshot)
+	f.Add(snapshot[:len(snapshot)/2])
+	f.Add(append([]byte{snapshotVersion}, bytes.Repeat([]byte{0xFF}, 80)...))
+	f.Add([]byte{1, 0, 0})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		checkDecoder(t, payload, func(p []byte) error { _, err := DecodeSnapshot(p); return err })
+	})
 }

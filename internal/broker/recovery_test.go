@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"muaa/internal/model"
 	"muaa/internal/obs"
 	"muaa/internal/wal"
 	"muaa/internal/workload"
@@ -140,60 +142,133 @@ func TestRecoveredReplayDoubleCrash(t *testing.T) {
 }
 
 // refState is one point of the never-crashed reference trajectory: the
-// broker's observable state after the first n mutation records.
+// broker's observable state after the first n mutation records, and (where a
+// test records it) the snapshot payload it would write there.
 type refState struct {
 	stats     Stats
 	campaigns []Campaign
+	snapshot  []byte
 }
 
-// TestCrashRecoveryProperty is the satellite property test: run a seeded
+// loadDriver feeds a workload stream to one broker, serially (batch 0) or
+// through ArriveBatch windows of up to batch arrivals that flush before any
+// other op, and calls record after every mutation that appended a WAL record
+// — so a twin pair driven by equal drivers appends the same record sequence.
+type loadDriver struct {
+	t      *testing.T
+	b      *Broker
+	batch  int
+	record func()
+
+	window []Arrival
+	open   []uint64
+}
+
+func (d *loadDriver) apply(op workload.BrokerOp) {
+	if d.batch > 0 && op.Kind == workload.OpArrival {
+		d.window = append(d.window, Arrival{Loc: op.Loc, Capacity: op.Capacity,
+			ViewProb: op.ViewProb, Interests: op.Interests, Hour: op.Hour})
+		if len(d.window) >= d.batch {
+			d.flush()
+		}
+		return
+	}
+	d.flush()
+	if applyBilledOp(d.t, d.b, op, &d.open) {
+		d.record()
+	}
+}
+
+func (d *loadDriver) flush() {
+	if len(d.window) == 0 {
+		return
+	}
+	for _, res := range d.b.ArriveBatch(d.window) {
+		if res.Err != nil {
+			d.t.Fatal(res.Err)
+		}
+		for _, o := range res.Offers {
+			if o.ID != 0 {
+				d.open = append(d.open, o.ID)
+			}
+		}
+	}
+	d.window = d.window[:0]
+	d.record()
+}
+
+// TestCrashRecoveryProperty is the recovery property test: run a seeded
 // BrokerLoad on a durable broker, kill it at an arbitrary point — clean
 // record boundaries and torn tails cut at random byte offsets — recover,
 // and require that (a) the recovered state equals the never-crashed
-// reference after exactly RecordsReplayed mutations, and (b) no campaign
-// has Spent exceeding Budget. The reference trajectory is recorded from an
-// in-memory broker applying the same stream.
+// reference after exactly RecordsReplayed mutations, (b) the snapshot the
+// recovered broker would write is byte-identical to the reference's at that
+// point — the one snapshot layout always carries every persistent field, so
+// the payload fingerprints all recovered state, not just the Stats/Campaigns
+// projection — and (c) no campaign has Spent exceeding Budget. The reference
+// trajectory is recorded from an in-memory broker applying the same stream.
+// Every fleet variant runs serially and batched.
 func TestCrashRecoveryProperty(t *testing.T) {
 	const campaigns, ops, seed = 24, 2000, 7
-	specs, stream, err := workload.BrokerLoad(workload.DefaultBrokerLoadConfig(campaigns, ops, seed))
+	fleets := []struct {
+		name  string
+		load  workload.BrokerLoadConfig
+		slate bool
+	}{
+		{"fixed", workload.DefaultBrokerLoadConfig(campaigns, ops, seed), false},
+		{"forced-slate", workload.DefaultBrokerLoadConfig(campaigns, ops, seed), true},
+		{"billed", workload.BilledBrokerLoadConfig(campaigns, ops, seed), false},
+	}
+	for _, fleet := range fleets {
+		for _, batch := range []int{0, 8} {
+			name := fleet.name + "/serial"
+			if batch > 0 {
+				name = fleet.name + "/batched"
+			}
+			t.Run(name, func(t *testing.T) {
+				crashRecoveryProperty(t, fleet.load, Config{AdTypes: workload.DefaultAdTypes(), Slate: fleet.slate}, batch)
+			})
+		}
+	}
+}
+
+func crashRecoveryProperty(t *testing.T, load workload.BrokerLoadConfig, cfg Config, batch int) {
+	specs, stream, err := workload.BrokerLoad(load)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Reference trajectory, one refState per mutation record.
-	ref, err := newMemory(Config{AdTypes: workload.DefaultAdTypes()})
+	ref, err := newMemory(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trajectory := []refState{{stats: ref.Stats(), campaigns: ref.Campaigns()}}
-	snap := func() { trajectory = append(trajectory, refState{stats: ref.Stats(), campaigns: ref.Campaigns()}) }
-	for _, c := range specs {
-		if _, err := ref.RegisterCampaign(c.Loc, c.Radius, c.Budget, c.Tags); err != nil {
-			t.Fatal(err)
-		}
-		snap()
+	var trajectory []refState
+	snap := func() {
+		trajectory = append(trajectory, refState{stats: ref.Stats(), campaigns: ref.Campaigns(), snapshot: ref.encodeSnapshot()})
 	}
-	for _, op := range stream {
-		if applyLoadOp(t, ref, op) {
-			snap()
-		}
-	}
+	snap()
 
 	// One durable run to produce the log (abandoned, never Closed).
 	srcDir := t.TempDir()
-	cfg := Config{AdTypes: workload.DefaultAdTypes(), DataDir: srcDir, WAL: crashWAL()}
+	cfg.DataDir, cfg.WAL = srcDir, crashWAL()
 	b, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range specs {
-		if _, err := b.RegisterCampaign(c.Loc, c.Radius, c.Budget, c.Tags); err != nil {
-			t.Fatal(err)
-		}
+		registerLoad(t, ref, []workload.BrokerCampaign{c})
+		snap()
 	}
+	registerLoad(t, b, specs)
+	refDriver := &loadDriver{t: t, b: ref, batch: batch, record: snap}
+	driver := &loadDriver{t: t, b: b, batch: batch, record: func() {}}
 	for _, op := range stream {
-		applyLoadOp(t, b, op)
+		refDriver.apply(op)
+		driver.apply(op)
 	}
+	refDriver.flush()
+	driver.flush()
 
 	segs, err := filepath.Glob(filepath.Join(srcDir, "wal-*.log"))
 	if err != nil || len(segs) != 1 {
@@ -223,7 +298,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			t.Fatalf("cut %d: recovery failed: %v", cut, err)
 		}
 		info := rb.RecoveryStats()
-		if info.RecordsReplayed >= len(trajectory) {
+		if info.RecordsReplayed >= len(trajectory) || (cut == 0 && info.RecordsReplayed != len(trajectory)-1) {
 			t.Fatalf("cut %d: replayed %d records, reference has %d states", cut, info.RecordsReplayed, len(trajectory))
 		}
 		want := trajectory[info.RecordsReplayed]
@@ -234,6 +309,10 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		if got := rb.Campaigns(); !reflect.DeepEqual(got, want.campaigns) {
 			t.Fatalf("cut %d: recovered campaigns diverge from reference after %d records", cut, info.RecordsReplayed)
 		}
+		if got := rb.encodeSnapshot(); !bytes.Equal(got, want.snapshot) {
+			t.Fatalf("cut %d: recovered snapshot payload (%d bytes) differs from the reference's (%d bytes) after %d records, first at byte %d",
+				cut, len(got), len(want.snapshot), info.RecordsReplayed, firstDiff(string(got), string(want.snapshot)))
+		}
 		for _, c := range rb.Campaigns() {
 			if c.Spent > c.Budget+1e-9 {
 				t.Fatalf("cut %d: campaign %d spent %g exceeds budget %g", cut, c.ID, c.Spent, c.Budget)
@@ -242,6 +321,58 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		if err := rb.Close(); err != nil {
 			t.Fatalf("cut %d: close: %v", cut, err)
 		}
+	}
+}
+
+// TestForcedSlateRevenueSurvivesRecovery: a forced-slate (Config.Slate)
+// all-fixed fleet charges auction-resolved fixed-cost offers, which feed
+// billing.revenue[fixed]; the counters must come back bit for bit from a
+// crash (WAL replay) and from a clean Close (snapshot).
+func TestForcedSlateRevenueSurvivesRecovery(t *testing.T) {
+	specs, stream, err := workload.BrokerLoad(workload.DefaultBrokerLoadConfig(16, 400, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{AdTypes: workload.DefaultAdTypes(), Slate: true, DataDir: t.TempDir(), WAL: crashWAL()}
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerLoad(t, b, specs)
+	for _, op := range stream {
+		applyLoadOp(t, b, op)
+	}
+	revenueBits := func(b *Broker) (bits [model.NumBillingModels]uint64) {
+		for m := range bits {
+			bits[m] = b.billing.revenue[m].bits.Load()
+		}
+		return bits
+	}
+	want := revenueBits(b)
+	if got := b.billing.revenue[model.BillingFixed].Load(); got <= 0 || got != b.Stats().BudgetSpent {
+		t.Fatalf("forced-slate fixed revenue %g, budget spent %g: the load must charge", got, b.Stats().BudgetSpent)
+	}
+
+	crashed, err := New(cfg) // no Close: replay the log
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := revenueBits(crashed); got != want {
+		t.Fatalf("revenue after crash recovery %v, want %v", got, want)
+	}
+	if err := crashed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rebooted, err := New(cfg) // clean Close: load the snapshot
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rebooted.Close()
+	if info := rebooted.RecoveryStats(); !info.SnapshotLoaded || info.RecordsReplayed != 0 {
+		t.Fatalf("clean reboot should load snapshot only, got %+v", info)
+	}
+	if got := revenueBits(rebooted); got != want {
+		t.Fatalf("revenue after snapshot reboot %v, want %v", got, want)
 	}
 }
 

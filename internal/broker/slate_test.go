@@ -2,7 +2,7 @@ package broker
 
 // Tests for the MCKP slate serving path: bit-exact equivalence with the
 // legacy scan on a_i=1 all-fixed fleets, knapsack edge cases on the serving
-// path, auction-pricing properties, WAL v4 crash recovery with escrow, and
+// path, auction-pricing properties, WAL crash recovery with escrow, and
 // the concurrent escrow soak the -race gate runs.
 
 import (
@@ -335,7 +335,7 @@ func billedInvariants(t *testing.T, b *Broker) {
 	}
 }
 
-// TestSlateWALRecovery pins WAL v4 + snapshot v3 bit-exactness: a billed
+// TestSlateWALRecovery pins WAL + snapshot bit-exactness: a billed
 // stream (CPM charges, CPC escrow, conversions) through a crash and then a
 // clean snapshot reboot must recover every counter and campaign field —
 // escrow, converted revenue, open offers — bit for bit.
@@ -366,7 +366,7 @@ func TestSlateWALRecovery(t *testing.T) {
 		t.Fatalf("load exercised no escrow: %+v, %d open", preStats, len(open))
 	}
 
-	// Crash (no Close) → replay the v4 log.
+	// Crash (no Close) → replay the log.
 	rb, err := New(cfg)
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
@@ -391,7 +391,7 @@ func TestSlateWALRecovery(t *testing.T) {
 		t.Fatalf("double conversion after recovery: %v", err)
 	}
 
-	// Clean close → snapshot v3 → reboot must load it without replay.
+	// Clean close → snapshot → reboot must load it without replay.
 	postStats, postCampaigns := rb.Stats(), rb.Campaigns()
 	if err := rb.Close(); err != nil {
 		t.Fatal(err)
@@ -428,7 +428,7 @@ func TestSlateWALRecovery(t *testing.T) {
 	billedInvariants(t, rb2)
 }
 
-// TestSlateTornTailRecovery is the WAL v4 torn-tail property test: cut the
+// TestSlateTornTailRecovery is the billed torn-tail property test: cut the
 // billed log at arbitrary byte offsets, recover, and require the recovered
 // state to sit exactly on the never-crashed reference trajectory after
 // RecordsReplayed mutations, with the escrow conservation laws intact at
