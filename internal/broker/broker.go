@@ -227,8 +227,9 @@ type Broker struct {
 	// mismatch — a contract violation in batch problems, but live arrivals
 	// and campaigns come from untrusted clients, so the broker treats a
 	// dimension mismatch as ineligibility instead). When set, pearson holds
-	// the concrete scorer so the scan calls ScoreScratch directly (no
-	// interface dispatch, no per-candidate weights allocation).
+	// the concrete scorer so the scan prepares the customer side of Eq. 5
+	// once per arrival and scores candidates against it (no interface
+	// dispatch, no per-candidate weights).
 	vectorPref bool
 	pearson    model.PearsonPreference
 	minDist    float64
@@ -261,7 +262,7 @@ type Broker struct {
 	shards  []shard
 
 	regMu     sync.Mutex                  // serializes registrations
-	dir       atomic.Pointer[[]*campaign] // dense id → campaign, copy-on-write
+	dir       atomic.Pointer[[]*campaign] // dense id → campaign; append-only, see RegisterCampaignSpec
 	maxRadius atomicFloat                 // monotone max campaign radius
 
 	arrivals atomic.Int64
@@ -494,10 +495,12 @@ func (b *Broker) RegisterCampaignSpec(spec CampaignSpec) (int32, error) {
 	// Publish the directory entry before the grid entry: arrivals discover
 	// campaigns only through a shard's grid (under its lock), so a campaign
 	// visible in a grid is always resolvable, while a directory entry not
-	// yet in a grid is merely invisible to arrivals.
-	next := make([]*campaign, id+1)
-	copy(next, old)
-	next[id] = c
+	// yet in a grid is merely invisible to arrivals. The directory grows in
+	// place: append writes slot id — past the length of every header published
+	// so far, so no reader indexes it — and the atomic store then publishes a
+	// longer header over the same backing array (or over append's geometric
+	// regrowth, which leaves the old array to its readers).
+	next := append(old, c)
 	b.dir.Store(&next)
 	b.maxRadius.Max(spec.Radius)
 	sh := &b.shards[c.shard]

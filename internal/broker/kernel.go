@@ -137,8 +137,9 @@ const guaranteeRelief = 0.25
 
 // scanArena is the reusable scratch one decision runs in. All slices are
 // grown by append and retained at high-water capacity, and the model views
-// and weights buffer are reused across candidates, so the steady-state
-// serving path allocates nothing and scoring runs over dense float64 arrays.
+// and the prepared Pearson customer are reused across arrivals, so the
+// steady-state serving path allocates nothing and scoring runs over dense
+// float64 arrays.
 //
 // Ownership rule: an arrival (or batch) that locks the contiguous stripe
 // interval [s0, s1] uses the arena of shard s0 — the lowest locked stripe.
@@ -186,11 +187,12 @@ type scanArena struct {
 	fev []funnelEvent
 	why *explainLog
 
-	// Reused model views handed to the preference scorer, plus the Pearson
-	// weights scratch (see model.PearsonPreference.ScoreScratch).
+	// pearson is the arrival's customer-side half of Eq. 5, prepared once in
+	// terms and scored against every candidate's tags; customer and vendor
+	// are the reused model views a non-Pearson Preference is handed instead.
+	pearson  model.PearsonCustomer
 	customer model.Customer
 	vendor   model.Vendor
-	weights  []float64
 }
 
 // rep is one admitted candidate awaiting slot resolution: its best admitted
@@ -350,6 +352,9 @@ func (b *Broker) terms(ar *scanArena, a *Arrival, dir []*campaign, tally *scanTa
 	ar.remaining = ar.remaining[:0]
 	ar.headroom = ar.headroom[:0]
 	ar.relief = ar.relief[:0]
+	if b.vectorPref {
+		b.pearson.Prepare(&ar.pearson, a.Interests, a.Hour)
+	}
 	for _, id := range ar.ids {
 		c := dir[id]
 		if c.paused.Load() {
@@ -367,13 +372,13 @@ func (b *Broker) terms(ar *scanArena, a *Arrival, dir []*campaign, tally *scanTa
 			continue
 		}
 		spent := c.spent.Load()
-		*ve = model.Vendor{Loc: c.loc, Radius: c.radius, Budget: budget, Tags: c.tags}
 		var s float64
 		if b.vectorPref {
-			// Devirtualized call with the arena's weights scratch: same
-			// arithmetic as Preference.Score, zero allocations.
-			s, ar.weights = b.pearson.ScoreScratch(cu, ve, a.Hour, ar.weights)
+			// The vendor half of PearsonPreference.Score, without the
+			// interface dispatch or its allocation.
+			s = ar.pearson.Score(c.tags)
 		} else {
+			*ve = model.Vendor{Loc: c.loc, Radius: c.radius, Budget: budget, Tags: c.tags}
 			s = b.pref.Score(cu, ve, a.Hour)
 		}
 		if s <= 0 || math.IsNaN(s) {

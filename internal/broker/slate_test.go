@@ -23,7 +23,7 @@ import (
 
 // registerLoad registers every campaign of a load (billing included) and
 // fails the test on error.
-func registerLoad(t *testing.T, b *Broker, specs []workload.BrokerCampaign) {
+func registerLoad(t testing.TB, b *Broker, specs []workload.BrokerCampaign) {
 	t.Helper()
 	for _, c := range specs {
 		if _, err := b.RegisterCampaignSpec(CampaignSpec{
@@ -651,5 +651,84 @@ func TestSlateArriveZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("slate arrival allocates %v times per op, want 0", allocs)
+	}
+}
+
+// denseMarket registers the benchmark's `dense` fleet — 8 192 campaigns at
+// twice the default radii, ≈260 covering each arrival, budgets that never
+// exhaust, the cpm/cpc/fixed mix unless fixed — and returns its pure-arrival
+// stream.
+func denseMarket(tb testing.TB, b *Broker, fixed bool) []Arrival {
+	tb.Helper()
+	cfg := workload.BilledBrokerLoadConfig(8192, 4096, 1)
+	cfg.ArrivalFrac, cfg.ConvertFrac, cfg.TopUpFrac, cfg.PauseFrac = 1, 0, 0, 0
+	cfg.Radius.Lo, cfg.Radius.Hi = 2*cfg.Radius.Lo, 2*cfg.Radius.Hi
+	cfg.Budget.Lo, cfg.Budget.Hi = 1e4*cfg.Budget.Lo, 1e4*cfg.Budget.Hi
+	fleet, ops, err := workload.BrokerLoad(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if fixed {
+		for i := range fleet {
+			fleet[i].Billing = model.Billing{}
+		}
+	}
+	registerLoad(tb, b, fleet)
+	arrivals := make([]Arrival, len(ops))
+	for i, op := range ops {
+		arrivals[i] = Arrival{Loc: op.Loc, Capacity: op.Capacity, ViewProb: op.ViewProb,
+			Interests: op.Interests, Hour: op.Hour}
+	}
+	return arrivals
+}
+
+// TestSlateArriveZeroAllocsDense holds the same bar in a dense market, where
+// the grid scan, the prepared scorer and the solver's shortlist all run over
+// hundreds of candidates per arrival: once the arena has seen the stream,
+// serving it again allocates nothing.
+func TestSlateArriveZeroAllocsDense(t *testing.T) {
+	b, err := New(Config{AdTypes: workload.DefaultAdTypes(), Slate: true, Funnel: FunnelConfig{Enabled: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrivals := denseMarket(t, b, true)[:64]
+	dst := make([]Offer, 0, 16)
+	serve := func() {
+		for _, a := range arrivals {
+			out, err := b.ArriveAppend(dst[:0], a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst = out[:0]
+		}
+	}
+	serve() // warm the arenas' high-water marks
+	if gathered := b.funnel.gathered.Load() / uint64(len(arrivals)); gathered < 200 {
+		t.Fatalf("dense market gathers %d candidates per arrival, want ≥ 200", gathered)
+	}
+	if allocs := testing.AllocsPerRun(5, serve); allocs != 0 {
+		t.Fatalf("dense slate stream allocates %v times per pass, want 0", allocs)
+	}
+}
+
+// BenchmarkArriveBatchDense is the benchmark's `dense` workload without the
+// socket: batches of 64 through ArriveBatch on the billed fleet with metrics
+// and the funnel on. One op is one arrival.
+func BenchmarkArriveBatchDense(b *testing.B) {
+	br, err := New(Config{AdTypes: workload.DefaultAdTypes(), Metrics: obs.NewRegistry(),
+		Funnel: FunnelConfig{Enabled: true}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	arrivals := denseMarket(b, br, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += 64 {
+		at := done % len(arrivals)
+		for _, r := range br.ArriveBatch(arrivals[at : at+64]) {
+			if r.Err != nil {
+				b.Fatal(r.Err)
+			}
+		}
 	}
 }

@@ -151,9 +151,13 @@ func TestConcurrentSoak(t *testing.T) {
 }
 
 // TestConcurrentRegistrationDuringTraffic races registrations against
-// arrivals: every arrival must either see a campaign fully (grid + state) or
-// not at all, and the directory must end dense and ordered.
+// arrivals and directory readers: every arrival must either see a campaign
+// fully (grid + state) or not at all, every Campaigns() view must be a dense,
+// never-shrinking prefix — the directory grows in place under its readers, so
+// a header must never expose a slot before it is written — and the directory
+// must end dense and ordered. Run under -race in CI.
 func TestConcurrentRegistrationDuringTraffic(t *testing.T) {
+	const registrations = 1500 // many in-place appends between regrowths
 	b, err := New(Config{AdTypes: workload.DefaultAdTypes(), Shards: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -165,10 +169,12 @@ func TestConcurrentRegistrationDuringTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	wg.Add(2)
+	wg.Add(3)
+	registered := make(chan struct{})
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 64; i++ {
+		defer close(registered)
+		for i := 0; i < registrations; i++ {
 			loc := geo.Point{X: 0.1 + 0.013*float64(i%60), Y: 0.1 + 0.017*float64(i%50)}
 			if _, err := b.RegisterCampaign(loc, 0.02+0.001*float64(i%30), 10,
 				[]float64{1, 0, 0.5, 0.2, 0.1, 0.9, 0.4, 0.3}); err != nil {
@@ -183,13 +189,36 @@ func TestConcurrentRegistrationDuringTraffic(t *testing.T) {
 			applyOp(t, b, op)
 		}
 	}()
+	go func() {
+		defer wg.Done()
+		seen := 0
+		for done := false; !done; {
+			select {
+			case <-registered:
+				done = true // one more look, at the final directory
+			default:
+			}
+			all := b.Campaigns()
+			if len(all) < seen {
+				t.Errorf("directory shrank from %d to %d campaigns", seen, len(all))
+				return
+			}
+			seen = len(all)
+			for i, c := range all {
+				if c.ID != int32(i) || c.Budget != 10 {
+					t.Errorf("directory view of %d not dense at %d: %+v", len(all), i, c)
+					return
+				}
+			}
+		}
+	}()
 	wg.Wait()
 	if t.Failed() {
 		t.FailNow()
 	}
 	all := b.Campaigns()
-	if len(all) != 64 {
-		t.Fatalf("directory holds %d campaigns, want 64", len(all))
+	if len(all) != registrations {
+		t.Fatalf("directory holds %d campaigns, want %d", len(all), registrations)
 	}
 	for i, c := range all {
 		if c.ID != int32(i) {

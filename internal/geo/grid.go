@@ -16,6 +16,10 @@ import (
 //     disk of radius radii[id] covers p — used by the online algorithms to
 //     find the vendors an arriving customer is eligible for.
 //
+// Each cell stores its points inline — id, location and squared radius, in
+// insertion order — so a query scans contiguous arrays and touches no map;
+// the id → location map serves only Point, Len and the duplicate check.
+//
 // The zero value is not usable; construct with NewGrid. Grid is safe for
 // concurrent readers once built; Insert must not race with queries.
 type Grid struct {
@@ -24,12 +28,22 @@ type Grid struct {
 	cellsY   int
 	cellW    float64
 	cellH    float64
-	cells    [][]int32 // cell -> point IDs
+	cells    [][]cellPoint
 	pts      map[int32]Point
 	maxR     float64 // largest per-point radius seen by InsertWithRadius
 	hasRadii bool
-	radii    map[int32]float64
 }
+
+// cellPoint is one indexed point as its cell stores it. r2 is the squared
+// radius given to InsertWithRadius, or noRadius for a plain Insert — negative,
+// so no squared distance is ever within it and CoveredBy needs no second test.
+type cellPoint struct {
+	id int32
+	p  Point
+	r2 float64
+}
+
+const noRadius = -1
 
 // NewGrid creates an empty index over bounds with cells×cells resolution.
 // cells must be at least 1. For the paper's workloads (radii 0.01–0.05 in the
@@ -48,9 +62,8 @@ func NewGrid(bounds Rect, cells int) *Grid {
 		cellsY: cells,
 		cellW:  bounds.Width() / float64(cells),
 		cellH:  bounds.Height() / float64(cells),
-		cells:  make([][]int32, cells*cells),
+		cells:  make([][]cellPoint, cells*cells),
 		pts:    make(map[int32]Point),
-		radii:  make(map[int32]float64),
 	}
 }
 
@@ -97,13 +110,17 @@ func (g *Grid) cellOf(p Point) (cx, cy int) {
 // Insert adds a point with the given ID. Inserting the same ID twice panics:
 // IDs are the caller's dense indexes and a duplicate indicates a bug.
 func (g *Grid) Insert(id int32, p Point) {
+	g.insert(id, p, noRadius)
+}
+
+func (g *Grid) insert(id int32, p Point, r2 float64) {
 	if _, dup := g.pts[id]; dup {
 		panic(fmt.Sprintf("geo: duplicate insert of id %d", id))
 	}
 	g.pts[id] = p
 	cx, cy := g.cellOf(p)
 	idx := cy*g.cellsX + cx
-	g.cells[idx] = append(g.cells[idx], id)
+	g.cells[idx] = append(g.cells[idx], cellPoint{id: id, p: p, r2: r2})
 }
 
 // InsertWithRadius adds a point that owns a disk of radius r (a vendor and
@@ -113,8 +130,7 @@ func (g *Grid) InsertWithRadius(id int32, p Point, r float64) {
 	if r < 0 {
 		panic(fmt.Sprintf("geo: negative radius %g for id %d", r, id))
 	}
-	g.Insert(id, p)
-	g.radii[id] = r
+	g.insert(id, p, r*r)
 	g.hasRadii = true
 	if r > g.maxR {
 		g.maxR = r
@@ -147,9 +163,10 @@ func (g *Grid) Within(dst []int32, center Point, r float64) []int32 {
 	for cy := y0; cy <= y1; cy++ {
 		row := cy * g.cellsX
 		for cx := x0; cx <= x1; cx++ {
-			for _, id := range g.cells[row+cx] {
-				if g.pts[id].Dist2(center) <= r2 {
-					dst = append(dst, id)
+			cell := g.cells[row+cx]
+			for i := range cell {
+				if cell[i].p.Dist2(center) <= r2 {
+					dst = append(dst, cell[i].id)
 				}
 			}
 		}
@@ -169,13 +186,10 @@ func (g *Grid) CoveredBy(dst []int32, p Point) []int32 {
 	for cy := y0; cy <= y1; cy++ {
 		row := cy * g.cellsX
 		for cx := x0; cx <= x1; cx++ {
-			for _, id := range g.cells[row+cx] {
-				r, ok := g.radii[id]
-				if !ok {
-					continue
-				}
-				if g.pts[id].Dist2(p) <= r*r {
-					dst = append(dst, id)
+			cell := g.cells[row+cx]
+			for i := range cell {
+				if cell[i].p.Dist2(p) <= cell[i].r2 {
+					dst = append(dst, cell[i].id)
 				}
 			}
 		}
@@ -223,11 +237,11 @@ func (g *Grid) scanRing(p Point, cx, cy, ring int, best *int32, bestD2 *float64)
 		if x < 0 || x >= g.cellsX || y < 0 || y >= g.cellsY {
 			return
 		}
-		for _, id := range g.cells[y*g.cellsX+x] {
+		for _, e := range g.cells[y*g.cellsX+x] {
 			seen = true
-			d2 := g.pts[id].Dist2(p)
-			if d2 < *bestD2 || (d2 == *bestD2 && id < *best) {
-				*best, *bestD2 = id, d2
+			d2 := e.p.Dist2(p)
+			if d2 < *bestD2 || (d2 == *bestD2 && e.id < *best) {
+				*best, *bestD2 = e.id, d2
 			}
 		}
 	}
@@ -326,8 +340,8 @@ func (g *Grid) collectRing(p Point, cx, cy, ring int, emit func(int32, float64))
 		if x < 0 || x >= g.cellsX || y < 0 || y >= g.cellsY {
 			return
 		}
-		for _, id := range g.cells[y*g.cellsX+x] {
-			emit(id, g.pts[id].Dist2(p))
+		for _, e := range g.cells[y*g.cellsX+x] {
+			emit(e.id, e.p.Dist2(p))
 		}
 	}
 	if ring == 0 {

@@ -273,3 +273,139 @@ func TestGridQueryOutsideBounds(t *testing.T) {
 		t.Errorf("out-of-bounds query missed in-range point: %v", got)
 	}
 }
+
+// mapGrid is the grid's pre-inline layout — ids per cell, locations and radii
+// in maps — with the scans written as they were. It is the order oracle: a
+// query must emit the same ids in the same sequence (cells row-major,
+// insertion order within a cell).
+type mapGrid struct {
+	g     *Grid // cell geometry only
+	cells [][]int32
+	pts   map[int32]Point
+	radii map[int32]float64
+}
+
+func newMapGrid(g *Grid) *mapGrid {
+	return &mapGrid{g: g, cells: make([][]int32, g.cellsX*g.cellsY),
+		pts: map[int32]Point{}, radii: map[int32]float64{}}
+}
+
+func (m *mapGrid) insert(id int32, p Point) {
+	m.pts[id] = p
+	cx, cy := m.g.cellOf(p)
+	m.cells[cy*m.g.cellsX+cx] = append(m.cells[cy*m.g.cellsX+cx], id)
+}
+
+func (m *mapGrid) scan(center Point, r float64, hit func(id int32) bool) []int32 {
+	var out []int32
+	x0, y0, x1, y1 := m.g.cellRange(center, r)
+	for cy := y0; cy <= y1; cy++ {
+		for cx := x0; cx <= x1; cx++ {
+			for _, id := range m.cells[cy*m.g.cellsX+cx] {
+				if hit(id) {
+					out = append(out, id)
+				}
+			}
+		}
+	}
+	return out
+}
+
+func (m *mapGrid) within(center Point, r float64) []int32 {
+	return m.scan(center, r, func(id int32) bool { return m.pts[id].Dist2(center) <= r*r })
+}
+
+func (m *mapGrid) coveredBy(p Point, maxR float64) []int32 {
+	return m.scan(p, maxR, func(id int32) bool {
+		r, ok := m.radii[id]
+		return ok && m.pts[id].Dist2(p) <= r*r
+	})
+}
+
+// Inline cells answer exactly as the map-backed layout did, element for
+// element: random grids mixing radius-less points, radius 0, points on the
+// bounds and outside them, queried on stored points (distance 0 and exact
+// boundary hits) as well as at random.
+func TestGridQueriesKeepMapLayoutOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	edge := []float64{0, 1, 0.5, -0.1, 1.1}
+	for _, cells := range []int{1, 7, 64} {
+		g := NewGrid(UnitSquare, cells)
+		m := newMapGrid(g)
+		var pts []Point
+		maxR := 0.0
+		for id := int32(0); id < 600; id++ {
+			p := Point{rng.Float64(), rng.Float64()}
+			if id%9 == 0 {
+				p = Point{edge[rng.Intn(len(edge))], edge[rng.Intn(len(edge))]}
+			}
+			pts = append(pts, p)
+			m.insert(id, p)
+			switch id % 5 {
+			case 0:
+				g.Insert(id, p)
+				continue
+			case 1:
+				m.radii[id] = 0
+			default:
+				m.radii[id] = rng.Float64() * 0.15
+			}
+			g.InsertWithRadius(id, p, m.radii[id])
+			maxR = math.Max(maxR, m.radii[id])
+		}
+		for trial := 0; trial < 400; trial++ {
+			q := Point{rng.Float64()*1.2 - 0.1, rng.Float64()*1.2 - 0.1}
+			if trial%4 == 0 {
+				q = pts[rng.Intn(len(pts))]
+			}
+			if got, want := g.CoveredBy(nil, q), m.coveredBy(q, maxR); !equalIDs(got, want) {
+				t.Fatalf("cells=%d CoveredBy(%v) = %v, map layout %v", cells, q, got, want)
+			}
+			r := rng.Float64() * 0.3
+			if trial%8 == 0 {
+				r = q.Dist(pts[rng.Intn(len(pts))]) // a stored point exactly on the rim
+			}
+			if got, want := g.Within(nil, q, r), m.within(q, r); !equalIDs(got, want) {
+				t.Fatalf("cells=%d Within(%v, %g) = %v, map layout %v", cells, q, r, got, want)
+			}
+		}
+	}
+}
+
+func TestGridDuplicateInsertWithRadiusPanics(t *testing.T) {
+	for name, second := range map[string]func(*Grid){
+		"radius then radius": func(g *Grid) { g.InsertWithRadius(1, Point{0.2, 0.2}, 0.1) },
+		"radius then plain":  func(g *Grid) { g.Insert(1, Point{0.2, 0.2}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: duplicate id must panic", name)
+				}
+			}()
+			g := NewGrid(UnitSquare, 4)
+			g.InsertWithRadius(1, Point{0.1, 0.1}, 0.1)
+			second(g)
+		}()
+	}
+}
+
+// BenchmarkGridCoveredByDense probes the dense-market grid: 8 192 campaigns
+// in the unit square at twice the default radii (≈260 covering a point).
+func BenchmarkGridCoveredByDense(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g := NewGrid(UnitSquare, 64)
+	for id := int32(0); id < 8192; id++ {
+		g.InsertWithRadius(id, Point{rng.Float64(), rng.Float64()}, 0.04+rng.Float64()*0.12)
+	}
+	probes := randomPoints(rng, 1024)
+	var ids []int32
+	candidates := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ids = g.CoveredBy(ids[:0], probes[i%len(probes)])
+		candidates += len(ids)
+	}
+	b.ReportMetric(float64(candidates)/float64(b.N), "candidates/op")
+}

@@ -89,6 +89,14 @@ func (s *SlotSolver) classStart(ci int) int {
 // Solve runs the hull-greedy under a slot capacity: at most `slots` classes
 // may serve one item each. Selection is deterministic — increments are
 // walked in (efficiency desc, class asc, level asc) order, a total order.
+//
+// Only the slots+1 classes whose first increment ranks best under that order
+// are walked. Every other class's increments are no-ops in the full walk —
+// its first increment is reached after the runner-up is set and denied, and
+// its later ones never match pickLvl — so leaving them out changes neither a
+// result nor the order the value and cost sums accumulate in, and the work
+// after the hulls is linear in the classes for the small slot counts the
+// broker asks for.
 func (s *SlotSolver) Solve(slots int) {
 	n := len(s.classEnd)
 	s.hull = s.hull[:0]
@@ -98,9 +106,22 @@ func (s *SlotSolver) Solve(slots int) {
 	s.runner = -1
 	s.value, s.cost = 0, 0
 	s.pickLvl = s.pickLvl[:0]
+	keep := 1
+	if slots > 0 {
+		keep = slots + 1
+	}
 	for ci := 0; ci < n; ci++ {
 		s.pickLvl = append(s.pickLvl, 0)
 		s.buildHull(ci)
+		if len(s.hullOf(ci)) > 0 {
+			s.shortlist(s.inc(ci, 0), keep)
+		}
+	}
+	for i, k := 0, len(s.incs); i < k; i++ {
+		ci := int(s.incs[i].class)
+		for l := 1; l < len(s.hullOf(ci)); l++ {
+			s.incs = append(s.incs, s.inc(ci, l))
+		}
 	}
 	s.sortIncs()
 	for i := range s.incs {
@@ -125,9 +146,8 @@ func (s *SlotSolver) Solve(slots int) {
 }
 
 // buildHull computes class ci's upper-left convex hull into the flat hull
-// storage and appends its increments. Same geometry as classHull, with item
-// ordinal as the final sort tie-break so equal (cost, profit) items resolve
-// deterministically.
+// storage. Same geometry as classHull, with item ordinal as the final sort
+// tie-break so equal (cost, profit) items resolve deterministically.
 func (s *SlotSolver) buildHull(ci int) {
 	start, end := s.classStart(ci), s.classEnd[ci]
 	s.seg = s.seg[:0]
@@ -182,39 +202,71 @@ func (s *SlotSolver) buildHull(ci int) {
 		}
 		s.hull = append(s.hull[:hullStart+len(h)], ord)
 	}
-	prevCost, prevProfit := 0.0, 0.0
-	for l, ord := range s.hull[hullStart:] {
-		idx := start + int(ord)
-		dc := s.costs[idx] - prevCost
-		dv := s.profits[idx] - prevProfit
-		s.incs = append(s.incs, slotInc{
-			class: int32(ci), level: int32(l), dCost: dc, dVal: dv, eff: dv / dc,
-		})
-		prevCost, prevProfit = s.costs[idx], s.profits[idx]
-	}
 	s.hullEnd = append(s.hullEnd, len(s.hull))
 }
 
-// sortIncs sorts the increment list by (eff desc, class asc, level asc) —
-// a total order, since (class, level) pairs are unique. Insertion-sort-
-// backed binary insertion keeps it allocation-free; increment counts are
-// small (classes × hull levels).
+// hullOf returns class ci's hull: item ordinals in increasing cost and
+// profit.
+func (s *SlotSolver) hullOf(ci int) []int32 {
+	hullStart := 0
+	if ci > 0 {
+		hullStart = s.hullEnd[ci-1]
+	}
+	return s.hull[hullStart:s.hullEnd[ci]]
+}
+
+// inc returns the increment that takes class ci from hull level l-1 (the
+// implicit (0,0) point below level 0) to level l.
+func (s *SlotSolver) inc(ci, l int) slotInc {
+	start, hull := s.classStart(ci), s.hullOf(ci)
+	prevCost, prevProfit := 0.0, 0.0
+	if l > 0 {
+		prev := start + int(hull[l-1])
+		prevCost, prevProfit = s.costs[prev], s.profits[prev]
+	}
+	idx := start + int(hull[l])
+	dc := s.costs[idx] - prevCost
+	dv := s.profits[idx] - prevProfit
+	return slotInc{class: int32(ci), level: int32(l), dCost: dc, dVal: dv, eff: dv / dc}
+}
+
+// before is the walk's total order over increments: (eff desc, class asc,
+// level asc); (class, level) pairs are unique.
+func (a *slotInc) before(b *slotInc) bool {
+	if a.eff != b.eff {
+		return a.eff > b.eff
+	}
+	if a.class != b.class {
+		return a.class < b.class
+	}
+	return a.level < b.level
+}
+
+// shortlist offers a class's first increment to s.incs, which holds the best
+// `keep` seen so far in rank order — one bounded insertion per class, the
+// shape Broker.trim uses.
+func (s *SlotSolver) shortlist(inc slotInc, keep int) {
+	switch {
+	case len(s.incs) < keep:
+		s.incs = append(s.incs, inc)
+	case inc.before(&s.incs[keep-1]):
+		s.incs[keep-1] = inc
+	default:
+		return
+	}
+	incs := s.incs
+	for i := len(incs) - 1; i > 0 && incs[i].before(&incs[i-1]); i-- {
+		incs[i], incs[i-1] = incs[i-1], incs[i]
+	}
+}
+
+// sortIncs insertion-sorts the increment list into walk order. The list is
+// short — the shortlisted classes' hull levels, already ranked at its head —
+// and insertion keeps it allocation-free.
 func (s *SlotSolver) sortIncs() {
 	incs := s.incs
 	for i := 1; i < len(incs); i++ {
-		for j := i; j > 0; j-- {
-			a, b := &incs[j-1], &incs[j]
-			if a.eff > b.eff {
-				break
-			}
-			if a.eff == b.eff {
-				if a.class < b.class {
-					break
-				}
-				if a.class == b.class && a.level < b.level {
-					break
-				}
-			}
+		for j := i; j > 0 && incs[j].before(&incs[j-1]); j-- {
 			incs[j-1], incs[j] = incs[j], incs[j-1]
 		}
 	}
@@ -231,11 +283,7 @@ func (s *SlotSolver) Pick(ci int) int {
 	if lvl == 0 {
 		return -1
 	}
-	hullStart := 0
-	if ci > 0 {
-		hullStart = s.hullEnd[ci-1]
-	}
-	return int(s.hull[hullStart+int(lvl)-1])
+	return int(s.hullOf(ci)[lvl-1])
 }
 
 // Runner returns the first class denied a slot during the walk — the
@@ -250,11 +298,7 @@ func (s *SlotSolver) RunnerPick() int {
 	if ci < 0 {
 		return -1
 	}
-	hullStart := 0
-	if ci > 0 {
-		hullStart = s.hullEnd[ci-1]
-	}
-	hull := s.hull[hullStart:s.hullEnd[ci]]
+	hull := s.hullOf(ci)
 	if len(hull) == 0 {
 		return -1
 	}

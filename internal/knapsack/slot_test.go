@@ -1,7 +1,9 @@
 package knapsack
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -183,5 +185,237 @@ func TestSlotSolverSteadyStateAllocs(t *testing.T) {
 	fill() // warm the buffers
 	if avg := testing.AllocsPerRun(100, fill); avg != 0 {
 		t.Fatalf("steady-state Solve allocates %.1f/op, want 0", avg)
+	}
+}
+
+// oracleSlot is the solver as it stood before Solve learned to shortlist:
+// every class's hull increments, one full sort, the same walk. Kept verbatim
+// (over the solver's item storage, with its own hull and increment slices) as
+// the differential oracle for the shortlisted walk.
+type oracleSlot struct {
+	hull       [][]int32 // per class, item ordinals
+	order      []int32
+	pick       []int // per class, item ordinal or -1
+	runner     int
+	runnerPick int
+	value      float64
+	cost       float64
+}
+
+func oracleSolve(s *SlotSolver, slots int) oracleSlot {
+	n := len(s.classEnd)
+	o := oracleSlot{hull: make([][]int32, n), pick: make([]int, n), runner: -1, runnerPick: -1}
+	var incs []slotInc
+	pickLvl := make([]int32, n)
+	for ci := 0; ci < n; ci++ {
+		start, end := s.classStart(ci), s.classEnd[ci]
+		var seg []int32
+		for i := start; i < end; i++ {
+			if s.profits[i] > 0 {
+				seg = append(seg, int32(i-start))
+			}
+		}
+		for i := 1; i < len(seg); i++ {
+			for j := i; j > 0; j-- {
+				a, b := start+int(seg[j-1]), start+int(seg[j])
+				if s.costs[a] < s.costs[b] {
+					break
+				}
+				if s.costs[a] == s.costs[b] {
+					if s.profits[a] > s.profits[b] {
+						break
+					}
+					if s.profits[a] == s.profits[b] && seg[j-1] < seg[j] {
+						break
+					}
+				}
+				seg[j-1], seg[j] = seg[j], seg[j-1]
+			}
+		}
+		var h []int32
+		for _, ord := range seg {
+			idx := start + int(ord)
+			c, p := s.costs[idx], s.profits[idx]
+			if len(h) > 0 && p <= s.profits[start+int(h[len(h)-1])] {
+				continue
+			}
+			for len(h) > 0 {
+				last := start + int(h[len(h)-1])
+				var prevCost, prevProfit float64
+				if len(h) >= 2 {
+					prev := start + int(h[len(h)-2])
+					prevCost, prevProfit = s.costs[prev], s.profits[prev]
+				}
+				lhs := (s.profits[last] - prevProfit) * (c - s.costs[last])
+				rhs := (p - s.profits[last]) * (s.costs[last] - prevCost)
+				if lhs > rhs {
+					break
+				}
+				h = h[:len(h)-1]
+			}
+			h = append(h, ord)
+		}
+		o.hull[ci] = h
+		prevCost, prevProfit := 0.0, 0.0
+		for l, ord := range h {
+			idx := start + int(ord)
+			dc := s.costs[idx] - prevCost
+			dv := s.profits[idx] - prevProfit
+			incs = append(incs, slotInc{class: int32(ci), level: int32(l), dCost: dc, dVal: dv, eff: dv / dc})
+			prevCost, prevProfit = s.costs[idx], s.profits[idx]
+		}
+	}
+	for i := 1; i < len(incs); i++ {
+		for j := i; j > 0; j-- {
+			a, b := &incs[j-1], &incs[j]
+			if a.eff > b.eff {
+				break
+			}
+			if a.eff == b.eff {
+				if a.class < b.class {
+					break
+				}
+				if a.class == b.class && a.level < b.level {
+					break
+				}
+			}
+			incs[j-1], incs[j] = incs[j], incs[j-1]
+		}
+	}
+	for i := range incs {
+		inc := &incs[i]
+		if pickLvl[inc.class] != inc.level {
+			continue
+		}
+		if inc.level == 0 {
+			if slots <= 0 {
+				if o.runner < 0 {
+					o.runner = int(inc.class)
+				}
+				continue
+			}
+			slots--
+			o.order = append(o.order, inc.class)
+		}
+		pickLvl[inc.class] = inc.level + 1
+		o.value += inc.dVal
+		o.cost += inc.dCost
+	}
+	for ci := range o.pick {
+		o.pick[ci] = -1
+		if lvl := pickLvl[ci]; lvl > 0 {
+			o.pick[ci] = int(o.hull[ci][lvl-1])
+		}
+	}
+	if o.runner >= 0 {
+		h := o.hull[o.runner]
+		o.runnerPick = int(h[len(h)-1])
+	}
+	return o
+}
+
+// checkAgainstOracle solves the populated instance both ways and demands the
+// same answers, the float sums bit for bit.
+func checkAgainstOracle(t *testing.T, s *SlotSolver, slots int) {
+	t.Helper()
+	want := oracleSolve(s, slots)
+	s.Solve(slots)
+	if got := s.Order(); !slices.Equal(got, want.order) {
+		t.Fatalf("slots %d: order %v, oracle %v", slots, got, want.order)
+	}
+	for ci := range want.pick {
+		if got := s.Pick(ci); got != want.pick[ci] {
+			t.Fatalf("slots %d: class %d pick %d, oracle %d", slots, ci, got, want.pick[ci])
+		}
+	}
+	if s.Runner() != want.runner || s.RunnerPick() != want.runnerPick {
+		t.Fatalf("slots %d: runner %d pick %d, oracle %d pick %d",
+			slots, s.Runner(), s.RunnerPick(), want.runner, want.runnerPick)
+	}
+	if math.Float64bits(s.Value()) != math.Float64bits(want.value) ||
+		math.Float64bits(s.Cost()) != math.Float64bits(want.cost) {
+		t.Fatalf("slots %d: value %x cost %x, oracle %x %x", slots,
+			math.Float64bits(s.Value()), math.Float64bits(s.Cost()),
+			math.Float64bits(want.value), math.Float64bits(want.cost))
+	}
+}
+
+// The shortlisted walk against the full-sort oracle on instances built to hit
+// its corners: items drawn from a small lattice so (cost, profit) pairs repeat
+// within a class, efficiencies tie across classes and hull efficiencies sit an
+// ulp apart; non-positive profits; 0–400 classes of 1–6 items; every slot
+// count from 0 to classes+1 on the small instances and a spread on the large.
+func TestSlotSolverMatchesFullSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	var s SlotSolver
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(12)
+		if trial%10 == 0 {
+			n = rng.Intn(401)
+		}
+		lattice := trial%3 != 0
+		s.Reset()
+		for ci := 0; ci < n; ci++ {
+			s.Begin()
+			for i, items := 0, 1+rng.Intn(6); i < items; i++ {
+				cost, profit := 0.1+rng.Float64()*9.9, rng.Float64()*10-1
+				if lattice {
+					cost, profit = float64(1+rng.Intn(4))*0.3, float64(rng.Intn(7)-1)*0.7
+				}
+				s.Item(cost, profit)
+			}
+		}
+		if n <= 12 {
+			for slots := 0; slots <= n+1; slots++ {
+				checkAgainstOracle(t, &s, slots)
+			}
+			continue
+		}
+		for _, slots := range []int{0, 1, 2, 4, rng.Intn(n), n, n + 1} {
+			checkAgainstOracle(t, &s, slots)
+		}
+	}
+}
+
+// FuzzSlotSolver decodes an instance from raw bytes — one byte per item,
+// cost from its low nibble and profit from its high one, so ties and
+// duplicates are the common case — and holds Solve to the full-sort oracle.
+func FuzzSlotSolver(f *testing.F) {
+	f.Add([]byte{0x11, 0x22, 0x00, 0x33, 0x12}, uint8(1))
+	f.Add([]byte{0xf1, 0xf1, 0x00, 0xf1, 0x00, 0x21, 0x42, 0x63}, uint8(2))
+	f.Add([]byte{}, uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, slots uint8) {
+		var s SlotSolver
+		open := false
+		for _, b := range data {
+			if b == 0 {
+				open = false // class separator
+				continue
+			}
+			if !open {
+				s.Begin()
+				open = true
+			}
+			s.Item(float64(1+b&0x0f)*0.3, float64(int(b>>4)-2)*0.7)
+		}
+		checkAgainstOracle(t, &s, int(slots)%(s.Classes()+2))
+	})
+}
+
+// BenchmarkSlotSolverDense is the dense-market solve: 260 admitted classes of
+// four items (the ad-type catalog), slots 1–4 in rotation.
+func BenchmarkSlotSolverDense(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var s SlotSolver
+	for ci := 0; ci < 260; ci++ {
+		s.Begin()
+		for i := 0; i < 4; i++ {
+			s.Item(float64(i+1), float64(i+1)*rng.Float64())
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Solve(1 + i%4)
 	}
 }

@@ -71,57 +71,83 @@ type PearsonPreference struct {
 // mismatch panics, as it means the problem was assembled against two
 // different taxonomies.
 func (pp PearsonPreference) Score(u *Customer, v *Vendor, hour float64) float64 {
-	s, _ := pp.ScoreScratch(u, v, hour, nil)
-	return s
+	var pc PearsonCustomer
+	pp.Prepare(&pc, u.Interests, hour)
+	return pc.Score(v.Tags)
 }
 
-// ScoreScratch is Score with a caller-owned weights buffer: scratch is grown
-// as needed and handed back so a serving loop can reuse it across calls and
-// keep scoring allocation-free. The score is computed by exactly the same
-// operation sequence as Score, so the two are bit-identical.
-func (pp PearsonPreference) ScoreScratch(u *Customer, v *Vendor, hour float64, scratch []float64) (float64, []float64) {
-	x, y := u.Interests, v.Tags
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("model: interest vector length %d vs tag vector length %d", len(x), len(y)))
-	}
-	if len(x) == 0 {
-		return 0, scratch
-	}
+// PearsonCustomer is the customer-side half of Eq. 5 at one hour: everything
+// that does not depend on the vendor. A serving loop prepares it once per
+// arrival and scores every candidate vendor against it; the buffers are
+// retained across Prepare calls, so steady-state scoring allocates nothing.
+// The zero value is ready for Prepare.
+type PearsonCustomer struct {
+	n     int
+	buf   []float64 // [:n] activity weights w_i = α_i(φ); [n:2n] w_i · (x_i − m_x)
+	sumW  float64
+	covXX float64
+}
+
+// Prepare computes the customer-side terms for interest vector x at the given
+// hour: the activity weights, Σw, and the weighted deviations and variance of
+// x — in the order the single-pass formula accumulates them, so Prepare +
+// Score is that formula bit for bit.
+func (pp PearsonPreference) Prepare(pc *PearsonCustomer, x []float64, hour float64) {
 	act := pp.Activity
 	if act == nil {
 		act = UniformActivity{}
 	}
-	if cap(scratch) < len(x) {
-		scratch = make([]float64, len(x))
+	n := len(x)
+	if cap(pc.buf) < 2*n {
+		pc.buf = make([]float64, 2*n)
 	}
-	scratch = scratch[:len(x)]
-	var sumW, sumWX, sumWY float64
-	weights := scratch
+	pc.n, pc.sumW, pc.covXX = n, 0, 0
+	w, wdx := pc.buf[:n], pc.buf[n:2*n]
+	var sumWX float64
 	for i := range x {
-		w := act.Level(i, hour)
-		if w < 0 || math.IsNaN(w) {
-			panic(fmt.Sprintf("model: activity level %g for tag %d", w, i))
+		w[i] = act.Level(i, hour)
+		if w[i] < 0 || math.IsNaN(w[i]) {
+			panic(fmt.Sprintf("model: activity level %g for tag %d", w[i], i))
 		}
-		weights[i] = w
-		sumW += w
-		sumWX += w * x[i]
-		sumWY += w * y[i]
+		pc.sumW += w[i]
+		sumWX += w[i] * x[i]
 	}
-	if sumW == 0 {
-		return 0, scratch
+	if pc.sumW == 0 {
+		return
 	}
-	mx, my := sumWX/sumW, sumWY/sumW
-	var covXY, covXX, covYY float64
+	mx := sumWX / pc.sumW
 	for i := range x {
-		w := weights[i]
-		covXY += w * (x[i] - mx) * (y[i] - my)
-		covXX += w * (x[i] - mx) * (x[i] - mx)
-		covYY += w * (y[i] - my) * (y[i] - my)
+		dx := x[i] - mx
+		wdx[i] = w[i] * dx
+		pc.covXX += wdx[i] * dx
 	}
-	if covXX <= 0 || covYY <= 0 {
-		return 0, scratch
+}
+
+// Score returns Eq. 5 for the prepared customer against tag vector y, which
+// must have the prepared vector's length; a mismatch panics.
+func (pc *PearsonCustomer) Score(y []float64) float64 {
+	if pc.n != len(y) {
+		panic(fmt.Sprintf("model: interest vector length %d vs tag vector length %d", pc.n, len(y)))
 	}
-	return covXY / math.Sqrt(covXX*covYY), scratch
+	if pc.sumW == 0 { // also the empty vector
+		return 0
+	}
+	w, wdx := pc.buf[:pc.n], pc.buf[pc.n:2*pc.n]
+	var sumWY float64
+	for i := range y {
+		sumWY += w[i] * y[i]
+	}
+	my := sumWY / pc.sumW
+	var covXY, covYY float64
+	for i := range y {
+		dy := y[i] - my
+		covXY += wdx[i] * dy
+		covYY += w[i] * dy * dy
+	}
+	if pc.covXX <= 0 || covYY <= 0 {
+		return 0
+	}
+	return covXY / math.Sqrt(pc.covXX*covYY)
 }
 
 // TablePreference looks preference scores up in a dense table indexed by

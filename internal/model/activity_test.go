@@ -112,12 +112,101 @@ func TestPearsonActivityWeighting(t *testing.T) {
 }
 
 func TestPearsonLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("length mismatch must panic")
+	const want = "model: interest vector length 1 vs tag vector length 2"
+	var pc PearsonCustomer
+	PearsonPreference{}.Prepare(&pc, []float64{1}, 0)
+	for name, score := range map[string]func(){
+		"Score": func() {
+			PearsonPreference{}.Score(pearsonCustomer([]float64{1}), pearsonVendor([]float64{1, 2}), 0)
+		},
+		"prepared": func() { pc.Score([]float64{1, 2}) },
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != want {
+					t.Errorf("%s: length mismatch panicked with %v, want %q", name, got, want)
+				}
+			}()
+			score()
+		}()
+	}
+}
+
+// pearsonTwoLoop is Eq. 5 as Score computed it before the customer side was
+// split out — weights and both means in one pass, the three covariances in a
+// second. The prepared form must reproduce it bit for bit: the broker's golden
+// transcripts hang off these bits.
+func pearsonTwoLoop(act Activity, x, y []float64, hour float64) float64 {
+	if len(x) == 0 {
+		return 0
+	}
+	weights := make([]float64, len(x))
+	var sumW, sumWX, sumWY float64
+	for i := range x {
+		w := act.Level(i, hour)
+		weights[i] = w
+		sumW += w
+		sumWX += w * x[i]
+		sumWY += w * y[i]
+	}
+	if sumW == 0 {
+		return 0
+	}
+	mx, my := sumWX/sumW, sumWY/sumW
+	var covXY, covXX, covYY float64
+	for i := range x {
+		w := weights[i]
+		covXY += w * (x[i] - mx) * (y[i] - my)
+		covXX += w * (x[i] - mx) * (x[i] - mx)
+		covYY += w * (y[i] - my) * (y[i] - my)
+	}
+	if covXX <= 0 || covYY <= 0 {
+		return 0
+	}
+	return covXY / math.Sqrt(covXX*covYY)
+}
+
+func TestPearsonPreparedMatchesTwoLoopBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	activities := map[string]Activity{
+		"uniform":  UniformActivity{},
+		"diurnal":  DiurnalActivity{Peaks: map[int]float64{0: 8, 2: 22, 5: 13.5}},
+		"all-zero": activityFunc(func(int, float64) float64 { return 0 }),
+		"sparse":   activityFunc(func(x int, _ float64) float64 { return float64(x % 2) }),
+	}
+	vec := func(n, kind int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			switch kind {
+			case 0:
+				v[i] = rng.Float64()
+			case 1:
+				v[i] = 0.25 // zero variance
+			case 2:
+				v[i] = float64(rng.Intn(2)) // repeated values, exact sums
+			}
 		}
-	}()
-	PearsonPreference{}.Score(pearsonCustomer([]float64{1}), pearsonVendor([]float64{1, 2}), 0)
+		return v
+	}
+	for name, act := range activities {
+		pp := PearsonPreference{Activity: act}
+		var pc PearsonCustomer // reused across lengths, as the broker's arena does
+		for trial := 0; trial < 300; trial++ {
+			n, hour := rng.Intn(12), rng.Float64()*24
+			x := vec(n, trial%3)
+			pp.Prepare(&pc, x, hour)
+			for k := 0; k < 4; k++ { // one prepare, several vendors
+				y := vec(n, (trial+k)%3)
+				want := math.Float64bits(pearsonTwoLoop(act, x, y, hour))
+				if got := math.Float64bits(pc.Score(y)); got != want {
+					t.Fatalf("%s n=%d: prepared score %x, two-loop %x", name, n, got, want)
+				}
+				if got := math.Float64bits(pp.Score(pearsonCustomer(x), pearsonVendor(y), hour)); got != want {
+					t.Fatalf("%s n=%d: Score %x, two-loop %x", name, n, got, want)
+				}
+			}
+		}
+	}
 }
 
 func TestPearsonNegativeActivityPanics(t *testing.T) {
