@@ -205,6 +205,29 @@ func TestSlateCapacityExceedsCandidates(t *testing.T) {
 	}
 }
 
+// TestSlateUnboundedCapacity: the API rejects only negative capacities, so
+// the slate resolver must take any positive int — math.MaxInt once overflowed
+// the solver's shortlist bound and panicked under the shard lock. It must
+// answer exactly as a capacity that merely exceeds the candidate set does.
+func TestSlateUnboundedCapacity(t *testing.T) {
+	run := func(capacity int) []Offer {
+		b, err := New(Config{AdTypes: workload.DefaultAdTypes(), Slate: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		slateFleet(t, b, 5, model.Billing{Model: model.BillingCPM, ReserveECPM: 1})
+		offers, err := b.Arrive(slateArrival(capacity))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return offers
+	}
+	want, got := run(16), run(math.MaxInt)
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("capacity MaxInt served %v, capacity 16 served %v", got, want)
+	}
+}
+
 // TestSlateAllBelowReserve: when every bid is reserve-priced out, the
 // arrival serves nothing and the scan tallies the candidates as
 // below_reserve (not unaffordable or below_threshold).

@@ -106,10 +106,7 @@ func (s *SlotSolver) Solve(slots int) {
 	s.runner = -1
 	s.value, s.cost = 0, 0
 	s.pickLvl = s.pickLvl[:0]
-	keep := 1
-	if slots > 0 {
-		keep = slots + 1
-	}
+	keep := min(max(slots, 0), n) + 1 // clamp first: slots is caller-supplied, up to MaxInt
 	for ci := 0; ci < n; ci++ {
 		s.pickLvl = append(s.pickLvl, 0)
 		s.buildHull(ci)
@@ -117,13 +114,19 @@ func (s *SlotSolver) Solve(slots int) {
 			s.shortlist(s.inc(ci, 0), keep)
 		}
 	}
-	for i, k := 0, len(s.incs); i < k; i++ {
+	// The shortlisted classes' later hull levels are appended behind the
+	// ranked head and inserted one by one; the list is short and insertion
+	// allocates nothing.
+	k := len(s.incs)
+	for i := 0; i < k; i++ {
 		ci := int(s.incs[i].class)
 		for l := 1; l < len(s.hullOf(ci)); l++ {
 			s.incs = append(s.incs, s.inc(ci, l))
 		}
 	}
-	s.sortIncs()
+	for i := k; i < len(s.incs); i++ {
+		insertLast(s.incs[:i+1])
+	}
 	for i := range s.incs {
 		inc := &s.incs[i]
 		if s.pickLvl[inc.class] != inc.level {
@@ -254,21 +257,14 @@ func (s *SlotSolver) shortlist(inc slotInc, keep int) {
 	default:
 		return
 	}
-	incs := s.incs
-	for i := len(incs) - 1; i > 0 && incs[i].before(&incs[i-1]); i-- {
-		incs[i], incs[i-1] = incs[i-1], incs[i]
-	}
+	insertLast(s.incs)
 }
 
-// sortIncs insertion-sorts the increment list into walk order. The list is
-// short — the shortlisted classes' hull levels, already ranked at its head —
-// and insertion keeps it allocation-free.
-func (s *SlotSolver) sortIncs() {
-	incs := s.incs
-	for i := 1; i < len(incs); i++ {
-		for j := i; j > 0 && incs[j].before(&incs[j-1]); j-- {
-			incs[j-1], incs[j] = incs[j], incs[j-1]
-		}
+// insertLast moves the last element of incs, whose others are in walk order,
+// back to its rank.
+func insertLast(incs []slotInc) {
+	for i := len(incs) - 1; i > 0 && incs[i].before(&incs[i-1]); i-- {
+		incs[i], incs[i-1] = incs[i-1], incs[i]
 	}
 }
 

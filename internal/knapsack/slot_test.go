@@ -344,7 +344,8 @@ func checkAgainstOracle(t *testing.T, s *SlotSolver, slots int) {
 // its corners: items drawn from a small lattice so (cost, profit) pairs repeat
 // within a class, efficiencies tie across classes and hull efficiencies sit an
 // ulp apart; non-positive profits; 0–400 classes of 1–6 items; every slot
-// count from 0 to classes+1 on the small instances and a spread on the large.
+// count from -1 to classes+1 on the small instances and a spread on the large,
+// and the extremes of int, which the broker passes through from the client.
 func TestSlotSolverMatchesFullSortOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	var s SlotSolver
@@ -366,12 +367,13 @@ func TestSlotSolverMatchesFullSortOracle(t *testing.T) {
 			}
 		}
 		if n <= 12 {
-			for slots := 0; slots <= n+1; slots++ {
+			for slots := -1; slots <= n+1; slots++ {
 				checkAgainstOracle(t, &s, slots)
 			}
+			checkAgainstOracle(t, &s, math.MaxInt)
 			continue
 		}
-		for _, slots := range []int{0, 1, 2, 4, rng.Intn(n), n, n + 1} {
+		for _, slots := range []int{0, 1, 2, 4, rng.Intn(n), n, n + 1, math.MaxInt, math.MinInt} {
 			checkAgainstOracle(t, &s, slots)
 		}
 	}
@@ -380,10 +382,13 @@ func TestSlotSolverMatchesFullSortOracle(t *testing.T) {
 // FuzzSlotSolver decodes an instance from raw bytes — one byte per item,
 // cost from its low nibble and profit from its high one, so ties and
 // duplicates are the common case — and holds Solve to the full-sort oracle.
+// The slot count folds into 0..classes+1, except 255, which stands for the
+// MaxInt an untrusted caller can send.
 func FuzzSlotSolver(f *testing.F) {
 	f.Add([]byte{0x11, 0x22, 0x00, 0x33, 0x12}, uint8(1))
 	f.Add([]byte{0xf1, 0xf1, 0x00, 0xf1, 0x00, 0x21, 0x42, 0x63}, uint8(2))
 	f.Add([]byte{}, uint8(3))
+	f.Add([]byte{0x11, 0x00, 0x22}, uint8(255))
 	f.Fuzz(func(t *testing.T, data []byte, slots uint8) {
 		var s SlotSolver
 		open := false
@@ -397,6 +402,10 @@ func FuzzSlotSolver(f *testing.F) {
 				open = true
 			}
 			s.Item(float64(1+b&0x0f)*0.3, float64(int(b>>4)-2)*0.7)
+		}
+		if slots == 255 {
+			checkAgainstOracle(t, &s, math.MaxInt)
+			return
 		}
 		checkAgainstOracle(t, &s, int(slots)%(s.Classes()+2))
 	})

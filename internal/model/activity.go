@@ -71,83 +71,89 @@ type PearsonPreference struct {
 // mismatch panics, as it means the problem was assembled against two
 // different taxonomies.
 func (pp PearsonPreference) Score(u *Customer, v *Vendor, hour float64) float64 {
-	var pc PearsonCustomer
+	if len(u.Interests) != len(v.Tags) { // before Prepare can panic on an activity level
+		panic(lengthMismatch(len(u.Interests), len(v.Tags)))
+	}
+	var stack [16]float64 // keeps the one-shot call off the heap up to 16 tags
+	pc := PearsonCustomer{w: stack[:]}
 	pp.Prepare(&pc, u.Interests, hour)
 	return pc.Score(v.Tags)
 }
 
+func lengthMismatch(interests, tags int) string {
+	return fmt.Sprintf("model: interest vector length %d vs tag vector length %d", interests, tags)
+}
+
 // PearsonCustomer is the customer-side half of Eq. 5 at one hour: everything
 // that does not depend on the vendor. A serving loop prepares it once per
-// arrival and scores every candidate vendor against it; the buffers are
+// arrival and scores every candidate vendor against it; the weights buffer is
 // retained across Prepare calls, so steady-state scoring allocates nothing.
-// The zero value is ready for Prepare.
+// It keeps the prepared interest vector by reference, which must not change
+// until the last Score against it. The zero value is ready for Prepare.
 type PearsonCustomer struct {
-	n     int
-	buf   []float64 // [:n] activity weights w_i = α_i(φ); [n:2n] w_i · (x_i − m_x)
-	sumW  float64
-	covXX float64
+	x    []float64 // the prepared interest vector, not a copy
+	w    []float64 // [:len(x)] activity weights w_i = α_i(φ)
+	sumW float64
+	mx   float64 // weighted mean of x
 }
 
 // Prepare computes the customer-side terms for interest vector x at the given
-// hour: the activity weights, Σw, and the weighted deviations and variance of
-// x — in the order the single-pass formula accumulates them, so Prepare +
-// Score is that formula bit for bit.
+// hour — the activity weights, Σw and the weighted mean of x — accumulated in
+// the order the single-pass formula does, so Prepare + Score is that formula
+// bit for bit. The weighted variance of x stays in Score's covariance loop:
+// there it rides beside the two vendor-side sums at no extra latency, where a
+// pass of its own would cost the one-shot PearsonPreference.Score one more
+// dependent add chain over the vector.
 func (pp PearsonPreference) Prepare(pc *PearsonCustomer, x []float64, hour float64) {
 	act := pp.Activity
 	if act == nil {
 		act = UniformActivity{}
 	}
-	n := len(x)
-	if cap(pc.buf) < 2*n {
-		pc.buf = make([]float64, 2*n)
+	if cap(pc.w) < len(x) {
+		pc.w = make([]float64, len(x))
 	}
-	pc.n, pc.sumW, pc.covXX = n, 0, 0
-	w, wdx := pc.buf[:n], pc.buf[n:2*n]
-	var sumWX float64
+	w := pc.w[:len(x)]
+	var sumW, sumWX float64 // locals: the sums are add-latency chains
 	for i := range x {
 		w[i] = act.Level(i, hour)
 		if w[i] < 0 || math.IsNaN(w[i]) {
 			panic(fmt.Sprintf("model: activity level %g for tag %d", w[i], i))
 		}
-		pc.sumW += w[i]
+		sumW += w[i]
 		sumWX += w[i] * x[i]
 	}
-	if pc.sumW == 0 {
-		return
-	}
-	mx := sumWX / pc.sumW
-	for i := range x {
-		dx := x[i] - mx
-		wdx[i] = w[i] * dx
-		pc.covXX += wdx[i] * dx
+	pc.x, pc.sumW, pc.mx = x, sumW, 0
+	if sumW != 0 {
+		pc.mx = sumWX / sumW
 	}
 }
 
 // Score returns Eq. 5 for the prepared customer against tag vector y, which
 // must have the prepared vector's length; a mismatch panics.
 func (pc *PearsonCustomer) Score(y []float64) float64 {
-	if pc.n != len(y) {
-		panic(fmt.Sprintf("model: interest vector length %d vs tag vector length %d", pc.n, len(y)))
+	x := pc.x
+	if len(x) != len(y) {
+		panic(lengthMismatch(len(x), len(y)))
 	}
+	w := pc.w[:len(x)]
 	if pc.sumW == 0 { // also the empty vector
 		return 0
 	}
-	w, wdx := pc.buf[:pc.n], pc.buf[pc.n:2*pc.n]
 	var sumWY float64
 	for i := range y {
 		sumWY += w[i] * y[i]
 	}
-	my := sumWY / pc.sumW
-	var covXY, covYY float64
+	mx, my := pc.mx, sumWY/pc.sumW
+	var covXY, covXX, covYY float64
 	for i := range y {
-		dy := y[i] - my
-		covXY += wdx[i] * dy
-		covYY += w[i] * dy * dy
+		covXY += w[i] * (x[i] - mx) * (y[i] - my)
+		covXX += w[i] * (x[i] - mx) * (x[i] - mx)
+		covYY += w[i] * (y[i] - my) * (y[i] - my)
 	}
-	if pc.covXX <= 0 || covYY <= 0 {
+	if covXX <= 0 || covYY <= 0 {
 		return 0
 	}
-	return covXY / math.Sqrt(pc.covXX*covYY)
+	return covXY / math.Sqrt(covXX*covYY)
 }
 
 // TablePreference looks preference scores up in a dense table indexed by

@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -120,6 +121,12 @@ func TestPearsonLengthMismatchPanics(t *testing.T) {
 			PearsonPreference{}.Score(pearsonCustomer([]float64{1}), pearsonVendor([]float64{1, 2}), 0)
 		},
 		"prepared": func() { pc.Score([]float64{1, 2}) },
+		// The length check comes first, as it always has: an activity that
+		// would panic too must not mask it.
+		"Score, bad activity": func() {
+			negative := activityFunc(func(int, float64) float64 { return -1 })
+			PearsonPreference{Activity: negative}.Score(pearsonCustomer([]float64{1}), pearsonVendor([]float64{1, 2}), 0)
+		},
 	} {
 		func() {
 			defer func() {
@@ -193,6 +200,9 @@ func TestPearsonPreparedMatchesTwoLoopBits(t *testing.T) {
 		var pc PearsonCustomer // reused across lengths, as the broker's arena does
 		for trial := 0; trial < 300; trial++ {
 			n, hour := rng.Intn(12), rng.Float64()*24
+			if trial%7 == 0 {
+				n = 17 + rng.Intn(40) // past Score's stack buffer
+			}
 			x := vec(n, trial%3)
 			pp.Prepare(&pc, x, hour)
 			for k := 0; k < 4; k++ { // one prepare, several vendors
@@ -206,6 +216,35 @@ func TestPearsonPreparedMatchesTwoLoopBits(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The one-shot Score is what every offline solver calls per (customer,
+// vendor) pair through the Preference interface: up to 16 tags it must stay
+// off the heap, and the benchmark shows its cost on short and long vectors.
+func TestPearsonScoreShortVectorZeroAllocs(t *testing.T) {
+	var p Preference = PearsonPreference{Activity: DiurnalActivity{}}
+	u, v := pearsonCustomer(make([]float64, 16)), pearsonVendor(make([]float64, 16))
+	if n := testing.AllocsPerRun(100, func() { p.Score(u, v, 12) }); n != 0 {
+		t.Errorf("Score on 16 tags: %v allocs/op, want 0", n)
+	}
+}
+
+func BenchmarkPearsonScoreOneShot(b *testing.B) {
+	for _, n := range []int{8, 256} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			x, y := make([]float64, n), make([]float64, n)
+			for i := range x {
+				x[i], y[i] = rng.Float64(), rng.Float64()
+			}
+			var p Preference = PearsonPreference{}
+			u, v := pearsonCustomer(x), pearsonVendor(y)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.Score(u, v, 12)
+			}
+		})
 	}
 }
 
