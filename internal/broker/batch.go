@@ -18,6 +18,7 @@ package broker
 // processing order.
 
 import (
+	"slices"
 	"time"
 
 	"muaa/internal/trace"
@@ -39,9 +40,7 @@ type BatchResult struct {
 // all of them. Results are per arrival, index-aligned with batch. Offer
 // slices in the results alias one shared buffer owned by the caller.
 func (b *Broker) ArriveBatch(batch []Arrival) []BatchResult {
-	results := b.arriveBatch(batch, nil)
-	b.captureBatch(batch, results)
-	return results
+	return b.arriveBatchTraced(batch, nil, &batchScratch{})
 }
 
 // ArriveBatchTraced is ArriveBatch plus request tracing: one root span named
@@ -49,15 +48,32 @@ func (b *Broker) ArriveBatch(batch []Arrival) []BatchResult {
 // trace's batch table. With no recorder or no trace context it is exactly
 // ArriveBatch.
 func (b *Broker) ArriveBatchTraced(batch []Arrival, req *trace.Request) []BatchResult {
+	return b.arriveBatchTraced(batch, req, &batchScratch{})
+}
+
+// batchScratch is the two buffers a batch call returns views of: the
+// per-arrival results and the one offer slice they all alias. A caller that
+// is done with one call's results before it makes the next (the HTTP batch
+// route, which has rendered them) lends the same scratch again and the
+// steady state allocates neither; the exported entry points hand in an empty
+// one, so their callers own what they get back.
+type batchScratch struct {
+	results []BatchResult
+	offers  []Offer
+}
+
+func (b *Broker) arriveBatchTraced(batch []Arrival, req *trace.Request, sc *batchScratch) []BatchResult {
 	if req == nil || b.tracer == nil {
-		return b.ArriveBatch(batch)
+		results := b.arriveBatch(batch, nil, sc)
+		b.captureBatch(batch, results)
+		return results
 	}
 	t := &trace.Trace{
 		TraceID:      req.TraceID,
 		SpanID:       req.SpanID,
 		ParentSpanID: req.ParentSpanID,
 	}
-	results := b.arriveBatch(batch, t)
+	results := b.arriveBatch(batch, t, sc)
 	if t.Start.IsZero() {
 		// Nothing reached the timed pipeline (empty or all-invalid batch);
 		// stamp it so the recorder can still order it.
@@ -118,9 +134,11 @@ func (b *Broker) captureBatch(batch []Arrival, results []BatchResult) {
 // interval acquisition, scan times the whole per-arrival processing loop
 // (gather, scan and charge interleaved per arrival), commit times the one
 // WAL batch append. Gather is reported as zero.
-func (b *Broker) arriveBatch(batch []Arrival, t *trace.Trace) []BatchResult {
+func (b *Broker) arriveBatch(batch []Arrival, t *trace.Trace, sc *batchScratch) []BatchResult {
 	m := b.metrics
-	results := make([]BatchResult, len(batch))
+	results := slices.Grow(sc.results[:0], len(batch))[:len(batch)]
+	clear(results)
+	sc.results = results
 	live := 0
 	for i := range batch {
 		if err := validateArrival(&batch[i]); err != nil {
@@ -201,7 +219,7 @@ func (b *Broker) arriveBatch(batch []Arrival, t *trace.Trace) []BatchResult {
 	}
 
 	ar := &b.shards[lo].arena
-	var offers []Offer
+	offers := sc.offers[:0]
 	var agg scanTally
 	for i := range batch {
 		if results[i].Err != nil {
@@ -229,6 +247,7 @@ func (b *Broker) arriveBatch(batch []Arrival, t *trace.Trace) []BatchResult {
 			buf = b.appendArrivalBody(buf, a, results[i].Offers)
 		}
 	}
+	sc.offers = offers
 	if timed {
 		el := time.Since(tStart)
 		d := el - elStage

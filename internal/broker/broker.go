@@ -578,10 +578,14 @@ func (b *Broker) Campaigns() []Campaign {
 	return out
 }
 
+// ErrUnknownCampaign is wrapped by every operation naming a campaign ID the
+// broker never issued; the HTTP layer answers it with 404.
+var ErrUnknownCampaign = errors.New("broker: unknown campaign")
+
 func (b *Broker) campaign(id int32) (*campaign, error) {
 	dir := *b.dir.Load()
 	if id < 0 || int(id) >= len(dir) {
-		return nil, fmt.Errorf("broker: unknown campaign %d", id)
+		return nil, fmt.Errorf("%w %d", ErrUnknownCampaign, id)
 	}
 	return dir[id], nil
 }

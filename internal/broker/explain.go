@@ -25,7 +25,6 @@ import (
 	"net/http"
 	"slices"
 
-	"muaa/internal/geo"
 	"muaa/internal/model"
 )
 
@@ -262,8 +261,8 @@ func explainOfferFrom(cd *candidate, adTypes []model.AdType, slot int) *ExplainO
 }
 
 // ServeExplain serves POST /v1/debug/explain: a hypothetical arrival in the
-// /v1/arrivals request schema, the ExplainReport out. Decoding shares the
-// API's funnel (1 MiB cap, strict fields, content-type contract).
+// /v1/arrivals request schema, the ExplainReport out. Decoding is
+// /v1/arrivals' own (1 MiB cap, strict fields, content-type contract).
 func (b *Broker) ServeExplain(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -271,17 +270,12 @@ func (b *Broker) ServeExplain(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("method %s not allowed; allowed: POST", r.Method))
 		return
 	}
-	var req arrivalRequest
-	if !decode(w, r, &req) {
+	buf := wirePool.Get().(*wireBuf)
+	defer wirePool.Put(buf)
+	if !readBody(w, r, buf) || !decodeArrival(w, buf) {
 		return
 	}
-	rep, err := b.Explain(Arrival{
-		Loc:       geo.Point{X: req.Loc.X, Y: req.Loc.Y},
-		Capacity:  req.Capacity,
-		ViewProb:  req.ViewProb,
-		Interests: req.Interests,
-		Hour:      req.Hour,
-	})
+	rep, err := b.Explain(buf.arrivals[0])
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return

@@ -47,6 +47,9 @@ func FuzzPostCampaign(f *testing.F) {
 	f.Add(``)
 	f.Add(`null`)
 	f.Add(`[]`)
+	f.Add(`[]x`)
+	f.Add(`[{}] {}`)
+	f.Add(`{"loc":{"x":0.5,"y":0.5},"radius":0.1,"budget":20,"tags":[1,0,0.2]}` + "\n")
 	f.Fuzz(func(t *testing.T, body string) {
 		api := fuzzAPI(t)
 		rec := fuzzPost(t, api, "/campaigns", body)
@@ -76,6 +79,9 @@ func FuzzPostArrival(f *testing.F) {
 	f.Add(``)
 	f.Add(`null`)
 	f.Add(`0`)
+	f.Add(`[]x`)
+	f.Add(`[{}] {}`)
+	f.Add(`{"loc":{"x":0.49,"y":0.51},"capacity":2,"viewProb":0.7,"interests":[0.9,0.1,0.3]}` + "\n")
 	f.Fuzz(func(t *testing.T, body string) {
 		api := fuzzAPI(t)
 		rec := fuzzPost(t, api, "/arrivals", body)
@@ -111,6 +117,9 @@ func FuzzPostArrivalBatch(f *testing.F) {
 	f.Add(`null`)
 	f.Add(`[{nope`)
 	f.Add(``)
+	f.Add(`[]x`)
+	f.Add(`[{}] {}`)
+	f.Add(`[{"capacity":1,"viewProb":0.5}]` + "\n")
 	f.Fuzz(func(t *testing.T, body string) {
 		api := fuzzAPI(t)
 		rec := fuzzPost(t, api, "/v1/arrivals:batch", body)
@@ -154,6 +163,9 @@ func FuzzPostExplain(f *testing.F) {
 	f.Add(`{nope`)
 	f.Add(``)
 	f.Add(`null`)
+	f.Add(`[]x`)
+	f.Add(`[{}] {}`)
+	f.Add(`{"loc":{"x":0.49,"y":0.51},"capacity":2,"viewProb":0.7,"interests":[0.9,0.1,0.3]}` + "\n")
 	f.Fuzz(func(t *testing.T, body string) {
 		b, err := New(Config{AdTypes: workload.DefaultAdTypes(), Funnel: FunnelConfig{Enabled: true}})
 		if err != nil {

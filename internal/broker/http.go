@@ -1,12 +1,14 @@
 package broker
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"mime"
+	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 
 	"muaa/internal/geo"
@@ -49,6 +51,9 @@ type API struct {
 	// routes lists every versioned path the mux serves, in registration
 	// order; see Routes.
 	routes []string
+	// adTypeNames holds each ad type's name as a quoted, escaped JSON string,
+	// encoded once here so the arrival renderer (wire.go) only copies it.
+	adTypeNames []string
 }
 
 // maxBodyBytes caps every request body the API reads.
@@ -61,6 +66,10 @@ const maxBatchArrivals = 1024
 // NewAPI wraps a broker in its HTTP handler.
 func NewAPI(b *Broker) *API {
 	a := &API{broker: b, mux: http.NewServeMux()}
+	for _, t := range b.cfg.AdTypes {
+		name, _ := json.Marshal(t.Name) // a string always marshals
+		a.adTypeNames = append(a.adTypeNames, string(name))
+	}
 	a.handle("/campaigns", map[string]http.HandlerFunc{
 		http.MethodPost: a.postCampaign,
 		http.MethodGet:  a.listCampaigns,
@@ -246,50 +255,15 @@ type arrivalRequest struct {
 	Hour      float64   `json:"hour"`
 }
 
-type offerDTO struct {
-	Campaign   int32   `json:"campaign"`
-	AdType     int     `json:"adType"`
-	AdTypeName string  `json:"adTypeName"`
-	Utility    float64 `json:"utility"`
-	Efficiency float64 `json:"efficiency"`
-	Cost       float64 `json:"cost"`
-	// Billing fields, present only for offers from campaigns on auction
-	// billing: offer_id identifies an escrowed CPC/CPA offer for
-	// POST /v1/events, charge_ecpm is the second-priced auction charge and
-	// model the campaign's billing model.
-	OfferID    uint64  `json:"offer_id,omitempty"`
-	ChargeECPM float64 `json:"charge_ecpm,omitempty"`
-	Model      string  `json:"model,omitempty"`
-}
-
-// slateEntryDTO is one slot of the ordered slate view: the winning
-// (vendor, ad-type) pair and its eCPM-normalized charge. For fixed-cost
-// offers (no auction) the charge is the catalog cost normalized to eCPM.
-type slateEntryDTO struct {
-	Vendor     int32   `json:"vendor"`
-	AdType     int     `json:"ad_type"`
-	ChargeECPM float64 `json:"charge_ecpm"`
-	OfferID    uint64  `json:"offer_id,omitempty"`
-}
-
-type arrivalResponse struct {
-	Offers []offerDTO `json:"offers"`
-	// Slate mirrors offers in slot order as (vendor, ad_type, charge_ecpm)
-	// triples — the MCKP slate view of the same decision.
-	Slate []slateEntryDTO `json:"slate"`
-}
-
-// batchResultDTO is one element of the arrivals:batch response, aligned by
-// index with the request array. Exactly one of the two fields is set:
-// offers (possibly empty) for an accepted arrival, error for a rejected
-// one — rejection is per element, the rest of the batch still runs.
-type batchResultDTO struct {
-	Offers *[]offerDTO `json:"offers,omitempty"`
-	Error  *errorBody  `json:"error,omitempty"`
-}
-
-type arrivalBatchResponse struct {
-	Results []batchResultDTO `json:"results"`
+// arrival converts the decoded request to the broker's arrival.
+func (req *arrivalRequest) arrival() Arrival {
+	return Arrival{
+		Loc:       geo.Point{X: req.Loc.X, Y: req.Loc.Y},
+		Capacity:  req.Capacity,
+		ViewProb:  req.ViewProb,
+		Interests: req.Interests,
+		Hour:      req.Hour,
+	}
 }
 
 func (a *API) postCampaign(w http.ResponseWriter, r *http.Request) {
@@ -395,58 +369,23 @@ func (a *API) getCampaign(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, stateResponse(c, true))
 }
 
+// postArrival serves POST /v1/arrivals through the wire codec (wire.go):
+// body, parsed arrival and rendered reply all live in one pooled wireBuf.
 func (a *API) postArrival(w http.ResponseWriter, r *http.Request) {
-	var req arrivalRequest
-	if !decode(w, r, &req) {
+	buf := wirePool.Get().(*wireBuf)
+	defer wirePool.Put(buf)
+	if !readBody(w, r, buf) || !decodeArrival(w, buf) {
 		return
 	}
-	offers, err := a.broker.ArriveTraced(Arrival{
-		Loc:       geo.Point{X: req.Loc.X, Y: req.Loc.Y},
-		Capacity:  req.Capacity,
-		ViewProb:  req.ViewProb,
-		Interests: req.Interests,
-		Hour:      req.Hour,
-	}, trace.FromContext(r.Context()))
+	offers, err := a.broker.ArriveTraced(buf.arrivals[0], trace.FromContext(r.Context()))
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	resp := arrivalResponse{
-		Offers: make([]offerDTO, 0, len(offers)),
-		Slate:  make([]slateEntryDTO, 0, len(offers)),
-	}
-	for _, o := range offers {
-		resp.Offers = append(resp.Offers, a.offerToDTO(o))
-		resp.Slate = append(resp.Slate, slateEntry(o))
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// offerToDTO builds the wire form of one committed offer. The billing
-// fields appear only for auction-billed offers, so fixed-cost responses
-// keep the seed schema byte-for-byte.
-func (a *API) offerToDTO(o Offer) offerDTO {
-	d := offerDTO{
-		Campaign: o.Campaign, AdType: o.AdType,
-		AdTypeName: a.broker.cfg.AdTypes[o.AdType].Name,
-		Utility:    o.Utility, Efficiency: o.Efficiency, Cost: o.Cost,
-	}
-	if o.Model != model.BillingFixed {
-		d.OfferID = o.ID
-		d.ChargeECPM = o.ChargeECPM
-		d.Model = o.Model.String()
-	}
-	return d
-}
-
-// slateEntry is the slot view of one offer: a fixed-cost offer has no
-// auction charge, so its catalog cost is normalized to eCPM.
-func slateEntry(o Offer) slateEntryDTO {
-	charge := o.ChargeECPM
-	if o.Model == model.BillingFixed {
-		charge = o.Cost * 1000
-	}
-	return slateEntryDTO{Vendor: o.Campaign, AdType: o.AdType, ChargeECPM: charge, OfferID: o.ID}
+	reply := replyBuf{b: buf.out[:0]}
+	a.arrivalReply(&reply, offers)
+	buf.out = reply.b
+	writeReply(w, &reply)
 }
 
 // postArrivalBatch serves POST /v1/arrivals:batch: a JSON array of arrival
@@ -456,39 +395,16 @@ func slateEntry(o Offer) slateEntryDTO {
 // validation failures surface as error elements while the remaining
 // arrivals are still served.
 func (a *API) postArrivalBatch(w http.ResponseWriter, r *http.Request) {
-	var reqs []arrivalRequest
-	if !decode(w, r, &reqs) {
+	buf := wirePool.Get().(*wireBuf)
+	defer wirePool.Put(buf)
+	if !readBody(w, r, buf) || !decodeArrivalBatch(w, buf) {
 		return
 	}
-	if len(reqs) > maxBatchArrivals {
-		WriteError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("broker: batch of %d arrivals exceeds limit %d", len(reqs), maxBatchArrivals))
-		return
-	}
-	batch := make([]Arrival, len(reqs))
-	for i, req := range reqs {
-		batch[i] = Arrival{
-			Loc:       geo.Point{X: req.Loc.X, Y: req.Loc.Y},
-			Capacity:  req.Capacity,
-			ViewProb:  req.ViewProb,
-			Interests: req.Interests,
-			Hour:      req.Hour,
-		}
-	}
-	results := a.broker.ArriveBatchTraced(batch, trace.FromContext(r.Context()))
-	resp := arrivalBatchResponse{Results: make([]batchResultDTO, len(results))}
-	for i := range results {
-		if err := results[i].Err; err != nil {
-			resp.Results[i].Error = &errorBody{Code: "bad_request", Message: err.Error()}
-			continue
-		}
-		offers := make([]offerDTO, 0, len(results[i].Offers))
-		for _, o := range results[i].Offers {
-			offers = append(offers, a.offerToDTO(o))
-		}
-		resp.Results[i].Offers = &offers
-	}
-	writeJSON(w, http.StatusOK, resp)
+	results := a.broker.arriveBatchTraced(buf.arrivals, trace.FromContext(r.Context()), &buf.batch)
+	reply := replyBuf{b: buf.out[:0]}
+	a.batchReply(&reply, results)
+	buf.out = reply.b
+	writeReply(w, &reply)
 }
 
 type eventRequest struct {
@@ -589,38 +505,40 @@ func (a *API) getMap(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// pathID reads the {id} path segment: a plain decimal int32, all of it.
 func pathID(w http.ResponseWriter, r *http.Request) (int32, bool) {
-	var id int32
-	if _, err := fmt.Sscanf(r.PathValue("id"), "%d", &id); err != nil {
+	s := r.PathValue("id")
+	id, err := strconv.ParseInt(s, 10, 32)
+	if err != nil || s[0] == '+' { // ParseInt takes a leading plus
 		WriteError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("broker: bad campaign id %q", r.PathValue("id")))
+			fmt.Sprintf("broker: bad campaign id %q", s))
 		return 0, false
 	}
-	return id, true
+	return int32(id), true
 }
 
-// decode is the single funnel for request bodies: it enforces the JSON
-// Content-Type contract (absent is accepted, anything non-JSON is 415),
-// caps the body at maxBodyBytes (413 beyond), and rejects unknown fields.
+// decode is the single funnel for request bodies: readBody enforces the
+// Content-Type contract and the body cap, decodeStrict the JSON contract. The
+// arrival routes call the two halves themselves, with their fast parser in
+// between.
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		mt, _, err := mime.ParseMediaType(ct)
-		if err != nil || mt != "application/json" {
-			WriteError(w, http.StatusUnsupportedMediaType, "unsupported_media_type",
-				fmt.Sprintf("content type %q is not application/json", ct))
-			return false
+	buf := wirePool.Get().(*wireBuf)
+	defer wirePool.Put(buf)
+	return readBody(w, r, buf) && decodeStrict(w, buf.body, v)
+}
+
+// decodeStrict decodes a whole request body into v: exactly one JSON value of
+// v's shape, no unknown fields, nothing but white space after it.
+func decodeStrict(w http.ResponseWriter, body []byte, v any) bool {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if _, more := dec.Token(); more != io.EOF {
+			err = errors.New("unexpected data after the JSON value")
 		}
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			WriteError(w, http.StatusRequestEntityTooLarge, "payload_too_large",
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return false
-		}
+	if err != nil {
 		WriteError(w, http.StatusBadRequest, "bad_request",
 			fmt.Sprintf("broker: bad request body: %v", err))
 		return false
@@ -659,7 +577,7 @@ func WriteError(w http.ResponseWriter, status int, code, message string) {
 
 func statusFor(err error) (int, string) {
 	// Unknown-campaign errors map to 404; everything else is a bad request.
-	if err != nil && strings.Contains(err.Error(), "unknown campaign") {
+	if errors.Is(err, ErrUnknownCampaign) {
 		return http.StatusNotFound, "not_found"
 	}
 	return http.StatusBadRequest, "bad_request"

@@ -602,3 +602,110 @@ func TestRoutesEnumeration(t *testing.T) {
 		}
 	}
 }
+
+// TestPathIDPlainDecimal: the {id} path segment is a plain decimal int32,
+// read whole. Sscanf("%d") read a prefix — /campaigns/12abc/topup topped up
+// campaign 12, 0x10 read campaign 0 — and took a sign or leading space.
+func TestPathIDPlainDecimal(t *testing.T) {
+	api := fuzzAPI(t) // campaign 0 exists
+	routes := []struct{ method, suffix, body string }{
+		{"POST", "/topup", `{"amount":5}`},
+		{"POST", "/pause", `{"paused":true}`},
+		{"GET", "", ``},
+		{"GET", "/billing", ``},
+	}
+	for _, rt := range routes {
+		for _, id := range []string{"0abc", "0x0", "+0", "%200", "0%20", "1e0", "4294967296", "٠"} {
+			req := httptest.NewRequest(rt.method, "/v1/campaigns/"+id+rt.suffix, strings.NewReader(rt.body))
+			rec := httptest.NewRecorder()
+			api.ServeHTTP(rec, req)
+			var env errEnvelope
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusBadRequest || env.Error.Code != "bad_request" {
+				t.Errorf("%s /v1/campaigns/%s%s: status %d body %s, want 400 bad_request", rt.method, id, rt.suffix, rec.Code, rec.Body)
+			}
+		}
+		for id, want := range map[string]int{"0": http.StatusOK, "000": http.StatusOK, "-1": http.StatusNotFound, "7": http.StatusNotFound} {
+			req := httptest.NewRequest(rt.method, "/v1/campaigns/"+id+rt.suffix, strings.NewReader(rt.body))
+			rec := httptest.NewRecorder()
+			api.ServeHTTP(rec, req)
+			if rec.Code != want {
+				t.Errorf("%s /v1/campaigns/%s%s: status %d, want %d", rt.method, id, rt.suffix, rec.Code, want)
+			}
+		}
+	}
+	if c, _ := api.broker.CampaignState(0); c.Budget != 50+5*2 {
+		t.Errorf("campaign 0 budget %g after two well-addressed top-ups of 5, want 60", c.Budget)
+	}
+}
+
+// TestTrailingDataRejected: a request body is one JSON value and white
+// space. json.Decoder stops at the end of the first value, so `[]x` and
+// `{…} garbage` used to answer 200 on every POST route.
+func TestTrailingDataRejected(t *testing.T) {
+	b, err := New(Config{AdTypes: workload.DefaultAdTypes()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	api := NewAPI(b)
+	mux := http.NewServeMux()
+	mux.Handle("/", api)
+	mux.HandleFunc("/v1/debug/explain", b.ServeExplain)
+	arrival := `{"loc":{"x":0.5,"y":0.5},"capacity":1,"viewProb":0.5}`
+	routes := []struct {
+		path, body string
+		ok         int
+	}{
+		{"/v1/campaigns", `{"loc":{"x":0.5,"y":0.5},"radius":0.2,"budget":50,"tags":[1,0]}`, http.StatusCreated},
+		{"/v1/campaigns/0/topup", `{"amount":1}`, http.StatusOK},
+		{"/v1/campaigns/0/pause", `{"paused":false}`, http.StatusOK},
+		{"/v1/topup", `{"id":0,"amount":1}`, http.StatusOK},
+		{"/v1/arrivals", arrival, http.StatusOK},
+		{"/v1/arrivals", `{"Capacity":1,"viewProb":0.5}`, http.StatusOK}, // the slow path
+		{"/v1/arrivals:batch", `[` + arrival + `]`, http.StatusOK},
+		{"/v1/arrivals:batch", `[]`, http.StatusOK},
+		{"/v1/debug/explain", arrival, http.StatusOK},
+		{"/v1/events", `{"offer_id":1}`, http.StatusNotFound},
+	}
+	post := func(path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		return rec
+	}
+	for _, rt := range routes {
+		for _, pad := range []string{"", "\n", " \r\n\t "} {
+			if rec := post(rt.path, rt.body+pad); rec.Code != rt.ok {
+				t.Errorf("POST %s %q: status %d %s, want %d", rt.path, rt.body+pad, rec.Code, rec.Body, rt.ok)
+			}
+		}
+		for _, junk := range []string{"x", " garbage", `{"junk":1}`, " {}", "\n[]", ",", "]", "0"} {
+			rec := post(rt.path, rt.body+junk)
+			var env errEnvelope
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusBadRequest || env.Error.Code != "bad_request" {
+				t.Errorf("POST %s %q: status %d %s, want 400 bad_request", rt.path, rt.body+junk, rec.Code, rec.Body)
+			}
+		}
+	}
+}
+
+// TestStatusForMatchesSentinel: 404 is for errors that wrap
+// ErrUnknownCampaign, not for any error whose text happens to say so.
+func TestStatusForMatchesSentinel(t *testing.T) {
+	b, err := New(Config{AdTypes: workload.DefaultAdTypes()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = b.CampaignState(7)
+	if err == nil || err.Error() != "broker: unknown campaign 7" {
+		t.Fatalf("unknown-campaign error text changed: %v", err)
+	}
+	if status, code := statusFor(err); status != http.StatusNotFound || code != "not_found" {
+		t.Errorf("wrapped sentinel → %d %s, want 404 not_found", status, code)
+	}
+	if status, code := statusFor(fmt.Errorf("topup: %w", err)); status != http.StatusNotFound || code != "not_found" {
+		t.Errorf("re-wrapped sentinel → %d %s, want 404 not_found", status, code)
+	}
+	lookalike := fmt.Errorf("broker: top-up amount %q (unknown campaign currency)", "x")
+	if status, code := statusFor(lookalike); status != http.StatusBadRequest || code != "bad_request" {
+		t.Errorf("look-alike message → %d %s, want 400 bad_request", status, code)
+	}
+}
