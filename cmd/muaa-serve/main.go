@@ -52,11 +52,11 @@
 // /v1/debug/* endpoint answers the same 503 `unavailable` envelope as the
 // serving API.
 //
-// -funnel (default on) attributes every scan disposition to its campaign in
-// a bounded-cardinality registry — exact counters up to a cap, a
-// space-saving top-k sketch above it — exposed as muaa_funnel_* metrics and
-// the funnel endpoint; -funnel=false turns attribution off (the endpoint
-// then answers 404 funnel_disabled).
+// -funnel (default on) attributes every scan disposition to its campaign's
+// own exact counter row, exposed as muaa_funnel_* metrics (per-campaign
+// series for the top 16 by gathered count) and the funnel endpoint;
+// -funnel=false turns attribution off (the endpoint then answers 404
+// funnel_disabled).
 //
 // A background sampler snapshots the whole metrics registry every
 // -sample-every (counter deltas become rates, gauges are stored as-is,

@@ -112,9 +112,10 @@ type Config struct {
 	MaxOpenOffers int
 	// Funnel configures per-campaign decision-funnel attribution (see
 	// funnel.go): with Funnel.Enabled every scan records which gate disposed
-	// of each gathered candidate into a bounded-cardinality registry, exposed
-	// as muaa_funnel_* metrics and CampaignFunnel/FunnelTop. Observation-only
-	// and allocation-free on the hot path; the zero value disables it.
+	// of each gathered candidate in that campaign's own exact counter row,
+	// exposed as muaa_funnel_* metrics (the per-campaign family bounded to the
+	// top 16 at scrape time) and CampaignFunnel. Observation-only and
+	// allocation-free on the hot path; the zero value disables it.
 	Funnel FunnelConfig
 }
 
@@ -383,7 +384,7 @@ func newMemory(cfg Config) (*Broker, error) {
 	if cfg.Funnel.Enabled {
 		// Built before the metrics registry hookup: newBrokerMetrics registers
 		// the muaa_funnel_* families only when the funnel exists.
-		b.funnel = newFunnelRegistry(cfg.Funnel)
+		b.funnel = &funnelRegistry{dir: &b.dir}
 	}
 	if cfg.Metrics != nil {
 		b.metrics = newBrokerMetrics(cfg.Metrics, b)

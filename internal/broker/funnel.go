@@ -11,22 +11,22 @@ package broker
 // Attribution is recorded branch-light into an arena-retained event slice
 // during the scan (zero allocations in steady state — the slice is kept at
 // high-water capacity like every other arena buffer) and folded into the
-// registry after the scan, still under the stripe locks that own the arena.
+// campaigns' rows after the scan, still under the stripe locks that own the
+// arena.
 //
-// The registry is bounded-cardinality by construction: campaign ids below
-// ExactCampaigns get exact lock-free counters in a dense flat array; ids at
-// or above the cap share a space-saving top-k heavy-hitter sketch (Metwally
-// et al.), so a fleet of any size costs O(ExactCampaigns + TopK) memory and
-// the funnel never becomes the unbounded-label cardinality trap the obs
-// package refuses to support. Like every other instrument, the funnel is
+// The counters are exact for every campaign: a campaign's row is a field of
+// its directory entry (campaign.funnel, 72 B), so the store grows with the
+// campaign directory and the fold is one atomic add per event. What is
+// bounded is the exposition — muaa_funnel_campaign_total carries only the
+// top funnelTopN campaigns per scrape, ranked at read time — so the
+// funnel never becomes the unbounded-label cardinality trap the obs package
+// refuses to support. Like every other instrument, the funnel is
 // observation-only: nothing here feeds back into admission, pinned by the
 // golden replay transcript with the funnel enabled.
 
 import (
 	"errors"
-	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"muaa/internal/obs"
@@ -65,61 +65,33 @@ var dispositionNames = [numDispositions]string{
 	"unaffordable", "below_threshold", "below_reserve", "displaced_by_slate",
 }
 
-// funnelEvent is one candidate disposition awaiting the post-scan registry
-// fold: 8 bytes, kept flat in the arena.
+// funnelEvent is one candidate disposition awaiting the post-scan fold:
+// 8 bytes, kept flat in the arena.
 type funnelEvent struct {
 	id   int32
 	disp funnelDisposition
 }
 
-// FunnelConfig parameterizes the decision-funnel registry.
+// FunnelConfig parameterizes decision-funnel attribution.
 type FunnelConfig struct {
 	// Enabled turns per-campaign funnel attribution on. Off (the zero value),
-	// the broker allocates nothing and the scan pays one nil check.
+	// the scan pays one nil check and no campaign's row is ever written.
 	Enabled bool
-	// ExactCampaigns is the number of low campaign ids (0 ≤ id < cap) that
-	// get exact lock-free counters; zero selects 4096.
-	ExactCampaigns int
-	// TopK is the heavy-hitter sketch width for campaign ids at or above
-	// ExactCampaigns; zero selects 64.
-	TopK int
-	// MetricsTopN is how many campaigns (ranked by gathered count) the
-	// muaa_funnel_campaign_total collector exposes per scrape; zero selects
-	// 16. Series cardinality is bounded by MetricsTopN × 10.
-	MetricsTopN int
 }
 
-const (
-	defaultFunnelExact       = 4096
-	defaultFunnelTopK        = 64
-	defaultFunnelMetricsTopN = 16
+// funnelTopN is how many campaigns (ranked by gathered count) the
+// muaa_funnel_campaign_total collector exposes per scrape: series cardinality
+// is bounded by funnelTopN × (1 + numDispositions).
+const funnelTopN = 16
 
-	// funnelRowWidth is one exact-region row: one counter per disposition.
-	// There is deliberately no per-row gathered counter — conservation (one
-	// disposition per gathered candidate) makes gathered the sum of the row,
-	// so readers derive it and the fold pays one atomic add per event.
-	funnelRowWidth = int(numDispositions)
-)
-
-// funnelRegistry is the bounded-cardinality per-campaign counter store.
+// funnelRegistry is the fleet-level view over the per-campaign rows. The rows
+// themselves live on the campaigns (campaign.funnel); there is deliberately
+// no per-row gathered counter — conservation (one disposition per gathered
+// candidate) makes gathered the sum of the row, so readers derive it and the
+// fold pays one atomic add per event.
 type funnelRegistry struct {
-	exactCap    int
-	metricsTopN int
-
-	// counts is the dense exact region: row id (id < exactCap) holds the
-	// numDispositions disposition counters; the row sum is the campaign's
-	// gathered count. Atomic adds only — folds run under different stripe
-	// locks concurrently.
-	counts []atomic.Uint64
-
-	// mu guards the overflow sketch and tally (ids ≥ exactCap only, never
-	// the serial hot path of a fleet within the exact cap).
-	mu     sync.Mutex
-	sketch spaceSaving
-	// overflow is the exact per-disposition event count for ids past the
-	// exact cap — bumped per event on the (already locked) sketch path, so
-	// it stays exact even after sketch evictions zero a disposition vector.
-	overflow [numDispositions]uint64
+	// dir is the broker's campaign directory, whose entries carry the rows.
+	dir *atomic.Pointer[[]*campaign]
 
 	// gathered is the fleet-wide gathered count, fed from the gathered id
 	// set rather than the event stream; fleetTotals derives the exact
@@ -130,78 +102,36 @@ type funnelRegistry struct {
 	gathered atomic.Uint64
 }
 
-func newFunnelRegistry(cfg FunnelConfig) *funnelRegistry {
-	exact := cfg.ExactCampaigns
-	if exact <= 0 {
-		exact = defaultFunnelExact
-	}
-	topK := cfg.TopK
-	if topK <= 0 {
-		topK = defaultFunnelTopK
-	}
-	topN := cfg.MetricsTopN
-	if topN <= 0 {
-		topN = defaultFunnelMetricsTopN
-	}
-	return &funnelRegistry{
-		exactCap:    exact,
-		metricsTopN: topN,
-		counts:      make([]atomic.Uint64, exact*funnelRowWidth),
-		sketch:      spaceSaving{k: topK, index: make(map[int32]int, topK)},
-	}
-}
-
 // fold attributes one scan's gathered set and disposition events to their
 // campaigns. Caller still holds the stripe locks that own ar (the event
-// slice is arena scratch); the counters themselves are atomics, so folds
-// from disjoint stripe intervals proceed in parallel. The sketch lock is
-// taken at most once per fold and only when an overflow id appears.
+// slice is arena scratch) and passes the directory the scan gathered against:
+// every event id came from a locked grid, so it indexes dir. The counters are
+// atomics, so folds from disjoint stripe intervals proceed in parallel.
 //
 // One pass over the events and one atomic add per event: the scan emits
 // exactly one event per gathered id (the conservation invariant the -race
 // soak pins), so a campaign's gathered count is the sum of its disposition
-// row — no separate gathered column to bump — and the fleet per-disposition
-// totals are derived at scrape time by fleetTotals instead of being
-// maintained on this path. The fleet gathered counter still comes from
-// ar.ids, keeping the gathered-set/event-set cross-check observable.
-func (fr *funnelRegistry) fold(ar *scanArena) {
+// row, and the fleet per-disposition totals are derived at scrape time by
+// fleetTotals instead of being maintained on this path. The fleet gathered
+// counter still comes from ar.ids, keeping the gathered-set/event-set
+// cross-check observable.
+func (fr *funnelRegistry) fold(ar *scanArena, dir []*campaign) {
 	fr.gathered.Add(uint64(len(ar.ids)))
-	locked := false
 	for _, ev := range ar.fev {
-		if int(ev.id) < fr.exactCap {
-			fr.counts[int(ev.id)*funnelRowWidth+int(ev.disp)].Add(1)
-			continue
-		}
-		if !locked {
-			fr.mu.Lock()
-			locked = true
-		}
-		fr.overflow[ev.disp]++
-		fr.sketch.touch(ev.id)
-		fr.sketch.note(ev.id, ev.disp)
-	}
-	if locked {
-		fr.mu.Unlock()
+		dir[ev.id].funnel[ev.disp].Add(1)
 	}
 }
 
-// fleetTotals returns the exact fleet-wide per-disposition event counts:
-// column sums over the exact region plus the overflow tally. Exact for every
-// campaign — overflow events are tallied per event under mu, independent of
-// sketch evictions. O(exactCap·numDispositions); scrape-cadence callers
-// only, never the arrival path.
+// fleetTotals returns the exact fleet-wide per-disposition event counts: the
+// column sums over every campaign's row. O(campaigns·numDispositions);
+// scrape-cadence callers only, never the arrival path.
 func (fr *funnelRegistry) fleetTotals() [numDispositions]uint64 {
 	var out [numDispositions]uint64
-	for base := 0; base < len(fr.counts); base += funnelRowWidth {
-		for d := 0; d < funnelRowWidth; d++ {
-			out[d] += fr.counts[base+d].Load()
+	for _, c := range *fr.dir.Load() {
+		for d := range out {
+			out[d] += c.funnel[d].Load()
 		}
 	}
-	fr.mu.Lock()
-	for d := range out {
-		out[d] += fr.overflow[d]
-	}
-	fr.mu.Unlock()
 	return out
 }
 
@@ -220,11 +150,6 @@ type FunnelCounts struct {
 	BelowThreshold uint64 `json:"below_threshold"`
 	BelowReserve   uint64 `json:"below_reserve"`
 	Displaced      uint64 `json:"displaced_by_slate"`
-	// Approximate marks counts served from the heavy-hitter sketch (campaign
-	// id past the exact cap): Gathered may overestimate by at most CountError
-	// and the disposition split is best-effort.
-	Approximate bool   `json:"approximate,omitempty"`
-	CountError  uint64 `json:"count_error,omitempty"`
 }
 
 // dispositions returns the per-disposition counters as an array indexed by
@@ -236,9 +161,17 @@ func (fc *FunnelCounts) dispositions() [numDispositions]uint64 {
 	}
 }
 
-func funnelCountsFrom(id int32, gathered uint64, disp [numDispositions]uint64) FunnelCounts {
+// funnelCounts reads the campaign's row: lock-free, each counter
+// individually exact, the row a relaxed snapshot whose sum is Gathered.
+func (c *campaign) funnelCounts() FunnelCounts {
+	var disp [numDispositions]uint64
+	var g uint64
+	for d := range disp {
+		disp[d] = c.funnel[d].Load()
+		g += disp[d]
+	}
 	return FunnelCounts{
-		Campaign: id, Gathered: gathered,
+		Campaign: c.id, Gathered: g,
 		Offered: disp[dispOffered], Paused: disp[dispPaused],
 		Exhausted: disp[dispExhausted], TagMismatch: disp[dispTagMismatch],
 		LowScore: disp[dispLowScore], Unaffordable: disp[dispUnaffordable],
@@ -247,76 +180,31 @@ func funnelCountsFrom(id int32, gathered uint64, disp [numDispositions]uint64) F
 	}
 }
 
-// campaignCounts reads one campaign's funnel row. For exact-region ids the
-// read is lock-free and each counter individually exact; overflow ids are
-// looked up in the sketch under mu (ok reports whether the sketch still
-// tracks the id).
-func (fr *funnelRegistry) campaignCounts(id int32) (FunnelCounts, bool) {
-	if int(id) < fr.exactCap {
-		row := fr.counts[int(id)*funnelRowWidth : (int(id)+1)*funnelRowWidth]
-		var disp [numDispositions]uint64
-		var g uint64
-		for d := range disp {
-			disp[d] = row[d].Load()
-			g += disp[d]
-		}
-		return funnelCountsFrom(id, g, disp), true
-	}
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	i, ok := fr.sketch.index[id]
-	if !ok {
-		// Never seen, or evicted from the sketch: report zeros (approximate —
-		// the campaign may have real traffic the sketch forgot).
-		fc := FunnelCounts{Campaign: id, Approximate: true}
-		return fc, false
-	}
-	e := &fr.sketch.entries[i]
-	fc := funnelCountsFrom(id, e.count, e.disp)
-	fc.Approximate = true
-	fc.CountError = e.err
-	return fc, true
-}
-
 // top returns the n campaigns with the highest gathered counts, ties broken
-// by ascending id: the exact region is scanned lock-free (each row a relaxed
-// snapshot) and merged with the sketch entries. Cost is O(exactCap + k);
+// by ascending id. One walk of the directory keeping only the n best so far
+// (a bounded insertion, like the kernel's trim), so a read costs
+// O(campaigns + n²) time and one n-row allocation whatever the fleet size;
 // intended for scrape-cadence callers, never the arrival path.
 func (fr *funnelRegistry) top(n int) []FunnelCounts {
 	if n <= 0 {
 		return nil
 	}
 	out := make([]FunnelCounts, 0, n)
-	for id := 0; id < fr.exactCap; id++ {
-		row := fr.counts[id*funnelRowWidth : (id+1)*funnelRowWidth]
-		var disp [numDispositions]uint64
-		var g uint64
-		for d := range disp {
-			disp[d] = row[d].Load()
-			g += disp[d]
-		}
-		if g == 0 {
+	for _, c := range *fr.dir.Load() {
+		fc := c.funnelCounts()
+		// Ids ascend along the walk, so only a strictly larger count moves
+		// ahead of a row already kept.
+		if fc.Gathered == 0 || (len(out) == n && fc.Gathered <= out[n-1].Gathered) {
 			continue
 		}
-		out = append(out, funnelCountsFrom(int32(id), g, disp))
-	}
-	fr.mu.Lock()
-	for i := range fr.sketch.entries {
-		e := &fr.sketch.entries[i]
-		fc := funnelCountsFrom(e.id, e.count, e.disp)
-		fc.Approximate = true
-		fc.CountError = e.err
-		out = append(out, fc)
-	}
-	fr.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Gathered != out[j].Gathered {
-			return out[i].Gathered > out[j].Gathered
+		if len(out) < n {
+			out = append(out, fc)
+		} else {
+			out[n-1] = fc
 		}
-		return out[i].Campaign < out[j].Campaign
-	})
-	if len(out) > n {
-		out = out[:n]
+		for i := len(out) - 1; i > 0 && out[i].Gathered > out[i-1].Gathered; i-- {
+			out[i], out[i-1] = out[i-1], out[i]
+		}
 	}
 	return out
 }
@@ -328,77 +216,11 @@ func (b *Broker) CampaignFunnel(id int32) (FunnelCounts, error) {
 	if b.funnel == nil {
 		return FunnelCounts{}, ErrFunnelDisabled
 	}
-	if _, err := b.campaign(id); err != nil {
+	c, err := b.campaign(id)
+	if err != nil {
 		return FunnelCounts{}, err
 	}
-	fc, _ := b.funnel.campaignCounts(id)
-	return fc, nil
-}
-
-// FunnelTop returns the n campaigns with the highest gathered counts, the
-// funnel's heavy hitters (exact rows and sketch entries merged). Errors with
-// ErrFunnelDisabled when the funnel is off.
-func (b *Broker) FunnelTop(n int) ([]FunnelCounts, error) {
-	if b.funnel == nil {
-		return nil, ErrFunnelDisabled
-	}
-	return b.funnel.top(n), nil
-}
-
-// spaceSaving is the Metwally et al. space-saving top-k sketch over campaign
-// ids past the exact cap: k entries, each carrying the id's gathered count
-// (the heavy-hitter weight), its overestimation bound, and a per-disposition
-// vector. A new id with the table full replaces the minimum-count entry and
-// inherits count min+1 with error min — the classic guarantee that any id
-// with true count above the minimum is tracked.
-type spaceSaving struct {
-	k       int
-	entries []sketchEntry
-	index   map[int32]int // id → entries index
-}
-
-type sketchEntry struct {
-	id    int32
-	count uint64 // gathered, with inherited overestimate
-	err   uint64 // maximum overestimation inherited at replacement
-	disp  [numDispositions]uint64
-}
-
-// touch records one gathered observation for id. Caller holds the registry
-// mutex.
-func (s *spaceSaving) touch(id int32) {
-	if i, ok := s.index[id]; ok {
-		s.entries[i].count++
-		return
-	}
-	if len(s.entries) < s.k {
-		s.entries = append(s.entries, sketchEntry{id: id, count: 1})
-		s.index[id] = len(s.entries) - 1
-		return
-	}
-	// Replace the minimum-count entry; the newcomer inherits its count as
-	// the overestimation bound and starts a fresh disposition vector.
-	mi := 0
-	for i := 1; i < len(s.entries); i++ {
-		if s.entries[i].count < s.entries[mi].count {
-			mi = i
-		}
-	}
-	old := &s.entries[mi]
-	delete(s.index, old.id)
-	min := old.count
-	*old = sketchEntry{id: id, count: min + 1, err: min}
-	s.index[id] = mi
-}
-
-// note records one disposition for id if the sketch still tracks it (a
-// disposition for an id evicted since its touch in the same fold is
-// dropped — the sketch region is approximate by contract). Caller holds the
-// registry mutex.
-func (s *spaceSaving) note(id int32, d funnelDisposition) {
-	if i, ok := s.index[id]; ok {
-		s.entries[i].disp[d]++
-	}
+	return c.funnelCounts(), nil
 }
 
 // registerFunnelMetrics registers the muaa_funnel_* families. The fleet
@@ -406,7 +228,7 @@ func (s *spaceSaving) note(id int32, d funnelDisposition) {
 // registry at scrape time (fleetTotals — always all numDispositions series);
 // the per-campaign family is a bounded collector over the funnel's top-N
 // heavy hitters, so its label set shifts with traffic while its cardinality
-// never exceeds MetricsTopN × (1 + numDispositions) series.
+// never exceeds funnelTopN × (1 + numDispositions) series.
 func registerFunnelMetrics(reg *obs.Registry, b *Broker) {
 	fr := b.funnel
 	reg.NewCounterFunc("muaa_funnel_gathered_total",
@@ -430,7 +252,7 @@ func registerFunnelMetrics(reg *obs.Registry, b *Broker) {
 		"Decision-funnel counters for the current top campaigns by gathered count (bounded top-N; disposition=\"gathered\" is the funnel top).",
 		"counter",
 		func() []obs.Sample {
-			top := fr.top(fr.metricsTopN)
+			top := fr.top(funnelTopN)
 			out := make([]obs.Sample, 0, len(top)*(1+int(numDispositions)))
 			for i := range top {
 				fc := &top[i]

@@ -2,9 +2,9 @@ package broker
 
 // Decision-funnel tests: disposition attribution per gate, the conservation
 // invariant (sum of dispositions == gathered, per campaign and fleet-wide —
-// the -race soak CI runs by name), the heavy-hitter sketch past the exact
-// cap, the bounded metrics collector, golden-replay neutrality with the
-// funnel enabled, and the zero-alloc bar on the instrumented hot path.
+// the -race soak CI runs by name), exactness for every campaign of a fleet
+// of any size, the bounded metrics collector, golden-replay neutrality with
+// the funnel enabled, and the zero-alloc bar on the instrumented hot path.
 
 import (
 	"encoding/json"
@@ -13,6 +13,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -51,9 +53,6 @@ func TestFunnelDisabledByDefault(t *testing.T) {
 	}
 	if _, err := b.CampaignFunnel(0); err != ErrFunnelDisabled {
 		t.Errorf("CampaignFunnel on a funnel-less broker: %v, want ErrFunnelDisabled", err)
-	}
-	if _, err := b.FunnelTop(5); err != ErrFunnelDisabled {
-		t.Errorf("FunnelTop on a funnel-less broker: %v, want ErrFunnelDisabled", err)
 	}
 
 	mux := http.NewServeMux()
@@ -117,9 +116,6 @@ func TestFunnelAttributionGates(t *testing.T) {
 			t.Errorf("campaign %d: gathered %d, %s %d, want both %d (%+v)",
 				tc.id, fc.Gathered, tc.name, tc.want(fc), n, fc)
 		}
-		if fc.Approximate {
-			t.Errorf("campaign %d in the exact region flagged approximate", tc.id)
-		}
 		conserved(t, fc)
 	}
 
@@ -140,13 +136,10 @@ func TestFunnelAttributionGates(t *testing.T) {
 		t.Errorf("fleet disposition sum %d != gathered %d", sum, 4*n)
 	}
 
-	// FunnelTop ranks by gathered (all equal here) then ascending id.
-	top, err := b.FunnelTop(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// top ranks by gathered (all equal here) then ascending id.
+	top := b.funnel.top(2)
 	if len(top) != 2 || top[0].Campaign != winner || top[1].Campaign != loser {
-		t.Errorf("FunnelTop(2) = %+v, want campaigns %d, %d", top, winner, loser)
+		t.Errorf("top(2) = %+v, want campaigns %d, %d", top, winner, loser)
 	}
 }
 
@@ -176,66 +169,148 @@ func TestFunnelExhaustionGate(t *testing.T) {
 	conserved(t, fc)
 }
 
-// TestFunnelSketchOverflow pins the space-saving region: ids at or past
-// ExactCampaigns share the top-k sketch, replacement inherits the evicted
-// minimum as the error bound, and reads are flagged approximate.
-func TestFunnelSketchOverflow(t *testing.T) {
-	fr := newFunnelRegistry(FunnelConfig{ExactCampaigns: 2, TopK: 2})
-	fold := func(ids []int32, evs []funnelEvent) {
-		ar := &scanArena{}
-		ar.ids = ids
-		ar.fev = evs
-		fr.fold(ar)
+// TestFunnelExactForEveryCampaign: the funnel is exact for every campaign of
+// a fleet of any size. A fleet past 4096 campaigns takes concurrent arrivals
+// that touch well over 64 distinct ids ≥ 4096 (the sizes at which rows were
+// once shared and evicted); every row must be conserved, the rows must sum to
+// muaa_funnel_gathered_total and to fleetTotals column by column, a count
+// seen in one top(16) read must never be lower in a later one, and top(n)
+// must equal the first n rows of a full sort by (gathered desc, id asc).
+func TestFunnelExactForEveryCampaign(t *testing.T) {
+	const (
+		side      = 66 // side² ≥ campaigns
+		campaigns = 4096 + 200
+		highID    = 4096
+		arrivals  = 1200
+		workers   = 4
+	)
+	reg := obs.NewRegistry()
+	b := funnelBroker(t, Config{AdTypes: workload.DefaultAdTypes(), Shards: 8, Metrics: reg})
+	for i := 0; i < campaigns; i++ {
+		// Row-major lattice: ids ≥ highID fill the top rows (y > 0.93).
+		loc := geo.Point{X: (float64(i%side) + 0.5) / side, Y: (float64(i/side) + 0.5) / side}
+		tags, budget := []float64{1, 0.2}, 1e6
+		if i%5 == 0 {
+			tags = []float64{1, 0.2, 0.5} // tag_mismatch
+		}
+		if i%3 == 0 {
+			budget = 3 // drains to exhausted
+		}
+		id, err := b.RegisterCampaign(loc, 0.03, budget, tags)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%7 == 0 {
+			if err := b.SetPaused(id, true); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	// Exact region: id 1 gathered twice, offered then displaced.
-	fold([]int32{1}, []funnelEvent{{id: 1, disp: dispOffered}})
-	fold([]int32{1}, []funnelEvent{{id: 1, disp: dispDisplaced}})
-	fc, ok := fr.campaignCounts(1)
-	if !ok || fc.Gathered != 2 || fc.Offered != 1 || fc.Displaced != 1 || fc.Approximate {
-		t.Fatalf("exact row = %+v ok=%v", fc, ok)
+	frac := func(x float64) float64 { return x - float64(int(x)) }
+	drive := func(from, to int) {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for k := from + w; k < to; k += workers {
+					// Two in three arrivals land in the strip the high ids cover.
+					loc := geo.Point{X: frac(float64(k) * 0.6180339887), Y: frac(float64(k) * 0.4142135623)}
+					if k%3 != 0 {
+						loc.Y = 0.92 + 0.08*loc.Y
+					}
+					a := Arrival{Loc: loc, Capacity: 2, ViewProb: 0.8, Interests: []float64{0.9, 0.1}, Hour: 12}
+					if _, err := b.Arrive(a); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
 	}
 
-	// Overflow: ids 5 and 6 fill the k=2 sketch.
-	for i := 0; i < 5; i++ {
-		fold([]int32{5}, []funnelEvent{{id: 5, disp: dispBelowThreshold}})
+	drive(0, arrivals/2)
+	before := b.funnel.top(16)
+	if len(before) != 16 {
+		t.Fatalf("top(16) after %d arrivals returned %d rows", arrivals/2, len(before))
 	}
-	for i := 0; i < 3; i++ {
-		fold([]int32{6}, []funnelEvent{{id: 6, disp: dispOffered}})
+	drive(arrivals/2, arrivals)
+	after := make(map[int32]uint64)
+	for _, fc := range b.funnel.top(16) {
+		after[fc.Campaign] = fc.Gathered
 	}
-	fc, ok = fr.campaignCounts(5)
-	if !ok || !fc.Approximate || fc.Gathered != 5 || fc.BelowThreshold != 5 || fc.CountError != 0 {
-		t.Fatalf("sketch row 5 = %+v ok=%v", fc, ok)
-	}
-
-	// Id 7 arrives with the sketch full: it replaces the minimum (id 6,
-	// count 3), inheriting count min+1 = 4 with error bound min = 3.
-	fold([]int32{7}, []funnelEvent{{id: 7, disp: dispPaused}})
-	fc, ok = fr.campaignCounts(7)
-	if !ok || fc.Gathered != 4 || fc.CountError != 3 || fc.Paused != 1 {
-		t.Fatalf("replacement row 7 = %+v ok=%v", fc, ok)
-	}
-	if fc.Offered != 0 {
-		t.Errorf("replacement inherited the evicted disposition vector: %+v", fc)
-	}
-	// The evicted id reads as zeros, explicitly approximate.
-	fc, ok = fr.campaignCounts(6)
-	if ok || !fc.Approximate || fc.Gathered != 0 {
-		t.Fatalf("evicted row 6 = %+v ok=%v, want untracked zeros", fc, ok)
+	for _, fc := range before {
+		now, err := b.CampaignFunnel(fc.Campaign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, ok := after[fc.Campaign]; ok && g != now.Gathered {
+			t.Errorf("campaign %d: top(16) says gathered %d, its row says %d", fc.Campaign, g, now.Gathered)
+		}
+		if now.Gathered < fc.Gathered {
+			t.Errorf("campaign %d: gathered ran backwards, %d → %d", fc.Campaign, fc.Gathered, now.Gathered)
+		}
 	}
 
-	// top merges exact rows and sketch entries: gathered desc, id asc.
-	top := fr.top(10)
-	if len(top) != 3 {
-		t.Fatalf("top = %+v, want 3 tracked campaigns", top)
+	all := make([]FunnelCounts, 0, campaigns)
+	var rowsGathered uint64
+	var columns [numDispositions]uint64
+	highTouched := 0
+	for id := int32(0); id < campaigns; id++ {
+		fc, err := b.CampaignFunnel(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conserved(t, fc)
+		rowsGathered += fc.Gathered
+		for d, v := range fc.dispositions() {
+			columns[d] += v
+		}
+		if fc.Gathered > 0 {
+			all = append(all, fc)
+			if id >= highID {
+				highTouched++
+			}
+		}
 	}
-	if top[0].Campaign != 5 || top[1].Campaign != 7 || top[2].Campaign != 1 {
-		t.Errorf("top order = [%d %d %d], want [5 7 1]",
-			top[0].Campaign, top[1].Campaign, top[2].Campaign)
+	if highTouched <= 64 {
+		t.Fatalf("only %d campaigns with id ≥ %d were gathered; the load must touch more than 64", highTouched, highID)
 	}
-	if got := fr.top(1); len(got) != 1 || got[0].Campaign != 5 {
-		t.Errorf("top(1) = %+v, want just campaign 5", got)
+	var scraped float64
+	for _, p := range reg.Gather() {
+		if p.Name == "muaa_funnel_gathered_total" {
+			scraped = p.Value
+		}
 	}
-	if fr.top(0) != nil {
+	if float64(rowsGathered) != scraped || rowsGathered == 0 {
+		t.Errorf("per-campaign gathered sum %d != muaa_funnel_gathered_total %v", rowsGathered, scraped)
+	}
+	if fleet := b.funnel.fleetTotals(); fleet != columns {
+		t.Errorf("fleetTotals %v != per-campaign column sums %v", fleet, columns)
+	}
+	for _, d := range []funnelDisposition{dispOffered, dispPaused, dispExhausted, dispTagMismatch, dispDisplaced} {
+		if columns[d] == 0 {
+			t.Errorf("load never produced disposition %s", dispositionNames[d])
+		}
+	}
+
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Gathered != all[j].Gathered {
+			return all[i].Gathered > all[j].Gathered
+		}
+		return all[i].Campaign < all[j].Campaign
+	})
+	for _, n := range []int{1, 16, 100, len(all), len(all) + 5} {
+		want := all
+		if n < len(all) {
+			want = all[:n]
+		}
+		if got := b.funnel.top(n); !slices.Equal(got, want) {
+			t.Errorf("top(%d) differs from the first %d rows of the full sort", n, len(want))
+		}
+	}
+	if b.funnel.top(0) != nil {
 		t.Error("top(0) should be nil")
 	}
 }

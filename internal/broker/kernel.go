@@ -299,7 +299,7 @@ func (b *Broker) scan(ar *scanArena, a *Arrival, dir []*campaign, auction bool) 
 	tally := b.decide(ar, a, dir, auction)
 	b.gammaMerge(&ar.gamma)
 	if b.funnel != nil {
-		b.funnel.fold(ar)
+		b.funnel.fold(ar, dir)
 	}
 	return tally
 }

@@ -101,6 +101,11 @@ type campaign struct {
 	// stay there on a controller-less broker.
 	rate      atomicFloat
 	allowance atomicFloat
+
+	// funnel is the campaign's decision-funnel row, one counter per
+	// disposition (see funnel.go); written by scan folds only when
+	// Config.Funnel.Enabled, read lock-free.
+	funnel [numDispositions]atomic.Uint64
 }
 
 // snapshot copies the live state into the exported value type.

@@ -155,10 +155,18 @@ func TestConcurrentSoak(t *testing.T) {
 // fully (grid + state) or not at all, every Campaigns() view must be a dense,
 // never-shrinking prefix — the directory grows in place under its readers, so
 // a header must never expose a slot before it is written — and the directory
-// must end dense and ordered. Run under -race in CI.
+// must end dense and ordered. The funnel is on, because its rows live on the
+// directory entries: a campaign registered while arrivals run must have a
+// readable row at once, a top reader racing the folds must never see a count
+// fall, and at the end the rows must sum to the fleet's gathered count. Run
+// under -race in CI.
 func TestConcurrentRegistrationDuringTraffic(t *testing.T) {
-	const registrations = 1500 // many in-place appends between regrowths
-	b, err := New(Config{AdTypes: workload.DefaultAdTypes(), Shards: 8})
+	const (
+		registrations = 1500 // many in-place appends between regrowths
+		midTraffic    = 500  // ids from here on register after arrivals began
+	)
+	b, err := New(Config{AdTypes: workload.DefaultAdTypes(), Shards: 8,
+		Funnel: FunnelConfig{Enabled: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,24 +177,68 @@ func TestConcurrentRegistrationDuringTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	wg.Add(3)
+	wg.Add(4)
 	registered := make(chan struct{})
+	warm := make(chan struct{}) // closed once arrivals are flowing
 	go func() {
 		defer wg.Done()
 		defer close(registered)
 		for i := 0; i < registrations; i++ {
+			if i == midTraffic {
+				<-warm
+			}
 			loc := geo.Point{X: 0.1 + 0.013*float64(i%60), Y: 0.1 + 0.017*float64(i%50)}
-			if _, err := b.RegisterCampaign(loc, 0.02+0.001*float64(i%30), 10,
-				[]float64{1, 0, 0.5, 0.2, 0.1, 0.9, 0.4, 0.3}); err != nil {
+			id, err := b.RegisterCampaign(loc, 0.02+0.001*float64(i%30), 10,
+				[]float64{1, 0, 0.5, 0.2, 0.1, 0.9, 0.4, 0.3})
+			if err != nil {
 				t.Error(err)
+				return
+			}
+			if _, err := b.CampaignFunnel(id); err != nil {
+				t.Errorf("campaign %d has no funnel row right after registration: %v", id, err)
 				return
 			}
 		}
 	}()
 	go func() {
 		defer wg.Done()
-		for _, op := range ops {
-			applyOp(t, b, op)
+		// Passes repeat until the last registration, then one more, so every
+		// campaign is also gathered by a full pass.
+		for pass, last := 0, false; ; pass++ {
+			for i, op := range ops {
+				applyOp(t, b, op)
+				if pass == 0 && i == 100 {
+					close(warm)
+				}
+			}
+			if last {
+				return
+			}
+			select {
+			case <-registered:
+				last = true
+			default:
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		seen := make(map[int32]uint64)
+		for done := false; !done; {
+			select {
+			case <-registered:
+				done = true
+			default:
+			}
+			for _, fc := range b.funnel.top(16) {
+				if fc.Gathered < seen[fc.Campaign] {
+					t.Errorf("campaign %d: gathered fell from %d to %d between top reads",
+						fc.Campaign, seen[fc.Campaign], fc.Gathered)
+					return
+				}
+				seen[fc.Campaign] = fc.Gathered
+				conserved(t, fc)
+			}
 		}
 	}()
 	go func() {
@@ -220,10 +272,26 @@ func TestConcurrentRegistrationDuringTraffic(t *testing.T) {
 	if len(all) != registrations {
 		t.Fatalf("directory holds %d campaigns, want %d", len(all), registrations)
 	}
+	var rows, lateRows uint64
 	for i, c := range all {
 		if c.ID != int32(i) {
 			t.Fatalf("directory not dense at %d: %+v", i, c)
 		}
+		fc, err := b.CampaignFunnel(c.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conserved(t, fc)
+		rows += fc.Gathered
+		if i >= midTraffic {
+			lateRows += fc.Gathered
+		}
+	}
+	if fleet := b.funnel.gathered.Load(); rows != fleet {
+		t.Errorf("per-campaign gathered sum %d != fleet gathered %d", rows, fleet)
+	}
+	if lateRows == 0 {
+		t.Error("no campaign registered mid-traffic was ever gathered")
 	}
 }
 
