@@ -1,21 +1,26 @@
 package broker
 
-// Batched arrival ingestion. ArriveBatch is the broker half of the paper's
-// micro-batching setting (core.OnlineBatch models it offline): a client that
-// tolerates a bounded answer delay submits a window of arrivals at once, and
-// the broker amortizes the per-arrival fixed costs — stripe-lock
-// acquisition, clock anchoring, WAL record framing and group commit — over
-// the whole window while leaving the decision sequence exactly what serial
-// submission would have produced.
+// Arrival ingestion: one pipeline for every way of submitting an arrival.
+// The paper has one rule for an arriving customer (PAPER.md Alg. 2, in
+// arrival order); a window of arrivals is that sequence with the per-call
+// fixed costs — stripe-lock acquisition, clock anchoring, WAL record framing
+// and group commit — paid once (core.OnlineBatch models the setting offline).
+// So arriveBatch is the only code that validates, locks, decides, charges and
+// logs, and a single submission (Arrive, ArriveAppend, ArriveTraced,
+// POST /v1/arrivals) is its window of one.
 //
-// Equivalence contract: arrivals are processed strictly in submission order
-// with the same gather/scan/commit core serial Arrive uses, so for any split
-// of a stream into batches, Stats, per-campaign spend, every committed offer
-// and the recovered (WAL-replayed) state are bit-identical to the serial
-// history (TestBatchMatchesSerial*, TestBatchReplayBitExact). Stripe sorting
-// happens only in lock acquisition — the covering stripe interval is locked
-// once, ascending, before the first arrival is examined — never in
-// processing order.
+// Split invariance: arrivals are processed strictly in submission order and
+// no state outlives an element of the window, so for any split of a stream
+// into calls, Stats, per-campaign spend, every committed offer and the
+// recovered (WAL-replayed) state are bit-identical (TestSerialIsBatchOfOne,
+// TestBatchMatchesSerial*, TestBatchReplayBitExact). Stripe sorting happens
+// only in lock acquisition — the covering stripe interval is locked once,
+// ascending, before the first arrival is examined — never in processing
+// order.
+//
+// What differs by submission shape lives in the two wrappers, arriveOne and
+// arriveBatchTraced, not in the pipeline: which latency family is observed
+// and what the trace looks like.
 
 import (
 	"slices"
@@ -33,12 +38,38 @@ type BatchResult struct {
 	Err    error
 }
 
+// Arrive processes a customer arrival with the O-AFA rule (Algorithm 2) over
+// live campaign state and commits the returned offers' costs to their
+// campaigns. Only the shards whose stripes the query disk overlaps are
+// locked, and they stay locked through commit so admission and spend are one
+// atomic step per campaign.
+func (b *Broker) Arrive(a Arrival) ([]Offer, error) {
+	return b.arriveOne(&a, nil, nil)
+}
+
+// ArriveAppend is Arrive with a caller-owned result buffer: committed offers
+// are appended to dst and the extended slice returned, so a serving loop that
+// recycles its buffer processes arrivals with zero allocations.
+func (b *Broker) ArriveAppend(dst []Offer, a Arrival) ([]Offer, error) {
+	return b.arriveOne(&a, nil, dst)
+}
+
+// ArriveTraced is Arrive plus request tracing: when the broker has a flight
+// recorder and req carries a trace context, the arrival's stage timings,
+// stripe range, scan tallies and outcome are cut into one trace.Trace and
+// recorded after the stripe locks release. With either part missing it is
+// exactly Arrive. Tracing is observation-only — the decision sequence and
+// replay transcripts are unchanged (TestReplayMatchesGoldenTraced).
+func (b *Broker) ArriveTraced(a Arrival, req *trace.Request) ([]Offer, error) {
+	return b.arriveOne(&a, req, nil)
+}
+
 // ArriveBatch processes a window of arrivals as one unit: the covering
 // stripe interval is locked once, one clock anchor times the whole batch,
-// every arrival is processed in submission order by the serial pipeline's
-// own passes, and a durable broker appends a single arrivals record framing
-// all of them. Results are per arrival, index-aligned with batch. Offer
-// slices in the results alias one shared buffer owned by the caller.
+// every arrival is processed in submission order, and a durable broker
+// appends a single arrivals record framing all of them. Results are per
+// arrival, index-aligned with batch. Offer slices in the results alias one
+// shared buffer owned by the caller.
 func (b *Broker) ArriveBatch(batch []Arrival) []BatchResult {
 	return b.arriveBatchTraced(batch, nil, &batchScratch{})
 }
@@ -62,62 +93,105 @@ type batchScratch struct {
 	offers  []Offer
 }
 
-func (b *Broker) arriveBatchTraced(batch []Arrival, req *trace.Request, sc *batchScratch) []BatchResult {
+// startTrace opens the trace of one submission, or returns nil when the
+// broker has no flight recorder or the request no trace context.
+func (b *Broker) startTrace(req *trace.Request) *trace.Trace {
 	if req == nil || b.tracer == nil {
-		results := b.arriveBatch(batch, nil, sc)
-		b.captureBatch(batch, results)
-		return results
+		return nil
 	}
-	t := &trace.Trace{
-		TraceID:      req.TraceID,
-		SpanID:       req.SpanID,
-		ParentSpanID: req.ParentSpanID,
-	}
-	results := b.arriveBatch(batch, t, sc)
-	if t.Start.IsZero() {
-		// Nothing reached the timed pipeline (empty or all-invalid batch);
-		// stamp it so the recorder can still order it.
-		t.Start = time.Now()
-	}
-	t.Batch = len(batch)
-	t.BatchOutcomes = make([]trace.BatchOutcome, len(results))
-	totalOffers, errs := 0, 0
-	for i := range results {
-		o := &t.BatchOutcomes[i]
-		switch {
-		case results[i].Err != nil:
-			o.Outcome = trace.OutcomeError
-			o.Error = results[i].Err.Error()
-			errs++
-		case len(results[i].Offers) > 0:
-			o.Outcome = trace.OutcomeOffered
-			o.Offers = len(results[i].Offers)
-			totalOffers += len(results[i].Offers)
-		default:
-			o.Outcome = trace.OutcomeNoOffers
-		}
-		t.Capacity += batch[i].Capacity
-	}
-	t.Offers = totalOffers
+	return &trace.Trace{TraceID: req.TraceID, SpanID: req.SpanID, ParentSpanID: req.ParentSpanID}
+}
+
+// outcome classifies one arrival's result for its trace.
+func (r *BatchResult) outcome() string {
 	switch {
-	case errs == len(results) && len(results) > 0:
-		t.Outcome = trace.OutcomeError
-	case totalOffers > 0:
-		t.Outcome = trace.OutcomeOffered
-	default:
-		t.Outcome = trace.OutcomeNoOffers
+	case r.Err != nil:
+		return trace.OutcomeError
+	case len(r.Offers) > 0:
+		return trace.OutcomeOffered
 	}
-	if errs > 0 || t.Scan.Exhausted > 0 {
-		t.Anomalous = true
+	return trace.OutcomeNoOffers
+}
+
+// arriveOne is single submission: the pipeline over a window of one, observed
+// as muaa_broker_arrival_seconds (with the trace ID as a candidate exemplar,
+// so the slowest observation in a scrape window links to its trace) and
+// traced as an "arrival". Committed offers are appended to dst — nil, the
+// caller's own buffer, or a pooled one the HTTP route lends — and the
+// extended slice returned. The window and its result live on this frame.
+func (b *Broker) arriveOne(a *Arrival, req *trace.Request, dst []Offer) ([]Offer, error) {
+	batch := [1]Arrival{*a}
+	var results [1]BatchResult
+	t := b.startTrace(req)
+	dst, live, lane, elapsed := b.arriveBatch(batch[:], results[:], dst, t)
+	r := &results[0]
+	if m := b.metrics; m != nil && live > 0 {
+		if t != nil {
+			m.arrival.ObserveShardExemplar(lane, elapsed.Seconds(), t.TraceID.String())
+		} else {
+			m.arrival.ObserveShard(lane, elapsed.Seconds())
+		}
 	}
-	b.tracer.Record(t)
+	if t != nil {
+		t.Capacity = a.Capacity
+		t.Offers = len(r.Offers)
+		t.Outcome = r.outcome()
+		if r.Err != nil {
+			t.Error = r.Err.Error()
+		}
+		t.Anomalous = r.Err != nil || t.Scan.Exhausted > 0
+		b.tracer.Record(t)
+	}
+	b.captureBatch(batch[:], results[:])
+	return dst, r.Err
+}
+
+// arriveBatchTraced is batch submission: the pipeline over the window,
+// observed as muaa_broker_batch_size / _batch_seconds and traced as an
+// "arrival_batch" with one outcome row per submitted arrival.
+func (b *Broker) arriveBatchTraced(batch []Arrival, req *trace.Request, sc *batchScratch) []BatchResult {
+	results := slices.Grow(sc.results[:0], len(batch))[:len(batch)]
+	clear(results)
+	sc.results = results
+	t := b.startTrace(req)
+	offers, live, _, elapsed := b.arriveBatch(batch, results, sc.offers[:0], t)
+	sc.offers = offers
+	if m := b.metrics; m != nil {
+		m.batchSize.Observe(float64(live))
+		if live > 0 {
+			m.batchSeconds.Observe(elapsed.Seconds())
+		}
+	}
+	if t != nil {
+		t.Batch = len(batch)
+		t.BatchOutcomes = make([]trace.BatchOutcome, len(results))
+		for i := range results {
+			r, o := &results[i], &t.BatchOutcomes[i]
+			o.Outcome = r.outcome()
+			o.Offers = len(r.Offers)
+			if r.Err != nil {
+				o.Error = r.Err.Error()
+			}
+			t.Offers += len(r.Offers)
+			t.Capacity += batch[i].Capacity
+		}
+		switch {
+		case live == 0 && len(batch) > 0:
+			t.Outcome = trace.OutcomeError
+		case t.Offers > 0:
+			t.Outcome = trace.OutcomeOffered
+		default:
+			t.Outcome = trace.OutcomeNoOffers
+		}
+		t.Anomalous = live < len(batch) || t.Scan.Exhausted > 0
+		b.tracer.Record(t)
+	}
 	b.captureBatch(batch, results)
 	return results
 }
 
-// captureBatch feeds the batch's accepted arrivals to the live-audit window
-// in submission order, exactly as serial Arrive does after its locks
-// release.
+// captureBatch feeds the accepted arrivals to the live-audit window in
+// submission order, after the stripe locks have been released.
 func (b *Broker) captureBatch(batch []Arrival, results []BatchResult) {
 	if b.audit == nil {
 		return
@@ -129,19 +203,55 @@ func (b *Broker) captureBatch(batch []Arrival, results []BatchResult) {
 	}
 }
 
-// arriveBatch is the batch pipeline. Stage accounting differs from serial
-// arrive by design — one clock anchor per batch: lock_wait times the single
-// interval acquisition, scan times the whole per-arrival processing loop
-// (gather, scan and charge interleaved per arrival), commit times the one
-// WAL batch append. Gather is reported as zero.
-func (b *Broker) arriveBatch(batch []Arrival, t *trace.Trace, sc *batchScratch) []BatchResult {
+// stageClock cuts a pipeline call into back-to-back stage spans. One full
+// time.Now() anchors the wall-clock start; every boundary after it is a
+// time.Since delta (a single monotonic-clock read, about half the cost) off
+// that anchor. mark is the elapsed time at the previous boundary, so the laps
+// partition [0, mark] exactly and a trace's child spans sum to its root span.
+type stageClock struct {
+	start time.Time
+	mark  time.Duration
+}
+
+// lap returns the time since the previous boundary and moves the boundary.
+func (c *stageClock) lap() time.Duration {
+	el := time.Since(c.start)
+	d := el - c.mark
+	c.mark = el
+	return d
+}
+
+// arriveBatch is the arrival pipeline: validate every element, lock the
+// covering stripe interval, then per accepted arrival the kernel stages —
+// gather, scan, commit (see kernel.go) — and one WAL record for the window.
+// results is the caller's zeroed, index-aligned out-buffer; committed offers
+// are appended to offers and the extended slice returned. It also reports how
+// many elements were accepted, the lowest locked stripe (an uncontended
+// histogram lane for the caller) and, when timed, the elapsed time from lock
+// wait through WAL append.
+//
+// Timed (metrics or t set), the call is cut into four stage spans, the same
+// for every window size and fed to both the stage histograms and the trace,
+// so tracing adds no clock reads: lock_wait is the interval acquisition,
+// gather the sum of the grid probes, scan the sum of score + walk + resolve +
+// charge (and the element's WAL body encoding), commit the one WAL append —
+// next to nothing on an in-memory broker. That is two monotonic-clock reads
+// per arrival.
+func (b *Broker) arriveBatch(batch []Arrival, results []BatchResult, offers []Offer, t *trace.Trace) (_ []Offer, live, lane int, elapsed time.Duration) {
 	m := b.metrics
-	results := slices.Grow(sc.results[:0], len(batch))[:len(batch)]
-	clear(results)
-	sc.results = results
-	live := 0
+
+	// The covering stripe interval: the union of every accepted arrival's
+	// own stripe range. A covering campaign's center is within maxRadius of
+	// the arrival, so only the stripes overlapping that Y-window can hold one;
+	// a zero-capacity arrival is only counted, which its home stripe
+	// serializes against snapshot quiescence like every other mutation.
+	// Contiguous by construction — stripe ranges are intervals — and locked
+	// once, ascending, the global lock order.
+	maxR := b.maxRadius.Load()
+	lo, hi := len(b.shards), -1
 	for i := range batch {
-		if err := validateArrival(&batch[i]); err != nil {
+		a := &batch[i]
+		if err := validateArrival(a); err != nil {
 			if m != nil {
 				m.arrivalErrors.Inc()
 			}
@@ -149,26 +259,6 @@ func (b *Broker) arriveBatch(batch []Arrival, t *trace.Trace, sc *batchScratch) 
 			continue
 		}
 		live++
-	}
-	if m != nil {
-		m.batchSize.Observe(float64(live))
-	}
-	if live == 0 {
-		return results
-	}
-
-	// The covering stripe interval: the union of every accepted arrival's
-	// own stripe range (its query disk for a serving arrival, its home
-	// stripe for a zero-capacity count-only one). Contiguous by
-	// construction — stripe ranges are intervals — and locked once,
-	// ascending, the global lock order.
-	maxR := b.maxRadius.Load()
-	lo, hi := len(b.shards), -1
-	for i := range batch {
-		if results[i].Err != nil {
-			continue
-		}
-		a := &batch[i]
 		var s0, s1 int
 		if a.Capacity == 0 {
 			s0 = b.stripes.Of(a.Loc)
@@ -176,41 +266,35 @@ func (b *Broker) arriveBatch(batch []Arrival, t *trace.Trace, sc *batchScratch) 
 		} else {
 			s0, s1 = b.stripes.Range(a.Loc.Y-maxR, a.Loc.Y+maxR)
 		}
-		if s0 < lo {
-			lo = s0
+		lo, hi = min(lo, s0), max(hi, s1)
+	}
+	if live == 0 {
+		if t != nil {
+			// Nothing reaches the timed pipeline; stamp the trace so the
+			// recorder can still order it.
+			t.Start = time.Now()
 		}
-		if s1 > hi {
-			hi = s1
-		}
+		return offers, 0, 0, 0
 	}
 
 	timed := m != nil || t != nil
-	var tStart time.Time
-	var elStage time.Duration
+	var clk stageClock
+	var stages [trace.NumStages]time.Duration
 	if timed {
-		tStart = time.Now()
+		clk.start = time.Now()
 	}
 	b.lockStripes(lo, hi, m)
 	defer b.unlockStripes(lo, hi)
 	if timed {
-		d := time.Since(tStart)
-		elStage = d
-		if m != nil {
-			m.stageLock.ObserveShard(lo, d.Seconds())
-		}
-		if t != nil {
-			t.Start = tStart
-			t.Staged = true
-			t.StripeLo, t.StripeHi = lo, hi
-			t.Stages[trace.StageLockWait] = d
-		}
+		stages[trace.StageLockWait] = clk.lap()
 	}
 	// The auction flag is read once under the locks (see scan).
 	auction := b.cfg.Slate || b.billing.active.Load()
 
-	// One arrivals record frames the whole batch; each body is encoded right
-	// after its arrival's commit so it carries the same γ bits the serial
-	// record would.
+	// One arrivals record frames the whole window; each body is encoded right
+	// after its arrival's commit — after every charge has landed and before
+	// the stripe locks release — so it carries the post-arrival γ bits and
+	// exactly the offers committed.
 	var bp *[]byte
 	var buf []byte
 	if b.wal != nil {
@@ -218,47 +302,37 @@ func (b *Broker) arriveBatch(batch []Arrival, t *trace.Trace, sc *batchScratch) 
 		buf = appendArrivalsHeader((*bp)[:0], live, auction)
 	}
 
+	// The lowest locked stripe's arena is exclusively ours while the locks
+	// are held (see scanArena's ownership rule).
 	ar := &b.shards[lo].arena
-	offers := sc.offers[:0]
 	var agg scanTally
 	for i := range batch {
 		if results[i].Err != nil {
 			continue
 		}
 		a := &batch[i]
+		// Inside the stripe locks, so the bump is atomic with the record this
+		// call logs before unlocking: the counter is recovered state.
 		b.arrivals.Add(1)
-		if a.Capacity == 0 {
-			if b.wal != nil {
-				buf = b.appendArrivalBody(buf, a, nil)
+		if a.Capacity > 0 {
+			s0, s1 := b.stripes.Range(a.Loc.Y-maxR, a.Loc.Y+maxR)
+			dir := b.gatherCandidates(ar, a.Loc, s0, s1)
+			if timed {
+				stages[trace.StageGather] += clk.lap()
 			}
-			continue
-		}
-		s0, s1 := b.stripes.Range(a.Loc.Y-maxR, a.Loc.Y+maxR)
-		dir := b.gatherCandidates(ar, a.Loc, s0, s1)
-		agg.add(b.scan(ar, a, dir, auction))
-		n0 := len(offers)
-		if len(ar.cands) > 0 {
-			offers = b.commit(ar, offers, auction)
-			// Full-slice expression: a later arrival's append can grow past
-			// this segment's length but never overwrite it.
-			results[i].Offers = offers[n0:len(offers):len(offers)]
+			agg.add(b.scan(ar, a, dir, auction))
+			if n0 := len(offers); len(ar.cands) > 0 {
+				offers = b.commit(ar, offers, auction)
+				// Full-slice expression: a later arrival's append can grow past
+				// this segment's length but never overwrite it.
+				results[i].Offers = offers[n0:len(offers):len(offers)]
+			}
 		}
 		if b.wal != nil {
 			buf = b.appendArrivalBody(buf, a, results[i].Offers)
 		}
-	}
-	sc.offers = offers
-	if timed {
-		el := time.Since(tStart)
-		d := el - elStage
-		elStage = el
-		if m != nil {
-			m.stageScan.ObserveShard(lo, d.Seconds())
-			m.foldScanTally(&agg)
-		}
-		if t != nil {
-			t.Stages[trace.StageScan] = d
-			t.Scan = agg.counts()
+		if timed {
+			stages[trace.StageScan] += clk.lap()
 		}
 	}
 	if b.wal != nil {
@@ -266,16 +340,19 @@ func (b *Broker) arriveBatch(batch []Arrival, t *trace.Trace, sc *batchScratch) 
 		b.walAppend(bp)
 	}
 	if timed {
-		el := time.Since(tStart)
-		d := el - elStage
+		stages[trace.StageCommit] = clk.lap()
 		if m != nil {
-			m.stageCommit.ObserveShard(lo, d.Seconds())
-			m.batchSeconds.Observe(el.Seconds())
+			for s, d := range stages {
+				m.stages[s].ObserveShard(lo, d.Seconds())
+			}
+			m.foldScanTally(&agg)
 		}
 		if t != nil {
-			t.Stages[trace.StageCommit] = d
-			t.Duration = el
+			t.Start, t.Duration = clk.start, clk.mark
+			t.Staged, t.Stages = true, stages
+			t.StripeLo, t.StripeHi = lo, hi
+			t.Scan = agg.counts()
 		}
 	}
-	return results
+	return offers, live, lo, clk.mark
 }

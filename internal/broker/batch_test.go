@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -496,6 +497,11 @@ func TestArriveBatchTraced(t *testing.T) {
 	if sum != int64(tr.Duration) {
 		t.Fatalf("stage spans sum to %d, root is %d", sum, int64(tr.Duration))
 	}
+	// The window served an arrival, so its grid probes took time: gather is a
+	// span of its own on a batch too, not folded into scan.
+	if tr.Stages[trace.StageGather] <= 0 || tr.Stages[trace.StageScan] <= 0 {
+		t.Fatalf("batch stage spans %v: gather and scan must both be positive", tr.Stages)
+	}
 	js, err := tr.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -592,5 +598,180 @@ func TestBatchDurableSyncEvery(t *testing.T) {
 	defer b2.Close()
 	if got := b2.Stats(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered stats diverged:\ngot  %+v\nwant %+v", got, want)
+	}
+}
+
+// TestSerialIsBatchOfOne pins that single submission and a window of one are
+// the same thing: twin brokers take one seeded mixed stream — valid,
+// zero-capacity and invalid arrivals over eight stripes, with top-ups, pauses
+// and conversions interleaved — one through Arrive / ArriveAppend /
+// ArriveTraced in rotation, the other through ArriveBatch([]Arrival{a}).
+// After every op the offers, error text, Stats and γ bits must be equal; at
+// the end a durable pair's WAL segments must be byte-identical and recover to
+// the same snapshot payload. Runs in memory and on disk, over a fixed-cost
+// and a billed fleet, with telemetry off and on.
+func TestSerialIsBatchOfOne(t *testing.T) {
+	const campaigns, ops, seed = 24, 900, 17
+	for _, durable := range []bool{false, true} {
+		for _, billed := range []bool{false, true} {
+			for _, telemetry := range []bool{false, true} {
+				name := fmt.Sprintf("durable=%t/billed=%t/telemetry=%t", durable, billed, telemetry)
+				t.Run(name, func(t *testing.T) {
+					load := workload.DefaultBrokerLoadConfig(campaigns, ops, seed)
+					if billed {
+						load = workload.BilledBrokerLoadConfig(campaigns, ops, seed)
+					}
+					serialIsBatchOfOne(t, load, durable, telemetry)
+				})
+			}
+		}
+	}
+}
+
+func serialIsBatchOfOne(t *testing.T, load workload.BrokerLoadConfig, durable, telemetry bool) {
+	specs, stream, err := workload.BrokerLoad(load)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(dir string) *Broker {
+		cfg := Config{AdTypes: workload.DefaultAdTypes(), Shards: 8}
+		if durable {
+			cfg.DataDir, cfg.WAL = dir, crashWAL()
+		}
+		if telemetry {
+			cfg.Metrics = obs.NewRegistry()
+			cfg.Tracer = trace.NewRecorder(trace.RecorderOptions{Capacity: 64})
+		}
+		b, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	serialDir, batchDir := t.TempDir(), t.TempDir()
+	serial, batched := mk(serialDir), mk(batchDir)
+	registerLoad(t, serial, specs)
+	registerLoad(t, batched, specs)
+
+	sentinel := Offer{Campaign: -7}
+	var buf []Offer
+	var open []uint64
+	arrivals, served, rejected, counted := 0, 0, 0, 0
+	for i, op := range stream {
+		switch op.Kind {
+		case workload.OpArrival:
+			a := Arrival{Loc: op.Loc, Capacity: op.Capacity, ViewProb: op.ViewProb,
+				Interests: op.Interests, Hour: op.Hour}
+			switch arrivals % 11 {
+			case 3:
+				a.Capacity = 0
+			case 6:
+				a.Capacity = -1
+			case 9:
+				a.ViewProb = 2
+			}
+			var got []Offer
+			var gotErr error
+			switch arrivals % 3 {
+			case 0:
+				got, gotErr = serial.Arrive(a)
+			case 1:
+				// A caller-owned buffer with something already in it: the
+				// prefix must survive and the offers follow it.
+				buf, gotErr = serial.ArriveAppend(append(buf[:0], sentinel), a)
+				if len(buf) == 0 || buf[0] != sentinel {
+					t.Fatalf("op %d: ArriveAppend clobbered its buffer's prefix: %+v", i, buf)
+				}
+				got = buf[1:]
+			case 2:
+				got, gotErr = serial.ArriveTraced(a, newTraceReq())
+			}
+			arrivals++
+			res := batched.ArriveBatch([]Arrival{a})
+			if len(res) != 1 {
+				t.Fatalf("op %d: window of one answered %d results", i, len(res))
+			}
+			if (gotErr == nil) != (res[0].Err == nil) || (gotErr != nil && gotErr.Error() != res[0].Err.Error()) {
+				t.Fatalf("op %d: errors differ: serial %v, window of one %v", i, gotErr, res[0].Err)
+			}
+			if len(got) != len(res[0].Offers) || (len(got) > 0 && !reflect.DeepEqual(got, res[0].Offers)) {
+				t.Fatalf("op %d: offers differ:\nserial        %+v\nwindow of one %+v", i, got, res[0].Offers)
+			}
+			switch {
+			case gotErr != nil:
+				rejected++
+			case a.Capacity == 0:
+				counted++
+			case len(got) > 0:
+				served++
+			}
+			for _, o := range got {
+				if o.ID != 0 {
+					open = append(open, o.ID)
+				}
+			}
+		case workload.OpConvert:
+			if len(open) == 0 {
+				continue
+			}
+			k := int(op.Pick % uint64(len(open)))
+			id := open[k]
+			open = append(open[:k], open[k+1:]...)
+			sc, serr := serial.Convert(id, "")
+			bc, berr := batched.Convert(id, "")
+			if sc != bc || (serr == nil) != (berr == nil) {
+				t.Fatalf("op %d: conversions differ: %+v/%v vs %+v/%v", i, sc, serr, bc, berr)
+			}
+		default:
+			applyLoadOp(t, serial, op)
+			applyLoadOp(t, batched, op)
+		}
+		if s, b := serial.Stats(), batched.Stats(); s != b {
+			t.Fatalf("op %d: stats differ:\nserial        %+v\nwindow of one %+v", i, s, b)
+		}
+		if serial.gammaMin.bits.Load() != batched.gammaMin.bits.Load() ||
+			serial.gammaMax.bits.Load() != batched.gammaMax.bits.Load() {
+			t.Fatalf("op %d: γ bits differ", i)
+		}
+	}
+	if served == 0 || rejected == 0 || counted == 0 {
+		t.Fatalf("stream is not mixed: %d served, %d rejected, %d zero-capacity", served, rejected, counted)
+	}
+	if s, b := serial.Campaigns(), batched.Campaigns(); !reflect.DeepEqual(s, b) {
+		t.Fatal("final campaign states differ")
+	}
+	if !durable {
+		return
+	}
+
+	// Crash both (no Close): the logs must be the same bytes and recover to
+	// the same state.
+	segs, err := filepath.Glob(filepath.Join(serialDir, "wal-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("serial twin left no WAL segments (err %v)", err)
+	}
+	for _, seg := range segs {
+		want, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(batchDir, filepath.Base(seg)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("%s: %d vs %d bytes, first difference at byte %d",
+				filepath.Base(seg), len(want), len(got), firstDiff(string(got), string(want)))
+		}
+	}
+	serial2, batched2 := mk(serialDir), mk(batchDir)
+	defer serial2.Close()
+	defer batched2.Close()
+	if s, b := serial2.Stats(), batched2.Stats(); s != b || s != serial.Stats() {
+		t.Fatalf("recovered stats differ:\nserial        %+v\nwindow of one %+v\nlive          %+v", s, b, serial.Stats())
+	}
+	if s, b := serial2.encodeSnapshot(), batched2.encodeSnapshot(); string(s) != string(b) {
+		t.Fatalf("recovered snapshot payloads differ (%d vs %d bytes), first at byte %d",
+			len(s), len(b), firstDiff(string(s), string(b)))
 	}
 }

@@ -59,11 +59,11 @@ type Config struct {
 	// for every metric. Instrumentation is observation-only: admission
 	// decisions and replay transcripts are identical with or without it.
 	Metrics *obs.Registry
-	// Tracer, when non-nil, makes ArriveTraced cut one trace.Trace per
-	// arrival — a root span plus the four stage child spans, sharing the
-	// clock reads the stage histograms already take — and file it in this
-	// flight recorder. Nil (the default) disables tracing; Arrive then pays
-	// a single pointer check. Like Metrics, tracing is observation-only.
+	// Tracer, when non-nil, makes ArriveTraced and ArriveBatchTraced cut one
+	// trace.Trace per call — a root span plus the four stage child spans,
+	// sharing the clock reads the stage histograms already take — and file it
+	// in this flight recorder. Nil (the default) disables tracing; Arrive then
+	// pays a single pointer check. Like Metrics, tracing is observation-only.
 	Tracer *trace.Recorder
 	// Logger, when non-nil, receives the broker lifecycle's structured log
 	// events (WAL recovery, snapshots, flush errors). Nil discards them.
@@ -591,78 +591,13 @@ func (b *Broker) campaign(id int32) (*campaign, error) {
 	return dir[id], nil
 }
 
-// Arrive processes a customer arrival with the O-AFA rule (Algorithm 2) over
-// live campaign state and commits the returned offers' costs to their
-// campaigns. Only the shards whose stripes the query disk overlaps are
-// locked, and they stay locked through commit so admission and spend are one
-// atomic step per campaign.
-func (b *Broker) Arrive(a Arrival) ([]Offer, error) {
-	out, err := b.arrive(nil, a, nil)
-	if b.audit != nil && err == nil {
-		b.audit.capture(&a, out)
-	}
-	return out, err
-}
-
-// ArriveAppend is Arrive with a caller-owned result buffer: committed offers
-// are appended to dst and the extended slice returned, so a serving loop that
-// recycles its buffer (and the batch path, which shares one buffer across a
-// whole batch) processes arrivals with zero allocations. The decision
-// sequence is exactly Arrive's.
-func (b *Broker) ArriveAppend(dst []Offer, a Arrival) ([]Offer, error) {
-	n0 := len(dst)
-	out, err := b.arrive(dst, a, nil)
-	if b.audit != nil && err == nil {
-		b.audit.capture(&a, out[n0:])
-	}
-	return out, err
-}
-
-// ArriveTraced is Arrive plus request tracing: when the broker has a flight
-// recorder and req carries a trace context, the arrival's stage timings,
-// stripe range, scan tallies and outcome are cut into one trace.Trace and
-// recorded after the stripe locks release. With either part missing it is
-// exactly Arrive. Tracing is observation-only — the decision sequence and
-// replay transcripts are unchanged (TestReplayMatchesGoldenTraced).
-func (b *Broker) ArriveTraced(a Arrival, req *trace.Request) ([]Offer, error) {
-	if req == nil || b.tracer == nil {
-		return b.Arrive(a)
-	}
-	t := &trace.Trace{
-		TraceID:      req.TraceID,
-		SpanID:       req.SpanID,
-		ParentSpanID: req.ParentSpanID,
-		Capacity:     a.Capacity,
-	}
-	out, err := b.arrive(nil, a, t)
-	if t.Start.IsZero() {
-		// The arrival never reached the timed pipeline (validation failure
-		// or zero capacity); stamp it so the recorder can still order it.
-		t.Start = time.Now()
-	}
-	t.Offers = len(out)
-	switch {
-	case err != nil:
-		t.Outcome = trace.OutcomeError
-		t.Error = err.Error()
-		t.Anomalous = true
-	case len(out) > 0:
-		t.Outcome = trace.OutcomeOffered
-	default:
-		t.Outcome = trace.OutcomeNoOffers
-	}
-	if t.Scan.Exhausted > 0 {
-		t.Anomalous = true
-	}
-	b.tracer.Record(t)
-	if b.audit != nil && err == nil {
-		b.audit.capture(&a, out)
-	}
-	return out, err
-}
-
-// validateArrival rejects arrivals no decision is defined for. Serving and
-// Explain share it, so a request explain accepts is one arrive accepts.
+// validateArrival is the one door for client-supplied arrival values: every
+// bound one must satisfy before it reaches the kernel is checked here. The
+// pipeline and Explain share it, so a request explain accepts is one arrive
+// accepts. The hour feeds the pacing allowance and the guaranteed-delivery
+// floor pro rata (hour/24), so a value outside the day would void both.
+// Interest length is not a bound: a mismatch with a campaign's tags makes
+// that campaign ineligible, not the arrival invalid.
 func validateArrival(a *Arrival) error {
 	if a.Capacity < 0 {
 		return fmt.Errorf("broker: capacity %d", a.Capacity)
@@ -670,8 +605,22 @@ func validateArrival(a *Arrival) error {
 	if a.ViewProb < 0 || a.ViewProb > 1 || math.IsNaN(a.ViewProb) {
 		return fmt.Errorf("broker: view probability %g", a.ViewProb)
 	}
+	if !finite(a.Loc.X) || !finite(a.Loc.Y) {
+		return fmt.Errorf("broker: location (%g, %g)", a.Loc.X, a.Loc.Y)
+	}
+	if a.Hour < 0 || a.Hour > 24 || math.IsNaN(a.Hour) {
+		return fmt.Errorf("broker: hour %g outside [0, 24]", a.Hour)
+	}
+	for i, v := range a.Interests {
+		if !finite(v) {
+			return fmt.Errorf("broker: interest %d is %g", i, v)
+		}
+	}
 	return nil
 }
+
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // lockStripes acquires the stripe locks lo..hi in ascending order — the
 // global lock order. With m set, each lock is first probed with TryLock — a
@@ -697,161 +646,6 @@ func (b *Broker) lockStripes(lo, hi int, m *brokerMetrics) {
 func (b *Broker) unlockStripes(lo, hi int) {
 	for i := hi; i >= lo; i-- {
 		b.shards[i].mu.Unlock()
-	}
-}
-
-// arrive is the shared arrival pipeline: validate, lock the stripe interval,
-// then the kernel stages — gather, scan, commit (see kernel.go). Committed
-// offers are appended to dst (nil for the plain Arrive path). t, when
-// non-nil, collects the trace view of this arrival; stage boundaries are
-// timed once and fed to both the stage histograms and the trace, so tracing
-// adds no clock reads beyond the instrumented path's.
-func (b *Broker) arrive(dst []Offer, a Arrival, t *trace.Trace) ([]Offer, error) {
-	m := b.metrics
-	if err := validateArrival(&a); err != nil {
-		if m != nil {
-			m.arrivalErrors.Inc()
-		}
-		return dst, err
-	}
-	if b.wal == nil {
-		b.arrivals.Add(1)
-		if a.Capacity == 0 {
-			return dst, nil
-		}
-	} else if a.Capacity == 0 {
-		// Durable: the arrivals counter is recovered state, so its bump and
-		// its record must be one atomic step against snapshot quiescence,
-		// like every other mutation. The arrival's own stripe serializes it.
-		sh := &b.shards[b.stripes.Of(a.Loc)]
-		sh.mu.Lock()
-		b.arrivals.Add(1)
-		b.logArrival(&a, nil, false) // nothing to resolve
-		sh.mu.Unlock()
-		return dst, nil
-	}
-
-	// A covering campaign's center is within maxRadius of the arrival, so
-	// only the stripes overlapping that Y-window can hold one. Lock them in
-	// ascending order and hold through commit. Instrumented (m != nil), each
-	// stage of the path is additionally timed into the stage histograms.
-	maxR := b.maxRadius.Load()
-	s0, s1 := b.stripes.Range(a.Loc.Y-maxR, a.Loc.Y+maxR)
-	// One full time.Now() anchors the trace's wall-clock start; every later
-	// boundary is a time.Since delta (a single monotonic-clock read, about
-	// half the cost) off that anchor. elStage is the cumulative elapsed time
-	// at the previous boundary, so stage durations partition [0, elapsed]
-	// exactly and the trace's child spans sum to its root span.
-	timed := m != nil || t != nil
-	var tStart time.Time
-	var elStage time.Duration
-	if timed {
-		tStart = time.Now()
-	}
-	b.lockStripes(s0, s1, m)
-	defer b.unlockStripes(s0, s1)
-	if timed {
-		d := time.Since(tStart)
-		elStage = d
-		if m != nil {
-			m.stageLock.ObserveShard(s0, d.Seconds())
-		}
-		if t != nil {
-			t.Start = tStart
-			t.Staged = true
-			t.StripeLo, t.StripeHi = s0, s1
-			t.Stages[trace.StageLockWait] = d
-		}
-	}
-	if b.wal != nil {
-		// Deferred to inside the stripe locks so the bump is atomic with
-		// the arrival record this path logs before unlocking.
-		b.arrivals.Add(1)
-	}
-
-	// The lowest locked stripe's arena is exclusively ours while the locks
-	// are held (see scanArena's ownership rule), and the auction flag is read
-	// under them (see scan).
-	auction := b.cfg.Slate || b.billing.active.Load()
-	ar := &b.shards[s0].arena
-	dir := b.gatherCandidates(ar, a.Loc, s0, s1)
-	if timed {
-		el := time.Since(tStart)
-		d := el - elStage
-		elStage = el
-		if m != nil {
-			m.stageGather.ObserveShard(s0, d.Seconds())
-		}
-		if t != nil {
-			t.Stages[trace.StageGather] = d
-		}
-	}
-
-	tally := b.scan(ar, &a, dir, auction)
-	if timed {
-		el := time.Since(tStart)
-		d := el - elStage
-		elStage = el
-		if m != nil {
-			m.stageScan.ObserveShard(s0, d.Seconds())
-			m.foldScanTally(&tally)
-		}
-		if t != nil {
-			t.Stages[trace.StageScan] = d
-			t.Scan = tally.counts()
-		}
-	}
-	if len(ar.cands) == 0 {
-		if b.wal != nil {
-			b.logArrival(&a, nil, auction)
-		}
-		if timed {
-			// The commit stage histogram intentionally skips empty arrivals
-			// (nothing was committed), but the trace still closes its commit
-			// span here so the four stages partition the root span exactly.
-			el := time.Since(tStart)
-			b.observeArrival(m, t, s0, el)
-			if t != nil {
-				t.Stages[trace.StageCommit] = el - elStage
-				t.Duration = el
-			}
-		}
-		return dst, nil
-	}
-	n0 := len(dst)
-	dst = b.commit(ar, dst, auction)
-	if b.wal != nil {
-		// Logged after every charge has landed and before the stripe locks
-		// release: the record carries the post-arrival γ bits and exactly
-		// the offers committed.
-		b.logArrival(&a, dst[n0:], auction)
-	}
-	if timed {
-		el := time.Since(tStart)
-		d := el - elStage
-		if m != nil {
-			m.stageCommit.ObserveShard(s0, d.Seconds())
-		}
-		b.observeArrival(m, t, s0, el)
-		if t != nil {
-			t.Stages[trace.StageCommit] = d
-			t.Duration = el
-		}
-	}
-	return dst, nil
-}
-
-// observeArrival feeds the end-to-end latency into the arrival histogram,
-// attaching the trace ID as a candidate exemplar when the arrival is traced
-// so the slowest observation in a scrape window links to its trace.
-func (b *Broker) observeArrival(m *brokerMetrics, t *trace.Trace, lane int, d time.Duration) {
-	if m == nil {
-		return
-	}
-	if t != nil {
-		m.arrival.ObserveShardExemplar(lane, d.Seconds(), t.TraceID.String())
-	} else {
-		m.arrival.ObserveShard(lane, d.Seconds())
 	}
 }
 

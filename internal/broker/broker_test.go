@@ -2,6 +2,7 @@ package broker
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -200,19 +201,81 @@ func TestTopUpExtendsService(t *testing.T) {
 
 func TestArriveValidation(t *testing.T) {
 	b := newTestBroker(t)
-	if _, err := b.Arrive(Arrival{Capacity: -1, ViewProb: 0.5}); err == nil {
-		t.Error("negative capacity must be rejected")
+	nan, inf := math.NaN(), math.Inf(1)
+	ok := Arrival{Loc: geo.Point{X: 0.5, Y: 0.5}, Capacity: 1, ViewProb: 0.5, Interests: []float64{1, 0}, Hour: 12}
+	with := func(edit func(*Arrival)) Arrival {
+		a := ok
+		a.Interests = append([]float64(nil), ok.Interests...)
+		edit(&a)
+		return a
 	}
-	if _, err := b.Arrive(Arrival{Capacity: 1, ViewProb: 1.5}); err == nil {
-		t.Error("view probability above 1 must be rejected")
-	}
-	if _, err := b.Arrive(Arrival{Capacity: 1, ViewProb: math.NaN()}); err == nil {
-		t.Error("NaN view probability must be rejected")
+	for _, tc := range []struct {
+		name string
+		a    Arrival
+		want string // substring of the error; "" = accepted
+	}{
+		{"in range", ok, ""},
+		{"midnight", with(func(a *Arrival) { a.Hour = 0 }), ""},
+		{"end of day", with(func(a *Arrival) { a.Hour = 24 }), ""},
+		{"negative capacity", with(func(a *Arrival) { a.Capacity = -1 }), "capacity"},
+		{"view probability above 1", with(func(a *Arrival) { a.ViewProb = 1.5 }), "view probability"},
+		{"NaN view probability", with(func(a *Arrival) { a.ViewProb = nan }), "view probability"},
+		{"NaN x", with(func(a *Arrival) { a.Loc.X = nan }), "location"},
+		{"infinite y", with(func(a *Arrival) { a.Loc.Y = -inf }), "location"},
+		{"negative hour", with(func(a *Arrival) { a.Hour = -5 }), "hour"},
+		{"hour past the day", with(func(a *Arrival) { a.Hour = 1e9 }), "hour"},
+		{"NaN hour", with(func(a *Arrival) { a.Hour = nan }), "hour"},
+		{"infinite hour", with(func(a *Arrival) { a.Hour = inf }), "hour"},
+		{"NaN interest", with(func(a *Arrival) { a.Interests[1] = nan }), "interest 1"},
+		{"infinite interest", with(func(a *Arrival) { a.Interests[0] = inf }), "interest 0"},
+	} {
+		_, err := b.Arrive(tc.a)
+		_, xerr := b.Explain(tc.a)
+		batched := b.ArriveBatch([]Arrival{ok, tc.a})
+		if batched[0].Err != nil {
+			t.Errorf("%s: valid neighbour rejected: %v", tc.name, batched[0].Err)
+		}
+		for door, got := range map[string]error{"Arrive": err, "Explain": xerr, "ArriveBatch": batched[1].Err} {
+			switch {
+			case tc.want == "" && got != nil:
+				t.Errorf("%s: %s rejected it: %v", tc.name, door, got)
+			case tc.want != "" && (got == nil || !strings.Contains(got.Error(), tc.want)):
+				t.Errorf("%s: %s answered %v, want an error naming %q", tc.name, door, got, tc.want)
+			}
+		}
 	}
 	// Zero capacity is legal and yields no offers.
 	offers, err := b.Arrive(Arrival{Capacity: 0, ViewProb: 0.5})
 	if err != nil || offers != nil {
 		t.Errorf("zero capacity: %v %v", offers, err)
+	}
+}
+
+// TestHourCannotBypassPacing: the daily pacing allowance is Pacing × budget ×
+// hour/24, so a client-supplied hour outside the day (or NaN, which fails
+// every comparison) used to lift the cap entirely. Such arrivals must be
+// refused at the door and spend nothing, where an honest early-morning hour
+// is paced.
+func TestHourCannotBypassPacing(t *testing.T) {
+	b, err := New(Config{AdTypes: workload.DefaultAdTypes(), Pacing: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.RegisterCampaign(geo.Point{X: 0.5, Y: 0.5}, 0.2, 100, []float64{1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	a := Arrival{Loc: geo.Point{X: 0.5, Y: 0.5}, Capacity: 1, ViewProb: 0.9, Interests: []float64{0.9, 0.1}}
+	if offers, err := b.Arrive(a); err != nil || len(offers) != 0 {
+		t.Fatalf("hour 0 has no allowance yet: offers %v, err %v", offers, err)
+	}
+	for _, hour := range []float64{1e9, math.NaN(), math.Inf(1)} {
+		a.Hour = hour
+		if offers, err := b.Arrive(a); err == nil {
+			t.Errorf("hour %g was served %d offers past the pacing cap", hour, len(offers))
+		}
+	}
+	if st := b.Stats(); st.BudgetSpent != 0 || st.Arrivals != 1 {
+		t.Fatalf("rejected arrivals moved state: %+v", st)
 	}
 }
 

@@ -11,11 +11,12 @@
 // O-AFA admission rule over the live campaign state. γ_min is maintained as
 // a running estimate from the efficiencies the broker actually observes
 // (the paper's "estimated through the historical records ... after a period
-// of tuning"). Clients that tolerate a bounded answer delay may submit
-// arrival windows through ArriveBatch, which amortizes locking, clocking
-// and WAL framing across the window while keeping every decision
-// bit-identical to serial submission — pure transport batching, not the
-// look-ahead of core.OnlineBatch (DESIGN.md §14).
+// of tuning"). There is one arrival pipeline and it takes a window: Arrive is
+// its window of one, and clients that tolerate a bounded answer delay submit
+// longer windows through ArriveBatch, which pays locking, clock anchoring and
+// WAL framing once per window while every decision stays bit-identical
+// however the stream is split — pure transport batching, not the look-ahead
+// of core.OnlineBatch (DESIGN.md §14).
 //
 // # Concurrency model
 //

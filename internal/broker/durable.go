@@ -342,16 +342,6 @@ func (b *Broker) logPause(id int32, paused bool) {
 	b.walAppend(bp)
 }
 
-// logArrival records one committed arrival as the n = 1 case of the
-// arrivals record ArriveBatch writes. Called with the arrival's stripe locks
-// still held.
-func (b *Broker) logArrival(a *Arrival, offers []Offer, auction bool) {
-	bp := recPool.Get().(*[]byte)
-	buf := appendArrivalsHeader((*bp)[:0], 1, auction)
-	*bp = b.appendArrivalBody(buf, a, offers)
-	b.walAppend(bp)
-}
-
 // appendArrivalsHeader starts a recArrivals record framing n bodies.
 func appendArrivalsHeader(buf []byte, n int, auction bool) []byte {
 	buf = append(buf, recArrivals)
@@ -380,9 +370,9 @@ func (b *Broker) logConversion(offerID uint64, o openOffer, key string) {
 }
 
 // appendArrivalBody encodes one arrival inside a recArrivals record: the γ
-// bounds as this broker holds them right now (callers encode immediately
-// after the arrival's commit, so a batch element carries the same bits the
-// serial record would), the arriving customer's own features — what offline
+// bounds as this broker holds them right now (the pipeline encodes immediately
+// after the arrival's commit, so the bits are the same however the stream was
+// split into windows), the arriving customer's own features — what offline
 // audit replays into an oracle problem — and every offer charged. Replay
 // folds the bounds with Min/Max, which is exact for a serial history and
 // safe under concurrency because the bounds are monotone — every observation

@@ -478,6 +478,7 @@ func TestServeExplainHTTP(t *testing.T) {
 	wantEnvelope(do("POST", "/v1/debug/explain", "text/plain", good), 415, "unsupported_media_type")
 	wantEnvelope(do("POST", "/v1/debug/explain", "application/json", `{"unknown":1}`), 400, "bad_request")
 	wantEnvelope(do("POST", "/v1/debug/explain", "application/json", `{"capacity":-1,"viewProb":0.5}`), 400, "bad_request")
+	wantEnvelope(do("POST", "/v1/debug/explain", "application/json", `{"capacity":1,"viewProb":0.5,"hour":99}`), 400, "bad_request")
 	wantEnvelope(do("POST", "/v1/debug/explain", "application/json",
 		`{"capacity":1,`+strings.Repeat(" ", 1<<20)+`"viewProb":0.5}`), 413, "payload_too_large")
 

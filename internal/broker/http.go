@@ -377,7 +377,8 @@ func (a *API) postArrival(w http.ResponseWriter, r *http.Request) {
 	if !readBody(w, r, buf) || !decodeArrival(w, buf) {
 		return
 	}
-	offers, err := a.broker.ArriveTraced(buf.arrivals[0], trace.FromContext(r.Context()))
+	offers, err := a.broker.arriveOne(&buf.arrivals[0], trace.FromContext(r.Context()), buf.batch.offers[:0])
+	buf.batch.offers = offers
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return

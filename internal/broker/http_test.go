@@ -166,6 +166,36 @@ func TestHTTPErrors(t *testing.T) {
 		t.Errorf("invalid arrival status %d", resp.StatusCode)
 	}
 	resp.Body.Close()
+
+	// Every client value is bounded at the door: an hour outside the day, and
+	// a coordinate or interest too large for a float64 (JSON has no other way
+	// to spell a non-finite number), are 400s on the single route…
+	for _, body := range []string{
+		`{"loc":{"x":0.5,"y":0.5},"capacity":1,"viewProb":0.5,"hour":99}`,
+		`{"loc":{"x":0.5,"y":0.5},"capacity":1,"viewProb":0.5,"hour":-1}`,
+		`{"loc":{"x":1e999,"y":0.5},"capacity":1,"viewProb":0.5,"hour":12}`,
+		`{"loc":{"x":0.5,"y":0.5},"capacity":1,"viewProb":0.5,"interests":[1,-1e999],"hour":12}`,
+	} {
+		resp, err = http.Post(srv.URL+"/v1/arrivals", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantEnvelope(t, resp, http.StatusBadRequest, "bad_request")
+		// …and on the batch route, where an hour is a per-element rejection
+		// and an unrepresentable number fails the whole body's decode.
+		resp, err = http.Post(srv.URL+"/v1/arrivals:batch", "application/json", strings.NewReader("["+body+"]"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode == http.StatusOK {
+			out := decodeBody[arrivalBatchResponse](t, resp)
+			if len(out.Results) != 1 || out.Results[0].Error == nil || out.Results[0].Error.Code != "bad_request" {
+				t.Errorf("batch element %s not rejected: %+v", body, out.Results)
+			}
+			continue
+		}
+		wantEnvelope(t, resp, http.StatusBadRequest, "bad_request")
+	}
 }
 
 func TestHTTPConcurrentArrivals(t *testing.T) {

@@ -4,9 +4,9 @@ package broker
 //
 //	gather → terms → walk → resolve (trim | slots) → commit
 //
-// Serving (arrive, arriveBatch) and Explain run the same stages over a
-// scanArena; they differ only in whose arena it is, where the γ-state goes
-// afterwards, and how much the kernel is asked to write down:
+// Serving (arriveBatch, the one arrival pipeline) and Explain run the same
+// stages over a scanArena; they differ only in whose arena it is, where the
+// γ-state goes afterwards, and how much the kernel is asked to write down:
 //
 //  1. gatherCandidates: grid probes into ar.ids, sorted ascending — the
 //     global scan order.

@@ -4,28 +4,29 @@ import (
 	"strconv"
 
 	"muaa/internal/obs"
+	"muaa/internal/trace"
 )
 
 // brokerMetrics holds the broker's registered instruments. It is built once
 // in New when Config.Metrics is set and never mutated afterwards, so the
 // hot path reads it without synchronization; a nil *brokerMetrics means the
-// broker runs uninstrumented and Arrive takes no clock readings at all.
+// broker runs uninstrumented and an untraced arrival takes no clock readings
+// at all.
 //
 // Instrumentation is observation-only by construction: nothing in this file
 // feeds back into admission decisions, which is what keeps the golden
 // replay transcripts byte-identical with metrics on (asserted by
 // TestReplayMatchesGoldenInstrumented).
 type brokerMetrics struct {
-	// End-to-end and per-stage Arrive latency. Stages partition the arrival
-	// path: lock_wait (acquiring the stripe interval), gather (grid queries
-	// + candidate ordering), scan (the O-AFA threshold pass), commit
-	// (charging accepted offers). Zero-capacity arrivals and rejected
-	// requests never enter the pipeline and are not observed.
-	arrival     *obs.Histogram
-	stageLock   *obs.Histogram
-	stageGather *obs.Histogram
-	stageScan   *obs.Histogram
-	stageCommit *obs.Histogram
+	// End-to-end latency of a single submission, and the four stage spans of
+	// every pipeline call (arriveBatch), single or batch, indexed like
+	// trace.StageNames: lock_wait (acquiring the stripe interval), gather (Σ
+	// grid queries + candidate ordering), scan (Σ score, threshold walk, slot
+	// resolve and charge), commit (the one WAL append). Each call that accepts
+	// at least one arrival observes all four exactly once; a call whose every
+	// element was rejected never takes a lock and observes nothing.
+	arrival *obs.Histogram
+	stages  [trace.NumStages]*obs.Histogram
 
 	// Per-stripe lock traffic: stripeLocks[i] counts acquisitions of stripe
 	// i's lock by arrivals; stripeContended[i] counts the subset where the
@@ -49,10 +50,10 @@ type brokerMetrics struct {
 	exhaustedEvents *obs.Counter
 	offersByType    []*obs.Counter // indexed like cfg.AdTypes
 
-	// Batch ingestion: arrivals per ArriveBatch call (validation rejects
-	// excluded) and the call's end-to-end latency. Per-arrival work inside a
-	// batch still feeds the scan/commit counters above; the per-arrival
-	// latency histogram is not observed (a batch takes one clock anchor).
+	// Batch submission: arrivals per ArriveBatch call (validation rejects
+	// excluded) and the call's end-to-end latency — what arrival is to a
+	// single submission. The stage histograms and scan counters above are fed
+	// by the pipeline itself, whichever way the window was submitted.
 	batchSize    *obs.Histogram
 	batchSeconds *obs.Histogram
 }
@@ -89,20 +90,8 @@ func (m *brokerMetrics) foldScanTally(t *scanTally) {
 func newBrokerMetrics(reg *obs.Registry, b *Broker) *brokerMetrics {
 	m := &brokerMetrics{
 		arrival: reg.NewHistogram("muaa_broker_arrival_seconds",
-			"End-to-end latency of Broker.Arrive, from stripe-lock acquisition through commit.",
+			"End-to-end latency of one single-arrival submission (Arrive, POST /v1/arrivals), lock wait through WAL append.",
 			arrivalBuckets),
-		stageLock: reg.NewHistogram("muaa_broker_arrival_stage_seconds",
-			"Latency of one stage of the arrival path.",
-			stageBuckets, obs.L("stage", "lock_wait")),
-		stageGather: reg.NewHistogram("muaa_broker_arrival_stage_seconds",
-			"Latency of one stage of the arrival path.",
-			stageBuckets, obs.L("stage", "gather")),
-		stageScan: reg.NewHistogram("muaa_broker_arrival_stage_seconds",
-			"Latency of one stage of the arrival path.",
-			stageBuckets, obs.L("stage", "scan")),
-		stageCommit: reg.NewHistogram("muaa_broker_arrival_stage_seconds",
-			"Latency of one stage of the arrival path.",
-			stageBuckets, obs.L("stage", "commit")),
 		scanOffered: reg.NewCounter("muaa_broker_scan_outcomes_total",
 			"Candidate campaigns examined by the O-AFA scan, by outcome.",
 			obs.L("outcome", "offered")),
@@ -130,7 +119,7 @@ func newBrokerMetrics(reg *obs.Registry, b *Broker) *brokerMetrics {
 		capacityTrimmed: reg.NewCounter("muaa_broker_capacity_trimmed_total",
 			"Admitted candidates dropped because the arrival's capacity was smaller."),
 		arrivalErrors: reg.NewCounter("muaa_broker_arrival_errors_total",
-			"Arrivals rejected before admission (invalid capacity or view probability)."),
+			"Arrivals rejected at validation (capacity, view probability, location, hour or interests out of bounds)."),
 		topUps: reg.NewCounter("muaa_broker_topups_total",
 			"Successful campaign budget top-ups."),
 		exhaustedEvents: reg.NewCounter("muaa_broker_campaign_exhausted_total",
@@ -141,6 +130,11 @@ func newBrokerMetrics(reg *obs.Registry, b *Broker) *brokerMetrics {
 		batchSeconds: reg.NewHistogram("muaa_broker_batch_seconds",
 			"End-to-end latency of one ArriveBatch call, lock wait through WAL append.",
 			arrivalBuckets),
+	}
+	for s, name := range trace.StageNames {
+		m.stages[s] = reg.NewHistogram("muaa_broker_arrival_stage_seconds",
+			"Latency of one stage of one arrival-pipeline call, single or batch; every call observes all four stages.",
+			stageBuckets, obs.L("stage", name))
 	}
 	for i := range b.shards {
 		stripe := obs.L("stripe", strconv.Itoa(i))

@@ -121,6 +121,22 @@ func TestBrokerMetricsScrape(t *testing.T) {
 	if q := snap.Quantile(0.99); math.IsNaN(q) || q <= 0 {
 		t.Fatalf("p99 arrival latency = %g", q)
 	}
+	// One stage accounting: every pipeline call that accepted an arrival
+	// observes all four stages exactly once — here one call per arrival, so
+	// each stage counts what the arrival histogram counts, commit included
+	// whether or not the arrival committed anything.
+	for _, stage := range []string{"lock_wait", "gather", "scan", "commit"} {
+		sh := reg.FindHistogram("muaa_broker_arrival_stage_seconds", obs.L("stage", stage))
+		if sh == nil {
+			t.Fatalf("stage %q histogram not registered", stage)
+		}
+		if got := sh.Snapshot().Count; got != uint64(st.Arrivals) {
+			t.Errorf("stage %q observed %d times, want one per pipeline call (%d)", stage, got, st.Arrivals)
+		}
+	}
+	if snap.Count != uint64(st.Arrivals) {
+		t.Errorf("arrival histogram count %d, want one per single submission (%d)", snap.Count, st.Arrivals)
+	}
 	if !strings.Contains(body, "muaa_broker_offers_pushed_total "+strconv.FormatInt(st.OffersPushed, 10)) {
 		t.Errorf("offers_pushed_total does not match Stats.OffersPushed = %d", st.OffersPushed)
 	}

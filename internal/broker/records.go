@@ -76,9 +76,9 @@ type DecodedRecord struct {
 	Charge   float64
 	EventKey string
 
-	// RecordArrivals payload: one or more arrivals in processing order (one
-	// for a serial Arrive, the accepted window for an ArriveBatch), and
-	// whether they were auction-resolved.
+	// RecordArrivals payload: the accepted arrivals of one pipeline call in
+	// processing order (one for an Arrive, the window for an ArriveBatch),
+	// and whether they were auction-resolved.
 	Auction  bool
 	Arrivals []ArrivalRecord
 

@@ -216,3 +216,23 @@ func TestArrivalExemplar(t *testing.T) {
 		t.Fatal("exemplar survived the scrape window")
 	}
 }
+
+// TestArriveTracedAllocs pins the traced single submission's allocation
+// budget: the one trace.Trace the flight recorder retains, and nothing else —
+// the window of one and its result stay on the caller's frame.
+func TestArriveTracedAllocs(t *testing.T) {
+	rec := trace.NewRecorder(trace.RecorderOptions{})
+	b := tracedBroker(t, rec, nil)
+	// Far from every campaign: no offers, so the nil result buffer never grows
+	// and the count is the tracing overhead alone.
+	a := Arrival{Loc: geo.Point{X: 0.99, Y: 0.01}, Capacity: 1, ViewProb: 0.5,
+		Interests: []float64{1, 0, 1}, Hour: 1}
+	req := newTraceReq()
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, err := b.ArriveTraced(a, req); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Fatalf("traced arrival allocates %v times per call, want at most 1 (the retained trace)", allocs)
+	}
+}

@@ -8,11 +8,14 @@
 // Each traced request carries a Request context — a W3C trace ID honored
 // from an incoming `traceparent` header or minted fresh, plus the span ID
 // this process assigned to the request. The broker cuts one Trace per
-// arrival: a root span covering Arrive end to end and four child spans
-// (lock_wait, gather, scan, commit) derived from the same clock reads the
-// stage latency histograms use — tracing adds no second round of clock
-// reads to the hot path, and with tracing disabled (a nil Recorder) the
-// broker pays a single pointer check.
+// submission — an "arrival", or an "arrival_batch" for a window: a root span
+// covering the pipeline call end to end and four child spans with one meaning
+// at every window size — lock_wait (the stripe-interval acquisition), gather
+// (Σ grid probes), scan (Σ score, walk, resolve and charge), commit (the one
+// WAL append) — derived from the same clock reads the stage latency
+// histograms use. Tracing adds no second round of clock reads to the hot
+// path, and with tracing disabled (a nil Recorder) the broker pays a single
+// pointer check.
 //
 // # Flight recorder
 //

@@ -7,12 +7,13 @@ import (
 
 // Stage indices into Trace.Stages. They mirror the broker's arrival-path
 // stage histogram: the four phases partition the root span end to end, so
-// the child spans sum exactly to the root duration.
+// the child spans sum exactly to the root duration. Gather and scan alternate
+// once per arrival; each is reported as its sum over the window.
 const (
-	StageLockWait = iota // acquiring the stripe locks covering the arrival
-	StageGather          // grid probe + candidate gather under locks
-	StageScan            // scoring scan over the candidate set
-	StageCommit          // budget commit + offer accounting
+	StageLockWait = iota // acquiring the stripe locks covering the window
+	StageGather          // Σ grid probe + candidate ordering under locks
+	StageScan            // Σ score, threshold walk, slot resolve and charge
+	StageCommit          // the one WAL append (next to nothing in memory)
 	NumStages
 )
 
@@ -99,9 +100,9 @@ type Trace struct {
 
 	// Batch is the number of arrivals submitted in an ArriveBatch call; zero
 	// for a single-arrival trace. A batch trace's root span is named
-	// "arrival_batch", its stage spans time the whole batch (one clock
-	// anchor), and BatchOutcomes carries one entry per submitted arrival in
-	// submission order.
+	// "arrival_batch", its stage spans mean what a single arrival's do (gather
+	// and scan summed over the window), and BatchOutcomes carries one entry
+	// per submitted arrival in submission order.
 	Batch         int
 	BatchOutcomes []BatchOutcome
 }
@@ -152,7 +153,9 @@ type wireTrace struct {
 
 // MarshalJSON renders the trace in the /v1/debug/traces schema: hex IDs, a
 // root "arrival" (or "arrival_batch") span, and child spans whose start
-// offsets are cumulative from the root start (the stages run back to back).
+// offsets are cumulative from the root start — the stages run back to back
+// for one arrival; for a window, gather and scan are each drawn as one span
+// of their summed length.
 func (t *Trace) MarshalJSON() ([]byte, error) {
 	name := "arrival"
 	if t.Batch > 0 {
