@@ -17,7 +17,6 @@ import (
 	"muaa/internal/broker"
 	"muaa/internal/core"
 	"muaa/internal/experiment"
-	"muaa/internal/stream"
 	"muaa/internal/trace"
 	"muaa/internal/wal"
 	"muaa/internal/workload"
@@ -148,10 +147,9 @@ func BenchmarkOnlineArrival(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	events := stream.FromProblem(p).Events()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sess.Arrive(events[i%len(events)].Customer)
+		sess.Arrive(int32(i % len(p.Customers)))
 	}
 }
 
@@ -195,32 +193,24 @@ func BenchmarkIndexAblation(b *testing.B) {
 	}
 }
 
-// benchBroker builds a broker pre-loaded with a deterministic campaign set
-// and returns it with the mixed op stream to replay against it.
-func benchBroker(b *testing.B) (*broker.Broker, []workload.BrokerOp) {
-	return benchBrokerDir(b, "")
-}
-
-// benchBrokerDir is the durable variant: a non-empty dataDir boots the
-// broker with its write-ahead log in buffered mode (group-commit write() to
-// the OS; no per-batch fsync) so the WAL benchmarks measure the logging
-// cost itself rather than the device's fsync latency — cmd/muaa-bench
-// -exp wal reports the fsync arm alongside.
-func benchBrokerDir(b *testing.B, dataDir string) (*broker.Broker, []workload.BrokerOp) {
+// benchFleet builds the broker cfg describes (AdTypes filled in), registers
+// the load's deterministic campaign set and returns it with the op stream to
+// replay against it. These broker benchmarks are the in-process developer
+// loop; what a client sees through the socket, layer by layer, is
+// `go run -C bench . -trace 1` (bench/README.md). A durable cfg (DataDir
+// set) is closed when the benchmark ends.
+func benchFleet(b *testing.B, cfg broker.Config, load workload.BrokerLoadConfig) (*broker.Broker, []workload.BrokerOp) {
 	b.Helper()
-	specs, ops, err := workload.BrokerLoad(workload.DefaultBrokerLoadConfig(256, 8192, 42))
+	specs, ops, err := workload.BrokerLoad(load)
 	if err != nil {
 		b.Fatal(err)
 	}
-	br, err := broker.New(broker.Config{
-		AdTypes: workload.DefaultAdTypes(),
-		DataDir: dataDir,
-		WAL:     wal.Options{Sync: wal.SyncNone},
-	})
+	cfg.AdTypes = workload.DefaultAdTypes()
+	br, err := broker.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if dataDir != "" {
+	if cfg.DataDir != "" {
 		b.Cleanup(func() {
 			if err := br.Close(); err != nil {
 				b.Error(err)
@@ -235,13 +225,33 @@ func benchBrokerDir(b *testing.B, dataDir string) (*broker.Broker, []workload.Br
 	return br, ops
 }
 
+// mixedLoad is the default op mix (90% arrivals, the rest top-ups, pauses and
+// reads); arrivalLoad is pure arrivals, so the batch benchmarks sweep window
+// size without mixed ops breaking windows.
+var (
+	mixedLoad   = workload.DefaultBrokerLoadConfig(256, 8192, 42)
+	arrivalLoad = workload.ArrivalBrokerLoadConfig(256, 8192, 42)
+)
+
+// benchWAL is the durable configuration: the write-ahead log in buffered
+// mode (group-commit write() to the OS; no per-batch fsync), so the WAL
+// benchmarks measure the logging cost itself rather than the device's fsync
+// latency — the ladder's wal.fsync_ns prices the fsync arm.
+func benchWAL(b *testing.B) broker.Config {
+	return broker.Config{DataDir: b.TempDir(), WAL: wal.Options{Sync: wal.SyncNone}}
+}
+
+func arrivalOf(op workload.BrokerOp) broker.Arrival {
+	return broker.Arrival{
+		Loc: op.Loc, Capacity: op.Capacity, ViewProb: op.ViewProb,
+		Interests: op.Interests, Hour: op.Hour,
+	}
+}
+
 func applyBrokerOp(br *broker.Broker, op workload.BrokerOp) error {
 	switch op.Kind {
 	case workload.OpArrival:
-		_, err := br.Arrive(broker.Arrival{
-			Loc: op.Loc, Capacity: op.Capacity, ViewProb: op.ViewProb,
-			Interests: op.Interests, Hour: op.Hour,
-		})
+		_, err := br.Arrive(arrivalOf(op))
 		return err
 	case workload.OpTopUp:
 		return br.TopUp(op.Campaign, op.Amount)
@@ -256,10 +266,9 @@ func applyBrokerOp(br *broker.Broker, op workload.BrokerOp) error {
 // BenchmarkBrokerParallelArrivals drives mixed arrival/top-up/stats traffic
 // through one broker from GOMAXPROCS goroutines (b.RunParallel). Compare
 // against BenchmarkBrokerSerialArrivals across -cpu values for the scaling
-// curve of the sharded serving path; cmd/muaa-bench -exp broker prints the
-// same sweep as a table.
+// curve of the sharded serving path.
 func BenchmarkBrokerParallelArrivals(b *testing.B) {
-	br, ops := benchBroker(b)
+	br, ops := benchFleet(b, broker.Config{}, mixedLoad)
 	var next atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -275,7 +284,7 @@ func BenchmarkBrokerParallelArrivals(b *testing.B) {
 // BenchmarkBrokerSerialArrivals is the single-goroutine baseline for the
 // parallel benchmark above.
 func BenchmarkBrokerSerialArrivals(b *testing.B) {
-	br, ops := benchBroker(b)
+	br, ops := benchFleet(b, broker.Config{}, mixedLoad)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := applyBrokerOp(br, ops[i%len(ops)]); err != nil {
@@ -290,31 +299,13 @@ func BenchmarkBrokerSerialArrivals(b *testing.B) {
 // classification and the lock-free recorder write. The delta against
 // BenchmarkBrokerSerialArrivals is the full tracing tax.
 func BenchmarkBrokerSerialArrivalsTraced(b *testing.B) {
-	specs, ops, err := workload.BrokerLoad(workload.DefaultBrokerLoadConfig(256, 8192, 42))
-	if err != nil {
-		b.Fatal(err)
-	}
-	br, err := broker.New(broker.Config{
-		AdTypes: workload.DefaultAdTypes(),
-		Tracer:  trace.NewRecorder(trace.RecorderOptions{}),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, c := range specs {
-		if _, err := br.RegisterCampaign(c.Loc, c.Radius, c.Budget, c.Tags); err != nil {
-			b.Fatal(err)
-		}
-	}
+	br, ops := benchFleet(b, broker.Config{Tracer: trace.NewRecorder(trace.RecorderOptions{})}, mixedLoad)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		op := ops[i%len(ops)]
 		if op.Kind == workload.OpArrival {
 			req := trace.StartRequest("")
-			if _, err := br.ArriveTraced(broker.Arrival{
-				Loc: op.Loc, Capacity: op.Capacity, ViewProb: op.ViewProb,
-				Interests: op.Interests, Hour: op.Hour,
-			}, &req); err != nil {
+			if _, err := br.ArriveTraced(arrivalOf(op), &req); err != nil {
 				b.Fatal(err)
 			}
 			continue
@@ -331,22 +322,7 @@ func BenchmarkBrokerSerialArrivalsTraced(b *testing.B) {
 // delta against BenchmarkBrokerSerialArrivals is the attribution tax, which
 // must stay within noise of free (a handful of atomic adds per arrival).
 func BenchmarkBrokerSerialArrivalsFunnel(b *testing.B) {
-	specs, ops, err := workload.BrokerLoad(workload.DefaultBrokerLoadConfig(256, 8192, 42))
-	if err != nil {
-		b.Fatal(err)
-	}
-	br, err := broker.New(broker.Config{
-		AdTypes: workload.DefaultAdTypes(),
-		Funnel:  broker.FunnelConfig{Enabled: true},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, c := range specs {
-		if _, err := br.RegisterCampaign(c.Loc, c.Radius, c.Budget, c.Tags); err != nil {
-			b.Fatal(err)
-		}
-	}
+	br, ops := benchFleet(b, broker.Config{Funnel: broker.FunnelConfig{Enabled: true}}, mixedLoad)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := applyBrokerOp(br, ops[i%len(ops)]); err != nil {
@@ -358,9 +334,9 @@ func BenchmarkBrokerSerialArrivalsFunnel(b *testing.B) {
 // BenchmarkBrokerSerialArrivalsWAL replays the same serial stream through a
 // durable broker (buffered group-commit WAL, default fsync-on-flush) — the
 // delta against BenchmarkBrokerSerialArrivals is the per-op durability
-// cost; cmd/muaa-bench -exp wal prints the interleaved A/B as a table.
+// cost (the ladder's wal.append_ns, measured in-process).
 func BenchmarkBrokerSerialArrivalsWAL(b *testing.B) {
-	br, ops := benchBrokerDir(b, b.TempDir())
+	br, ops := benchFleet(b, benchWAL(b), mixedLoad)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := applyBrokerOp(br, ops[i%len(ops)]); err != nil {
@@ -374,7 +350,7 @@ func BenchmarkBrokerSerialArrivalsWAL(b *testing.B) {
 // goroutine is inside the fsync, so the parallel overhead should stay close
 // to the serial one.
 func BenchmarkBrokerParallelArrivalsWAL(b *testing.B) {
-	br, ops := benchBrokerDir(b, b.TempDir())
+	br, ops := benchFleet(b, benchWAL(b), mixedLoad)
 	var next atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -387,30 +363,14 @@ func BenchmarkBrokerParallelArrivalsWAL(b *testing.B) {
 	})
 }
 
-// benchArrivalBroker builds a broker with a pure-arrival stream: every op is
-// batchable, so the batch benchmarks below sweep window size without mixed
-// ops breaking windows.
+// benchArrivalBroker is benchFleet on the pure-arrival stream, ops already
+// converted to arrivals.
 func benchArrivalBroker(b *testing.B) (*broker.Broker, []broker.Arrival) {
 	b.Helper()
-	specs, ops, err := workload.BrokerLoad(workload.ArrivalBrokerLoadConfig(256, 8192, 42))
-	if err != nil {
-		b.Fatal(err)
-	}
-	br, err := broker.New(broker.Config{AdTypes: workload.DefaultAdTypes()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, c := range specs {
-		if _, err := br.RegisterCampaign(c.Loc, c.Radius, c.Budget, c.Tags); err != nil {
-			b.Fatal(err)
-		}
-	}
+	br, ops := benchFleet(b, broker.Config{}, arrivalLoad)
 	arrivals := make([]broker.Arrival, len(ops))
 	for i, op := range ops {
-		arrivals[i] = broker.Arrival{
-			Loc: op.Loc, Capacity: op.Capacity, ViewProb: op.ViewProb,
-			Interests: op.Interests, Hour: op.Hour,
-		}
+		arrivals[i] = arrivalOf(op)
 	}
 	return br, arrivals
 }
@@ -436,7 +396,6 @@ func BenchmarkBrokerArriveAppend(b *testing.B) {
 // BenchmarkBrokerArriveBatch sweeps the batch window: ns/op is per arrival,
 // so the ratio of window=1 to window=64+ is the amortization of the
 // per-batch fixed costs (lock acquisition, clock anchor, WAL framing).
-// cmd/muaa-bench -exp broker records the same sweep into BENCH_broker.json.
 func BenchmarkBrokerArriveBatch(b *testing.B) {
 	for _, window := range []int{1, 8, 64, 256} {
 		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {

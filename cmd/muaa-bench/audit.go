@@ -130,3 +130,22 @@ func dirBytes(dir string) (int64, error) {
 	})
 	return total, err
 }
+
+// applyOp replays one op of the mixed stream through the broker.
+func applyOp(b *broker.Broker, op workload.BrokerOp) error {
+	switch op.Kind {
+	case workload.OpArrival:
+		_, err := b.Arrive(broker.Arrival{
+			Loc: op.Loc, Capacity: op.Capacity, ViewProb: op.ViewProb,
+			Interests: op.Interests, Hour: op.Hour,
+		})
+		return err
+	case workload.OpTopUp:
+		return b.TopUp(op.Campaign, op.Amount)
+	case workload.OpPause:
+		return b.SetPaused(op.Campaign, op.Paused)
+	default:
+		b.Stats()
+		return nil
+	}
+}

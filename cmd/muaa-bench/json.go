@@ -1,8 +1,8 @@
 package main
 
-// The -json flag: machine-readable results for the perf experiments
-// (-exp broker, -exp wal, -exp audit), so successive runs can be committed
-// (the BENCH_*.json trajectory) and diffed by tooling instead of by eye.
+// The -json flag: machine-readable results for the two quality studies
+// (-exp audit, -exp pacing), so a run can be committed (BENCH_audit.json,
+// BENCH_pacing.json) and held to the code by a test instead of by eye.
 
 import (
 	"encoding/json"
@@ -28,25 +28,13 @@ type benchDoc struct {
 	Points     []benchPoint `json:"points"`
 }
 
-// benchPoint is one row of a sweep. The broker scaling sweep fills the
-// goroutines/throughput/quantile fields; the WAL A/B fills the
-// mean/best/overhead fields. ns_per_op is common to both.
+// benchPoint is one row of a sweep. ns_per_op, greedy_ms and recon_ms are
+// wall-clock; every other field is a pure function of (scale, seed).
 type benchPoint struct {
-	Series     string `json:"series"` // "broker_scaling" | "broker_batch" | "broker_slate" | "obs_sample" | "wal_overhead" | "audit_replay"
-	Label      string `json:"label"`
-	Goroutines int    `json:"goroutines,omitempty"`
-	BatchSize  int    `json:"batch_size,omitempty"`
-	// Capacity is the per-arrival slot count a_i of a broker_slate arm.
-	Capacity    int     `json:"capacity,omitempty"`
-	Ops         int     `json:"ops"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	OpsPerSec   float64 `json:"ops_per_sec,omitempty"`
-	Speedup     float64 `json:"speedup,omitempty"`
-	P50Us       float64 `json:"p50_us,omitempty"`
-	P95Us       float64 `json:"p95_us,omitempty"`
-	P99Us       float64 `json:"p99_us,omitempty"`
-	BestNsPerOp float64 `json:"best_ns_per_op,omitempty"`
-	OverheadPct float64 `json:"overhead_pct,omitempty"`
+	Series  string  `json:"series"` // "audit_replay" | "pacing_off" | "pacing_on"
+	Label   string  `json:"label"`
+	Ops     int     `json:"ops"`
+	NsPerOp float64 `json:"ns_per_op"`
 
 	// The audit replay sweep (-exp audit) fills these.
 	WALBytes       int64   `json:"wal_bytes,omitempty"`

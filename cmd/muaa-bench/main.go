@@ -14,26 +14,9 @@
 // backend ablation), a4 (ratio study), a5 (safe regions), a6 (micro-batch
 // windows), a7 (day-over-day tuning), all.
 //
-// Beyond the paper, `-exp broker` sweeps goroutine counts over the sharded
-// live broker and prints its throughput scaling curve (-workers caps the
-// sweep; see DESIGN.md's concurrency model section):
-//
-//	muaa-bench -exp broker -scale 0.1 -workers 8
-//
-// `-exp slate` prices the slate scan: an interleaved A/B of the legacy
-// serial scan against the forced slate path at slot capacities a_i ∈
-// {1, 2, 4} on a pure-arrival fixed-cost stream (the a_i = 1 arm measures
-// pure slot-fill overhead on the workload where both paths decide
-// identically; it also runs as the tail of -exp broker, so BENCH_broker.json
-// carries the series):
-//
-//	muaa-bench -exp slate -scale 0.1 -json slate.json
-//
-// `-exp wal` measures the durability tax: an interleaved A/B of the serial
-// broker hot path with the write-ahead log off and on (-repeats sets the
-// round count):
-//
-//	muaa-bench -exp wal -scale 0.1 -repeats 5
+// Beyond the paper's tables there are two quality studies of the live
+// broker. Neither is a speed benchmark: what the serving path costs, end to
+// end and layer by layer, is `go run -C bench .` (bench/README.md).
 //
 // `-exp audit` times the offline quality audit (muaa-audit's replay path)
 // against the WAL size it reads, greedy oracle vs RECON, at three stream
@@ -48,12 +31,10 @@
 //
 //	muaa-bench -exp pacing -scale 0.05 -json BENCH_pacing.json
 //
-// The perf experiments accept `-json out.json` to additionally write the
-// results in the stable muaa-bench/1 schema (ns/op, latency quantiles,
-// config, git SHA, timestamp) — the format the committed BENCH_*.json
-// trajectory files use:
-//
-//	muaa-bench -exp broker -scale 0.05 -json BENCH_broker.json
+// Both accept `-json out.json` to additionally write the results in the
+// stable muaa-bench/1 schema (config, git SHA, timestamp, one point per
+// row) — the format of the committed BENCH_audit.json and BENCH_pacing.json,
+// which TestCommittedQualityFilesMatchHead holds to the code.
 //
 // -scale shrinks entity counts for quick runs; 1.0 reproduces the paper's
 // sizes (m = 10,000 / n = 500 defaults; fig7 up to m = 100,000). -repeats N
@@ -73,7 +54,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment id: e1, fig3..fig8, a1..a8, all")
+		exp     = flag.String("exp", "all", "experiment id: e1, fig3..fig8, a1..a8, all, audit, pacing")
 		scale   = flag.Float64("scale", 1.0, "entity-count scale factor in (0,1]")
 		csv     = flag.Bool("csv", false, "emit CSV instead of text tables")
 		chart   = flag.Bool("chart", false, "render utility panels as terminal bar charts")
@@ -81,7 +62,7 @@ func main() {
 		workers = flag.Int("workers", 0, "sweep parallelism (0 = GOMAXPROCS)")
 		repeats = flag.Int("repeats", 1, "replicate each sweep under N seeds and report means")
 		seed    = flag.Int64("seed", 42, "master random seed")
-		jsonOut = flag.String("json", "", "also write machine-readable results to this path (-exp broker/wal only)")
+		jsonOut = flag.String("json", "", "also write machine-readable results to this path (-exp audit and -exp pacing)")
 		version = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
@@ -99,11 +80,9 @@ func run(w io.Writer, exp string, scale float64, csv, chart, md bool, workers, r
 	if scale <= 0 || scale > 1 {
 		return fmt.Errorf("scale %g outside (0,1]", scale)
 	}
-	isBroker, isWAL := strings.EqualFold(exp, "broker"), strings.EqualFold(exp, "wal")
 	isAudit, isPacing := strings.EqualFold(exp, "audit"), strings.EqualFold(exp, "pacing")
-	isSlate := strings.EqualFold(exp, "slate")
-	if jsonOut != "" && !isBroker && !isWAL && !isAudit && !isPacing && !isSlate {
-		return fmt.Errorf("-json is supported for -exp broker, -exp wal, -exp audit, -exp pacing and -exp slate only")
+	if jsonOut != "" && !isAudit && !isPacing {
+		return fmt.Errorf("-json is supported for -exp audit and -exp pacing only")
 	}
 	st := experiment.DefaultSettings()
 	st.Seed = seed
@@ -128,7 +107,7 @@ func run(w io.Writer, exp string, scale float64, csv, chart, md bool, workers, r
 	case md:
 		format = experiment.MarkdownFormat
 	}
-	if isBroker || isWAL || isAudit || isPacing || isSlate {
+	if isAudit || isPacing {
 		if chart || md {
 			return fmt.Errorf("-exp %s supports text and -csv output only", strings.ToLower(exp))
 		}
@@ -137,16 +116,9 @@ func run(w io.Writer, exp string, scale float64, csv, chart, md bool, workers, r
 			doc = newBenchDoc(strings.ToLower(exp), scale, seed)
 		}
 		var err error
-		switch {
-		case isBroker:
-			err = runBrokerScaling(w, scale, workers, seed, csv, doc)
-		case isSlate:
-			err = runBrokerSlate(w, scale, seed, csv, doc)
-		case isWAL:
-			err = runWALOverhead(w, scale, seed, csv, repeats, doc)
-		case isPacing:
+		if isPacing {
 			err = runPacing(w, scale, seed, csv, doc)
-		default:
+		} else {
 			err = runAuditReplay(w, scale, seed, csv, workers, doc)
 		}
 		if err != nil {

@@ -312,11 +312,17 @@ func (a *app) shutdown(ctx context.Context) error {
 func (a *app) serveAPI(w http.ResponseWriter, r *http.Request) {
 	api := a.api.Load()
 	if api == nil {
-		w.Header().Set("Retry-After", "1")
-		broker.WriteError(w, http.StatusServiceUnavailable, "unavailable", "recovery in progress")
+		unavailable(w)
 		return
 	}
 	api.ServeHTTP(w, r)
+}
+
+// unavailable is the one recovery-gate reply: 503 with Retry-After and the
+// uniform error envelope, from every listener, until boot stores the API.
+func unavailable(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", "1")
+	broker.WriteError(w, http.StatusServiceUnavailable, "unavailable", "recovery in progress")
 }
 
 // getOnly rejects non-GET methods with the enveloped 405 the rest of the
@@ -341,8 +347,7 @@ func (a *app) serveMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (a *app) serveHealthz(w http.ResponseWriter, r *http.Request) {
 	if a.api.Load() == nil {
-		w.Header().Set("Retry-After", "1")
-		broker.WriteError(w, http.StatusServiceUnavailable, "unavailable", "recovery in progress")
+		unavailable(w)
 		return
 	}
 	broker.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
@@ -407,12 +412,12 @@ func (a *app) newDebugServer(addr string) *http.Server {
 // gateRecovery holds a debug endpoint behind the WAL-recovery gate: until
 // boot stores the API pointer, it answers the same 503 `unavailable`
 // envelope as the serving mux, so scrapers and dashboards back off
-// uniformly.
+// uniformly. boot stores a.b before a.api, so a handler behind the gate
+// reads a.b without a nil check.
 func (a *app) gateRecovery(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if a.api.Load() == nil {
-			w.Header().Set("Retry-After", "1")
-			broker.WriteError(w, http.StatusServiceUnavailable, "unavailable", "recovery in progress")
+			unavailable(w)
 			return
 		}
 		h.ServeHTTP(w, r)
@@ -436,11 +441,6 @@ func (a *app) serveDebugAudit(w http.ResponseWriter, r *http.Request) {
 		refresh = v
 	}
 	b := a.b.Load()
-	if b == nil {
-		w.Header().Set("Retry-After", "1")
-		broker.WriteError(w, http.StatusServiceUnavailable, "unavailable", "recovery in progress")
-		return
-	}
 	rep := b.AuditReport()
 	if refresh || rep == nil {
 		var err error
@@ -469,26 +469,14 @@ func (a *app) serveDebugAudit(w http.ResponseWriter, r *http.Request) {
 // arrival (POST /v1/debug/explain, /v1/arrivals request schema). Method
 // dispatch, decoding and the error envelope live in the broker handler.
 func (a *app) serveDebugExplain(w http.ResponseWriter, r *http.Request) {
-	b := a.b.Load()
-	if b == nil {
-		w.Header().Set("Retry-After", "1")
-		broker.WriteError(w, http.StatusServiceUnavailable, "unavailable", "recovery in progress")
-		return
-	}
-	b.ServeExplain(w, r)
+	a.b.Load().ServeExplain(w, r)
 }
 
 // serveDebugFunnel returns one campaign's decision-funnel counters
 // (GET /v1/debug/campaigns/{id}/funnel); 404 funnel_disabled when the broker
 // runs without -funnel.
 func (a *app) serveDebugFunnel(w http.ResponseWriter, r *http.Request) {
-	b := a.b.Load()
-	if b == nil {
-		w.Header().Set("Retry-After", "1")
-		broker.WriteError(w, http.StatusServiceUnavailable, "unavailable", "recovery in progress")
-		return
-	}
-	b.ServeCampaignFunnel(w, r)
+	a.b.Load().ServeCampaignFunnel(w, r)
 }
 
 // startDebug launches the debug listener in the background. A listener

@@ -797,8 +797,11 @@ func TestDebugTimeseriesAndSLOServe(t *testing.T) {
 }
 
 // TestDebugDisabledSubsystems pins the 404 envelopes when a debug subsystem
-// is turned off by flags, and the constructor error for -slo without the
-// sampler it depends on.
+// is turned off by flags, the constructor error for -slo without the
+// sampler it depends on, and — with the subsystems on — that the 400/405
+// replies the three handlers write themselves are the serving API's error
+// envelope: same struct, same two headers (obs.WriteError is the one writer;
+// TestJSONContentType pins the serving side).
 func TestDebugDisabledSubsystems(t *testing.T) {
 	_, a := startServerOpts(t, serverOpts{
 		traceCapacity: 0, sampleEvery: -1, slo: "",
@@ -819,5 +822,55 @@ func TestDebugDisabledSubsystems(t *testing.T) {
 
 	if _, err := newServer(serverOpts{addr: "127.0.0.1:0", sampleEvery: -1, slo: "on"}, nil); err == nil {
 		t.Fatal("-slo without the sampler must be a config error")
+	}
+
+	base, on := startServerOpts(t, serverOpts{traceCapacity: 64, slo: "on"})
+	onBase := startDebugListener(t, on)
+	for _, tc := range []struct {
+		method, url string
+		status      int
+		code        string
+	}{
+		{http.MethodGet, base + "/v1/campaigns/999", http.StatusNotFound, "not_found"}, // the serving API's own
+		{http.MethodGet, onBase + "/v1/debug/traces?min_ms=NaN", http.StatusBadRequest, "bad_request"},
+		{http.MethodGet, onBase + "/v1/debug/traces?outcome=bogus", http.StatusBadRequest, "bad_request"},
+		{http.MethodGet, onBase + "/v1/debug/traces?limit=-1", http.StatusBadRequest, "bad_request"},
+		{http.MethodPost, onBase + "/v1/debug/traces", http.StatusMethodNotAllowed, "method_not_allowed"},
+		{http.MethodGet, onBase + "/v1/debug/timeseries?range=banana", http.StatusBadRequest, "bad_request"},
+		{http.MethodGet, onBase + "/v1/debug/timeseries?step=0", http.StatusBadRequest, "bad_request"},
+		{http.MethodPost, onBase + "/v1/debug/timeseries", http.StatusMethodNotAllowed, "method_not_allowed"},
+		{http.MethodPost, onBase + "/v1/debug/slo", http.StatusMethodNotAllowed, "method_not_allowed"},
+	} {
+		req, err := http.NewRequest(tc.method, tc.url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var env struct {
+			Error struct {
+				Code    string `json:"code"`
+				Message string `json:"message"`
+			} `json:"error"`
+		}
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&env); err != nil {
+			t.Errorf("%s %s: body %q is not the error envelope: %v", tc.method, tc.url, raw, err)
+			continue
+		}
+		if resp.StatusCode != tc.status || env.Error.Code != tc.code || env.Error.Message == "" {
+			t.Errorf("%s %s → %d %+v, want %d %q with a message", tc.method, tc.url, resp.StatusCode, env.Error, tc.status, tc.code)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json; charset=utf-8" {
+			t.Errorf("%s %s: Content-Type = %q", tc.method, tc.url, ct)
+		}
+		if ns := resp.Header.Get("X-Content-Type-Options"); ns != "nosniff" {
+			t.Errorf("%s %s: X-Content-Type-Options = %q, want nosniff", tc.method, tc.url, ns)
+		}
 	}
 }

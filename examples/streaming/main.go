@@ -17,9 +17,7 @@ import (
 	"time"
 
 	"muaa/internal/core"
-	"muaa/internal/model"
 	"muaa/internal/stats"
-	"muaa/internal/stream"
 	"muaa/internal/workload"
 )
 
@@ -45,7 +43,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	arrivals := stream.FromProblem(problem)
 	var pushed int
 	progress := func(done int) {
 		// Peek at the busiest vendor's budget ratio to show the threshold
@@ -62,20 +59,28 @@ func main() {
 		fmt.Printf("after %4d arrivals: %4d ads pushed, max δ=%.2f, φ(δ)=%.5f\n",
 			done, pushed, maxDelta, th.Value(maxDelta))
 	}
-	result := stream.Run(arrivals, stream.HandlerFunc(func(c int32) []model.Instance {
-		ins := session.Arrive(c)
+	// Customers arrive in slice order (the generator emits them sorted by
+	// arrival hour); each is answered before the next is seen.
+	var total, slowest time.Duration
+	for c := range problem.Customers {
+		start := time.Now()
+		ins := session.Arrive(int32(c))
+		took := time.Since(start)
+		total += took
+		if took > slowest {
+			slowest = took
+		}
 		pushed += len(ins)
-		if n := int(c) + 1; n%500 == 0 {
+		if n := c + 1; n%500 == 0 {
 			progress(n)
 		}
-		return ins
-	}))
+	}
 	online, err := session.Finish()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nstream done: %d ads, mean response %v per customer (max %v)\n",
-		len(online.Instances), result.MeanLatency(), maxLatency(result))
+		len(online.Instances), total/time.Duration(len(problem.Customers)), slowest)
 
 	// Hindsight comparison: what could offline algorithms have done?
 	for _, s := range []core.Solver{core.Recon{Seed: 7}, core.Greedy{}, core.Random{Seed: 7}} {
@@ -87,14 +92,4 @@ func main() {
 			s.Name(), a.Utility, 100*online.Utility/a.Utility)
 	}
 	fmt.Printf("ONLINE  utility %10.2f — with no future knowledge, one customer at a time\n", online.Utility)
-}
-
-func maxLatency(r stream.Result) time.Duration {
-	var m time.Duration
-	for _, l := range r.Latencies {
-		if l > m {
-			m = l
-		}
-	}
-	return m
 }

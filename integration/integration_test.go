@@ -21,7 +21,6 @@ import (
 	"muaa/internal/model"
 	"muaa/internal/persist"
 	"muaa/internal/stats"
-	"muaa/internal/stream"
 	"muaa/internal/viz"
 	"muaa/internal/workload"
 )
@@ -161,8 +160,8 @@ func TestPipelineBrokerReplayMatchesSessionSemantics(t *testing.T) {
 		}
 	}
 	offers := 0
-	for _, ev := range stream.FromProblem(p).Events() {
-		u := &p.Customers[ev.Customer]
+	for i := range p.Customers {
+		u := &p.Customers[i]
 		out, err := b.Arrive(broker.Arrival{
 			Loc: u.Loc, Capacity: u.Capacity, ViewProb: u.ViewProb,
 			Interests: u.Interests, Hour: u.Arrival,

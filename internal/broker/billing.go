@@ -227,12 +227,27 @@ func (b *Broker) Convert(offerID uint64, idemKey string) (Conversion, error) {
 		bl.mu.Unlock()
 		return Conversion{}, ErrOfferUnknown
 	}
-	delete(bl.open, offerID)
-	if idemKey != "" {
-		bl.registerKeyLocked(idemKey)
+	b.settle(c, offerID, o, idemKey)
+	bl.mu.Unlock()
+	if b.wal != nil {
+		b.logConversion(offerID, o, idemKey)
+	}
+	return Conversion{OfferID: offerID, Campaign: o.campaign, Model: o.model, Charged: o.hold}, nil
+}
+
+// settle collects open offer id: the table entry and its idempotency key are
+// consumed and the hold moves from c's escrow to its spend. The only place a
+// conversion moves money, for live events and WAL replay alike, so a replayed
+// history repeats the live accumulator sequence bit for bit (charge is the
+// offer-time twin). Live callers hold c's shard lock and bl.mu; replay is
+// single-goroutine and holds neither.
+func (b *Broker) settle(c *campaign, id uint64, o openOffer, key string) {
+	bl := b.billing
+	delete(bl.open, id)
+	if key != "" {
+		bl.registerKeyLocked(key)
 	}
 	bl.openCount.Add(-1)
-	bl.mu.Unlock()
 	c.escrow.Store(c.escrow.Load() - o.hold)
 	c.spent.Store(c.spent.Load() + o.hold)
 	c.converted.Add(o.hold)
@@ -242,10 +257,6 @@ func (b *Broker) Convert(offerID uint64, idemKey string) (Conversion, error) {
 	bl.conversions.Add(1)
 	bl.revenue[o.model].Add(o.hold)
 	b.spent.Add(o.hold)
-	if b.wal != nil {
-		b.logConversion(offerID, o, idemKey)
-	}
-	return Conversion{OfferID: offerID, Campaign: o.campaign, Model: o.model, Charged: o.hold}, nil
 }
 
 // registerBillingMetrics registers the muaa_billing_* gauge set on reg.

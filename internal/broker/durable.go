@@ -542,35 +542,21 @@ func (b *Broker) applyArrival(e *ArrivalRecord, auction bool) error {
 	return nil
 }
 
-// applyConversion replays one conversion record: the recorded offer's hold
-// moves from escrow to spend, mirroring Convert. A serial history always
-// finds the table entry (the arrivals record replayed before it); a
-// missing entry means the log interleaved an eviction the record preceded,
-// which serial replay treats as corruption.
+// applyConversion replays one conversion record through settle, the move
+// Convert makes live. A serial history always finds the table entry (the
+// arrivals record replayed before it); a missing entry means the log
+// interleaved an eviction the record preceded, which serial replay treats
+// as corruption.
 func (b *Broker) applyConversion(d *DecodedRecord) error {
-	bl := b.billing
-	o, ok := bl.open[d.OfferID]
+	o, ok := b.billing.open[d.OfferID]
 	if !ok {
 		return fmt.Errorf("conversion for unknown offer %d", d.OfferID)
 	}
-	delete(bl.open, d.OfferID)
-	if d.EventKey != "" {
-		bl.registerKeyLocked(d.EventKey)
-	}
-	bl.openCount.Add(-1)
 	c, err := b.campaign(o.campaign)
 	if err != nil {
 		return err
 	}
-	c.escrow.Store(c.escrow.Load() - o.hold)
-	c.spent.Store(c.spent.Load() + o.hold)
-	c.converted.Add(o.hold)
-	c.conversions.Add(1)
-	bl.held.Add(-o.hold)
-	bl.convertedRev.Add(o.hold)
-	bl.conversions.Add(1)
-	bl.revenue[o.model].Add(o.hold)
-	b.spent.Add(o.hold)
+	b.settle(c, d.OfferID, o, d.EventKey)
 	return nil
 }
 

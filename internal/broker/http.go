@@ -13,6 +13,7 @@ import (
 
 	"muaa/internal/geo"
 	"muaa/internal/model"
+	"muaa/internal/obs"
 	"muaa/internal/trace"
 	"muaa/internal/viz"
 )
@@ -547,33 +548,17 @@ func decodeStrict(w http.ResponseWriter, body []byte, v any) bool {
 	return true
 }
 
-// errorBody is the inner object of the uniform error envelope.
-type errorBody struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-type errorEnvelope struct {
-	Error errorBody `json:"error"`
-}
-
 // WriteJSON is the single funnel for every JSON response (success and
-// error), shared by the API and muaa-serve's own endpoints: the explicit
-// Content-Type plus nosniff is a contract the monitoring docs advertise to
-// scrapers, pinned by TestJSONContentType.
-func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Header().Set("X-Content-Type-Options", "nosniff")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
+// error), shared by the API and muaa-serve's own endpoints: obs.WriteJSON,
+// whose Content-Type plus nosniff contract TestJSONContentType pins.
+func WriteJSON(w http.ResponseWriter, status int, v any) { obs.WriteJSON(w, status, v) }
 
-func writeJSON(w http.ResponseWriter, status int, v any) { WriteJSON(w, status, v) }
+func writeJSON(w http.ResponseWriter, status int, v any) { obs.WriteJSON(w, status, v) }
 
-// WriteError renders the uniform error envelope every handler (broker API
-// and server endpoints alike) returns.
+// WriteError renders the uniform error envelope every handler (broker API,
+// server endpoints and the debug listener alike) returns.
 func WriteError(w http.ResponseWriter, status int, code, message string) {
-	WriteJSON(w, status, errorEnvelope{Error: errorBody{Code: code, Message: message}})
+	obs.WriteError(w, status, code, message)
 }
 
 func statusFor(err error) (int, string) {

@@ -50,6 +50,17 @@ type arrivalResponse struct {
 	Slate  []slateEntryDTO `json:"slate"`
 }
 
+// errorBody and errorEnvelope decode the uniform error envelope
+// (obs.WriteError).
+type errorBody struct {
+	Code    string `json:"code"`
+	Message string `json:"message"`
+}
+
+type errorEnvelope struct {
+	Error errorBody `json:"error"`
+}
+
 // batchResultDTO is one element of the arrivals:batch response. Exactly one
 // of the two fields is set.
 type batchResultDTO struct {

@@ -21,7 +21,7 @@
 //     running sum. Buckets are fixed at construction — see DESIGN.md §9 for
 //     why — and ExpBuckets/LinearBuckets build the common layouts.
 //     Snapshot() merges the shards into a consistent view with quantile
-//     estimation for offline reporting (cmd/muaa-bench).
+//     estimation for offline reporting.
 //
 // # Exposition
 //

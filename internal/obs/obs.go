@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -305,6 +306,30 @@ func (r *Registry) Handler() http.Handler {
 		w.WriteHeader(http.StatusOK)
 		r.WriteTextFiltered(w, req.URL.Query().Get("name"))
 	})
+}
+
+// WriteJSON is the single funnel for every JSON reply with a status line —
+// the serving API's, muaa-serve's own endpoints' and the debug listener's
+// errors alike (the broker package re-exports it): the explicit Content-Type
+// plus nosniff is a contract the monitoring docs advertise to scrapers. It
+// lives here because obs is the one package broker, trace and slo all import.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Header().Set("X-Content-Type-Options", "nosniff")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// WriteError renders the uniform {"error":{"code","message"}} envelope every
+// HTTP handler in the repo answers a refused request with.
+func WriteError(w http.ResponseWriter, status int, code, message string) {
+	type body struct {
+		Code    string `json:"code"`
+		Message string `json:"message"`
+	}
+	WriteJSON(w, status, struct {
+		Error body `json:"error"`
+	}{body{code, message}})
 }
 
 // renderLabels renders a deterministic {k="v",...} string, sorted by key.

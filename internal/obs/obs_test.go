@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"encoding/json"
 	"math"
 	"net/http/httptest"
 	"strconv"
@@ -301,5 +302,29 @@ func TestFindHistogram(t *testing.T) {
 	}
 	if got := r.FindHistogram("nope"); got != nil {
 		t.Fatal("FindHistogram invented a family")
+	}
+}
+
+// TestWriteErrorIsJSON: the envelope is JSON-quoted, not Go-quoted — a
+// message with a control byte, a quote and non-ASCII text must survive a
+// json.Unmarshal round trip (fmt's %q writes \x01, which JSON rejects).
+func TestWriteErrorIsJSON(t *testing.T) {
+	const msg = "bad \x01 \"value\" é\u2028"
+	rec := httptest.NewRecorder()
+	WriteError(rec, 418, "teapot", msg)
+	var env struct {
+		Error struct{ Code, Message string }
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatalf("body %q: %v", rec.Body.Bytes(), err)
+	}
+	if rec.Code != 418 || env.Error.Code != "teapot" || env.Error.Message != msg {
+		t.Errorf("got %d %+v", rec.Code, env.Error)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json; charset=utf-8" {
+		t.Errorf("Content-Type = %q", ct)
+	}
+	if ns := rec.Header().Get("X-Content-Type-Options"); ns != "nosniff" {
+		t.Errorf("X-Content-Type-Options = %q", ns)
 	}
 }

@@ -26,7 +26,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"net/http"
 	"sort"
@@ -407,7 +406,7 @@ func (s *Sampler) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet {
 			w.Header().Set("Allow", http.MethodGet)
-			tsError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
+			WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
 			return
 		}
 		var q TimeSeriesQuery
@@ -422,7 +421,7 @@ func (s *Sampler) Handler() http.Handler {
 		if v := qs.Get("range"); v != "" {
 			d, err := time.ParseDuration(v)
 			if err != nil || d < 0 {
-				tsError(w, http.StatusBadRequest, "bad_request",
+				WriteError(w, http.StatusBadRequest, "bad_request",
 					"range must be a non-negative Go duration (e.g. 5m)")
 				return
 			}
@@ -431,7 +430,7 @@ func (s *Sampler) Handler() http.Handler {
 		if v := qs.Get("step"); v != "" {
 			n, err := strconv.Atoi(v)
 			if err != nil || n < 1 {
-				tsError(w, http.StatusBadRequest, "bad_request",
+				WriteError(w, http.StatusBadRequest, "bad_request",
 					"step must be a positive integer")
 				return
 			}
@@ -443,13 +442,4 @@ func (s *Sampler) Handler() http.Handler {
 		enc.SetIndent("", " ")
 		enc.Encode(s.Query(q))
 	})
-}
-
-// tsError writes the repo-wide error envelope without importing the broker
-// package (which imports this one).
-func tsError(w http.ResponseWriter, status int, code, msg string) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Header().Set("X-Content-Type-Options", "nosniff")
-	w.WriteHeader(status)
-	fmt.Fprintf(w, `{"error":{"code":%q,"message":%q}}`+"\n", code, msg)
 }

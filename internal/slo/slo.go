@@ -26,7 +26,6 @@ package slo
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"log/slog"
 	"math"
@@ -305,7 +304,7 @@ func (w *Watchdog) Handler() http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet {
 			rw.Header().Set("Allow", http.MethodGet)
-			sloError(rw, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
+			obs.WriteError(rw, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
 			return
 		}
 		rw.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -314,13 +313,4 @@ func (w *Watchdog) Handler() http.Handler {
 		enc.SetIndent("", " ")
 		enc.Encode(w.Snapshot())
 	})
-}
-
-// sloError writes the repo-wide error envelope (the broker package owns
-// the canonical funnel but importing it here would cycle).
-func sloError(w http.ResponseWriter, status int, code, msg string) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Header().Set("X-Content-Type-Options", "nosniff")
-	w.WriteHeader(status)
-	fmt.Fprintf(w, `{"error":{"code":%q,"message":%q}}`+"\n", code, msg)
 }

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"muaa/internal/obs"
 )
 
 // Handler serves the flight recorder as JSON: newest-first traces under a
@@ -22,7 +24,7 @@ func (r *Recorder) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet {
 			w.Header().Set("Allow", http.MethodGet)
-			httpError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
+			obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
 			return
 		}
 		f := Filter{Limit: 100}
@@ -32,7 +34,7 @@ func (r *Recorder) Handler() http.Handler {
 			// !(ms >= 0) also rejects NaN, which ParseFloat accepts and a
 			// plain `ms < 0` lets through.
 			if err != nil || !(ms >= 0) || math.IsInf(ms, 1) {
-				httpError(w, http.StatusBadRequest, "bad_request", "min_ms must be a non-negative number")
+				obs.WriteError(w, http.StatusBadRequest, "bad_request", "min_ms must be a non-negative number")
 				return
 			}
 			f.MinDuration = time.Duration(ms * float64(time.Millisecond))
@@ -42,7 +44,7 @@ func (r *Recorder) Handler() http.Handler {
 			case OutcomeOffered, OutcomeNoOffers, OutcomeError, OutcomeUnavailable:
 				f.Outcome = s
 			default:
-				httpError(w, http.StatusBadRequest, "bad_request",
+				obs.WriteError(w, http.StatusBadRequest, "bad_request",
 					"outcome must be one of offered, no_offers, error, unavailable")
 				return
 			}
@@ -50,7 +52,7 @@ func (r *Recorder) Handler() http.Handler {
 		if s := q.Get("limit"); s != "" {
 			n, err := strconv.Atoi(s)
 			if err != nil || n < 0 {
-				httpError(w, http.StatusBadRequest, "bad_request", "limit must be a non-negative integer")
+				obs.WriteError(w, http.StatusBadRequest, "bad_request", "limit must be a non-negative integer")
 				return
 			}
 			f.Limit = n
@@ -64,17 +66,6 @@ func (r *Recorder) Handler() http.Handler {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		enc.Encode(map[string][]*Trace{"traces": traces})
-	})
-}
-
-// httpError writes the repo-wide {"error":{code,message}} envelope without
-// importing the broker package (which imports this one).
-func httpError(w http.ResponseWriter, status int, code, msg string) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Header().Set("X-Content-Type-Options", "nosniff")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]any{
-		"error": map[string]string{"code": code, "message": msg},
 	})
 }
 

@@ -147,8 +147,7 @@ func DefaultBrokerLoadConfig(campaigns, ops int, seed int64) BrokerLoadConfig {
 // BilledBrokerLoadConfig is DefaultBrokerLoadConfig with a mixed billing
 // fleet — roughly a quarter of campaigns on cpm, a third on cpc, the rest
 // fixed — and a slice of the op stream turned into conversion events. The
-// standard shape for slate-serving tests, the revenue audit and the
-// `-exp slate` benchmark.
+// standard shape for slate-serving tests and the revenue audit.
 func BilledBrokerLoadConfig(campaigns, ops int, seed int64) BrokerLoadConfig {
 	cfg := DefaultBrokerLoadConfig(campaigns, ops, seed)
 	cfg.ArrivalFrac = 0.84

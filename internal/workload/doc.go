@@ -10,10 +10,10 @@
 // For the live broker it produces BrokerLoad (brokerload.go): a seeded,
 // replay-stable stream of mixed operations — campaign registrations
 // followed by arrivals, top-ups, pauses, and stats reads — that drives the
-// golden determinism transcripts, the race soaks, the benchmarks, and the
-// muaa-bench -exp broker scaling sweep, all from the same deterministic
-// generator. DefaultAdTypes is the shared ad catalog: a cost-monotone
-// table whose 2-type prefix is Table I of the paper.
+// golden determinism transcripts, the race soaks and the benchmarks, all
+// from the same deterministic generator. DefaultAdTypes is the shared ad
+// catalog: a cost-monotone table whose 2-type prefix is Table I of the
+// paper.
 //
 // Everything here is deterministic under a fixed seed; generators never
 // read global randomness.
