@@ -83,8 +83,9 @@
 // response, and emits one JSON access-log line per request with the
 // trace_id. Completed arrival traces land in a flight recorder sized by
 // -trace-capacity, with slow (≥ -trace-slow) and anomalous ones retained
-// preferentially. All process logs are structured JSON on stderr (slog);
-// nothing in this binary writes through the stdlib global logger.
+// preferentially. All process logs are structured JSON on stderr (slog),
+// batched by obs.LogHandler (docs/OPERATIONS.md "Tracing & logs"); nothing
+// in this binary writes through the stdlib global logger.
 package main
 
 import (
@@ -250,20 +251,23 @@ func newServer(o serverOpts, logger *slog.Logger) (*app, error) {
 			return nil, err
 		}
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/", a.serveAPI)
-	for _, p := range []string{"/metrics", "/v1/metrics"} {
-		mux.HandleFunc(p, a.getOnly(a.serveMetrics))
-	}
-	for _, p := range []string{"/healthz", "/v1/healthz"} {
-		mux.HandleFunc(p, a.getOnly(a.serveHealthz))
-	}
+	metrics, healthz := a.getOnly(a.serveMetrics), a.getOnly(a.serveHealthz)
 	a.srv = &http.Server{
 		Addr: o.addr,
 		// The tracing middleware derives/echoes traceparent, emits the
-		// access log and records unavailable arrival traces around the
-		// whole serving mux.
-		Handler:           trace.Middleware(mux, logger, a.tracer),
+		// access log and records unavailable arrival traces around every
+		// route. Anything but the four exact server-level paths, unclean
+		// spellings of them included, is the API mux's to route or redirect.
+		Handler: trace.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch r.URL.Path {
+			case "/metrics", "/v1/metrics":
+				metrics(w, r)
+			case "/healthz", "/v1/healthz":
+				healthz(w, r)
+			default:
+				a.serveAPI(w, r)
+			}
+		}), logger, a.tracer),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	// Past the last error return: the sampling goroutine cannot leak from
@@ -541,9 +545,12 @@ func main() {
 		// The logger doesn't exist yet; build a default one just to report.
 		level = slog.LevelInfo
 	}
-	logger := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+	// One buffered sink behind every logger; each exit path below closes it.
+	sink := obs.NewLogHandler(os.Stderr, level)
+	logger := slog.New(sink)
 	fatal := func(msg string, ferr error) {
 		logger.Error(msg, slog.String("error", ferr.Error()))
+		sink.Close()
 		os.Exit(1)
 	}
 	if err != nil {
@@ -611,5 +618,6 @@ func main() {
 			fatal("shutdown_failed", err)
 		}
 		logger.Info("shutdown_complete")
+		sink.Close()
 	}
 }

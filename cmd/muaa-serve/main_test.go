@@ -288,6 +288,31 @@ func TestServeMetricsAndHealth(t *testing.T) {
 			postResp.StatusCode, postResp.Header.Get("Allow"))
 	}
 
+	// Only the four exact spellings are the server's own. Any other is the
+	// API mux's to 404 or clean-and-redirect — what the outer ServeMux these
+	// routes used to sit in answered, pinned here so it stays a decision.
+	noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
+	for _, c := range []struct {
+		path     string
+		status   int
+		location string
+	}{
+		{"/metrics/", http.StatusNotFound, ""},
+		{"/v1/healthz/", http.StatusNotFound, ""},
+		{"//healthz", http.StatusMovedPermanently, "/healthz"},
+		{"/v1/../metrics", http.StatusMovedPermanently, "/metrics"},
+	} {
+		resp, err := noFollow.Get(base + c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.status || resp.Header.Get("Location") != c.location {
+			t.Errorf("GET %s → %d (Location %q), want %d (%q)",
+				c.path, resp.StatusCode, resp.Header.Get("Location"), c.status, c.location)
+		}
+	}
+
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)

@@ -5,12 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
 	"net"
 	"net/http"
+	"os"
+	"os/exec"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -310,5 +314,88 @@ func TestServeNoGlobalLogOutput(t *testing.T) {
 	}
 	if out := buf.String(); out != "" {
 		t.Fatalf("stdlib global log received output:\n%s", out)
+	}
+}
+
+// TestMain lets the test binary stand in for muaa-serve: re-executed with
+// MUAA_SERVE_TEST_MAIN set, it runs the real main — flags, the stderr sink,
+// signal handling and all — so a test can watch the process from outside.
+func TestMain(m *testing.M) {
+	if os.Getenv("MUAA_SERVE_TEST_MAIN") != "" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// TestMainFlushesAccessLogBeforeExit runs the real process with stderr on a
+// pipe: an INFO access-log line sits in the sink's buffer when SIGTERM
+// arrives, and must be on the pipe, ahead of shutdown_complete, by the time
+// the process is gone.
+func TestMainFlushesAccessLogBeforeExit(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	cmd := exec.Command(os.Args[0], "-addr", addr, "-sample-every", "-1s")
+	cmd.Env = append(os.Environ(), "MUAA_SERVE_TEST_MAIN=1")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	logs := make(chan []byte, 1) // the one send below never blocks
+	go func() {
+		b, _ := io.ReadAll(stderr)
+		logs <- b
+	}()
+
+	base := "http://" + addr
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if resp, err := http.Get(base + "/v1/healthz"); err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("server never became healthy")
+		}
+	}
+	if code := postJSON(t, base+"/v1/arrivals",
+		`{"loc":{"x":0.49,"y":0.51},"capacity":2,"viewProb":0.7,"interests":[0.9,0.1,0.3]}`, nil); code != http.StatusOK {
+		t.Fatalf("arrival → %d", code)
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	out := <-logs // EOF: the process closed its stderr, i.e. exited
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("exit: %v\n%s", err, out)
+	}
+
+	lines := strings.Split(strings.TrimSuffix(string(out), "\n"), "\n")
+	arrival, complete := -1, -1
+	for i, line := range lines {
+		var m struct{ Msg, Path string }
+		if err := json.Unmarshal([]byte(line), &m); err != nil {
+			t.Fatalf("non-JSON stderr line %q: %v", line, err)
+		}
+		switch {
+		case m.Msg == "http_request" && m.Path == "/v1/arrivals":
+			arrival = i
+		case m.Msg == "shutdown_complete":
+			complete = i
+		}
+	}
+	if arrival < 0 || complete != len(lines)-1 || arrival > complete {
+		t.Fatalf("want the arrival's http_request, then shutdown_complete last; got lines %d and %d of:\n%s",
+			arrival, complete, out)
 	}
 }

@@ -92,6 +92,15 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// requestState is everything Middleware keeps per request, in one
+// allocation: the wrapped ResponseWriter, the context.Context carrying the
+// trace context, and the echoed header's value slice.
+type requestState struct {
+	sw          statusWriter
+	ctx         requestCtx
+	traceparent [1]string
+}
+
 // Middleware wraps h with the request-tracing lifecycle: it derives the
 // trace context from any incoming traceparent header (minting IDs
 // otherwise), echoes the resulting traceparent on the response, exposes the
@@ -102,10 +111,15 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 func Middleware(h http.Handler, logger *slog.Logger, rec *Recorder) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		start := time.Now()
-		tr := StartRequest(req.Header.Get("traceparent"))
-		w.Header().Set("Traceparent", tr.Traceparent())
-		sw := &statusWriter{ResponseWriter: w}
-		h.ServeHTTP(sw, req.WithContext(NewContext(req.Context(), &tr)))
+		st := &requestState{
+			sw: statusWriter{ResponseWriter: w},
+			// The canonical spelling: Get allocates to fold any other.
+			ctx: requestCtx{req.Context(), StartRequest(req.Header.Get("Traceparent"))},
+		}
+		tr, sw := &st.ctx.req, &st.sw
+		st.traceparent[0] = tr.Traceparent()
+		w.Header()["Traceparent"] = st.traceparent[:]
+		h.ServeHTTP(sw, req.WithContext(&st.ctx))
 		dur := time.Since(start)
 		if sw.status == 0 {
 			sw.status = http.StatusOK
@@ -121,9 +135,12 @@ func Middleware(h http.Handler, logger *slog.Logger, rec *Recorder) http.Handler
 				Anomalous:    true,
 			})
 		}
-		if logger != nil {
-			logger.LogAttrs(req.Context(), slog.LevelInfo, "http_request",
-				slog.String("trace_id", tr.TraceID.String()),
+		if logger != nil && logger.Enabled(req.Context(), slog.LevelInfo) {
+			// A Record built here, not by logger.LogAttrs: that walks the
+			// stack for a source PC no handler of ours prints.
+			r := slog.NewRecord(start.Add(dur), slog.LevelInfo, "http_request", 0)
+			r.AddAttrs(
+				slog.String("trace_id", st.traceparent[0][3:35]), // "00-<trace id>-…"
 				slog.String("method", req.Method),
 				slog.String("path", req.URL.Path),
 				slog.Int("status", sw.status),
@@ -131,12 +148,14 @@ func Middleware(h http.Handler, logger *slog.Logger, rec *Recorder) http.Handler
 				slog.Int64("bytes", sw.bytes),
 				slog.String("remote", req.RemoteAddr),
 			)
+			_ = logger.Handler().Handle(req.Context(), r) // as LogAttrs does: a failed log write is nobody's error
 		}
 	})
 }
 
-// isArrivalPath matches the arrival-ingest routes (/v1/arrivals and the
-// legacy /arrivals alias).
+// isArrivalPath matches the arrival-ingest routes: /v1/arrivals,
+// /v1/arrivals:batch and their unversioned aliases.
 func isArrivalPath(p string) bool {
-	return strings.TrimSuffix(strings.TrimPrefix(p, "/v1"), "/") == "/arrivals"
+	p = strings.TrimSuffix(strings.TrimPrefix(p, "/v1"), "/")
+	return p == "/arrivals" || p == "/arrivals:batch"
 }

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"muaa/internal/obs"
 )
 
 type tracesPage struct {
@@ -208,24 +210,87 @@ func TestMiddlewareRecordsUnavailableArrivals(t *testing.T) {
 	})
 	h := Middleware(inner, nil, rec)
 
-	for _, p := range []string{"/v1/arrivals", "/arrivals"} {
+	for _, p := range []string{"/v1/arrivals", "/arrivals", "/v1/arrivals:batch", "/arrivals:batch"} {
 		rr := httptest.NewRecorder()
 		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, p, nil))
 	}
 	// A 503 on a non-arrival path must not be recorded.
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	for _, p := range []string{"/v1/stats", "/v1/arrivals:batchx", "/v1/campaigns/0/topup"} {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, p, nil))
+	}
 
 	got := rec.Snapshot(Filter{Outcome: OutcomeUnavailable})
-	if len(got) != 2 {
-		t.Fatalf("unavailable traces = %d, want 2", len(got))
+	if len(got) != 4 {
+		t.Fatalf("unavailable traces = %d, want 4", len(got))
 	}
 	for _, tr := range got {
 		if !tr.Anomalous {
 			t.Fatal("unavailable trace must be anomalous")
 		}
 	}
-	if all := rec.Snapshot(Filter{}); len(all) != 2 {
-		t.Fatalf("total traces = %d, want 2 (non-arrival 503 recorded?)", len(all))
+	if all := rec.Snapshot(Filter{}); len(all) != 4 {
+		t.Fatalf("total traces = %d, want 4 (non-arrival 503 recorded?)", len(all))
+	}
+}
+
+// TestMiddlewareLogLevelSilencesAccessLog: Middleware hands the handler a
+// Record itself rather than going through Logger.LogAttrs, so the level
+// check is its own — -log-level warn must mean no http_request line.
+func TestMiddlewareLogLevelSilencesAccessLog(t *testing.T) {
+	var out bytes.Buffer
+	sink := obs.NewLogHandler(&out, slog.LevelWarn)
+	h := Middleware(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}), slog.New(sink), nil)
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("access log at -log-level warn: %s", out.String())
+	}
+}
+
+// discardResponse is a ResponseWriter that costs nothing, so the harness
+// below measures Middleware and not httptest.
+type discardResponse struct{ h http.Header }
+
+func (d *discardResponse) Header() http.Header         { return d.h }
+func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardResponse) WriteHeader(int)             {}
+
+// middlewareHarness returns one request's trip through Middleware around a
+// handler that reads the trace context and writes a small body, logging to
+// the process's own sink over io.Discard.
+func middlewareHarness(tb testing.TB) func() {
+	sink := obs.NewLogHandler(io.Discard, slog.LevelInfo)
+	tb.Cleanup(func() { sink.Close() })
+	body := []byte(`{"offers":[]}`)
+	h := Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if FromContext(r.Context()) == nil {
+			tb.Error("handler saw no trace context")
+		}
+		w.Write(body)
+	}), slog.New(sink), NewRecorder(RecorderOptions{}))
+	req := httptest.NewRequest(http.MethodPost, "/v1/arrivals", nil)
+	req.RemoteAddr = "127.0.0.1:54321"
+	w := &discardResponse{h: http.Header{}}
+	return func() { h.ServeHTTP(w, req) }
+}
+
+// TestMiddlewareAllocs pins what a request costs in the middleware: the one
+// requestState, Request.WithContext's copy, the traceparent string, and the
+// Record's attr overflow (seven attrs, five inline).
+func TestMiddlewareAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(200, middlewareHarness(t)); got > 6 {
+		t.Fatalf("Middleware: %.0f allocs/request, want <= 6", got)
+	}
+}
+
+func BenchmarkMiddleware(b *testing.B) {
+	serve := middlewareHarness(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
 	}
 }

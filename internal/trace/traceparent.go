@@ -128,9 +128,18 @@ func hasUpper(s string) bool {
 // ctxKey keys the Request in a context.Context.
 type ctxKey struct{}
 
-// NewContext returns ctx carrying req.
-func NewContext(ctx context.Context, req *Request) context.Context {
-	return context.WithValue(ctx, ctxKey{}, req)
+// requestCtx is a context carrying req: what context.WithValue would build,
+// as a type Middleware can embed in its per-request state.
+type requestCtx struct {
+	context.Context
+	req Request
+}
+
+func (c *requestCtx) Value(key any) any {
+	if key == (ctxKey{}) {
+		return &c.req
+	}
+	return c.Context.Value(key)
 }
 
 // FromContext returns the request's trace context, or nil when the request

@@ -98,10 +98,13 @@ func TestContextRoundTrip(t *testing.T) {
 	if FromContext(context.Background()) != nil {
 		t.Fatal("empty context should carry no trace request")
 	}
-	req := StartRequest("")
-	ctx := NewContext(context.Background(), &req)
-	if got := FromContext(ctx); got != &req {
-		t.Fatalf("FromContext = %p, want %p", got, &req)
+	type parentKey struct{}
+	ctx := &requestCtx{context.WithValue(context.Background(), parentKey{}, 7), StartRequest("")}
+	if got := FromContext(ctx); got != &ctx.req {
+		t.Fatalf("FromContext = %p, want %p", got, &ctx.req)
+	}
+	if got := ctx.Value(parentKey{}); got != 7 {
+		t.Fatalf("the parent's value through requestCtx = %v, want 7", got)
 	}
 }
 
