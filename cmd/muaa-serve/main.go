@@ -114,7 +114,8 @@ import (
 	"muaa/internal/workload"
 )
 
-// serverOpts carries the flag values into newServer.
+// serverOpts carries the flag values into newServer; main binds the flags
+// straight onto its fields.
 type serverOpts struct {
 	addr          string
 	g, pacing     float64
@@ -143,7 +144,6 @@ type app struct {
 	srv      *http.Server
 	reg      *obs.Registry
 	cfg      broker.Config
-	opts     serverOpts
 	logger   *slog.Logger
 	tracer   *trace.Recorder              // nil when tracing is disabled
 	sampler  *obs.Sampler                 // nil when -sample-every is negative
@@ -169,7 +169,6 @@ func newServer(o serverOpts, logger *slog.Logger) (*app, error) {
 	}
 	a := &app{
 		reg:    obs.NewRegistry(),
-		opts:   o,
 		logger: logger,
 	}
 	obs.RegisterRuntimeMetrics(a.reg)
@@ -233,23 +232,15 @@ func newServer(o serverOpts, logger *slog.Logger) (*app, error) {
 		a.cfg.Controller = &cc
 	}
 	if o.dataDir == "" {
-		if err := a.boot(); err != nil {
-			return nil, err
-		}
+		err = a.boot()
 	} else {
-		// Surface config errors (bad g, pacing, shards) before the
-		// listener starts, without touching the data directory: run the
-		// same validation the real boot will, against a throwaway
-		// in-memory broker on a separate registry.
-		check := a.cfg
-		check.DataDir = ""
-		check.Metrics = obs.NewRegistry()
-		// The throwaway broker exists only to validate; no audit window, or
-		// it would leak a live-audit goroutine (nothing Closes it).
-		check.AuditWindow = 0
-		if _, err := broker.New(check); err != nil {
-			return nil, err
-		}
+		// Surface config errors (bad g, pacing, shards) before the listener
+		// starts, without touching the data directory: the same validation
+		// the real boot will run.
+		err = a.cfg.Validate()
+	}
+	if err != nil {
+		return nil, err
 	}
 	metrics, healthz := a.getOnly(a.serveMetrics), a.getOnly(a.serveHealthz)
 	a.srv = &http.Server{
@@ -326,7 +317,7 @@ func (a *app) serveAPI(w http.ResponseWriter, r *http.Request) {
 // uniform error envelope, from every listener, until boot stores the API.
 func unavailable(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", "1")
-	broker.WriteError(w, http.StatusServiceUnavailable, "unavailable", "recovery in progress")
+	obs.WriteError(w, http.StatusServiceUnavailable, "unavailable", "recovery in progress")
 }
 
 // getOnly rejects non-GET methods with the enveloped 405 the rest of the
@@ -335,7 +326,7 @@ func (a *app) getOnly(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
 			w.Header().Set("Allow", "GET")
-			broker.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed",
+			obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed",
 				"method "+r.Method+" not allowed (allow: GET)")
 			return
 		}
@@ -354,7 +345,7 @@ func (a *app) serveHealthz(w http.ResponseWriter, r *http.Request) {
 		unavailable(w)
 		return
 	}
-	broker.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	obs.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // newDebugServer builds the opt-in debug listener: net/http/pprof plus,
@@ -375,7 +366,7 @@ func (a *app) newDebugServer(addr string) *http.Server {
 	mount := func(h http.Handler, disabledCode, disabledMsg string, paths ...string) {
 		if h == nil {
 			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				broker.WriteError(w, http.StatusNotFound, disabledCode, disabledMsg)
+				obs.WriteError(w, http.StatusNotFound, disabledCode, disabledMsg)
 			})
 		}
 		for _, p := range paths {
@@ -438,7 +429,7 @@ func (a *app) serveDebugAudit(w http.ResponseWriter, r *http.Request) {
 	if s := r.URL.Query().Get("refresh"); s != "" {
 		v, err := strconv.ParseBool(s)
 		if err != nil {
-			broker.WriteError(w, http.StatusBadRequest, "bad_request",
+			obs.WriteError(w, http.StatusBadRequest, "bad_request",
 				"refresh must be a boolean (true/false/1/0)")
 			return
 		}
@@ -450,18 +441,18 @@ func (a *app) serveDebugAudit(w http.ResponseWriter, r *http.Request) {
 		var err error
 		rep, err = b.AuditNow()
 		if errors.Is(err, broker.ErrAuditDisabled) {
-			broker.WriteError(w, http.StatusNotFound, "audit_disabled",
+			obs.WriteError(w, http.StatusNotFound, "audit_disabled",
 				"live audit disabled; start muaa-serve with -audit-window > 0")
 			return
 		}
 		if err != nil {
-			broker.WriteError(w, http.StatusInternalServerError, "internal", err.Error())
+			obs.WriteError(w, http.StatusInternalServerError, "internal", err.Error())
 			return
 		}
 	}
 	out, err := rep.EncodeJSON()
 	if err != nil {
-		broker.WriteError(w, http.StatusInternalServerError, "internal", err.Error())
+		obs.WriteError(w, http.StatusInternalServerError, "internal", err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -512,26 +503,27 @@ func parseLogLevel(s string) (slog.Level, error) {
 }
 
 func main() {
+	var o serverOpts
+	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
+	flag.Float64Var(&o.g, "g", 0, "adaptive threshold base g (> e); 0 = derive from observed γ bounds")
+	flag.Float64Var(&o.pacing, "pacing", 0, "daily budget pacing factor (0 = off, 1 = strictly uniform)")
+	flag.IntVar(&o.shards, "shards", 0, "spatial shard count for concurrent serving (0 = scale to GOMAXPROCS)")
+	flag.StringVar(&o.dataDir, "data-dir", "", "durability directory for the write-ahead log and snapshots; empty = in-memory only")
+	flag.StringVar(&o.walSync, "wal-sync", "flush", "WAL fsync policy: flush (fsync each group commit), always (fsync every record), none (leave it to the OS)")
+	flag.DurationVar(&o.walFlushEvery, "wal-flush-interval", 0, "max time a buffered WAL record may wait before reaching the OS (0 = 50ms default)")
+	flag.IntVar(&o.snapshotEvery, "snapshot-every", 0, "WAL records between compacting snapshots (0 = 262144 default, negative disables)")
+	flag.IntVar(&o.traceCapacity, "trace-capacity", 256, "flight-recorder reservoir size for arrival traces (0 disables tracing)")
+	flag.DurationVar(&o.traceSlow, "trace-slow", 25*time.Millisecond, "arrival traces at least this slow are always retained")
+	flag.IntVar(&o.auditWindow, "audit-window", 4096, "live quality audit: sliding window of recent arrivals (0 disables auditing)")
+	flag.DurationVar(&o.auditEvery, "audit-every", 15*time.Second, "live quality audit recompute cadence")
+	flag.BoolVar(&o.walRetain, "wal-retain", true, "keep superseded WAL segments after compaction so muaa-audit can replay the full history")
+	flag.StringVar(&o.controller, "pacing-controller", "", "adaptive pacing controller: \"on\" for defaults or \"k=v,...\" overrides (target, gain, deadband, pace-gain, pace-bias, boost-min, boost-max, tighten-at, loosen-at, rate); empty disables")
+	flag.DurationVar(&o.sampleEvery, "sample-every", 5*time.Second, "time-series sampling cadence for /v1/debug/timeseries (negative disables the sampler)")
+	flag.IntVar(&o.sampleCap, "sample-capacity", 360, "retention-ring points kept per time series (memory ≈ 16 B × capacity × series)")
+	flag.StringVar(&o.slo, "slo", "", "SLO burn-rate watchdog: \"on\" for defaults or \"k=v,...\" overrides (short, long, burn, clear, min-samples, ratio-target, arrival-p99-ms, floor-max, wal-p99-ms, escrow-open-max, heap-max-mb, goroutines-max); empty disables")
+	flag.BoolVar(&o.funnel, "funnel", true, "per-campaign decision-funnel attribution: muaa_funnel_* metrics and GET /v1/debug/campaigns/{id}/funnel")
 	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		g         = flag.Float64("g", 0, "adaptive threshold base g (> e); 0 = derive from observed γ bounds")
-		pacing    = flag.Float64("pacing", 0, "daily budget pacing factor (0 = off, 1 = strictly uniform)")
-		shards    = flag.Int("shards", 0, "spatial shard count for concurrent serving (0 = scale to GOMAXPROCS)")
-		dataDir   = flag.String("data-dir", "", "durability directory for the write-ahead log and snapshots; empty = in-memory only")
-		walSync   = flag.String("wal-sync", "flush", "WAL fsync policy: flush (fsync each group commit), always (fsync every record), none (leave it to the OS)")
-		walFlush  = flag.Duration("wal-flush-interval", 0, "max time a buffered WAL record may wait before reaching the OS (0 = 50ms default)")
-		snapEvery = flag.Int("snapshot-every", 0, "WAL records between compacting snapshots (0 = 262144 default, negative disables)")
 		debugAddr = flag.String("debug-addr", "", "optional second listen address for net/http/pprof and /v1/debug/traces (e.g. 127.0.0.1:6060); empty disables")
-		traceCap  = flag.Int("trace-capacity", 256, "flight-recorder reservoir size for arrival traces (0 disables tracing)")
-		traceSlow = flag.Duration("trace-slow", 25*time.Millisecond, "arrival traces at least this slow are always retained")
-		auditWin  = flag.Int("audit-window", 4096, "live quality audit: sliding window of recent arrivals (0 disables auditing)")
-		auditEv   = flag.Duration("audit-every", 15*time.Second, "live quality audit recompute cadence")
-		walRetain = flag.Bool("wal-retain", true, "keep superseded WAL segments after compaction so muaa-audit can replay the full history")
-		pacingCtl = flag.String("pacing-controller", "", "adaptive pacing controller: \"on\" for defaults or \"k=v,...\" overrides (target, gain, deadband, pace-gain, pace-bias, boost-min, boost-max, tighten-at, loosen-at, rate); empty disables")
-		sampleEv  = flag.Duration("sample-every", 5*time.Second, "time-series sampling cadence for /v1/debug/timeseries (negative disables the sampler)")
-		sampleCap = flag.Int("sample-capacity", 360, "retention-ring points kept per time series (memory ≈ 16 B × capacity × series)")
-		sloSpec   = flag.String("slo", "", "SLO burn-rate watchdog: \"on\" for defaults or \"k=v,...\" overrides (short, long, burn, clear, min-samples, ratio-target, arrival-p99-ms, floor-max, wal-p99-ms, escrow-open-max, heap-max-mb, goroutines-max); empty disables")
-		funnel    = flag.Bool("funnel", true, "per-campaign decision-funnel attribution: muaa_funnel_* metrics and GET /v1/debug/campaigns/{id}/funnel")
 		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 		version   = flag.Bool("version", false, "print version and exit")
 	)
@@ -556,16 +548,7 @@ func main() {
 	if err != nil {
 		fatal("bad_flag", err)
 	}
-	a, err := newServer(serverOpts{
-		addr: *addr, g: *g, pacing: *pacing, shards: *shards,
-		dataDir: *dataDir, walSync: *walSync,
-		walFlushEvery: *walFlush, snapshotEvery: *snapEvery,
-		traceCapacity: *traceCap, traceSlow: *traceSlow,
-		auditWindow: *auditWin, auditEvery: *auditEv, walRetain: *walRetain,
-		controller:  *pacingCtl,
-		sampleEvery: *sampleEv, sampleCap: *sampleCap, slo: *sloSpec,
-		funnel: *funnel,
-	}, logger)
+	a, err := newServer(o, logger)
 	if err != nil {
 		fatal("bad_config", err)
 	}
@@ -588,17 +571,17 @@ func main() {
 			bootErr <- err
 			return
 		}
-		if *dataDir != "" {
+		if o.dataDir != "" {
 			info := a.b.Load().RecoveryStats()
 			logger.Info("recovered",
-				slog.String("data_dir", *dataDir),
+				slog.String("data_dir", o.dataDir),
 				slog.Float64("duration_ms", float64(time.Since(start))/float64(time.Millisecond)),
 				slog.Bool("snapshot", info.SnapshotLoaded),
 				slog.Int("records", info.RecordsReplayed),
 				slog.Bool("truncated", info.Truncated))
 		}
 		logger.Info("ready",
-			slog.String("addr", *addr),
+			slog.String("addr", o.addr),
 			slog.Int("ad_types", len(workload.DefaultAdTypes())),
 			slog.Bool("tracing", a.tracer != nil))
 	}()

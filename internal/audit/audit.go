@@ -86,10 +86,6 @@ type Input struct {
 	// otherwise g derives from the observed bounds exactly as the broker's
 	// threshold derivation does.
 	G float64
-	// Preference and MinDist must match the serving broker's so the oracle
-	// prices utilities the same way. Zero values select the broker defaults.
-	Preference model.Preference
-	MinDist    float64
 
 	// End-of-stream billing telemetry, computed by the caller from its
 	// decision source (the stats counters live, the conversion records on
@@ -119,19 +115,18 @@ type Config struct {
 // threshold gauges.
 var deltaPoints = [...]float64{0, 0.5, 1}
 
-// safePreference guards a preference that requires equal interest/tag
-// dimensionality (model.PearsonPreference panics otherwise): mismatched
-// pairs score 0, mirroring the serving broker's ineligibility rule.
-type safePreference struct {
-	inner  model.Preference
-	vector bool
-}
+// safePreference is the serving broker's scorer — the paper's Pearson
+// preference under uniform activity, so the oracle prices utilities the way
+// the broker did — guarded the way the broker guards it: a pair whose
+// interest/tag dimensions differ scores 0 (the broker's ineligibility rule)
+// where model.PearsonPreference would panic.
+type safePreference struct{}
 
-func (s safePreference) Score(u *model.Customer, v *model.Vendor, hour float64) float64 {
-	if s.vector && len(u.Interests) != len(v.Tags) {
+func (safePreference) Score(u *model.Customer, v *model.Vendor, hour float64) float64 {
+	if len(u.Interests) != len(v.Tags) {
 		return 0
 	}
-	return s.inner.Score(u, v, hour)
+	return model.PearsonPreference{Activity: model.UniformActivity{}}.Score(u, v, hour)
 }
 
 // Compute audits one decision stream. It is deterministic: the same Input
@@ -139,15 +134,6 @@ func (s safePreference) Score(u *model.Customer, v *model.Vendor, hour float64) 
 func Compute(in Input, cfg Config) (Report, error) {
 	if len(in.AdTypes) == 0 {
 		return Report{}, fmt.Errorf("audit: no ad types")
-	}
-	pref := in.Preference
-	if pref == nil {
-		pref = model.PearsonPreference{Activity: model.UniformActivity{}}
-	}
-	_, vector := pref.(model.PearsonPreference)
-	minDist := in.MinDist
-	if minDist == 0 {
-		minDist = model.DefaultMinDist
 	}
 
 	// Per-campaign accounting, in input order for the stream replay but
@@ -236,8 +222,8 @@ func Compute(in Input, cfg Config) (Report, error) {
 	// oracle cannot see.
 	p := &model.Problem{
 		AdTypes:    in.AdTypes,
-		Preference: safePreference{inner: pref, vector: vector},
-		MinDist:    minDist,
+		Preference: safePreference{},
+		MinDist:    model.DefaultMinDist,
 	}
 	for i, ai := range audited {
 		a := &in.Arrivals[ai]

@@ -37,7 +37,6 @@ type auditState struct {
 	mu   sync.Mutex
 	ring []audit.Arrival // capacity-bounded; ring[next] is the oldest once full
 	next int
-	full bool
 
 	every time.Duration
 
@@ -70,37 +69,15 @@ func newAuditState(window int, every time.Duration) *auditState {
 // order is capture order, not commit order — the window report is an
 // approximation by design.
 func (s *auditState) capture(a *Arrival, offers []Offer) {
-	entry := audit.Arrival{
-		Loc:      a.Loc,
-		Capacity: a.Capacity,
-		ViewProb: a.ViewProb,
-		Hour:     a.Hour,
-	}
-	if len(a.Interests) > 0 {
-		entry.Interests = append([]float64(nil), a.Interests...)
-	}
-	if len(offers) > 0 {
-		entry.Offers = make([]audit.Offer, len(offers))
-		for i := range offers {
-			o := &offers[i]
-			entry.Offers[i] = audit.Offer{
-				Campaign: o.Campaign, AdType: o.AdType, Cost: o.Cost, Utility: o.Utility,
-				Model: o.Model, ChargeECPM: o.ChargeECPM,
-			}
-		}
-	}
+	entry := auditArrival(a, offers)
+	// The interests alias the caller's (pooled) request buffer.
+	entry.Interests = append([]float64(nil), a.Interests...)
 	s.mu.Lock()
 	if len(s.ring) < cap(s.ring) {
 		s.ring = append(s.ring, entry)
 	} else {
 		s.ring[s.next] = entry
-		s.next++
-		if s.next == len(s.ring) {
-			s.next = 0
-			s.full = true
-		} else if !s.full && s.next == cap(s.ring) {
-			s.full = true
-		}
+		s.next = (s.next + 1) % len(s.ring)
 	}
 	s.mu.Unlock()
 }
@@ -223,8 +200,6 @@ func (b *Broker) windowInput(win []audit.Arrival) audit.Input {
 		GammaMin:         st.GammaMin,
 		GammaMax:         st.GammaMax,
 		G:                b.cfg.G,
-		Preference:       b.pref,
-		MinDist:          b.minDist,
 		EscrowHeld:       st.EscrowHeld,
 		ConvertedRevenue: st.ConversionRevenue,
 		Conversions:      st.Conversions,
@@ -312,12 +287,9 @@ func registerAuditMetrics(reg *obs.Registry, b *Broker) {
 }
 
 // AuditConfig parameterizes ReplayAudit. AdTypes is required and must be
-// the catalog the recorded broker served with; the other knobs default to
-// the broker defaults.
+// the catalog the recorded broker served with.
 type AuditConfig struct {
-	AdTypes    []model.AdType
-	Preference model.Preference
-	MinDist    float64
+	AdTypes []model.AdType
 	// G mirrors Config.G: 0 derives g from the recorded γ bounds.
 	G float64
 	// UseRecon adds the RECON oracle next to greedy (slower, tighter).
@@ -328,9 +300,9 @@ type AuditConfig struct {
 	Seed    int64
 }
 
-// auditArrival converts one decoded arrival (and its committed offers) into
-// the audit stream's shape.
-func auditArrival(cu Arrival, offers []Offer) audit.Arrival {
+// auditArrival converts one arrival and its committed offers into the audit
+// stream's shape. Interests are shared with cu, not copied.
+func auditArrival(cu *Arrival, offers []Offer) audit.Arrival {
 	out := make([]audit.Offer, len(offers))
 	for j := range offers {
 		o := &offers[j]
@@ -365,12 +337,10 @@ func ReplayAudit(dir string, cfg AuditConfig) (audit.Report, error) {
 		return audit.Report{}, err
 	}
 	in := audit.Input{
-		Mode:       "window",
-		Source:     dir,
-		AdTypes:    cfg.AdTypes,
-		G:          cfg.G,
-		Preference: cfg.Preference,
-		MinDist:    cfg.MinDist,
+		Mode:    "window",
+		Source:  dir,
+		AdTypes: cfg.AdTypes,
+		G:       cfg.G,
 	}
 	if v.FullHistory {
 		in.Mode = "full-history"
@@ -435,7 +405,7 @@ func ReplayAudit(dir string, cfg AuditConfig) (audit.Report, error) {
 				e := &d.Arrivals[j]
 				gammaMin = math.Min(gammaMin, e.GammaMin)
 				gammaMax = math.Max(gammaMax, e.GammaMax)
-				in.Arrivals = append(in.Arrivals, auditArrival(e.Customer, e.Offers))
+				in.Arrivals = append(in.Arrivals, auditArrival(&e.Customer, e.Offers))
 				for k := range e.Offers {
 					in.EscrowHeld += e.Offers[k].Hold
 				}

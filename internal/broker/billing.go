@@ -21,9 +21,11 @@ var (
 	ErrDuplicateEvent = errors.New("broker: duplicate idempotency key")
 )
 
-// defaultMaxOpen bounds the escrow table (and the idempotency-key window)
-// when Config.MaxOpenOffers is zero.
-const defaultMaxOpen = 65536
+// maxOpenOffers bounds the escrow table of outstanding CPC/CPA offers and the
+// conversion idempotency-key window: when a new escrowed offer would exceed
+// it, the oldest open offer is expired and its hold released back to the
+// campaign.
+const maxOpenOffers = 65536
 
 // openOffer is one escrowed CPC/CPA offer awaiting its conversion event.
 // born is wall-clock bookkeeping for the oldest-age gauge only — it is not
@@ -61,7 +63,8 @@ type billingState struct {
 	// oldestNext is the oldest-age gauge's monotone scan cursor (see
 	// oldestOpenAge); always ≥ evictNext after a scrape.
 	oldestNext uint64
-	maxOpen    int
+	// maxOpen is maxOpenOffers; a field so the eviction tests can lower it.
+	maxOpen int
 	// idem is the window of consumed idempotency keys, bounded FIFO via
 	// idemQ with an amortized-compaction head index.
 	idem     map[string]struct{}
@@ -79,14 +82,11 @@ type billingState struct {
 	revenue [model.NumBillingModels]atomicFloat
 }
 
-func newBillingState(maxOpen int) *billingState {
-	if maxOpen == 0 {
-		maxOpen = defaultMaxOpen
-	}
+func newBillingState() *billingState {
 	return &billingState{
 		open:    make(map[uint64]openOffer),
 		nextID:  1,
-		maxOpen: maxOpen,
+		maxOpen: maxOpenOffers,
 		idem:    make(map[string]struct{}),
 	}
 }

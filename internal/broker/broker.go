@@ -28,17 +28,6 @@ type Config struct {
 	// re-derives it from observed efficiency bounds as traffic accumulates
 	// (g = e·γ_max/γ_min, clamped to [2e, 1e9]).
 	G float64
-	// Preference scores customer interest vectors against campaign tag
-	// vectors; nil selects the paper's Pearson preference with uniform
-	// activity.
-	Preference model.Preference
-	// MinDist floors the Eq. 4 distance; zero selects model.DefaultMinDist.
-	MinDist float64
-	// GridCells is the spatial-index resolution of each shard's grid; zero
-	// selects 64.
-	GridCells int
-	// Bounds is the service area; the zero value selects the unit square.
-	Bounds geo.Rect
 	// Pacing, when positive, additionally caps each campaign's spend at
 	// Pacing × budget × (hour/24) — classic daily budget pacing: a campaign
 	// cannot burn its whole budget on the morning crowd. Pacing = 1 is
@@ -105,11 +94,6 @@ type Config struct {
 	// all-fixed fleet. At capacity 1 it changes no decision: both settings run
 	// the same trim resolver (TestSlateEquivalenceSerial).
 	Slate bool
-	// MaxOpenOffers bounds the escrow table of outstanding CPC/CPA offers
-	// (and the conversion idempotency-key window). When a new escrowed offer
-	// would exceed the bound, the oldest open offer is expired and its hold
-	// released back to the campaign. Zero selects 65536.
-	MaxOpenOffers int
 	// Funnel configures per-campaign decision-funnel attribution (see
 	// funnel.go): with Funnel.Enabled every scan records which gate disposed
 	// of each gathered candidate in that campaign's own exact counter row,
@@ -221,21 +205,8 @@ type Stats struct {
 // their query disk overlaps, registration and budget mutation lock one
 // shard, and snapshot reads lock nothing.
 type Broker struct {
-	cfg  Config
-	pref model.Preference
-	// vectorPref marks preferences that correlate interest/tag vectors and
-	// therefore require equal dimensionality (PearsonPreference panics on a
-	// mismatch — a contract violation in batch problems, but live arrivals
-	// and campaigns come from untrusted clients, so the broker treats a
-	// dimension mismatch as ineligibility instead). When set, pearson holds
-	// the concrete scorer so the scan prepares the customer side of Eq. 5
-	// once per arrival and scores candidates against it (no interface
-	// dispatch, no per-candidate weights).
-	vectorPref bool
-	pearson    model.PearsonPreference
-	minDist    float64
-	bounds     geo.Rect
-	minAdCost  float64 // cheapest configured ad type; the exhaustion line
+	cfg       Config
+	minAdCost float64 // cheapest configured ad type; the exhaustion line
 
 	// metrics is nil for an uninstrumented broker; set once in New and
 	// read-only afterwards, so Arrive checks it without synchronization.
@@ -303,62 +274,53 @@ func New(cfg Config) (*Broker, error) {
 	return newMemory(cfg)
 }
 
-// newMemory builds the in-memory broker every configuration shares;
-// Recover layers durability on top.
-func newMemory(cfg Config) (*Broker, error) {
+// Validate reports the configuration errors New would: everything that can be
+// checked without touching the data directory.
+func (cfg *Config) Validate() error {
 	if len(cfg.AdTypes) == 0 {
-		return nil, errors.New("broker: no ad types configured")
+		return errors.New("broker: no ad types configured")
 	}
 	for k, t := range cfg.AdTypes {
 		if !(t.Cost > 0) || t.Effect < 0 {
-			return nil, fmt.Errorf("broker: ad type %d (%s) has cost %g / effect %g", k, t.Name, t.Cost, t.Effect)
+			return fmt.Errorf("broker: ad type %d (%s) has cost %g / effect %g", k, t.Name, t.Cost, t.Effect)
 		}
 	}
 	if cfg.G != 0 && cfg.G <= math.E {
-		return nil, fmt.Errorf("broker: g = %g must exceed e", cfg.G)
+		return fmt.Errorf("broker: g = %g must exceed e", cfg.G)
 	}
 	if cfg.Pacing < 0 || math.IsNaN(cfg.Pacing) {
-		return nil, fmt.Errorf("broker: pacing factor %g must be ≥ 0", cfg.Pacing)
+		return fmt.Errorf("broker: pacing factor %g must be ≥ 0", cfg.Pacing)
 	}
 	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("broker: shard count %d must be ≥ 0", cfg.Shards)
+		return fmt.Errorf("broker: shard count %d must be ≥ 0", cfg.Shards)
 	}
-	if cfg.MaxOpenOffers < 0 {
-		return nil, fmt.Errorf("broker: max open offers %d must be ≥ 0", cfg.MaxOpenOffers)
+	if cfg.Controller != nil {
+		return cfg.Controller.Validate()
 	}
-	bounds := cfg.Bounds
-	if bounds.Width() <= 0 || bounds.Height() <= 0 {
-		bounds = geo.UnitSquare
-	}
-	cells := cfg.GridCells
-	if cells == 0 {
-		cells = 64
+	return nil
+}
+
+// gridCells is the resolution of each shard's spatial index over the service
+// area, the paper's unit square (geo.UnitSquare).
+const gridCells = 64
+
+// newMemory builds the in-memory broker every configuration shares;
+// Recover layers durability on top.
+func newMemory(cfg Config) (*Broker, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	nShards := cfg.Shards
 	if nShards == 0 {
 		nShards = defaultShards()
 	}
-	pref := cfg.Preference
-	if pref == nil {
-		pref = model.PearsonPreference{Activity: model.UniformActivity{}}
-	}
-	minDist := cfg.MinDist
-	if minDist == 0 {
-		minDist = model.DefaultMinDist
-	}
-	pearson, vectorPref := pref.(model.PearsonPreference)
 	b := &Broker{
-		cfg:        cfg,
-		pref:       pref,
-		vectorPref: vectorPref,
-		pearson:    pearson,
-		minDist:    minDist,
-		bounds:     bounds,
-		stripes:    geo.NewStripes(bounds, nShards),
-		shards:     make([]shard, nShards),
+		cfg:     cfg,
+		stripes: geo.NewStripes(geo.UnitSquare, nShards),
+		shards:  make([]shard, nShards),
 	}
 	for i := range b.shards {
-		b.shards[i].grid = geo.NewGrid(bounds, cells)
+		b.shards[i].grid = geo.NewGrid(geo.UnitSquare, gridCells)
 	}
 	b.minAdCost = cfg.AdTypes[0].Cost
 	for _, t := range cfg.AdTypes[1:] {
@@ -370,11 +332,8 @@ func newMemory(cfg Config) (*Broker, error) {
 	b.dir.Store(&empty)
 	b.gammaMin.Store(math.Inf(1))
 	b.phiBoost.Store(1)
-	b.billing = newBillingState(cfg.MaxOpenOffers)
+	b.billing = newBillingState()
 	if cfg.Controller != nil {
-		if err := cfg.Controller.Validate(); err != nil {
-			return nil, err
-		}
 		cc := *cfg.Controller
 		b.controller = &cc
 	}
@@ -445,10 +404,10 @@ func (b *Broker) RegisterCampaign(loc geo.Point, radius, budget float64, tags []
 // RegisterCampaignSpec adds a campaign with its full spec (delivery class
 // included) and returns its ID.
 func (b *Broker) RegisterCampaignSpec(spec CampaignSpec) (int32, error) {
-	if spec.Radius < 0 || math.IsNaN(spec.Radius) {
+	if spec.Radius < 0 || !finite(spec.Radius) {
 		return 0, fmt.Errorf("broker: campaign radius %g", spec.Radius)
 	}
-	if spec.Budget < 0 || math.IsNaN(spec.Budget) {
+	if spec.Budget < 0 || !finite(spec.Budget) {
 		return 0, fmt.Errorf("broker: campaign budget %g", spec.Budget)
 	}
 	if spec.Floor < 0 || spec.Floor > 1 || math.IsNaN(spec.Floor) {
@@ -511,9 +470,11 @@ func (b *Broker) RegisterCampaignSpec(spec CampaignSpec) (int32, error) {
 	return id, nil
 }
 
-// TopUp adds budget to an existing campaign.
+// TopUp adds budget to an existing campaign. The amount and the budget it
+// leaves must be finite: a budget of +Inf would void every δ = spent/budget
+// and cannot be rendered as JSON.
 func (b *Broker) TopUp(id int32, amount float64) error {
-	if amount < 0 || math.IsNaN(amount) {
+	if amount < 0 || !finite(amount) {
 		return fmt.Errorf("broker: top-up amount %g", amount)
 	}
 	c, err := b.campaign(id)
@@ -524,7 +485,12 @@ func (b *Broker) TopUp(id int32, amount float64) error {
 	// sequence of in-flight arrivals touching this campaign.
 	sh := &b.shards[c.shard]
 	sh.mu.Lock()
-	c.budget.Store(c.budget.Load() + amount)
+	budget := c.budget.Load() + amount
+	if !finite(budget) {
+		sh.mu.Unlock()
+		return fmt.Errorf("broker: top-up amount %g overflows campaign %d's budget", amount, id)
+	}
+	c.budget.Store(budget)
 	if b.wal != nil {
 		b.logTopUp(id, amount)
 	}
@@ -599,7 +565,9 @@ func (b *Broker) campaign(id int32) (*campaign, error) {
 // Interest length is not a bound: a mismatch with a campaign's tags makes
 // that campaign ineligible, not the arrival invalid.
 func validateArrival(a *Arrival) error {
-	if a.Capacity < 0 {
+	// The upper bound keeps the capacity inside the 32 bits the arrivals
+	// record stores: past it the log would not say what the door admitted.
+	if a.Capacity < 0 || a.Capacity > math.MaxInt32 {
 		return fmt.Errorf("broker: capacity %d", a.Capacity)
 	}
 	if a.ViewProb < 0 || a.ViewProb > 1 || math.IsNaN(a.ViewProb) {

@@ -218,6 +218,9 @@ func TestArriveValidation(t *testing.T) {
 		{"midnight", with(func(a *Arrival) { a.Hour = 0 }), ""},
 		{"end of day", with(func(a *Arrival) { a.Hour = 24 }), ""},
 		{"negative capacity", with(func(a *Arrival) { a.Capacity = -1 }), "capacity"},
+		{"largest capacity", with(func(a *Arrival) { a.Capacity = math.MaxInt32 }), ""},
+		{"capacity past the log's 32 bits", with(func(a *Arrival) { a.Capacity = math.MaxInt32 + 1 }), "capacity"},
+		{"capacity that wraps to 0 in 32 bits", with(func(a *Arrival) { a.Capacity = 1 << 32 }), "capacity"},
 		{"view probability above 1", with(func(a *Arrival) { a.ViewProb = 1.5 }), "view probability"},
 		{"NaN view probability", with(func(a *Arrival) { a.ViewProb = nan }), "view probability"},
 		{"NaN x", with(func(a *Arrival) { a.Loc.X = nan }), "location"},
@@ -458,5 +461,30 @@ func TestConcurrentMixedOperationsStress(t *testing.T) {
 	st := b.Stats()
 	if st.BudgetSpent < 0 || st.UtilityServed < 0 {
 		t.Fatalf("counters corrupted: %+v", st)
+	}
+}
+
+// TestAbsurdRadiusKeepsEveryStripeReachable: a campaign's radius is any
+// finite float, and the largest one widens every arrival's stripe interval to
+// [y − r, y + r]. That window once went through a float→int conversion
+// outside int's range, came back as stripe 0 alone, and every campaign in
+// another stripe stopped being served.
+func TestAbsurdRadiusKeepsEveryStripeReachable(t *testing.T) {
+	b, err := New(Config{AdTypes: workload.DefaultAdTypes(), Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.RegisterCampaign(geo.Point{X: 0.5, Y: 0.9}, 0.3, 50, []float64{1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	a := Arrival{Loc: geo.Point{X: 0.5, Y: 0.85}, Capacity: 1, ViewProb: 0.5, Interests: []float64{1, 0}, Hour: 12}
+	if offers, err := b.Arrive(a); err != nil || len(offers) != 1 {
+		t.Fatalf("before: %v, %v", offers, err)
+	}
+	if _, err := b.RegisterCampaign(geo.Point{X: 0.5, Y: 0.05}, 1e300, 0, []float64{1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if offers, err := b.Arrive(a); err != nil || len(offers) != 1 || offers[0].Campaign != 0 {
+		t.Fatalf("after a radius-1e300 registration in stripe 0: %v, %v; want campaign 0 still served", offers, err)
 	}
 }

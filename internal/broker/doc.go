@@ -21,9 +21,9 @@
 // # Concurrency model
 //
 // The broker serves arrivals concurrently by sharding campaign state into
-// horizontal spatial stripes (geo.Stripes over Config.Bounds): each shard
+// horizontal spatial stripes (geo.Stripes over the unit square): each shard
 // owns the campaigns whose centers fall in its stripe, with its own
-// geo.Grid (at Config.GridCells resolution) and its own lock. An arrival at
+// 64×64-cell geo.Grid and its own lock. An arrival at
 // p can only be covered by campaigns whose centers lie within maxRadius of
 // p, so it locks exactly the contiguous stripe range overlapping
 // [p.Y−maxRadius, p.Y+maxRadius] — always in ascending index order, which

@@ -26,6 +26,7 @@ import (
 	"slices"
 
 	"muaa/internal/model"
+	"muaa/internal/obs"
 )
 
 // ExplainReport is the full decision breakdown for one hypothetical arrival.
@@ -266,7 +267,7 @@ func explainOfferFrom(cd *candidate, adTypes []model.AdType, slot int) *ExplainO
 func (b *Broker) ServeExplain(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed",
+		obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed",
 			fmt.Sprintf("method %s not allowed; allowed: POST", r.Method))
 		return
 	}
@@ -277,10 +278,10 @@ func (b *Broker) ServeExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	rep, err := b.Explain(buf.arrivals[0])
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
+		obs.WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	WriteJSON(w, http.StatusOK, rep)
+	obs.WriteJSON(w, http.StatusOK, rep)
 }
 
 // ServeCampaignFunnel serves GET /v1/debug/campaigns/{id}/funnel: the
@@ -289,7 +290,7 @@ func (b *Broker) ServeExplain(w http.ResponseWriter, r *http.Request) {
 func (b *Broker) ServeCampaignFunnel(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		w.Header().Set("Allow", "GET, HEAD")
-		WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed",
+		obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed",
 			fmt.Sprintf("method %s not allowed; allowed: GET, HEAD", r.Method))
 		return
 	}
@@ -300,13 +301,13 @@ func (b *Broker) ServeCampaignFunnel(w http.ResponseWriter, r *http.Request) {
 	fc, err := b.CampaignFunnel(id)
 	if err != nil {
 		if errors.Is(err, ErrFunnelDisabled) {
-			WriteError(w, http.StatusNotFound, "funnel_disabled",
+			obs.WriteError(w, http.StatusNotFound, "funnel_disabled",
 				"per-campaign funnel attribution is disabled; start the broker with the funnel enabled")
 			return
 		}
 		status, code := statusFor(err)
-		WriteError(w, status, code, err.Error())
+		obs.WriteError(w, status, code, err.Error())
 		return
 	}
-	WriteJSON(w, http.StatusOK, fc)
+	obs.WriteJSON(w, http.StatusOK, fc)
 }

@@ -1,12 +1,15 @@
 package broker
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"muaa/internal/geo"
+	"muaa/internal/model"
 	"muaa/internal/workload"
 )
 
@@ -293,4 +296,216 @@ func sanitizePath(s string) string {
 		return "x"
 	}
 	return sb.String()
+}
+
+// fuzzDraw reads fuzz input as a stream of draws; an exhausted stream reads
+// zeros, so every input decodes to some arrival sequence.
+type fuzzDraw struct{ data []byte }
+
+func (r *fuzzDraw) u8() byte {
+	if len(r.data) == 0 {
+		return 0
+	}
+	b := r.data[0]
+	r.data = r.data[1:]
+	return b
+}
+
+func (r *fuzzDraw) u64() uint64 {
+	var v uint64
+	for i := 0; i < 8; i++ {
+		v = v<<8 | uint64(r.u8())
+	}
+	return v
+}
+
+// unit is a draw in [0, 1).
+func (r *fuzzDraw) unit() float64 { return float64(r.u64()>>11) / (1 << 53) }
+
+// float is any finite float64: the raw bits, with NaN and ±Inf folded onto
+// the largest magnitude.
+func (r *fuzzDraw) float() float64 {
+	v := math.Float64frombits(r.u64())
+	if math.IsNaN(v) {
+		return math.MaxFloat64
+	}
+	if math.IsInf(v, 0) {
+		return math.Copysign(math.MaxFloat64, v)
+	}
+	return v
+}
+
+// within folds any finite float into [0, hi], keeping the end points
+// reachable.
+func within(v, hi float64) float64 {
+	if v = math.Abs(v); v > hi {
+		v = math.Mod(v, hi)
+	}
+	return v
+}
+
+// arrival draws an arrival from everything validateArrival admits: locations
+// in, near and absurdly far from the service area, the hour's and the view
+// probability's end points, capacities up to the bound, and interest vectors
+// of every length from empty to longer than any campaign's tags.
+func (r *fuzzDraw) arrival() Arrival {
+	var a Arrival
+	switch r.u8() % 4 {
+	case 0:
+		a.Loc = geo.Point{X: r.unit(), Y: r.unit()}
+	case 1:
+		a.Loc = geo.Point{X: 3*r.unit() - 1, Y: 3*r.unit() - 1}
+	default:
+		a.Loc = geo.Point{X: r.float(), Y: r.float()}
+	}
+	switch r.u8() % 4 {
+	case 0:
+		a.Hour, a.ViewProb = 24*r.unit(), r.unit()
+	case 1:
+		a.Hour, a.ViewProb = 24, 1
+	case 2:
+		a.Hour, a.ViewProb = 0, r.unit()
+	default:
+		a.Hour, a.ViewProb = within(r.float(), 24), within(r.float(), 1)
+	}
+	switch sel := r.u8(); sel % 4 {
+	case 0, 1:
+		a.Capacity = int(sel>>2) % 6
+	case 2:
+		a.Capacity = int(r.u64() & math.MaxInt32)
+	default:
+		a.Capacity = math.MaxInt32
+	}
+	sel := r.u8()
+	for i := 0; i < int(sel%6); i++ {
+		if sel&0x80 != 0 {
+			a.Interests = append(a.Interests, r.float())
+		} else {
+			a.Interests = append(a.Interests, r.unit())
+		}
+	}
+	return a
+}
+
+// FuzzKernelAdmitted is the kernel's half of "input hardening at one door":
+// whatever validateArrival admits, the kernel must answer without panicking
+// and every answer must be feasible — offers within the capacity, one per
+// campaign, only from campaigns whose disk covers the point, no campaign
+// past its budget, and every gathered candidate disposed of exactly once.
+// The fleet mixes all four billing models, exhausted, paused, guaranteed,
+// zero-radius and (on some inputs) absurd-radius campaigns, and tag vectors
+// of three lengths.
+func FuzzKernelAdmitted(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 0, 0x80, 0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0, 1, 0x0D, 3})
+	f.Add(bytes.Repeat([]byte{0x7F, 0xEF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, 12))
+	f.Add(bytes.Repeat([]byte{2, 0xFF, 0xEF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 3, 0x83}, 9))
+	f.Add(bytes.Repeat([]byte{0, 0x80, 0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0, 1, 0x0D, 3}, 40))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := &fuzzDraw{data: data}
+		mode := r.u8()
+		cfg := Config{AdTypes: workload.DefaultAdTypes(), Shards: 1 + int(mode>>1)%5,
+			Funnel: FunnelConfig{Enabled: true}}
+		if mode&1 != 0 {
+			cfg.Pacing = 1.25
+		}
+		b, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		billings := []model.Billing{
+			{},
+			{Model: model.BillingCPM, ReserveECPM: 1},
+			{Model: model.BillingCPC, ReserveECPM: 5, EventRate: 0.1},
+			{Model: model.BillingCPA, ReserveECPM: 2, EventRate: 0.05},
+		}
+		for i := 0; i < 14; i++ {
+			spec := CampaignSpec{
+				Loc:    geo.Point{X: 0.3 + 0.05*float64(i%7), Y: 0.4 + 0.2*float64(i/7)},
+				Radius: 0.35, Budget: 40, Tags: []float64{1, 0.2 * float64(i%5), 0.3},
+				Billing: billings[i%len(billings)],
+			}
+			switch i {
+			case 4:
+				spec.Budget = 1.5 // spent out after an offer or two
+			case 5:
+				spec.Tags = []float64{1, 0.5}
+			case 6:
+				spec.Tags = nil
+			case 7:
+				spec.Radius = 0
+			case 8:
+				spec.Guaranteed, spec.Floor, spec.Penalty = true, 0.5, 2
+			case 9:
+				spec.Loc, spec.Radius = geo.Point{X: 5, Y: -3}, 10 // reaches far outside the service area
+			case 11:
+				if mode&0x10 != 0 {
+					spec.Radius = 1e300 // every arrival locks every stripe
+				}
+			}
+			id, err := b.RegisterCampaignSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 10 {
+				if err := b.SetPaused(id, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		check := func(a *Arrival, offers []Offer) {
+			if len(offers) > a.Capacity {
+				t.Fatalf("%+v: %d offers", *a, len(offers))
+			}
+			seen := make(map[int32]bool)
+			for _, o := range offers {
+				c, err := b.CampaignState(o.Campaign)
+				if err != nil || seen[o.Campaign] {
+					t.Fatalf("%+v: offer %+v (seen before: %v): %v", *a, o, seen[o.Campaign], err)
+				}
+				seen[o.Campaign] = true
+				if !(c.Loc.Dist2(a.Loc) <= c.Radius*c.Radius) {
+					t.Fatalf("%+v: campaign %d at %v radius %g does not cover the point", *a, c.ID, c.Loc, c.Radius)
+				}
+				if math.IsNaN(o.Utility) || o.Utility < 0 || o.Cost < 0 || o.Hold < 0 {
+					t.Fatalf("%+v: offer %+v", *a, o)
+				}
+			}
+			for _, c := range b.Campaigns() {
+				if !(c.Spent+c.Escrow <= c.Budget+1e-9) {
+					t.Fatalf("%+v: campaign %d spent %g + escrow %g past budget %g", *a, c.ID, c.Spent, c.Escrow, c.Budget)
+				}
+			}
+			var disposed uint64
+			for _, n := range b.funnel.fleetTotals() {
+				disposed += n
+			}
+			if g := b.funnel.gathered.Load(); disposed != g {
+				t.Fatalf("%+v: %d dispositions for %d gathered candidates", *a, disposed, g)
+			}
+		}
+		for calls := 0; len(r.data) > 0 && calls < 64; calls++ {
+			batch := make([]Arrival, 1+int(r.u8()%4))
+			for i := range batch {
+				batch[i] = r.arrival()
+				if err := validateArrival(&batch[i]); err != nil {
+					t.Fatalf("the generator left the door's bounds: %v", err)
+				}
+			}
+			if len(batch) == 1 {
+				offers, err := b.Arrive(batch[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(&batch[0], offers)
+				continue
+			}
+			for i, res := range b.ArriveBatch(batch) {
+				if res.Err != nil {
+					t.Fatal(res.Err)
+				}
+				check(&batch[i], res.Offers)
+			}
+		}
+	})
 }

@@ -106,7 +106,7 @@ func NewAPI(b *Broker) *API {
 		http.MethodGet: a.getMap,
 	})
 	a.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		WriteError(w, http.StatusNotFound, "not_found",
+		obs.WriteError(w, http.StatusNotFound, "not_found",
 			fmt.Sprintf("no route for %s", r.URL.Path))
 	})
 	return a
@@ -143,7 +143,7 @@ func methodHandler(methods map[string]http.HandlerFunc) http.Handler {
 		h, ok := methods[r.Method]
 		if !ok {
 			w.Header().Set("Allow", allow)
-			WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed",
+			obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed",
 				fmt.Sprintf("method %s not allowed; allowed: %s", r.Method, allow))
 			return
 		}
@@ -276,7 +276,7 @@ func (a *API) postCampaign(w http.ResponseWriter, r *http.Request) {
 	if req.Billing != nil {
 		m, err := model.ParseBillingModel(req.Billing.Model)
 		if err != nil {
-			WriteError(w, http.StatusBadRequest, "bad_request",
+			obs.WriteError(w, http.StatusBadRequest, "bad_request",
 				fmt.Sprintf("broker: %v", err))
 			return
 		}
@@ -293,10 +293,10 @@ func (a *API) postCampaign(w http.ResponseWriter, r *http.Request) {
 		Billing: billing,
 	})
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
+		obs.WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	writeJSON(w, http.StatusCreated, campaignResponse{ID: id})
+	obs.WriteJSON(w, http.StatusCreated, campaignResponse{ID: id})
 }
 
 func (a *API) postTopUp(w http.ResponseWriter, r *http.Request) {
@@ -324,10 +324,10 @@ func (a *API) postFlatTopUp(w http.ResponseWriter, r *http.Request) {
 func (a *API) finishTopUp(w http.ResponseWriter, id int32, amount float64) {
 	if err := a.broker.TopUp(id, amount); err != nil {
 		status, code := statusFor(err)
-		WriteError(w, status, code, err.Error())
+		obs.WriteError(w, status, code, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+	obs.WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
 func (a *API) postPause(w http.ResponseWriter, r *http.Request) {
@@ -341,10 +341,10 @@ func (a *API) postPause(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := a.broker.SetPaused(id, req.Paused); err != nil {
 		status, code := statusFor(err)
-		WriteError(w, status, code, err.Error())
+		obs.WriteError(w, status, code, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+	obs.WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
 func (a *API) listCampaigns(w http.ResponseWriter, r *http.Request) {
@@ -353,7 +353,7 @@ func (a *API) listCampaigns(w http.ResponseWriter, r *http.Request) {
 	for _, c := range campaigns {
 		out = append(out, stateResponse(c, false))
 	}
-	writeJSON(w, http.StatusOK, out)
+	obs.WriteJSON(w, http.StatusOK, out)
 }
 
 func (a *API) getCampaign(w http.ResponseWriter, r *http.Request) {
@@ -364,10 +364,10 @@ func (a *API) getCampaign(w http.ResponseWriter, r *http.Request) {
 	c, err := a.broker.CampaignState(id)
 	if err != nil {
 		status, code := statusFor(err)
-		WriteError(w, status, code, err.Error())
+		obs.WriteError(w, status, code, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, stateResponse(c, true))
+	obs.WriteJSON(w, http.StatusOK, stateResponse(c, true))
 }
 
 // postArrival serves POST /v1/arrivals through the wire codec (wire.go):
@@ -381,7 +381,7 @@ func (a *API) postArrival(w http.ResponseWriter, r *http.Request) {
 	offers, err := a.broker.arriveOne(&buf.arrivals[0], trace.FromContext(r.Context()), buf.batch.offers[:0])
 	buf.batch.offers = offers
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
+		obs.WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
 	reply := replyBuf{b: buf.out[:0]}
@@ -437,15 +437,15 @@ func (a *API) postEvent(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrOfferUnknown):
-			WriteError(w, http.StatusNotFound, "not_found", err.Error())
+			obs.WriteError(w, http.StatusNotFound, "not_found", err.Error())
 		case errors.Is(err, ErrDuplicateEvent):
-			WriteError(w, http.StatusConflict, "conflict", err.Error())
+			obs.WriteError(w, http.StatusConflict, "conflict", err.Error())
 		default:
-			WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
+			obs.WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, eventResponse{
+	obs.WriteJSON(w, http.StatusOK, eventResponse{
 		OfferID:  cv.OfferID,
 		Campaign: cv.Campaign,
 		Model:    cv.Model.String(),
@@ -463,10 +463,10 @@ func (a *API) getCampaignBilling(w http.ResponseWriter, r *http.Request) {
 	c, err := a.broker.CampaignState(id)
 	if err != nil {
 		status, code := statusFor(err)
-		WriteError(w, status, code, err.Error())
+		obs.WriteError(w, status, code, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, campaignBillingResponse{
+	obs.WriteJSON(w, http.StatusOK, campaignBillingResponse{
 		ID: c.ID,
 		Billing: billingDTO{
 			Model:       c.Billing.Model.String(),
@@ -480,7 +480,7 @@ func (a *API) getCampaignBilling(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) getStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, a.broker.Stats())
+	obs.WriteJSON(w, http.StatusOK, a.broker.Stats())
 }
 
 // getMap renders the current campaign state as an SVG map: each campaign's
@@ -512,7 +512,7 @@ func pathID(w http.ResponseWriter, r *http.Request) (int32, bool) {
 	s := r.PathValue("id")
 	id, err := strconv.ParseInt(s, 10, 32)
 	if err != nil || s[0] == '+' { // ParseInt takes a leading plus
-		WriteError(w, http.StatusBadRequest, "bad_request",
+		obs.WriteError(w, http.StatusBadRequest, "bad_request",
 			fmt.Sprintf("broker: bad campaign id %q", s))
 		return 0, false
 	}
@@ -541,24 +541,11 @@ func decodeStrict(w http.ResponseWriter, body []byte, v any) bool {
 		}
 	}
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, "bad_request",
+		obs.WriteError(w, http.StatusBadRequest, "bad_request",
 			fmt.Sprintf("broker: bad request body: %v", err))
 		return false
 	}
 	return true
-}
-
-// WriteJSON is the single funnel for every JSON response (success and
-// error), shared by the API and muaa-serve's own endpoints: obs.WriteJSON,
-// whose Content-Type plus nosniff contract TestJSONContentType pins.
-func WriteJSON(w http.ResponseWriter, status int, v any) { obs.WriteJSON(w, status, v) }
-
-func writeJSON(w http.ResponseWriter, status int, v any) { obs.WriteJSON(w, status, v) }
-
-// WriteError renders the uniform error envelope every handler (broker API,
-// server endpoints and the debug listener alike) returns.
-func WriteError(w http.ResponseWriter, status int, code, message string) {
-	obs.WriteError(w, status, code, message)
 }
 
 func statusFor(err error) (int, string) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -737,5 +738,50 @@ func TestStatusForMatchesSentinel(t *testing.T) {
 	lookalike := fmt.Errorf("broker: top-up amount %q (unknown campaign currency)", "x")
 	if status, code := statusFor(lookalike); status != http.StatusBadRequest || code != "bad_request" {
 		t.Errorf("look-alike message → %d %s, want 400 bad_request", status, code)
+	}
+}
+
+// TestBudgetStaysFinite: two finite top-ups once overflowed a budget to +Inf,
+// after which GET /v1/campaigns answered 200 with an empty body for every
+// client (encoding/json refuses +Inf). Radius, budget, top-up amount and the
+// budget a top-up leaves must all be finite; the refused top-up changes
+// nothing and the list still renders.
+func TestBudgetStaysFinite(t *testing.T) {
+	srv, b := newTestServer(t)
+	resp := postJSON(t, srv.URL+"/v1/campaigns", campaignRequest{Loc: pointDTO{0.5, 0.5}, Radius: 0.1, Budget: 1e308})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("registering a 1e308 budget: status %d", resp.StatusCode)
+	}
+	resp.Body.Close()
+	post := func(path, body string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	wantEnvelope(t, post("/v1/campaigns/0/topup", `{"amount":1e308}`), http.StatusBadRequest, "bad_request")
+	wantEnvelope(t, post("/v1/topup", `{"id":0,"amount":1e308}`), http.StatusBadRequest, "bad_request")
+	resp, err := http.Get(srv.URL + "/v1/campaigns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if list := decodeBody[[]campaignStateResponse](t, resp); len(list) != 1 || list[0].Budget != 1e308 {
+		t.Fatalf("list after the refused top-ups: %+v", list)
+	}
+
+	inf := math.Inf(1)
+	if err := b.TopUp(0, inf); err == nil {
+		t.Error("TopUp(+Inf) accepted")
+	}
+	if _, err := b.RegisterCampaignSpec(CampaignSpec{Radius: 0.1, Budget: inf}); err == nil {
+		t.Error("a +Inf budget registered")
+	}
+	if _, err := b.RegisterCampaignSpec(CampaignSpec{Radius: inf, Budget: 1}); err == nil {
+		t.Error("a +Inf radius registered")
+	}
+	if c, _ := b.CampaignState(0); c.Budget != 1e308 || len(b.Campaigns()) != 1 {
+		t.Errorf("refused calls changed state: budget %g, %d campaigns", c.Budget, len(b.Campaigns()))
 	}
 }

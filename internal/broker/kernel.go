@@ -188,12 +188,17 @@ type scanArena struct {
 	why *explainLog
 
 	// pearson is the arrival's customer-side half of Eq. 5, prepared once in
-	// terms and scored against every candidate's tags; customer and vendor
-	// are the reused model views a non-Pearson Preference is handed instead.
-	pearson  model.PearsonCustomer
-	customer model.Customer
-	vendor   model.Vendor
+	// terms and scored against every candidate's tags.
+	pearson model.PearsonCustomer
 }
+
+// scorer is the one preference the kernel scores with: the paper's
+// activity-weighted Pearson correlation (Eq. 5) under uniform activity. It
+// correlates interest and tag vectors, so it needs equal dimensionality and
+// panics on a mismatch — a contract violation in batch problems, but live
+// arrivals and campaigns come from untrusted clients, so terms treats a
+// dimension mismatch as ineligibility instead.
+var scorer = model.PearsonPreference{Activity: model.UniformActivity{}}
 
 // rep is one admitted candidate awaiting slot resolution: its best admitted
 // item by utility, which trim serves; slots overwrites a winner's item with
@@ -342,19 +347,13 @@ func (b *Broker) decide(ar *scanArena, a *Arrival, dir []*campaign, auction bool
 // terms runs the filter sequence over ar.ids and computes the γ-independent
 // terms of every survivor.
 func (b *Broker) terms(ar *scanArena, a *Arrival, dir []*campaign, tally *scanTally) {
-	cu := &ar.customer
-	*cu = model.Customer{Loc: a.Loc, Capacity: a.Capacity, ViewProb: a.ViewProb,
-		Interests: a.Interests, Arrival: a.Hour}
-	ve := &ar.vendor
 	ar.cand = ar.cand[:0]
 	ar.base = ar.base[:0]
 	ar.delta = ar.delta[:0]
 	ar.remaining = ar.remaining[:0]
 	ar.headroom = ar.headroom[:0]
 	ar.relief = ar.relief[:0]
-	if b.vectorPref {
-		b.pearson.Prepare(&ar.pearson, a.Interests, a.Hour)
-	}
+	scorer.Prepare(&ar.pearson, a.Interests, a.Hour)
 	for _, id := range ar.ids {
 		c := dir[id]
 		if c.paused.Load() {
@@ -366,21 +365,13 @@ func (b *Broker) terms(ar *scanArena, a *Arrival, dir []*campaign, tally *scanTa
 			ar.drop(tally, id, dispExhausted)
 			continue
 		}
-		if b.vectorPref && len(c.tags) != len(a.Interests) {
+		if len(c.tags) != len(a.Interests) {
 			// Mismatched taxonomies: preference undefined, not served.
 			ar.drop(tally, id, dispTagMismatch)
 			continue
 		}
 		spent := c.spent.Load()
-		var s float64
-		if b.vectorPref {
-			// The vendor half of PearsonPreference.Score, without the
-			// interface dispatch or its allocation.
-			s = ar.pearson.Score(c.tags)
-		} else {
-			*ve = model.Vendor{Loc: c.loc, Radius: c.radius, Budget: budget, Tags: c.tags}
-			s = b.pref.Score(cu, ve, a.Hour)
-		}
+		s := ar.pearson.Score(c.tags)
 		if s <= 0 || math.IsNaN(s) {
 			ar.drop(tally, id, dispLowScore)
 			if ar.why != nil {
@@ -392,8 +383,8 @@ func (b *Broker) terms(ar *scanArena, a *Arrival, dir []*campaign, tally *scanTa
 			s = 1
 		}
 		d := a.Loc.Dist(c.loc)
-		if d < b.minDist {
-			d = b.minDist
+		if d < model.DefaultMinDist {
+			d = model.DefaultMinDist
 		}
 		base := a.ViewProb * s / d
 		delta := spent / budget

@@ -34,16 +34,11 @@ type brokerMetrics struct {
 	stripeLocks     []*obs.Counter
 	stripeContended []*obs.Counter
 
-	// Scan outcomes, one per candidate campaign examined.
-	scanOffered        *obs.Counter
-	scanPaused         *obs.Counter
-	scanExhausted      *obs.Counter
-	scanMismatch       *obs.Counter
-	scanLowScore       *obs.Counter
-	scanUnaffordable   *obs.Counter
-	scanBelowThreshold *obs.Counter
-	scanBelowReserve   *obs.Counter
-
+	// Scan outcomes, one per candidate campaign examined, indexed by the
+	// disposition the scan tallied it under. "offered" counts every candidate
+	// the walk admitted; the ones the capacity resolve then displaced are
+	// additionally counted by capacityTrimmed.
+	scanOutcomes    [dispDisplaced]*obs.Counter
 	capacityTrimmed *obs.Counter
 	arrivalErrors   *obs.Counter
 	topUps          *obs.Counter
@@ -66,20 +61,23 @@ var (
 	stageBuckets   = obs.ExpBuckets(2.5e-7, 2, 16) // 250 ns … ~8.2 ms
 )
 
+// scanOutcomeNames are the outcome labels of muaa_broker_scan_outcomes_total,
+// indexed like brokerMetrics.scanOutcomes.
+var scanOutcomeNames = [dispDisplaced]string{
+	"offered", "paused", "exhausted", "dimension_mismatch", "low_score",
+	"unaffordable", "below_threshold", "below_reserve",
+}
+
 // foldScanTally adds one scan's outcome tallies (accumulated branch-free in
 // the scan loop) into the registered counters.
 func (m *brokerMetrics) foldScanTally(t *scanTally) {
-	m.scanOffered.Add(t.admitted())
-	m.scanPaused.Add(t.disp[dispPaused])
-	m.scanExhausted.Add(t.disp[dispExhausted])
-	m.scanMismatch.Add(t.disp[dispTagMismatch])
-	m.scanLowScore.Add(t.disp[dispLowScore])
-	m.scanUnaffordable.Add(t.disp[dispUnaffordable])
-	m.scanBelowThreshold.Add(t.disp[dispBelowThreshold])
-	if n := t.disp[dispBelowReserve]; n > 0 {
-		m.scanBelowReserve.Add(n)
+	for d, c := range m.scanOutcomes {
+		if n := t.disp[d]; n > 0 {
+			c.Add(n)
+		}
 	}
 	if n := t.disp[dispDisplaced]; n > 0 {
+		m.scanOutcomes[dispOffered].Add(n)
 		m.capacityTrimmed.Add(n)
 	}
 }
@@ -92,30 +90,6 @@ func newBrokerMetrics(reg *obs.Registry, b *Broker) *brokerMetrics {
 		arrival: reg.NewHistogram("muaa_broker_arrival_seconds",
 			"End-to-end latency of one single-arrival submission (Arrive, POST /v1/arrivals), lock wait through WAL append.",
 			arrivalBuckets),
-		scanOffered: reg.NewCounter("muaa_broker_scan_outcomes_total",
-			"Candidate campaigns examined by the O-AFA scan, by outcome.",
-			obs.L("outcome", "offered")),
-		scanPaused: reg.NewCounter("muaa_broker_scan_outcomes_total",
-			"Candidate campaigns examined by the O-AFA scan, by outcome.",
-			obs.L("outcome", "paused")),
-		scanExhausted: reg.NewCounter("muaa_broker_scan_outcomes_total",
-			"Candidate campaigns examined by the O-AFA scan, by outcome.",
-			obs.L("outcome", "exhausted")),
-		scanMismatch: reg.NewCounter("muaa_broker_scan_outcomes_total",
-			"Candidate campaigns examined by the O-AFA scan, by outcome.",
-			obs.L("outcome", "dimension_mismatch")),
-		scanLowScore: reg.NewCounter("muaa_broker_scan_outcomes_total",
-			"Candidate campaigns examined by the O-AFA scan, by outcome.",
-			obs.L("outcome", "low_score")),
-		scanUnaffordable: reg.NewCounter("muaa_broker_scan_outcomes_total",
-			"Candidate campaigns examined by the O-AFA scan, by outcome.",
-			obs.L("outcome", "unaffordable")),
-		scanBelowThreshold: reg.NewCounter("muaa_broker_scan_outcomes_total",
-			"Candidate campaigns examined by the O-AFA scan, by outcome.",
-			obs.L("outcome", "below_threshold")),
-		scanBelowReserve: reg.NewCounter("muaa_broker_scan_outcomes_total",
-			"Candidate campaigns examined by the O-AFA scan, by outcome.",
-			obs.L("outcome", "below_reserve")),
 		capacityTrimmed: reg.NewCounter("muaa_broker_capacity_trimmed_total",
 			"Admitted candidates dropped because the arrival's capacity was smaller."),
 		arrivalErrors: reg.NewCounter("muaa_broker_arrival_errors_total",
@@ -130,6 +104,11 @@ func newBrokerMetrics(reg *obs.Registry, b *Broker) *brokerMetrics {
 		batchSeconds: reg.NewHistogram("muaa_broker_batch_seconds",
 			"End-to-end latency of one ArriveBatch call, lock wait through WAL append.",
 			arrivalBuckets),
+	}
+	for d, name := range scanOutcomeNames {
+		m.scanOutcomes[d] = reg.NewCounter("muaa_broker_scan_outcomes_total",
+			"Candidate campaigns examined by the O-AFA scan, by outcome.",
+			obs.L("outcome", name))
 	}
 	for s, name := range trace.StageNames {
 		m.stages[s] = reg.NewHistogram("muaa_broker_arrival_stage_seconds",

@@ -200,7 +200,7 @@ func TestBrokerMetricsExhaustion(t *testing.T) {
 		t.Fatalf("exhaustion events = %d, want exactly 1", got)
 	}
 	// The two post-exhaustion arrivals must show up as exhausted scans.
-	if got := b.metrics.scanExhausted.Value(); got != 2 {
+	if got := b.metrics.scanOutcomes[dispExhausted].Value(); got != 2 {
 		t.Fatalf("exhausted scans = %d, want 2", got)
 	}
 }

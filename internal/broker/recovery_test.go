@@ -596,3 +596,49 @@ func walSegmentCount(t *testing.T, dir string) int {
 	}
 	return len(segs)
 }
+
+// TestLoggedCapacityIsAdmittedCapacity: the arrivals record stores the
+// capacity in 32 bits, so the door must not admit one that does not fit —
+// a capacity of 1<<32 once served five offers, was logged as capacity 0 and
+// left ReplayAudit reporting offers from an arrival it did not audit. The
+// largest capacity the door admits must come back from the log unchanged.
+func TestLoggedCapacityIsAdmittedCapacity(t *testing.T) {
+	dir := t.TempDir()
+	b, err := New(Config{AdTypes: workload.DefaultAdTypes(), DataDir: dir, WAL: auditWAL()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slateFleet(t, b, 5, model.Billing{})
+	if offers, err := b.Arrive(slateArrival(1 << 32)); err == nil {
+		t.Fatalf("capacity 1<<32 was admitted and served %d offers", len(offers))
+	}
+	offers, err := b.Arrive(slateArrival(math.MaxInt32))
+	if err != nil || len(offers) < 2 {
+		t.Fatalf("capacity MaxInt32: %d offers, %v; want several", len(offers), err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	v, err := wal.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logged []ArrivalRecord
+	for _, rec := range v.Records {
+		d, err := DecodeRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logged = append(logged, d.Arrivals...)
+	}
+	if len(logged) != 1 || logged[0].Customer.Capacity != math.MaxInt32 || len(logged[0].Offers) != len(offers) {
+		t.Fatalf("log holds %+v, want the one admitted arrival at capacity MaxInt32 with its %d offers", logged, len(offers))
+	}
+	rep, err := ReplayAudit(dir, AuditConfig{AdTypes: workload.DefaultAdTypes()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.AuditedArrivals != 1 || rep.Offers != len(offers) || !(rep.OnlineUtility > 0) {
+		t.Fatalf("audit saw %d audited arrivals, %d offers, utility %g", rep.AuditedArrivals, rep.Offers, rep.OnlineUtility)
+	}
+}

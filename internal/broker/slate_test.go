@@ -205,10 +205,11 @@ func TestSlateCapacityExceedsCandidates(t *testing.T) {
 	}
 }
 
-// TestSlateUnboundedCapacity: the API rejects only negative capacities, so
-// the slate resolver must take any positive int — math.MaxInt once overflowed
-// the solver's shortlist bound and panicked under the shard lock. It must
-// answer exactly as a capacity that merely exceeds the candidate set does.
+// TestSlateUnboundedCapacity: the slate resolver must take the largest
+// capacity the door admits (math.MaxInt32; math.MaxInt once reached the
+// solver, overflowed its shortlist bound and panicked under the shard lock).
+// It must answer exactly as a capacity that merely exceeds the candidate set
+// does.
 func TestSlateUnboundedCapacity(t *testing.T) {
 	run := func(capacity int) []Offer {
 		b, err := New(Config{AdTypes: workload.DefaultAdTypes(), Slate: true})
@@ -222,9 +223,9 @@ func TestSlateUnboundedCapacity(t *testing.T) {
 		}
 		return offers
 	}
-	want, got := run(16), run(math.MaxInt)
+	want, got := run(16), run(math.MaxInt32)
 	if len(want) == 0 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("capacity MaxInt served %v, capacity 16 served %v", got, want)
+		t.Fatalf("capacity MaxInt32 served %v, capacity 16 served %v", got, want)
 	}
 }
 

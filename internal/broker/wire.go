@@ -32,6 +32,7 @@ import (
 	"sync"
 
 	"muaa/internal/model"
+	"muaa/internal/obs"
 )
 
 // wireBuf is one request's scratch: the body as read, the parsed arrivals
@@ -59,7 +60,7 @@ func readBody(w http.ResponseWriter, r *http.Request, buf *wireBuf) bool {
 	if ct := r.Header.Get("Content-Type"); ct != "" && ct != "application/json" {
 		mt, _, err := mime.ParseMediaType(ct)
 		if err != nil || mt != "application/json" {
-			WriteError(w, http.StatusUnsupportedMediaType, "unsupported_media_type",
+			obs.WriteError(w, http.StatusUnsupportedMediaType, "unsupported_media_type",
 				fmt.Sprintf("content type %q is not application/json", ct))
 			return false
 		}
@@ -81,11 +82,11 @@ func readBody(w http.ResponseWriter, r *http.Request, buf *wireBuf) bool {
 		if err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
-				WriteError(w, http.StatusRequestEntityTooLarge, "payload_too_large",
+				obs.WriteError(w, http.StatusRequestEntityTooLarge, "payload_too_large",
 					fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
 				return false
 			}
-			WriteError(w, http.StatusBadRequest, "bad_request",
+			obs.WriteError(w, http.StatusBadRequest, "bad_request",
 				fmt.Sprintf("broker: bad request body: %v", err))
 			return false
 		}
@@ -402,7 +403,7 @@ func decodeArrivalBatch(w http.ResponseWriter, buf *wireBuf) bool {
 		return false
 	}
 	if len(reqs) > maxBatchArrivals {
-		WriteError(w, http.StatusBadRequest, "bad_request",
+		obs.WriteError(w, http.StatusBadRequest, "bad_request",
 			fmt.Sprintf("broker: batch of %d arrivals exceeds limit %d", len(reqs), maxBatchArrivals))
 		return false
 	}
@@ -558,7 +559,7 @@ func (a *API) batchReply(r *replyBuf, results []BatchResult) {
 // instead: nothing has been written yet.
 func writeReply(w http.ResponseWriter, r *replyBuf) {
 	if r.err != nil {
-		WriteError(w, http.StatusInternalServerError, "internal", r.err.Error())
+		obs.WriteError(w, http.StatusInternalServerError, "internal", r.err.Error())
 		return
 	}
 	h := w.Header()

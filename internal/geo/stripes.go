@@ -39,14 +39,17 @@ func (s Stripes) Bounds() Rect { return s.bounds }
 func (s Stripes) Of(p Point) int { return s.ofY(p.Y) }
 
 func (s Stripes) ofY(y float64) int {
-	i := int((y - s.bounds.Min.Y) / s.h)
-	if i < 0 {
+	// Clamped as a float: converting one outside int's range is
+	// implementation-defined (amd64 answers MinInt64 for +1e300), and both a
+	// client's coordinate and a campaign's radius can be that large.
+	f := (y - s.bounds.Min.Y) / s.h
+	if !(f > 0) {
 		return 0
 	}
-	if i >= s.n {
+	if f >= float64(s.n) {
 		return s.n - 1
 	}
-	return i
+	return int(f)
 }
 
 // Range returns the inclusive band interval [lo, hi] overlapping the closed

@@ -1,6 +1,9 @@
 package geo
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestStripesOf(t *testing.T) {
 	s := NewStripes(UnitSquare, 4)
@@ -14,6 +17,7 @@ func TestStripesOf(t *testing.T) {
 		{0, 0}, {0.1, 0}, {0.25, 1}, {0.49, 1}, {0.5, 2}, {0.74, 2}, {0.75, 3},
 		{0.999, 3}, {1, 3}, // top edge clamps into the last band
 		{-5, 0}, {5, 3}, // out-of-bounds points clamp to the nearest band
+		{-1e300, 0}, {1e300, 3}, {math.MaxFloat64, 3}, // also past int's range
 	}
 	for _, c := range cases {
 		if got := s.Of(Point{X: 0.5, Y: c.y}); got != c.want {
@@ -32,9 +36,11 @@ func TestStripesRange(t *testing.T) {
 	if lo, hi := s.Range(0.13, 0.115); lo != 0 || hi != 1 {
 		t.Errorf("inverted window must normalize: got [%d, %d]", lo, hi)
 	}
-	// A huge window covers everything.
-	if lo, hi := s.Range(-10, 10); lo != 0 || hi != 7 {
-		t.Errorf("Range(-10, 10) = [%d, %d], want [0, 7]", lo, hi)
+	// A huge window covers everything, however huge.
+	for _, r := range []float64{10, 1e19, 1e300} {
+		if lo, hi := s.Range(-r, r); lo != 0 || hi != 7 {
+			t.Errorf("Range(%g, %g) = [%d, %d], want [0, 7]", -r, r, lo, hi)
+		}
 	}
 	// Every point's own band is inside any window containing it.
 	for y := 0.0; y <= 1.0; y += 0.01 {

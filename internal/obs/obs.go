@@ -310,14 +310,21 @@ func (r *Registry) Handler() http.Handler {
 
 // WriteJSON is the single funnel for every JSON reply with a status line —
 // the serving API's, muaa-serve's own endpoints' and the debug listener's
-// errors alike (the broker package re-exports it): the explicit Content-Type
-// plus nosniff is a contract the monitoring docs advertise to scrapers. It
-// lives here because obs is the one package broker, trace and slo all import.
+// errors alike: the explicit Content-Type plus nosniff is a contract the
+// monitoring docs advertise to scrapers. It lives here because obs is the one
+// package broker, trace and slo all import. The value is encoded before the
+// status is written, so one encoding/json refuses (a NaN or ±Inf float) is a
+// 500 `internal` envelope, never a success status over an empty body.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		WriteError(w, http.StatusInternalServerError, "internal", err.Error())
+		return
+	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.Header().Set("X-Content-Type-Options", "nosniff")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n')) // a failed write is a client gone; nothing to report to
 }
 
 // WriteError renders the uniform {"error":{"code","message"}} envelope every

@@ -328,3 +328,20 @@ func TestWriteErrorIsJSON(t *testing.T) {
 		t.Errorf("X-Content-Type-Options = %q", ns)
 	}
 }
+
+// TestWriteJSONUnencodableIs500: a value encoding/json refuses must become a
+// 500 `internal` envelope — the status line waits for the encoding, so a
+// success status never goes out over an empty body.
+func TestWriteJSONUnencodableIs500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	WriteJSON(rec, 200, map[string]float64{"budget": math.Inf(1)})
+	var env struct {
+		Error struct{ Code, Message string }
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatalf("status %d, body %q: %v", rec.Code, rec.Body.Bytes(), err)
+	}
+	if rec.Code != 500 || env.Error.Code != "internal" || env.Error.Message == "" {
+		t.Errorf("got %d %+v, want a 500 internal envelope", rec.Code, env.Error)
+	}
+}

@@ -29,10 +29,8 @@ package pacing
 
 import (
 	"fmt"
-	"math"
-	"sort"
-	"strconv"
-	"strings"
+
+	"muaa/internal/kvspec"
 )
 
 // Config parameterizes the control law. The zero value is NOT enabled — use
@@ -96,29 +94,27 @@ func Default() Config {
 	}
 }
 
+// keys is the -pacing-controller spec: every key, the field it sets and the
+// range Validate holds it to, in Validate's reporting order.
+func (c *Config) keys() []kvspec.Key {
+	return []kvspec.Key{
+		{Name: "target", Value: &c.TargetRatio, Lo: 0, Hi: 1},
+		{Name: "gain", Value: &c.Gain, Lo: 1e-9, Hi: 1},
+		{Name: "deadband", Value: &c.Deadband, Lo: 0, Hi: 1},
+		{Name: "pace-gain", Value: &c.PaceGain, Lo: 1e-9, Hi: 10},
+		{Name: "pace-bias", Value: &c.PaceBias, Lo: -1, Hi: 1},
+		{Name: "boost-min", Value: &c.BoostMin, Lo: 1e-9, Hi: 1e9},
+		{Name: "boost-max", Value: &c.BoostMax, Lo: 1e-9, Hi: 1e9},
+		{Name: "tighten-at", Value: &c.TightenAt, Lo: 0, Hi: 2},
+		{Name: "loosen-at", Value: &c.LoosenAt, Lo: 0, Hi: 2},
+		{Name: "rate", Value: &c.RateTight, Lo: 1e-9, Hi: 1},
+	}
+}
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	check := func(name string, v float64, lo, hi float64) error {
-		if math.IsNaN(v) || v < lo || v > hi {
-			return fmt.Errorf("pacing: %s = %g outside [%g, %g]", name, v, lo, hi)
-		}
-		return nil
-	}
-	for _, e := range []error{
-		check("target", c.TargetRatio, 0, 1),
-		check("gain", c.Gain, 1e-9, 1),
-		check("deadband", c.Deadband, 0, 1),
-		check("pace-gain", c.PaceGain, 1e-9, 10),
-		check("pace-bias", c.PaceBias, -1, 1),
-		check("boost-min", c.BoostMin, 1e-9, 1e9),
-		check("boost-max", c.BoostMax, 1e-9, 1e9),
-		check("tighten-at", c.TightenAt, 0, 2),
-		check("loosen-at", c.LoosenAt, 0, 2),
-		check("rate", c.RateTight, 1e-9, 1),
-	} {
-		if e != nil {
-			return e
-		}
+	if err := kvspec.Check("pacing", c.keys()); err != nil {
+		return err
 	}
 	if c.BoostMax < c.BoostMin {
 		return fmt.Errorf("pacing: boost-max %g < boost-min %g", c.BoostMax, c.BoostMin)
@@ -137,50 +133,8 @@ func (c Config) Validate() error {
 // before calling. Parsing never panics on any input.
 func ParseConfig(s string) (Config, error) {
 	cfg := Default()
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return Config{}, fmt.Errorf("pacing: empty controller spec")
-	}
-	if strings.EqualFold(s, "on") || strings.EqualFold(s, "default") {
-		return cfg, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return Config{}, fmt.Errorf("pacing: %q is not key=value", part)
-		}
-		f, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil {
-			return Config{}, fmt.Errorf("pacing: %s: %v", key, err)
-		}
-		switch strings.ToLower(strings.TrimSpace(key)) {
-		case "target":
-			cfg.TargetRatio = f
-		case "gain":
-			cfg.Gain = f
-		case "deadband":
-			cfg.Deadband = f
-		case "pace-gain":
-			cfg.PaceGain = f
-		case "pace-bias":
-			cfg.PaceBias = f
-		case "boost-min":
-			cfg.BoostMin = f
-		case "boost-max":
-			cfg.BoostMax = f
-		case "tighten-at":
-			cfg.TightenAt = f
-		case "loosen-at":
-			cfg.LoosenAt = f
-		case "rate":
-			cfg.RateTight = f
-		default:
-			return Config{}, fmt.Errorf("pacing: unknown key %q", key)
-		}
+	if err := kvspec.Parse("pacing", "controller", cfg.keys(), s); err != nil {
+		return Config{}, err
 	}
 	if err := cfg.Validate(); err != nil {
 		return Config{}, err
@@ -190,21 +144,4 @@ func ParseConfig(s string) (Config, error) {
 
 // String renders the config in ParseConfig's own syntax (keys sorted), so
 // ParseConfig(cfg.String()) round-trips any valid config.
-func (c Config) String() string {
-	kv := map[string]float64{
-		"target": c.TargetRatio, "gain": c.Gain, "deadband": c.Deadband,
-		"pace-gain": c.PaceGain, "pace-bias": c.PaceBias,
-		"boost-min": c.BoostMin, "boost-max": c.BoostMax,
-		"tighten-at": c.TightenAt, "loosen-at": c.LoosenAt, "rate": c.RateTight,
-	}
-	keys := make([]string, 0, len(kv))
-	for k := range kv {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = k + "=" + strconv.FormatFloat(kv[k], 'g', -1, 64)
-	}
-	return strings.Join(parts, ",")
-}
+func (c Config) String() string { return kvspec.String(c.keys()) }

@@ -3,10 +3,9 @@ package slo
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
+
+	"muaa/internal/kvspec"
 )
 
 // Config parameterizes the default broker rule set and the shared
@@ -82,31 +81,29 @@ func Default() Config {
 	}
 }
 
+// keys is the -slo spec: every key, the field it sets and the range Validate
+// holds it to, in Validate's reporting order.
+func (c *Config) keys() []kvspec.Key {
+	return []kvspec.Key{
+		{Name: "short", Value: &c.Short, Lo: 1, Hi: 86400},
+		{Name: "long", Value: &c.Long, Lo: 1, Hi: 7 * 86400},
+		{Name: "burn", Value: &c.Burn, Lo: 1e-9, Hi: 1},
+		{Name: "clear", Value: &c.Clear, Lo: 1, Hi: 1e6},
+		{Name: "min-samples", Value: &c.MinSamples, Lo: 1, Hi: 1e6},
+		{Name: "ratio-target", Value: &c.RatioTarget, Lo: -1, Hi: 1},
+		{Name: "arrival-p99-ms", Value: &c.ArrivalP99Ms, Lo: -1, Hi: 1e9},
+		{Name: "floor-max", Value: &c.FloorMax, Lo: -1, Hi: 1e18},
+		{Name: "wal-p99-ms", Value: &c.WalP99Ms, Lo: -1, Hi: 1e9},
+		{Name: "escrow-open-max", Value: &c.EscrowOpenMax, Lo: -1, Hi: 1e12},
+		{Name: "heap-max-mb", Value: &c.HeapMaxMB, Lo: -1, Hi: 1e9},
+		{Name: "goroutines-max", Value: &c.GoroutinesMax, Lo: -1, Hi: 1e9},
+	}
+}
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	check := func(name string, v, lo, hi float64) error {
-		if math.IsNaN(v) || v < lo || v > hi {
-			return fmt.Errorf("slo: %s = %g outside [%g, %g]", name, v, lo, hi)
-		}
-		return nil
-	}
-	for _, e := range []error{
-		check("short", c.Short, 1, 86400),
-		check("long", c.Long, 1, 7*86400),
-		check("burn", c.Burn, 1e-9, 1),
-		check("clear", c.Clear, 1, 1e6),
-		check("min-samples", c.MinSamples, 1, 1e6),
-		check("ratio-target", c.RatioTarget, -1, 1),
-		check("arrival-p99-ms", c.ArrivalP99Ms, -1, 1e9),
-		check("floor-max", c.FloorMax, -1, 1e18),
-		check("wal-p99-ms", c.WalP99Ms, -1, 1e9),
-		check("escrow-open-max", c.EscrowOpenMax, -1, 1e12),
-		check("heap-max-mb", c.HeapMaxMB, -1, 1e9),
-		check("goroutines-max", c.GoroutinesMax, -1, 1e9),
-	} {
-		if e != nil {
-			return e
-		}
+	if err := kvspec.Check("slo", c.keys()); err != nil {
+		return err
 	}
 	if c.Long < c.Short {
 		return fmt.Errorf("slo: long %g must be ≥ short %g", c.Long, c.Short)
@@ -117,9 +114,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// ParseConfig parses the -slo flag value, mirroring pacing.ParseConfig:
-// "on" (or "default") selects Default(); otherwise a comma-separated k=v
-// list overrides individual defaults, e.g.
+// ParseConfig parses the -slo flag value in the syntax -pacing-controller
+// shares (internal/kvspec): "on" (or "default") selects Default(); otherwise
+// a comma-separated k=v list overrides individual defaults, e.g.
 // "ratio-target=0.8,short=30,goroutines-max=-1". Keys: short, long, burn,
 // clear, min-samples, ratio-target, arrival-p99-ms, floor-max, wal-p99-ms,
 // escrow-open-max, heap-max-mb, goroutines-max. Threshold keys set
@@ -127,54 +124,8 @@ func (c Config) Validate() error {
 // treats it as "disabled" before calling. Parsing never panics.
 func ParseConfig(s string) (Config, error) {
 	cfg := Default()
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return Config{}, fmt.Errorf("slo: empty watchdog spec")
-	}
-	if strings.EqualFold(s, "on") || strings.EqualFold(s, "default") {
-		return cfg, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return Config{}, fmt.Errorf("slo: %q is not key=value", part)
-		}
-		f, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil {
-			return Config{}, fmt.Errorf("slo: %s: %v", key, err)
-		}
-		switch strings.ToLower(strings.TrimSpace(key)) {
-		case "short":
-			cfg.Short = f
-		case "long":
-			cfg.Long = f
-		case "burn":
-			cfg.Burn = f
-		case "clear":
-			cfg.Clear = f
-		case "min-samples":
-			cfg.MinSamples = f
-		case "ratio-target":
-			cfg.RatioTarget = f
-		case "arrival-p99-ms":
-			cfg.ArrivalP99Ms = f
-		case "floor-max":
-			cfg.FloorMax = f
-		case "wal-p99-ms":
-			cfg.WalP99Ms = f
-		case "escrow-open-max":
-			cfg.EscrowOpenMax = f
-		case "heap-max-mb":
-			cfg.HeapMaxMB = f
-		case "goroutines-max":
-			cfg.GoroutinesMax = f
-		default:
-			return Config{}, fmt.Errorf("slo: unknown key %q", key)
-		}
+	if err := kvspec.Parse("slo", "watchdog", cfg.keys(), s); err != nil {
+		return Config{}, err
 	}
 	if err := cfg.Validate(); err != nil {
 		return Config{}, err
@@ -184,25 +135,7 @@ func ParseConfig(s string) (Config, error) {
 
 // String renders the config in ParseConfig's own syntax (keys sorted), so
 // ParseConfig(cfg.String()) round-trips any valid config.
-func (c Config) String() string {
-	kv := map[string]float64{
-		"short": c.Short, "long": c.Long, "burn": c.Burn, "clear": c.Clear,
-		"min-samples": c.MinSamples, "ratio-target": c.RatioTarget,
-		"arrival-p99-ms": c.ArrivalP99Ms, "floor-max": c.FloorMax,
-		"wal-p99-ms": c.WalP99Ms, "escrow-open-max": c.EscrowOpenMax,
-		"heap-max-mb": c.HeapMaxMB, "goroutines-max": c.GoroutinesMax,
-	}
-	keys := make([]string, 0, len(kv))
-	for k := range kv {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = k + "=" + strconv.FormatFloat(kv[k], 'g', -1, 64)
-	}
-	return strings.Join(parts, ",")
-}
+func (c Config) String() string { return kvspec.String(c.keys()) }
 
 // Rules expands the config into the default broker rule set, skipping
 // disabled (negative-threshold) rules. The series names are the retention
