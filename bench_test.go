@@ -218,7 +218,7 @@ func benchFleet(b *testing.B, cfg broker.Config, load workload.BrokerLoadConfig)
 		})
 	}
 	for _, c := range specs {
-		if _, err := br.RegisterCampaign(c.Loc, c.Radius, c.Budget, c.Tags); err != nil {
+		if _, err := br.RegisterCampaignSpec(broker.CampaignSpec{Loc: c.Loc, Radius: c.Radius, Budget: c.Budget, Tags: c.Tags}); err != nil {
 			b.Fatal(err)
 		}
 	}

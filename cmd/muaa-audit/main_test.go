@@ -29,7 +29,7 @@ func seedDir(t *testing.T) string {
 		t.Fatal(err)
 	}
 	for _, c := range specs {
-		if _, err := b.RegisterCampaign(c.Loc, c.Radius, c.Budget, c.Tags); err != nil {
+		if _, err := b.RegisterCampaignSpec(broker.CampaignSpec{Loc: c.Loc, Radius: c.Radius, Budget: c.Budget, Tags: c.Tags}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -58,7 +58,7 @@ func runAuditReplay(w io.Writer, scale float64, seed int64, csv bool, workers in
 			return err
 		}
 		for _, c := range specs {
-			if _, err := b.RegisterCampaign(c.Loc, c.Radius, c.Budget, c.Tags); err != nil {
+			if _, err := b.RegisterCampaignSpec(broker.CampaignSpec{Loc: c.Loc, Radius: c.Radius, Budget: c.Budget, Tags: c.Tags}); err != nil {
 				return err
 			}
 		}

@@ -3,12 +3,14 @@
 //
 //	muaa-serve -addr :8080 -data-dir /var/lib/muaa
 //
-// The API is versioned under /v1 (the unversioned paths remain as aliases;
-// JSON bodies, uniform `{"error":{"code":...,"message":...}}` envelope on
-// every failure):
+// Every route exists once, under /v1 (JSON bodies, uniform
+// `{"error":{"code":...,"message":...}}` envelope on every failure; a GET
+// route also answers HEAD). Only the two probe endpoints keep a second,
+// unversioned spelling — /healthz and /metrics — because load-balancer and
+// scraper configs carry those paths by convention:
 //
 //	POST /v1/campaigns            register a vendor campaign → {id}
-//	POST /v1/campaigns/{id}/topup add budget (also POST /v1/topup {id,amount})
+//	POST /v1/campaigns/{id}/topup add budget
 //	POST /v1/campaigns/{id}/pause pause / resume
 //	GET  /v1/campaigns/{id}       live campaign state
 //	POST /v1/arrivals             a customer arrival → the ads to deliver now
@@ -30,8 +32,8 @@
 // write-ahead log before it is acknowledged, compacting snapshots bound
 // replay time, and a restart rebuilds the exact pre-crash state. While that
 // replay is running the server already listens, but broker endpoints
-// (including /healthz and /stats) answer 503 with the error envelope so
-// load-balancers keep traffic away; /metrics is live from boot. SIGINT or
+// (including /v1/healthz and /v1/stats) answer 503 with the error envelope so
+// load-balancers keep traffic away; /v1/metrics is live from boot. SIGINT or
 // SIGTERM drains in-flight requests, flushes and fsyncs the log, writes a
 // final snapshot and exits cleanly.
 //
@@ -242,19 +244,22 @@ func newServer(o serverOpts, logger *slog.Logger) (*app, error) {
 	if err != nil {
 		return nil, err
 	}
-	metrics, healthz := a.getOnly(a.serveMetrics), a.getOnly(a.serveHealthz)
+	// /metrics is live from process start — scrapes during recovery show the
+	// WAL replay progressing.
+	metrics, healthz := get(a.reg.Handler().ServeHTTP), get(a.serveHealthz)
 	a.srv = &http.Server{
 		Addr: o.addr,
 		// The tracing middleware derives/echoes traceparent, emits the
 		// access log and records unavailable arrival traces around every
-		// route. Anything but the four exact server-level paths, unclean
-		// spellings of them included, is the API mux's to route or redirect.
+		// route. The two probe endpoints are the only paths with a second,
+		// unversioned spelling; anything else is the API mux's to route or
+		// refuse.
 		Handler: trace.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			switch r.URL.Path {
 			case "/metrics", "/v1/metrics":
-				metrics(w, r)
+				metrics.ServeHTTP(w, r)
 			case "/healthz", "/v1/healthz":
-				healthz(w, r)
+				healthz.ServeHTTP(w, r)
 			default:
 				a.serveAPI(w, r)
 			}
@@ -302,8 +307,8 @@ func (a *app) shutdown(ctx context.Context) error {
 }
 
 // serveAPI forwards to the broker API once recovery has finished; before
-// that every broker endpoint — /stats and /healthz included — answers 503
-// with the uniform error envelope so probes and load-balancers back off.
+// that every broker endpoint — /v1/stats and /v1/healthz included — answers
+// 503 with the uniform error envelope so probes and load-balancers back off.
 func (a *app) serveAPI(w http.ResponseWriter, r *http.Request) {
 	api := a.api.Load()
 	if api == nil {
@@ -320,24 +325,9 @@ func unavailable(w http.ResponseWriter) {
 	obs.WriteError(w, http.StatusServiceUnavailable, "unavailable", "recovery in progress")
 }
 
-// getOnly rejects non-GET methods with the enveloped 405 the rest of the
-// API uses, so the serve-level endpoints follow the same contract.
-func (a *app) getOnly(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET")
-			obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed",
-				"method "+r.Method+" not allowed (allow: GET)")
-			return
-		}
-		h(w, r)
-	}
-}
-
-// serveMetrics is live from process start — scrapes during recovery show
-// the WAL replay progressing.
-func (a *app) serveMetrics(w http.ResponseWriter, r *http.Request) {
-	a.reg.Handler().ServeHTTP(w, r)
+// get serves h for GET, and so HEAD, through the one method dispatcher.
+func get(h http.HandlerFunc) http.Handler {
+	return obs.MethodHandler(map[string]http.HandlerFunc{http.MethodGet: h})
 }
 
 func (a *app) serveHealthz(w http.ResponseWriter, r *http.Request) {
@@ -348,14 +338,15 @@ func (a *app) serveHealthz(w http.ResponseWriter, r *http.Request) {
 	obs.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// newDebugServer builds the opt-in debug listener: net/http/pprof plus,
-// when the subsystems are enabled, the flight recorder at /v1/debug/traces,
-// the live quality audit at /v1/debug/audit, the retention rings at
-// /v1/debug/timeseries and the SLO watchdog at /v1/debug/slo. The handlers
-// are mounted on a private mux (not http.DefaultServeMux) so nothing else
-// in the process can accidentally widen what this port serves. Every
-// /v1/debug/* endpoint shares the recovery gate: until WAL replay finishes
-// they answer the uniform 503 envelope, like the serving API.
+// newDebugServer builds the opt-in debug listener: net/http/pprof at the
+// standard library's paths plus six endpoints, each at its /v1/debug/ path
+// only — traces, timeseries, slo (404 under their own code when the flag
+// switched the subsystem off), audit, explain and the campaign funnel.
+// Anything else is the enveloped 404. The handlers are mounted on a private
+// mux (not http.DefaultServeMux) so nothing else in the process can
+// accidentally widen what this port serves. Every /v1/debug/* endpoint shares
+// the recovery gate: until WAL replay finishes they answer the uniform 503
+// envelope, like the serving API.
 func (a *app) newDebugServer(addr string) *http.Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -363,17 +354,19 @@ func (a *app) newDebugServer(addr string) *http.Server {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mount := func(h http.Handler, disabledCode, disabledMsg string, paths ...string) {
-		if h == nil {
-			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				obs.WriteError(w, http.StatusNotFound, disabledCode, disabledMsg)
-			})
-		}
-		for _, p := range paths {
-			mux.Handle(p, a.gateRecovery(h))
-		}
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		obs.WriteError(w, http.StatusNotFound, "not_found", "no route for "+r.URL.Path)
+	})
+	mount := func(path string, h http.Handler) { mux.Handle(path, a.gateRecovery(h)) }
+	// A subsystem its flag switched off answers 404 under its own code.
+	disabled := func(code, msg string) http.Handler {
+		return get(func(w http.ResponseWriter, r *http.Request) {
+			obs.WriteError(w, http.StatusNotFound, code, msg)
+		})
 	}
-	var traces, timeseries, slodoc http.Handler
+	traces := disabled("tracing_disabled", "tracing disabled; start muaa-serve with -trace-capacity > 0")
+	timeseries := disabled("sampler_disabled", "time-series sampling disabled; start muaa-serve with -sample-every >= 0")
+	slodoc := disabled("slo_disabled", "SLO watchdog disabled; start muaa-serve with -slo (e.g. -slo on)")
 	if a.tracer != nil {
 		traces = a.tracer.Handler()
 	}
@@ -383,20 +376,18 @@ func (a *app) newDebugServer(addr string) *http.Server {
 	if wd := a.watchdog.Load(); wd != nil {
 		slodoc = wd.Handler()
 	}
-	mount(traces, "tracing_disabled",
-		"tracing disabled; start muaa-serve with -trace-capacity > 0",
-		"/v1/debug/traces", "/debug/traces")
-	mount(timeseries, "sampler_disabled",
-		"time-series sampling disabled; start muaa-serve with -sample-every >= 0",
-		"/v1/debug/timeseries", "/debug/timeseries")
-	mount(slodoc, "slo_disabled",
-		"SLO watchdog disabled; start muaa-serve with -slo (e.g. -slo on)",
-		"/v1/debug/slo", "/debug/slo")
-	mount(a.getOnly(a.serveDebugAudit), "", "", "/v1/debug/audit", "/debug/audit")
-	mount(http.HandlerFunc(a.serveDebugExplain), "", "",
-		"/v1/debug/explain", "/debug/explain")
-	mount(http.HandlerFunc(a.serveDebugFunnel), "", "",
-		"/v1/debug/campaigns/{id}/funnel", "/debug/campaigns/{id}/funnel")
+	mount("/v1/debug/traces", traces)
+	mount("/v1/debug/timeseries", timeseries)
+	mount("/v1/debug/slo", slodoc)
+	mount("/v1/debug/audit", get(a.serveDebugAudit))
+	// The broker's own handlers (explain.go), reached through a.b per request:
+	// the broker does not exist yet when the mux is built.
+	mount("/v1/debug/explain", obs.MethodHandler(map[string]http.HandlerFunc{
+		http.MethodPost: func(w http.ResponseWriter, r *http.Request) { a.b.Load().ServeExplain(w, r) },
+	}))
+	mount("/v1/debug/campaigns/{id}/funnel", get(func(w http.ResponseWriter, r *http.Request) {
+		a.b.Load().ServeCampaignFunnel(w, r)
+	}))
 	return &http.Server{
 		Addr:              addr,
 		Handler:           mux,
@@ -450,28 +441,7 @@ func (a *app) serveDebugAudit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	out, err := rep.EncodeJSON()
-	if err != nil {
-		obs.WriteError(w, http.StatusInternalServerError, "internal", err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Header().Set("X-Content-Type-Options", "nosniff")
-	w.Write(out)
-}
-
-// serveDebugExplain runs the read-only explain-replay over a hypothetical
-// arrival (POST /v1/debug/explain, /v1/arrivals request schema). Method
-// dispatch, decoding and the error envelope live in the broker handler.
-func (a *app) serveDebugExplain(w http.ResponseWriter, r *http.Request) {
-	a.b.Load().ServeExplain(w, r)
-}
-
-// serveDebugFunnel returns one campaign's decision-funnel counters
-// (GET /v1/debug/campaigns/{id}/funnel); 404 funnel_disabled when the broker
-// runs without -funnel.
-func (a *app) serveDebugFunnel(w http.ResponseWriter, r *http.Request) {
-	a.b.Load().ServeCampaignFunnel(w, r)
+	obs.WriteJSON(w, http.StatusOK, rep)
 }
 
 // startDebug launches the debug listener in the background. A listener

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"muaa/internal/broker"
 	"muaa/internal/geo"
 )
 
@@ -96,9 +97,9 @@ func TestServeSmoke(t *testing.T) {
 	var created struct {
 		ID int32 `json:"id"`
 	}
-	if code := postJSON(t, base+"/campaigns",
+	if code := postJSON(t, base+"/v1/campaigns",
 		`{"loc":{"x":0.5,"y":0.5},"radius":0.1,"budget":20,"tags":[1,0,0.2]}`, &created); code != http.StatusCreated {
-		t.Fatalf("POST /campaigns → %d", code)
+		t.Fatalf("POST /v1/campaigns → %d", code)
 	}
 
 	var arrival struct {
@@ -109,9 +110,9 @@ func TestServeSmoke(t *testing.T) {
 			Utility    float64 `json:"utility"`
 		} `json:"offers"`
 	}
-	if code := postJSON(t, base+"/arrivals",
+	if code := postJSON(t, base+"/v1/arrivals",
 		`{"loc":{"x":0.49,"y":0.51},"capacity":2,"viewProb":0.7,"interests":[0.9,0.1,0.3]}`, &arrival); code != http.StatusOK {
-		t.Fatalf("POST /arrivals → %d", code)
+		t.Fatalf("POST /v1/arrivals → %d", code)
 	}
 	if len(arrival.Offers) == 0 {
 		t.Fatal("README example arrival produced no offers")
@@ -131,8 +132,8 @@ func TestServeSmoke(t *testing.T) {
 		GammaMin      float64 `json:"GammaMin"`
 		GammaMax      float64 `json:"GammaMax"`
 	}
-	if code := getJSON(t, base+"/stats", &stats); code != http.StatusOK {
-		t.Fatalf("GET /stats → %d", code)
+	if code := getJSON(t, base+"/v1/stats", &stats); code != http.StatusOK {
+		t.Fatalf("GET /v1/stats → %d", code)
 	}
 	if stats.Campaigns != 1 || stats.Arrivals != 1 || stats.OffersPushed != int64(len(arrival.Offers)) {
 		t.Fatalf("stats don't reflect the session: %+v", stats)
@@ -146,13 +147,13 @@ func TestServeSmoke(t *testing.T) {
 		ID    int32   `json:"id"`
 		Spent float64 `json:"spent"`
 	}
-	if code := getJSON(t, base+"/campaigns", &list); code != http.StatusOK {
-		t.Fatalf("GET /campaigns → %d", code)
+	if code := getJSON(t, base+"/v1/campaigns", &list); code != http.StatusOK {
+		t.Fatalf("GET /v1/campaigns → %d", code)
 	}
 	if len(list) != 1 || list[0].Spent != stats.BudgetSpent {
 		t.Fatalf("campaign list inconsistent with stats: %+v vs %+v", list, stats)
 	}
-	resp, err := http.Get(base + "/map.svg")
+	resp, err := http.Get(base + "/v1/map.svg")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusOK || !strings.Contains(svg.String(), "<svg") {
-		t.Fatalf("GET /map.svg → %d, body %q…", resp.StatusCode, svg.String()[:min(80, svg.Len())])
+		t.Fatalf("GET /v1/map.svg → %d, body %q…", resp.StatusCode, svg.String()[:min(80, svg.Len())])
 	}
 }
 
@@ -173,7 +174,7 @@ func TestServeConcurrentSessions(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		body := fmt.Sprintf(`{"loc":{"x":%g,"y":%g},"radius":0.15,"budget":30,"tags":[1,0,0.2]}`,
 			0.2+0.04*float64(i), 0.2+0.04*float64(i))
-		if code := postJSON(t, base+"/campaigns", body, nil); code != http.StatusCreated {
+		if code := postJSON(t, base+"/v1/campaigns", body, nil); code != http.StatusCreated {
 			t.Fatalf("campaign %d → %d", i, code)
 		}
 	}
@@ -184,7 +185,7 @@ func TestServeConcurrentSessions(t *testing.T) {
 			for i := 0; i < 25; i++ {
 				x := 0.2 + 0.04*float64((w*25+i)%16)
 				body := fmt.Sprintf(`{"loc":{"x":%g,"y":%g},"capacity":2,"viewProb":0.7,"interests":[0.9,0.1,0.3]}`, x, x)
-				resp, err := client.Post(base+"/arrivals", "application/json", strings.NewReader(body))
+				resp, err := client.Post(base+"/v1/arrivals", "application/json", strings.NewReader(body))
 				if err != nil {
 					done <- err
 					return
@@ -206,7 +207,7 @@ func TestServeConcurrentSessions(t *testing.T) {
 	var stats struct {
 		Arrivals int64 `json:"Arrivals"`
 	}
-	if code := getJSON(t, base+"/stats", &stats); code != http.StatusOK || stats.Arrivals != 200 {
+	if code := getJSON(t, base+"/v1/stats", &stats); code != http.StatusOK || stats.Arrivals != 200 {
 		t.Fatalf("stats after concurrent sessions: code %d, %+v", code, stats)
 	}
 }
@@ -259,17 +260,17 @@ func TestServeMetricsAndHealth(t *testing.T) {
 	}
 
 	// Generate some traffic so the histograms have observations.
-	if code := postJSON(t, base+"/campaigns",
+	if code := postJSON(t, base+"/v1/campaigns",
 		`{"loc":{"x":0.5,"y":0.5},"radius":0.1,"budget":20,"tags":[1,0,0.2]}`, nil); code != http.StatusCreated {
-		t.Fatalf("POST /campaigns → %d", code)
+		t.Fatalf("POST /v1/campaigns → %d", code)
 	}
-	if code := postJSON(t, base+"/arrivals",
+	if code := postJSON(t, base+"/v1/arrivals",
 		`{"loc":{"x":0.49,"y":0.51},"capacity":2,"viewProb":0.7,"interests":[0.9,0.1,0.3]}`, nil); code != http.StatusOK {
-		t.Fatalf("POST /arrivals → %d", code)
+		t.Fatalf("POST /v1/arrivals → %d", code)
 	}
 
-	// /v1/metrics is an alias for /metrics, and both reject non-GET with
-	// the enveloped 405 the broker API uses.
+	// /metrics is the scraper-convention spelling of /v1/metrics, and both
+	// reject non-GET with the enveloped 405 the broker API uses.
 	aliasResp, err := http.Get(base + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -283,8 +284,8 @@ func TestServeMetricsAndHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	postResp.Body.Close()
-	if postResp.StatusCode != http.StatusMethodNotAllowed || postResp.Header.Get("Allow") != "GET" {
-		t.Fatalf("POST /v1/metrics → %d (Allow %q), want enveloped 405 with Allow: GET",
+	if postResp.StatusCode != http.StatusMethodNotAllowed || postResp.Header.Get("Allow") != "GET, HEAD" {
+		t.Fatalf("POST /v1/metrics → %d (Allow %q), want enveloped 405 with Allow: GET, HEAD",
 			postResp.StatusCode, postResp.Header.Get("Allow"))
 	}
 
@@ -399,8 +400,8 @@ func startDebugListener(t *testing.T, a *app) string {
 }
 
 // TestDebugAudit drives traffic through a server with live auditing enabled
-// and reads the quality report off the debug listener: both route aliases
-// serve the muaa-audit/1 schema, ?refresh forces a recompute, bad parameters
+// and reads the quality report off the debug listener: the route serves the
+// muaa-audit/1 schema, ?refresh forces a recompute, bad parameters
 // get the uniform error envelope, and the audit gauges appear on /metrics.
 func TestDebugAudit(t *testing.T) {
 	base, a := startServerOpts(t, serverOpts{
@@ -426,7 +427,8 @@ func TestDebugAudit(t *testing.T) {
 		Arrivals       int     `json:"arrivals"`
 		EmpiricalRatio float64 `json:"empirical_ratio"`
 	}
-	for _, path := range []string{"/v1/debug/audit", "/debug/audit"} {
+	{
+		const path = "/v1/debug/audit"
 		var rep reportBody
 		if code := getJSON(t, dbgBase+path, &rep); code != http.StatusOK {
 			t.Fatalf("GET %s → %d", path, code)
@@ -620,7 +622,7 @@ func TestServeRestartPersistence(t *testing.T) {
 			t.Fatalf("arrival %d → %d", i, code)
 		}
 	}
-	if code := postJSON(t, base+"/v1/topup", `{"id":0,"amount":7.5}`, nil); code != http.StatusOK {
+	if code := postJSON(t, base+"/v1/campaigns/0/topup", `{"amount":7.5}`, nil); code != http.StatusOK {
 		t.Fatalf("topup → %d", code)
 	}
 	var before statsBody
@@ -681,12 +683,12 @@ func TestDebugEndpointsRecoveryGate(t *testing.T) {
 	endpoints := []struct {
 		method, path, body string
 	}{
-		{"GET", "/v1/debug/traces", ""}, {"GET", "/debug/traces", ""},
-		{"GET", "/v1/debug/audit", ""}, {"GET", "/debug/audit", ""},
-		{"GET", "/v1/debug/timeseries", ""}, {"GET", "/debug/timeseries", ""},
-		{"GET", "/v1/debug/slo", ""}, {"GET", "/debug/slo", ""},
-		{"POST", "/v1/debug/explain", explainBody}, {"POST", "/debug/explain", explainBody},
-		{"GET", "/v1/debug/campaigns/0/funnel", ""}, {"GET", "/debug/campaigns/0/funnel", ""},
+		{"GET", "/v1/debug/traces", ""},
+		{"GET", "/v1/debug/audit", ""},
+		{"GET", "/v1/debug/timeseries", ""},
+		{"GET", "/v1/debug/slo", ""},
+		{"POST", "/v1/debug/explain", explainBody},
+		{"GET", "/v1/debug/campaigns/0/funnel", ""},
 	}
 	do := func(method, path, body string) *http.Response {
 		t.Helper()
@@ -733,7 +735,7 @@ func TestDebugEndpointsRecoveryGate(t *testing.T) {
 	if err := a.boot(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.b.Load().RegisterCampaign(geo.Point{X: 0.5, Y: 0.5}, 0.2, 25, []float64{1, 0, 0.2}); err != nil {
+	if _, err := a.b.Load().RegisterCampaignSpec(broker.CampaignSpec{Loc: geo.Point{X: 0.5, Y: 0.5}, Radius: 0.2, Budget: 25, Tags: []float64{1, 0, 0.2}}); err != nil {
 		t.Fatal(err)
 	}
 	for _, ep := range endpoints {
@@ -897,5 +899,68 @@ func TestDebugDisabledSubsystems(t *testing.T) {
 		if ns := resp.Header.Get("X-Content-Type-Options"); ns != "nosniff" {
 			t.Errorf("%s %s: X-Content-Type-Options = %q, want nosniff", tc.method, tc.url, ns)
 		}
+	}
+}
+
+// TestHeadFollowsGet: on both listeners, every route that serves GET serves
+// HEAD with the same status and no body, and a method it refuses is told
+// both. The hand-written method checks this replaced answered HEAD with 405
+// on most GET routes and let it through on a few.
+func TestHeadFollowsGet(t *testing.T) {
+	base, a := startServerOpts(t, serverOpts{
+		traceCapacity: 16, auditWindow: 16, auditEvery: time.Hour, slo: "on", funnel: true,
+	})
+	dbgBase := startDebugListener(t, a)
+	if code := postJSON(t, base+"/v1/campaigns",
+		`{"loc":{"x":0.5,"y":0.5},"radius":0.1,"budget":20,"tags":[1,0,0.2]}`, nil); code != http.StatusCreated {
+		t.Fatalf("POST /v1/campaigns → %d", code)
+	}
+
+	do := func(method, url string) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp, body
+	}
+	urls := []string{base + "/healthz", base + "/v1/healthz", base + "/metrics", base + "/v1/metrics"}
+	for _, route := range a.api.Load().Routes() {
+		urls = append(urls, base+strings.ReplaceAll(route, "{id}", "0"))
+	}
+	for _, route := range debugMounts {
+		urls = append(urls, dbgBase+strings.ReplaceAll(route, "{id}", "0"))
+	}
+	gets := 0
+	for _, url := range urls {
+		get, _ := do(http.MethodGet, url)
+		if get.StatusCode == http.StatusMethodNotAllowed {
+			continue // a POST-only route
+		}
+		gets++
+		if get.StatusCode != http.StatusOK {
+			t.Errorf("GET %s → %d, want 200", url, get.StatusCode)
+		}
+		head, body := do(http.MethodHead, url)
+		if head.StatusCode != get.StatusCode || len(body) != 0 {
+			t.Errorf("HEAD %s → %d with %d body bytes, want GET's %d and none", url, head.StatusCode, len(body), get.StatusCode)
+		}
+		refused, _ := do(http.MethodDelete, url)
+		want := "GET, HEAD"
+		if strings.HasSuffix(url, "/v1/campaigns") {
+			want = "GET, HEAD, POST"
+		}
+		if refused.StatusCode != http.StatusMethodNotAllowed || refused.Header.Get("Allow") != want {
+			t.Errorf("DELETE %s → %d Allow=%q, want 405 Allow=%q", url, refused.StatusCode, refused.Header.Get("Allow"), want)
+		}
+	}
+	if gets != 14 {
+		t.Errorf("%d GET routes probed, want 14 (4 probe spellings, 5 API, 5 debug)", gets)
 	}
 }

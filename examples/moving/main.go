@@ -45,7 +45,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, v := range problem.Vendors {
-		if _, err := b.RegisterCampaign(v.Loc, v.Radius, v.Budget, v.Tags); err != nil {
+		if _, err := b.RegisterCampaignSpec(broker.CampaignSpec{Loc: v.Loc, Radius: v.Radius, Budget: v.Budget, Tags: v.Tags}); err != nil {
 			log.Fatal(err)
 		}
 	}

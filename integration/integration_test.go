@@ -141,21 +141,24 @@ func TestPipelineCFPreferenceAgreesWithTaxonomyOnCommunities(t *testing.T) {
 	}
 }
 
-func TestPipelineBrokerReplayMatchesSessionSemantics(t *testing.T) {
+// TestPipelineBrokerReplayIsFeasible replays the city's arrival stream
+// through a broker with default configuration and checks the paper's
+// feasibility contract: capacities, budgets, offer accounting. The decision-
+// for-decision comparison with core.Session needs the γ bounds seeded, which
+// only package broker can do: broker.TestKernelMatchesCoreSession.
+func TestPipelineBrokerReplayIsFeasible(t *testing.T) {
 	ds := cityDataset(t)
 	p, err := checkin.ToProblem(ds, problemConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Register every vendor as a campaign and replay the arrival stream
-	// through the broker; every offer must respect budgets and capacities.
 	b, err := broker.New(broker.Config{AdTypes: p.AdTypes})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for j := range p.Vendors {
 		v := &p.Vendors[j]
-		if _, err := b.RegisterCampaign(v.Loc, v.Radius, v.Budget, v.Tags); err != nil {
+		if _, err := b.RegisterCampaignSpec(broker.CampaignSpec{Loc: v.Loc, Radius: v.Radius, Budget: v.Budget, Tags: v.Tags}); err != nil {
 			t.Fatal(err)
 		}
 	}

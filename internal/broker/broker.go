@@ -60,7 +60,7 @@ type Config struct {
 	// DataDir, when non-empty, makes the broker durable: every state
 	// mutation is appended to a write-ahead log in this directory, periodic
 	// snapshots compact the log, and New recovers the pre-crash state from
-	// it (delegating to Recover). Empty selects the in-memory broker —
+	// it. Empty selects the in-memory broker —
 	// exactly the prior behavior and hot path. The directory must have a
 	// single owning process.
 	DataDir string
@@ -220,7 +220,7 @@ type Broker struct {
 	// lifecycle paths log without guarding.
 	logger *slog.Logger
 
-	// wal is nil for an in-memory broker; set once during Recover (after
+	// wal is nil for an in-memory broker; set once during recovery (after
 	// replay, so replay itself is never re-logged) and read-only
 	// afterwards. Mutation paths check the one pointer and otherwise pay
 	// nothing.
@@ -266,10 +266,10 @@ type Broker struct {
 
 // New creates a broker. With cfg.DataDir set it is durable: state is
 // recovered from the directory's snapshot+WAL and every later mutation is
-// logged (see Recover); otherwise it is empty and purely in-memory.
+// logged (see recoverDurable); otherwise it is empty and purely in-memory.
 func New(cfg Config) (*Broker, error) {
 	if cfg.DataDir != "" {
-		return Recover(cfg.DataDir, cfg)
+		return recoverDurable(cfg)
 	}
 	return newMemory(cfg)
 }
@@ -305,7 +305,7 @@ func (cfg *Config) Validate() error {
 const gridCells = 64
 
 // newMemory builds the in-memory broker every configuration shares;
-// Recover layers durability on top.
+// recoverDurable layers durability on top.
 func newMemory(cfg Config) (*Broker, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -374,8 +374,7 @@ func defaultShards() int {
 
 // CampaignSpec is the full registration record for a campaign: geometry,
 // budget and tags as before, plus the AdCell-style delivery class. The zero
-// class (Guaranteed false, Floor/Penalty 0) is a best-effort campaign —
-// exactly what RegisterCampaign registers.
+// class (Guaranteed false, Floor/Penalty 0) is a best-effort campaign.
 type CampaignSpec struct {
 	Loc    geo.Point
 	Radius float64
@@ -394,11 +393,6 @@ type CampaignSpec struct {
 	// seed fixed-cost semantics; any non-fixed contract activates the
 	// broker's auction resolution for all subsequent arrivals.
 	Billing model.Billing
-}
-
-// RegisterCampaign adds a best-effort vendor campaign and returns its ID.
-func (b *Broker) RegisterCampaign(loc geo.Point, radius, budget float64, tags []float64) (int32, error) {
-	return b.RegisterCampaignSpec(CampaignSpec{Loc: loc, Radius: radius, Budget: budget, Tags: tags})
 }
 
 // RegisterCampaignSpec adds a campaign with its full spec (delivery class

@@ -20,6 +20,11 @@ func newTestBroker(t *testing.T) *Broker {
 	return b
 }
 
+// RegisterCampaign is the tests' shorthand for a best-effort, fixed-cost spec.
+func (b *Broker) RegisterCampaign(loc geo.Point, radius, budget float64, tags []float64) (int32, error) {
+	return b.RegisterCampaignSpec(CampaignSpec{Loc: loc, Radius: radius, Budget: budget, Tags: tags})
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("empty ad-type catalog must be rejected")

@@ -62,7 +62,7 @@ type durable struct {
 	info RecoveryInfo
 }
 
-// RecoveryInfo describes what Recover rebuilt at boot.
+// RecoveryInfo describes what New rebuilt from the data directory at boot.
 type RecoveryInfo struct {
 	// SnapshotLoaded reports that a compacted snapshot seeded the state.
 	SnapshotLoaded bool
@@ -85,27 +85,22 @@ func (b *Broker) RecoveryStats() RecoveryInfo {
 	return b.wal.info
 }
 
-// Recover opens (creating if necessary) the durability directory dir and
-// rebuilds the broker recorded there: latest snapshot first, then every
-// intact WAL record in append order. The recovered broker's Stats,
+// recoverDurable opens (creating if necessary) the durability directory
+// cfg.DataDir and rebuilds the broker recorded there: latest snapshot first,
+// then every intact WAL record in append order. The recovered broker's Stats,
 // Campaigns and subsequent decision transcript are bit-identical to the
-// instance that wrote the log. cfg.DataDir is ignored (dir wins); the
-// directory must have a single owner — the log is not advisory-locked.
-func Recover(dir string, cfg Config) (*Broker, error) {
-	if dir == "" {
-		return nil, errors.New("broker: Recover needs a data directory")
-	}
+// instance that wrote the log. The directory must have a single owner — the
+// log is not advisory-locked.
+func recoverDurable(cfg Config) (*Broker, error) {
 	start := time.Now()
 	opts := cfg.WAL
 	opts.Metrics = cfg.Metrics
 	opts.Logger = cfg.Logger
-	log, rec, err := wal.Open(dir, opts)
+	log, rec, err := wal.Open(cfg.DataDir, opts)
 	if err != nil {
 		return nil, err
 	}
-	memCfg := cfg
-	memCfg.DataDir = ""
-	b, err := newMemory(memCfg)
+	b, err := newMemory(cfg)
 	if err != nil {
 		log.Close()
 		return nil, err
@@ -146,7 +141,7 @@ func Recover(dir string, cfg Config) (*Broker, error) {
 	info.Duration = time.Since(start)
 	d.info = info
 	b.logger.Info("broker_recovery",
-		slog.String("dir", dir),
+		slog.String("dir", cfg.DataDir),
 		slog.Bool("snapshot_loaded", info.SnapshotLoaded),
 		slog.Int("records_replayed", info.RecordsReplayed),
 		slog.Bool("truncated", info.Truncated),
@@ -652,7 +647,7 @@ func (b *Broker) encodeBillingSnapshot(buf []byte) []byte {
 }
 
 // applySnapshot seeds an empty broker from a compacted snapshot payload.
-// Campaigns re-enter through RegisterCampaign (rebuilding the grids and
+// Campaigns re-enter through RegisterCampaignSpec (rebuilding the grids and
 // maxRadius under the current shard configuration — stripe layout is
 // serving topology, not persisted state), then the money atomics are
 // overwritten with the recorded bits.

@@ -21,7 +21,6 @@ package broker
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 	"slices"
 
@@ -265,12 +264,6 @@ func explainOfferFrom(cd *candidate, adTypes []model.AdType, slot int) *ExplainO
 // /v1/arrivals request schema, the ExplainReport out. Decoding is
 // /v1/arrivals' own (1 MiB cap, strict fields, content-type contract).
 func (b *Broker) ServeExplain(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed",
-			fmt.Sprintf("method %s not allowed; allowed: POST", r.Method))
-		return
-	}
 	buf := wirePool.Get().(*wireBuf)
 	defer wirePool.Put(buf)
 	if !readBody(w, r, buf) || !decodeArrival(w, buf) {
@@ -288,12 +281,6 @@ func (b *Broker) ServeExplain(w http.ResponseWriter, r *http.Request) {
 // campaign's decision-funnel counters. 404 funnel_disabled without
 // Config.Funnel.Enabled, 404 not_found for unknown campaigns.
 func (b *Broker) ServeCampaignFunnel(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		w.Header().Set("Allow", "GET, HEAD")
-		obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed",
-			fmt.Sprintf("method %s not allowed; allowed: GET, HEAD", r.Method))
-		return
-	}
 	id, ok := pathID(w, r)
 	if !ok {
 		return

@@ -430,9 +430,10 @@ func TestServeExplainHTTP(t *testing.T) {
 	if _, err := b.RegisterCampaign(geo.Point{X: 0.5, Y: 0.5}, 0.2, 50, []float64{1, 0, 0.3}); err != nil {
 		t.Fatal(err)
 	}
+	// Mounted as muaa-serve's debug listener mounts them.
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/debug/explain", b.ServeExplain)
-	mux.HandleFunc("/v1/debug/campaigns/{id}/funnel", b.ServeCampaignFunnel)
+	mux.Handle("/v1/debug/explain", obs.MethodHandler(map[string]http.HandlerFunc{http.MethodPost: b.ServeExplain}))
+	mux.Handle("/v1/debug/campaigns/{id}/funnel", obs.MethodHandler(map[string]http.HandlerFunc{http.MethodGet: b.ServeCampaignFunnel}))
 
 	do := func(method, path, ctype, body string) *httptest.ResponseRecorder {
 		t.Helper()

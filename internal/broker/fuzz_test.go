@@ -55,9 +55,9 @@ func FuzzPostCampaign(f *testing.F) {
 	f.Add(`{"loc":{"x":0.5,"y":0.5},"radius":0.1,"budget":20,"tags":[1,0,0.2]}` + "\n")
 	f.Fuzz(func(t *testing.T, body string) {
 		api := fuzzAPI(t)
-		rec := fuzzPost(t, api, "/campaigns", body)
+		rec := fuzzPost(t, api, "/v1/campaigns", body)
 		if rec.Code >= 500 {
-			t.Fatalf("POST /campaigns %q → %d (server error on client input)", body, rec.Code)
+			t.Fatalf("POST /v1/campaigns %q → %d (server error on client input)", body, rec.Code)
 		}
 		if rec.Code == 201 {
 			var resp campaignResponse
@@ -87,9 +87,9 @@ func FuzzPostArrival(f *testing.F) {
 	f.Add(`{"loc":{"x":0.49,"y":0.51},"capacity":2,"viewProb":0.7,"interests":[0.9,0.1,0.3]}` + "\n")
 	f.Fuzz(func(t *testing.T, body string) {
 		api := fuzzAPI(t)
-		rec := fuzzPost(t, api, "/arrivals", body)
+		rec := fuzzPost(t, api, "/v1/arrivals", body)
 		if rec.Code >= 500 {
-			t.Fatalf("POST /arrivals %q → %d (server error on client input)", body, rec.Code)
+			t.Fatalf("POST /v1/arrivals %q → %d (server error on client input)", body, rec.Code)
 		}
 		if rec.Code == 200 {
 			var resp arrivalResponse
@@ -206,9 +206,9 @@ func FuzzPostTopUp(f *testing.F) {
 	f.Add("007", ``)
 	f.Fuzz(func(t *testing.T, id, body string) {
 		api := fuzzAPI(t)
-		rec := fuzzPost(t, api, "/campaigns/"+sanitizePath(id)+"/topup", body)
+		rec := fuzzPost(t, api, "/v1/campaigns/"+sanitizePath(id)+"/topup", body)
 		if rec.Code >= 500 {
-			t.Fatalf("POST /campaigns/%s/topup %q → %d", id, body, rec.Code)
+			t.Fatalf("POST /v1/campaigns/%s/topup %q → %d", id, body, rec.Code)
 		}
 	})
 }
@@ -218,15 +218,15 @@ func FuzzPostTopUp(f *testing.F) {
 // map to clean 4xx responses — never a 5xx, never a panic — and every 405
 // must advertise Allow.
 func FuzzHTTPSurface(f *testing.F) {
-	f.Add("GET", "/arrivals", "application/json", `{}`)
+	f.Add("GET", "/v1/arrivals", "application/json", `{}`)
 	f.Add("DELETE", "/v1/campaigns", "", ``)
-	f.Add("PUT", "/v1/topup", "application/json", `{"id":0,"amount":1}`)
+	f.Add("PUT", "/v1/campaigns/0/topup", "application/json", `{"amount":1}`)
 	f.Add("POST", "/v1/arrivals", "text/plain", `{"capacity":1}`)
-	f.Add("POST", "/arrivals", "application/x-www-form-urlencoded", `capacity=1`)
-	f.Add("PATCH", "/campaigns/0/pause", "application/json", `{"paused":true}`)
+	f.Add("POST", "/v1/arrivals:batch", "application/x-www-form-urlencoded", `capacity=1`)
+	f.Add("PATCH", "/v1/campaigns/0/pause", "application/json", `{"paused":true}`)
 	f.Add("POST", "/v1/campaigns", "application/json", `{"tags":[`+strings.Repeat("0,", 1<<17)+`0]}`)
 	f.Add("OPTIONS", "/v1/stats", "", ``)
-	f.Add("HEAD", "/map.svg", "", ``)
+	f.Add("HEAD", "/v1/map.svg", "", ``)
 	f.Add("TRACE", "/no/such/route", "garbage/ct; ;;", `x`)
 	f.Fuzz(func(t *testing.T, method, path, ct, body string) {
 		api := fuzzAPI(t)

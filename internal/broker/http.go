@@ -7,9 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
-	"strings"
 
 	"muaa/internal/geo"
 	"muaa/internal/model"
@@ -18,9 +16,8 @@ import (
 	"muaa/internal/viz"
 )
 
-// API is the JSON/HTTP front end of a Broker. The canonical surface is
-// versioned under /v1; every route is also registered at its legacy
-// unversioned path as a thin alias, so pre-/v1 clients keep working:
+// API is the JSON/HTTP front end of a Broker. Every route exists once, under
+// /v1; any other path, the unversioned spellings included, is a 404:
 //
 //	POST /v1/campaigns                 {loc, radius, budget, tags, billing?} → {id}
 //	GET  /v1/campaigns                                                      → all campaign states
@@ -28,7 +25,6 @@ import (
 //	GET  /v1/campaigns/{id}/billing                                         → billing contract + escrow state
 //	POST /v1/campaigns/{id}/topup      {amount}                             → {ok}
 //	POST /v1/campaigns/{id}/pause      {paused}                             → {ok}
-//	POST /v1/topup                     {id, amount}                         → {ok}
 //	POST /v1/arrivals                  {loc, capacity, viewProb, ...}       → {offers, slate}
 //	POST /v1/arrivals:batch            [{loc, ...}, ...]                    → {results}
 //	POST /v1/events                    {offer_id, idempotency_key?}         → conversion receipt
@@ -37,9 +33,9 @@ import (
 //
 // All bodies and responses are JSON. POST bodies are capped at 1 MiB
 // (413 beyond it) and a non-JSON Content-Type is rejected with 415; a
-// missing Content-Type is accepted. A method the path doesn't serve gets
-// 405 with an Allow header. Every error, on every path, old or new, is
-// the uniform envelope
+// missing Content-Type is accepted. A GET route also answers HEAD; a method
+// the path doesn't serve gets 405 with an Allow header (obs.MethodHandler).
+// Every error is the uniform envelope
 //
 //	{"error": {"code": "...", "message": "..."}}
 //
@@ -49,8 +45,8 @@ import (
 type API struct {
 	broker *Broker
 	mux    *http.ServeMux
-	// routes lists every versioned path the mux serves, in registration
-	// order; see Routes.
+	// routes lists every path the mux serves, in registration order; see
+	// Routes.
 	routes []string
 	// adTypeNames holds each ad type's name as a quoted, escaped JSON string,
 	// encoded once here so the arrival renderer (wire.go) only copies it.
@@ -87,9 +83,6 @@ func NewAPI(b *Broker) *API {
 	a.handle("/campaigns/{id}/pause", map[string]http.HandlerFunc{
 		http.MethodPost: a.postPause,
 	})
-	a.handle("/topup", map[string]http.HandlerFunc{
-		http.MethodPost: a.postFlatTopUp,
-	})
 	a.handle("/arrivals", map[string]http.HandlerFunc{
 		http.MethodPost: a.postArrival,
 	})
@@ -112,43 +105,19 @@ func NewAPI(b *Broker) *API {
 	return a
 }
 
-// handle registers one method-dispatched route at its /v1 path and its
-// legacy unversioned alias. Dispatching methods here (not in ServeMux
-// patterns) keeps 405 responses in the uniform envelope while still
-// advertising Allow.
+// handle registers one method-dispatched route at its /v1 path.
 func (a *API) handle(path string, methods map[string]http.HandlerFunc) {
-	h := methodHandler(methods)
-	a.mux.Handle("/v1"+path, h)
-	a.mux.Handle(path, h)
+	a.mux.Handle("/v1"+path, obs.MethodHandler(methods))
 	a.routes = append(a.routes, "/v1"+path)
 }
 
-// Routes returns every versioned path the API serves (the /v1 forms, not
-// the legacy aliases), in registration order. The documentation coverage
-// test uses it to assert docs/API.md mentions every route.
+// Routes returns every path the API serves, in registration order. The
+// documentation coverage test uses it to assert docs/API.md mentions every
+// route.
 func (a *API) Routes() []string {
 	out := make([]string, len(a.routes))
 	copy(out, a.routes)
 	return out
-}
-
-func methodHandler(methods map[string]http.HandlerFunc) http.Handler {
-	names := make([]string, 0, len(methods))
-	for m := range methods {
-		names = append(names, m)
-	}
-	sort.Strings(names)
-	allow := strings.Join(names, ", ")
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		h, ok := methods[r.Method]
-		if !ok {
-			w.Header().Set("Allow", allow)
-			obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed",
-				fmt.Sprintf("method %s not allowed; allowed: %s", r.Method, allow))
-			return
-		}
-		h(w, r)
-	})
 }
 
 // ServeHTTP implements http.Handler.
@@ -239,11 +208,6 @@ type topUpRequest struct {
 	Amount float64 `json:"amount"`
 }
 
-type flatTopUpRequest struct {
-	ID     int32   `json:"id"`
-	Amount float64 `json:"amount"`
-}
-
 type pauseRequest struct {
 	Paused bool `json:"paused"`
 }
@@ -308,21 +272,7 @@ func (a *API) postTopUp(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	a.finishTopUp(w, id, req.Amount)
-}
-
-// postFlatTopUp is the /v1-native top-up: the campaign id travels in the
-// body instead of the path.
-func (a *API) postFlatTopUp(w http.ResponseWriter, r *http.Request) {
-	var req flatTopUpRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	a.finishTopUp(w, req.ID, req.Amount)
-}
-
-func (a *API) finishTopUp(w http.ResponseWriter, id int32, amount float64) {
-	if err := a.broker.TopUp(id, amount); err != nil {
+	if err := a.broker.TopUp(id, req.Amount); err != nil {
 		status, code := statusFor(err)
 		obs.WriteError(w, status, code, err.Error())
 		return

@@ -51,7 +51,7 @@ func decodeBody[T any](t *testing.T, resp *http.Response) T {
 func TestHTTPCampaignLifecycle(t *testing.T) {
 	srv, _ := newTestServer(t)
 
-	resp := postJSON(t, srv.URL+"/campaigns", campaignRequest{
+	resp := postJSON(t, srv.URL+"/v1/campaigns", campaignRequest{
 		Loc: pointDTO{0.5, 0.5}, Radius: 0.2, Budget: 10, Tags: []float64{1, 0},
 	})
 	if resp.StatusCode != http.StatusCreated {
@@ -60,7 +60,7 @@ func TestHTTPCampaignLifecycle(t *testing.T) {
 	created := decodeBody[campaignResponse](t, resp)
 
 	// Read the state back.
-	getResp, err := http.Get(fmt.Sprintf("%s/campaigns/%d", srv.URL, created.ID))
+	getResp, err := http.Get(fmt.Sprintf("%s/v1/campaigns/%d", srv.URL, created.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,18 +73,18 @@ func TestHTTPCampaignLifecycle(t *testing.T) {
 	}
 
 	// Top up and pause.
-	resp = postJSON(t, fmt.Sprintf("%s/campaigns/%d/topup", srv.URL, created.ID), topUpRequest{Amount: 5})
+	resp = postJSON(t, fmt.Sprintf("%s/v1/campaigns/%d/topup", srv.URL, created.ID), topUpRequest{Amount: 5})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("topup status %d", resp.StatusCode)
 	}
 	resp.Body.Close()
-	resp = postJSON(t, fmt.Sprintf("%s/campaigns/%d/pause", srv.URL, created.ID), pauseRequest{Paused: true})
+	resp = postJSON(t, fmt.Sprintf("%s/v1/campaigns/%d/pause", srv.URL, created.ID), pauseRequest{Paused: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pause status %d", resp.StatusCode)
 	}
 	resp.Body.Close()
 
-	getResp, _ = http.Get(fmt.Sprintf("%s/campaigns/%d", srv.URL, created.ID))
+	getResp, _ = http.Get(fmt.Sprintf("%s/v1/campaigns/%d", srv.URL, created.ID))
 	state = decodeBody[campaignStateResponse](t, getResp)
 	if state.Budget != 15 || !state.Paused {
 		t.Errorf("after topup+pause: %+v", state)
@@ -93,12 +93,12 @@ func TestHTTPCampaignLifecycle(t *testing.T) {
 
 func TestHTTPArrivalFlow(t *testing.T) {
 	srv, _ := newTestServer(t)
-	resp := postJSON(t, srv.URL+"/campaigns", campaignRequest{
+	resp := postJSON(t, srv.URL+"/v1/campaigns", campaignRequest{
 		Loc: pointDTO{0.5, 0.5}, Radius: 0.2, Budget: 10, Tags: []float64{1, 0},
 	})
 	resp.Body.Close()
 
-	resp = postJSON(t, srv.URL+"/arrivals", arrivalRequest{
+	resp = postJSON(t, srv.URL+"/v1/arrivals", arrivalRequest{
 		Loc: pointDTO{0.5, 0.51}, Capacity: 2, ViewProb: 0.8,
 		Interests: []float64{0.9, 0.1},
 	})
@@ -113,7 +113,7 @@ func TestHTTPArrivalFlow(t *testing.T) {
 		t.Errorf("offer DTO incomplete: %+v", out.Offers[0])
 	}
 
-	statsResp, err := http.Get(srv.URL + "/stats")
+	statsResp, err := http.Get(srv.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestHTTPErrors(t *testing.T) {
 	srv, _ := newTestServer(t)
 
 	// Malformed body.
-	resp, err := http.Post(srv.URL+"/campaigns", "application/json", bytes.NewReader([]byte("{nope")))
+	resp, err := http.Post(srv.URL+"/v1/campaigns", "application/json", bytes.NewReader([]byte("{nope")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestHTTPErrors(t *testing.T) {
 	resp.Body.Close()
 
 	// Unknown fields are rejected (catches client typos).
-	resp, err = http.Post(srv.URL+"/arrivals", "application/json",
+	resp, err = http.Post(srv.URL+"/v1/arrivals", "application/json",
 		bytes.NewReader([]byte(`{"capcity": 2}`)))
 	if err != nil {
 		t.Fatal(err)
@@ -148,21 +148,21 @@ func TestHTTPErrors(t *testing.T) {
 	resp.Body.Close()
 
 	// Unknown campaign → 404.
-	resp = postJSON(t, srv.URL+"/campaigns/99/topup", topUpRequest{Amount: 1})
+	resp = postJSON(t, srv.URL+"/v1/campaigns/99/topup", topUpRequest{Amount: 1})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown campaign status %d", resp.StatusCode)
 	}
 	resp.Body.Close()
 
 	// Bad path id.
-	resp = postJSON(t, srv.URL+"/campaigns/abc/topup", topUpRequest{Amount: 1})
+	resp = postJSON(t, srv.URL+"/v1/campaigns/abc/topup", topUpRequest{Amount: 1})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad id status %d", resp.StatusCode)
 	}
 	resp.Body.Close()
 
 	// Invalid arrival payload.
-	resp = postJSON(t, srv.URL+"/arrivals", arrivalRequest{Capacity: -1, ViewProb: 0.5})
+	resp = postJSON(t, srv.URL+"/v1/arrivals", arrivalRequest{Capacity: -1, ViewProb: 0.5})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid arrival status %d", resp.StatusCode)
 	}
@@ -201,7 +201,7 @@ func TestHTTPErrors(t *testing.T) {
 
 func TestHTTPConcurrentArrivals(t *testing.T) {
 	srv, b := newTestServer(t)
-	resp := postJSON(t, srv.URL+"/campaigns", campaignRequest{
+	resp := postJSON(t, srv.URL+"/v1/campaigns", campaignRequest{
 		Loc: pointDTO{0.5, 0.5}, Radius: 0.3, Budget: 50, Tags: []float64{1, 0},
 	})
 	resp.Body.Close()
@@ -210,7 +210,7 @@ func TestHTTPConcurrentArrivals(t *testing.T) {
 	done := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func() {
-			r := postJSON(t, srv.URL+"/arrivals", arrivalRequest{
+			r := postJSON(t, srv.URL+"/v1/arrivals", arrivalRequest{
 				Loc: pointDTO{0.5, 0.52}, Capacity: 1, ViewProb: 0.8,
 				Interests: []float64{0.9, 0.1},
 			})
@@ -242,12 +242,12 @@ func TestHTTPConcurrentArrivals(t *testing.T) {
 func TestHTTPListCampaigns(t *testing.T) {
 	srv, _ := newTestServer(t)
 	for i := 0; i < 3; i++ {
-		resp := postJSON(t, srv.URL+"/campaigns", campaignRequest{
+		resp := postJSON(t, srv.URL+"/v1/campaigns", campaignRequest{
 			Loc: pointDTO{0.1 * float64(i), 0.5}, Radius: 0.1, Budget: float64(5 + i),
 		})
 		resp.Body.Close()
 	}
-	resp, err := http.Get(srv.URL + "/campaigns")
+	resp, err := http.Get(srv.URL + "/v1/campaigns")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,11 +264,11 @@ func TestHTTPListCampaigns(t *testing.T) {
 
 func TestHTTPMap(t *testing.T) {
 	srv, _ := newTestServer(t)
-	resp := postJSON(t, srv.URL+"/campaigns", campaignRequest{
+	resp := postJSON(t, srv.URL+"/v1/campaigns", campaignRequest{
 		Loc: pointDTO{0.5, 0.5}, Radius: 0.2, Budget: 10,
 	})
 	resp.Body.Close()
-	mapResp, err := http.Get(srv.URL + "/map.svg")
+	mapResp, err := http.Get(srv.URL + "/v1/map.svg")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,10 +307,9 @@ func wantEnvelope(t *testing.T, resp *http.Response, status int, code string) {
 	}
 }
 
-// TestV1AndLegacyAliases pins the versioned surface: every /v1 route must
-// work, and every legacy unversioned path must behave identically (they
-// share handlers).
-func TestV1AndLegacyAliases(t *testing.T) {
+// TestV1OnlySurface pins the one spelling: every /v1 route works, and the
+// same path without /v1 — and the retired flat top-up — is the enveloped 404.
+func TestV1OnlySurface(t *testing.T) {
 	srv, _ := newTestServer(t)
 
 	resp := postJSON(t, srv.URL+"/v1/campaigns", campaignRequest{
@@ -321,26 +320,24 @@ func TestV1AndLegacyAliases(t *testing.T) {
 	}
 	created := decodeBody[campaignResponse](t, resp)
 
-	// The flat /v1 top-up carries the id in the body.
-	resp = postJSON(t, srv.URL+"/v1/topup", flatTopUpRequest{ID: created.ID, Amount: 5})
+	resp = postJSON(t, srv.URL+fmt.Sprintf("/v1/campaigns/%d/topup", created.ID), topUpRequest{Amount: 5})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /v1/topup status %d", resp.StatusCode)
+		t.Fatalf("POST /v1/campaigns/{id}/topup status %d", resp.StatusCode)
 	}
 	resp.Body.Close()
+	wantEnvelope(t, postJSON(t, srv.URL+"/v1/topup", map[string]float64{"id": 0, "amount": 5}),
+		http.StatusNotFound, "not_found")
 
-	// The same state must be visible through both path families.
-	for _, path := range []string{"/campaigns/0", "/v1/campaigns/0"} {
-		getResp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if getResp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s status %d", path, getResp.StatusCode)
-		}
-		state := decodeBody[campaignStateResponse](t, getResp)
-		if state.Budget != 15 {
-			t.Errorf("GET %s budget %g, want 15", path, state.Budget)
-		}
+	getResp, err := http.Get(srv.URL + "/v1/campaigns/0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if getResp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/campaigns/0 status %d", getResp.StatusCode)
+	}
+	state := decodeBody[campaignStateResponse](t, getResp)
+	if state.Budget != 15 {
+		t.Errorf("GET /v1/campaigns/0 budget %g, want 15", state.Budget)
 	}
 	resp = postJSON(t, srv.URL+"/v1/arrivals", arrivalRequest{
 		Loc: pointDTO{0.5, 0.51}, Capacity: 1, ViewProb: 0.8, Interests: []float64{0.9, 0.1},
@@ -349,49 +346,48 @@ func TestV1AndLegacyAliases(t *testing.T) {
 		t.Fatalf("POST /v1/arrivals status %d", resp.StatusCode)
 	}
 	resp.Body.Close()
-	for _, path := range []string{"/stats", "/v1/stats"} {
-		statsResp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats := decodeBody[Stats](t, statsResp)
-		if stats.Arrivals != 1 || stats.Campaigns != 1 {
-			t.Errorf("GET %s: %+v", path, stats)
-		}
+	statsResp, err := http.Get(srv.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, path := range []string{"/map.svg", "/v1/map.svg"} {
-		mapResp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mapResp.Body.Close()
-		if mapResp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s status %d", path, mapResp.StatusCode)
-		}
+	stats := decodeBody[Stats](t, statsResp)
+	if stats.Arrivals != 1 || stats.Campaigns != 1 {
+		t.Errorf("GET /v1/stats: %+v", stats)
 	}
-}
-
-// TestErrorEnvelope asserts the uniform {"error":{code,message}} shape on
-// old and new paths alike, for every error class the surface produces.
-func TestErrorEnvelope(t *testing.T) {
-	srv, _ := newTestServer(t)
-
-	for _, path := range []string{"/campaigns/999", "/v1/campaigns/999"} {
+	mapResp, err := http.Get(srv.URL + "/v1/map.svg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapResp.Body.Close()
+	if mapResp.StatusCode != http.StatusOK {
+		t.Errorf("GET /v1/map.svg status %d", mapResp.StatusCode)
+	}
+	for _, path := range []string{"/campaigns/0", "/stats", "/map.svg", "/arrivals"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantEnvelope(t, resp, http.StatusNotFound, "not_found")
 	}
-	for _, path := range []string{"/arrivals", "/v1/arrivals"} {
-		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader([]byte("{nope")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantEnvelope(t, resp, http.StatusBadRequest, "bad_request")
+}
+
+// TestErrorEnvelope asserts the uniform {"error":{code,message}} shape for
+// every error class the surface produces.
+func TestErrorEnvelope(t *testing.T) {
+	srv, _ := newTestServer(t)
+
+	resp, err := http.Get(srv.URL + "/v1/campaigns/999")
+	if err != nil {
+		t.Fatal(err)
 	}
+	wantEnvelope(t, resp, http.StatusNotFound, "not_found")
+	resp, err = http.Post(srv.URL+"/v1/arrivals", "application/json", bytes.NewReader([]byte("{nope")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantEnvelope(t, resp, http.StatusBadRequest, "bad_request")
 	// Unrouted paths fall through to the enveloped 404.
-	resp, err := http.Get(srv.URL + "/no/such/route")
+	resp, err = http.Get(srv.URL + "/no/such/route")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,17 +395,17 @@ func TestErrorEnvelope(t *testing.T) {
 }
 
 // TestMethodNotAllowed: wrong methods get 405 with an Allow header and the
-// uniform envelope, on both path families.
+// uniform envelope; a GET route advertises HEAD beside it.
 func TestMethodNotAllowed(t *testing.T) {
 	srv, _ := newTestServer(t)
 	cases := []struct {
 		method, path, allow string
 	}{
 		{http.MethodDelete, "/v1/arrivals", "POST"},
-		{http.MethodGet, "/arrivals", "POST"},
-		{http.MethodPut, "/v1/campaigns", "GET, POST"},
-		{http.MethodPost, "/v1/stats", "GET"},
-		{http.MethodDelete, "/campaigns/0", "GET"},
+		{http.MethodGet, "/v1/arrivals", "POST"},
+		{http.MethodPut, "/v1/campaigns", "GET, HEAD, POST"},
+		{http.MethodPost, "/v1/stats", "GET, HEAD"},
+		{http.MethodDelete, "/v1/campaigns/0", "GET, HEAD"},
 	}
 	for _, tc := range cases {
 		req, err := http.NewRequest(tc.method, srv.URL+tc.path, nil)
@@ -464,15 +460,13 @@ func TestUnsupportedMediaType(t *testing.T) {
 func TestOversizedBody(t *testing.T) {
 	api := fuzzAPI(t)
 	huge := "{\"tags\":[" + strings.Repeat("0,", 1<<19) + "0]}"
-	for _, path := range []string{"/campaigns", "/v1/campaigns"} {
-		rec := fuzzPost(t, api, path, huge)
-		if rec.Code != http.StatusRequestEntityTooLarge {
-			t.Errorf("POST %s with %d bytes: status %d, want 413", path, len(huge), rec.Code)
-		}
-		var env errEnvelope
-		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != "payload_too_large" {
-			t.Errorf("POST %s: envelope %s (err %v)", path, rec.Body.Bytes(), err)
-		}
+	rec := fuzzPost(t, api, "/v1/campaigns", huge)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("POST /v1/campaigns with %d bytes: status %d, want 413", len(huge), rec.Code)
+	}
+	var env errEnvelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != "payload_too_large" {
+		t.Errorf("POST /v1/campaigns: envelope %s (err %v)", rec.Body.Bytes(), err)
 	}
 }
 
@@ -482,7 +476,7 @@ func TestOversizedBody(t *testing.T) {
 // docs/OPERATIONS.md curl examples can rely on it.
 func TestJSONContentType(t *testing.T) {
 	srv, _ := newTestServer(t)
-	resp := postJSON(t, srv.URL+"/campaigns", campaignRequest{
+	resp := postJSON(t, srv.URL+"/v1/campaigns", campaignRequest{
 		Loc: pointDTO{0.5, 0.5}, Radius: 0.2, Budget: 10, Tags: []float64{1, 0},
 	})
 	resp.Body.Close()
@@ -492,10 +486,10 @@ func TestJSONContentType(t *testing.T) {
 		get        string
 		wantStatus int
 	}{
-		{"stats", "/stats", http.StatusOK},
-		{"campaign list", "/campaigns", http.StatusOK},
-		{"campaign state", "/campaigns/0", http.StatusOK},
-		{"error body", "/campaigns/999", http.StatusNotFound},
+		{"stats", "/v1/stats", http.StatusOK},
+		{"campaign list", "/v1/campaigns", http.StatusOK},
+		{"campaign state", "/v1/campaigns/0", http.StatusOK},
+		{"error body", "/v1/campaigns/999", http.StatusNotFound},
 	}
 	for _, tc := range checks {
 		resp, err := http.Get(srv.URL + tc.get)
@@ -515,7 +509,7 @@ func TestJSONContentType(t *testing.T) {
 	}
 
 	// POST responses flow through the same funnel.
-	resp = postJSON(t, srv.URL+"/arrivals", arrivalRequest{
+	resp = postJSON(t, srv.URL+"/v1/arrivals", arrivalRequest{
 		Loc: pointDTO{0.5, 0.5}, Capacity: 1, ViewProb: 0.5, Interests: []float64{1, 0},
 	})
 	resp.Body.Close()
@@ -597,7 +591,7 @@ func TestRoutesEnumeration(t *testing.T) {
 	routes := api.Routes()
 	want := []string{
 		"/v1/campaigns", "/v1/campaigns/{id}", "/v1/campaigns/{id}/billing",
-		"/v1/campaigns/{id}/topup", "/v1/campaigns/{id}/pause", "/v1/topup",
+		"/v1/campaigns/{id}/topup", "/v1/campaigns/{id}/pause",
 		"/v1/arrivals", "/v1/arrivals:batch", "/v1/events", "/v1/stats",
 		"/v1/map.svg",
 	}
@@ -689,7 +683,6 @@ func TestTrailingDataRejected(t *testing.T) {
 		{"/v1/campaigns", `{"loc":{"x":0.5,"y":0.5},"radius":0.2,"budget":50,"tags":[1,0]}`, http.StatusCreated},
 		{"/v1/campaigns/0/topup", `{"amount":1}`, http.StatusOK},
 		{"/v1/campaigns/0/pause", `{"paused":false}`, http.StatusOK},
-		{"/v1/topup", `{"id":0,"amount":1}`, http.StatusOK},
 		{"/v1/arrivals", arrival, http.StatusOK},
 		{"/v1/arrivals", `{"Capacity":1,"viewProb":0.5}`, http.StatusOK}, // the slow path
 		{"/v1/arrivals:batch", `[` + arrival + `]`, http.StatusOK},
@@ -762,13 +755,12 @@ func TestBudgetStaysFinite(t *testing.T) {
 		return resp
 	}
 	wantEnvelope(t, post("/v1/campaigns/0/topup", `{"amount":1e308}`), http.StatusBadRequest, "bad_request")
-	wantEnvelope(t, post("/v1/topup", `{"id":0,"amount":1e308}`), http.StatusBadRequest, "bad_request")
 	resp, err := http.Get(srv.URL + "/v1/campaigns")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if list := decodeBody[[]campaignStateResponse](t, resp); len(list) != 1 || list[0].Budget != 1e308 {
-		t.Fatalf("list after the refused top-ups: %+v", list)
+		t.Fatalf("list after the refused top-up: %+v", list)
 	}
 
 	inf := math.Inf(1)

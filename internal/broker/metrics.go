@@ -36,10 +36,10 @@ type brokerMetrics struct {
 
 	// Scan outcomes, one per candidate campaign examined, indexed by the
 	// disposition the scan tallied it under. "offered" counts every candidate
-	// the walk admitted; the ones the capacity resolve then displaced are
-	// additionally counted by capacityTrimmed.
+	// the walk admitted, the ones the capacity resolve then displaced
+	// included: offered − muaa_broker_offers_pushed_total is the number
+	// displaced.
 	scanOutcomes    [dispDisplaced]*obs.Counter
-	capacityTrimmed *obs.Counter
 	arrivalErrors   *obs.Counter
 	topUps          *obs.Counter
 	exhaustedEvents *obs.Counter
@@ -78,7 +78,6 @@ func (m *brokerMetrics) foldScanTally(t *scanTally) {
 	}
 	if n := t.disp[dispDisplaced]; n > 0 {
 		m.scanOutcomes[dispOffered].Add(n)
-		m.capacityTrimmed.Add(n)
 	}
 }
 
@@ -90,8 +89,6 @@ func newBrokerMetrics(reg *obs.Registry, b *Broker) *brokerMetrics {
 		arrival: reg.NewHistogram("muaa_broker_arrival_seconds",
 			"End-to-end latency of one single-arrival submission (Arrive, POST /v1/arrivals), lock wait through WAL append.",
 			arrivalBuckets),
-		capacityTrimmed: reg.NewCounter("muaa_broker_capacity_trimmed_total",
-			"Admitted candidates dropped because the arrival's capacity was smaller."),
 		arrivalErrors: reg.NewCounter("muaa_broker_arrival_errors_total",
 			"Arrivals rejected at validation (capacity, view probability, location, hour or interests out of bounds)."),
 		topUps: reg.NewCounter("muaa_broker_topups_total",

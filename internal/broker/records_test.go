@@ -440,7 +440,7 @@ func TestRetiredFormatsRefused(t *testing.T) {
 	if len(before) != 2 {
 		t.Fatalf("want a snapshot and one segment, got %v", before)
 	}
-	if _, err := Recover(dir, cfg); err == nil || !strings.Contains(err.Error(), "record type 5 ") {
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "record type 5 ") {
 		t.Fatalf("recovery over a retired record: %v", err)
 	}
 	if after := hashDir(t, dir); !reflect.DeepEqual(before, after) {

@@ -519,9 +519,6 @@ func TestDurableConcurrentSoak(t *testing.T) {
 
 // TestRecoverValidation pins the constructor contract edges.
 func TestRecoverValidation(t *testing.T) {
-	if _, err := Recover("", Config{AdTypes: workload.DefaultAdTypes()}); err == nil {
-		t.Fatal("Recover with empty dir must error")
-	}
 	// A corrupt snapshot must fail recovery loudly, never silently serve
 	// from empty state.
 	dir := t.TempDir()

@@ -339,6 +339,37 @@ func WriteError(w http.ResponseWriter, status int, code, message string) {
 	}{body{code, message}})
 }
 
+// MethodHandler is the one method dispatcher of every HTTP surface in the
+// repo: a request goes to the handler listed for its method, GET implies HEAD
+// (net/http drops a HEAD reply's body), and any other method is refused with
+// 405, one Allow header and the error envelope. Dispatching here, not in
+// ServeMux patterns, is what keeps a 405 in the uniform envelope.
+func MethodHandler(methods map[string]http.HandlerFunc) http.Handler {
+	table := make(map[string]http.HandlerFunc, len(methods)+1)
+	for m, h := range methods {
+		table[m] = h
+	}
+	if get, ok := table[http.MethodGet]; ok {
+		table[http.MethodHead] = get
+	}
+	names := make([]string, 0, len(table))
+	for m := range table {
+		names = append(names, m)
+	}
+	sort.Strings(names)
+	allow := strings.Join(names, ", ")
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h, ok := table[r.Method]
+		if !ok {
+			w.Header().Set("Allow", allow)
+			WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed",
+				fmt.Sprintf("method %s not allowed; allowed: %s", r.Method, allow))
+			return
+		}
+		h(w, r)
+	})
+}
+
 // renderLabels renders a deterministic {k="v",...} string, sorted by key.
 // An empty label set renders as "". Keys are sanitized to the exposition
 // format's identifier grammar and values escaped, so no label — static or

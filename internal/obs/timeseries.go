@@ -4,7 +4,7 @@ package obs
 // Registry at a fixed cadence and folds every instrument into a
 // fixed-capacity ring of (time, value) points — the broker's short-term
 // memory of its own telemetry, queryable at GET /v1/debug/timeseries and
-// consumed by the SLO watchdog (internal/slo) and the muaa-top dashboard.
+// consumed by the SLO watchdog (internal/slo).
 //
 // Derivation per instrument kind, one ring ("series") each:
 //
@@ -403,12 +403,7 @@ func matchesAny(name string, prefixes []string) bool {
 // Mounted at GET /v1/debug/timeseries on muaa-serve's private debug
 // listener. Errors use the repo-wide {"error":{code,message}} envelope.
 func (s *Sampler) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
-			return
-		}
+	return MethodHandler(map[string]http.HandlerFunc{http.MethodGet: func(w http.ResponseWriter, req *http.Request) {
 		var q TimeSeriesQuery
 		qs := req.URL.Query()
 		if v := qs.Get("series"); v != "" {
@@ -436,10 +431,6 @@ func (s *Sampler) Handler() http.Handler {
 			}
 			q.Step = n
 		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		w.Header().Set("X-Content-Type-Options", "nosniff")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		enc.Encode(s.Query(q))
-	})
+		WriteJSON(w, http.StatusOK, s.Query(q))
+	}})
 }

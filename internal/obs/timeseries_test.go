@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"io"
@@ -341,7 +342,14 @@ func TestSamplerGoldenJSON(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 		t.Fatalf("Content-Type = %q", ct)
 	}
-	body, _ := io.ReadAll(resp.Body)
+	compact, _ := io.ReadAll(resp.Body)
+	// The endpoint answers compact JSON; the golden is kept indented so it
+	// stays reviewable.
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, compact, "", " "); err != nil {
+		t.Fatalf("body is not JSON: %v\n%s", err, compact)
+	}
+	body := indented.Bytes()
 
 	golden := filepath.Join("testdata", "timeseries.golden.json")
 	if *updateTimeseriesGolden {

@@ -46,7 +46,7 @@ func TestRatioDipTripsSLOAndRecovers(t *testing.T) {
 	}
 	var ids []int32
 	for _, c := range specs {
-		id, err := b.RegisterCampaign(c.Loc, c.Radius, c.Budget, c.Tags)
+		id, err := b.RegisterCampaignSpec(broker.CampaignSpec{Loc: c.Loc, Radius: c.Radius, Budget: c.Budget, Tags: c.Tags})
 		if err != nil {
 			t.Fatal(err)
 		}

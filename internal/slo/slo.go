@@ -25,7 +25,6 @@
 package slo
 
 import (
-	"encoding/json"
 	"io"
 	"log/slog"
 	"math"
@@ -301,16 +300,7 @@ func (w *Watchdog) Snapshot() Snapshot {
 // Handler serves GET /v1/debug/slo: the rule table with live burn
 // fractions and firing state, deterministic given a deterministic clock.
 func (w *Watchdog) Handler() http.Handler {
-	return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			rw.Header().Set("Allow", http.MethodGet)
-			obs.WriteError(rw, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
-			return
-		}
-		rw.Header().Set("Content-Type", "application/json; charset=utf-8")
-		rw.Header().Set("X-Content-Type-Options", "nosniff")
-		enc := json.NewEncoder(rw)
-		enc.SetIndent("", " ")
-		enc.Encode(w.Snapshot())
-	})
+	return obs.MethodHandler(map[string]http.HandlerFunc{http.MethodGet: func(rw http.ResponseWriter, _ *http.Request) {
+		obs.WriteJSON(rw, http.StatusOK, w.Snapshot())
+	}})
 }

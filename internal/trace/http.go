@@ -1,12 +1,10 @@
 package trace
 
 import (
-	"encoding/json"
 	"log/slog"
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"muaa/internal/obs"
@@ -21,12 +19,7 @@ import (
 //
 // Mounted at GET /v1/debug/traces on muaa-serve's private debug listener.
 func (r *Recorder) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			obs.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
-			return
-		}
+	return obs.MethodHandler(map[string]http.HandlerFunc{http.MethodGet: func(w http.ResponseWriter, req *http.Request) {
 		f := Filter{Limit: 100}
 		q := req.URL.Query()
 		if s := q.Get("min_ms"); s != "" {
@@ -61,12 +54,8 @@ func (r *Recorder) Handler() http.Handler {
 		if traces == nil {
 			traces = []*Trace{}
 		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		w.Header().Set("X-Content-Type-Options", "nosniff")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(map[string][]*Trace{"traces": traces})
-	})
+		obs.WriteJSON(w, http.StatusOK, map[string][]*Trace{"traces": traces})
+	}})
 }
 
 // statusWriter captures the response status and size for the access log.
@@ -153,9 +142,7 @@ func Middleware(h http.Handler, logger *slog.Logger, rec *Recorder) http.Handler
 	})
 }
 
-// isArrivalPath matches the arrival-ingest routes: /v1/arrivals,
-// /v1/arrivals:batch and their unversioned aliases.
+// isArrivalPath matches the two arrival-ingest routes.
 func isArrivalPath(p string) bool {
-	p = strings.TrimSuffix(strings.TrimPrefix(p, "/v1"), "/")
-	return p == "/arrivals" || p == "/arrivals:batch"
+	return p == "/v1/arrivals" || p == "/v1/arrivals:batch"
 }

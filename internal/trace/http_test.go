@@ -210,27 +210,28 @@ func TestMiddlewareRecordsUnavailableArrivals(t *testing.T) {
 	})
 	h := Middleware(inner, nil, rec)
 
-	for _, p := range []string{"/v1/arrivals", "/arrivals", "/v1/arrivals:batch", "/arrivals:batch"} {
+	for _, p := range []string{"/v1/arrivals", "/v1/arrivals:batch"} {
 		rr := httptest.NewRecorder()
 		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, p, nil))
 	}
-	// A 503 on a non-arrival path must not be recorded.
-	for _, p := range []string{"/v1/stats", "/v1/arrivals:batchx", "/v1/campaigns/0/topup"} {
+	// A 503 on a non-arrival path, the unrouted unversioned spellings
+	// included, must not be recorded.
+	for _, p := range []string{"/v1/stats", "/v1/arrivals:batchx", "/v1/campaigns/0/topup", "/arrivals", "/arrivals:batch"} {
 		rr := httptest.NewRecorder()
 		h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, p, nil))
 	}
 
 	got := rec.Snapshot(Filter{Outcome: OutcomeUnavailable})
-	if len(got) != 4 {
-		t.Fatalf("unavailable traces = %d, want 4", len(got))
+	if len(got) != 2 {
+		t.Fatalf("unavailable traces = %d, want 2", len(got))
 	}
 	for _, tr := range got {
 		if !tr.Anomalous {
 			t.Fatal("unavailable trace must be anomalous")
 		}
 	}
-	if all := rec.Snapshot(Filter{}); len(all) != 4 {
-		t.Fatalf("total traces = %d, want 4 (non-arrival 503 recorded?)", len(all))
+	if all := rec.Snapshot(Filter{}); len(all) != 2 {
+		t.Fatalf("total traces = %d, want 2 (non-arrival 503 recorded?)", len(all))
 	}
 }
 
