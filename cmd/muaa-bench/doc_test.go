@@ -18,9 +18,28 @@ import (
 // they name is a file at the repo root, and every Benchmark… they tell the
 // reader to run is defined — in the packages the command line names, when
 // it is a `go test -bench` line. Deleting a benchmark arm without its prose
-// (or the reverse) fails here.
+// (or the reverse) fails here. The other direction for the system inventory:
+// every internal/* and cmd/* directory has its row in DESIGN.md §2.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	root := filepath.Join("..", "..")
+	design, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, inventory, _ := strings.Cut(string(design), "\n## 2. ")
+	inventory, _, _ = strings.Cut(inventory, "\n## 3. ")
+	for _, parent := range []string{"internal", "cmd"} {
+		dirs, err := os.ReadDir(filepath.Join(root, parent))
+		if err != nil || len(dirs) == 0 {
+			t.Fatalf("%s: %v (%d entries)", parent, err, len(dirs))
+		}
+		for _, d := range dirs {
+			if name := "`" + parent + "/" + d.Name() + "`"; d.IsDir() && !strings.Contains(inventory, name) {
+				t.Errorf("DESIGN.md §2 has no row naming %s", name)
+			}
+		}
+	}
+
 	docs := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", filepath.Join("bench", "README.md")}
 	more, err := filepath.Glob(filepath.Join(root, "docs", "*.md"))
 	if err != nil || len(more) == 0 {

@@ -1,178 +1,132 @@
 package main
 
-// The dashboard half of muaa-top: polling the serve and debug ports,
-// parsing what comes back, deriving rates and windowed quantiles between
-// polls, and rendering one frame. Everything here is pure enough to test
-// against httptest fakes; main.go owns the terminal lifecycle.
+// The dashboard half of muaa-top: one poll of the two ports and one rendered
+// frame. Nothing here derives a number. Every value on screen is the newest
+// point of a retention-ring series the server sampled and every sparkline is
+// that ring's points (GET /v1/debug/timeseries), or it is a field of the
+// /v1/stats document or a row of the /v1/debug/slo table — so the LATENCY row
+// and the arrival_p99 SLO rule, both reading muaa_broker_arrival_seconds:p99,
+// cannot disagree. main.go owns the terminal lifecycle.
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+
+	"muaa/internal/broker"
+	"muaa/internal/obs"
+	"muaa/internal/slo"
 )
 
-// snapshot is one poll: the merged metric samples, the broker stats
-// document, and the SLO document (nil when the watchdog is off or the
-// debug port is unreachable).
-type snapshot struct {
-	when    time.Time
-	samples map[string]float64 // "name{labels}" → value
-	stats   *brokerStats
-	slo     *sloDoc
-	errs    []string // per-source fetch failures, rendered in the footer
+// row is one sparkline row: the ring series behind it and how its newest
+// point is printed.
+type row struct {
+	label, series, format, unit string
+	scale                       float64
 }
 
-// brokerStats mirrors the /v1/stats document (broker.Stats marshals with
-// Go field names).
-type brokerStats struct {
-	Campaigns         int
-	Arrivals          int64
-	OffersPushed      int64
-	UtilityServed     float64
-	BudgetSpent       float64
-	GammaMin          float64
-	GammaMax          float64
-	G                 float64
-	PhiBoost          float64
-	PacingEpoch       int64
-	EscrowHeld        float64
-	EscrowReleased    float64
-	Conversions       int64
-	ConversionRevenue float64
+type panel struct {
+	title string
+	rows  []row
 }
 
-// sloDoc mirrors GET /v1/debug/slo (internal/slo.Snapshot).
-type sloDoc struct {
-	Schema string `json:"schema"`
-	Firing int    `json:"firing"`
-	Rules  []struct {
-		Name      string   `json:"name"`
-		Series    string   `json:"series"`
-		State     string   `json:"state"`
-		Value     *float64 `json:"value"`
-		Threshold float64  `json:"threshold"`
-		Below     bool     `json:"below"`
-		ShortBurn float64  `json:"short_burn"`
-		LongBurn  float64  `json:"long_burn"`
-		Fired     uint64   `json:"fired_total"`
-	} `json:"rules"`
+func stageRow(stage string) row {
+	return row{stage, `muaa_broker_arrival_stage_seconds{stage="` + stage + `"}:p99`, "%.3f", "ms", 1e3}
 }
 
-// parseProm reads Prometheus text exposition into sample → value. Comment
-// and blank lines are skipped; the key keeps the rendered labels so
-// histogram buckets stay distinct.
-func parseProm(r io.Reader) (map[string]float64, error) {
-	out := map[string]float64{}
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
+// panels is the screen's ring-backed part, top to bottom; ringQuery asks the
+// server for exactly these series, so a row cannot be rendered without being
+// requested.
+var panels = []panel{
+	{"THROUGHPUT", []row{
+		{"arrivals/s", "muaa_broker_arrivals_total:rate", "%.1f", "", 1},
+		{"offers/s", "muaa_broker_offers_pushed_total:rate", "%.1f", "", 1},
+		{"wal appends/s", "muaa_wal_appends_total:rate", "%.1f", "", 1},
+	}},
+	{"LATENCY  (p99 of the last sample window)", []row{
+		{"arrival p99", "muaa_broker_arrival_seconds:p99", "%.3f", "ms", 1e3},
+		{"wal fsync p99", "muaa_wal_flush_seconds:p99", "%.3f", "ms", 1e3},
+	}},
+	{"STAGES  (arrival p99 by pipeline stage)", []row{
+		stageRow("lock_wait"), stageRow("gather"), stageRow("scan"), stageRow("commit"),
+	}},
+	{"ALGORITHM", []row{
+		{"ratio", "muaa_broker_empirical_ratio", "%.3f", "", 1},
+		{"boost", "muaa_pacing_boost", "%.3f", "", 1},
+	}},
+	{"RUNTIME", []row{
+		{"goroutines", "go_goroutines", "%.0f", "", 1},
+		{"heap", "go_heap_alloc_bytes", "%.1f", "MiB", 1.0 / (1 << 20)},
+	}},
+}
+
+const (
+	uptimeSeries     = "muaa_process_uptime_seconds"
+	ringCountSeries  = "muaa_obs_series"
+	escrowOpenSeries = "muaa_billing_escrow_open"
+	// funnelPrefix selects the broker's top-N per-campaign funnel counters,
+	// each a ":rate" series (internal/broker/funnel.go).
+	funnelPrefix = "muaa_funnel_campaign_total{"
+
+	// historyRange is how far back a frame asks the rings for: the 24
+	// sparkline cells at the server's default 5 s cadence.
+	historyRange = 2 * time.Minute
+	sparkWidth   = 24
+)
+
+// ringQuery is the one /v1/debug/timeseries query a frame makes.
+func ringQuery() string {
+	names := []string{uptimeSeries, ringCountSeries, escrowOpenSeries, funnelPrefix}
+	for _, p := range panels {
+		for _, r := range p.rows {
+			names = append(names, r.series)
+		}
 	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			continue
-		}
-		v, err := strconv.ParseFloat(line[i+1:], 64)
-		if err != nil {
-			continue // timestamps or exotic values; this is a viewer, not a parser suite
-		}
-		out[line[:i]] = v
-	}
-	return out, nil
+	return url.Values{"series": {strings.Join(names, ",")}, "range": {historyRange.String()}}.Encode()
 }
 
-// bucketsOf extracts a histogram's cumulative buckets (le → count). Only
-// label-less histograms are rendered by muaa-top, so the sample key is
-// exactly name_bucket{le="..."}.
-func bucketsOf(samples map[string]float64, name string) map[float64]float64 {
-	prefix := name + `_bucket{le="`
-	out := map[float64]float64{}
-	for k, v := range samples {
-		if !strings.HasPrefix(k, prefix) {
-			continue
-		}
-		le := strings.TrimSuffix(strings.TrimPrefix(k, prefix), `"}`)
-		f, err := strconv.ParseFloat(le, 64)
-		if err != nil {
-			if le == "+Inf" {
-				f = math.Inf(1)
-			} else {
-				continue
-			}
-		}
-		out[f] = v
-	}
-	return out
+// frame is one poll: the three documents the server answered with. A nil
+// document was not available; notes says why, one line per source.
+type frame struct {
+	when  time.Time
+	rings *obs.TimeSeriesSnapshot
+	stats *broker.Stats
+	slo   *slo.Snapshot
+	notes []string
 }
 
-// histQuantile computes quantile q from the delta between two cumulative
-// bucket snapshots (prev may be nil: lifetime quantile). Returns the upper
-// edge of the bucket the rank lands in — the resolution the exponential
-// bucket layout gives — or NaN when the window saw no observations.
-func histQuantile(cur, prev map[float64]float64, q float64) float64 {
-	les := make([]float64, 0, len(cur))
-	for le := range cur {
-		les = append(les, le)
+// values returns the named ring's sampled values, oldest first; nil when the
+// server retains no such series (or no rings were fetched).
+func (f *frame) values(name string) []float64 {
+	if f.rings == nil {
+		return nil
 	}
-	sort.Float64s(les)
-	if len(les) == 0 {
+	s := f.rings.Series // sorted by name (obs.TimeSeriesSnapshot)
+	i := sort.Search(len(s), func(i int) bool { return s[i].Name >= name })
+	if i == len(s) || s[i].Name != name {
+		return nil
+	}
+	vals := make([]float64, len(s[i].Points))
+	for j, p := range s[i].Points {
+		vals[j] = p.Value
+	}
+	return vals
+}
+
+// newest is the last sampled value; NaN when there is none.
+func newest(vals []float64) float64 {
+	if len(vals) == 0 {
 		return math.NaN()
 	}
-	delta := func(le float64) float64 {
-		d := cur[le] - prev[le] // nil map reads as 0
-		if d < 0 {
-			d = 0 // counter reset between polls
-		}
-		return d
-	}
-	total := delta(les[len(les)-1])
-	if total <= 0 {
-		return math.NaN()
-	}
-	rank := q * total
-	for _, le := range les {
-		if delta(le) >= rank {
-			return le
-		}
-	}
-	return les[len(les)-1]
-}
-
-// ring is muaa-top's own sparkline history: a fixed window of the most
-// recent derived values per panel row.
-type ring struct {
-	vals []float64
-	head int
-	n    int
-}
-
-func newRing(capacity int) *ring { return &ring{vals: make([]float64, capacity)} }
-
-func (r *ring) push(v float64) {
-	r.vals[r.head] = v
-	r.head = (r.head + 1) % len(r.vals)
-	if r.n < len(r.vals) {
-		r.n++
-	}
-}
-
-// window returns the retained values, oldest first.
-func (r *ring) window() []float64 {
-	out := make([]float64, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.vals[(r.head-r.n+i+len(r.vals))%len(r.vals)])
-	}
-	return out
+	return vals[len(vals)-1]
 }
 
 var sparkRunes = []rune("▁▂▃▄▅▆▇█")
@@ -205,71 +159,73 @@ func sparkline(vals []float64, width int) string {
 	return sb.String()
 }
 
-// funnelRow is one campaign's decision-funnel attribution, extracted from
-// the muaa_funnel_campaign_total samples (the broker's top-N heavy
-// hitters; see internal/broker/funnel.go).
+// funnelRow is one campaign's decision-funnel attribution over the last
+// sample window, in candidates per second.
 type funnelRow struct {
 	campaign string
 	gathered float64
 	offered  float64
 	// topGate is the non-offered disposition that disposed of the most
-	// gathered arrivals — the dominant reason this campaign is not serving.
+	// gathered candidates — the dominant reason this campaign is not serving.
 	topGate  string
 	topGateV float64
 }
 
-// funnelRows groups the funnel samples by campaign, sorted by gathered
-// descending (campaign id ascending as the tiebreak, matching the broker's
-// own top-N order). Empty when the funnel is disabled or never scraped.
-func funnelRows(samples map[string]float64) []funnelRow {
-	const prefix = `muaa_funnel_campaign_total{`
-	byCampaign := map[string]map[string]float64{}
-	for k, v := range samples {
-		if !strings.HasPrefix(k, prefix) {
+// funnelRows groups the funnel ring series by campaign, reading each one's
+// newest point, sorted by gathered descending (campaign id ascending as the
+// tiebreak, matching the broker's own top-N order). A series whose newest
+// point is null (its first sample) counts as 0. Empty when the funnel is off.
+func funnelRows(series []obs.Series) []funnelRow {
+	// A campaign that left the broker's top-N keeps its ring until the sampler
+	// evicts it: only the series the newest sample wrote are this window's.
+	var latest float64
+	for _, sr := range series {
+		if strings.HasPrefix(sr.Name, funnelPrefix) && len(sr.Points) > 0 {
+			latest = max(latest, sr.Points[len(sr.Points)-1].Unix)
+		}
+	}
+	var rows []funnelRow
+	index := map[string]int{} // campaign → position in rows
+	for _, sr := range series {
+		labels, ok := strings.CutPrefix(sr.Name, funnelPrefix)
+		if !ok || len(sr.Points) == 0 || sr.Points[len(sr.Points)-1].Unix < latest {
 			continue
 		}
 		var campaign, disp string
-		for _, part := range strings.Split(strings.TrimSuffix(strings.TrimPrefix(k, prefix), "}"), ",") {
-			kv := strings.SplitN(part, "=", 2)
-			if len(kv) != 2 {
-				continue
-			}
+		for _, part := range strings.Split(strings.TrimSuffix(labels, "}:rate"), ",") {
 			// Campaign ids are numeric and dispositions are fixed idents, so
 			// plain quote-trimming is enough here (no escapes to unwind).
-			val := strings.Trim(kv[1], `"`)
-			switch kv[0] {
+			switch k, v, _ := strings.Cut(part, "="); k {
 			case "campaign":
-				campaign = val
+				campaign = strings.Trim(v, `"`)
 			case "disposition":
-				disp = val
+				disp = strings.Trim(v, `"`)
 			}
 		}
 		if campaign == "" || disp == "" {
 			continue
 		}
-		m, ok := byCampaign[campaign]
+		i, ok := index[campaign]
 		if !ok {
-			m = map[string]float64{}
-			byCampaign[campaign] = m
+			i = len(rows)
+			index[campaign] = i
+			rows = append(rows, funnelRow{campaign: campaign})
 		}
-		m[disp] = v
-	}
-	rows := make([]funnelRow, 0, len(byCampaign))
-	for campaign, dispositions := range byCampaign {
-		row := funnelRow{campaign: campaign}
-		for disp, v := range dispositions {
-			switch disp {
-			case "gathered":
-				row.gathered = v
-			case "offered":
-				row.offered = v
-			default:
-				if v > row.topGateV || (v == row.topGateV && v > 0 && disp < row.topGate) {
-					row.topGate, row.topGateV = disp, v
-				}
+		r := &rows[i]
+		v := sr.Points[len(sr.Points)-1].Value
+		if math.IsNaN(v) {
+			v = 0
+		}
+		switch disp {
+		case "gathered":
+			r.gathered = v
+		case "offered":
+			r.offered = v
+		default:
+			if v > r.topGateV || (v == r.topGateV && v > 0 && disp < r.topGate) {
+				r.topGate, r.topGateV = disp, v
 			}
 		}
-		rows = append(rows, row)
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].gathered != rows[j].gathered {
@@ -284,164 +240,62 @@ func funnelRows(samples map[string]float64) []funnelRow {
 	return rows
 }
 
-// client fetches one snapshot from the two ports.
+// client polls the two ports.
 type client struct {
 	base      string // serving port, e.g. http://127.0.0.1:8080
-	debugBase string // debug port, e.g. http://127.0.0.1:6060; "" = skip SLO panel
+	debugBase string // debug port, e.g. http://127.0.0.1:6060
 	hc        *http.Client
 }
 
-func (c *client) get(url string, accept func(*http.Response) error) error {
-	resp, err := c.hc.Get(url)
+// getJSON decodes a 200 reply into v. Any other status is an error that
+// carries the server's own {"error":{code,message}} envelope when it sent one
+// (sampler_disabled, slo_disabled, unavailable during recovery).
+func (c *client) getJSON(endpoint string, v any) error {
+	resp, err := c.hc.Get(endpoint)
 	if err != nil {
+		// The cause names the address; the URL around it is a screenful of
+		// our own query string.
+		var ue *url.Error
+		if errors.As(err, &ue) {
+			err = ue.Err
+		}
 		return err
 	}
 	defer resp.Body.Close()
-	return accept(resp)
+	if resp.StatusCode != http.StatusOK {
+		var env struct {
+			Error struct{ Code, Message string }
+		}
+		if json.NewDecoder(resp.Body).Decode(&env) == nil && env.Error.Code != "" {
+			return fmt.Errorf("%s: %s", env.Error.Code, env.Error.Message)
+		}
+		return fmt.Errorf("status %d", resp.StatusCode)
+	}
+	return json.NewDecoder(resp.Body).Decode(v)
 }
 
-func (c *client) snapshot() *snapshot {
-	s := &snapshot{when: time.Now(), samples: map[string]float64{}}
-	// Two filtered scrapes — the muaa_* instruments and the go_* runtime
-	// gauges — kept apart so a huge unrelated registry never lands here.
-	for _, prefix := range []string{"muaa_", "go_"} {
-		err := c.get(c.base+"/v1/metrics?name="+prefix, func(resp *http.Response) error {
-			if resp.StatusCode != http.StatusOK {
-				return fmt.Errorf("status %d", resp.StatusCode)
-			}
-			m, err := parseProm(resp.Body)
-			if err != nil {
-				return err
-			}
-			for k, v := range m {
-				s.samples[k] = v
-			}
-			return nil
-		})
-		if err != nil {
-			s.errs = append(s.errs, "metrics: "+err.Error())
-			break
-		}
-	}
-	err := c.get(c.base+"/v1/stats", func(resp *http.Response) error {
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("status %d", resp.StatusCode)
-		}
-		var st brokerStats
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			return err
-		}
-		s.stats = &st
+// fetch is getJSON into a fresh T, a failure becoming one of f's notes.
+func fetch[T any](c *client, f *frame, what, endpoint string) *T {
+	v := new(T)
+	if err := c.getJSON(endpoint, v); err != nil {
+		f.notes = append(f.notes, what+": "+err.Error())
 		return nil
-	})
-	if err != nil {
-		s.errs = append(s.errs, "stats: "+err.Error())
 	}
-	if c.debugBase != "" {
-		err := c.get(c.debugBase+"/v1/debug/slo", func(resp *http.Response) error {
-			if resp.StatusCode != http.StatusOK {
-				return fmt.Errorf("status %d", resp.StatusCode)
-			}
-			var doc sloDoc
-			if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-				return err
-			}
-			s.slo = &doc
-			return nil
-		})
-		if err != nil {
-			s.errs = append(s.errs, "slo: "+err.Error())
-		}
-	}
-	return s
+	return v
 }
 
-// model folds successive snapshots into rates, quantiles, and sparkline
-// history.
-type model struct {
-	prev, cur *snapshot
-	hist      map[string]*ring
-	histCap   int
-}
-
-func newModel(histCap int) *model {
-	if histCap <= 0 {
-		histCap = 60
+// poll takes one frame: /v1/stats from the serving port, the rings and the
+// SLO table from the debug port. The watchdog evaluates the rings, so where
+// they are unavailable — port down, sampler off, recovery in progress — so is
+// the SLO table, and the one note about the rings covers both.
+func (c *client) poll() *frame {
+	f := &frame{when: time.Now()}
+	f.stats = fetch[broker.Stats](c, f, "stats", c.base+"/v1/stats")
+	f.rings = fetch[obs.TimeSeriesSnapshot](c, f, "timeseries", c.debugBase+"/v1/debug/timeseries?"+ringQuery())
+	if f.rings != nil {
+		f.slo = fetch[slo.Snapshot](c, f, "slo", c.debugBase+"/v1/debug/slo")
 	}
-	return &model{hist: map[string]*ring{}, histCap: histCap}
-}
-
-// observe appends a snapshot and records the sparkline series.
-func (m *model) observe(s *snapshot) {
-	m.prev, m.cur = m.cur, s
-	m.record("arrivals/s", m.rate("muaa_broker_arrivals_total"))
-	m.record("offers/s", m.rate("muaa_broker_offers_pushed_total"))
-	m.record("wal appends/s", m.rate("muaa_wal_appends_total"))
-	m.record("arrival p99", m.quantile("muaa_broker_arrival_seconds", 0.99))
-	m.record("wal fsync p99", m.quantile("muaa_wal_flush_seconds", 0.99))
-	m.record("ratio", m.gauge("muaa_broker_empirical_ratio"))
-	m.record("boost", m.gauge("muaa_pacing_boost"))
-	m.record("goroutines", m.gauge("go_goroutines"))
-	m.record("heap", m.gauge("go_heap_alloc_bytes"))
-}
-
-func (m *model) record(name string, v float64) {
-	r, ok := m.hist[name]
-	if !ok {
-		r = newRing(m.histCap)
-		m.hist[name] = r
-	}
-	r.push(v)
-}
-
-func (m *model) spark(name string, width int) string {
-	if r, ok := m.hist[name]; ok {
-		return sparkline(r.window(), width)
-	}
-	return ""
-}
-
-// gauge reads a sample from the current snapshot; NaN when absent.
-func (m *model) gauge(sample string) float64 {
-	if m.cur == nil {
-		return math.NaN()
-	}
-	if v, ok := m.cur.samples[sample]; ok {
-		return v
-	}
-	return math.NaN()
-}
-
-// rate derives a counter's per-second rate between the last two polls.
-func (m *model) rate(counter string) float64 {
-	if m.prev == nil || m.cur == nil {
-		return math.NaN()
-	}
-	cv, cok := m.cur.samples[counter]
-	pv, pok := m.prev.samples[counter]
-	dt := m.cur.when.Sub(m.prev.when).Seconds()
-	if !cok || !pok || dt <= 0 {
-		return math.NaN()
-	}
-	d := cv - pv
-	if d < 0 {
-		d = 0 // restart between polls
-	}
-	return d / dt
-}
-
-// quantile derives a histogram quantile over the inter-poll window,
-// falling back to the lifetime distribution on the first poll.
-func (m *model) quantile(hist string, q float64) float64 {
-	if m.cur == nil {
-		return math.NaN()
-	}
-	cur := bucketsOf(m.cur.samples, hist)
-	var prev map[float64]float64
-	if m.prev != nil {
-		prev = bucketsOf(m.prev.samples, hist)
-	}
-	return histQuantile(cur, prev, q)
+	return f
 }
 
 // ANSI fragments, blanked when color is off.
@@ -472,117 +326,97 @@ func fmtDuration(sec float64) string {
 	return d.Truncate(time.Second).String()
 }
 
-// render writes one dashboard frame. Pure with respect to the model: safe
-// to call from tests with a bytes.Buffer.
-func (m *model) render(w io.Writer, base string, color bool) {
+// render writes one dashboard frame.
+func (f *frame) render(w io.Writer, base string, color bool) {
 	p := newPalette(color)
-	s := m.cur
-	if s == nil {
-		fmt.Fprintln(w, "muaa-top: no data yet")
-		return
-	}
-	const sw = 24 // sparkline width
+	fmt.Fprintf(w, "%smuaa-top%s  %s  %s\n", p.bold, p.reset, base, f.when.Format("15:04:05"))
 
-	fmt.Fprintf(w, "%smuaa-top%s  %s  %s\n", p.bold, p.reset, base,
-		s.when.Format("15:04:05"))
-	fmt.Fprintf(w, "uptime %s   metric series %s\n",
-		fmtDuration(m.gauge("muaa_process_uptime_seconds")),
-		fmtVal(m.gauge("muaa_obs_series"), "%.0f"))
-
-	row := func(name, format, unit string, scale float64) {
-		v := math.NaN()
-		if r, ok := m.hist[name]; ok && r.n > 0 {
-			v = r.window()[r.n-1]
+	if f.rings != nil {
+		fmt.Fprintf(w, "uptime %s   metric series %s   sampled every %s\n",
+			fmtDuration(newest(f.values(uptimeSeries))),
+			fmtVal(newest(f.values(ringCountSeries)), "%.0f"),
+			time.Duration(f.rings.IntervalSeconds*float64(time.Second)))
+		for _, pn := range panels {
+			fmt.Fprintf(w, "\n%s%s%s\n", p.bold, pn.title, p.reset)
+			for _, r := range pn.rows {
+				vals := f.values(r.series)
+				fmt.Fprintf(w, "  %-14s %10s %-4s %s%s%s\n", r.label,
+					fmtVal(newest(vals)*r.scale, r.format), r.unit, p.cyan, sparkline(vals, sparkWidth), p.reset)
+			}
 		}
-		fmt.Fprintf(w, "  %-14s %10s %-4s %s%s%s\n",
-			name, fmtVal(v*scale, format), unit, p.cyan, m.spark(name, sw), p.reset)
+		f.renderFunnel(w, p)
 	}
 
-	fmt.Fprintf(w, "\n%sTHROUGHPUT%s\n", p.bold, p.reset)
-	row("arrivals/s", "%.1f", "", 1)
-	row("offers/s", "%.1f", "", 1)
-	row("wal appends/s", "%.1f", "", 1)
-
-	fmt.Fprintf(w, "\n%sLATENCY%s  (windowed histogram p99)\n", p.bold, p.reset)
-	row("arrival p99", "%.3f", "ms", 1e3)
-	row("wal fsync p99", "%.3f", "ms", 1e3)
-
-	fmt.Fprintf(w, "\n%sALGORITHM%s\n", p.bold, p.reset)
-	row("ratio", "%.3f", "", 1)
-	row("boost", "%.3f", "", 1)
-	if st := s.stats; st != nil {
+	if st := f.stats; st != nil {
+		fmt.Fprintf(w, "\n%sBROKER%s  (since boot)\n", p.bold, p.reset)
 		fmt.Fprintf(w, "  campaigns %d   arrivals %d   offers %d\n",
 			st.Campaigns, st.Arrivals, st.OffersPushed)
 		fmt.Fprintf(w, "  γ∈[%.3g, %.3g]  g=%.3g  utility %.2f\n",
 			st.GammaMin, st.GammaMax, st.G, st.UtilityServed)
 		fmt.Fprintf(w, "\n%sBILLING%s\n", p.bold, p.reset)
 		fmt.Fprintf(w, "  spent %.2f   escrow held %.2f (open %s)\n",
-			st.BudgetSpent, st.EscrowHeld, fmtVal(m.gauge("muaa_billing_escrow_open"), "%.0f"))
+			st.BudgetSpent, st.EscrowHeld, fmtVal(newest(f.values(escrowOpenSeries)), "%.0f"))
 		fmt.Fprintf(w, "  conversions %d   conversion revenue %.2f\n",
 			st.Conversions, st.ConversionRevenue)
 	}
 
-	if rows := funnelRows(s.samples); len(rows) > 0 {
-		fmt.Fprintf(w, "\n%sFUNNEL%s  (top campaigns by gathered; gate = dominant rejection)\n", p.bold, p.reset)
-		const maxRows = 8
-		shown := rows
-		if len(shown) > maxRows {
-			shown = shown[:maxRows]
-		}
-		for _, r := range shown {
-			rate := math.NaN()
-			if r.gathered > 0 {
-				rate = r.offered / r.gathered
-			}
-			gate := ""
-			if r.topGateV > 0 {
-				gate = fmt.Sprintf("  %s %.0f", r.topGate, r.topGateV)
-			}
-			fmt.Fprintf(w, "  campaign %-8s gathered %8.0f  offered %8.0f  rate %s%s\n",
-				r.campaign, r.gathered, r.offered, fmtVal(rate, "%.3f"), gate)
-		}
-		if len(rows) > maxRows {
+	if f.slo != nil {
+		f.renderSLO(w, p)
+	}
+	for _, n := range f.notes {
+		fmt.Fprintf(w, "\n%s! %s%s\n", p.yellow, n, p.reset)
+	}
+}
+
+func (f *frame) renderFunnel(w io.Writer, p palette) {
+	rows := funnelRows(f.rings.Series)
+	if len(rows) == 0 {
+		return
+	}
+	fmt.Fprintf(w, "\n%sFUNNEL%s  (candidates/s, top campaigns by gathered; gate = dominant rejection)\n", p.bold, p.reset)
+	const maxRows = 8
+	for i, r := range rows {
+		if i == maxRows {
 			fmt.Fprintf(w, "  %s… %d more campaigns%s\n", p.dim, len(rows)-maxRows, p.reset)
+			break
 		}
-	}
-
-	fmt.Fprintf(w, "\n%sRUNTIME%s\n", p.bold, p.reset)
-	row("goroutines", "%.0f", "", 1)
-	row("heap", "%.1f", "MiB", 1.0/(1<<20))
-
-	fmt.Fprintf(w, "\n%sSLO%s", p.bold, p.reset)
-	switch {
-	case s.slo == nil:
-		fmt.Fprintf(w, "  %swatchdog off or debug port unreachable%s\n", p.dim, p.reset)
-	case s.slo.Firing > 0:
-		fmt.Fprintf(w, "  %s%d FIRING%s\n", p.red, s.slo.Firing, p.reset)
-	default:
-		fmt.Fprintf(w, "  %sall ok%s\n", p.green, p.reset)
-	}
-	if s.slo != nil {
-		for _, r := range s.slo.Rules {
-			mark, col := "·", p.dim
-			switch r.State {
-			case "ok":
-				mark, col = "✓", p.green
-			case "firing":
-				mark, col = "✗", p.red
-			}
-			dir := ">"
-			if r.Below {
-				dir = "<"
-			}
-			val := "—"
-			if r.Value != nil {
-				val = strconv.FormatFloat(*r.Value, 'g', 4, 64)
-			}
-			fmt.Fprintf(w, "  %s%s %-12s %-7s%s  %s %s %g  burn %.0f%%/%.0f%%  fired %d\n",
-				col, mark, r.Name, strings.ToUpper(r.State), p.reset,
-				val, dir, r.Threshold, 100*r.ShortBurn, 100*r.LongBurn, r.Fired)
+		rate := math.NaN()
+		if r.gathered > 0 {
+			rate = r.offered / r.gathered
 		}
+		gate := ""
+		if r.topGateV > 0 {
+			gate = fmt.Sprintf("  %s %.1f", r.topGate, r.topGateV)
+		}
+		fmt.Fprintf(w, "  campaign %-8s gathered %8.1f  offered %8.1f  rate %s%s\n",
+			r.campaign, r.gathered, r.offered, fmtVal(rate, "%.3f"), gate)
 	}
+}
 
-	for _, e := range s.errs {
-		fmt.Fprintf(w, "\n%s! %s%s\n", p.yellow, e, p.reset)
+func (f *frame) renderSLO(w io.Writer, p palette) {
+	if f.slo.Firing > 0 {
+		fmt.Fprintf(w, "\n%sSLO%s  %s%d FIRING%s\n", p.bold, p.reset, p.red, f.slo.Firing, p.reset)
+	} else {
+		fmt.Fprintf(w, "\n%sSLO%s  %sall ok%s\n", p.bold, p.reset, p.green, p.reset)
+	}
+	for _, r := range f.slo.Rules {
+		mark, col := "·", p.dim
+		switch r.State {
+		case slo.StateOK:
+			mark, col = "✓", p.green
+		case slo.StateFiring:
+			mark, col = "✗", p.red
+		}
+		dir := ">"
+		if r.Below {
+			dir = "<"
+		}
+		val := "—"
+		if r.Value != nil {
+			val = strconv.FormatFloat(*r.Value, 'g', 4, 64)
+		}
+		fmt.Fprintf(w, "  %s%s %-12s %-7s%s  %s %s %g  burn %.0f%%/%.0f%%  fired %d\n",
+			col, mark, r.Name, strings.ToUpper(string(r.State)), p.reset,
+			val, dir, r.Threshold, 100*r.ShortBurn, 100*r.LongBurn, r.Fired)
 	}
 }

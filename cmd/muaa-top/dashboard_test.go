@@ -6,72 +6,17 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"muaa/internal/broker"
+	"muaa/internal/obs"
+	"muaa/internal/slo"
+	"muaa/internal/trace"
+	"muaa/internal/workload"
 )
-
-func TestParseProm(t *testing.T) {
-	text := `# HELP demo_seconds x
-# TYPE demo_seconds histogram
-demo_seconds_bucket{le="0.001"} 2
-demo_seconds_bucket{le="+Inf"} 5
-demo_seconds_sum 0.02
-demo_seconds_count 5
-demo_total 3
-demo_labeled{kind="a",x="1"} 7.5
-
-garbage line without value x
-`
-	m, err := parseProm(strings.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]float64{
-		`demo_seconds_bucket{le="0.001"}`: 2,
-		`demo_seconds_bucket{le="+Inf"}`:  5,
-		"demo_seconds_sum":                0.02,
-		"demo_seconds_count":              5,
-		"demo_total":                      3,
-		`demo_labeled{kind="a",x="1"}`:    7.5,
-	}
-	if len(m) != len(want) {
-		t.Fatalf("parsed %d samples, want %d: %+v", len(m), len(want), m)
-	}
-	for k, v := range want {
-		if m[k] != v {
-			t.Errorf("sample %q = %g, want %g", k, m[k], v)
-		}
-	}
-}
-
-func TestHistQuantile(t *testing.T) {
-	inf := math.Inf(1)
-	prev := map[float64]float64{0.001: 10, 0.01: 10, 0.1: 10, inf: 10}
-	// 90 new observations: 45 in (0.001, 0.01], 45 in (0.01, 0.1].
-	cur := map[float64]float64{0.001: 10, 0.01: 55, 0.1: 100, inf: 100}
-	if got := histQuantile(cur, prev, 0.5); got != 0.01 {
-		t.Errorf("p50 = %g, want 0.01", got)
-	}
-	if got := histQuantile(cur, prev, 0.99); got != 0.1 {
-		t.Errorf("p99 = %g, want 0.1", got)
-	}
-	// Lifetime quantile when prev is nil.
-	if got := histQuantile(cur, nil, 0.01); got != 0.001 {
-		t.Errorf("lifetime p1 = %g, want 0.001", got)
-	}
-	// Idle window → NaN.
-	if got := histQuantile(cur, cur, 0.99); !math.IsNaN(got) {
-		t.Errorf("idle-window quantile = %g, want NaN", got)
-	}
-	// Counter reset between polls must clamp, not panic or go negative.
-	if got := histQuantile(prev, cur, 0.99); !math.IsNaN(got) {
-		t.Errorf("reset-window quantile = %g, want NaN", got)
-	}
-	if got := histQuantile(map[float64]float64{}, nil, 0.5); !math.IsNaN(got) {
-		t.Errorf("empty histogram quantile = %g, want NaN", got)
-	}
-}
 
 func TestSparkline(t *testing.T) {
 	got := sparkline([]float64{0, 1, 2, 3, 4, 5, 6, 7}, 8)
@@ -93,33 +38,33 @@ func TestSparkline(t *testing.T) {
 	}
 }
 
-func TestRingWindow(t *testing.T) {
-	r := newRing(3)
-	for i := 1; i <= 5; i++ {
-		r.push(float64(i))
-	}
-	w := r.window()
-	if len(w) != 3 || w[0] != 3 || w[1] != 4 || w[2] != 5 {
-		t.Fatalf("window = %v, want [3 4 5]", w)
-	}
-}
-
 // TestFunnelRows: grouping, gathered-descending order, and dominant-gate
-// extraction from raw sample keys.
+// extraction from ring series names, each read at its newest point.
 func TestFunnelRows(t *testing.T) {
-	rows := funnelRows(map[string]float64{
-		`muaa_funnel_campaign_total{campaign="9",disposition="gathered"}`:        30,
-		`muaa_funnel_campaign_total{campaign="9",disposition="offered"}`:         5,
-		`muaa_funnel_campaign_total{campaign="9",disposition="unaffordable"}`:    25,
-		`muaa_funnel_campaign_total{campaign="10",disposition="gathered"}`:       80,
-		`muaa_funnel_campaign_total{campaign="10",disposition="offered"}`:        80,
-		`muaa_funnel_campaign_total{campaign="2",disposition="gathered"}`:        30,
-		`muaa_funnel_campaign_total{campaign="2",disposition="below_threshold"}`: 20,
-		`muaa_funnel_campaign_total{campaign="2",disposition="tag_mismatch"}`:    10,
-		`muaa_other_metric{campaign="1"}`:                                        99,
+	funnel := func(campaign, disposition string, pts ...obs.Point) obs.Series {
+		return obs.Series{
+			Name:   `muaa_funnel_campaign_total{campaign="` + campaign + `",disposition="` + disposition + `"}:rate`,
+			Points: pts,
+		}
+	}
+	at := func(v float64) obs.Point { return obs.Point{Unix: 100, Value: v} }
+	rows := funnelRows([]obs.Series{
+		funnel("9", "gathered", obs.Point{Unix: 95, Value: 999}, at(30)), // newest point wins
+		funnel("9", "offered", at(5)),
+		funnel("9", "unaffordable", at(25)),
+		funnel("10", "gathered", at(80)),
+		funnel("10", "offered", at(80)),
+		funnel("2", "gathered", at(30)),
+		funnel("2", "below_threshold", at(20)),
+		funnel("2", "tag_mismatch", at(10)),
+		funnel("4", "gathered", at(math.NaN())), // first sample of a new ring: no rate yet
+		// Campaign 77 left the broker's top-N one sample ago: its ring still
+		// answers, but not for this window.
+		funnel("77", "gathered", obs.Point{Unix: 95, Value: 500}),
+		{Name: `muaa_other_metric{campaign="1"}:rate`, Points: []obs.Point{at(99)}},
 	})
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3: %+v", len(rows), rows)
+	if len(rows) != 4 {
+		t.Fatalf("rows = %d, want 4: %+v", len(rows), rows)
 	}
 	if rows[0].campaign != "10" || rows[0].gathered != 80 || rows[0].offered != 80 {
 		t.Errorf("row 0 = %+v, want campaign 10 gathered 80 offered 80", rows[0])
@@ -131,106 +76,150 @@ func TestFunnelRows(t *testing.T) {
 	if rows[1].topGate != "below_threshold" || rows[1].topGateV != 20 {
 		t.Errorf("row 1 gate = %s %g, want below_threshold 20", rows[1].topGate, rows[1].topGateV)
 	}
-	if rows[2].topGate != "unaffordable" || rows[2].topGateV != 25 {
-		t.Errorf("row 2 gate = %s %g, want unaffordable 25", rows[2].topGate, rows[2].topGateV)
+	if rows[2].gathered != 30 || rows[2].topGate != "unaffordable" || rows[2].topGateV != 25 {
+		t.Errorf("row 2 = %+v, want gathered 30, gate unaffordable 25", rows[2])
 	}
-	if got := funnelRows(map[string]float64{"muaa_broker_arrivals_total": 1}); len(got) != 0 {
-		t.Errorf("no funnel samples should yield no rows, got %+v", got)
+	if rows[3].campaign != "4" || rows[3].gathered != 0 {
+		t.Errorf("row 3 = %+v, want campaign 4 with a null rate read as 0", rows[3])
+	}
+	if got := funnelRows([]obs.Series{{Name: "muaa_broker_arrivals_total:rate", Points: []obs.Point{at(1)}}}); len(got) != 0 {
+		t.Errorf("no funnel series should yield no rows, got %+v", got)
 	}
 }
 
-// fakeServe builds httptest servers that mimic the serving and debug ports.
-// The metrics handler honors the ?name= prefix filter the way obs does, and
-// arrivalsTotal lets tests advance the counters between polls.
-func fakeServe(t *testing.T, arrivals *float64, firing bool) (base, debugBase string) {
+// fixture is a muaa-serve in miniature: a real instrumented broker behind the
+// serving port, and a debug port serving a real obs.Sampler and slo.Watchdog
+// over the same registry, ticked by a synthetic clock.
+type fixture struct {
+	t       *testing.T
+	reg     *obs.Registry
+	sampler *obs.Sampler
+	c       *client
+	clock   time.Time
+}
+
+// newFixture starts both ports. The serving port fails the test on any
+// request for the Prometheus exposition: the dashboard renders the rings. A
+// nil debug handler stands for a debug port that is down.
+func newFixture(t *testing.T, debug func(fx *fixture, wd *slo.Watchdog) http.Handler) *fixture {
 	t.Helper()
-	serve := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/v1/metrics":
-			prefix := r.URL.Query().Get("name")
-			all := fmt.Sprintf(`muaa_broker_arrivals_total %g
-muaa_broker_offers_pushed_total %g
-muaa_broker_arrival_seconds_bucket{le="0.001"} %g
-muaa_broker_arrival_seconds_bucket{le="+Inf"} %g
-muaa_broker_empirical_ratio 0.91
-muaa_pacing_boost 1.25
-muaa_process_uptime_seconds 42
-muaa_obs_series 12
-muaa_funnel_campaign_total{campaign="7",disposition="gathered"} 100
-muaa_funnel_campaign_total{campaign="7",disposition="offered"} 40
-muaa_funnel_campaign_total{campaign="7",disposition="below_threshold"} 60
-muaa_funnel_campaign_total{campaign="3",disposition="gathered"} 20
-muaa_funnel_campaign_total{campaign="3",disposition="offered"} 20
-go_goroutines 17
-go_heap_alloc_bytes 1048576
-`, *arrivals, 2*(*arrivals), *arrivals, *arrivals)
-			for _, line := range strings.Split(all, "\n") {
-				if strings.HasPrefix(line, prefix) {
-					fmt.Fprintln(w, line)
-				}
-			}
-		case "/v1/stats":
-			fmt.Fprintf(w, `{"Campaigns":3,"Arrivals":%d,"OffersPushed":%d,
-				"UtilityServed":12.5,"BudgetSpent":4.5,"GammaMin":0.1,"GammaMax":9.1,
-				"G":27.1,"PhiBoost":1.25,"EscrowHeld":0.7,"Conversions":2,
-				"ConversionRevenue":1.1}`, int(*arrivals), 2*int(*arrivals))
-		default:
-			http.NotFound(w, r)
+	fx := &fixture{t: t, reg: obs.NewRegistry(), clock: time.Unix(1_700_000_000, 0)}
+	obs.RegisterRuntimeMetrics(fx.reg)
+	tracer := trace.NewRecorder(trace.RecorderOptions{Capacity: 16})
+	b, err := broker.New(broker.Config{
+		AdTypes: workload.DefaultAdTypes(),
+		Shards:  2,
+		Metrics: fx.reg,
+		Tracer:  tracer,
+		Funnel:  broker.FunnelConfig{Enabled: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	api := broker.NewAPI(b)
+	serve := httptest.NewServer(trace.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/metrics") {
+			t.Errorf("dashboard requested %s", r.URL.Path)
 		}
-	}))
+		api.ServeHTTP(w, r)
+	}), nil, tracer))
 	t.Cleanup(serve.Close)
 
-	state, fired := "ok", 0
-	if firing {
-		state, fired = "firing", 1
+	var wd *slo.Watchdog
+	fx.sampler = obs.NewSampler(fx.reg, obs.SamplerOptions{
+		OnSample: func(now time.Time) { wd.EvalAt(now) },
+	})
+	cfg, err := slo.ParseConfig("goroutines-max=0,min-samples=1")
+	if err != nil {
+		t.Fatal(err)
 	}
-	debug := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/debug/slo" {
-			http.NotFound(w, r)
-			return
-		}
-		fmt.Fprintf(w, `{"schema":"muaa-slo/1","eval_unix":1700000000,"evals":9,
-			"firing":%d,"rules":[
-			 {"name":"goroutines","series":"go_goroutines","state":%q,"value":17,
-			  "threshold":0,"below":false,"short_burn":1,"long_burn":1,"fired_total":%d},
-			 {"name":"ratio","series":"muaa_broker_empirical_ratio","state":"warmup",
-			  "value":null,"threshold":0.75,"below":true,"short_burn":0,"long_burn":0,
-			  "fired_total":0}]}`, fired, state, fired)
-	}))
-	t.Cleanup(debug.Close)
-	return serve.URL, debug.URL
+	wd = slo.New(fx.sampler, fx.reg, nil, cfg.Rules())
+
+	debugURL := "http://127.0.0.1:1"
+	if debug != nil {
+		srv := httptest.NewServer(debug(fx, wd))
+		t.Cleanup(srv.Close)
+		debugURL = srv.URL
+	}
+	fx.c = &client{base: serve.URL, debugBase: debugURL, hc: &http.Client{Timeout: 2 * time.Second}}
+
+	fx.post("/v1/campaigns", `{"loc":{"x":0.5,"y":0.5},"radius":0.2,"budget":500,"tags":[1,0.2,0.3]}`)
+	fx.post("/v1/campaigns", `{"loc":{"x":0.5,"y":0.6},"radius":0.2,"budget":500,"tags":[0.1,1,0.3]}`)
+	return fx
 }
 
-// TestDashboardEndToEnd polls the fakes twice and checks the frame: real
-// inter-poll rates, the SLO table with a FIRING row, and zero ANSI escapes
-// in plain mode.
-func TestDashboardEndToEnd(t *testing.T) {
-	arrivals := 100.0
-	base, debugBase := fakeServe(t, &arrivals, true)
-	c := &client{base: base, debugBase: debugBase, hc: &http.Client{Timeout: time.Second}}
-	m := newModel(0)
+// debugPort is the debug listener with the sampler and the watchdog on.
+func debugPort(fx *fixture, wd *slo.Watchdog) http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/v1/debug/timeseries", fx.sampler.Handler())
+	mux.Handle("/v1/debug/slo", wd.Handler())
+	return mux
+}
 
-	s1 := c.snapshot()
-	if len(s1.errs) != 0 {
-		t.Fatalf("first poll errors: %v", s1.errs)
+func (fx *fixture) post(path, body string) {
+	fx.t.Helper()
+	resp, err := http.Post(fx.c.base+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		fx.t.Fatal(err)
 	}
-	m.observe(s1)
-	arrivals += 50
-	s2 := c.snapshot()
-	s2.when = s1.when.Add(time.Second) // pin dt so the asserted rate is exact
-	m.observe(s2)
+	resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		fx.t.Fatalf("POST %s → %d", path, resp.StatusCode)
+	}
+}
 
+// window serves n traced arrivals and closes a 5 s sample window over them.
+func (fx *fixture) window(n int) {
+	fx.t.Helper()
+	for i := 0; i < n; i++ {
+		fx.post("/v1/arrivals", fmt.Sprintf(
+			`{"loc":{"x":0.5,"y":%g},"capacity":2,"viewProb":0.7,"interests":[0.9,0.1,0.4],"hour":12}`,
+			0.5+0.01*float64(i%10)))
+	}
+	fx.clock = fx.clock.Add(5 * time.Second)
+	fx.sampler.SampleAt(fx.clock)
+}
+
+// ringNewest is the server's own answer for a series' newest point.
+func (fx *fixture) ringNewest(name string) float64 {
+	for _, sr := range fx.sampler.Query(obs.TimeSeriesQuery{Prefixes: []string{name}}).Series {
+		if sr.Name == name {
+			return sr.Points[len(sr.Points)-1].Value
+		}
+	}
+	return math.NaN()
+}
+
+// lineWith returns the frame's first line containing s.
+func lineWith(t *testing.T, frame, s string) string {
+	t.Helper()
+	for _, line := range strings.Split(frame, "\n") {
+		if strings.Contains(line, s) {
+			return line
+		}
+	}
+	t.Fatalf("frame has no line containing %q\n%s", s, frame)
+	return ""
+}
+
+// TestDashboardEndToEnd: against a real sampler and watchdog, every row of
+// the frame prints the newest point of its ring, the LATENCY row and the SLO
+// table agree on arrival p99, the funnel shows window rates, and the serving
+// port never sees a scrape (the fixture fails the test if it does).
+func TestDashboardEndToEnd(t *testing.T) {
+	fx := newFixture(t, debugPort)
+	fx.window(20)
+	fx.window(40) // 40 arrivals / 5 s
+	f := fx.c.poll()
 	var buf bytes.Buffer
-	m.render(&buf, base, false)
+	f.render(&buf, fx.c.base, false)
 	out := buf.String()
 
 	for _, want := range []string{
-		"muaa-top", "THROUGHPUT", "LATENCY", "ALGORITHM", "BILLING", "FUNNEL", "RUNTIME", "SLO",
-		"arrivals/s", "50.0", // (150-100)/1s
-		"ratio", "0.910",
-		"campaigns 3",
-		"below_threshold 60", "rate 0.400",
-		"1 FIRING", "goroutines", "FIRING", "WARMUP", "fired 1",
+		"muaa-top", "THROUGHPUT", "LATENCY", "STAGES", "ALGORITHM", "RUNTIME", "FUNNEL", "BROKER", "BILLING", "SLO",
+		"sampled every 5s", "campaigns 2", "arrivals 60",
+		"1 FIRING", "fired 1", "WARMUP", // ratio: no audit in the fixture, so no valid sample
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("frame missing %q\n%s", want, out)
@@ -239,42 +228,127 @@ func TestDashboardEndToEnd(t *testing.T) {
 	if strings.Contains(out, "\x1b[") {
 		t.Error("plain frame contains ANSI escapes")
 	}
+	if len(f.notes) != 0 {
+		t.Errorf("healthy poll left notes: %v", f.notes)
+	}
+
+	// Every row is its ring's newest point, as the server holds it.
+	live := 0
+	for _, pn := range panels {
+		for _, r := range pn.rows {
+			v := fx.ringNewest(r.series)
+			if !math.IsNaN(v) {
+				live++
+			}
+			line := lineWith(t, out, "  "+fmt.Sprintf("%-14s", r.label))
+			if want := fmtVal(v*r.scale, r.format); !strings.Contains(line, " "+want+" ") {
+				t.Errorf("row %q shows %q, ring %s holds %s", r.label, line, r.series, want)
+			}
+		}
+	}
+	if live < 9 { // 2 throughput, arrival p99, 4 stages, 2 runtime; no WAL, audit or controller here
+		t.Errorf("only %d rows had a live ring behind them: the fixture proves too little", live)
+	}
+	if got := fx.ringNewest("muaa_broker_arrivals_total:rate"); got != 8 {
+		t.Errorf("arrivals rate = %g, want 8 (40 arrivals / 5 s)", got)
+	}
+
+	// One number, one derivation: the LATENCY row prints the value the
+	// arrival_p99 rule reports in the same /v1/debug/slo document.
+	var ruleValue float64
+	for _, r := range f.slo.Rules {
+		if r.Name == "arrival_p99" && r.Value != nil {
+			ruleValue = *r.Value
+		}
+	}
+	if ruleValue == 0 || ruleValue != newest(f.values("muaa_broker_arrival_seconds:p99")) {
+		t.Fatalf("arrival_p99 rule value %g, ring newest %g", ruleValue, newest(f.values("muaa_broker_arrival_seconds:p99")))
+	}
+	if line := lineWith(t, out, "arrival p99"); !strings.Contains(line, fmt.Sprintf("%.3f ms", ruleValue*1e3)) {
+		t.Errorf("LATENCY row %q does not show the rule's %g s", line, ruleValue)
+	}
+	if line := lineWith(t, out, "arrival_p99"); !strings.Contains(line, strconv.FormatFloat(ruleValue, 'g', 4, 64)+" > ") {
+		t.Errorf("SLO row %q does not show %g", line, ruleValue)
+	}
+
+	// The funnel is per-second over the last window: campaign 0 covers all 40
+	// arrivals of it.
+	if line := lineWith(t, out, "campaign 0 "); !strings.Contains(line, "gathered      8.0") {
+		t.Errorf("funnel row %q, want gathered 8.0/s", line)
+	}
 
 	// Color mode emits escapes (and nothing else changes structurally).
 	buf.Reset()
-	m.render(&buf, base, true)
+	f.render(&buf, fx.c.base, true)
 	if !strings.Contains(buf.String(), "\x1b[") {
 		t.Error("color frame has no ANSI escapes")
 	}
 }
 
-// TestDashboardDegradesWithoutDebugPort: an unreachable debug port keeps
-// the rest of the dashboard rendering and flags the SLO panel.
-func TestDashboardDegradesWithoutDebugPort(t *testing.T) {
-	arrivals := 10.0
-	base, _ := fakeServe(t, &arrivals, false)
-	c := &client{base: base, debugBase: "http://127.0.0.1:1", hc: &http.Client{Timeout: 500 * time.Millisecond}}
-	m := newModel(0)
-	m.observe(c.snapshot())
-
-	var buf bytes.Buffer
-	m.render(&buf, base, false)
-	out := buf.String()
-	if !strings.Contains(out, "watchdog off or debug port unreachable") {
-		t.Errorf("frame does not flag the missing watchdog:\n%s", out)
+// TestPollingKeepsExemplars: the slowest-trace exemplar of a scrape window
+// belongs to whoever scrapes /metrics next; ten dashboard polls leave it there.
+func TestPollingKeepsExemplars(t *testing.T) {
+	fx := newFixture(t, debugPort)
+	fx.window(5)
+	fx.window(5)
+	for i := 0; i < 10; i++ {
+		fx.c.poll()
 	}
-	if !strings.Contains(out, "THROUGHPUT") || !strings.Contains(out, "campaigns 3") {
-		t.Errorf("frame lost its main panels:\n%s", out)
+	rec := httptest.NewRecorder()
+	fx.reg.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if !strings.Contains(rec.Body.String(), "# EXEMPLAR muaa_broker_arrival_seconds") {
+		t.Fatal("the scrape after ten dashboard polls carries no # EXEMPLAR line")
 	}
 }
 
-// TestRunOnce drives the -once path end to end against the fakes.
+// TestDashboardDegradesWithoutDebugPort: with the debug port down, or the
+// sampler switched off, the frame is the stats lines plus one line of reason.
+func TestDashboardDegradesWithoutDebugPort(t *testing.T) {
+	samplerOff := func(*fixture, *slo.Watchdog) http.Handler {
+		// What muaa-serve -sample-every -1 mounts (newDebugServer).
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			obs.WriteError(w, http.StatusNotFound, "sampler_disabled",
+				"time-series sampling disabled; start muaa-serve with -sample-every >= 0")
+		})
+	}
+	for name, tc := range map[string]struct {
+		debug  func(*fixture, *slo.Watchdog) http.Handler
+		reason string
+	}{
+		"port down":   {nil, "! timeseries: dial tcp 127.0.0.1:1: "},
+		"sampler off": {samplerOff, "! timeseries: sampler_disabled: time-series sampling disabled; start muaa-serve with -sample-every >= 0"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			fx := newFixture(t, tc.debug)
+			fx.window(3)
+			var buf bytes.Buffer
+			if err := runOnce(fx.c, &buf); err != nil {
+				t.Fatalf("-once with the serving port up: %v", err)
+			}
+			out := buf.String()
+			for _, want := range []string{"campaigns 2   arrivals 3", "BILLING", tc.reason} {
+				if !strings.Contains(out, want) {
+					t.Errorf("frame missing %q\n%s", want, out)
+				}
+			}
+			if n := strings.Count(out, "\n! "); n != 1 {
+				t.Errorf("%d reason lines, want 1\n%s", n, out)
+			}
+			for _, gone := range []string{"THROUGHPUT", "STAGES", "SLO"} {
+				if strings.Contains(out, gone) {
+					t.Errorf("frame renders %s without rings\n%s", gone, out)
+				}
+			}
+		})
+	}
+}
+
+// TestRunOnce drives the -once path end to end.
 func TestRunOnce(t *testing.T) {
-	arrivals := 5.0
-	base, debugBase := fakeServe(t, &arrivals, true)
-	c := &client{base: base, debugBase: debugBase, hc: &http.Client{Timeout: time.Second}}
+	fx := newFixture(t, debugPort)
+	fx.window(5)
 	var buf bytes.Buffer
-	if err := runOnce(c, newModel(0), &buf); err != nil {
+	if err := runOnce(fx.c, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -286,12 +360,24 @@ func TestRunOnce(t *testing.T) {
 	}
 }
 
-// TestRunOnceUnreachable: a dead serving port is an error, not a blank
-// frame with exit 0.
+// TestRunOnceUnreachable: neither port answering is an error (exit 1), not a
+// blank frame with exit 0.
 func TestRunOnceUnreachable(t *testing.T) {
-	c := &client{base: "http://127.0.0.1:1", debugBase: "", hc: &http.Client{Timeout: 300 * time.Millisecond}}
-	var buf bytes.Buffer
-	if err := runOnce(c, newModel(0), &buf); err == nil {
-		t.Fatal("runOnce against a dead port returned nil error")
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-once", "-addr", "http://127.0.0.1:1", "-debug-addr", "http://127.0.0.1:1"}, &stdout, &stderr)
+	if code != 1 || stdout.Len() != 0 || !strings.Contains(stderr.String(), "cannot reach") {
+		t.Fatalf("exit %d, stdout %q, stderr %q", code, stdout.String(), stderr.String())
+	}
+}
+
+// TestRunRefusesBadEvery: a zero or negative cadence once panicked inside
+// time.NewTicker; it is a flag error.
+func TestRunRefusesBadEvery(t *testing.T) {
+	for _, every := range []string{"0", "-2s"} {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-every", every, "-addr", "http://127.0.0.1:1"}, &stdout, &stderr)
+		if code != 2 || !strings.Contains(stderr.String(), errEvery.Error()) {
+			t.Errorf("-every %s: exit %d, stderr %q", every, code, stderr.String())
+		}
 	}
 }

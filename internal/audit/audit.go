@@ -296,7 +296,12 @@ func Compute(in Input, cfg Config) (Report, error) {
 	// Fixed-threshold counterfactuals at the gauge δ points.
 	ix := core.NewIndex(p)
 	for _, delta := range deltaPoints {
-		phi := fixedThreshold(in, rep.GObserved, delta)
+		// The broker's adaptive threshold frozen at consumption point δ; 0
+		// before any observation (γ_min is then +Inf, not a bound).
+		phi := 0.0
+		if in.GammaMax != 0 {
+			phi = core.AdaptiveThreshold{GammaMin: in.GammaMin, G: rep.GObserved}.Value(delta)
+		}
 		u := fixedThresholdUtility(p, ix, phi)
 		rep.RegretByDelta = append(rep.RegretByDelta, DeltaRegret{
 			Delta:     delta,
@@ -379,32 +384,12 @@ func Compute(in Input, cfg Config) (Report, error) {
 }
 
 // observedG reproduces the broker's g derivation: the configured value wins;
-// otherwise e·γmax/γmin clamped to [2e, 1e9], defaulting to 2e before any
-// observation.
+// otherwise the paper's tuning rule over the observed bounds.
 func observedG(in Input) float64 {
 	if in.G > 0 {
 		return in.G
 	}
-	g := 2 * math.E
-	if in.GammaMax > in.GammaMin && in.GammaMin > 0 {
-		g = math.E * in.GammaMax / in.GammaMin
-		if g < 2*math.E {
-			g = 2 * math.E
-		}
-		if g > 1e9 {
-			g = 1e9
-		}
-	}
-	return g
-}
-
-// fixedThreshold evaluates φ(δ) = γ_min/e · g^δ, the broker's adaptive
-// threshold frozen at consumption point δ; 0 before any observation.
-func fixedThreshold(in Input, g, delta float64) float64 {
-	if in.GammaMax == 0 {
-		return 0
-	}
-	return in.GammaMin / math.E * math.Pow(g, delta)
+	return core.TuneG(in.GammaMin, in.GammaMax)
 }
 
 // fixedThresholdUtility replays the audited stream against a constant

@@ -92,7 +92,9 @@ func (g *gammaState) observe(eff float64) {
 }
 
 // base is the threshold base g in effect: configured, or derived from the
-// bounds as e·γ_max/γ_min clamped to [2e, 1e9].
+// bounds as e·γ_max/γ_min clamped to [2e, 1e9]. Written out here, not
+// core.TuneG: the kernel is the system under test and core its oracle
+// (TestKernelMatchesCoreSession).
 func (g *gammaState) base() float64 {
 	if g.cfgG != 0 {
 		return g.cfgG

@@ -127,12 +127,30 @@ func NewSession(p *model.Problem, o OnlineAFA) (*Session, error) {
 	}, nil
 }
 
+// TuneG is the paper's tuning rule for the threshold base (Section IV-B):
+// φ(1) ≤ γ_max ⇒ g ≤ e·γ_max/γ_min, clamped to [2e, 1e9], and 2e while the
+// bounds are unknown or degenerate (γ_min ≤ 0 or γ_max ≤ γ_min). The one
+// statement of the rule for the solver, the multi-day simulator and the
+// audit; the broker kernel, which they are checked against, keeps its own.
+func TuneG(gammaMin, gammaMax float64) float64 {
+	g := 2 * math.E
+	if gammaMin > 0 && gammaMax > gammaMin {
+		g = math.E * gammaMax / gammaMin
+		if g < 2*math.E {
+			g = 2 * math.E
+		}
+		if g > 1e9 {
+			g = 1e9
+		}
+	}
+	return g
+}
+
 // buildAdaptiveThreshold assembles the paper's admission threshold from an
-// explicit γ_min or a sampled estimate, applying the g tuning rule
-// g = e·γ_max/γ_min (clamped to [2e, 1e9]) when g is unset and γ_max is
-// known. A degenerate instance (no positive-utility pair in the sample)
-// yields γ_min = 0: the threshold admits everything, matching the paper's
-// "assign as many as possible at the beginning" intuition.
+// explicit γ_min or a sampled estimate, applying the g tuning rule (TuneG)
+// when g is unset. A degenerate instance (no positive-utility pair in the
+// sample) yields γ_min = 0: the threshold admits everything, matching the
+// paper's "assign as many as possible at the beginning" intuition.
 func buildAdaptiveThreshold(p *model.Problem, gammaMin, g float64, sample int, seed int64) (Threshold, error) {
 	if sample == 0 {
 		sample = 512
@@ -143,19 +161,9 @@ func buildAdaptiveThreshold(p *model.Problem, gammaMin, g float64, sample int, s
 		gamma, gmax = EstimateGammaBounds(p, sample, seed)
 	}
 	if g == 0 {
-		// Paper's tuning rule: φ(1) ≤ γ_max ⇒ g ≤ e·γ_max/γ_min. When the
-		// caller supplied γ_min explicitly there is no γ_max sample; fall
-		// back to 2e.
-		g = 2 * math.E
-		if gamma > 0 && gmax > gamma {
-			g = math.E * gmax / gamma
-			if g < 2*math.E {
-				g = 2 * math.E
-			}
-			if g > 1e9 {
-				g = 1e9
-			}
-		}
+		// When the caller supplied γ_min explicitly there is no γ_max sample
+		// and TuneG falls back to 2e.
+		g = TuneG(gamma, gmax)
 	}
 	if g <= math.E {
 		return nil, fmt.Errorf("core: O-AFA requires g > e, got %g", g)

@@ -14,7 +14,9 @@ package obs
 // The time-series sampler needs no special handling: Gather expands a
 // collector into one MetricPoint per sample, and the sampler allocates a ring
 // for any series it has not seen before, so a campaign entering the top-K
-// simply starts a new ring.
+// simply starts a new ring, and drops one that has gone a full ring without a
+// point, so a campaign that left the top-K stops costing memory once its
+// history has aged out.
 
 import (
 	"fmt"

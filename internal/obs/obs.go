@@ -297,9 +297,10 @@ func (r *Registry) Gather() []MetricPoint {
 
 // Handler returns the GET /metrics endpoint: a text-exposition scrape of
 // the registry. An optional ?name=PREFIX query restricts the scrape to the
-// metric families whose name starts with PREFIX, letting high-frequency
-// scrapers (muaa-top) skip the histogram merge cost of families they don't
-// render; without it the output is the full, byte-identical scrape.
+// metric families whose name starts with PREFIX, letting a targeted scrape
+// (CI's funnel check, an operator's curl) skip the histogram merge cost of
+// families it does not read; without it the output is the full,
+// byte-identical scrape.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

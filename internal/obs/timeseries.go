@@ -23,11 +23,17 @@ package obs
 // by the first sample that sees each series (the ring arrays never grow or
 // shrink afterwards). At the defaults — 360 points, the ~200-series
 // registry a fully instrumented broker registers — that is under 1.5 MiB.
+// The series count is itself bounded: a series that received no point for
+// capacity consecutive samples (a collector label that left its top-K) holds
+// only points older than the retention horizon and is dropped, so at most
+// capacity × (series per sample) rings are alive however many label values a
+// collector rotates through.
 
 import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -79,6 +85,9 @@ type ring struct {
 	pts  []Point // allocated once at capacity; never grows
 	head int     // next write slot
 	n    int     // valid points (≤ cap)
+
+	src  string // the instrument (name+labels) this series derives from
+	last uint64 // number of the sample that pushed the newest point
 }
 
 func (r *ring) push(p Point) {
@@ -222,10 +231,11 @@ func (s *Sampler) Stop() {
 	}
 }
 
-// sampleEntry is one derived value waiting to be folded into its ring.
+// sampleEntry is one derived value waiting to be folded into its ring: key
+// the series name, src the instrument it derives from.
 type sampleEntry struct {
-	key string
-	val float64
+	key, src string
+	val      float64
 }
 
 // SampleAt takes one registry snapshot stamped at now and folds it into
@@ -236,6 +246,7 @@ func (s *Sampler) SampleAt(now time.Time) {
 	unix := float64(now.UnixNano()) / 1e9
 	dt := unix - s.prevUnix
 	havePrev := s.prevOK && dt > 0
+	seq := s.samples.Load() + 1 // this sample's number; sampleMu orders the writers
 	var entries []sampleEntry
 	for _, mp := range s.reg.Gather() {
 		id := mp.Name + mp.Labels
@@ -252,10 +263,10 @@ func (s *Sampler) SampleAt(now time.Time) {
 			}
 			s.prevHist[id] = cur
 			entries = append(entries,
-				sampleEntry{id + ":rate", rate},
-				sampleEntry{id + ":p50", p50},
-				sampleEntry{id + ":p95", p95},
-				sampleEntry{id + ":p99", p99})
+				sampleEntry{id + ":rate", id, rate},
+				sampleEntry{id + ":p50", id, p50},
+				sampleEntry{id + ":p95", id, p95},
+				sampleEntry{id + ":p99", id, p99})
 		case mp.Kind == KindCounter:
 			rate := math.NaN()
 			if prev, ok := s.prev[id]; ok && havePrev {
@@ -266,9 +277,9 @@ func (s *Sampler) SampleAt(now time.Time) {
 				rate = d / dt
 			}
 			s.prev[id] = mp.Value
-			entries = append(entries, sampleEntry{id + ":rate", rate})
+			entries = append(entries, sampleEntry{id + ":rate", id, rate})
 		default: // gauge
-			entries = append(entries, sampleEntry{id, mp.Value})
+			entries = append(entries, sampleEntry{id, id, mp.Value})
 		}
 	}
 
@@ -276,7 +287,7 @@ func (s *Sampler) SampleAt(now time.Time) {
 	for _, e := range entries {
 		r := s.series[e.key]
 		if r == nil {
-			r = &ring{pts: make([]Point, s.capacity)}
+			r = &ring{pts: make([]Point, s.capacity), src: e.src}
 			s.series[e.key] = r
 			i := sort.SearchStrings(s.names, e.key)
 			s.names = append(s.names, "")
@@ -284,7 +295,22 @@ func (s *Sampler) SampleAt(now time.Time) {
 			s.names[i] = e.key
 		}
 		r.push(Point{Unix: unix, Value: e.val})
+		r.last = seq
 	}
+	// Evict what no sample has written for a full ring: every point it holds
+	// is older than the oldest point of any live series. Its instrument's
+	// previous-value entries go with it, so a label that returns starts over
+	// (first rate NaN) instead of differencing against a stale total.
+	s.names = slices.DeleteFunc(s.names, func(name string) bool {
+		r := s.series[name]
+		if seq-r.last < uint64(s.capacity) {
+			return false
+		}
+		delete(s.series, name)
+		delete(s.prev, r.src)
+		delete(s.prevHist, r.src)
+		return true
+	})
 	s.nseries.Store(int64(len(s.series)))
 	s.mu.Unlock()
 

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -406,6 +407,70 @@ func TestSamplerHandlerErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 405 {
 		t.Errorf("POST → %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestSamplerEvictsSilentSeries pins the bound on the series count: a
+// collector whose 16-label set rotates through 5 000 values (the funnel's
+// shifting top-K) keeps at most capacity samples' worth of rings alive, the
+// previous-value maps shrink with them, and a label that returns after its
+// ring was evicted starts a fresh one.
+func TestSamplerEvictsSilentSeries(t *testing.T) {
+	const (
+		capacity  = 8
+		perSample = 16
+		labels    = 5000
+		// Rings written by the last `capacity` samples, plus the sampler's
+		// two self-instruments.
+		ceiling = capacity*perSample + 2
+	)
+	r := NewRegistry()
+	first := 0
+	r.NewCollectorFunc("rot_total", "rotating top-K", "counter", func() []Sample {
+		out := make([]Sample, perSample)
+		for i := range out {
+			out[i] = Sample{Labels: []Label{L("id", strconv.Itoa((first+i)%labels))}, Value: float64(first + 1)}
+		}
+		return out
+	})
+	s := NewSampler(r, SamplerOptions{Capacity: capacity})
+
+	samples := 0
+	sample := func() {
+		s.SampleAt(tsBase.Add(time.Duration(samples) * time.Second))
+		samples++
+		if n := s.SeriesCount(); n > ceiling {
+			t.Fatalf("sample %d: %d series alive, ceiling %d", samples, n, ceiling)
+		}
+	}
+	for ; first < labels; first += perSample {
+		sample()
+	}
+	if n := s.SeriesCount(); n != ceiling {
+		t.Fatalf("steady state holds %d series, want exactly %d", n, ceiling)
+	}
+	var text strings.Builder
+	r.WriteTextFiltered(&text, "muaa_obs_series")
+	if want := "muaa_obs_series " + strconv.Itoa(ceiling); !strings.Contains(text.String(), want) {
+		t.Fatalf("scrape does not report %q:\n%s", want, text.String())
+	}
+	if len(s.prev) > ceiling {
+		t.Fatalf("prev holds %d counters for %d series", len(s.prev), ceiling)
+	}
+
+	// id="160" left the set ~300 samples ago; its ring and its previous total
+	// are gone, so on return it is a new series whose first rate is unknown.
+	const back = `rot_total{id="160"}:rate`
+	first = 160
+	sample()
+	if pts := seriesOf(t, s, back); len(pts) != 1 || !math.IsNaN(pts[0].Value) {
+		t.Fatalf("returning label resumed an old ring: %+v", pts)
+	}
+	// A series silent for fewer than capacity samples keeps its history.
+	first += perSample
+	sample()
+	if pts := seriesOf(t, s, back); len(pts) != 1 {
+		t.Fatalf("one silent sample evicted the ring: %+v", pts)
 	}
 }
 

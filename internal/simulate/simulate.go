@@ -23,7 +23,6 @@ package simulate
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"muaa/internal/core"
@@ -155,16 +154,7 @@ func Run(cfg Config) ([]DayResult, error) {
 		applyIntentRamp(dayProblem, cfg.ViewProb)
 
 		gammaMin, gammaMax := history.bounds()
-		g := 2 * math.E
-		if gammaMin > 0 && gammaMax > gammaMin {
-			g = math.E * gammaMax / gammaMin
-			if g < 2*math.E {
-				g = 2 * math.E
-			}
-			if g > 1e9 {
-				g = 1e9
-			}
-		}
+		g := core.TuneG(gammaMin, gammaMax)
 		var threshold core.Threshold = core.AdaptiveThreshold{GammaMin: gammaMin, G: g}
 		if gammaMin == 0 {
 			// Cold start: no history → admit everything (paper's "assign as
