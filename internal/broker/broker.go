@@ -416,6 +416,12 @@ func (b *Broker) RegisterCampaignSpec(spec CampaignSpec) (int32, error) {
 	if err := spec.Billing.Validate(); err != nil {
 		return 0, fmt.Errorf("broker: %w", err)
 	}
+	for i, v := range spec.Tags {
+		// A non-finite tag has no Eq. 5 score and no JSON rendering.
+		if !finite(v) {
+			return 0, fmt.Errorf("broker: campaign tag %d is %g", i, v)
+		}
+	}
 	b.regMu.Lock()
 	defer b.regMu.Unlock()
 	old := *b.dir.Load()
@@ -436,6 +442,7 @@ func (b *Broker) RegisterCampaignSpec(spec CampaignSpec) (int32, error) {
 		penalty:    spec.Penalty,
 		billing:    spec.Billing,
 	}
+	c.vendor.Prepare(c.tags)
 	c.budget.Store(spec.Budget)
 	c.rate.Store(1)
 	c.allowance.Store(math.Inf(1))

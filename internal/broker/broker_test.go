@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"sync"
@@ -61,6 +62,45 @@ func TestRegisterAndState(t *testing.T) {
 	}
 	if _, err := b.RegisterCampaign(geo.Point{X: 0.5, Y: 0.5}, 1, -10, nil); err == nil {
 		t.Error("negative budget must be rejected")
+	}
+}
+
+// TestRegisterChecksTags: a non-finite tag once registered through the Go API
+// and made GET /v1/campaigns/{id} a 500 ("json: unsupported value: NaN") for
+// the life of the process. Any finite magnitude still registers, renders, and
+// is served around — its Eq. 5 sums overflow to a NaN score, a low_score drop.
+func TestRegisterChecksTags(t *testing.T) {
+	b := newTestBroker(t)
+	at := geo.Point{X: 0.5, Y: 0.5}
+	for _, tc := range []struct {
+		name string
+		tags []float64
+		want string // "" registers
+	}{
+		{"NaN", []float64{1, math.NaN()}, "campaign tag 1 is NaN"},
+		{"+Inf", []float64{math.Inf(1), 0}, "campaign tag 0 is +Inf"},
+		{"-Inf", []float64{0, 0, math.Inf(-1)}, "campaign tag 2 is -Inf"},
+		{"finite 1e308", []float64{1e308, 1e308}, ""},
+	} {
+		before := len(b.Campaigns())
+		id, err := b.RegisterCampaign(at, 0.1, 10, tc.tags)
+		if tc.want != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.want) || len(b.Campaigns()) != before {
+				t.Errorf("%s: err %v, %d campaigns; want %q and no registration", tc.name, err, len(b.Campaigns()), tc.want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		c, _ := b.CampaignState(id)
+		if _, err := json.Marshal(c); err != nil {
+			t.Errorf("%s: campaign state does not render: %v", tc.name, err)
+		}
+		offers, err := b.Arrive(Arrival{Loc: at, Capacity: 1, ViewProb: 1, Interests: []float64{0.2, 0.8}})
+		if err != nil || len(offers) != 0 {
+			t.Errorf("%s: arrival over it: %v, %v; want no offers, no error", tc.name, offers, err)
+		}
 	}
 }
 

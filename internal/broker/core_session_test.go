@@ -28,6 +28,14 @@ import (
 // A zero-budget vendor that some in-range customer also scores ≤ 0 makes the
 // order of the terms filters observable: both sides skip it, but the funnel
 // must file it under the first filter that applies (DESIGN.md §4).
+//
+// The session scores through the one-shot model.PearsonPreference.Score, the
+// kernel through model.UnitPearson prepared at registration and per arrival,
+// so this is also the prepared scorer's end-to-end oracle. Seeded mutations
+// that fail it (PR 23): dropping the centring in UnitPearson.Prepare
+// (d = v: arrival 0 differs on the checkin city), and squaring one side's
+// sum of squares in Score (Sqrt(p.cov·p.cov): arrival 57). Swapping the two
+// sums is not a mutation — the product commutes.
 func TestKernelMatchesCoreSession(t *testing.T) {
 	synthetic, err := workload.Synthetic(workload.Config{
 		Customers: 500, Vendors: 120,

@@ -58,9 +58,9 @@ func (f *atomicFloat) Max(v float64) {
 }
 
 // campaign is the broker's internal per-campaign state. Immutable identity
-// (id, loc, radius, tags, shard) is set at registration; the mutable money
-// fields are atomics written only while the owning shard's lock is held —
-// the lock serializes the check-then-spend sequence among writers, the
+// (id, loc, radius, tags, vendor, shard) is set at registration; the mutable
+// money fields are atomics written only while the owning shard's lock is held
+// — the lock serializes the check-then-spend sequence among writers, the
 // atomics let Stats/Campaigns read without joining the lock queue.
 type campaign struct {
 	id     int32
@@ -68,6 +68,11 @@ type campaign struct {
 	radius float64
 	tags   []float64
 	shard  int // owning stripe index
+
+	// vendor is the campaign's half of Eq. 5 — the centred tags and their sum
+	// of squares — computed once at registration; terms scores every arrival
+	// against it.
+	vendor model.UnitPearson
 
 	// AdCell-style class, immutable after registration: a guaranteed-delivery
 	// campaign carries a delivery floor (fraction of budget due by

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -732,6 +733,41 @@ func TestSlateArriveZeroAllocsDense(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(5, serve); allocs != 0 {
 		t.Fatalf("dense slate stream allocates %v times per pass, want 0", allocs)
+	}
+
+	// A campaign registered after the arenas warmed: id 8 192 is one past what
+	// their id bitsets cover. It must be gathered and scanned last — by the
+	// stripe arena and by Explain's private one — and once the bitsets have
+	// regrown the stream allocates nothing again.
+	late, err := b.RegisterCampaign(arrivals[0].Loc, 0.01, 1e9, arrivals[0].Interests)
+	if err != nil || late != 8192 {
+		t.Fatalf("late registration: id %d, %v", late, err)
+	}
+	serve()
+	if _, err := b.ArriveAppend(dst[:0], arrivals[0]); err != nil {
+		t.Fatal(err)
+	}
+	var served []int32
+	for i := range b.shards {
+		if ids := b.shards[i].arena.ids; slices.Contains(ids, late) {
+			served = ids
+		}
+	}
+	rep, err := b.Explain(arrivals[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	explained := make([]int32, len(rep.Candidates))
+	for i := range rep.Candidates {
+		explained[i] = rep.Candidates[i].Campaign
+	}
+	for name, ids := range map[string][]int32{"stripe arena": served, "explain arena": explained} {
+		if len(ids) < 200 || !slices.IsSorted(ids) || ids[len(ids)-1] != late {
+			t.Errorf("%s after a late registration: %d ids, sorted %v, want campaign %d last", name, len(ids), slices.IsSorted(ids), late)
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, serve); allocs != 0 {
+		t.Fatalf("dense slate stream allocates %v times per pass after the bitsets regrew, want 0", allocs)
 	}
 }
 

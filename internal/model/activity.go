@@ -67,53 +67,26 @@ type PearsonPreference struct {
 	Activity Activity
 }
 
-// Score implements Preference. The two vectors must have equal length; a
-// mismatch panics, as it means the problem was assembled against two
+// Score implements Preference: weights and both weighted means in one pass,
+// the three covariances in a second. The two vectors must have equal length;
+// a mismatch panics, as it means the problem was assembled against two
 // different taxonomies.
 func (pp PearsonPreference) Score(u *Customer, v *Vendor, hour float64) float64 {
-	if len(u.Interests) != len(v.Tags) { // before Prepare can panic on an activity level
-		panic(lengthMismatch(len(u.Interests), len(v.Tags)))
+	x, y := u.Interests, v.Tags
+	if len(x) != len(y) { // before an activity level can panic
+		panic(lengthMismatch(len(x), len(y)))
 	}
-	var stack [16]float64 // keeps the one-shot call off the heap up to 16 tags
-	pc := PearsonCustomer{w: stack[:]}
-	pp.Prepare(&pc, u.Interests, hour)
-	return pc.Score(v.Tags)
-}
-
-func lengthMismatch(interests, tags int) string {
-	return fmt.Sprintf("model: interest vector length %d vs tag vector length %d", interests, tags)
-}
-
-// PearsonCustomer is the customer-side half of Eq. 5 at one hour: everything
-// that does not depend on the vendor. A serving loop prepares it once per
-// arrival and scores every candidate vendor against it; the weights buffer is
-// retained across Prepare calls, so steady-state scoring allocates nothing.
-// It keeps the prepared interest vector by reference, which must not change
-// until the last Score against it. The zero value is ready for Prepare.
-type PearsonCustomer struct {
-	x    []float64 // the prepared interest vector, not a copy
-	w    []float64 // [:len(x)] activity weights w_i = α_i(φ)
-	sumW float64
-	mx   float64 // weighted mean of x
-}
-
-// Prepare computes the customer-side terms for interest vector x at the given
-// hour — the activity weights, Σw and the weighted mean of x — accumulated in
-// the order the single-pass formula does, so Prepare + Score is that formula
-// bit for bit. The weighted variance of x stays in Score's covariance loop:
-// there it rides beside the two vendor-side sums at no extra latency, where a
-// pass of its own would cost the one-shot PearsonPreference.Score one more
-// dependent add chain over the vector.
-func (pp PearsonPreference) Prepare(pc *PearsonCustomer, x []float64, hour float64) {
 	act := pp.Activity
 	if act == nil {
 		act = UniformActivity{}
 	}
-	if cap(pc.w) < len(x) {
-		pc.w = make([]float64, len(x))
+	var stack [16]float64 // keeps the call off the heap up to 16 tags
+	w := stack[:]
+	if len(x) > len(w) {
+		w = make([]float64, len(x))
 	}
-	w := pc.w[:len(x)]
-	var sumW, sumWX float64 // locals: the sums are add-latency chains
+	w = w[:len(x)]
+	var sumW, sumWX, sumWY float64
 	for i := range x {
 		w[i] = act.Level(i, hour)
 		if w[i] < 0 || math.IsNaN(w[i]) {
@@ -121,31 +94,14 @@ func (pp PearsonPreference) Prepare(pc *PearsonCustomer, x []float64, hour float
 		}
 		sumW += w[i]
 		sumWX += w[i] * x[i]
-	}
-	pc.x, pc.sumW, pc.mx = x, sumW, 0
-	if sumW != 0 {
-		pc.mx = sumWX / sumW
-	}
-}
-
-// Score returns Eq. 5 for the prepared customer against tag vector y, which
-// must have the prepared vector's length; a mismatch panics.
-func (pc *PearsonCustomer) Score(y []float64) float64 {
-	x := pc.x
-	if len(x) != len(y) {
-		panic(lengthMismatch(len(x), len(y)))
-	}
-	w := pc.w[:len(x)]
-	if pc.sumW == 0 { // also the empty vector
-		return 0
-	}
-	var sumWY float64
-	for i := range y {
 		sumWY += w[i] * y[i]
 	}
-	mx, my := pc.mx, sumWY/pc.sumW
+	if sumW == 0 { // also the empty vector
+		return 0
+	}
+	mx, my := sumWX/sumW, sumWY/sumW
 	var covXY, covXX, covYY float64
-	for i := range y {
+	for i := range x {
 		covXY += w[i] * (x[i] - mx) * (y[i] - my)
 		covXX += w[i] * (x[i] - mx) * (x[i] - mx)
 		covYY += w[i] * (y[i] - my) * (y[i] - my)
@@ -154,6 +110,64 @@ func (pc *PearsonCustomer) Score(y []float64) float64 {
 		return 0
 	}
 	return covXY / math.Sqrt(covXX*covYY)
+}
+
+func lengthMismatch(interests, tags int) string {
+	return fmt.Sprintf("model: interest vector length %d vs tag vector length %d", interests, tags)
+}
+
+// UnitPearson is one side of Eq. 5 under unit activity weights (α ≡ 1, where
+// the weighted correlation is the plain Pearson coefficient): a vector centred
+// on its mean, and its sum of squares. Everything in it depends on that one
+// vector only, so the serving broker prepares a campaign's once at
+// registration and an arrival's once per arrival, and a candidate then costs
+// one dot product. Prepare and Score evaluate the expressions of
+// PearsonPreference{UniformActivity{}}.Score in the same order — a weight of
+// 1.0 multiplies exactly — so the pair returns that score bit for bit
+// (TestUnitPearsonMatchesScoreBits). The zero value is the empty vector;
+// Prepare reuses the buffer, so a retained value allocates nothing in steady
+// state.
+type UnitPearson struct {
+	d   []float64 // v[i] − mean(v)
+	cov float64   // Σ d[i]·d[i]
+}
+
+// Prepare centres v. It keeps no reference to v.
+func (p *UnitPearson) Prepare(v []float64) {
+	var sum float64
+	for _, vi := range v {
+		sum += vi
+	}
+	mean := sum / float64(len(v))
+	if cap(p.d) < len(v) {
+		p.d = make([]float64, len(v))
+	}
+	d := p.d[:len(v)]
+	var cov float64
+	for i, vi := range v {
+		d[i] = vi - mean
+		cov += d[i] * d[i]
+	}
+	p.d, p.cov = d, cov
+}
+
+// Score returns Eq. 5 between the two prepared vectors, which must have equal
+// length; a mismatch panics. The product of the two sums of squares is formed
+// per call, as the generic form does: the square root of a product is not the
+// product of square roots in floating point.
+func (p *UnitPearson) Score(q *UnitPearson) float64 {
+	dx, dy := p.d, q.d
+	if len(dx) != len(dy) {
+		panic(lengthMismatch(len(dx), len(dy)))
+	}
+	var covXY float64
+	for i := range dx {
+		covXY += dx[i] * dy[i]
+	}
+	if p.cov <= 0 || q.cov <= 0 { // also the empty vector
+		return 0
+	}
+	return covXY / math.Sqrt(p.cov*q.cov)
 }
 
 // TablePreference looks preference scores up in a dense table indexed by

@@ -1,6 +1,8 @@
 package model
 
 import (
+	"cmp"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"strconv"
@@ -114,13 +116,14 @@ func TestPearsonActivityWeighting(t *testing.T) {
 
 func TestPearsonLengthMismatchPanics(t *testing.T) {
 	const want = "model: interest vector length 1 vs tag vector length 2"
-	var pc PearsonCustomer
-	PearsonPreference{}.Prepare(&pc, []float64{1}, 0)
+	var one, two UnitPearson
+	one.Prepare([]float64{1})
+	two.Prepare([]float64{1, 2})
 	for name, score := range map[string]func(){
 		"Score": func() {
 			PearsonPreference{}.Score(pearsonCustomer([]float64{1}), pearsonVendor([]float64{1, 2}), 0)
 		},
-		"prepared": func() { pc.Score([]float64{1, 2}) },
+		"prepared": func() { one.Score(&two) },
 		// The length check comes first, as it always has: an activity that
 		// would panic too must not mask it.
 		"Score, bad activity": func() {
@@ -139,10 +142,10 @@ func TestPearsonLengthMismatchPanics(t *testing.T) {
 	}
 }
 
-// pearsonTwoLoop is Eq. 5 as Score computed it before the customer side was
-// split out — weights and both means in one pass, the three covariances in a
-// second. The prepared form must reproduce it bit for bit: the broker's golden
-// transcripts hang off these bits.
+// pearsonTwoLoop is Eq. 5 written out a second time — weights and both means
+// in one pass, the three covariances in a second. Score, and under unit
+// weights the prepared pair, must reproduce it bit for bit: the broker's
+// golden transcripts hang off these bits.
 func pearsonTwoLoop(act Activity, x, y []float64, hour float64) float64 {
 	if len(x) == 0 {
 		return 0
@@ -197,27 +200,156 @@ func TestPearsonPreparedMatchesTwoLoopBits(t *testing.T) {
 	}
 	for name, act := range activities {
 		pp := PearsonPreference{Activity: act}
-		var pc PearsonCustomer // reused across lengths, as the broker's arena does
+		var px, py UnitPearson // reused across lengths, as the broker's arena does
 		for trial := 0; trial < 300; trial++ {
 			n, hour := rng.Intn(12), rng.Float64()*24
 			if trial%7 == 0 {
 				n = 17 + rng.Intn(40) // past Score's stack buffer
 			}
 			x := vec(n, trial%3)
-			pp.Prepare(&pc, x, hour)
+			px.Prepare(x)
 			for k := 0; k < 4; k++ { // one prepare, several vendors
 				y := vec(n, (trial+k)%3)
 				want := math.Float64bits(pearsonTwoLoop(act, x, y, hour))
-				if got := math.Float64bits(pc.Score(y)); got != want {
-					t.Fatalf("%s n=%d: prepared score %x, two-loop %x", name, n, got, want)
-				}
 				if got := math.Float64bits(pp.Score(pearsonCustomer(x), pearsonVendor(y), hour)); got != want {
 					t.Fatalf("%s n=%d: Score %x, two-loop %x", name, n, got, want)
+				}
+				if name != "uniform" {
+					continue
+				}
+				py.Prepare(y)
+				if got := math.Float64bits(px.Score(&py)); got != want {
+					t.Fatalf("n=%d: prepared score %x, two-loop %x", n, got, want)
 				}
 			}
 		}
 	}
 }
+
+// unitScoreBits returns the prepared pair's score and the generic Score under
+// uniform activity — the oracle — for one (interests, tags) pair.
+func unitScoreBits(x, y []float64) (got, want float64) {
+	var px, py UnitPearson
+	px.Prepare(x)
+	py.Prepare(y)
+	oracle := PearsonPreference{Activity: UniformActivity{}}
+	return px.Score(&py), oracle.Score(pearsonCustomer(x), pearsonVendor(y), 12)
+}
+
+// sameScore is Float64bits equality, with any NaN equal to any NaN: the
+// kernel drops a NaN score whatever its payload.
+func sameScore(got, want float64) bool {
+	return math.Float64bits(got) == math.Float64bits(want) || math.IsNaN(got) && math.IsNaN(want)
+}
+
+// TestUnitPearsonMatchesScoreBits is the serving scorer's oracle test: the
+// prepared unit-weight pair against PearsonPreference{UniformActivity{}}.Score,
+// bit for bit, over random vectors and every degenerate shape the guards exist
+// for.
+func TestUnitPearsonMatchesScoreBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	fill := func(n int, f func(i int) float64) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = f(i)
+		}
+		return v
+	}
+	uniform := func(int) float64 { return rng.Float64() }
+	ramp := func(i int) float64 { return float64(i) / 8 }
+	negZero := math.Copysign(0, -1)
+	for _, n := range []int{0, 1, 8, 17, 256} {
+		for trial := 0; trial < 50; trial++ {
+			x, y := fill(n, uniform), fill(n, uniform)
+			if got, want := unitScoreBits(x, y); !sameScore(got, want) {
+				t.Fatalf("random n=%d: prepared %x, Score %x", n, math.Float64bits(got), math.Float64bits(want))
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		x, y []float64
+		// sign is the sign the score must have; 2 skips the check.
+		sign int
+	}{
+		{"both constant", fill(8, func(int) float64 { return 0.25 }), fill(8, func(int) float64 { return 0.7 }), 0},
+		{"customer constant only", fill(8, func(int) float64 { return 0.25 }), fill(8, ramp), 0},
+		{"vendor constant only", fill(8, ramp), fill(8, func(int) float64 { return 0.7 }), 0},
+		{"all zeros", make([]float64, 8), make([]float64, 8), 0},
+		{"negative zeros", fill(8, func(int) float64 { return negZero }), fill(8, ramp), 0},
+		{"leading negative zero", []float64{negZero, 1, 0.5}, []float64{negZero, 0.5, 1}, 1},
+		{"denormals", fill(8, func(i int) float64 { return float64(i) * 5e-324 }), fill(8, ramp), 2},
+		{"denormals both", fill(8, func(i int) float64 { return float64(i) * 5e-324 }),
+			fill(8, func(i int) float64 { return float64(7-i) * 5e-324 }), 2},
+		{"product of variances overflows", fill(8, func(i int) float64 { return float64(i) * 1e154 }),
+			fill(8, func(i int) float64 { return float64(i%3) * 1e154 }), 2},
+		{"sum overflows", fill(8, func(i int) float64 { return float64(1+i%2) * 1e308 }), fill(8, ramp), 2},
+		{"one huge tag", []float64{1e308, 0, 0, 0}, []float64{0.1, 0.2, 0.3, 0.4}, 2},
+		{"anticorrelated", fill(8, ramp), fill(8, func(i int) float64 { return 1 - float64(i)/8 }), -1},
+		{"correlated", fill(17, ramp), fill(17, func(i int) float64 { return 3 * float64(i) }), 1},
+	} {
+		got, want := unitScoreBits(tc.x, tc.y)
+		if !sameScore(got, want) {
+			t.Errorf("%s: prepared %g (%x), Score %g (%x)", tc.name, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		if sign := cmp.Compare(got, 0); tc.sign != 2 && sign != tc.sign {
+			t.Errorf("%s: score %g, want sign %d", tc.name, got, tc.sign)
+		}
+	}
+}
+
+// FuzzUnitPearsonMatchesScore feeds the same comparison arbitrary bit
+// patterns: the input is cut into float64s, the first half the interests and
+// the second the tags, non-finite values included.
+func FuzzUnitPearsonMatchesScore(f *testing.F) {
+	floats := func(vs ...float64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	f.Add([]byte{})
+	f.Add(floats(0.9, 0.1, 0.4, 1, 0.2, 0.3))
+	f.Add(floats(0.5, 0.5, 0.1, 0.9))
+	f.Add(floats(math.Copysign(0, -1), 5e-324, 1e308, 1e308))
+	f.Add(floats(1e154, 3e154, -1e154, 2e154, 0, 4e154))
+	f.Add(floats(math.NaN(), 1, math.Inf(1), 2))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := len(data) / 16
+		if n > 256 {
+			n = 256
+		}
+		x, y := make([]float64, n), make([]float64, n)
+		for i := range x {
+			x[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+			y[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*(n+i):]))
+		}
+		if got, want := unitScoreBits(x, y); !sameScore(got, want) {
+			t.Fatalf("x=%v y=%v: prepared %x, Score %x", x, y, math.Float64bits(got), math.Float64bits(want))
+		}
+	})
+}
+
+// BenchmarkUnitPearsonScore is the serving path's per-candidate cost at the
+// workloads' 8 tags: one dot product against a campaign prepared at
+// registration (BenchmarkPearsonScoreOneShot/8 is the generic form's).
+func BenchmarkUnitPearsonScore(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x, y := make([]float64, 8), make([]float64, 8)
+	for i := range x {
+		x[i], y[i] = rng.Float64(), rng.Float64()
+	}
+	var px, py UnitPearson
+	px.Prepare(x)
+	py.Prepare(y)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		scoreSink = px.Score(&py)
+	}
+}
+
+var scoreSink float64
 
 // The one-shot Score is what every offline solver calls per (customer,
 // vendor) pair through the Preference interface: up to 16 tags it must stay
