@@ -398,6 +398,12 @@ type CampaignSpec struct {
 // RegisterCampaignSpec adds a campaign with its full spec (delivery class
 // included) and returns its ID.
 func (b *Broker) RegisterCampaignSpec(spec CampaignSpec) (int32, error) {
+	// A NaN coordinate has no grid cell (the insert would panic after the WAL
+	// record and the directory entry, under the stripe lock) and neither it
+	// nor ±Inf renders as JSON; a finite one clamps to an edge cell.
+	if !finite(spec.Loc.X) || !finite(spec.Loc.Y) {
+		return 0, fmt.Errorf("broker: campaign location (%g, %g)", spec.Loc.X, spec.Loc.Y)
+	}
 	if spec.Radius < 0 || !finite(spec.Radius) {
 		return 0, fmt.Errorf("broker: campaign radius %g", spec.Radius)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"muaa/internal/geo"
 	"muaa/internal/model"
+	"muaa/internal/wal"
 	"muaa/internal/workload"
 )
 
@@ -101,6 +102,73 @@ func TestRegisterChecksTags(t *testing.T) {
 		if err != nil || len(offers) != 0 {
 			t.Errorf("%s: arrival over it: %v, %v; want no offers, no error", tc.name, offers, err)
 		}
+	}
+}
+
+// TestRegisterChecksLocation: the campaign location was the one float the
+// registration door never looked at. A NaN coordinate panicked inside the grid
+// insert — after the WAL record was written and the directory entry published,
+// with the stripe lock held — so the next arrival on that stripe blocked for
+// good and Close never returned; ±Inf registered and, like a NaN tag, could not
+// be rendered. Finite locations outside the square still register and clamp
+// to an edge cell.
+func TestRegisterChecksLocation(t *testing.T) {
+	dir := t.TempDir()
+	b, err := New(Config{AdTypes: workload.DefaultAdTypes(), DataDir: dir, WAL: crashWAL()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	walRecords := func() int {
+		t.Helper()
+		v, err := wal.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(v.Records)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		loc  geo.Point
+		want string // "" registers
+	}{
+		{"NaN x", geo.Point{X: nan, Y: 0.5}, "campaign location (NaN, 0.5)"},
+		{"NaN y", geo.Point{X: 0.5, Y: nan}, "campaign location (0.5, NaN)"},
+		{"+Inf x", geo.Point{X: inf, Y: 0.5}, "campaign location (+Inf, 0.5)"},
+		{"-Inf y", geo.Point{X: 0.5, Y: -inf}, "campaign location (0.5, -Inf)"},
+		{"finite -5", geo.Point{X: -5, Y: 0.5}, ""},
+		{"finite 1e300", geo.Point{X: 0.5, Y: 1e300}, ""},
+	} {
+		campaigns, records := len(b.Campaigns()), walRecords()
+		id, err := b.RegisterCampaign(tc.loc, 0.1, 10, []float64{1, 0})
+		if tc.want != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s: err %v, want %q", tc.name, err, tc.want)
+			}
+			if len(b.Campaigns()) != campaigns || walRecords() != records {
+				t.Errorf("%s: refused, yet %d campaigns (was %d) and %d WAL records (was %d)",
+					tc.name, len(b.Campaigns()), campaigns, walRecords(), records)
+			}
+		} else {
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			c, _ := b.CampaignState(id)
+			if _, err := json.Marshal(c); err != nil {
+				t.Errorf("%s: campaign state does not render: %v", tc.name, err)
+			}
+			if walRecords() != records+1 {
+				t.Errorf("%s: %d WAL records after registering, want %d", tc.name, walRecords(), records+1)
+			}
+		}
+		// The stripe a y of 0.5 maps to still serves (it once stayed locked).
+		at := Arrival{Loc: geo.Point{X: 0.5, Y: 0.5}, Capacity: 1, ViewProb: 1, Interests: []float64{0.2, 0.8}}
+		if _, err := b.Arrive(at); err != nil {
+			t.Fatalf("%s: arrival afterwards: %v", tc.name, err)
+		}
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -82,7 +82,10 @@ func expandBounds(p *model.Problem) geo.Rect {
 }
 
 // ValidVendors appends to dst the vendors whose advertising disks cover
-// customer ui and returns the extended slice.
+// customer ui and returns the extended slice. dst[:len(dst)] is left as
+// given, but like geo.Grid.CoveredBy this may write past the returned length
+// inside dst's capacity: pass a scratch buffer, not a window onto an array
+// whose tail is live.
 func (ix *Index) ValidVendors(dst []int32, ui int32) []int32 {
 	return ix.vendorGrid.CoveredBy(dst, ix.p.Customers[ui].Loc)
 }

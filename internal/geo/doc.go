@@ -8,8 +8,13 @@
 // The paper's data space is [0,1]² (both the remapped Foursquare check-ins
 // and the synthetic workloads live there), so a uniform grid is the right
 // index: cell occupancy is near-uniform for vendors and the disk radii are
-// small (0.01–0.05), making candidate sets tiny. A k-d tree (kdtree.go)
-// answers the same queries for comparison; ablation A8 races the two.
+// small (0.01–0.05), making candidate sets tiny. The grid is stored as row
+// runs + offsets — one slice of points per grid row, grouped by cell, and a
+// flat table of where each cell starts — so a range query reads one
+// contiguous run per row of its window; an insert appends to its row and the
+// first query after it regroups the rows appended to (grid.go). A k-d tree
+// (kdtree.go) answers the same queries for comparison; ablation A8 races the
+// two.
 //
 // Two structures serve the concurrent broker specifically:
 //
@@ -20,7 +25,8 @@
 //   - Grid.InsertWithRadius indexes a disk by its center so CoveredBy can
 //     answer "which disks cover this point" per shard.
 //
-// Nothing in this package is concurrency-aware itself: Stripes is
-// immutable, and a Grid is guarded by whoever owns it (each broker shard
-// guards its own).
+// Stripes is immutable. A Grid is guarded by whoever owns it (each broker
+// shard guards its own): inserts must not race with queries, while queries
+// may run concurrently — the regrouping a first query does is serialised
+// inside the Grid.
 package geo

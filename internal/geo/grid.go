@@ -3,6 +3,9 @@ package geo
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
 )
 
 // Grid is a uniform-grid spatial index over a fixed set of points. Each
@@ -16,31 +19,46 @@ import (
 //     disk of radius radii[id] covers p — used by the online algorithms to
 //     find the vendors an arriving customer is eligible for.
 //
-// Each cell stores its points inline — id, location and squared radius, in
-// insertion order — so a query scans contiguous arrays and touches no map;
-// the id → location map serves only Point, Len and the duplicate check.
+// Storage is row runs + offsets: each grid row is one slice of points — id,
+// location and squared radius inline — grouped by cell, cells ascending,
+// insertion order within a cell, and a flat offset table says where each cell
+// starts in its row. A cell window is therefore one contiguous run per row:
+// Within and CoveredBy scan it front to back, emitting ids in (row, cell,
+// insertion) order, and touch no per-cell slice header and no map. Insert is
+// an append to the point's row, O(1) however crowded the row; the first query
+// after it regroups each row appended to — one stable counting sort by cell,
+// O(row) — so a bulk build groups every row once and a registration between
+// queries costs one row. The id → location map serves only Point, Len and the
+// duplicate check.
 //
 // The zero value is not usable; construct with NewGrid. Grid is safe for
-// concurrent readers once built; Insert must not race with queries.
+// concurrent readers once built (the regrouping a first query does is
+// serialised); Insert must not race with queries.
 type Grid struct {
 	bounds   Rect
 	cellsX   int
 	cellsY   int
 	cellW    float64
 	cellH    float64
-	cells    [][]cellPoint
+	rows     [][]cellPoint // per grid row: points grouped by cell, cells ascending, then the appends since
+	off      []int32       // off[cy*(cellsX+1)+cx]: where cell cx starts in rows[cy]; entry cellsX is the grouped length
+	dirty    atomic.Bool   // some row has been appended to since it was grouped
+	regroup  sync.Mutex    // serialises settle among concurrent readers
+	scratch  []cellPoint   // settle's copy of the row it is regrouping
 	pts      map[int32]Point
 	maxR     float64 // largest per-point radius seen by InsertWithRadius
 	hasRadii bool
 }
 
-// cellPoint is one indexed point as its cell stores it. r2 is the squared
-// radius given to InsertWithRadius, or noRadius for a plain Insert — negative,
-// so no squared distance is ever within it and CoveredBy needs no second test.
+// cellPoint is one indexed point as its row stores it. cx is its cell within
+// the row (it fills what would be padding: the struct stays 32 bytes). r2 is
+// the squared radius given to InsertWithRadius, or noRadius for a plain Insert
+// — negative, so no squared distance is ever within it and CoveredBy needs no
+// second test.
 type cellPoint struct {
-	id int32
-	p  Point
-	r2 float64
+	id, cx int32
+	p      Point
+	r2     float64
 }
 
 const noRadius = -1
@@ -62,7 +80,8 @@ func NewGrid(bounds Rect, cells int) *Grid {
 		cellsY: cells,
 		cellW:  bounds.Width() / float64(cells),
 		cellH:  bounds.Height() / float64(cells),
-		cells:  make([][]cellPoint, cells*cells),
+		rows:   make([][]cellPoint, cells),
+		off:    make([]int32, cells*(cells+1)),
 		pts:    make(map[int32]Point),
 	}
 }
@@ -119,9 +138,58 @@ func (g *Grid) insert(id int32, p Point, r2 float64) {
 	}
 	g.pts[id] = p
 	cx, cy := g.cellOf(p)
-	idx := cy*g.cellsX + cx
-	g.cells[idx] = append(g.cells[idx], cellPoint{id: id, p: p, r2: r2})
+	g.rows[cy] = append(g.rows[cy], cellPoint{id: id, cx: int32(cx), p: p, r2: r2})
+	g.dirty.Store(true)
 }
+
+// settle groups every row appended to since its last grouping — its offsets
+// then end short of its length; each query calls it before reading rows or
+// offsets. The counting sort is stable, so a cell keeps insertion order.
+func (g *Grid) settle() {
+	if !g.dirty.Load() {
+		return
+	}
+	g.regroup.Lock()
+	defer g.regroup.Unlock()
+	for cy, row := range g.rows {
+		off := g.rowOff(cy)
+		if int(off[g.cellsX]) == len(row) {
+			continue
+		}
+		clear(off)
+		for i := range row {
+			off[row[i].cx+1]++
+		}
+		for cx := 1; cx < len(off); cx++ {
+			off[cx] += off[cx-1]
+		}
+		// off[cx] is cell cx's start and serves as its write cursor, which
+		// leaves it at the cell's end — the next cell's start — so shift back.
+		g.scratch = append(g.scratch[:0], row...)
+		for _, e := range g.scratch {
+			row[off[e.cx]] = e
+			off[e.cx]++
+		}
+		copy(off[1:], off)
+		off[0] = 0
+	}
+	g.dirty.Store(false)
+}
+
+// rowOff returns row cy's cellsX+1 cell offsets into rows[cy].
+func (g *Grid) rowOff(cy int) []int32 {
+	return g.off[cy*(g.cellsX+1):][:g.cellsX+1]
+}
+
+// run returns the points of cells x0..x1 of row cy: one contiguous slice, in
+// cell then insertion order.
+func (g *Grid) run(cy, x0, x1 int) []cellPoint {
+	off := g.rowOff(cy)
+	return g.rows[cy][off[x0]:off[x1+1]]
+}
+
+// cell returns the points of cell (cx, cy) in insertion order.
+func (g *Grid) cell(cx, cy int) []cellPoint { return g.run(cy, cx, cx) }
 
 // InsertWithRadius adds a point that owns a disk of radius r (a vendor and
 // its advertising range). Points inserted this way participate in CoveredBy
@@ -158,16 +226,14 @@ func (g *Grid) Within(dst []int32, center Point, r float64) []int32 {
 	if r < 0 {
 		return dst
 	}
+	g.settle()
 	r2 := r * r
 	x0, y0, x1, y1 := g.cellRange(center, r)
 	for cy := y0; cy <= y1; cy++ {
-		row := cy * g.cellsX
-		for cx := x0; cx <= x1; cx++ {
-			cell := g.cells[row+cx]
-			for i := range cell {
-				if cell[i].p.Dist2(center) <= r2 {
-					dst = append(dst, cell[i].id)
-				}
+		run := g.run(cy, x0, x1)
+		for i := range run {
+			if run[i].p.Dist2(center) <= r2 {
+				dst = append(dst, run[i].id)
 			}
 		}
 	}
@@ -177,22 +243,31 @@ func (g *Grid) Within(dst []int32, center Point, r float64) []int32 {
 // CoveredBy appends to dst the IDs of indexed points whose own disk (as given
 // to InsertWithRadius) covers p, and returns the extended slice. Points
 // inserted without a radius are never returned.
+//
+// dst[:len(dst)] is left as given, but CoveredBy may scribble past the
+// returned length inside the returned slice's capacity: every scanned id is
+// written to spare capacity and the length advances only past a hit, so the
+// serving probe's loop carries no branch on the hit test (which a crowded
+// window mispredicts three times in ten). Pass a scratch buffer, not a
+// window onto an array whose tail is live.
 func (g *Grid) CoveredBy(dst []int32, p Point) []int32 {
 	if !g.hasRadii {
 		return dst
 	}
+	g.settle()
 	// Any covering point is within maxR of p, so scan that window only.
 	x0, y0, x1, y1 := g.cellRange(p, g.maxR)
 	for cy := y0; cy <= y1; cy++ {
-		row := cy * g.cellsX
-		for cx := x0; cx <= x1; cx++ {
-			cell := g.cells[row+cx]
-			for i := range cell {
-				if cell[i].p.Dist2(p) <= cell[i].r2 {
-					dst = append(dst, cell[i].id)
-				}
+		run := g.run(cy, x0, x1)
+		n := len(dst)
+		dst = slices.Grow(dst, len(run))[:n+len(run)]
+		for i := range run {
+			dst[n] = run[i].id
+			if run[i].p.Dist2(p) <= run[i].r2 {
+				n++
 			}
 		}
+		dst = dst[:n]
 	}
 	return dst
 }
@@ -201,63 +276,11 @@ func (g *Grid) CoveredBy(dst []int32, p Point) []int32 {
 // The second result is false when the grid is empty. Ties break toward the
 // smaller ID so results are deterministic.
 func (g *Grid) Nearest(p Point) (int32, float64, bool) {
-	if len(g.pts) == 0 {
+	ids := g.KNearest(p, 1)
+	if len(ids) == 0 {
 		return 0, 0, false
 	}
-	best := int32(-1)
-	bestD2 := math.Inf(1)
-	// Expand the search ring by ring until a hit is found, then one more
-	// ring to be safe (a closer point can sit in the next ring's corner).
-	cx, cy := g.cellOf(p)
-	maxRing := g.cellsX
-	if g.cellsY > maxRing {
-		maxRing = g.cellsY
-	}
-	foundRing := -1
-	for ring := 0; ring <= maxRing; ring++ {
-		if foundRing >= 0 && ring > foundRing+1 {
-			break
-		}
-		hit := g.scanRing(p, cx, cy, ring, &best, &bestD2)
-		if hit && foundRing < 0 {
-			foundRing = ring
-		}
-	}
-	if best < 0 {
-		return 0, 0, false
-	}
-	return best, math.Sqrt(bestD2), true
-}
-
-// scanRing examines the square ring of cells at Chebyshev distance ring from
-// (cx, cy), updating best/bestD2; reports whether any candidate was seen.
-func (g *Grid) scanRing(p Point, cx, cy, ring int, best *int32, bestD2 *float64) bool {
-	seen := false
-	visit := func(x, y int) {
-		if x < 0 || x >= g.cellsX || y < 0 || y >= g.cellsY {
-			return
-		}
-		for _, e := range g.cells[y*g.cellsX+x] {
-			seen = true
-			d2 := e.p.Dist2(p)
-			if d2 < *bestD2 || (d2 == *bestD2 && e.id < *best) {
-				*best, *bestD2 = e.id, d2
-			}
-		}
-	}
-	if ring == 0 {
-		visit(cx, cy)
-		return seen
-	}
-	for x := cx - ring; x <= cx+ring; x++ {
-		visit(x, cy-ring)
-		visit(x, cy+ring)
-	}
-	for y := cy - ring + 1; y <= cy+ring-1; y++ {
-		visit(cx-ring, y)
-		visit(cx+ring, y)
-	}
-	return seen
+	return ids[0], math.Sqrt(g.pts[ids[0]].Dist2(p)), true
 }
 
 // KNearest returns the IDs of the k points closest to p, ordered by
@@ -268,6 +291,7 @@ func (g *Grid) KNearest(p Point, k int) []int32 {
 	if k <= 0 || len(g.pts) == 0 {
 		return nil
 	}
+	g.settle()
 	var cands []distCand
 	cx, cy := g.cellOf(p)
 	maxRing := g.cellsX
@@ -340,7 +364,7 @@ func (g *Grid) collectRing(p Point, cx, cy, ring int, emit func(int32, float64))
 		if x < 0 || x >= g.cellsX || y < 0 || y >= g.cellsY {
 			return
 		}
-		for _, e := range g.cells[y*g.cellsX+x] {
+		for _, e := range g.cell(x, y) {
 			emit(e.id, e.p.Dist2(p))
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -165,22 +166,8 @@ func TestGridKNearestMatchesBruteForce(t *testing.T) {
 		q := Point{r.Float64(), r.Float64()}
 		for _, k := range []int{1, 3, 7, 120, 500} {
 			got := g.KNearest(q, k)
-			idx := make([]int32, len(pts))
-			for i := range idx {
-				idx[i] = int32(i)
-			}
-			sort.Slice(idx, func(a, b int) bool {
-				da, db := pts[idx[a]].Dist2(q), pts[idx[b]].Dist2(q)
-				if da != db {
-					return da < db
-				}
-				return idx[a] < idx[b]
-			})
-			wantLen := k
-			if wantLen > len(pts) {
-				wantLen = len(pts)
-			}
-			want := idx[:wantLen]
+			wantLen := min(k, len(pts))
+			want := bruteNearest(pts, q)[:wantLen]
 			if len(got) != wantLen {
 				t.Fatalf("k=%d: got %d ids, want %d", k, len(got), wantLen)
 			}
@@ -322,10 +309,60 @@ func (m *mapGrid) coveredBy(p Point, maxR float64) []int32 {
 	})
 }
 
-// Inline cells answer exactly as the map-backed layout did, element for
-// element: random grids mixing radius-less points, radius 0, points on the
-// bounds and outside them, queried on stored points (distance 0 and exact
-// boundary hits) as well as at random.
+// checkLayout asserts the row-run invariants a query relies on once it has
+// settled the grid: each row's offsets start at 0, never decrease and end at
+// the row's length, every point sits in the run of the cell it maps to, and
+// the rows together hold Len() points.
+func checkLayout(t *testing.T, g *Grid) {
+	t.Helper()
+	g.settle()
+	total := 0
+	for cy, row := range g.rows {
+		off := g.rowOff(cy)
+		if off[0] != 0 || int(off[g.cellsX]) != len(row) {
+			t.Fatalf("row %d: offsets run %d..%d over %d points", cy, off[0], off[g.cellsX], len(row))
+		}
+		for cx := 0; cx < g.cellsX; cx++ {
+			if off[cx] > off[cx+1] {
+				t.Fatalf("row %d: offset of cell %d (%d) past cell %d's (%d)", cy, cx, off[cx], cx+1, off[cx+1])
+			}
+			for _, e := range g.cell(cx, cy) {
+				if x, y := g.cellOf(e.p); x != cx || y != cy {
+					t.Fatalf("id %d of cell (%d, %d) is stored in cell (%d, %d)", e.id, x, y, cx, cy)
+				}
+			}
+		}
+		total += len(row)
+	}
+	if total != g.Len() {
+		t.Fatalf("rows hold %d points, Len() = %d", total, g.Len())
+	}
+}
+
+// bruteNearest ranks ids by (squared distance to q, id), the order Nearest
+// and KNearest promise.
+func bruteNearest(pts []Point, q Point) []int32 {
+	ids := make([]int32, len(pts))
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	sort.Slice(ids, func(a, b int) bool {
+		da, db := pts[ids[a]].Dist2(q), pts[ids[b]].Dist2(q)
+		if da != db {
+			return da < db
+		}
+		return ids[a] < ids[b]
+	})
+	return ids
+}
+
+// Row runs answer exactly as the map-backed layout did, element for element:
+// random grids mixing radius-less points, radius 0, points on the bounds and
+// outside them, queried on stored points (distance 0 and exact boundary hits)
+// as well as at random — between inserts, singly and in bursts, as the broker
+// registers campaigns while it serves (so a regrouping finds one appended
+// point in one row, or several across rows), and then at length on the full
+// grid. The nearest-point queries are held to brute force on the same grids.
 func TestGridQueriesKeepMapLayoutOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	edge := []float64{0, 1, 0.5, -0.1, 1.1}
@@ -334,6 +371,30 @@ func TestGridQueriesKeepMapLayoutOrder(t *testing.T) {
 		m := newMapGrid(g)
 		var pts []Point
 		maxR := 0.0
+		query := func(trial int) {
+			q := Point{rng.Float64()*1.2 - 0.1, rng.Float64()*1.2 - 0.1}
+			if trial%4 == 0 {
+				q = pts[rng.Intn(len(pts))]
+			}
+			if got, want := g.CoveredBy(nil, q), m.coveredBy(q, maxR); !equalIDs(got, want) {
+				t.Fatalf("cells=%d n=%d CoveredBy(%v) = %v, map layout %v", cells, len(pts), q, got, want)
+			}
+			r := rng.Float64() * 0.3
+			if trial%8 == 0 {
+				r = q.Dist(pts[rng.Intn(len(pts))]) // a stored point exactly on the rim
+			}
+			if got, want := g.Within(nil, q, r), m.within(q, r); !equalIDs(got, want) {
+				t.Fatalf("cells=%d n=%d Within(%v, %g) = %v, map layout %v", cells, len(pts), q, r, got, want)
+			}
+			want := bruteNearest(pts, q)
+			if id, d, ok := g.Nearest(q); !ok || id != want[0] || d != math.Sqrt(pts[id].Dist2(q)) {
+				t.Fatalf("cells=%d n=%d Nearest(%v) = %d, %g, %v; brute force %d", cells, len(pts), q, id, d, ok, want[0])
+			}
+			k := 1 + rng.Intn(12)
+			if got := g.KNearest(q, k); !equalIDs(got, want[:min(k, len(want))]) {
+				t.Fatalf("cells=%d n=%d KNearest(%v, %d) = %v, brute force %v", cells, len(pts), q, k, got, want[:min(k, len(want))])
+			}
+		}
 		for id := int32(0); id < 600; id++ {
 			p := Point{rng.Float64(), rng.Float64()}
 			if id%9 == 0 {
@@ -344,32 +405,77 @@ func TestGridQueriesKeepMapLayoutOrder(t *testing.T) {
 			switch id % 5 {
 			case 0:
 				g.Insert(id, p)
-				continue
 			case 1:
 				m.radii[id] = 0
+				g.InsertWithRadius(id, p, 0)
 			default:
 				m.radii[id] = rng.Float64() * 0.15
+				g.InsertWithRadius(id, p, m.radii[id])
+				maxR = math.Max(maxR, m.radii[id])
 			}
-			g.InsertWithRadius(id, p, m.radii[id])
-			maxR = math.Max(maxR, m.radii[id])
+			if id%16 < 10 || id%16 == 15 { // ten single inserts, then a burst of six
+				checkLayout(t, g)
+				query(int(id))
+			}
 		}
 		for trial := 0; trial < 400; trial++ {
-			q := Point{rng.Float64()*1.2 - 0.1, rng.Float64()*1.2 - 0.1}
-			if trial%4 == 0 {
-				q = pts[rng.Intn(len(pts))]
-			}
-			if got, want := g.CoveredBy(nil, q), m.coveredBy(q, maxR); !equalIDs(got, want) {
-				t.Fatalf("cells=%d CoveredBy(%v) = %v, map layout %v", cells, q, got, want)
-			}
-			r := rng.Float64() * 0.3
-			if trial%8 == 0 {
-				r = q.Dist(pts[rng.Intn(len(pts))]) // a stored point exactly on the rim
-			}
-			if got, want := g.Within(nil, q, r), m.within(q, r); !equalIDs(got, want) {
-				t.Fatalf("cells=%d Within(%v, %g) = %v, map layout %v", cells, q, r, got, want)
-			}
+			query(trial)
 		}
 	}
+}
+
+// CoveredBy writes scanned ids into dst's spare capacity before it knows
+// whether they hit; what the caller already had in dst must survive that,
+// with room to spare and without, and a warmed scratch buffer must make the
+// probe allocation-free.
+func TestGridCoveredByScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	g := NewGrid(UnitSquare, 16)
+	for id := int32(0); id < 400; id++ {
+		g.InsertWithRadius(id, Point{rng.Float64(), rng.Float64()}, 0.05+rng.Float64()*0.1)
+	}
+	q := Point{0.4, 0.6}
+	want := g.CoveredBy(nil, q)
+	if len(want) == 0 {
+		t.Fatal("probe covers nothing: the case tests nothing")
+	}
+	held := []int32{-7, -8, -9}
+	for _, spare := range []int{0, 1, 4096} {
+		dst := append(make([]int32, 0, len(held)+spare), held...)
+		got := g.CoveredBy(dst, q)
+		if !equalIDs(got[:len(held)], held) || !equalIDs(got[len(held):], want) {
+			t.Errorf("spare %d: CoveredBy(%v, q) = %v, want %v then %v", spare, held, got, held, want)
+		}
+	}
+	var dst []int32
+	probe := func() { dst = g.CoveredBy(dst[:0], q) }
+	probe()
+	if avg := testing.AllocsPerRun(100, probe); avg != 0 {
+		t.Errorf("warmed CoveredBy allocates %.1f/op, want 0", avg)
+	}
+}
+
+// The first query after a build regroups the rows; core.Recon issues its
+// first queries from several workers at once, so that must be safe (run under
+// -race) and every reader must see the grouped rows.
+func TestGridFirstQueriesMayBeConcurrent(t *testing.T) {
+	pts := randomPoints(rand.New(rand.NewSource(34)), 2000)
+	g := buildGrid(pts, 16)
+	want := buildGrid(pts, 16).Within(nil, Point{0.5, 0.5}, 0.3)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if got := g.Within(nil, Point{0.5, 0.5}, 0.3); !equalIDs(got, want) {
+				t.Errorf("concurrent first Within = %d ids, serial %d", len(got), len(want))
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
 }
 
 func TestGridDuplicateInsertWithRadiusPanics(t *testing.T) {

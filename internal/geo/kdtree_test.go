@@ -182,28 +182,88 @@ func benchPoints(n int) ([]int32, []Point, []float64) {
 	return ids, pts, radii
 }
 
+// The CoveredBy pair probes a seeded cycle of points, as
+// BenchmarkGridCoveredByDense does: one fixed probe lets the branch predictor
+// learn that probe's hits and misses by heart, which prices any branch in the
+// scan below what an arrival stream pays for it.
+func benchProbes() []Point {
+	return randomPoints(rand.New(rand.NewSource(43)), 1024)
+}
+
 func BenchmarkGridCoveredBy(b *testing.B) {
 	ids, pts, radii := benchPoints(2000)
 	g := NewGrid(UnitSquare, GridResolution(len(pts), 0.03))
 	for i := range pts {
 		g.InsertWithRadius(ids[i], pts[i], radii[i])
 	}
-	q := Point{X: 0.5, Y: 0.5}
+	probes := benchProbes()
 	var dst []int32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = g.CoveredBy(dst[:0], q)
+		dst = g.CoveredBy(dst[:0], probes[i%len(probes)])
 	}
 }
 
 func BenchmarkKDTreeCoveredBy(b *testing.B) {
 	ids, pts, radii := benchPoints(2000)
 	kd := BuildKDTreeWithRadii(ids, pts, radii)
-	q := Point{X: 0.5, Y: 0.5}
+	probes := benchProbes()
 	var dst []int32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = kd.CoveredBy(dst[:0], q)
+		dst = kd.CoveredBy(dst[:0], probes[i%len(probes)])
+	}
+}
+
+// BenchmarkGridInsert prices building a grid at the resolutions its callers
+// really pick: the broker's fleet (8 192 campaigns into the 64×64 serving
+// grid, in bulk and with a probe after every registration, which regroups one
+// row each time) and core.NewIndex at Fig. 7's 100 000 customers, whose
+// GridResolution is ⌈1/maxR⌉ — 20 cells a side at r = 0.05 (≈5 000 points per
+// row), 100 at r = 0.01 — on uniform points and on check-in-like clusters that
+// crowd a few rows. One op is the whole build plus one Within over everything,
+// so the grouping deferred to the first query is inside the measurement.
+func BenchmarkGridInsert(b *testing.B) {
+	for _, bc := range []struct {
+		name              string
+		n, cells          int
+		probed, clustered bool
+	}{
+		{"8192into64", 8192, 64, false, false},
+		{"8192into64probed", 8192, 64, true, false},
+		{"100000into20", 100000, GridResolution(100000, 0.05), false, false},
+		{"100000into100", 100000, GridResolution(100000, 0.01), false, false},
+		{"100000into20clustered", 100000, GridResolution(100000, 0.05), false, true},
+		{"100000into100clustered", 100000, GridResolution(100000, 0.01), false, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			r := rand.New(rand.NewSource(44))
+			pts := randomPoints(r, bc.n)
+			if bc.clustered {
+				// Eight Gaussian hot spots, σ = 0.02, clamped to the square.
+				centers := randomPoints(r, 8)
+				for i := range pts {
+					c := centers[i%len(centers)]
+					pts[i] = UnitSquare.Clamp(Point{c.X + 0.02*r.NormFloat64(), c.Y + 0.02*r.NormFloat64()})
+				}
+			}
+			var dst []int32
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g := NewGrid(UnitSquare, bc.cells)
+				for id, p := range pts {
+					g.InsertWithRadius(int32(id), p, 0.001)
+					if bc.probed {
+						dst = g.CoveredBy(dst[:0], p)
+					}
+				}
+				if dst = g.Within(dst[:0], Point{0.5, 0.5}, 1); len(dst) != bc.n {
+					b.Fatalf("Within found %d of %d", len(dst), bc.n)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(bc.n), "ns/insert")
+		})
 	}
 }
 

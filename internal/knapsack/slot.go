@@ -20,6 +20,11 @@ package knapsack
 // want of a slot is remembered as the runner-up; its hypothetical pick
 // prices the displaced bid in the second-price charge rule.
 //
+// Only the a_i + 1 classes ranked best by first increment are ever read, so
+// only a class that can still reach that shortlist gets a hull: once the
+// shortlist is full, a class whose best item efficiency does not beat its
+// tail is given an empty hull and left closed (see Solve).
+//
 // Unlike Greedy, SlotSolver allocates nothing in steady state: all working
 // storage is retained flat slices grown by append, so it can live inside the
 // per-stripe scanArena on the zero-alloc serial path.
@@ -97,6 +102,14 @@ func (s *SlotSolver) classStart(ci int) int {
 // result nor the order the value and cost sums accumulate in, and the work
 // after the hulls is linear in the classes for the small slot counts the
 // broker asks for.
+//
+// A hull is built only for a class that can reach that shortlist. A class's
+// first hull increment is one of its own items taken from (0,0), so its
+// efficiency is some item's profit/cost and bestEff bounds it; once the
+// shortlist is full, a class whose bound does not beat the tail's efficiency
+// cannot enter (an equal efficiency loses the tie to the tail's lower class
+// index — classes arrive in ascending order). Nothing reads such a class's
+// hull — Pick is closed, the runner is shortlisted — so it gets an empty one.
 func (s *SlotSolver) Solve(slots int) {
 	n := len(s.classEnd)
 	s.hull = s.hull[:0]
@@ -109,6 +122,10 @@ func (s *SlotSolver) Solve(slots int) {
 	keep := min(max(slots, 0), n) + 1 // clamp first: slots is caller-supplied, up to MaxInt
 	for ci := 0; ci < n; ci++ {
 		s.pickLvl = append(s.pickLvl, 0)
+		if len(s.incs) == keep && s.bestEff(ci) <= s.incs[keep-1].eff {
+			s.hullEnd = append(s.hullEnd, len(s.hull))
+			continue
+		}
 		s.buildHull(ci)
 		if len(s.hullOf(ci)) > 0 {
 			s.shortlist(s.inc(ci, 0), keep)
@@ -146,6 +163,19 @@ func (s *SlotSolver) Solve(slots int) {
 		s.value += inc.dVal
 		s.cost += inc.dCost
 	}
+}
+
+// bestEff returns the largest profit/cost over class ci's positive-profit
+// items, 0 when it has none: an upper bound on the efficiency of the class's
+// first hull increment, computed by the same division inc performs.
+func (s *SlotSolver) bestEff(ci int) float64 {
+	best := 0.0
+	for i := s.classStart(ci); i < s.classEnd[ci]; i++ {
+		if e := s.profits[i] / s.costs[i]; e > best {
+			best = e
+		}
+	}
+	return best
 }
 
 // buildHull computes class ci's upper-left convex hull into the flat hull

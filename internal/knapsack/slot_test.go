@@ -315,8 +315,8 @@ func oracleSolve(s *SlotSolver, slots int) oracleSlot {
 }
 
 // checkAgainstOracle solves the populated instance both ways and demands the
-// same answers, the float sums bit for bit.
-func checkAgainstOracle(t *testing.T, s *SlotSolver, slots int) {
+// same answers, the float sums bit for bit; it returns the oracle's.
+func checkAgainstOracle(t *testing.T, s *SlotSolver, slots int) oracleSlot {
 	t.Helper()
 	want := oracleSolve(s, slots)
 	s.Solve(slots)
@@ -338,6 +338,7 @@ func checkAgainstOracle(t *testing.T, s *SlotSolver, slots int) {
 			math.Float64bits(s.Value()), math.Float64bits(s.Cost()),
 			math.Float64bits(want.value), math.Float64bits(want.cost))
 	}
+	return want
 }
 
 // The shortlisted walk against the full-sort oracle on instances built to hit
@@ -379,6 +380,66 @@ func TestSlotSolverMatchesFullSortOracle(t *testing.T) {
 	}
 }
 
+// Solve builds a hull only for a class whose best profit/cost can still beat
+// the shortlist's tail; these instances sit on that rule's edges. Each class
+// is a list of (cost, profit) pairs and every slot count in `slots` is held to
+// the full-sort oracle.
+//
+// Seeded mutations, each tried by hand against this table and
+// TestSlotSolverMatchesFullSortOracle, and each failing both: skipping before
+// the shortlist is full (any len(incs) > 0 instead of == keep), testing the
+// bound against incs[0] instead of the tail, and reading the bound off a
+// class's first positive-profit item only. (`<` for `<=` is not a fault: it
+// builds the hulls of tied classes, which then lose on class index.)
+func TestSlotSolverHullSkipCorners(t *testing.T) {
+	type class [][2]float64
+	one := func(cost, profit float64) class { return class{{cost, profit}} }
+	for _, tc := range []struct {
+		name    string
+		classes []class
+		slots   []int
+	}{
+		// 0.3/0.1 and 0.6/0.2 differ in both operands and are bit-equal
+		// quotients: the lower index holds the tail, the later class stays out.
+		{"tie straddles the tail", []class{one(1, 5), one(0.1, 0.3), one(0.2, 0.6), one(0.1, 0.3)}, []int{0, 1, 2, 3}},
+		{"tie with the head", []class{one(2, 6), one(1, 3), one(4, 12)}, []int{0, 1, 2}},
+		{"between head and tail", []class{one(1, 5), one(1, 2), one(1, 3), one(1, 4)}, []int{0, 1, 2}},
+		{"lower efficiency, room left", []class{one(1, 5), one(1, 3), one(1, 2), one(1, 1)}, []int{2, 3, 4}},
+		// (2, 6) is the best ratio and the whole hull; (1, 1) is cheaper and
+		// dominated in slope. A bound read off the cheapest item would skip it.
+		{"best ratio is not the cheapest item", []class{one(1, 2.5), one(1, 2), {{1, 1}, {2, 6}}, {{1, 0.5}, {3, 8.5}, {2, 1}}}, []int{0, 1, 2}},
+		{"no positive profit after the shortlist fills", []class{one(1, 5), one(1, 4), {{1, 0}, {2, -3}}, one(1, -1), one(1, 4.5)}, []int{0, 1, 2}},
+		{"no positive profit before it fills", []class{{{1, 0}, {2, -3}}, one(1, -1), one(1, 5), one(1, 4), one(1, 6)}, []int{0, 1, 2, 3}},
+		{"slots ≥ classes", []class{one(1, 5), {{1, 1}, {2, 6}}, one(1, 0), one(3, 1), {{1, 2}, {2, 3}, {4, 4}}}, []int{5, 6, math.MaxInt}},
+		// The runner-up is read through RunnerPick: its hull must be whole
+		// (three levels here), not just its first increment.
+		{"runner with a tall hull", []class{one(1, 9), {{1, 4}, {2, 6}, {4, 7}}, one(1, 3), one(1, 3.5)}, []int{0, 1}},
+		{"nothing to rank", []class{one(1, 0), one(2, -1)}, []int{0, 1, 5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var s SlotSolver
+			for _, c := range tc.classes {
+				s.Begin()
+				for _, it := range c {
+					s.Item(it[0], it[1])
+				}
+			}
+			for _, slots := range tc.slots {
+				want := checkAgainstOracle(t, &s, slots)
+				if slots < len(tc.classes) {
+					continue
+				}
+				// The shortlist never fills: no class may go without its hull.
+				for ci, h := range want.hull {
+					if got := s.hullOf(ci); !slices.Equal(got, h) {
+						t.Fatalf("slots %d: class %d hull %v, oracle %v", slots, ci, got, h)
+					}
+				}
+			}
+		})
+	}
+}
+
 // FuzzSlotSolver decodes an instance from raw bytes — one byte per item,
 // cost from its low nibble and profit from its high one, so ties and
 // duplicates are the common case — and holds Solve to the full-sort oracle.
@@ -389,6 +450,16 @@ func FuzzSlotSolver(f *testing.F) {
 	f.Add([]byte{0xf1, 0xf1, 0x00, 0xf1, 0x00, 0x21, 0x42, 0x63}, uint8(2))
 	f.Add([]byte{}, uint8(3))
 	f.Add([]byte{0x11, 0x00, 0x22}, uint8(255))
+	// The hull-skip corners (TestSlotSolverHullSkipCorners), in this encoding:
+	// a tie straddling the shortlist tail; a late class whose best ratio is its
+	// dearer item; profitless classes once the shortlist is full; slots ≥
+	// classes; no slots; a runner-up with a three-level hull.
+	f.Add([]byte{0x52, 0x00, 0x31, 0x00, 0x31, 0x00, 0x31}, uint8(1))
+	f.Add([]byte{0x52, 0x00, 0x52, 0x00, 0x30, 0xf1}, uint8(1))
+	f.Add([]byte{0x52, 0x00, 0x52, 0x00, 0x21, 0x13, 0x00, 0x10, 0x00, 0x61}, uint8(1))
+	f.Add([]byte{0x52, 0x00, 0x31, 0x00, 0x43, 0x21}, uint8(3))
+	f.Add([]byte{0x31, 0x00, 0x52, 0x00, 0x43}, uint8(0))
+	f.Add([]byte{0xf0, 0x00, 0x50, 0x82, 0x95, 0x00, 0x41}, uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, slots uint8) {
 		var s SlotSolver
 		open := false
