@@ -289,7 +289,15 @@ func (b *Broker) arriveBatch(batch []Arrival, results []BatchResult, offers []Of
 		stages[trace.StageLockWait] = clk.lap()
 	}
 	// The auction flag is read once under the locks (see scan).
-	auction := b.cfg.Slate || b.billing.active.Load()
+	billed := b.billing.active.Load()
+	auction := b.cfg.Slate || billed
+	// Escrow holds are born at the batch's start: the anchor a timed batch
+	// already read, else one read here — once a batch, never under the billing
+	// mutex — and only where a campaign that could hold exists.
+	born := clk.start
+	if !timed && billed {
+		born = time.Now()
+	}
 
 	// One arrivals record frames the whole window; each body is encoded right
 	// after its arrival's commit — after every charge has landed and before
@@ -316,13 +324,13 @@ func (b *Broker) arriveBatch(batch []Arrival, results []BatchResult, offers []Of
 		b.arrivals.Add(1)
 		if a.Capacity > 0 {
 			s0, s1 := b.stripes.Range(a.Loc.Y-maxR, a.Loc.Y+maxR)
-			dir := b.gatherCandidates(ar, a.Loc, s0, s1)
+			fl := b.gatherCandidates(ar, a.Loc, s0, s1)
 			if timed {
 				stages[trace.StageGather] += clk.lap()
 			}
-			agg.add(b.scan(ar, a, dir, auction))
+			agg.add(b.scan(ar, a, fl, auction))
 			if n0 := len(offers); len(ar.cands) > 0 {
-				offers = b.commit(ar, offers, auction)
+				offers = b.commit(ar, offers, auction, born)
 				// Full-slice expression: a later arrival's append can grow past
 				// this segment's length but never overwrite it.
 				results[i].Offers = offers[n0:len(offers):len(offers)]

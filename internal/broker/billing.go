@@ -28,9 +28,9 @@ var (
 const maxOpenOffers = 65536
 
 // openOffer is one escrowed CPC/CPA offer awaiting its conversion event.
-// born is wall-clock bookkeeping for the oldest-age gauge only — it is not
-// serialized, so recovery stamps restart time and ages reset (documented in
-// the billing gauge table).
+// born is wall-clock bookkeeping for the oldest-age gauge only: the start of
+// the batch that made the offer. It is not serialized, so recovery stamps
+// restart time and ages reset (documented in the billing gauge table).
 type openOffer struct {
 	campaign int32
 	model    model.BillingModel
@@ -93,18 +93,18 @@ func newBillingState() *billingState {
 
 // holdLocked registers an escrowed offer and returns its ID: id 0 issues the
 // next one (a live commit), a recorded id is kept (WAL replay, so later
-// conversion records resolve; born is then recovery time — it is not
-// serialized, so the oldest-age gauge measures age since restart). Caller
+// conversion records resolve). born is the caller's clock — the batch's start
+// live, recovery time on replay — so no clock is read under bl.mu. Caller
 // holds the campaign's shard lock and bl.mu; the campaign escrow and held
 // accumulators are the caller's to update (charge already has c in hand).
-func (bl *billingState) holdLocked(c *campaign, m model.BillingModel, hold float64, id uint64) uint64 {
+func (bl *billingState) holdLocked(c *campaign, m model.BillingModel, hold float64, id uint64, born time.Time) uint64 {
 	if id == 0 {
 		id = bl.nextID
 	}
 	if id >= bl.nextID {
 		bl.nextID = id + 1
 	}
-	bl.open[id] = openOffer{campaign: c.id, model: m, hold: hold, born: time.Now()}
+	bl.open[id] = openOffer{campaign: c.id, model: m, hold: hold, born: born}
 	bl.openCount.Add(1)
 	return id
 }

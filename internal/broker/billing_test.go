@@ -40,7 +40,7 @@ func TestOldestOpenAgeCursor(t *testing.T) {
 	var ids [3]uint64
 	bl.mu.Lock()
 	for i := range ids {
-		ids[i] = bl.holdLocked(c, model.BillingCPC, 1, 0)
+		ids[i] = bl.holdLocked(c, model.BillingCPC, 1, 0, time.Now())
 	}
 	// holdLocked stamps wall clock; restamp deterministic ages 30/20/10s.
 	for i, id := range ids {

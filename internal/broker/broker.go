@@ -233,9 +233,9 @@ type Broker struct {
 	stripes geo.Stripes
 	shards  []shard
 
-	regMu     sync.Mutex                  // serializes registrations
-	dir       atomic.Pointer[[]*campaign] // dense id → campaign; append-only, see RegisterCampaignSpec
-	maxRadius atomicFloat                 // monotone max campaign radius
+	regMu     sync.Mutex            // serializes registrations
+	dir       atomic.Pointer[fleet] // dense id → campaign + vendor slab; append-only, see RegisterCampaignSpec
+	maxRadius atomicFloat           // monotone max campaign radius
 
 	arrivals atomic.Int64
 	offers   atomic.Int64
@@ -328,8 +328,7 @@ func newMemory(cfg Config) (*Broker, error) {
 			b.minAdCost = t.Cost
 		}
 	}
-	empty := make([]*campaign, 0)
-	b.dir.Store(&empty)
+	b.dir.Store(&fleet{off: []int{0}})
 	b.gammaMin.Store(math.Inf(1))
 	b.phiBoost.Store(1)
 	b.billing = newBillingState()
@@ -343,7 +342,7 @@ func newMemory(cfg Config) (*Broker, error) {
 	if cfg.Funnel.Enabled {
 		// Built before the metrics registry hookup: newBrokerMetrics registers
 		// the muaa_funnel_* families only when the funnel exists.
-		b.funnel = &funnelRegistry{dir: &b.dir}
+		b.funnel = &funnelRegistry{b: b}
 	}
 	if cfg.Metrics != nil {
 		b.metrics = newBrokerMetrics(cfg.Metrics, b)
@@ -430,8 +429,8 @@ func (b *Broker) RegisterCampaignSpec(spec CampaignSpec) (int32, error) {
 	}
 	b.regMu.Lock()
 	defer b.regMu.Unlock()
-	old := *b.dir.Load()
-	id := int32(len(old))
+	old := b.dir.Load()
+	id := int32(len(old.campaigns))
 	if b.wal != nil {
 		// Log before publishing the directory entry: any mutation of this
 		// campaign can only start after publication, so its record is
@@ -448,7 +447,6 @@ func (b *Broker) RegisterCampaignSpec(spec CampaignSpec) (int32, error) {
 		penalty:    spec.Penalty,
 		billing:    spec.Billing,
 	}
-	c.vendor.Prepare(c.tags)
 	c.budget.Store(spec.Budget)
 	c.rate.Store(1)
 	c.allowance.Store(math.Inf(1))
@@ -462,13 +460,23 @@ func (b *Broker) RegisterCampaignSpec(spec CampaignSpec) (int32, error) {
 	// Publish the directory entry before the grid entry: arrivals discover
 	// campaigns only through a shard's grid (under its lock), so a campaign
 	// visible in a grid is always resolvable, while a directory entry not
-	// yet in a grid is merely invisible to arrivals. The directory grows in
-	// place: append writes slot id — past the length of every header published
-	// so far, so no reader indexes it — and the atomic store then publishes a
-	// longer header over the same backing array (or over append's geometric
-	// regrowth, which leaves the old array to its readers).
-	next := append(old, c)
-	b.dir.Store(&next)
+	// yet in a grid is merely invisible to arrivals. The fleet grows in place:
+	// each append writes past the length of every header published so far, so
+	// no reader indexes it, and the atomic store then publishes a longer header
+	// over the same backing arrays (or over append's geometric regrowth, which
+	// leaves the old array to its readers). The vendor slab entry is the
+	// campaign's UnitPearson.Prepare, copied; off's last entry is len(d), so
+	// the new run starts where the slab ended.
+	var vendor model.UnitPearson
+	vendor.Prepare(c.tags)
+	d, cov := vendor.Vector()
+	next := &fleet{
+		campaigns: append(old.campaigns, c),
+		d:         append(old.d, d...),
+		cov:       append(old.cov, cov),
+	}
+	next.off = append(old.off, len(next.d))
+	b.dir.Store(next)
 	b.maxRadius.Max(spec.Radius)
 	sh := &b.shards[c.shard]
 	sh.mu.Lock()
@@ -544,7 +552,7 @@ func (b *Broker) CampaignState(id int32) (Campaign, error) {
 // read is lock-free: per-campaign values are atomically consistent, the
 // set-wide view is a relaxed snapshot.
 func (b *Broker) Campaigns() []Campaign {
-	dir := *b.dir.Load()
+	dir := b.dir.Load().campaigns
 	out := make([]Campaign, len(dir))
 	for i, c := range dir {
 		out[i] = c.snapshot()
@@ -557,7 +565,7 @@ func (b *Broker) Campaigns() []Campaign {
 var ErrUnknownCampaign = errors.New("broker: unknown campaign")
 
 func (b *Broker) campaign(id int32) (*campaign, error) {
-	dir := *b.dir.Load()
+	dir := b.dir.Load().campaigns
 	if id < 0 || int(id) >= len(dir) {
 		return nil, fmt.Errorf("%w %d", ErrUnknownCampaign, id)
 	}
@@ -631,7 +639,7 @@ func (b *Broker) Stats() Stats {
 		gs.min = 0 // report the unseen state as zeros, as the original broker did
 	}
 	return Stats{
-		Campaigns:     len(*b.dir.Load()),
+		Campaigns:     len(b.dir.Load().campaigns),
 		Arrivals:      b.arrivals.Load(),
 		OffersPushed:  b.offers.Load(),
 		UtilityServed: b.utility.Load(),

@@ -506,9 +506,15 @@ func (b *Broker) applyRecord(rec []byte) error {
 		// Replay in the original commit order, one body at a time — counter,
 		// γ fold, then each offer's charge, the same accumulator sequence the
 		// live path performed — so serial and batched histories of one stream
-		// recover to the same bits (TestBatchReplayBitExact).
+		// recover to the same bits (TestBatchReplayBitExact). Only an
+		// auction-resolved window can hold, and its holds are born now:
+		// recovery time (see openOffer.born).
+		var now time.Time
+		if d.Auction {
+			now = time.Now()
+		}
 		for i := range d.Arrivals {
-			if err := b.applyArrival(&d.Arrivals[i], d.Auction); err != nil {
+			if err := b.applyArrival(&d.Arrivals[i], d.Auction, now); err != nil {
 				return err
 			}
 		}
@@ -522,8 +528,8 @@ func (b *Broker) applyRecord(rec []byte) error {
 // applyArrival folds one logged arrival into the recovering broker: the
 // counter, the γ bounds, then every offer's charge in commit order, through
 // the same Broker.charge the live commit used, with the auction flag the
-// live commit recorded.
-func (b *Broker) applyArrival(e *ArrivalRecord, auction bool) error {
+// live commit recorded; now stamps replayed holds.
+func (b *Broker) applyArrival(e *ArrivalRecord, auction bool, now time.Time) error {
 	b.arrivals.Add(1)
 	b.gammaMin.Min(e.GammaMin)
 	b.gammaMax.Max(e.GammaMax)
@@ -532,7 +538,7 @@ func (b *Broker) applyArrival(e *ArrivalRecord, auction bool) error {
 		if err != nil {
 			return err
 		}
-		b.charge(c, &e.Offers[i], auction)
+		b.charge(c, &e.Offers[i], auction, now)
 	}
 	return nil
 }
@@ -559,7 +565,7 @@ func (b *Broker) applyConversion(d *DecodedRecord) error {
 // mutator quiesced (regMu plus all shard locks held), so the atomics are
 // stable and the encoding is a consistent cut.
 func (b *Broker) encodeSnapshot() []byte {
-	dir := *b.dir.Load()
+	dir := b.dir.Load().campaigns
 	buf := make([]byte, 0, 256+len(dir)*200)
 	buf = append(buf, snapshotVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(b.arrivals.Load()))
@@ -669,7 +675,7 @@ func (b *Broker) applySnapshot(data []byte) error {
 		if got != sc.ID {
 			return fmt.Errorf("snapshot campaign %d re-registered as %d", sc.ID, got)
 		}
-		c := (*b.dir.Load())[got]
+		c := b.dir.Load().campaigns[got]
 		c.spent.bits.Store(sc.SpentBits)
 		c.paused.Store(sc.Paused)
 		c.rate.bits.Store(sc.RateBits)

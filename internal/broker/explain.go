@@ -190,10 +190,10 @@ func (b *Broker) Explain(a Arrival) (*ExplainReport, error) {
 	auction := b.cfg.Slate || b.billing.active.Load()
 	why := &explainLog{lowScore: map[int32]float64{}}
 	ar := &scanArena{rec: true, why: why}
-	dir := b.gatherCandidates(ar, a.Loc, s0, s1)
+	fl := b.gatherCandidates(ar, a.Loc, s0, s1)
 	ar.gamma = b.gammaSeed()
 	entry := ar.gamma
-	b.decide(ar, &a, dir, auction)
+	b.decide(ar, &a, fl, auction)
 
 	rep.Slate = auction
 	rep.Boost = b.boost()

@@ -8,6 +8,7 @@ package broker
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -21,6 +22,7 @@ import (
 
 	"muaa/internal/geo"
 	"muaa/internal/obs"
+	"muaa/internal/pacing"
 	"muaa/internal/workload"
 )
 
@@ -129,7 +131,7 @@ func TestFunnelAttributionGates(t *testing.T) {
 		t.Errorf("fleet gathered %d, want %d", got, 4*n)
 	}
 	var sum uint64
-	for _, v := range b.funnel.fleetTotals() {
+	for _, v := range b.funnel.walk(0).totals {
 		sum += v
 	}
 	if sum != 4*n {
@@ -137,7 +139,7 @@ func TestFunnelAttributionGates(t *testing.T) {
 	}
 
 	// top ranks by gathered (all equal here) then ascending id.
-	top := b.funnel.top(2)
+	top := b.funnel.walk(2).top
 	if len(top) != 2 || top[0].Campaign != winner || top[1].Campaign != loser {
 		t.Errorf("top(2) = %+v, want campaigns %d, %d", top, winner, loser)
 	}
@@ -173,7 +175,7 @@ func TestFunnelExhaustionGate(t *testing.T) {
 // a fleet of any size. A fleet past 4096 campaigns takes concurrent arrivals
 // that touch well over 64 distinct ids ≥ 4096 (the sizes at which rows were
 // once shared and evicted); every row must be conserved, the rows must sum to
-// muaa_funnel_gathered_total and to fleetTotals column by column, a count
+// muaa_funnel_gathered_total and to the walk's totals column by column, a count
 // seen in one top(16) read must never be lower in a later one, and top(n)
 // must equal the first n rows of a full sort by (gathered desc, id asc).
 func TestFunnelExactForEveryCampaign(t *testing.T) {
@@ -231,13 +233,13 @@ func TestFunnelExactForEveryCampaign(t *testing.T) {
 	}
 
 	drive(0, arrivals/2)
-	before := b.funnel.top(16)
+	before := b.funnel.walk(16).top
 	if len(before) != 16 {
 		t.Fatalf("top(16) after %d arrivals returned %d rows", arrivals/2, len(before))
 	}
 	drive(arrivals/2, arrivals)
 	after := make(map[int32]uint64)
-	for _, fc := range b.funnel.top(16) {
+	for _, fc := range b.funnel.walk(16).top {
 		after[fc.Campaign] = fc.Gathered
 	}
 	for _, fc := range before {
@@ -286,8 +288,8 @@ func TestFunnelExactForEveryCampaign(t *testing.T) {
 	if float64(rowsGathered) != scraped || rowsGathered == 0 {
 		t.Errorf("per-campaign gathered sum %d != muaa_funnel_gathered_total %v", rowsGathered, scraped)
 	}
-	if fleet := b.funnel.fleetTotals(); fleet != columns {
-		t.Errorf("fleetTotals %v != per-campaign column sums %v", fleet, columns)
+	if fleet := b.funnel.walk(0).totals; fleet != columns {
+		t.Errorf("walk totals %v != per-campaign column sums %v", fleet, columns)
 	}
 	for _, d := range []funnelDisposition{dispOffered, dispPaused, dispExhausted, dispTagMismatch, dispDisplaced} {
 		if columns[d] == 0 {
@@ -306,11 +308,11 @@ func TestFunnelExactForEveryCampaign(t *testing.T) {
 		if n < len(all) {
 			want = all[:n]
 		}
-		if got := b.funnel.top(n); !slices.Equal(got, want) {
+		if got := b.funnel.walk(n).top; !slices.Equal(got, want) {
 			t.Errorf("top(%d) differs from the first %d rows of the full sort", n, len(want))
 		}
 	}
-	if b.funnel.top(0) != nil {
+	if b.funnel.walk(0).top != nil {
 		t.Error("top(0) should be nil")
 	}
 }
@@ -412,7 +414,7 @@ func TestFunnelConservationSoak(t *testing.T) {
 				t.Errorf("per-campaign gathered sum %d != fleet gathered %d", gatheredSum, fleet)
 			}
 			var totals uint64
-			for _, v := range b.funnel.fleetTotals() {
+			for _, v := range b.funnel.walk(0).totals {
 				totals += v
 			}
 			if totals != fleet || dispSum != fleet {
@@ -424,6 +426,206 @@ func TestFunnelConservationSoak(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFunnelRowsUnderShardLocks is the -race gate for the rows' locking rule:
+// they are plain words, written by folds under the owning shard's lock and
+// read by CampaignFunnel under that one lock and by the scrape's walk under
+// all of them. ArriveBatch windows covering every stripe race CampaignFunnel
+// readers, full /metrics scrapes, direct walks, controller epochs (PacingStep
+// takes regMu, then every shard lock) and registrations (regMu, then one shard
+// lock; a third of them in a second taxonomy) — the funnel readers take shard
+// locks only, ascending, so the global order regMu → shards ascending →
+// billing mutex holds with them in it. A count must never run backwards
+// between two reads; after quiescence every row sums to its gathered count and
+// the rows, the walk's column sums and the scraped families all agree with
+// muaa_funnel_gathered_total.
+func TestFunnelRowsUnderShardLocks(t *testing.T) {
+	const (
+		seeded  = 96 // campaigns registered before traffic
+		late    = 160
+		workers = 4
+		windows = 40 // per worker, 16 arrivals each
+	)
+	reg := obs.NewRegistry()
+	ctl := pacing.Default()
+	b := funnelBroker(t, Config{AdTypes: workload.DefaultAdTypes(), Shards: 8, Metrics: reg, Controller: &ctl})
+	specs, ops, err := workload.BrokerLoad(workload.BilledBrokerLoadConfig(seeded, workers*windows*16, 27))
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerLoad(t, b, specs)
+	var arrivals []Arrival
+	for _, op := range ops {
+		if op.Kind == workload.OpArrival {
+			arrivals = append(arrivals, Arrival{Loc: op.Loc, Capacity: op.Capacity, ViewProb: op.ViewProb,
+				Interests: op.Interests, Hour: op.Hour})
+		}
+	}
+
+	var traffic, observers sync.WaitGroup
+	stop := make(chan struct{})
+	observe := func(f func()) {
+		observers.Add(1)
+		go func() {
+			defer observers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					f()
+				}
+			}
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		traffic.Add(1)
+		go func(w int) {
+			defer traffic.Done()
+			for k := 0; k < windows; k++ {
+				// A window of arrivals strided across the stream lands on every
+				// stripe, so its covering interval is the whole broker.
+				var batch [16]Arrival
+				for i := range batch {
+					batch[i] = arrivals[(w+workers*(k+windows*i))%len(arrivals)]
+				}
+				for _, r := range b.ArriveBatch(batch[:]) {
+					if r.Err != nil {
+						t.Error(r.Err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	traffic.Add(1)
+	go func() {
+		defer traffic.Done()
+		for i := 0; i < late; i++ {
+			tags := specs[i%seeded].Tags
+			if i%3 == 0 {
+				tags = tags[:3]
+			}
+			loc := geo.Point{X: 0.05 + 0.9*float64(i%13)/13, Y: 0.05 + 0.9*float64(i%17)/17}
+			if _, err := b.RegisterCampaign(loc, 0.2, 50, tags); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	seen := make([]uint64, seeded) // the CampaignFunnel reader's own
+	next := 0
+	observe(func() {
+		fc, err := b.CampaignFunnel(int32(next))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		conserved(t, fc)
+		if fc.Gathered < seen[next] {
+			t.Errorf("campaign %d: gathered ran backwards, %d → %d", next, seen[next], fc.Gathered)
+		}
+		seen[next], next = fc.Gathered, (next+1)%seeded
+	})
+	observe(func() { reg.WriteText(io.Discard) })
+	var lastWalk uint64
+	observe(func() {
+		w := b.funnel.walk(funnelTopN)
+		var sum uint64
+		for _, v := range w.totals {
+			sum += v
+		}
+		// One cut under every shard lock: no fold is half in it, so the columns
+		// sum to a gathered count some moment had — at most what it is now.
+		if now := b.funnel.gathered.Load(); sum < lastWalk || sum > now {
+			t.Errorf("walk totals sum %d after %d, fleet gathered %d", sum, lastWalk, now)
+		}
+		lastWalk = sum
+		for _, fc := range w.top {
+			conserved(t, fc)
+		}
+	})
+	observe(func() {
+		if _, err := b.PacingStep(); err != nil {
+			t.Error(err)
+		}
+	})
+	traffic.Wait()
+	// One more pass with the observers still running, so every late campaign
+	// is gathered however the registrations interleaved with the workers.
+	for at := 0; at+16 <= len(arrivals); at += 16 {
+		b.ArriveBatch(arrivals[at : at+16])
+	}
+	close(stop)
+	observers.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	fleet := b.funnel.gathered.Load()
+	var rows, mismatched uint64
+	var columns [numDispositions]uint64
+	for id := 0; id < seeded+late; id++ {
+		fc, err := b.CampaignFunnel(int32(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		conserved(t, fc)
+		rows += fc.Gathered
+		mismatched += fc.TagMismatch
+		for d, v := range fc.dispositions() {
+			columns[d] += v
+		}
+	}
+	if rows != fleet || fleet == 0 {
+		t.Errorf("rows sum to %d gathered, fleet counter %d", rows, fleet)
+	}
+	if got := b.funnel.walk(0).totals; got != columns {
+		t.Errorf("walk totals %v != per-campaign column sums %v", got, columns)
+	}
+	if mismatched == 0 {
+		t.Error("no campaign of the second taxonomy was ever gathered")
+	}
+	var scrapedGathered, scrapedColumns float64
+	for _, p := range reg.Gather() {
+		switch p.Name {
+		case "muaa_funnel_gathered_total":
+			scrapedGathered = p.Value
+		case "muaa_funnel_dispositions_total":
+			scrapedColumns += p.Value
+		}
+	}
+	if scrapedGathered != float64(fleet) || scrapedColumns != float64(fleet) {
+		t.Errorf("scrape: gathered %v, dispositions sum %v, fleet counter %d", scrapedGathered, scrapedColumns, fleet)
+	}
+}
+
+// BenchmarkFunnelWalk prices one scrape's walk — every row of the `dense`
+// fleet's 8 192 campaigns read under every shard lock — which is how long a
+// scrape holds the serving path out. "cold" evicts the rows between walks by
+// serving a window of arrivals, as a real scrape interval does.
+func BenchmarkFunnelWalk(b *testing.B) {
+	br, err := New(Config{AdTypes: workload.DefaultAdTypes(), Funnel: FunnelConfig{Enabled: true}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	arrivals := denseMarket(b, br, false)
+	br.ArriveBatch(arrivals[:512])
+	b.Run("warm", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			br.funnel.walk(funnelTopN)
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			at := 64 * (i % (len(arrivals) / 64))
+			br.ArriveBatch(arrivals[at : at+64])
+			b.StartTimer()
+			br.funnel.walk(funnelTopN)
+		}
+	})
 }
 
 // TestReplayMatchesGoldenFunnelEnabled: funnel attribution is

@@ -477,7 +477,7 @@ func FuzzKernelAdmitted(f *testing.F) {
 				}
 			}
 			var disposed uint64
-			for _, n := range b.funnel.fleetTotals() {
+			for _, n := range b.funnel.walk(0).totals {
 				disposed += n
 			}
 			if g := b.funnel.gathered.Load(); disposed != g {

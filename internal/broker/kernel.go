@@ -10,12 +10,17 @@ package broker
 //
 //  1. gatherCandidates: grid probes into ar.ids, put in ascending order —
 //     the global scan order — through a bitset over the campaign directory.
-//  2. terms: the filter sequence (paused → budget → tag dimension → score)
-//     and the γ-independent per-candidate terms, into flat arrays. The score
-//     is Eq. 5 under unit activity weights: the arrival's half is prepared
-//     here once, each campaign's was at registration (model.UnitPearson).
-//     This stage never reads γ, so running it ahead of the walk cannot
-//     change a decision.
+//  2. terms, two loops. The read sweep touches every gathered campaign once
+//     and copies what the stage needs of it — the mutable money fields, the
+//     immutable geometry and class, and Eq. 5's covariance against the
+//     fleet's vendor slab — into flat ar.rows, with no branch that depends
+//     on what it read, so the misses of many candidates overlap. The filter
+//     loop then runs the filter sequence (paused → budget → tag dimension →
+//     score) and the γ-independent per-candidate terms over the rows, into
+//     flat arrays. The score is Eq. 5 under unit activity weights: the
+//     arrival's half is prepared here once, each campaign's was at
+//     registration (model.UnitPearson). This stage never reads γ, so running
+//     it ahead of the walk cannot change a decision.
 //  3. walk: the sequential threshold walk — the only loop that compares an
 //     efficiency with φ(δ). γ observations feed forward from candidate i to
 //     candidate i+1's threshold, so it must stay in candidate order. Every
@@ -46,6 +51,8 @@ package broker
 import (
 	"math"
 	"math/bits"
+	"slices"
+	"time"
 
 	"muaa/internal/geo"
 	"muaa/internal/knapsack"
@@ -140,7 +147,8 @@ func (g *gammaState) reportedG() float64 {
 const guaranteeRelief = 0.25
 
 // scanArena is the reusable scratch one decision runs in. All slices are
-// grown by append and retained at high-water capacity, and the id bitset and
+// grown by append and retained at high-water capacity — rows to the largest
+// gathered set, whatever the fleet or its slab grow to — and the id bitset and
 // the prepared customer are reused across arrivals, so the steady-state
 // serving path allocates nothing and scoring runs over dense float64 arrays.
 //
@@ -160,6 +168,10 @@ type scanArena struct {
 	ids     []int32
 	mark    []uint64
 	summary []uint64
+
+	// rows is terms' read sweep: rows[i] is what gathered campaign ids[i]
+	// looked like, each field read once under the stripe locks. Pointer-free.
+	rows []termRow
 
 	// Struct-of-arrays terms for candidates that survived the filters,
 	// indexed together: cand[i]'s Eq. 4 base value is base[i], its
@@ -196,8 +208,22 @@ type scanArena struct {
 	why *explainLog
 
 	// customer is the arrival's half of Eq. 5, prepared once in terms and
-	// scored against every candidate's campaign.vendor.
+	// scored against every candidate's run of the vendor slab.
 	customer model.UnitPearson
+}
+
+// termRow is one gathered campaign as terms' read sweep found it: the mutable
+// money fields (allowance only on a controller broker), the immutable geometry
+// and delivery class, and the vendor half of Eq. 5 already folded with the
+// arrival's — covXY is the covariance of the two centred vectors (0 when
+// their dimensions differ, which mismatch records), covYY the campaign's own
+// sum of squares.
+type termRow struct {
+	budget, spent, escrow, allowance float64
+	loc                              geo.Point
+	floor                            float64
+	covXY, covYY                     float64
+	paused, guaranteed, mismatch     bool
 }
 
 // rep is one admitted candidate awaiting slot resolution: its best admitted
@@ -278,19 +304,20 @@ func (ar *scanArena) drop(t *scanTally, id int32, d funnelDisposition) {
 
 // gatherCandidates probes the locked shards' grids for campaigns covering
 // loc, puts the ids in ascending order (global ID order — the same order the
-// single-mutex broker scanned in), and returns the campaign directory.
-// Loaded after the shard locks and the probes: any id a locked grid returned
-// was inserted under that shard's lock, and its registration published the
-// directory entry before the grid entry, so this load observes it — every
-// gathered id indexes the directory, and so the bitset sized to it.
-func (b *Broker) gatherCandidates(ar *scanArena, loc geo.Point, s0, s1 int) []*campaign {
+// single-mutex broker scanned in), and returns the fleet — the campaign
+// directory and the vendor slab, one header. Loaded after the shard locks and
+// the probes: any id a locked grid returned was inserted under that shard's
+// lock, and its registration published the fleet header before the grid
+// entry, so this load observes it — every gathered id indexes the directory
+// and the slab, and so the bitset sized to them.
+func (b *Broker) gatherCandidates(ar *scanArena, loc geo.Point, s0, s1 int) *fleet {
 	ar.ids = ar.ids[:0]
 	for i := s0; i <= s1; i++ {
 		ar.ids = b.shards[i].grid.CoveredBy(ar.ids, loc)
 	}
-	dir := *b.dir.Load()
-	ar.orderIDs(len(dir))
-	return dir
+	fl := b.dir.Load()
+	ar.orderIDs(len(fl.campaigns))
+	return fl
 }
 
 // orderIDs rewrites ar.ids — distinct ids in [0, n) — in ascending order
@@ -333,13 +360,13 @@ func (ar *scanArena) orderIDs(n int) {
 // flag must have been read after the stripe locks were taken: a billed
 // campaign visible in any held shard's grid was inserted under that shard's
 // lock after billing.active flipped, so it is never resolved unpriced.
-func (b *Broker) scan(ar *scanArena, a *Arrival, dir []*campaign, auction bool) scanTally {
+func (b *Broker) scan(ar *scanArena, a *Arrival, fl *fleet, auction bool) scanTally {
 	ar.rec = b.funnel != nil
 	ar.gamma = b.gammaSeed()
-	tally := b.decide(ar, a, dir, auction)
+	tally := b.decide(ar, a, fl, auction)
 	b.gammaMerge(&ar.gamma)
 	if b.funnel != nil {
-		b.funnel.fold(ar, dir)
+		b.funnel.fold(ar, fl.campaigns)
 	}
 	return tally
 }
@@ -347,12 +374,12 @@ func (b *Broker) scan(ar *scanArena, a *Arrival, dir []*campaign, auction bool) 
 // decide runs terms → walk → resolve over ar.ids against ar.gamma, leaving
 // the priced winners in ar.cands. It writes nothing outside the arena.
 // Caller holds the stripe locks that produced ar.ids.
-func (b *Broker) decide(ar *scanArena, a *Arrival, dir []*campaign, auction bool) scanTally {
+func (b *Broker) decide(ar *scanArena, a *Arrival, fl *fleet, auction bool) scanTally {
 	var tally scanTally
 	tally.gathered = uint64(len(ar.ids))
 	ar.fev = ar.fev[:0]
 	ar.cands = ar.cands[:0]
-	b.terms(ar, a, dir, &tally)
+	b.terms(ar, a, fl, &tally)
 	slots := auction && a.Capacity > 1
 	b.walk(ar, &tally, slots)
 	if len(ar.reps) == 0 {
@@ -379,11 +406,12 @@ func (b *Broker) decide(ar *scanArena, a *Arrival, dir []*campaign, auction bool
 	return tally
 }
 
-// terms runs the filter sequence over ar.ids and computes the γ-independent
-// terms of every survivor. Eq. 5 correlates two vectors of one taxonomy; live
-// arrivals and campaigns come from untrusted clients, so a dimension mismatch
-// is ineligibility here, never the scorer's panic.
-func (b *Broker) terms(ar *scanArena, a *Arrival, dir []*campaign, tally *scanTally) {
+// terms reads every gathered campaign once into ar.rows, then runs the filter
+// sequence over the rows and computes the γ-independent terms of every
+// survivor. Eq. 5 correlates two vectors of one taxonomy; live arrivals and
+// campaigns come from untrusted clients, so a dimension mismatch is
+// ineligibility here, never the scorer's panic.
+func (b *Broker) terms(ar *scanArena, a *Arrival, fl *fleet, tally *scanTally) {
 	ar.cand = ar.cand[:0]
 	ar.base = ar.base[:0]
 	ar.delta = ar.delta[:0]
@@ -391,24 +419,50 @@ func (b *Broker) terms(ar *scanArena, a *Arrival, dir []*campaign, tally *scanTa
 	ar.headroom = ar.headroom[:0]
 	ar.relief = ar.relief[:0]
 	ar.customer.Prepare(a.Interests)
-	for _, id := range ar.ids {
-		c := dir[id]
-		if c.paused.Load() {
+
+	// The read sweep. Everything the filters below might want is loaded
+	// whether or not they will — half the candidates of a dense market fall at
+	// the score, a coin flip per candidate that would otherwise discard the
+	// loads speculated past it. The tests here are loop-invariant, or (the
+	// dimension) the same way for every campaign of a one-taxonomy fleet.
+	dim, controller := len(a.Interests), b.controller != nil
+	rows := slices.Grow(ar.rows[:0], len(ar.ids))[:len(ar.ids)]
+	ar.rows = rows
+	for i, id := range ar.ids {
+		c, r := fl.campaigns[id], &rows[i]
+		r.paused = c.paused.Load()
+		r.budget = c.budget.Load()
+		r.spent = c.spent.Load()
+		r.escrow = c.escrow.Load()
+		if controller {
+			r.allowance = c.allowance.Load()
+		}
+		r.loc, r.guaranteed, r.floor = c.loc, c.guaranteed, c.floor
+		v := fl.vendor(id)
+		r.mismatch, r.covXY, r.covYY = len(v) != dim, 0, fl.cov[id]
+		if !r.mismatch {
+			r.covXY = ar.customer.Cov(v)
+		}
+	}
+
+	for i, id := range ar.ids {
+		r := &rows[i]
+		if r.paused {
 			ar.drop(tally, id, dispPaused)
 			continue
 		}
-		budget := c.budget.Load()
+		budget := r.budget
 		if budget <= 0 {
 			ar.drop(tally, id, dispExhausted)
 			continue
 		}
-		if len(c.tags) != len(a.Interests) {
+		if r.mismatch {
 			// Mismatched taxonomies: preference undefined, not served.
 			ar.drop(tally, id, dispTagMismatch)
 			continue
 		}
-		spent := c.spent.Load()
-		s := ar.customer.Score(&c.vendor)
+		spent := r.spent
+		s := ar.customer.Correlate(r.covXY, r.covYY)
 		if s <= 0 || math.IsNaN(s) {
 			ar.drop(tally, id, dispLowScore)
 			if ar.why != nil {
@@ -419,17 +473,17 @@ func (b *Broker) terms(ar *scanArena, a *Arrival, dir []*campaign, tally *scanTa
 		if s > 1 {
 			s = 1
 		}
-		d := a.Loc.Dist(c.loc)
+		d := a.Loc.Dist(r.loc)
 		if d < model.DefaultMinDist {
 			d = model.DefaultMinDist
 		}
 		base := a.ViewProb * s / d
 		delta := spent / budget
-		relief := c.guaranteed && c.floor > 0 && spent < c.floor*budget*(a.Hour/24)
+		relief := r.guaranteed && r.floor > 0 && spent < r.floor*budget*(a.Hour/24)
 		// Escrowed budget is committed money: it is unavailable to new offers
 		// until the conversion lands or the hold expires. Zero unless the
 		// campaign bills per event, and x − 0 is x bit for bit.
-		remaining := budget - spent - c.escrow.Load()
+		remaining := budget - spent - r.escrow
 		headroom := remaining
 		if b.cfg.Pacing > 0 {
 			// Daily pacing cap: spend so far plus this ad must stay within
@@ -439,15 +493,15 @@ func (b *Broker) terms(ar *scanArena, a *Arrival, dir []*campaign, tally *scanTa
 				remaining = paced
 			}
 		}
-		if b.controller != nil {
+		if controller {
 			// Controller epoch cap: spend may not pass the allowance the last
 			// PacingStep granted (+Inf when uncapped, so this is a no-op for
 			// unthrottled campaigns).
-			if paced := c.allowance.Load() - spent; paced < remaining {
+			if paced := r.allowance - spent; paced < remaining {
 				remaining = paced
 			}
 		}
-		ar.cand = append(ar.cand, c)
+		ar.cand = append(ar.cand, fl.campaigns[id])
 		ar.base = append(ar.base, base)
 		ar.delta = append(ar.delta, delta)
 		ar.remaining = append(ar.remaining, remaining)
@@ -664,15 +718,16 @@ func priceOffer(c *campaign, adTypes []model.AdType, r *rep, runnerBid float64) 
 }
 
 // commit charges every winner in ar.cands and appends the offers to dst,
-// returning the extended slice. Caller still holds the stripe locks, which
-// cover every winner's owning shard.
-func (b *Broker) commit(ar *scanArena, dst []Offer, auction bool) []Offer {
+// returning the extended slice; now is the batch's clock, which stamps escrow
+// holds. Caller still holds the stripe locks, which cover every winner's
+// owning shard.
+func (b *Broker) commit(ar *scanArena, dst []Offer, auction bool, now time.Time) []Offer {
 	m := b.metrics
 	for i := range ar.cands {
 		cd := &ar.cands[i]
 		oldSpent := cd.c.spent.Load()
 		newSpent := oldSpent + cd.Cost
-		b.charge(cd.c, &cd.Offer, auction)
+		b.charge(cd.c, &cd.Offer, auction, now)
 		dst = append(dst, cd.Offer)
 		if m != nil {
 			m.offersByType[cd.AdType].Inc()
@@ -692,21 +747,21 @@ func (b *Broker) commit(ar *scanArena, dst []Offer, auction bool) []Offer {
 // escrow, for live commits and WAL replay alike, so a replayed history
 // repeats the live accumulator sequence bit for bit. A deferred offer
 // (Hold > 0) registers in the escrow table instead of spending — under a
-// fresh offer ID when o.ID is 0, under the recorded one on replay — and may
-// expire the oldest open offer to stay within the table bound; an
+// fresh offer ID when o.ID is 0, under the recorded one on replay, born at
+// now — and may expire the oldest open offer to stay within the table bound; an
 // immediately charged one is folded into the per-model revenue counters
 // when the arrival was auction-resolved. Writers hold the owning shard's
 // lock (every candidate came from a locked shard), so load+store is a safe
 // read-modify-write.
-func (b *Broker) charge(c *campaign, o *Offer, auction bool) {
+func (b *Broker) charge(c *campaign, o *Offer, auction bool, now time.Time) {
 	bl := b.billing
 	if o.Hold > 0 {
 		bl.mu.Lock()
-		o.ID = bl.holdLocked(c, o.Model, o.Hold, o.ID)
+		o.ID = bl.holdLocked(c, o.Model, o.Hold, o.ID, now)
 		c.escrow.Store(c.escrow.Load() + o.Hold)
 		bl.held.Add(o.Hold)
 		if len(bl.open) > bl.maxOpen {
-			bl.evictLocked(*b.dir.Load())
+			bl.evictLocked(b.dir.Load().campaigns)
 		}
 		bl.mu.Unlock()
 	} else if auction {

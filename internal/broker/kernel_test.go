@@ -1,10 +1,108 @@
 package broker
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
+
+	"muaa/internal/geo"
+	"muaa/internal/model"
+	"muaa/internal/workload"
 )
+
+// TestVendorSlabMatchesPrepare: the fleet's vendor slab is the
+// registration-time UnitPearson.Prepare, for any mix of tag dimensions, while
+// it grows. Registrations of dimension 0, 1, 8, 17 and 256 interleave, so the
+// offsets are irregular and the slab regrows several times; after each one
+// the new campaign's run and sum of squares are Float64bits-equal to a fresh
+// Prepare of its tags, and every header taken just before a regrowth still
+// reads all of its own ids correctly once the fleet has long outgrown it.
+func TestVendorSlabMatchesPrepare(t *testing.T) {
+	b, err := New(Config{AdTypes: workload.DefaultAdTypes()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(27))
+	var tags [][]float64
+	check := func(when string, fl *fleet, id int) {
+		t.Helper()
+		var want model.UnitPearson
+		want.Prepare(tags[id])
+		d, cov := want.Vector()
+		got := fl.vendor(int32(id))
+		if len(got) != len(d) {
+			t.Fatalf("%s: campaign %d has a %d-dimension run for %d tags", when, id, len(got), len(d))
+		}
+		for i := range d {
+			if math.Float64bits(got[i]) != math.Float64bits(d[i]) {
+				t.Fatalf("%s: campaign %d, tag %d: slab %x, Prepare %x", when, id, i, math.Float64bits(got[i]), math.Float64bits(d[i]))
+			}
+		}
+		if math.Float64bits(fl.cov[id]) != math.Float64bits(cov) {
+			t.Fatalf("%s: campaign %d: slab cov %x, Prepare %x", when, id, math.Float64bits(fl.cov[id]), math.Float64bits(cov))
+		}
+	}
+	var outgrown []*fleet
+	dims := []int{0, 1, 8, 17, 256}
+	for i := 0; i < 400; i++ {
+		v := make([]float64, dims[rng.Intn(len(dims))])
+		for k := range v {
+			v[k] = rng.Float64()
+		}
+		tags = append(tags, v)
+		before := b.dir.Load()
+		id, err := b.RegisterCampaign(geo.Point{X: rng.Float64(), Y: rng.Float64()}, 0.1, 10, v)
+		if err != nil || int(id) != i {
+			t.Fatalf("registration %d: id %d, %v", i, id, err)
+		}
+		after := b.dir.Load()
+		if len(after.off) != i+2 || after.off[i+1] != len(after.d) || len(after.cov) != i+1 {
+			t.Fatalf("after registration %d: %d offsets ending at %d, %d covs, slab of %d", i, len(after.off), after.off[i+1], len(after.cov), len(after.d))
+		}
+		check("at registration", after, i)
+		if len(before.d) > 0 && len(after.d) > len(before.d) && &after.d[0] != &before.d[0] {
+			outgrown = append(outgrown, before)
+		}
+	}
+	if len(outgrown) < 3 {
+		t.Fatalf("the slab regrew %d times over %d registrations; the mix must force several", len(outgrown), len(tags))
+	}
+	for _, fl := range append(outgrown, b.dir.Load()) {
+		for id := range fl.campaigns {
+			check("at the end", fl, id)
+		}
+	}
+}
+
+// BenchmarkTermsDense is the terms stage alone — read sweep and filter loop —
+// over the `dense` market's gathered sets (≈260 ids of 8 192, billed fleet),
+// so the rung has its own price beside BenchmarkOrderIDs and
+// BenchmarkUnitPearsonScore. One op is one arrival.
+func BenchmarkTermsDense(b *testing.B) {
+	br, err := New(Config{AdTypes: workload.DefaultAdTypes()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	arrivals := denseMarket(b, br, false)[:256]
+	ar := &br.shards[0].arena
+	gathered := make([][]int32, len(arrivals))
+	var fl *fleet
+	for i := range arrivals {
+		fl = br.gatherCandidates(ar, arrivals[i].Loc, 0, len(br.shards)-1)
+		gathered[i] = slices.Clone(ar.ids)
+	}
+	var tally scanTally
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(arrivals)
+		ar.ids = gathered[k]
+		br.terms(ar, &arrivals[k], fl, &tally)
+	}
+	if tally.disp[dispLowScore] == 0 && b.N >= len(arrivals) {
+		b.Fatal("no candidate fell at the score: not the dense market's mix")
+	}
+}
 
 // TestOrderIDsMatchesSort holds the bitset ordering to slices.Sort over
 // directories on both sides of every word and summary-word boundary, with one

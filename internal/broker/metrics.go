@@ -142,7 +142,7 @@ func newBrokerMetrics(reg *obs.Registry, b *Broker) *brokerMetrics {
 		func() float64 { return b.spent.Load() })
 	reg.NewGaugeFunc("muaa_broker_campaigns",
 		"Campaigns currently registered (paused ones included).",
-		func() float64 { return float64(len(*b.dir.Load())) })
+		func() float64 { return float64(len(b.dir.Load().campaigns)) })
 
 	// The live O-AFA state: γ-estimator bounds, the derived threshold base
 	// g, and the adaptive threshold φ(δ) at three reference budget-usage

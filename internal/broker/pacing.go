@@ -32,7 +32,7 @@ func (b *Broker) PacingStep() (pacing.Decision, error) {
 	if b.controller == nil {
 		return pacing.Decision{}, ErrControllerDisabled
 	}
-	dir := *b.dir.Load()
+	dir := b.dir.Load().campaigns
 	snap := pacing.Snapshot{
 		Report:    b.AuditReport(),
 		Boost:     b.phiBoost.Load(),
@@ -65,7 +65,7 @@ func (b *Broker) applyDecision(dec pacing.Decision) {
 	}
 	b.phiBoost.Store(dec.Boost)
 	epoch := b.pacingEpoch.Add(1)
-	dir := *b.dir.Load()
+	dir := b.dir.Load().campaigns
 	applied := make([]*campaign, 0, len(dec.Rates))
 	for _, r := range dec.Rates {
 		if r.ID < 0 || int(r.ID) >= len(dir) {
@@ -98,7 +98,7 @@ func registerPacingMetrics(reg *obs.Registry, b *Broker) {
 		"Campaigns currently under a controller spend-rate cap (rate < 1).",
 		func() float64 {
 			n := 0
-			for _, c := range *b.dir.Load() {
+			for _, c := range b.dir.Load().campaigns {
 				if c.rate.Load() < 1 {
 					n++
 				}
@@ -109,7 +109,7 @@ func registerPacingMetrics(reg *obs.Registry, b *Broker) {
 		"Registered guaranteed-delivery campaigns.",
 		func() float64 {
 			n := 0
-			for _, c := range *b.dir.Load() {
+			for _, c := range b.dir.Load().campaigns {
 				if c.guaranteed {
 					n++
 				}
@@ -120,7 +120,7 @@ func registerPacingMetrics(reg *obs.Registry, b *Broker) {
 		"Budget units guaranteed campaigns still owe their end-of-day delivery floors (Σ max(0, floor·budget − spent)).",
 		func() float64 {
 			var s float64
-			for _, c := range *b.dir.Load() {
+			for _, c := range b.dir.Load().campaigns {
 				if c.guaranteed {
 					if gap := c.floor*c.budget.Load() - c.spent.Load(); gap > 0 {
 						s += gap
@@ -133,7 +133,7 @@ func registerPacingMetrics(reg *obs.Registry, b *Broker) {
 		"Penalty owed if every guaranteed campaign's current floor shortfall stood at end-of-day (Σ penalty · shortfall).",
 		func() float64 {
 			var s float64
-			for _, c := range *b.dir.Load() {
+			for _, c := range b.dir.Load().campaigns {
 				if c.guaranteed && c.penalty > 0 {
 					if gap := c.floor*c.budget.Load() - c.spent.Load(); gap > 0 {
 						s += c.penalty * gap
@@ -146,7 +146,7 @@ func registerPacingMetrics(reg *obs.Registry, b *Broker) {
 		"Spend headroom the current epoch's allowances leave across capped campaigns (Σ allowance − spent over rate < 1).",
 		func() float64 {
 			var s float64
-			for _, c := range *b.dir.Load() {
+			for _, c := range b.dir.Load().campaigns {
 				if c.rate.Load() < 1 {
 					if h := c.allowance.Load() - c.spent.Load(); h > 0 && !math.IsInf(h, 1) {
 						s += h

@@ -27,7 +27,7 @@ type ctlState struct {
 }
 
 func controllerBits(b *Broker) ctlState {
-	dir := *b.dir.Load()
+	dir := b.dir.Load().campaigns
 	st := ctlState{boostBits: b.phiBoost.bits.Load(), epoch: b.pacingEpoch.Load()}
 	for _, c := range dir {
 		st.rates = append(st.rates, c.rate.bits.Load())

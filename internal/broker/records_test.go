@@ -182,7 +182,7 @@ func writeEveryRecord(tb testing.TB) ([]writtenRecord, []byte) {
 	}
 	want = DecodedRecord{Kind: RecordController, Epoch: 1, BoostBits: ref.phiBoost.bits.Load()}
 	for _, r := range dec.Rates {
-		c := (*ref.dir.Load())[r.ID]
+		c := ref.dir.Load().campaigns[r.ID]
 		want.Controller = append(want.Controller, ControllerEntry{
 			Campaign: r.ID, RateBits: c.rate.bits.Load(), AllowanceBits: c.allowance.bits.Load()})
 	}

@@ -58,21 +58,17 @@ func (f *atomicFloat) Max(v float64) {
 }
 
 // campaign is the broker's internal per-campaign state. Immutable identity
-// (id, loc, radius, tags, vendor, shard) is set at registration; the mutable
-// money fields are atomics written only while the owning shard's lock is held
-// — the lock serializes the check-then-spend sequence among writers, the
-// atomics let Stats/Campaigns read without joining the lock queue.
+// (id, loc, radius, tags, shard) is set at registration — the campaign's half
+// of Eq. 5 is not here but in the fleet's vendor slab, addressed by id; the
+// mutable money fields are atomics written only while the owning shard's lock
+// is held — the lock serializes the check-then-spend sequence among writers,
+// the atomics let Stats/Campaigns read without joining the lock queue.
 type campaign struct {
 	id     int32
 	loc    geo.Point
 	radius float64
 	tags   []float64
 	shard  int // owning stripe index
-
-	// vendor is the campaign's half of Eq. 5 — the centred tags and their sum
-	// of squares — computed once at registration; terms scores every arrival
-	// against it.
-	vendor model.UnitPearson
 
 	// AdCell-style class, immutable after registration: a guaranteed-delivery
 	// campaign carries a delivery floor (fraction of budget due by
@@ -108,10 +104,33 @@ type campaign struct {
 	allowance atomicFloat
 
 	// funnel is the campaign's decision-funnel row, one counter per
-	// disposition (see funnel.go); written by scan folds only when
-	// Config.Funnel.Enabled, read lock-free.
-	funnel [numDispositions]atomic.Uint64
+	// disposition (see funnel.go): plain words, written and read only under the
+	// owning shard's lock.
+	funnel [numDispositions]uint64
 }
+
+// fleet is what a registration publishes, behind the one pointer Broker.dir:
+// the dense campaign directory and, beside it, the vendor slab — every
+// campaign's half of Eq. 5 (model.UnitPearson: centred tags, their sum of
+// squares) back to back and addressed by id, so scoring a candidate streams
+// one run of one array instead of chasing the campaign to a vector of its own.
+// Campaign id's centred tags are d[off[id]:off[id+1]] — any length, the
+// registration door caps no dimension — and cov[id] their sum of squares.
+//
+// All four slices are append-only and a published fleet is immutable: a
+// registration appends past every published length and publishes a new header
+// (see RegisterCampaignSpec), so a reader indexes only what its own header
+// covers, one load gives one consistent view, and an old header keeps reading
+// its own ids correctly whatever regrows after it.
+type fleet struct {
+	campaigns []*campaign
+	d         []float64
+	off       []int // len(campaigns)+1 offsets into d
+	cov       []float64
+}
+
+// vendor returns campaign id's centred tag vector.
+func (f *fleet) vendor(id int32) []float64 { return f.d[f.off[id]:f.off[id+1]] }
 
 // snapshot copies the live state into the exported value type.
 func (c *campaign) snapshot() Campaign {

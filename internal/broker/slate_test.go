@@ -736,12 +736,17 @@ func TestSlateArriveZeroAllocsDense(t *testing.T) {
 	}
 
 	// A campaign registered after the arenas warmed: id 8 192 is one past what
-	// their id bitsets cover. It must be gathered and scanned last — by the
-	// stripe arena and by Explain's private one — and once the bitsets have
-	// regrown the stream allocates nothing again.
+	// their id bitsets cover, and its run lands in a vendor slab that has
+	// regrown many times since the first. It must be gathered and scanned last
+	// — by the stripe arena and by Explain's private one — and once the
+	// bitsets have regrown the stream allocates nothing again: the slab is the
+	// registration's to grow, never the arrival's.
 	late, err := b.RegisterCampaign(arrivals[0].Loc, 0.01, 1e9, arrivals[0].Interests)
 	if err != nil || late != 8192 {
 		t.Fatalf("late registration: id %d, %v", late, err)
+	}
+	if fl := b.dir.Load(); len(fl.vendor(late)) != len(arrivals[0].Interests) || fl.off[late+1] != len(fl.d) {
+		t.Fatalf("late registration's slab run: %d tags ending at %d of %d", len(fl.vendor(late)), fl.off[late+1], len(fl.d))
 	}
 	serve()
 	if _, err := b.ArriveAppend(dst[:0], arrivals[0]); err != nil {

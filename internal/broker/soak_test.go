@@ -158,13 +158,17 @@ func TestConcurrentSoak(t *testing.T) {
 // must end dense and ordered. The funnel is on, because its rows live on the
 // directory entries: a campaign registered while arrivals run must have a
 // readable row at once, a top reader racing the folds must never see a count
-// fall, and at the end the rows must sum to the fleet's gathered count. Run
-// under -race in CI.
+// fall, and at the end the rows must sum to the fleet's gathered count. Every
+// seventh mid-traffic registration is in a second taxonomy (three tags against
+// the stream's eight): its slab run is published while arrivals score against
+// the slab, and it must show up as tag_mismatch rows — every gather of it,
+// never a panic or a score. Run under -race in CI.
 func TestConcurrentRegistrationDuringTraffic(t *testing.T) {
 	const (
 		registrations = 1500 // many in-place appends between regrowths
 		midTraffic    = 500  // ids from here on register after arrivals began
 	)
+	otherTaxonomy := func(i int) bool { return i >= midTraffic && i%7 == 0 }
 	b, err := New(Config{AdTypes: workload.DefaultAdTypes(), Shards: 8,
 		Funnel: FunnelConfig{Enabled: true}})
 	if err != nil {
@@ -188,8 +192,11 @@ func TestConcurrentRegistrationDuringTraffic(t *testing.T) {
 				<-warm
 			}
 			loc := geo.Point{X: 0.1 + 0.013*float64(i%60), Y: 0.1 + 0.017*float64(i%50)}
-			id, err := b.RegisterCampaign(loc, 0.02+0.001*float64(i%30), 10,
-				[]float64{1, 0, 0.5, 0.2, 0.1, 0.9, 0.4, 0.3})
+			tags := []float64{1, 0, 0.5, 0.2, 0.1, 0.9, 0.4, 0.3}
+			if otherTaxonomy(i) {
+				tags = tags[:3]
+			}
+			id, err := b.RegisterCampaign(loc, 0.02+0.001*float64(i%30), 10, tags)
 			if err != nil {
 				t.Error(err)
 				return
@@ -230,7 +237,7 @@ func TestConcurrentRegistrationDuringTraffic(t *testing.T) {
 				done = true
 			default:
 			}
-			for _, fc := range b.funnel.top(16) {
+			for _, fc := range b.funnel.walk(16).top {
 				if fc.Gathered < seen[fc.Campaign] {
 					t.Errorf("campaign %d: gathered fell from %d to %d between top reads",
 						fc.Campaign, seen[fc.Campaign], fc.Gathered)
@@ -272,7 +279,7 @@ func TestConcurrentRegistrationDuringTraffic(t *testing.T) {
 	if len(all) != registrations {
 		t.Fatalf("directory holds %d campaigns, want %d", len(all), registrations)
 	}
-	var rows, lateRows uint64
+	var rows, lateRows, mismatched uint64
 	for i, c := range all {
 		if c.ID != int32(i) {
 			t.Fatalf("directory not dense at %d: %+v", i, c)
@@ -286,6 +293,18 @@ func TestConcurrentRegistrationDuringTraffic(t *testing.T) {
 		if i >= midTraffic {
 			lateRows += fc.Gathered
 		}
+		want := uint64(0)
+		if otherTaxonomy(i) {
+			want = fc.Gathered
+		}
+		if fc.TagMismatch != want {
+			t.Errorf("campaign %d (%d tags): %d of %d gathers filed as tag_mismatch, want %d",
+				i, len(c.Tags), fc.TagMismatch, fc.Gathered, want)
+		}
+		mismatched += fc.TagMismatch
+	}
+	if mismatched == 0 {
+		t.Error("no campaign of the second taxonomy was ever gathered")
 	}
 	if fleet := b.funnel.gathered.Load(); rows != fleet {
 		t.Errorf("per-campaign gathered sum %d != fleet gathered %d", rows, fleet)

@@ -120,10 +120,12 @@ func lengthMismatch(interests, tags int) string {
 // the weighted correlation is the plain Pearson coefficient): a vector centred
 // on its mean, and its sum of squares. Everything in it depends on that one
 // vector only, so the serving broker prepares a campaign's once at
-// registration and an arrival's once per arrival, and a candidate then costs
-// one dot product. Prepare and Score evaluate the expressions of
-// PearsonPreference{UniformActivity{}}.Score in the same order — a weight of
-// 1.0 multiplies exactly — so the pair returns that score bit for bit
+// registration — and keeps the fleet's back to back in one slab, read through
+// Vector — and an arrival's once per arrival; a candidate then costs Cov
+// against its slab run and Correlate on the result. Prepare, Cov and Correlate
+// evaluate the expressions of PearsonPreference{UniformActivity{}}.Score in
+// the same order — a weight of 1.0 multiplies exactly — so Score, written
+// through them, returns that score bit for bit
 // (TestUnitPearsonMatchesScoreBits). The zero value is the empty vector;
 // Prepare reuses the buffer, so a retained value allocates nothing in steady
 // state.
@@ -151,23 +153,40 @@ func (p *UnitPearson) Prepare(v []float64) {
 	p.d, p.cov = d, cov
 }
 
-// Score returns Eq. 5 between the two prepared vectors, which must have equal
-// length; a mismatch panics. The product of the two sums of squares is formed
-// per call, as the generic form does: the square root of a product is not the
-// product of square roots in floating point.
-func (p *UnitPearson) Score(q *UnitPearson) float64 {
-	dx, dy := p.d, q.d
-	if len(dx) != len(dy) {
-		panic(lengthMismatch(len(dx), len(dy)))
-	}
+// Vector returns the centred vector and its sum of squares. The slice is the
+// receiver's buffer: valid until the next Prepare, not to be written.
+func (p *UnitPearson) Vector() (d []float64, cov float64) { return p.d, p.cov }
+
+// Cov returns Σ d[i]·dy[i] against the other side's centred vector, which
+// must have the receiver's length; a shorter one panics.
+func (p *UnitPearson) Cov(dy []float64) float64 {
+	dx := p.d
+	dy = dy[:len(dx)]
 	var covXY float64
 	for i := range dx {
 		covXY += dx[i] * dy[i]
 	}
-	if p.cov <= 0 || q.cov <= 0 { // also the empty vector
+	return covXY
+}
+
+// Correlate turns a covariance from Cov and the other side's sum of squares
+// into Eq. 5. The product of the two sums of squares is formed per call, as
+// the generic form does: the square root of a product is not the product of
+// square roots in floating point.
+func (p *UnitPearson) Correlate(covXY, covYY float64) float64 {
+	if p.cov <= 0 || covYY <= 0 { // also the empty vector
 		return 0
 	}
-	return covXY / math.Sqrt(p.cov*q.cov)
+	return covXY / math.Sqrt(p.cov*covYY)
+}
+
+// Score returns Eq. 5 between the two prepared vectors, which must have equal
+// length; a mismatch panics.
+func (p *UnitPearson) Score(q *UnitPearson) float64 {
+	if len(p.d) != len(q.d) {
+		panic(lengthMismatch(len(p.d), len(q.d)))
+	}
+	return p.Correlate(p.Cov(q.d), q.cov)
 }
 
 // TablePreference looks preference scores up in a dense table indexed by
