@@ -94,7 +94,7 @@ func main() {
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		fatal(fmt.Errorf("decoding explain report: %w", err))
 	}
-	render(os.Stdout, &rep)
+	render(os.Stdout, &rep, *capacity)
 }
 
 func parseVector(s string) ([]float64, error) {
@@ -114,14 +114,16 @@ func parseVector(s string) ([]float64, error) {
 }
 
 // render prints the human view: a summary header, then one line per
-// candidate in scan order with its disposition verdict.
-func render(w io.Writer, rep *broker.ExplainReport) {
-	path := "legacy"
-	if rep.Slate {
-		path = "slate"
+// candidate in scan order with its disposition verdict. The resolver is the
+// kernel's own choice: slots for an auction-resolved arrival with more than
+// one slot, trim otherwise.
+func render(w io.Writer, rep *broker.ExplainReport, capacity int) {
+	resolver := "trim"
+	if rep.Slate && capacity > 1 {
+		resolver = "slots"
 	}
-	fmt.Fprintf(w, "path=%s stripes=[%d,%d] gathered=%d offered=%d boost=%g γ=[%g, %g] g=%g\n",
-		path, rep.StripeLo, rep.StripeHi, rep.Gathered, rep.Offered,
+	fmt.Fprintf(w, "resolver=%s auction=%t stripes=[%d,%d] gathered=%d offered=%d boost=%g γ=[%g, %g] g=%g\n",
+		resolver, rep.Slate, rep.StripeLo, rep.StripeHi, rep.Gathered, rep.Offered,
 		rep.Boost, rep.GammaMin, rep.GammaMax, rep.G)
 	for i := range rep.Candidates {
 		c := &rep.Candidates[i]

@@ -4,18 +4,25 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
 	"testing"
+
+	"muaa/internal/slo"
 )
 
 // TestMetricCatalogueMatchesOperationsDoc holds docs/OPERATIONS.md and the
 // registry to each other. The server boots with every surface that registers
 // metrics switched on (WAL, tracing, live audit, pacing controller, sampler,
 // SLO watchdog, funnel) and serves a little traffic; then every family the
-// scrape declares must be named in a table of the runbook, and every muaa_*
-// family a runbook table names must be in the scrape.
+// scrape declares must be named in a table of the runbook, every muaa_*
+// family a runbook table names must be in the scrape, and every family must
+// have a reader: its name appears in the runbook outside "## Metric
+// reference" (a triage recipe), in a default SLO rule, in the muaa-top panel
+// table, in the benchmark module (bench/*.go) or in a CI smoke. This module's
+// tests are not readers.
 func TestMetricCatalogueMatchesOperationsDoc(t *testing.T) {
 	base, _ := startServerOpts(t, serverOpts{
 		dataDir:       t.TempDir(),
@@ -82,13 +89,14 @@ func TestMetricCatalogueMatchesOperationsDoc(t *testing.T) {
 		t.Errorf("%s is registered but appears in no docs/OPERATIONS.md table", name)
 	}
 
+	seriesSuffixes := []string{"_bucket", "_sum", "_count"}
 	var stale []string
 	for name := range documented {
 		if !strings.HasPrefix(name, "muaa_") {
 			continue
 		}
 		family := name
-		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+		for _, suffix := range seriesSuffixes {
 			if stem, ok := strings.CutSuffix(name, suffix); ok && registered[stem] {
 				family = stem
 			}
@@ -107,4 +115,50 @@ func TestMetricCatalogueMatchesOperationsDoc(t *testing.T) {
 	for _, name := range stale {
 		t.Errorf("docs/OPERATIONS.md names %s in a table but no such family is registered", name)
 	}
+
+	// Readers: the runbook on either side of its metric reference, the default
+	// SLO rules' series, the dashboard's panel table, the benchmark, CI. A
+	// reader names a family as a whole word, with or without a histogram
+	// series suffix.
+	before, reference, ok := strings.Cut(string(doc), "\n## Metric reference")
+	if !ok {
+		t.Fatal("docs/OPERATIONS.md has no \"## Metric reference\" section")
+	}
+	_, after, _ := strings.Cut(reference, "\n## ")
+	readers := []string{before, after}
+	for _, r := range slo.Default().Rules() {
+		readers = append(readers, r.Series)
+	}
+	files, err := filepath.Glob("../../bench/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range append(files, "../muaa-top/dashboard.go", "../../.github/workflows/ci.yml") {
+		text, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readers = append(readers, string(text))
+	}
+	read := make(map[string]bool)
+	word := regexp.MustCompile("(?:muaa|go)_[a-z0-9_]+")
+	for _, text := range readers {
+		for _, name := range word.FindAllString(text, -1) {
+			read[name] = true
+			for _, suffix := range seriesSuffixes {
+				read[strings.TrimSuffix(name, suffix)] = true
+			}
+		}
+	}
+	var unread []string
+	for name := range registered {
+		if !read[name] {
+			unread = append(unread, name)
+		}
+	}
+	sort.Strings(unread)
+	for _, name := range unread {
+		t.Errorf("%s has no reader: no triage recipe, SLO rule, muaa-top panel, bench scrape or CI smoke names it", name)
+	}
+	t.Logf("%d families registered", len(registered))
 }

@@ -122,7 +122,7 @@ type serverOpts struct {
 	addr          string
 	g, pacing     float64
 	shards        int
-	dataDir       string // empty = in-memory broker, exactly the old behavior
+	dataDir       string // empty = in-memory broker
 	walSync       string // flush | always | none (wal.ParseSyncPolicy)
 	walFlushEvery time.Duration
 	snapshotEvery int

@@ -293,8 +293,9 @@ func Compute(in Input, cfg Config) (Report, error) {
 		rep.BoundSatisfied = true // bound undefined: nothing to violate
 	}
 
-	// Fixed-threshold counterfactuals at the gauge δ points.
-	ix := core.NewIndex(p)
+	// Fixed-threshold counterfactuals at the three reference δ points: the
+	// stream replayed through the paper's Alg. 2 with φ pinned — the serving
+	// broker's admission shape, pacing not modeled.
 	for _, delta := range deltaPoints {
 		// The broker's adaptive threshold frozen at consumption point δ; 0
 		// before any observation (γ_min is then +Inf, not a bound).
@@ -302,12 +303,15 @@ func Compute(in Input, cfg Config) (Report, error) {
 		if in.GammaMax != 0 {
 			phi = core.AdaptiveThreshold{GammaMin: in.GammaMin, G: rep.GObserved}.Value(delta)
 		}
-		u := fixedThresholdUtility(p, ix, phi)
+		fixed, err := core.OnlineAFA{Threshold: core.StaticThreshold{Phi: phi}}.Solve(p)
+		if err != nil {
+			return Report{}, fmt.Errorf("audit: fixed-threshold replay at δ=%g: %w", delta, err)
+		}
 		rep.RegretByDelta = append(rep.RegretByDelta, DeltaRegret{
 			Delta:     delta,
 			Threshold: phi,
-			Utility:   u,
-			Regret:    math.Max(0, rep.OracleUtility-u),
+			Utility:   fixed.Utility,
+			Regret:    math.Max(0, rep.OracleUtility-fixed.Utility),
 		})
 	}
 
@@ -390,68 +394,4 @@ func observedG(in Input) float64 {
 		return in.G
 	}
 	return core.TuneG(in.GammaMin, in.GammaMax)
-}
-
-// fixedThresholdUtility replays the audited stream against a constant
-// admission threshold: per arrival, each covering vendor offers its best
-// ad type with efficiency ≥ phi that still fits the vendor's budget, and
-// the customer accepts up to capacity in efficiency order — the serving
-// broker's admission shape with δ pinned (pacing not modeled).
-func fixedThresholdUtility(p *model.Problem, ix *core.Index, phi float64) float64 {
-	remaining := make([]float64, len(p.Vendors))
-	for j := range p.Vendors {
-		remaining[j] = p.Vendors[j].Budget
-	}
-	type cand struct {
-		vendor  int32
-		adType  int
-		utility float64
-		eff     float64
-	}
-	var total float64
-	var vbuf []int32
-	var cands []cand
-	for ui := range p.Customers {
-		vbuf = ix.ValidVendors(vbuf[:0], int32(ui))
-		sort.Slice(vbuf, func(a, b int) bool { return vbuf[a] < vbuf[b] })
-		cands = cands[:0]
-		for _, vj := range vbuf {
-			base := p.UtilityBase(int32(ui), vj)
-			if base <= 0 {
-				continue
-			}
-			bestK, bestU, bestEff := -1, 0.0, 0.0
-			for k := range p.AdTypes {
-				if p.AdTypes[k].Cost > remaining[vj]+1e-12 {
-					continue
-				}
-				u := base * p.AdTypes[k].Effect
-				eff := u / p.AdTypes[k].Cost
-				if eff < phi {
-					continue
-				}
-				if u > bestU {
-					bestK, bestU, bestEff = k, u, eff
-				}
-			}
-			if bestK >= 0 {
-				cands = append(cands, cand{vendor: vj, adType: bestK, utility: bestU, eff: bestEff})
-			}
-		}
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].eff != cands[b].eff {
-				return cands[a].eff > cands[b].eff
-			}
-			return cands[a].vendor < cands[b].vendor
-		})
-		take := len(cands)
-		if cap := p.Customers[ui].Capacity; take > cap {
-			take = cap
-		}
-		for _, c := range cands[:take] {
-			remaining[c.vendor] -= p.AdTypes[c.adType].Cost
-			total += c.utility
-		}
-	}
-	return total
 }

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -218,42 +217,6 @@ func registerAuditMetrics(reg *obs.Registry, b *Broker) {
 			}
 			return 0
 		})
-	reg.NewGaugeFunc("muaa_broker_competitive_bound",
-		"The paper's (ln g + 1)/θ bound evaluated on the live window (0 while undefined).",
-		func() float64 {
-			if r := latest(); r != nil {
-				return r.CompetitiveBound
-			}
-			return 0
-		})
-	reg.NewGaugeFunc("muaa_broker_audit_window_arrivals",
-		"Arrivals in the last recomputed audit window.",
-		func() float64 {
-			if r := latest(); r != nil {
-				return float64(r.Arrivals)
-			}
-			return 0
-		})
-	reg.NewGaugeFunc("muaa_broker_audit_regret",
-		"Window oracle utility minus online utility (absolute regret).",
-		func() float64 {
-			if r := latest(); r != nil {
-				return r.Regret
-			}
-			return 0
-		})
-	for i, delta := range []float64{0, 0.5, 1} {
-		idx := i
-		reg.NewGaugeFunc("muaa_broker_regret",
-			"Oracle regret of the counterfactual fixed threshold φ(δ) on the live window.",
-			func() float64 {
-				if r := latest(); r != nil && idx < len(r.RegretByDelta) {
-					return r.RegretByDelta[idx].Regret
-				}
-				return 0
-			},
-			obs.L("delta", strconv.FormatFloat(delta, 'g', -1, 64)))
-	}
 	buckets := []struct {
 		label  string
 		lo, hi float64

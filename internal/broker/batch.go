@@ -147,20 +147,17 @@ func (b *Broker) arriveOne(a *Arrival, req *trace.Request, dst []Offer) ([]Offer
 }
 
 // arriveBatchTraced is batch submission: the pipeline over the window,
-// observed as muaa_broker_batch_size / _batch_seconds and traced as an
-// "arrival_batch" with one outcome row per submitted arrival.
+// observed as muaa_broker_batch_size and traced as an "arrival_batch" with one
+// outcome row per submitted arrival.
 func (b *Broker) arriveBatchTraced(batch []Arrival, req *trace.Request, sc *batchScratch) []BatchResult {
 	results := slices.Grow(sc.results[:0], len(batch))[:len(batch)]
 	clear(results)
 	sc.results = results
 	t := b.startTrace(req)
-	offers, live, _, elapsed := b.arriveBatch(batch, results, sc.offers[:0], t)
+	offers, live, _, _ := b.arriveBatch(batch, results, sc.offers[:0], t)
 	sc.offers = offers
 	if m := b.metrics; m != nil {
 		m.batchSize.Observe(float64(live))
-		if live > 0 {
-			m.batchSeconds.Observe(elapsed.Seconds())
-		}
 	}
 	if t != nil {
 		t.Batch = len(batch)
@@ -252,9 +249,6 @@ func (b *Broker) arriveBatch(batch []Arrival, results []BatchResult, offers []Of
 	for i := range batch {
 		a := &batch[i]
 		if err := validateArrival(a); err != nil {
-			if m != nil {
-				m.arrivalErrors.Inc()
-			}
 			results[i].Err = err
 			continue
 		}
@@ -289,15 +283,7 @@ func (b *Broker) arriveBatch(batch []Arrival, results []BatchResult, offers []Of
 		stages[trace.StageLockWait] = clk.lap()
 	}
 	// The auction flag is read once under the locks (see scan).
-	billed := b.billing.active.Load()
-	auction := b.cfg.Slate || billed
-	// Escrow holds are born at the batch's start: the anchor a timed batch
-	// already read, else one read here — once a batch, never under the billing
-	// mutex — and only where a campaign that could hold exists.
-	born := clk.start
-	if !timed && billed {
-		born = time.Now()
-	}
+	auction := b.cfg.Slate || b.billing.active.Load()
 
 	// One arrivals record frames the whole window; each body is encoded right
 	// after its arrival's commit — after every charge has landed and before
@@ -330,7 +316,7 @@ func (b *Broker) arriveBatch(batch []Arrival, results []BatchResult, offers []Of
 			}
 			agg.add(b.scan(ar, a, fl, auction))
 			if n0 := len(offers); len(ar.cands) > 0 {
-				offers = b.commit(ar, offers, auction, born)
+				offers = b.commit(ar, offers, auction)
 				// Full-slice expression: a later arrival's append can grow past
 				// this segment's length but never overwrite it.
 				results[i].Offers = offers[n0:len(offers):len(offers)]

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"muaa/internal/model"
 	"muaa/internal/obs"
@@ -28,14 +27,10 @@ var (
 const maxOpenOffers = 65536
 
 // openOffer is one escrowed CPC/CPA offer awaiting its conversion event.
-// born is wall-clock bookkeeping for the oldest-age gauge only: the start of
-// the batch that made the offer. It is not serialized, so recovery stamps
-// restart time and ages reset (documented in the billing gauge table).
 type openOffer struct {
 	campaign int32
 	model    model.BillingModel
 	hold     float64
-	born     time.Time
 }
 
 // billingState is the broker's escrow/auction sidecar. It is always
@@ -60,9 +55,6 @@ type billingState struct {
 	open      map[uint64]openOffer
 	nextID    uint64
 	evictNext uint64
-	// oldestNext is the oldest-age gauge's monotone scan cursor (see
-	// oldestOpenAge); always ≥ evictNext after a scrape.
-	oldestNext uint64
 	// maxOpen is maxOpenOffers; a field so the eviction tests can lower it.
 	maxOpen int
 	// idem is the window of consumed idempotency keys, bounded FIFO via
@@ -93,43 +85,19 @@ func newBillingState() *billingState {
 
 // holdLocked registers an escrowed offer and returns its ID: id 0 issues the
 // next one (a live commit), a recorded id is kept (WAL replay, so later
-// conversion records resolve). born is the caller's clock — the batch's start
-// live, recovery time on replay — so no clock is read under bl.mu. Caller
-// holds the campaign's shard lock and bl.mu; the campaign escrow and held
-// accumulators are the caller's to update (charge already has c in hand).
-func (bl *billingState) holdLocked(c *campaign, m model.BillingModel, hold float64, id uint64, born time.Time) uint64 {
+// conversion records resolve). Caller holds the campaign's shard lock and
+// bl.mu; the campaign escrow and held accumulators are the caller's to update
+// (charge already has c in hand).
+func (bl *billingState) holdLocked(c *campaign, m model.BillingModel, hold float64, id uint64) uint64 {
 	if id == 0 {
 		id = bl.nextID
 	}
 	if id >= bl.nextID {
 		bl.nextID = id + 1
 	}
-	bl.open[id] = openOffer{campaign: c.id, model: m, hold: hold, born: born}
+	bl.open[id] = openOffer{campaign: c.id, model: m, hold: hold}
 	bl.openCount.Add(1)
 	return id
-}
-
-// oldestOpenAge returns the age of the oldest open escrowed offer, zero when
-// the table is empty. IDs are issued monotonically, so the oldest open offer
-// is the lowest live ID at or past the eviction cursor: oldestNext trails it
-// monotonically (like evictNext) and each scrape resumes where the last
-// stopped, amortized O(1) per issued ID across the broker's lifetime.
-func (bl *billingState) oldestOpenAge(now time.Time) float64 {
-	bl.mu.Lock()
-	defer bl.mu.Unlock()
-	if len(bl.open) == 0 {
-		bl.oldestNext = bl.nextID
-		return 0
-	}
-	if bl.oldestNext < bl.evictNext {
-		bl.oldestNext = bl.evictNext
-	}
-	for {
-		if o, ok := bl.open[bl.oldestNext]; ok {
-			return now.Sub(o.born).Seconds()
-		}
-		bl.oldestNext++
-	}
 }
 
 // evictLocked expires the oldest open offers until the table is within
@@ -259,26 +227,11 @@ func (b *Broker) settle(c *campaign, id uint64, o openOffer, key string) {
 	b.spent.Add(o.hold)
 }
 
-// registerBillingMetrics registers the muaa_billing_* gauge set on reg.
+// registerBillingMetrics registers the muaa_billing_* families on reg.
 func registerBillingMetrics(reg *obs.Registry, bl *billingState) {
-	reg.NewGaugeFunc("muaa_billing_escrow_held",
-		"Budget currently escrowed against open CPC/CPA offers.",
-		func() float64 { return bl.held.Load() })
 	reg.NewGaugeFunc("muaa_billing_escrow_open",
 		"Open (unconverted, unexpired) escrowed offers.",
 		func() float64 { return float64(bl.openCount.Load()) })
-	reg.NewGaugeFunc("muaa_billing_escrow_oldest_age_seconds",
-		"Age of the oldest open escrowed offer (0 when none are open); rising steadily means holds are not converting and will expire.",
-		func() float64 { return bl.oldestOpenAge(time.Now()) })
-	reg.NewCounterFunc("muaa_billing_escrow_released_total",
-		"Escrow holds expired without conversion (budget released).",
-		func() float64 { return bl.released.Load() })
-	reg.NewCounterFunc("muaa_billing_conversions_total",
-		"Conversion events collected via POST /v1/events.",
-		func() float64 { return float64(bl.conversions.Load()) })
-	reg.NewCounterFunc("muaa_billing_conversion_revenue_total",
-		"Revenue collected by conversions (escrow moved to spend).",
-		func() float64 { return bl.convertedRev.Load() })
 	for m := model.BillingModel(0); m.Valid(); m++ {
 		acc := &bl.revenue[m]
 		reg.NewCounterFunc("muaa_billing_revenue_total",

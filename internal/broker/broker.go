@@ -60,8 +60,7 @@ type Config struct {
 	// DataDir, when non-empty, makes the broker durable: every state
 	// mutation is appended to a write-ahead log in this directory, periodic
 	// snapshots compact the log, and New recovers the pre-crash state from
-	// it. Empty selects the in-memory broker —
-	// exactly the prior behavior and hot path. The directory must have a
+	// it. Empty selects the in-memory broker. The directory must have a
 	// single owning process.
 	DataDir string
 	// WAL tunes the write-ahead log (group-commit size, flush interval,
@@ -372,7 +371,7 @@ func defaultShards() int {
 }
 
 // CampaignSpec is the full registration record for a campaign: geometry,
-// budget and tags as before, plus the AdCell-style delivery class. The zero
+// budget, tags, and the AdCell-style delivery class. The zero
 // class (Guaranteed false, Floor/Penalty 0) is a best-effort campaign.
 type CampaignSpec struct {
 	Loc    geo.Point
@@ -500,18 +499,14 @@ func (b *Broker) TopUp(id int32, amount float64) error {
 	// sequence of in-flight arrivals touching this campaign.
 	sh := &b.shards[c.shard]
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	budget := c.budget.Load() + amount
 	if !finite(budget) {
-		sh.mu.Unlock()
 		return fmt.Errorf("broker: top-up amount %g overflows campaign %d's budget", amount, id)
 	}
 	c.budget.Store(budget)
 	if b.wal != nil {
 		b.logTopUp(id, amount)
-	}
-	sh.mu.Unlock()
-	if b.metrics != nil {
-		b.metrics.topUps.Inc()
 	}
 	return nil
 }
@@ -636,7 +631,7 @@ func (b *Broker) unlockStripes(lo, hi int) {
 func (b *Broker) Stats() Stats {
 	gs := b.gammaSeed()
 	if gs.max == 0 {
-		gs.min = 0 // report the unseen state as zeros, as the original broker did
+		gs.min = 0 // report the unseen state as zeros, not +Inf
 	}
 	return Stats{
 		Campaigns:     len(b.dir.Load().campaigns),

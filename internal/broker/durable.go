@@ -155,9 +155,6 @@ func recoverDurable(cfg Config) (*Broker, error) {
 
 func registerRecoveryMetrics(reg *obs.Registry, b *Broker) {
 	d := b.wal
-	reg.NewGaugeFunc("muaa_broker_recovery_seconds",
-		"Wall time the last boot spent rebuilding state from snapshot and WAL.",
-		func() float64 { return d.info.Duration.Seconds() })
 	reg.NewGaugeFunc("muaa_broker_recovery_records",
 		"WAL records replayed by the last boot's recovery.",
 		func() float64 { return float64(d.info.RecordsReplayed) })
@@ -506,15 +503,9 @@ func (b *Broker) applyRecord(rec []byte) error {
 		// Replay in the original commit order, one body at a time — counter,
 		// γ fold, then each offer's charge, the same accumulator sequence the
 		// live path performed — so serial and batched histories of one stream
-		// recover to the same bits (TestBatchReplayBitExact). Only an
-		// auction-resolved window can hold, and its holds are born now:
-		// recovery time (see openOffer.born).
-		var now time.Time
-		if d.Auction {
-			now = time.Now()
-		}
+		// recover to the same bits (TestBatchReplayBitExact).
 		for i := range d.Arrivals {
-			if err := b.applyArrival(&d.Arrivals[i], d.Auction, now); err != nil {
+			if err := b.applyArrival(&d.Arrivals[i], d.Auction); err != nil {
 				return err
 			}
 		}
@@ -528,8 +519,8 @@ func (b *Broker) applyRecord(rec []byte) error {
 // applyArrival folds one logged arrival into the recovering broker: the
 // counter, the γ bounds, then every offer's charge in commit order, through
 // the same Broker.charge the live commit used, with the auction flag the
-// live commit recorded; now stamps replayed holds.
-func (b *Broker) applyArrival(e *ArrivalRecord, auction bool, now time.Time) error {
+// live commit recorded.
+func (b *Broker) applyArrival(e *ArrivalRecord, auction bool) error {
 	b.arrivals.Add(1)
 	b.gammaMin.Min(e.GammaMin)
 	b.gammaMax.Max(e.GammaMax)
@@ -538,7 +529,7 @@ func (b *Broker) applyArrival(e *ArrivalRecord, auction bool, now time.Time) err
 		if err != nil {
 			return err
 		}
-		b.charge(c, &e.Offers[i], auction, now)
+		b.charge(c, &e.Offers[i], auction)
 	}
 	return nil
 }
@@ -703,10 +694,9 @@ func (b *Broker) applySnapshot(data []byte) error {
 	for m := range bl.revenue {
 		bl.revenue[m].bits.Store(sb.RevenueBits[m])
 	}
-	born := time.Now() // see openOffer.born: ages reset across restart
 	for i := range sb.Open {
 		e := &sb.Open[i]
-		bl.open[e.ID] = openOffer{campaign: e.Campaign, model: e.Model, hold: e.Hold, born: born}
+		bl.open[e.ID] = openOffer{campaign: e.Campaign, model: e.Model, hold: e.Hold}
 	}
 	bl.openCount.Store(int64(len(sb.Open)))
 	for _, k := range sb.IdemKeys {

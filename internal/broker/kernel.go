@@ -52,7 +52,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"time"
 
 	"muaa/internal/geo"
 	"muaa/internal/knapsack"
@@ -718,16 +717,15 @@ func priceOffer(c *campaign, adTypes []model.AdType, r *rep, runnerBid float64) 
 }
 
 // commit charges every winner in ar.cands and appends the offers to dst,
-// returning the extended slice; now is the batch's clock, which stamps escrow
-// holds. Caller still holds the stripe locks, which cover every winner's
-// owning shard.
-func (b *Broker) commit(ar *scanArena, dst []Offer, auction bool, now time.Time) []Offer {
+// returning the extended slice. Caller still holds the stripe locks, which
+// cover every winner's owning shard.
+func (b *Broker) commit(ar *scanArena, dst []Offer, auction bool) []Offer {
 	m := b.metrics
 	for i := range ar.cands {
 		cd := &ar.cands[i]
 		oldSpent := cd.c.spent.Load()
 		newSpent := oldSpent + cd.Cost
-		b.charge(cd.c, &cd.Offer, auction, now)
+		b.charge(cd.c, &cd.Offer, auction)
 		dst = append(dst, cd.Offer)
 		if m != nil {
 			m.offersByType[cd.AdType].Inc()
@@ -747,17 +745,17 @@ func (b *Broker) commit(ar *scanArena, dst []Offer, auction bool, now time.Time)
 // escrow, for live commits and WAL replay alike, so a replayed history
 // repeats the live accumulator sequence bit for bit. A deferred offer
 // (Hold > 0) registers in the escrow table instead of spending — under a
-// fresh offer ID when o.ID is 0, under the recorded one on replay, born at
-// now — and may expire the oldest open offer to stay within the table bound; an
+// fresh offer ID when o.ID is 0, under the recorded one on replay — and may
+// expire the oldest open offer to stay within the table bound; an
 // immediately charged one is folded into the per-model revenue counters
 // when the arrival was auction-resolved. Writers hold the owning shard's
 // lock (every candidate came from a locked shard), so load+store is a safe
 // read-modify-write.
-func (b *Broker) charge(c *campaign, o *Offer, auction bool, now time.Time) {
+func (b *Broker) charge(c *campaign, o *Offer, auction bool) {
 	bl := b.billing
 	if o.Hold > 0 {
 		bl.mu.Lock()
-		o.ID = bl.holdLocked(c, o.Model, o.Hold, o.ID, now)
+		o.ID = bl.holdLocked(c, o.Model, o.Hold, o.ID)
 		c.escrow.Store(c.escrow.Load() + o.Hold)
 		bl.held.Add(o.Hold)
 		if len(bl.open) > bl.maxOpen {

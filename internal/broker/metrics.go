@@ -40,17 +40,13 @@ type brokerMetrics struct {
 	// included: offered − muaa_broker_offers_pushed_total is the number
 	// displaced.
 	scanOutcomes    [dispDisplaced]*obs.Counter
-	arrivalErrors   *obs.Counter
-	topUps          *obs.Counter
 	exhaustedEvents *obs.Counter
 	offersByType    []*obs.Counter // indexed like cfg.AdTypes
 
 	// Batch submission: arrivals per ArriveBatch call (validation rejects
-	// excluded) and the call's end-to-end latency — what arrival is to a
-	// single submission. The stage histograms and scan counters above are fed
-	// by the pipeline itself, whichever way the window was submitted.
-	batchSize    *obs.Histogram
-	batchSeconds *obs.Histogram
+	// excluded). The stage histograms and scan counters above are fed by the
+	// pipeline itself, whichever way the window was submitted.
+	batchSize *obs.Histogram
 }
 
 // Latency bucket layouts, fixed at construction (see internal/obs): the
@@ -89,18 +85,11 @@ func newBrokerMetrics(reg *obs.Registry, b *Broker) *brokerMetrics {
 		arrival: reg.NewHistogram("muaa_broker_arrival_seconds",
 			"End-to-end latency of one single-arrival submission (Arrive, POST /v1/arrivals), lock wait through WAL append.",
 			arrivalBuckets),
-		arrivalErrors: reg.NewCounter("muaa_broker_arrival_errors_total",
-			"Arrivals rejected at validation (capacity, view probability, location, hour or interests out of bounds)."),
-		topUps: reg.NewCounter("muaa_broker_topups_total",
-			"Successful campaign budget top-ups."),
 		exhaustedEvents: reg.NewCounter("muaa_broker_campaign_exhausted_total",
 			"Commits that left a campaign's remaining budget below the cheapest ad type."),
 		batchSize: reg.NewHistogram("muaa_broker_batch_size",
 			"Arrivals per ArriveBatch call (validation rejects excluded).",
 			obs.ExpBuckets(1, 2, 11)),
-		batchSeconds: reg.NewHistogram("muaa_broker_batch_seconds",
-			"End-to-end latency of one ArriveBatch call, lock wait through WAL append.",
-			arrivalBuckets),
 	}
 	for d, name := range scanOutcomeNames {
 		m.scanOutcomes[d] = reg.NewCounter("muaa_broker_scan_outcomes_total",
@@ -127,25 +116,17 @@ func newBrokerMetrics(reg *obs.Registry, b *Broker) *brokerMetrics {
 			"Offers committed, by ad type.", obs.L("adtype", t.Name), obs.L("k", strconv.Itoa(k))))
 	}
 
-	// Mirrors of the Stats snapshot, sampled from the broker's atomics.
+	// The two Stats counters the dashboard and the benchmark rate, sampled
+	// from the broker's atomics.
 	reg.NewCounterFunc("muaa_broker_arrivals_total",
 		"Customer arrivals processed (including zero-capacity ones).",
 		func() float64 { return float64(b.arrivals.Load()) })
 	reg.NewCounterFunc("muaa_broker_offers_pushed_total",
 		"Total offers pushed to customers.",
 		func() float64 { return float64(b.offers.Load()) })
-	reg.NewCounterFunc("muaa_broker_utility_served_total",
-		"Cumulative utility (Eq. 4) of all committed offers.",
-		func() float64 { return b.utility.Load() })
-	reg.NewCounterFunc("muaa_broker_budget_spent_total",
-		"Cumulative campaign budget charged by committed offers.",
-		func() float64 { return b.spent.Load() })
-	reg.NewGaugeFunc("muaa_broker_campaigns",
-		"Campaigns currently registered (paused ones included).",
-		func() float64 { return float64(len(b.dir.Load().campaigns)) })
 
-	// The live O-AFA state: γ-estimator bounds, the derived threshold base
-	// g, and the adaptive threshold φ(δ) at three reference budget-usage
+	// The live O-AFA state: the γ-estimator's floor, the derived threshold
+	// base g, and the adaptive threshold φ(δ) at three reference budget-usage
 	// ratios. All report 0 until the first efficiency is observed, matching
 	// Stats.
 	reg.NewGaugeFunc("muaa_broker_gamma_min",
@@ -156,9 +137,6 @@ func newBrokerMetrics(reg *obs.Registry, b *Broker) *brokerMetrics {
 			}
 			return b.gammaMin.Load()
 		})
-	reg.NewGaugeFunc("muaa_broker_gamma_max",
-		"Running maximum observed offer efficiency.",
-		func() float64 { return b.gammaMax.Load() })
 	// Reporting-only, unclamped (gammaState.reportedG, shared with Stats.G):
 	// admission clamps the derived base to [2e, 1e9], this gauge does not.
 	reg.NewGaugeFunc("muaa_broker_threshold_g",

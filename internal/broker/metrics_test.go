@@ -97,12 +97,10 @@ func TestBrokerMetricsScrape(t *testing.T) {
 		`muaa_broker_stripe_lock_total{stripe="3"}`,
 		`muaa_broker_scan_outcomes_total{outcome="offered"}`,
 		"muaa_broker_gamma_min ",
-		"muaa_broker_gamma_max ",
 		"muaa_broker_threshold_g ",
 		`muaa_broker_threshold{delta="0"}`,
 		`muaa_broker_threshold{delta="1"}`,
 		"muaa_broker_arrivals_total ",
-		"muaa_broker_budget_spent_total ",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("scrape missing %q", want)

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"muaa/internal/model"
 )
@@ -16,23 +17,29 @@ type Greedy struct{}
 // Name implements Solver.
 func (Greedy) Name() string { return "GREEDY" }
 
+// greedyOrder is GREEDY's selection order: efficiency descending, then
+// (customer, vendor, ad type) ascending. A total order — no two candidates of
+// one problem share a triple — so the sort needs no stability, and Greedy and
+// WindowOracle, which share it, produce one sequence.
+func greedyOrder(a, b candidate) int {
+	switch {
+	case a.eff > b.eff:
+		return -1
+	case a.eff < b.eff:
+		return 1
+	case a.customer != b.customer:
+		return cmp.Compare(a.customer, b.customer)
+	case a.vendor != b.vendor:
+		return cmp.Compare(a.vendor, b.vendor)
+	}
+	return cmp.Compare(a.adType, b.adType)
+}
+
 // Solve implements Solver.
 func (Greedy) Solve(p *model.Problem) (model.Assignment, error) {
 	ix := NewIndex(p)
 	cands := allCandidates(p, ix)
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].eff != cands[b].eff {
-			return cands[a].eff > cands[b].eff
-		}
-		// Deterministic tie-break.
-		if cands[a].customer != cands[b].customer {
-			return cands[a].customer < cands[b].customer
-		}
-		if cands[a].vendor != cands[b].vendor {
-			return cands[a].vendor < cands[b].vendor
-		}
-		return cands[a].adType < cands[b].adType
-	})
+	slices.SortFunc(cands, greedyOrder)
 	led := newLedger(p)
 	var ins []model.Instance
 	for _, c := range cands {

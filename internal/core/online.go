@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"muaa/internal/model"
@@ -185,7 +186,7 @@ func (s *Session) Arrive(ui int32) []model.Instance {
 	}
 	// Line 2: valid vendors.
 	s.buf = s.ix.ValidVendors(s.buf[:0], ui)
-	sort.Slice(s.buf, func(a, b int) bool { return s.buf[a] < s.buf[b] })
+	slices.Sort(s.buf)
 	// Lines 3–6: best admissible ad type per vendor.
 	s.cands = s.cands[:0]
 	for _, vj := range s.buf {

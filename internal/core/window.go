@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"muaa/internal/model"
 )
@@ -17,7 +17,8 @@ import (
 //
 // Paused vendors are excluded from the counterfactual entirely: the index
 // never surfaces them, so the oracle cannot spend budgets the online broker
-// was forbidden to touch (pause-heavy streams no longer depress the ratio).
+// was forbidden to touch, and a pause-heavy stream's ratio is judged against
+// what an admission policy could have reached.
 type WindowOracle struct {
 	cands    []candidate
 	vbuf     []int32
@@ -58,18 +59,7 @@ func (o *WindowOracle) Solve(p *model.Problem) (model.Assignment, error) {
 		}
 	}
 	cands := o.cands
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].eff != cands[b].eff {
-			return cands[a].eff > cands[b].eff
-		}
-		if cands[a].customer != cands[b].customer {
-			return cands[a].customer < cands[b].customer
-		}
-		if cands[a].vendor != cands[b].vendor {
-			return cands[a].vendor < cands[b].vendor
-		}
-		return cands[a].adType < cands[b].adType
-	})
+	slices.SortFunc(cands, greedyOrder)
 
 	// The ledger, rebuilt in place.
 	if cap(o.spent) < len(p.Vendors) {

@@ -14,8 +14,8 @@ package knapsack
 // (within a class efficiency strictly decreases along the hull, so the
 // prefix rule is always satisfied when an increment is reached in global
 // order). The walk thus opens classes in decreasing best-item efficiency —
-// the same currency the O-AFA threshold admits by and the legacy capacity
-// trim sorts by — and serves each opened class its hull completion, the
+// the same currency the O-AFA threshold admits by and the capacity trim
+// sorts by — and serves each opened class its hull completion, the
 // class's maximum-profit point at minimal cost. The first class denied for
 // want of a slot is remembered as the runner-up; its hypothetical pick
 // prices the displaced bid in the second-price charge rule.

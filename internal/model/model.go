@@ -278,7 +278,8 @@ func (p *Problem) Check(ins []Instance) error {
 }
 
 // Theta computes the paper's θ = min_i a_i / n_i^c, where n_i^c is the
-// larger of customer i's valid-vendor count and its capacity. It is the
+// larger of customer i's valid-vendor count and its capacity; a paused vendor
+// is not valid (Check rejects an instance on one). It is the
 // capacity-pressure factor appearing in both the RECON approximation ratio
 // (1−ε)·θ and the O-AFA competitive ratio (ln g + 1)/θ. Customers with no
 // valid vendors contribute 1 (they cannot be over-assigned). Returns 1 for a
@@ -288,7 +289,7 @@ func (p *Problem) Theta() float64 {
 	for i := range p.Customers {
 		valid := 0
 		for j := range p.Vendors {
-			if p.InRange(int32(i), int32(j)) {
+			if !p.Vendors[j].Paused && p.InRange(int32(i), int32(j)) {
 				valid++
 			}
 		}

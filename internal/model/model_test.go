@@ -216,6 +216,13 @@ func TestTheta(t *testing.T) {
 	if got := p.Theta(); got != 0.5 {
 		t.Errorf("Theta = %g, want 0.5", got)
 	}
+	// Paused vendors covering u0 are not valid: θ does not move.
+	for id := int32(2); id < 5; id++ {
+		p.Vendors = append(p.Vendors, Vendor{ID: id, Loc: geo.Point{X: 0.15, Y: 0.1}, Radius: 0.3, Budget: 5, Paused: true})
+	}
+	if got := p.Theta(); got != 0.5 {
+		t.Errorf("Theta with paused covering vendors = %g, want 0.5", got)
+	}
 	// No customers → 1.
 	empty := &Problem{AdTypes: p.AdTypes}
 	if got := empty.Theta(); got != 1 {

@@ -7,7 +7,7 @@ import (
 )
 
 // memSampler caches runtime.ReadMemStats results so that a burst of gauge
-// reads within one scrape (heap alloc, heap sys, GC pause all sample it)
+// reads within one scrape (heap alloc, GC cycles and GC pause all sample it)
 // costs one stop-the-world-free ReadMemStats call, and an aggressive
 // scraper cannot hammer the runtime.
 type memSampler struct {
@@ -29,12 +29,10 @@ func (s *memSampler) get() runtime.MemStats {
 }
 
 // RegisterRuntimeMetrics registers Go runtime health gauges on reg:
-// goroutine count, GOMAXPROCS, heap alloc/sys bytes, GC cycle count, the
-// last GC pause and its wall time, and process uptime (so the dashboard
-// and watchdog can spot restarts and GC stalls). All values are sampled at
-// scrape time — the serving path
-// pays nothing — and memory stats are cached for a short TTL so scrapes
-// stay cheap.
+// goroutine count, GOMAXPROCS, heap alloc bytes, GC cycle count, the last GC
+// pause, and process uptime (so the dashboard can spot restarts). All values
+// are sampled at scrape time — the serving path pays nothing — and memory
+// stats are cached for a short TTL so scrapes stay cheap.
 func RegisterRuntimeMetrics(reg *Registry) {
 	var mem memSampler
 	reg.NewGaugeFunc("go_goroutines",
@@ -46,9 +44,6 @@ func RegisterRuntimeMetrics(reg *Registry) {
 	reg.NewGaugeFunc("go_heap_alloc_bytes",
 		"Bytes of allocated heap objects (runtime.MemStats.HeapAlloc).",
 		func() float64 { return float64(mem.get().HeapAlloc) })
-	reg.NewGaugeFunc("go_heap_sys_bytes",
-		"Bytes of heap memory obtained from the OS (runtime.MemStats.HeapSys).",
-		func() float64 { return float64(mem.get().HeapSys) })
 	reg.NewCounterFunc("go_gc_cycles_total",
 		"Completed garbage-collection cycles.",
 		func() float64 { return float64(mem.get().NumGC) })
@@ -66,8 +61,4 @@ func RegisterRuntimeMetrics(reg *Registry) {
 		"Seconds since this process registered its runtime metrics. A reset "+
 			"to near zero between samples means the process restarted.",
 		func() float64 { return time.Since(start).Seconds() })
-	reg.NewGaugeFunc("muaa_go_gc_last_unix_seconds",
-		"Unix time of the last completed GC cycle (0 before the first). A "+
-			"stale value under allocation pressure flags a GC stall.",
-		func() float64 { return float64(mem.get().LastGC) / 1e9 })
 }

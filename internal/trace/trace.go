@@ -54,7 +54,7 @@ type ScanCounts struct {
 	BelowThreshold uint64 `json:"below_threshold,omitempty"`
 	BelowReserve   uint64 `json:"below_reserve,omitempty"`
 	// Displaced counts admitted candidates that lost the slot race (the
-	// legacy capacity trim or the slate solver's displacement).
+	// capacity trim or the slot solver's displacement).
 	Displaced uint64 `json:"displaced_by_slate,omitempty"`
 }
 

@@ -172,32 +172,20 @@ type Recovery struct {
 // walMetrics is the registered instrument set; nil when Options.Metrics is
 // nil, checked once per operation like the broker's own instruments.
 type walMetrics struct {
-	appends   *obs.Counter
-	bytes     *obs.Counter
-	fsyncs    *obs.Counter
-	flushes   *obs.Counter
-	flushSec  *obs.Histogram
-	snapshots *obs.Counter
-	snapBytes *obs.Counter
+	appends  *obs.Counter
+	fsyncs   *obs.Counter
+	flushSec *obs.Histogram
 }
 
 func newWALMetrics(reg *obs.Registry) *walMetrics {
 	return &walMetrics{
 		appends: reg.NewCounter("muaa_wal_appends_total",
 			"Records appended to the write-ahead log."),
-		bytes: reg.NewCounter("muaa_wal_bytes_total",
-			"Framed record bytes appended to the write-ahead log."),
 		fsyncs: reg.NewCounter("muaa_wal_fsyncs_total",
 			"fsync calls issued by the write-ahead log."),
-		flushes: reg.NewCounter("muaa_wal_flushes_total",
-			"Group-commit flushes of the append buffer to the OS."),
 		flushSec: reg.NewHistogram("muaa_wal_flush_seconds",
 			"Latency of one group-commit flush (write plus fsync per policy).",
 			obs.ExpBuckets(1e-6, 4, 12)),
-		snapshots: reg.NewCounter("muaa_wal_snapshots_total",
-			"Snapshot compactions written (log rotations)."),
-		snapBytes: reg.NewCounter("muaa_wal_snapshot_bytes_total",
-			"Snapshot payload bytes written by compactions."),
 	}
 }
 
@@ -436,15 +424,12 @@ func (l *Log) Append(payload []byte) error {
 		l.mu.Unlock()
 		return err
 	}
-	was := len(l.buf)
 	l.buf = AppendFrame(l.buf, payload)
 	l.pending++
-	grew := len(l.buf) - was
 	full := l.opts.Sync == SyncEveryRecord || l.pending >= l.opts.flushEvery()
 	l.mu.Unlock()
 	if m := l.metrics; m != nil {
 		m.appends.Inc()
-		m.bytes.Add(uint64(grew))
 	}
 	if full {
 		return l.flush(l.opts.Sync != SyncNone)
@@ -498,8 +483,6 @@ func (l *Log) flush(sync bool) error {
 	if len(buf) > 0 {
 		if _, werr := f.Write(buf); werr != nil {
 			err = fmt.Errorf("wal: append write: %w", werr)
-		} else if m := l.metrics; m != nil {
-			m.flushes.Inc()
 		}
 	}
 	if err == nil && doSync {
@@ -623,8 +606,6 @@ func (l *Log) Snapshot(payload []byte) error {
 		_ = os.Remove(segmentPath(l.dir, seq))
 	}
 	if m := l.metrics; m != nil {
-		m.snapshots.Inc()
-		m.snapBytes.Add(uint64(len(payload)))
 		m.fsyncs.Add(2) // snapshot file + directory
 	}
 	l.logger.Debug("wal_snapshot_rotated",
