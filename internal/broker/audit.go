@@ -47,7 +47,7 @@ type auditState struct {
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
-	doneCh   chan struct{}
+	running  sync.WaitGroup // the recompute loop, once started
 }
 
 func newAuditState(window int, every time.Duration) *auditState {
@@ -58,7 +58,6 @@ func newAuditState(window int, every time.Duration) *auditState {
 		ring:   make([]audit.Arrival, 0, window),
 		every:  every,
 		stopCh: make(chan struct{}),
-		doneCh: make(chan struct{}),
 	}
 }
 
@@ -95,16 +94,27 @@ func (s *auditState) window() []audit.Arrival {
 	return out
 }
 
+// stop ends the recompute loop and waits for it; a loop never started has
+// nothing to wait for.
 func (s *auditState) stop() {
 	s.stopOnce.Do(func() { close(s.stopCh) })
-	<-s.doneCh
+	s.running.Wait()
+}
+
+// startAudit launches the recompute loop on a whole broker: an in-memory one
+// at construction, a durable one once replay and the boot snapshot are done.
+func (b *Broker) startAudit() {
+	if b.audit != nil {
+		b.audit.running.Add(1)
+		go b.auditLoop()
+	}
 }
 
 // auditLoop recomputes the window report on its own goroutine at the
 // configured cadence. Solves never run on an arrival's goroutine.
 func (b *Broker) auditLoop() {
 	s := b.audit
-	defer close(s.doneCh)
+	defer s.running.Done()
 	t := time.NewTicker(s.every)
 	defer t.Stop()
 	for {

@@ -290,10 +290,11 @@ func (b *Broker) arriveBatch(batch []Arrival, results []BatchResult, offers []Of
 	// the stripe locks release — so it carries the post-arrival γ bits and
 	// exactly the offers committed.
 	var bp *[]byte
-	var buf []byte
+	var enc codec
 	if b.wal != nil {
 		bp = recPool.Get().(*[]byte)
-		buf = appendArrivalsHeader((*bp)[:0], live, auction)
+		enc.buf = append((*bp)[:0], byte(RecordArrivals))
+		enc.arrivalsHeader(live, &auction)
 	}
 
 	// The lowest locked stripe's arena is exclusively ours while the locks
@@ -323,14 +324,17 @@ func (b *Broker) arriveBatch(batch []Arrival, results []BatchResult, offers []Of
 			}
 		}
 		if b.wal != nil {
-			buf = b.appendArrivalBody(buf, a, results[i].Offers)
+			enc.arrivalBody(&ArrivalRecord{
+				GammaMin: b.gammaMin.Load(), GammaMax: b.gammaMax.Load(),
+				Customer: *a, Offers: results[i].Offers,
+			})
 		}
 		if timed {
 			stages[trace.StageScan] += clk.lap()
 		}
 	}
 	if b.wal != nil {
-		*bp = buf
+		*bp = enc.buf
 		b.walAppend(bp)
 	}
 	if timed {

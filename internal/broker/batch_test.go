@@ -525,39 +525,52 @@ func TestArriveBatchTraced(t *testing.T) {
 
 // TestArriveAppendZeroAllocs is the tentpole's allocation bar: after warm-up
 // a serial arrival through ArriveAppend must not allocate at all — the arena
-// owns every scratch buffer and the caller owns the offer slice.
+// owns every scratch buffer and the caller owns the offer slice. The durable
+// row holds the same bar with the WAL on (flusher off, sync none): the
+// arrivals record is encoded into a pooled buffer and copied into the log's.
 func TestArriveAppendZeroAllocs(t *testing.T) {
-	b, err := New(Config{AdTypes: workload.DefaultAdTypes()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		x := float64(i%8)/8 + 0.05
-		y := float64(i/8)/8 + 0.05
-		if _, err := b.RegisterCampaign(geo.Point{X: x, Y: y}, 0.15, 1e9, []float64{1, 0.5, 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a := Arrival{Loc: geo.Point{X: 0.4, Y: 0.4}, Capacity: 2, ViewProb: 0.8,
-		Interests: []float64{1, 0.5, 1}, Hour: 12}
-	dst := make([]Offer, 0, 16)
-	// Warm up: grow the arena and the γ estimator to steady state.
-	for i := 0; i < 16; i++ {
-		out, err := b.ArriveAppend(dst[:0], a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dst = out[:0]
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		out, err := b.ArriveAppend(dst[:0], a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dst = out[:0]
-	})
-	if allocs != 0 {
-		t.Fatalf("serial arrival allocates %v times per op, want 0", allocs)
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%t", durable), func(t *testing.T) {
+			cfg := Config{AdTypes: workload.DefaultAdTypes()}
+			if durable {
+				cfg.DataDir = t.TempDir()
+				cfg.WAL = wal.Options{Sync: wal.SyncNone, FlushInterval: -1, SnapshotEvery: -1}
+			}
+			b, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			for i := 0; i < 64; i++ {
+				x := float64(i%8)/8 + 0.05
+				y := float64(i/8)/8 + 0.05
+				if _, err := b.RegisterCampaign(geo.Point{X: x, Y: y}, 0.15, 1e9, []float64{1, 0.5, 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a := Arrival{Loc: geo.Point{X: 0.4, Y: 0.4}, Capacity: 2, ViewProb: 0.8,
+				Interests: []float64{1, 0.5, 1}, Hour: 12}
+			dst := make([]Offer, 0, 16)
+			// Warm up: grow the arena, the γ estimator and the record pool to
+			// steady state.
+			for i := 0; i < 16; i++ {
+				out, err := b.ArriveAppend(dst[:0], a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dst = out[:0]
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				out, err := b.ArriveAppend(dst[:0], a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dst = out[:0]
+			})
+			if allocs != 0 {
+				t.Fatalf("serial arrival allocates %v times per op, want 0", allocs)
+			}
+		})
 	}
 }
 

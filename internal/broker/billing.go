@@ -198,7 +198,10 @@ func (b *Broker) Convert(offerID uint64, idemKey string) (Conversion, error) {
 	b.settle(c, offerID, o, idemKey)
 	bl.mu.Unlock()
 	if b.wal != nil {
-		b.logConversion(offerID, o, idemKey)
+		b.logRecord(&DecodedRecord{
+			Kind: RecordConversion, OfferID: offerID, Campaign: o.campaign, Model: o.model,
+			Charge: o.hold, EventKey: idemKey,
+		})
 	}
 	return Conversion{OfferID: offerID, Campaign: o.campaign, Model: o.model, Charged: o.hold}, nil
 }

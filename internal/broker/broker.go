@@ -351,8 +351,8 @@ func newMemory(cfg Config) (*Broker, error) {
 	if b.logger == nil {
 		b.logger = slog.New(slog.NewJSONHandler(io.Discard, nil))
 	}
-	if b.audit != nil {
-		go b.auditLoop()
+	if cfg.DataDir == "" {
+		b.startAudit() // a durable broker starts it after replay (recoverDurable)
 	}
 	return b, nil
 }
@@ -435,7 +435,11 @@ func (b *Broker) RegisterCampaignSpec(spec CampaignSpec) (int32, error) {
 		// campaign can only start after publication, so its record is
 		// guaranteed to land after this one and replay never sees a
 		// campaign it hasn't registered.
-		b.logRegister(id, spec)
+		b.logRecord(&DecodedRecord{
+			Kind: RecordRegister, Campaign: id, Loc: spec.Loc, Radius: spec.Radius, Budget: spec.Budget,
+			Tags: spec.Tags, Guaranteed: spec.Guaranteed, Floor: spec.Floor, Penalty: spec.Penalty,
+			Billing: spec.Billing,
+		})
 	}
 	c := &campaign{
 		id: id, loc: spec.Loc, radius: spec.Radius,
@@ -506,7 +510,7 @@ func (b *Broker) TopUp(id int32, amount float64) error {
 	}
 	c.budget.Store(budget)
 	if b.wal != nil {
-		b.logTopUp(id, amount)
+		b.logRecord(&DecodedRecord{Kind: RecordTopUp, Campaign: id, Amount: amount})
 	}
 	return nil
 }
@@ -528,7 +532,7 @@ func (b *Broker) SetPaused(id int32, paused bool) error {
 	sh := &b.shards[c.shard]
 	sh.mu.Lock()
 	c.paused.Store(paused)
-	b.logPause(id, paused)
+	b.logRecord(&DecodedRecord{Kind: RecordPause, Campaign: id, Paused: paused})
 	sh.mu.Unlock()
 	return nil
 }
@@ -624,6 +628,19 @@ func (b *Broker) lockStripes(lo, hi int, m *brokerMetrics) {
 func (b *Broker) unlockStripes(lo, hi int) {
 	for i := hi; i >= lo; i-- {
 		b.shards[i].mu.Unlock()
+	}
+}
+
+// quiesce stops every mutator — regMu, then every stripe lock in the global
+// order — and returns the matching unlock. A snapshot and a controller epoch
+// run under it: every mutation appends its record under one of these locks,
+// so nothing is in flight while they read or rewrite the whole state.
+func (b *Broker) quiesce() (unlock func()) {
+	b.regMu.Lock()
+	b.lockStripes(0, len(b.shards)-1, nil)
+	return func() {
+		b.unlockStripes(0, len(b.shards)-1)
+		b.regMu.Unlock()
 	}
 }
 

@@ -1,8 +1,7 @@
 package broker
 
 import (
-	"encoding/binary"
-	"errors"
+	"cmp"
 	"fmt"
 	"log/slog"
 	"math"
@@ -14,36 +13,6 @@ import (
 	"muaa/internal/obs"
 	"muaa/internal/wal"
 )
-
-// The WAL record types: one current layout per logical record (DESIGN §10
-// has the field tables). Each record is the delta of exactly one committed
-// broker mutation, encoded little-endian with floats as IEEE-754 bits so
-// replay rebuilds bit-identical state. A type byte is never reused for a
-// different layout: 1, 4, 5, 6, 8, 10 and 11 named layouts that are no
-// longer written or read, and DecodeRecord refuses them like any unknown
-// byte.
-const (
-	recTopUp      byte = 2  // id, amount
-	recPause      byte = 3  // id, paused flag
-	recController byte = 7  // version byte, epoch, boost bits, per-campaign rate/allowance bits
-	recRegister   byte = 9  // id, loc, radius, budget, class (guaranteed, floor, penalty), billing contract (model, reserve, event rate), tags
-	recConversion byte = 12 // offer id, campaign, model, charge bits, idempotency key
-	recArrivals   byte = 13 // count n ≥ 1, flags, then n bodies: γ bits, customer features, offers
-)
-
-// arrivalsAuction is bit 0 of a recArrivals flags byte: the arrivals were
-// auction-resolved, so replay folds their immediate charges into the
-// per-model revenue counters exactly as the live commit did. The other bits
-// are reserved and must be zero.
-const arrivalsAuction byte = 1
-
-// controllerRecVersion is the internal version byte of recController
-// payloads; bump on any layout change so old binaries fail loudly.
-const controllerRecVersion byte = 1
-
-// snapshotVersion is the first byte of every snapshot payload. Versions 1
-// and 2 (no controller state, no billing state) are retired and refused.
-const snapshotVersion byte = 3
 
 // durable is the broker's durability sidecar: the open log, the snapshot
 // cadence bookkeeping and the background compaction goroutine. nil on an
@@ -149,6 +118,10 @@ func recoverDurable(cfg Config) (*Broker, error) {
 	if cfg.Metrics != nil {
 		registerRecoveryMetrics(cfg.Metrics, b)
 	}
+	// Only now, with replay and the boot snapshot done: an audit tick steps
+	// the controller, and one landing mid-replay would rewrite state the log
+	// is still rebuilding, with no WAL to record it.
+	b.startAudit()
 	go b.snapshotLoop()
 	return b, nil
 }
@@ -207,24 +180,14 @@ func (b *Broker) snapshotLoop() {
 	}
 }
 
-// snapshotNow quiesces every mutator — the registration mutex, then all
-// shard locks in ascending order (the global lock order) — encodes the
-// full broker state and rotates the log onto it. Mutations are appended
-// only while holding one of those locks, so the encoded payload reflects
-// exactly the records appended so far: nothing in flight, nothing lost.
+// snapshotNow quiesces every mutator, encodes the full broker state and
+// rotates the log onto it. Mutations are appended only while holding one of
+// the locks quiesce takes, so the encoded payload reflects exactly the
+// records appended so far: nothing in flight, nothing lost.
 func (b *Broker) snapshotNow() error {
-	d := b.wal
-	b.regMu.Lock()
-	for i := range b.shards {
-		b.shards[i].mu.Lock()
-	}
-	payload := b.encodeSnapshot()
-	err := d.log.Snapshot(payload)
-	d.appended.Store(0)
-	for i := len(b.shards) - 1; i >= 0; i-- {
-		b.shards[i].mu.Unlock()
-	}
-	b.regMu.Unlock()
+	defer b.quiesce()()
+	err := b.wal.log.Snapshot(b.encodeSnapshot())
+	b.wal.appended.Store(0)
 	return err
 }
 
@@ -252,212 +215,15 @@ func (b *Broker) walAppend(bp *[]byte) {
 	}
 }
 
-func appendF64(buf []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-}
-
-// logRegister records a registration. Called under regMu before the
-// directory entry is published, so any later mutation of this campaign —
-// which can only start after publication — appends after it.
-func (b *Broker) logRegister(id int32, spec CampaignSpec) {
+// logRecord appends one mutation's record — the struct DecodeRecord would
+// return for it, run through the codec in write mode — under the lock that
+// serializes the mutation (see walAppend).
+func (b *Broker) logRecord(d *DecodedRecord) {
 	bp := recPool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	buf = append(buf, recRegister)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
-	buf = appendF64(buf, spec.Loc.X)
-	buf = appendF64(buf, spec.Loc.Y)
-	buf = appendF64(buf, spec.Radius)
-	buf = appendF64(buf, spec.Budget)
-	var class byte
-	if spec.Guaranteed {
-		class = 1
-	}
-	buf = append(buf, class)
-	buf = appendF64(buf, spec.Floor)
-	buf = appendF64(buf, spec.Penalty)
-	buf = append(buf, byte(spec.Billing.Model))
-	buf = appendF64(buf, spec.Billing.ReserveECPM)
-	buf = appendF64(buf, spec.Billing.EventRate)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(spec.Tags)))
-	for _, t := range spec.Tags {
-		buf = appendF64(buf, t)
-	}
-	*bp = buf
+	c := codec{buf: (*bp)[:0]}
+	c.record(d)
+	*bp = c.buf
 	b.walAppend(bp)
-}
-
-// logController records one applied controller epoch: the epoch counter, the
-// boost bits, and every campaign's applied rate/allowance bits — read back
-// from the atomics so the record carries exactly what memory holds. Called
-// with every mutator quiesced (applyDecision holds regMu plus all shard
-// locks), so replay storing these bits reproduces the post-epoch state
-// bit-exactly without re-running the control law.
-func (b *Broker) logController(epoch int64, applied []*campaign) {
-	bp := recPool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	buf = append(buf, recController, controllerRecVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(epoch))
-	buf = binary.LittleEndian.AppendUint64(buf, b.phiBoost.bits.Load())
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(applied)))
-	for _, c := range applied {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.id))
-		buf = binary.LittleEndian.AppendUint64(buf, c.rate.bits.Load())
-		buf = binary.LittleEndian.AppendUint64(buf, c.allowance.bits.Load())
-	}
-	*bp = buf
-	b.walAppend(bp)
-}
-
-// logTopUp records a budget top-up; called under the campaign's shard lock.
-func (b *Broker) logTopUp(id int32, amount float64) {
-	bp := recPool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	buf = append(buf, recTopUp)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
-	buf = appendF64(buf, amount)
-	*bp = buf
-	b.walAppend(bp)
-}
-
-// logPause records a pause/resume; called under the campaign's shard lock.
-func (b *Broker) logPause(id int32, paused bool) {
-	bp := recPool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	buf = append(buf, recPause)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
-	var flag byte
-	if paused {
-		flag = 1
-	}
-	buf = append(buf, flag)
-	*bp = buf
-	b.walAppend(bp)
-}
-
-// appendArrivalsHeader starts a recArrivals record framing n bodies.
-func appendArrivalsHeader(buf []byte, n int, auction bool) []byte {
-	buf = append(buf, recArrivals)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
-	var flags byte
-	if auction {
-		flags = arrivalsAuction
-	}
-	return append(buf, flags)
-}
-
-// logConversion records one collected conversion; called with the
-// campaign's shard lock held (Convert's phase 2).
-func (b *Broker) logConversion(offerID uint64, o openOffer, key string) {
-	bp := recPool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	buf = append(buf, recConversion)
-	buf = binary.LittleEndian.AppendUint64(buf, offerID)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(o.campaign))
-	buf = append(buf, byte(o.model))
-	buf = appendF64(buf, o.hold)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
-	buf = append(buf, key...)
-	*bp = buf
-	b.walAppend(bp)
-}
-
-// appendArrivalBody encodes one arrival inside a recArrivals record: the γ
-// bounds as this broker holds them right now (the pipeline encodes immediately
-// after the arrival's commit, so the bits are the same however the stream was
-// split into windows), the arriving customer's own features — what offline
-// audit replays into an oracle problem — and every offer charged. Replay
-// folds the bounds with Min/Max, which is exact for a serial history and
-// safe under concurrency because the bounds are monotone — every observation
-// is ≤/≥ the bits some record carries. A fixed-cost offer is the zero-billing
-// instance of the one offer layout (id, charge eCPM and hold all zero).
-func (b *Broker) appendArrivalBody(buf []byte, a *Arrival, offers []Offer) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, b.gammaMin.bits.Load())
-	buf = binary.LittleEndian.AppendUint64(buf, b.gammaMax.bits.Load())
-	buf = appendF64(buf, a.Loc.X)
-	buf = appendF64(buf, a.Loc.Y)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(a.Capacity))
-	buf = appendF64(buf, a.ViewProb)
-	buf = appendF64(buf, a.Hour)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(a.Interests)))
-	for _, v := range a.Interests {
-		buf = appendF64(buf, v)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(offers)))
-	for i := range offers {
-		o := &offers[i]
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(o.Campaign))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(o.AdType))
-		buf = appendF64(buf, o.Cost)
-		buf = appendF64(buf, o.Utility)
-		buf = binary.LittleEndian.AppendUint64(buf, o.ID)
-		buf = appendF64(buf, o.ChargeECPM)
-		buf = appendF64(buf, o.Hold)
-		buf = append(buf, byte(o.Model))
-	}
-	return buf
-}
-
-// recReader is a bounds-checked little-endian cursor over one record (or
-// snapshot) payload. A short read sets err once; subsequent reads return
-// zeros, and done() reports the failure — decoding never panics, whatever
-// the input.
-type recReader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *recReader) short() {
-	if r.err == nil {
-		r.err = errors.New("truncated payload")
-	}
-}
-
-func (r *recReader) u8() byte {
-	if r.off+1 > len(r.data) {
-		r.short()
-		return 0
-	}
-	v := r.data[r.off]
-	r.off++
-	return v
-}
-
-func (r *recReader) u32() uint32 {
-	if r.off+4 > len(r.data) {
-		r.short()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.data[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *recReader) u64() uint64 {
-	if r.off+8 > len(r.data) {
-		r.short()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.data[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *recReader) i32() int32   { return int32(r.u32()) }
-func (r *recReader) i64() int64   { return int64(r.u64()) }
-func (r *recReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-// remaining bounds variable-length sections before allocating for them.
-func (r *recReader) remaining() int { return len(r.data) - r.off }
-
-func (r *recReader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.data) {
-		return fmt.Errorf("%d trailing bytes", len(r.data)-r.off)
-	}
-	return nil
 }
 
 // applyRecord replays one WAL record onto the (still-private) broker.
@@ -552,95 +318,70 @@ func (b *Broker) applyConversion(d *DecodedRecord) error {
 	return nil
 }
 
-// encodeSnapshot serializes the full broker state. Called with every
-// mutator quiesced (regMu plus all shard locks held), so the atomics are
-// stable and the encoding is a consistent cut.
+// encodeSnapshot is the snapshot payload of the broker's current state;
+// the caller quiesces every mutator (see snapshotState).
 func (b *Broker) encodeSnapshot() []byte {
-	dir := b.dir.Load().campaigns
-	buf := make([]byte, 0, 256+len(dir)*200)
-	buf = append(buf, snapshotVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(b.arrivals.Load()))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(b.offers.Load()))
-	buf = binary.LittleEndian.AppendUint64(buf, b.utility.bits.Load())
-	buf = binary.LittleEndian.AppendUint64(buf, b.spent.bits.Load())
-	buf = binary.LittleEndian.AppendUint64(buf, b.gammaMin.bits.Load())
-	buf = binary.LittleEndian.AppendUint64(buf, b.gammaMax.bits.Load())
-	buf = binary.LittleEndian.AppendUint64(buf, b.phiBoost.bits.Load())
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(b.pacingEpoch.Load()))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(dir)))
-	for _, c := range dir {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.id))
-		buf = appendF64(buf, c.loc.X)
-		buf = appendF64(buf, c.loc.Y)
-		buf = appendF64(buf, c.radius)
-		buf = binary.LittleEndian.AppendUint64(buf, c.budget.bits.Load())
-		buf = binary.LittleEndian.AppendUint64(buf, c.spent.bits.Load())
-		var paused byte
-		if c.paused.Load() {
-			paused = 1
-		}
-		buf = append(buf, paused)
-		var class byte
-		if c.guaranteed {
-			class = 1
-		}
-		buf = append(buf, class)
-		buf = appendF64(buf, c.floor)
-		buf = appendF64(buf, c.penalty)
-		buf = binary.LittleEndian.AppendUint64(buf, c.rate.bits.Load())
-		buf = binary.LittleEndian.AppendUint64(buf, c.allowance.bits.Load())
-		buf = append(buf, byte(c.billing.Model))
-		buf = appendF64(buf, c.billing.ReserveECPM)
-		buf = appendF64(buf, c.billing.EventRate)
-		buf = binary.LittleEndian.AppendUint64(buf, c.escrow.bits.Load())
-		buf = binary.LittleEndian.AppendUint64(buf, c.converted.bits.Load())
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(c.conversions.Load()))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.tags)))
-		for _, t := range c.tags {
-			buf = appendF64(buf, t)
-		}
-	}
-	return b.encodeBillingSnapshot(buf)
+	s := b.snapshotState()
+	c := codec{buf: make([]byte, 0, 256+len(s.Campaigns)*200)}
+	c.snapshot(&s)
+	return c.buf
 }
 
-// encodeBillingSnapshot appends the global billing section of the
-// snapshot. Called under full quiescence (regMu plus every shard lock);
-// since all billing mutations hold at least one shard lock, the sidecar's
-// state is stable and read without its mutex.
-func (b *Broker) encodeBillingSnapshot(buf []byte) []byte {
+// snapshotState reads the full broker state into the struct DecodeSnapshot
+// returns. Called with every mutator quiesced, so the atomics are stable and
+// the state is a consistent cut; every billing mutation holds a shard lock,
+// so the billing sidecar is read without its mutex too.
+func (b *Broker) snapshotState() SnapshotState {
+	dir := b.dir.Load().campaigns
 	bl := b.billing
-	buf = binary.LittleEndian.AppendUint64(buf, bl.nextID)
-	buf = binary.LittleEndian.AppendUint64(buf, bl.evictNext)
-	buf = binary.LittleEndian.AppendUint64(buf, bl.held.bits.Load())
-	buf = binary.LittleEndian.AppendUint64(buf, bl.released.bits.Load())
-	buf = binary.LittleEndian.AppendUint64(buf, bl.convertedRev.bits.Load())
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(bl.conversions.Load()))
+	s := SnapshotState{
+		Arrivals:     b.arrivals.Load(),
+		Offers:       b.offers.Load(),
+		UtilityBits:  b.utility.bits.Load(),
+		SpentBits:    b.spent.bits.Load(),
+		GammaMinBits: b.gammaMin.bits.Load(),
+		GammaMaxBits: b.gammaMax.bits.Load(),
+		PhiBoostBits: b.phiBoost.bits.Load(),
+		PacingEpoch:  b.pacingEpoch.Load(),
+		Campaigns:    make([]SnapshotCampaign, len(dir)),
+		Billing: SnapshotBilling{
+			NextID:           bl.nextID,
+			EvictNext:        bl.evictNext,
+			HeldBits:         bl.held.bits.Load(),
+			ReleasedBits:     bl.released.bits.Load(),
+			ConvertedRevBits: bl.convertedRev.bits.Load(),
+			Conversions:      bl.conversions.Load(),
+			Open:             make([]SnapshotOpenOffer, 0, len(bl.open)),
+			// The live idempotency window, oldest first, so replaying
+			// registerKeyLocked rebuilds the same FIFO.
+			IdemKeys: bl.idemQ[bl.idemHead:],
+		},
+	}
+	for i, c := range dir {
+		s.Campaigns[i] = SnapshotCampaign{
+			ID: c.id, Loc: c.loc, Radius: c.radius,
+			BudgetBits: c.budget.bits.Load(), SpentBits: c.spent.bits.Load(),
+			Paused: c.paused.Load(), Tags: c.tags,
+			Guaranteed: c.guaranteed, Floor: c.floor, Penalty: c.penalty,
+			RateBits: c.rate.bits.Load(), AllowanceBits: c.allowance.bits.Load(),
+			BillingModel:  c.billing.Model,
+			ReserveBits:   math.Float64bits(c.billing.ReserveECPM),
+			EventRateBits: math.Float64bits(c.billing.EventRate),
+			EscrowBits:    c.escrow.bits.Load(),
+			ConvertedBits: c.converted.bits.Load(),
+			Conversions:   c.conversions.Load(),
+		}
+	}
+	sb := &s.Billing
 	for m := range bl.revenue {
-		buf = binary.LittleEndian.AppendUint64(buf, bl.revenue[m].bits.Load())
+		sb.RevenueBits[m] = bl.revenue[m].bits.Load()
 	}
-	// The open table, in ID order for a deterministic payload.
-	ids := make([]uint64, 0, len(bl.open))
-	for id := range bl.open {
-		ids = append(ids, id)
+	for id, o := range bl.open {
+		sb.Open = append(sb.Open, SnapshotOpenOffer{ID: id, Campaign: o.campaign, Model: o.model, Hold: o.hold})
 	}
-	slices.Sort(ids)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ids)))
-	for _, id := range ids {
-		o := bl.open[id]
-		buf = binary.LittleEndian.AppendUint64(buf, id)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(o.campaign))
-		buf = append(buf, byte(o.model))
-		buf = appendF64(buf, o.hold)
-	}
-	// The live idempotency window, oldest first, so replaying
-	// registerKeyLocked rebuilds the same FIFO.
-	live := bl.idemQ[bl.idemHead:]
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(live)))
-	for _, k := range live {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(k)))
-		buf = append(buf, k...)
-	}
-	return buf
+	// The open table in ID order, for a deterministic payload.
+	slices.SortFunc(sb.Open, func(x, y SnapshotOpenOffer) int { return cmp.Compare(x.ID, y.ID) })
+	return s
 }
 
 // applySnapshot seeds an empty broker from a compacted snapshot payload.

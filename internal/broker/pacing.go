@@ -54,19 +54,20 @@ func (b *Broker) PacingStep() (pacing.Decision, error) {
 	return dec, nil
 }
 
-// applyDecision installs one controller decision. It quiesces every mutator
-// (regMu, then all shard locks ascending — the global lock order, same as
-// snapshotNow), so in-flight arrivals never observe a half-applied epoch and
-// the WAL record is atomic with the memory effects it describes.
+// applyDecision installs one controller decision. It quiesces every mutator,
+// so in-flight arrivals never observe a half-applied epoch and the WAL record
+// is atomic with the memory effects it describes. The record carries the
+// applied bits read back from the atomics — exactly what memory holds — so
+// replay storing them reproduces the post-epoch state without re-running the
+// control law.
 func (b *Broker) applyDecision(dec pacing.Decision) {
-	b.regMu.Lock()
-	for i := range b.shards {
-		b.shards[i].mu.Lock()
-	}
+	defer b.quiesce()()
 	b.phiBoost.Store(dec.Boost)
-	epoch := b.pacingEpoch.Add(1)
+	rec := DecodedRecord{
+		Kind: RecordController, Epoch: b.pacingEpoch.Add(1), BoostBits: b.phiBoost.bits.Load(),
+		Controller: make([]ControllerEntry, 0, len(dec.Rates)),
+	}
 	dir := b.dir.Load().campaigns
-	applied := make([]*campaign, 0, len(dec.Rates))
 	for _, r := range dec.Rates {
 		if r.ID < 0 || int(r.ID) >= len(dir) {
 			continue // registered after the snapshot; stays uncapped this epoch
@@ -74,15 +75,12 @@ func (b *Broker) applyDecision(dec pacing.Decision) {
 		c := dir[r.ID]
 		c.rate.Store(r.Rate)
 		c.allowance.Store(pacing.Allowance(c.budget.Load(), c.spent.Load(), c.allowance.Load(), r.Rate))
-		applied = append(applied, c)
+		rec.Controller = append(rec.Controller, ControllerEntry{
+			Campaign: c.id, RateBits: c.rate.bits.Load(), AllowanceBits: c.allowance.bits.Load()})
 	}
 	if b.wal != nil {
-		b.logController(epoch, applied)
+		b.logRecord(&rec)
 	}
-	for i := len(b.shards) - 1; i >= 0; i-- {
-		b.shards[i].mu.Unlock()
-	}
-	b.regMu.Unlock()
 }
 
 // registerPacingMetrics publishes the muaa_pacing_* instrument family; every

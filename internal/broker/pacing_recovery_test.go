@@ -2,7 +2,7 @@ package broker
 
 // Crash-recovery property for the pacing controller's state: the threshold
 // boost, epoch counter, and per-campaign rate/allowance are WAL-logged as
-// applied bits (recController) and must come back bit-exact from any crash
+// applied bits (RecordController) and must come back bit-exact from any crash
 // point — recovery replays logged decisions, it never re-runs the control
 // law.
 
@@ -15,8 +15,77 @@ import (
 	"time"
 
 	"muaa/internal/pacing"
+	"muaa/internal/wal"
 	"muaa/internal/workload"
 )
+
+// TestAuditTickerIdleDuringReplay: the audit ticker must not run while New
+// replays the log. A tick mid-replay steps the controller with no WAL to
+// record it, so what came back would depend on timing. The writer steps once
+// and then serves a long stream; the recovering broker ticks every
+// millisecond, well under the replay time. The state New recovered — its
+// boot snapshot, written before any post-boot tick can land — must carry the
+// writer's epoch, boost bits and every rate/allowance bit.
+func TestAuditTickerIdleDuringReplay(t *testing.T) {
+	const campaigns, ops, seed = 32, 30000, 5
+	specs, stream, err := workload.BrokerLoad(workload.DefaultBrokerLoadConfig(campaigns, ops, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := pacing.Default()
+	cfg := Config{
+		AdTypes: workload.DefaultAdTypes(), AuditWindow: 256, AuditEvery: time.Hour, Controller: &ctl,
+		DataDir: t.TempDir(), WAL: crashWAL(),
+	}
+	writer, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerLoad(t, writer, specs)
+	if _, err := writer.PacingStep(); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range stream {
+		applyLoadOp(t, writer, op)
+	}
+	want := controllerBits(writer)
+
+	// Crash: copy the abandoned writer's files and recover them.
+	dir := t.TempDir()
+	entries, err := os.ReadDir(cfg.DataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		copyFile(t, filepath.Join(cfg.DataDir, e.Name()), filepath.Join(dir, e.Name()))
+	}
+	rcfg := cfg
+	rcfg.DataDir, rcfg.AuditEvery = dir, time.Millisecond
+	rb, err := New(rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rb.Close()
+	if d := rb.RecoveryStats().Duration; d < 5*rcfg.AuditEvery {
+		t.Fatalf("recovery took %v, under 5 ticks of %v: the log is too short to test anything", d, rcfg.AuditEvery)
+	}
+	v, err := wal.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := DecodeSnapshot(v.Snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := ctlState{boostBits: s.PhiBoostBits, epoch: s.PacingEpoch}
+	for _, c := range s.Campaigns {
+		got.rates = append(got.rates, c.RateBits)
+		got.allowances = append(got.allowances, c.AllowanceBits)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered controller state differs from the writer's:\n got %+v\nwant %+v", got, want)
+	}
+}
 
 // ctlState is the controller's complete mutable state, captured as raw bits.
 type ctlState struct {
@@ -121,7 +190,7 @@ func TestControllerCrashRecoveryProperty(t *testing.T) {
 		if op.Kind == workload.OpArrival {
 			if arrivals++; arrivals%stepEvery == 0 {
 				step(ref)
-				snap() // one recController record per epoch
+				snap() // one RecordController record per epoch
 				step(b)
 			}
 		}

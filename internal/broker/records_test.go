@@ -34,18 +34,18 @@ func recordKinds() []RecordKind {
 }
 
 // writtenRecord is one step of the production-writer scenario: the record a
-// log* writer (or the batch path) appended, and what it must decode to.
+// mutation (or the batch path) appended, and what it must decode to.
 type writtenRecord struct {
 	name    string
 	payload []byte
 	want    DecodedRecord
 }
 
-// writeEveryRecord drives every production WAL writer once — logRegister
-// (fixed and billed), logTopUp, logPause, logArrival, arriveBatch,
-// logConversion, logController — on a durable broker, mirrored op for op on
-// an in-memory twin the expectations are read from, and returns what the
-// log actually holds plus the broker's final snapshot payload.
+// writeEveryRecord drives every production WAL writer once — registration
+// (fixed and billed), top-up, pause and resume, a serial arrival, a batch,
+// a conversion and a controller epoch — on a durable broker, mirrored op for
+// op on an in-memory twin the expectations are read from, and returns what
+// the log actually holds plus the broker's final snapshot payload.
 func writeEveryRecord(tb testing.TB) ([]writtenRecord, []byte) {
 	tb.Helper()
 	ctl := pacing.Default()
@@ -299,16 +299,108 @@ func TestDecodeSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPersistedBytesMatchGolden is the byte-level fence under the codec:
+// every payload writeEveryRecord's production writers put in the log, and
+// the final snapshot, must equal testdata/persisted.golden — the hex bytes
+// and the decoded value, floats as their Float64bits — recorded before the
+// writers and readers shared one layout statement. A round trip cannot see a
+// field both directions moved together; this can. Regenerate (`go test
+// ./internal/broker -run PersistedBytes -update`) only for an intentional
+// layout change, which also takes a fresh type byte or snapshot version.
+func TestPersistedBytesMatchGolden(t *testing.T) {
+	records, snapshot := writeEveryRecord(t)
+	var sb strings.Builder
+	for _, rec := range records {
+		d, err := DecodeRecord(rec.payload)
+		if err != nil {
+			t.Fatalf("%s: %v", rec.name, err)
+		}
+		dumpPersisted(&sb, "record "+rec.name, rec.payload, d)
+	}
+	s, err := DecodeSnapshot(snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dumpPersisted(&sb, "snapshot", snapshot, s)
+	got := sb.String()
+	path := filepath.Join("testdata", "persisted.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Fatalf("persisted bytes or their decoding diverged from the golden (%d vs %d bytes), first diff at byte %d",
+			len(got), len(want), firstDiff(got, string(want)))
+	}
+}
+
+// dumpPersisted renders one payload for the golden: a header, the bytes as
+// hex 32 to a line, then every field of the decoded value.
+func dumpPersisted(sb *strings.Builder, name string, payload []byte, decoded any) {
+	fmt.Fprintf(sb, "== %s (%d bytes)\n", name, len(payload))
+	for off := 0; off < len(payload); off += 32 {
+		fmt.Fprintf(sb, "%x\n", payload[off:min(off+32, len(payload))])
+	}
+	dumpValue(sb, "", reflect.ValueOf(decoded))
+}
+
+// dumpValue prints v one scalar per line under its field path; floats print
+// as their bit pattern so the dump is as exact as the bytes.
+func dumpValue(sb *strings.Builder, path string, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			name := v.Type().Field(i).Name
+			if path != "" {
+				name = path + "." + name
+			}
+			dumpValue(sb, name, v.Field(i))
+		}
+	case reflect.Slice, reflect.Array:
+		fmt.Fprintf(sb, "%s len=%d\n", path, v.Len())
+		for i := 0; i < v.Len(); i++ {
+			dumpValue(sb, fmt.Sprintf("%s[%d]", path, i), v.Index(i))
+		}
+	case reflect.Float64:
+		fmt.Fprintf(sb, "%s=%016x\n", path, math.Float64bits(v.Float()))
+	case reflect.Int, reflect.Int32, reflect.Int64:
+		fmt.Fprintf(sb, "%s=%d\n", path, v.Int())
+	case reflect.Uint8, reflect.Uint64:
+		fmt.Fprintf(sb, "%s=%d\n", path, v.Uint())
+	case reflect.Bool:
+		fmt.Fprintf(sb, "%s=%t\n", path, v.Bool())
+	case reflect.String:
+		fmt.Fprintf(sb, "%s=%q\n", path, v.String())
+	default:
+		panic(fmt.Sprintf("dumpValue: %s has unhandled kind %s", path, v.Kind()))
+	}
+}
+
 // TestDecodeRecordMalformed: decoders are total — truncated, trailing-junk
-// and unknown-type payloads error, never panic.
+// and unknown-type payloads error, never panic — and canonical: a flag byte
+// other than 0 or 1 is refused, not read as true.
 func TestDecodeRecordMalformed(t *testing.T) {
 	records, snapshot := writeEveryRecord(t)
+	set := func(payload []byte, i int, v byte) []byte {
+		out := bytes.Clone(payload)
+		out[i] = v
+		return out
+	}
 	cases := map[string][]byte{
 		"empty":          nil,
 		"unknown type":   {99, 0, 0},
-		"huge count":     {recArrivals, 0xFF, 0xFF, 0xFF, 0xFF, 0},
-		"zero count":     {recArrivals, 0, 0, 0, 0, 0},
-		"reserved flags": append([]byte{recArrivals, 1, 0, 0, 0, 0x80}, make([]byte, 60)...),
+		"huge count":     {byte(RecordArrivals), 0xFF, 0xFF, 0xFF, 0xFF, 0},
+		"zero count":     {byte(RecordArrivals), 0, 0, 0, 0, 0},
+		"reserved flags": append([]byte{byte(RecordArrivals), 1, 0, 0, 0, 0x80}, make([]byte, 60)...),
+		// type, id, loc and radius, budget: the guaranteed flag is byte 37.
+		"guaranteed flag 2": set(records[0].payload, 37, 2),
+		"paused flag 2":     set(records[3].payload, len(records[3].payload)-1, 2),
 	}
 	for _, rec := range records {
 		cases[rec.name+" truncated"] = rec.payload[:len(rec.payload)-3]
@@ -324,6 +416,9 @@ func TestDecodeRecordMalformed(t *testing.T) {
 		"truncated":   snapshot[:len(snapshot)-3],
 		"trailing":    append(append([]byte(nil), snapshot...), 0xFF),
 		"bad version": {0xEE},
+		// version, eight words, count; then id, loc, radius, budget and spent
+		// bits: the first campaign's paused flag is byte 113.
+		"paused flag 2": set(snapshot, 113, 2),
 	} {
 		if _, err := DecodeSnapshot(data); err == nil {
 			t.Errorf("snapshot %s: no error", name)
@@ -333,6 +428,10 @@ func TestDecodeRecordMalformed(t *testing.T) {
 
 // Hand-built payloads of the layouts older builds wrote, for the refusal
 // tests only: field for field what those writers emitted.
+func appendF64(buf []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+}
+
 func retiredOffers(buf []byte, wide bool) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, 1)
 	buf = binary.LittleEndian.AppendUint32(buf, 3) // campaign
@@ -389,9 +488,9 @@ func TestRetiredFormatsRefused(t *testing.T) {
 	for _, k := range recordKinds() {
 		live[byte(k)] = true
 	}
-	for v := byte(1); v <= recArrivals; v++ {
+	for v := byte(1); v <= byte(RecordArrivals); v++ {
 		if _, ok := retired[v]; ok == live[v] {
-			t.Errorf("type byte %d: retired %v, live %v — every byte up to %d is exactly one", v, ok, live[v], recArrivals)
+			t.Errorf("type byte %d: retired %v, live %v — every byte up to %d is exactly one", v, ok, live[v], byte(RecordArrivals))
 		}
 	}
 	for kind, payload := range retired {
@@ -501,8 +600,19 @@ func checkDecoder(t *testing.T, payload []byte, decode func([]byte) error) {
 	}
 }
 
-// FuzzDecodeRecord holds DecodeRecord to checkDecoder, seeded with what the
-// production writers wrote, truncations of it, and the retired layouts.
+// checkCanonical is the property on top of checkDecoder: a payload the
+// decoder accepted re-encodes through the same codec method to exactly its
+// own bytes, so the codec is its own inverse on arbitrary input, not only on
+// what the writers produced.
+func checkCanonical(t *testing.T, payload, reencoded []byte) {
+	if !bytes.Equal(reencoded, payload) {
+		t.Fatalf("payload %x decodes but re-encodes as %x", payload, reencoded)
+	}
+}
+
+// FuzzDecodeRecord holds DecodeRecord to checkDecoder and checkCanonical,
+// seeded with what the production writers wrote, truncations of it, and the
+// retired layouts.
 func FuzzDecodeRecord(f *testing.F) {
 	records, _ := writeEveryRecord(f)
 	for _, rec := range records {
@@ -512,9 +622,14 @@ func FuzzDecodeRecord(f *testing.F) {
 	for _, payload := range retiredRecords() {
 		f.Add(payload)
 	}
-	f.Add([]byte{recArrivals, 0xFF, 0xFF, 0xFF, 0xFF, 0})
+	f.Add([]byte{byte(RecordArrivals), 0xFF, 0xFF, 0xFF, 0xFF, 0})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		checkDecoder(t, payload, func(p []byte) error { _, err := DecodeRecord(p); return err })
+		if d, err := DecodeRecord(payload); err == nil {
+			var c codec
+			c.record(&d)
+			checkCanonical(t, payload, c.buf)
+		}
 	})
 }
 
@@ -527,5 +642,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add([]byte{1, 0, 0})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		checkDecoder(t, payload, func(p []byte) error { _, err := DecodeSnapshot(p); return err })
+		if s, err := DecodeSnapshot(payload); err == nil {
+			var c codec
+			c.snapshot(&s)
+			checkCanonical(t, payload, c.buf)
+		}
 	})
 }

@@ -8,7 +8,6 @@ package wal
 // retained (non-active) segment is immutable.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -49,8 +48,7 @@ func ReadSegment(ref SegmentRef) (records [][]byte, truncated bool, err error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("wal: reading segment: %w", err)
 	}
-	if len(data) < headerSize || [8]byte(data[:8]) != logMagic ||
-		binary.LittleEndian.Uint64(data[8:16]) != ref.Seq {
+	if !validHeader(data, ref.Seq) {
 		return nil, true, nil
 	}
 	records, good := ScanRecords(data[headerSize:])

@@ -313,51 +313,21 @@ func openSegment(path string, seq uint64) (*os.File, [][]byte, bool, error) {
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("wal: opening segment: %w", err)
 	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, nil, false, fmt.Errorf("wal: segment stat: %w", err)
-	}
-	if info.Size() == 0 {
-		var hdr [headerSize]byte
-		copy(hdr[:8], logMagic[:])
-		binary.LittleEndian.PutUint64(hdr[8:], seq)
-		if _, err := f.Write(hdr[:]); err != nil {
-			f.Close()
-			return nil, nil, false, fmt.Errorf("wal: writing segment header: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, nil, false, fmt.Errorf("wal: syncing segment header: %w", err)
-		}
-		return f, nil, false, nil
-	}
 	data, err := io.ReadAll(f)
 	if err != nil {
 		f.Close()
 		return nil, nil, false, fmt.Errorf("wal: reading segment: %w", err)
 	}
-	// A header shorter than headerSize or with the wrong magic means the
-	// file is not (yet) a log: a crash can leave a zero-padded or partial
-	// header. Treat it as an empty segment and rewrite the header.
-	if len(data) < headerSize || [8]byte(data[:8]) != logMagic ||
-		binary.LittleEndian.Uint64(data[8:16]) != seq {
-		if err := f.Truncate(0); err != nil {
+	// An empty file is a new segment. A header shorter than headerSize or
+	// with the wrong magic means the file is not (yet) a log: a crash can
+	// leave a zero-padded or partial header. Either is an empty segment,
+	// given its header; only the second counts as a truncation.
+	if !validHeader(data, seq) {
+		if err := writeHeader(f, seq); err != nil {
 			f.Close()
-			return nil, nil, false, fmt.Errorf("wal: resetting segment: %w", err)
+			return nil, nil, false, fmt.Errorf("wal: writing segment header: %w", err)
 		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			f.Close()
-			return nil, nil, false, err
-		}
-		var hdr [headerSize]byte
-		copy(hdr[:8], logMagic[:])
-		binary.LittleEndian.PutUint64(hdr[8:], seq)
-		if _, err := f.Write(hdr[:]); err != nil {
-			f.Close()
-			return nil, nil, false, fmt.Errorf("wal: rewriting segment header: %w", err)
-		}
-		return f, nil, true, nil
+		return f, nil, len(data) > 0, nil
 	}
 	records, good := ScanRecords(data[headerSize:])
 	truncated := headerSize+good != len(data)
@@ -372,6 +342,30 @@ func openSegment(path string, seq uint64) (*os.File, [][]byte, bool, error) {
 		return nil, nil, false, err
 	}
 	return f, records, truncated, nil
+}
+
+// writeHeader makes f an empty segment seq: the 16-byte header (magic, then
+// the sequence), synced, with the write offset just past it.
+func writeHeader(f *os.File, seq uint64) error {
+	var hdr [headerSize]byte
+	copy(hdr[:8], logMagic[:])
+	binary.LittleEndian.PutUint64(hdr[8:], seq)
+	if err := f.Truncate(0); err != nil {
+		return err
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return err
+	}
+	if _, err := f.Write(hdr[:]); err != nil {
+		return err
+	}
+	return f.Sync()
+}
+
+// validHeader reports whether data starts with segment seq's header.
+func validHeader(data []byte, seq uint64) bool {
+	return len(data) >= headerSize && [8]byte(data[:8]) == logMagic &&
+		binary.LittleEndian.Uint64(data[8:16]) == seq
 }
 
 // ScanRecords decodes framed records from data, stopping cleanly at the
