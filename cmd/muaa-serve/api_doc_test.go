@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"muaa/internal/broker"
 	"muaa/internal/workload"
@@ -69,9 +68,7 @@ func TestAPIDocCoversRoutes(t *testing.T) {
 // path with /v1 stripped is the ordinary enveloped 404 on its listener.
 // twoSpellings lists the only exceptions.
 func TestOneSpellingPerRoute(t *testing.T) {
-	base, a := startServerOpts(t, serverOpts{
-		traceCapacity: 16, auditWindow: 16, auditEvery: time.Hour, slo: "on", funnel: true,
-	})
+	base, a := startServerOpts(t, armedConfig())
 	dbgBase := startDebugListener(t, a)
 
 	status := func(method, url string) (int, string) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"io"
 	"net/http"
 	"os"
@@ -10,8 +11,78 @@ import (
 	"strings"
 	"testing"
 
+	"muaa/internal/pacing"
 	"muaa/internal/slo"
 )
+
+// TestFlagCatalogueMatchesOperationsDoc holds the flags bind registers to the
+// docs, as the metric catalogue test below holds the registry: the flag table
+// in docs/OPERATIONS.md has one row per registered flag and no other, and
+// every -flag on a muaa-serve command line in the README, docs/, DESIGN.md or
+// the verify skill (its `\` continuation lines included) is a registered one
+// — Go's flag package exits 2 on any other, so such a recipe never starts.
+func TestFlagCatalogueMatchesOperationsDoc(t *testing.T) {
+	cfg := defaultConfig()
+	fs := flag.NewFlagSet("muaa-serve", flag.ContinueOnError)
+	cfg.bind(fs)
+	registered := make(map[string]bool)
+	fs.VisitAll(func(f *flag.Flag) { registered[f.Name] = true })
+
+	doc, err := os.ReadFile("../../docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := regexp.MustCompile("^\\| `-([a-z0-9-]+)` \\|")
+	tabled := make(map[string]bool)
+	for _, line := range strings.Split(string(doc), "\n") {
+		if m := row.FindStringSubmatch(line); m != nil {
+			if tabled[m[1]] {
+				t.Errorf("docs/OPERATIONS.md has two rows for -%s", m[1])
+			}
+			tabled[m[1]] = true
+		}
+	}
+	for name := range registered {
+		if !tabled[name] {
+			t.Errorf("-%s is registered but has no row in the docs/OPERATIONS.md flag table", name)
+		}
+	}
+	for name := range tabled {
+		if !registered[name] {
+			t.Errorf("docs/OPERATIONS.md has a row for -%s, which muaa-serve does not register", name)
+		}
+	}
+
+	docs, err := filepath.Glob("../../docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	command := regexp.MustCompile(`muaa-serve\s+-`)
+	option := regexp.MustCompile("(?:^|[\\s`])-([a-z][a-z0-9-]*)")
+	for _, f := range append(docs, "../../README.md", "../../DESIGN.md", "../../.claude/skills/verify/SKILL.md") {
+		text, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(text), "\n")
+		for i := 0; i < len(lines); i++ {
+			at := command.FindStringIndex(lines[i])
+			if at == nil {
+				continue
+			}
+			start, cmd := i+1, lines[i][at[0]:]
+			for strings.HasSuffix(strings.TrimSpace(lines[i]), `\`) && i+1 < len(lines) {
+				i++
+				cmd += "\n" + lines[i]
+			}
+			for _, m := range option.FindAllStringSubmatch(cmd, -1) {
+				if !registered[m[1]] {
+					t.Errorf("%s:%d: a muaa-serve command line passes -%s, which is not a flag", f, start, m[1])
+				}
+			}
+		}
+	}
+}
 
 // TestMetricCatalogueMatchesOperationsDoc holds docs/OPERATIONS.md and the
 // registry to each other. The server boots with every surface that registers
@@ -24,15 +95,10 @@ import (
 // table, in the benchmark module (bench/*.go) or in a CI smoke. This module's
 // tests are not readers.
 func TestMetricCatalogueMatchesOperationsDoc(t *testing.T) {
-	base, _ := startServerOpts(t, serverOpts{
-		dataDir:       t.TempDir(),
-		walSync:       "flush",
-		traceCapacity: 64,
-		auditWindow:   64,
-		controller:    "on",
-		slo:           "on",
-		funnel:        true,
-	})
+	cfg := armedConfig()
+	controller := pacing.Default()
+	cfg.broker.DataDir, cfg.broker.Controller = t.TempDir(), &controller
+	base, _ := startServerOpts(t, cfg)
 	if code := postJSON(t, base+"/v1/campaigns",
 		`{"loc":{"x":0.5,"y":0.5},"radius":0.1,"budget":20,"tags":[1,0,0.2]}`, nil); code != http.StatusCreated {
 		t.Fatalf("POST /v1/campaigns → %d", code)

@@ -39,8 +39,10 @@
 //
 // The broker shards campaign state by spatial stripe so arrivals in
 // different regions are served in parallel; -shards overrides the
-// GOMAXPROCS-scaled default. Every flag and every exported metric is
-// documented in docs/OPERATIONS.md.
+// GOMAXPROCS-scaled default (at most 64). Every flag and every exported
+// metric is documented in docs/OPERATIONS.md. The flags bind straight onto
+// one config value (the broker, recorder and sampler option structs plus
+// the SLO rules), and newServer refuses a bad one before it builds anything.
 //
 // -debug-addr starts a second, separate listener exposing net/http/pprof
 // under /debug/pprof/, the flight recorder under /v1/debug/traces, the
@@ -54,17 +56,15 @@
 // /v1/debug/* endpoint answers the same 503 `unavailable` envelope as the
 // serving API.
 //
-// -funnel (default on) attributes every scan disposition to its campaign's
-// own exact counter row, exposed as muaa_funnel_* metrics (per-campaign
-// series for the top 16 by gathered count) and the funnel endpoint;
-// -funnel=false turns attribution off (the endpoint then answers 404
-// funnel_disabled).
+// Every scan disposition is attributed to its campaign's own exact counter
+// row, exposed as muaa_funnel_* metrics (per-campaign series for the top 16
+// by gathered count) and the funnel endpoint.
 //
 // A background sampler snapshots the whole metrics registry every
 // -sample-every (counter deltas become rates, gauges are stored as-is,
-// histograms as windowed p50/p95/p99) into fixed-capacity rings of
-// -sample-capacity points per series — the process's own short-term memory,
-// queryable at GET /v1/debug/timeseries and rendered live by cmd/muaa-top.
+// histograms as windowed p50/p95/p99) into fixed rings of 360 points per
+// series — the process's own short-term memory, queryable at
+// GET /v1/debug/timeseries and rendered live by cmd/muaa-top.
 // -slo arms the burn-rate watchdog over those rings (arrival latency,
 // empirical-ratio dips, WAL fsync stalls, escrow growth, runtime runaway;
 // see internal/slo): rules fire as structured slo_firing log events,
@@ -84,7 +84,7 @@
 // header (minting IDs otherwise), echoes the resulting traceparent on the
 // response, and emits one JSON access-log line per request with the
 // trace_id. Completed arrival traces land in a flight recorder sized by
-// -trace-capacity, with slow (≥ -trace-slow) and anomalous ones retained
+// -trace-capacity, with slow (≥ 25 ms) and anomalous ones retained
 // preferentially. All process logs are structured JSON on stderr (slog),
 // batched by obs.LogHandler (docs/OPERATIONS.md "Tracing & logs"); nothing
 // in this binary writes through the stdlib global logger.
@@ -116,26 +116,94 @@ import (
 	"muaa/internal/workload"
 )
 
-// serverOpts carries the flag values into newServer; main binds the flags
-// straight onto its fields.
-type serverOpts struct {
-	addr          string
-	g, pacing     float64
-	shards        int
-	dataDir       string // empty = in-memory broker
-	walSync       string // flush | always | none (wal.ParseSyncPolicy)
-	walFlushEvery time.Duration
-	snapshotEvery int
-	traceCapacity int           // flight-recorder reservoir size; <= 0 disables tracing
-	traceSlow     time.Duration // slow-trace retention threshold; 0 = recorder default
-	auditWindow   int           // live-audit arrival window; <= 0 disables auditing
-	auditEvery    time.Duration // live-audit recompute cadence; 0 = broker default
-	walRetain     bool          // keep superseded WAL segments for full-history audits
-	controller    string        // pacing-controller spec ("" = off; see pacing.ParseConfig)
-	sampleEvery   time.Duration // time-series sampling cadence; 0 = 5s default, negative disables
-	sampleCap     int           // retention-ring points per series; 0 = 360 default
-	slo           string        // SLO watchdog spec ("" = off; see slo.ParseConfig)
-	funnel        bool          // per-campaign decision-funnel attribution
+// config is everything the process runs on: the option structs it hands the
+// broker (with its WAL, pacing controller and funnel), the flight recorder
+// and the sampler, the SLO rules, the two listen addresses and the log level.
+// bind points every flag at one field; validate holds every rule that spans
+// fields.
+type config struct {
+	addr, debugAddr string // debugAddr empty = no debug listener
+	logLevel        slog.Level
+	version         bool
+	broker          broker.Config         // Controller nil = controller off
+	trace           trace.RecorderOptions // Capacity ≤ 0 disables tracing
+	sample          obs.SamplerOptions    // Every < 0 disables the sampler
+	slo             *slo.Config           // nil = watchdog off
+}
+
+// defaultConfig is the production configuration, the flags' defaults. Funnel
+// attribution is always on; the 25 ms slow-trace threshold, the 360-point
+// rings and the 50 ms WAL flush bound are the libraries' zero-value defaults.
+func defaultConfig() config {
+	return config{
+		addr:     ":8080",
+		logLevel: slog.LevelInfo,
+		broker: broker.Config{
+			AdTypes:     workload.DefaultAdTypes(),
+			WAL:         wal.Options{Retain: true},
+			AuditWindow: 4096,
+			AuditEvery:  15 * time.Second,
+			Funnel:      broker.FunnelConfig{Enabled: true},
+		},
+		trace:  trace.RecorderOptions{Capacity: 256},
+		sample: obs.SamplerOptions{Every: 5 * time.Second},
+	}
+}
+
+// bind registers every flag on fs, each defaulting to and writing one field
+// of c. The spec flags are parsed into their typed fields here, so a bad
+// value is a flag error; an empty -pacing-controller or -slo means off.
+func (c *config) bind(fs *flag.FlagSet) {
+	fs.StringVar(&c.addr, "addr", c.addr, "listen address")
+	fs.StringVar(&c.debugAddr, "debug-addr", c.debugAddr, "optional second listen address for net/http/pprof and /v1/debug/* (e.g. 127.0.0.1:6060); empty disables")
+	fs.TextVar(&c.logLevel, "log-level", c.logLevel, "minimum log level: debug, info, warn or error")
+	fs.BoolVar(&c.version, "version", c.version, "print version and exit")
+	fs.Float64Var(&c.broker.G, "g", c.broker.G, "adaptive threshold base g (> e); 0 = derive from observed γ bounds")
+	fs.Float64Var(&c.broker.Pacing, "pacing", c.broker.Pacing, "daily budget pacing factor (0 = off, 1 = strictly uniform)")
+	fs.IntVar(&c.broker.Shards, "shards", c.broker.Shards, "spatial shard count for concurrent serving, at most 64 (0 = scale to GOMAXPROCS)")
+	fs.StringVar(&c.broker.DataDir, "data-dir", c.broker.DataDir, "durability directory for the write-ahead log and snapshots; empty = in-memory only")
+	fs.Func("wal-sync", "WAL fsync policy: flush (the default: fsync each group commit), always (fsync every record), none (leave it to the OS)", func(s string) (err error) {
+		c.broker.WAL.Sync, err = wal.ParseSyncPolicy(s)
+		return err
+	})
+	fs.IntVar(&c.broker.WAL.SnapshotEvery, "snapshot-every", c.broker.WAL.SnapshotEvery, "WAL records between compacting snapshots (0 = 262144 default, negative disables)")
+	fs.BoolVar(&c.broker.WAL.Retain, "wal-retain", c.broker.WAL.Retain, "keep superseded WAL segments after compaction so muaa-audit can replay the full history")
+	fs.IntVar(&c.broker.AuditWindow, "audit-window", c.broker.AuditWindow, "live quality audit: sliding window of recent arrivals (0 disables auditing)")
+	fs.DurationVar(&c.broker.AuditEvery, "audit-every", c.broker.AuditEvery, "live quality audit recompute cadence")
+	fs.Func("pacing-controller", "adaptive pacing controller: \"on\" for defaults or \"k=v,...\" overrides (target, gain, deadband, pace-gain, pace-bias, boost-min, boost-max, tighten-at, loosen-at, rate); empty disables", func(s string) (err error) {
+		c.broker.Controller, err = optional(s, pacing.ParseConfig)
+		return err
+	})
+	fs.IntVar(&c.trace.Capacity, "trace-capacity", c.trace.Capacity, "flight-recorder reservoir size for arrival traces (0 disables tracing)")
+	fs.DurationVar(&c.sample.Every, "sample-every", c.sample.Every, "time-series sampling cadence for /v1/debug/timeseries (negative disables the sampler)")
+	fs.Func("slo", "SLO burn-rate watchdog: \"on\" for defaults or \"k=v,...\" overrides (short, long, burn, clear, min-samples, ratio-target, arrival-p99-ms, floor-max, wal-p99-ms, escrow-open-max, heap-max-mb, goroutines-max); empty disables", func(s string) (err error) {
+		c.slo, err = optional(s, slo.ParseConfig)
+		return err
+	})
+}
+
+// optional parses a spec flag whose empty value means the subsystem is off.
+func optional[T any](s string, parse func(string) (T, error)) (*T, error) {
+	if s == "" {
+		return nil, nil
+	}
+	v, err := parse(s)
+	if err != nil {
+		return nil, err
+	}
+	return &v, nil
+}
+
+// validate reports every configuration error: the rules between fields here,
+// the broker's own (g, pacing, shards, controller) from broker.Config.
+func (c *config) validate() error {
+	if c.slo != nil && c.sample.Every < 0 {
+		return errors.New("muaa-serve: -slo needs the time-series sampler (-sample-every >= 0)")
+	}
+	if c.broker.Controller != nil && c.broker.AuditWindow <= 0 {
+		return errors.New("muaa-serve: -pacing-controller needs -audit-window > 0 for its feedback signal")
+	}
+	return c.broker.Validate()
 }
 
 // app is the serving process: an HTTP server whose broker may still be
@@ -147,23 +215,18 @@ type app struct {
 	reg      *obs.Registry
 	cfg      broker.Config
 	logger   *slog.Logger
-	tracer   *trace.Recorder              // nil when tracing is disabled
-	sampler  *obs.Sampler                 // nil when -sample-every is negative
-	watchdog atomic.Pointer[slo.Watchdog] // nil when -slo is empty; pointer
-	// because the sampler's OnSample hook is installed before the watchdog
-	// exists
-	api atomic.Pointer[broker.API]
-	b   atomic.Pointer[broker.Broker]
+	tracer   *trace.Recorder // nil when tracing is disabled
+	sampler  *obs.Sampler    // nil when -sample-every is negative
+	watchdog *slo.Watchdog   // nil when -slo is empty; set before the sampler starts
+	api      atomic.Pointer[broker.API]
+	b        atomic.Pointer[broker.Broker]
 }
 
-// newServer validates the flag values and builds the instrumented server.
-// logger may be nil (logs are discarded — tests). The broker itself is
-// created by boot — synchronously here when no data directory is
-// configured (nothing to replay), otherwise by the caller so the listener
-// can come up first.
-func newServer(o serverOpts, logger *slog.Logger) (*app, error) {
-	sync, err := wal.ParseSyncPolicy(o.walSync)
-	if err != nil {
+// newServer validates cfg, then builds the instrumented server around a
+// broker that does not exist yet: boot creates (and recovers) it, after the
+// listener is up. logger may be nil (logs are discarded — tests).
+func newServer(cfg config, logger *slog.Logger) (*app, error) {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if logger == nil {
@@ -175,80 +238,32 @@ func newServer(o serverOpts, logger *slog.Logger) (*app, error) {
 	}
 	obs.RegisterRuntimeMetrics(a.reg)
 	buildinfo.Register(a.reg)
-	if o.traceCapacity > 0 {
-		a.tracer = trace.NewRecorder(trace.RecorderOptions{
-			Capacity:      o.traceCapacity,
-			SlowThreshold: o.traceSlow,
-		})
+	if cfg.trace.Capacity > 0 {
+		a.tracer = trace.NewRecorder(cfg.trace)
 	}
-	if o.sampleEvery >= 0 {
-		a.sampler = obs.NewSampler(a.reg, obs.SamplerOptions{
-			Every:    o.sampleEvery,
-			Capacity: o.sampleCap,
-			// The watchdog evaluates on the sampling goroutine, right after
-			// the sample that might trip it lands in the rings.
-			OnSample: func(now time.Time) {
-				if wd := a.watchdog.Load(); wd != nil {
-					wd.EvalAt(now)
-				}
-			},
-		})
-	}
-	if o.slo != "" {
-		if a.sampler == nil {
-			return nil, errors.New("muaa-serve: -slo needs the time-series sampler (-sample-every >= 0)")
+	if cfg.sample.Every >= 0 {
+		// The watchdog evaluates on the sampling goroutine, right after the
+		// sample that might trip it lands in the rings.
+		cfg.sample.OnSample = func(now time.Time) {
+			if a.watchdog != nil {
+				a.watchdog.EvalAt(now)
+			}
 		}
-		scfg, err := slo.ParseConfig(o.slo)
-		if err != nil {
-			return nil, err
+		a.sampler = obs.NewSampler(a.reg, cfg.sample)
+		if cfg.slo != nil {
+			a.watchdog = slo.New(a.sampler, a.reg, logger, cfg.slo.Rules())
 		}
-		a.watchdog.Store(slo.New(a.sampler, a.reg, logger, scfg.Rules()))
+		// Sampling runs through recovery — the rings record the replay
+		// progressing.
+		a.sampler.Start()
 	}
-	a.cfg = broker.Config{
-		AdTypes: workload.DefaultAdTypes(),
-		G:       o.g,
-		Pacing:  o.pacing,
-		Shards:  o.shards,
-		Metrics: a.reg,
-		Tracer:  a.tracer,
-		Logger:  logger,
-		DataDir: o.dataDir,
-		WAL: wal.Options{
-			Sync:          sync,
-			FlushInterval: o.walFlushEvery,
-			SnapshotEvery: o.snapshotEvery,
-			Retain:        o.walRetain,
-		},
-		AuditWindow: o.auditWindow,
-		AuditEvery:  o.auditEvery,
-		Funnel:      broker.FunnelConfig{Enabled: o.funnel},
-	}
-	if o.controller != "" {
-		cc, err := pacing.ParseConfig(o.controller)
-		if err != nil {
-			return nil, err
-		}
-		if o.auditWindow <= 0 {
-			return nil, errors.New("muaa-serve: -pacing-controller needs -audit-window > 0 for its feedback signal")
-		}
-		a.cfg.Controller = &cc
-	}
-	if o.dataDir == "" {
-		err = a.boot()
-	} else {
-		// Surface config errors (bad g, pacing, shards) before the listener
-		// starts, without touching the data directory: the same validation
-		// the real boot will run.
-		err = a.cfg.Validate()
-	}
-	if err != nil {
-		return nil, err
-	}
+	a.cfg = cfg.broker
+	a.cfg.Metrics, a.cfg.Tracer, a.cfg.Logger = a.reg, a.tracer, logger
 	// /metrics is live from process start — scrapes during recovery show the
 	// WAL replay progressing.
 	metrics, healthz := get(a.reg.Handler().ServeHTTP), get(a.serveHealthz)
 	a.srv = &http.Server{
-		Addr: o.addr,
+		Addr: cfg.addr,
 		// The tracing middleware derives/echoes traceparent, emits the
 		// access log and records unavailable arrival traces around every
 		// route. The two probe endpoints are the only paths with a second,
@@ -266,21 +281,12 @@ func newServer(o serverOpts, logger *slog.Logger) (*app, error) {
 		}), logger, a.tracer),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
-	// Past the last error return: the sampling goroutine cannot leak from
-	// a constructor failure. Sampling runs through recovery — the rings
-	// record the replay progressing.
-	if a.sampler != nil {
-		a.sampler.Start()
-	}
 	return a, nil
 }
 
 // boot creates (and, with a data directory, recovers) the broker and flips
-// the server ready. Idempotent.
+// the server ready. Called once per app.
 func (a *app) boot() error {
-	if a.api.Load() != nil {
-		return nil
-	}
 	b, err := broker.New(a.cfg)
 	if err != nil {
 		return err
@@ -373,8 +379,8 @@ func (a *app) newDebugServer(addr string) *http.Server {
 	if a.sampler != nil {
 		timeseries = a.sampler.Handler()
 	}
-	if wd := a.watchdog.Load(); wd != nil {
-		slodoc = wd.Handler()
+	if a.watchdog != nil {
+		slodoc = a.watchdog.Handler()
 	}
 	mount("/v1/debug/traces", traces)
 	mount("/v1/debug/timeseries", timeseries)
@@ -457,75 +463,30 @@ func (a *app) startDebug(dbg *http.Server) {
 	}()
 }
 
-// parseLogLevel maps the -log-level flag to a slog level.
-func parseLogLevel(s string) (slog.Level, error) {
-	switch s {
-	case "debug":
-		return slog.LevelDebug, nil
-	case "info":
-		return slog.LevelInfo, nil
-	case "warn":
-		return slog.LevelWarn, nil
-	case "error":
-		return slog.LevelError, nil
-	}
-	return 0, errors.New("unknown log level " + s + " (want debug, info, warn or error)")
-}
-
 func main() {
-	var o serverOpts
-	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
-	flag.Float64Var(&o.g, "g", 0, "adaptive threshold base g (> e); 0 = derive from observed γ bounds")
-	flag.Float64Var(&o.pacing, "pacing", 0, "daily budget pacing factor (0 = off, 1 = strictly uniform)")
-	flag.IntVar(&o.shards, "shards", 0, "spatial shard count for concurrent serving (0 = scale to GOMAXPROCS)")
-	flag.StringVar(&o.dataDir, "data-dir", "", "durability directory for the write-ahead log and snapshots; empty = in-memory only")
-	flag.StringVar(&o.walSync, "wal-sync", "flush", "WAL fsync policy: flush (fsync each group commit), always (fsync every record), none (leave it to the OS)")
-	flag.DurationVar(&o.walFlushEvery, "wal-flush-interval", 0, "max time a buffered WAL record may wait before reaching the OS (0 = 50ms default)")
-	flag.IntVar(&o.snapshotEvery, "snapshot-every", 0, "WAL records between compacting snapshots (0 = 262144 default, negative disables)")
-	flag.IntVar(&o.traceCapacity, "trace-capacity", 256, "flight-recorder reservoir size for arrival traces (0 disables tracing)")
-	flag.DurationVar(&o.traceSlow, "trace-slow", 25*time.Millisecond, "arrival traces at least this slow are always retained")
-	flag.IntVar(&o.auditWindow, "audit-window", 4096, "live quality audit: sliding window of recent arrivals (0 disables auditing)")
-	flag.DurationVar(&o.auditEvery, "audit-every", 15*time.Second, "live quality audit recompute cadence")
-	flag.BoolVar(&o.walRetain, "wal-retain", true, "keep superseded WAL segments after compaction so muaa-audit can replay the full history")
-	flag.StringVar(&o.controller, "pacing-controller", "", "adaptive pacing controller: \"on\" for defaults or \"k=v,...\" overrides (target, gain, deadband, pace-gain, pace-bias, boost-min, boost-max, tighten-at, loosen-at, rate); empty disables")
-	flag.DurationVar(&o.sampleEvery, "sample-every", 5*time.Second, "time-series sampling cadence for /v1/debug/timeseries (negative disables the sampler)")
-	flag.IntVar(&o.sampleCap, "sample-capacity", 360, "retention-ring points kept per time series (memory ≈ 16 B × capacity × series)")
-	flag.StringVar(&o.slo, "slo", "", "SLO burn-rate watchdog: \"on\" for defaults or \"k=v,...\" overrides (short, long, burn, clear, min-samples, ratio-target, arrival-p99-ms, floor-max, wal-p99-ms, escrow-open-max, heap-max-mb, goroutines-max); empty disables")
-	flag.BoolVar(&o.funnel, "funnel", true, "per-campaign decision-funnel attribution: muaa_funnel_* metrics and GET /v1/debug/campaigns/{id}/funnel")
-	var (
-		debugAddr = flag.String("debug-addr", "", "optional second listen address for net/http/pprof and /v1/debug/traces (e.g. 127.0.0.1:6060); empty disables")
-		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
-		version   = flag.Bool("version", false, "print version and exit")
-	)
+	cfg := defaultConfig()
+	cfg.bind(flag.CommandLine)
 	flag.Parse()
-	if *version {
+	if cfg.version {
 		fmt.Println(buildinfo.String("muaa-serve"))
 		return
 	}
-	level, err := parseLogLevel(*logLevel)
-	if err != nil {
-		// The logger doesn't exist yet; build a default one just to report.
-		level = slog.LevelInfo
-	}
 	// One buffered sink behind every logger; each exit path below closes it.
-	sink := obs.NewLogHandler(os.Stderr, level)
+	sink := obs.NewLogHandler(os.Stderr, cfg.logLevel)
 	logger := slog.New(sink)
 	fatal := func(msg string, ferr error) {
 		logger.Error(msg, slog.String("error", ferr.Error()))
 		sink.Close()
 		os.Exit(1)
 	}
-	if err != nil {
-		fatal("bad_flag", err)
-	}
-	a, err := newServer(o, logger)
+	a, err := newServer(cfg, logger)
 	if err != nil {
 		fatal("bad_config", err)
 	}
-	if *debugAddr != "" {
-		a.startDebug(a.newDebugServer(*debugAddr))
+	if cfg.debugAddr != "" {
+		a.startDebug(a.newDebugServer(cfg.debugAddr))
 		logger.Info("debug_listening",
-			slog.String("addr", *debugAddr),
+			slog.String("addr", cfg.debugAddr),
 			slog.Bool("traces", a.tracer != nil))
 	}
 
@@ -541,18 +502,18 @@ func main() {
 			bootErr <- err
 			return
 		}
-		if o.dataDir != "" {
+		if cfg.broker.DataDir != "" {
 			info := a.b.Load().RecoveryStats()
 			logger.Info("recovered",
-				slog.String("data_dir", o.dataDir),
+				slog.String("data_dir", cfg.broker.DataDir),
 				slog.Float64("duration_ms", float64(time.Since(start))/float64(time.Millisecond)),
 				slog.Bool("snapshot", info.SnapshotLoaded),
 				slog.Int("records", info.RecordsReplayed),
 				slog.Bool("truncated", info.Truncated))
 		}
 		logger.Info("ready",
-			slog.String("addr", o.addr),
-			slog.Int("ad_types", len(workload.DefaultAdTypes())),
+			slog.String("addr", cfg.addr),
+			slog.Int("ad_types", len(cfg.broker.AdTypes)),
 			slog.Bool("tracing", a.tracer != nil))
 	}()
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"log/slog"
@@ -16,31 +17,52 @@ import (
 
 	"muaa/internal/broker"
 	"muaa/internal/geo"
+	"muaa/internal/slo"
 )
+
+// testConfig is the production configuration on an ephemeral loopback port.
+func testConfig() config {
+	cfg := defaultConfig()
+	cfg.addr = "127.0.0.1:0"
+	return cfg
+}
+
+// armedConfig is testConfig with every debug subsystem on and small enough
+// to fill: a 16-trace recorder, a 16-arrival audit recomputed on demand
+// only, and the default SLO rules.
+func armedConfig() config {
+	cfg := testConfig()
+	rules := slo.Default()
+	cfg.trace.Capacity, cfg.slo = 16, &rules
+	cfg.broker.AuditWindow, cfg.broker.AuditEvery = 16, time.Hour
+	return cfg
+}
 
 // startServer binds an ephemeral port, serves on it in the background, and
 // returns the base URL.
 func startServer(t *testing.T, g, pacing float64, shards int) string {
 	t.Helper()
-	base, _ := startServerOpts(t, serverOpts{addr: "127.0.0.1:0", g: g, pacing: pacing, shards: shards})
+	cfg := testConfig()
+	cfg.broker.G, cfg.broker.Pacing, cfg.broker.Shards = g, pacing, shards
+	base, _ := startServerOpts(t, cfg)
 	return base
 }
 
 // startServerOpts is the full-config variant: it boots the broker (running
-// recovery when opts.dataDir is set), serves on an ephemeral port, and
+// recovery when cfg.broker.DataDir is set), serves on an ephemeral port, and
 // returns the base URL plus the app for shutdown-style tests.
-func startServerOpts(t *testing.T, o serverOpts) (string, *app) {
+func startServerOpts(t *testing.T, cfg config) (string, *app) {
 	t.Helper()
-	base, _, a := startServerLogged(t, o, nil)
+	base, _, a := startServerLogged(t, cfg, nil)
 	return base, a
 }
 
 // startServerLogged additionally wires a slog logger (nil = discard) and
 // returns the app for log- and trace-focused tests.
-func startServerLogged(t *testing.T, o serverOpts, logger *slog.Logger) (string, *slog.Logger, *app) {
+func startServerLogged(t *testing.T, cfg config, logger *slog.Logger) (string, *slog.Logger, *app) {
 	t.Helper()
-	o.addr = "127.0.0.1:0"
-	a, err := newServer(o, logger)
+	cfg.addr = "127.0.0.1:0"
+	a, err := newServer(cfg, logger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,33 +234,53 @@ func TestServeConcurrentSessions(t *testing.T) {
 	}
 }
 
-// TestServeRejectsBadConfig pins flag validation through the same path main
-// uses — including the pre-listen validation of durable boots, which must
-// reject a bad config without touching the data directory.
+// parseFlags is main's configuration path on args: the defaults, every flag
+// bound, one parse.
+func parseFlags(args ...string) (config, error) {
+	cfg := testConfig()
+	fs := flag.NewFlagSet("muaa-serve", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	cfg.bind(fs)
+	return cfg, fs.Parse(args)
+}
+
+// TestServeRejectsBadConfig pins configuration checking through the path
+// main uses: each command line below is refused by the flag parse or by
+// newServer's validate — durable or not, before a listener exists and
+// without touching the data directory.
 func TestServeRejectsBadConfig(t *testing.T) {
-	if _, err := newServer(serverOpts{addr: ":0", g: 1}, nil); err == nil {
-		t.Error("g ≤ e must be rejected")
+	for _, args := range [][]string{
+		{"-g", "1"},
+		{"-pacing", "-1"},
+		{"-shards", "-1"},
+		{"-shards", "65"},
+		{"-sample-every", "-1s", "-slo", "on"},
+		{"-pacing-controller", "on", "-audit-window", "0"},
+		{"-wal-sync", "sometimes"},
+		{"-log-level", "loud"},
+	} {
+		dir := t.TempDir()
+		cfg, err := parseFlags(append([]string{"-data-dir", dir}, args...)...)
+		if err == nil {
+			_, err = newServer(cfg, nil)
+		}
+		if err == nil {
+			t.Errorf("%v must be rejected", args)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 0 {
+			t.Errorf("%v: rejecting the config touched the data directory: %v", args, entries)
+		}
 	}
-	if _, err := newServer(serverOpts{addr: ":0", pacing: -1}, nil); err == nil {
-		t.Error("negative pacing must be rejected")
+	cfg, err := parseFlags("-shards", "64")
+	if err == nil {
+		err = cfg.validate()
 	}
-	if _, err := newServer(serverOpts{addr: ":0", shards: -1}, nil); err == nil {
-		t.Error("negative shard count must be rejected")
-	}
-	if _, err := newServer(serverOpts{addr: ":0", walSync: "sometimes"}, nil); err == nil {
-		t.Error("unknown -wal-sync value must be rejected")
-	}
-	dir := t.TempDir()
-	if _, err := newServer(serverOpts{addr: ":0", g: 1, dataDir: dir}, nil); err == nil {
-		t.Error("bad config with a data dir must be rejected before boot")
-	}
-	// The failed validation must not have created any WAL files.
-	entries, err := os.ReadDir(dir)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Errorf("config validation touched the data directory: %v", entries)
+		t.Errorf("-shards 64 (the ceiling) must be accepted: %v", err)
 	}
 }
 
@@ -350,7 +392,7 @@ func TestServeMetricsAndHealth(t *testing.T) {
 // profile endpoint must answer on the debug address, and the main serving
 // mux must NOT expose /debug/pprof/.
 func TestDebugServer(t *testing.T) {
-	a, err := newServer(serverOpts{addr: "127.0.0.1:0"}, nil)
+	a, err := newServer(testConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,9 +445,9 @@ func startDebugListener(t *testing.T, a *app) string {
 // muaa-audit/1 schema, ?refresh forces a recompute, bad parameters
 // get the uniform error envelope, and the audit gauges appear on /metrics.
 func TestDebugAudit(t *testing.T) {
-	base, a := startServerOpts(t, serverOpts{
-		auditWindow: 64, auditEvery: time.Hour, // recompute on demand only
-	})
+	cfg := testConfig()
+	cfg.broker.AuditWindow, cfg.broker.AuditEvery = 64, time.Hour // recompute on demand only
+	base, a := startServerOpts(t, cfg)
 	dbgBase := startDebugListener(t, a)
 
 	if code := postJSON(t, base+"/v1/campaigns",
@@ -494,7 +536,9 @@ func TestDebugAudit(t *testing.T) {
 // audit_disabled when the broker runs without an audit window, and 503
 // unavailable while recovery is still in progress.
 func TestDebugAuditDisabled(t *testing.T) {
-	_, a := startServerOpts(t, serverOpts{}) // auditWindow 0
+	cfg := testConfig()
+	cfg.broker.AuditWindow = 0
+	_, a := startServerOpts(t, cfg)
 	dbgBase := startDebugListener(t, a)
 	var env struct {
 		Error struct{ Code string } `json:"error"`
@@ -503,7 +547,9 @@ func TestDebugAuditDisabled(t *testing.T) {
 		t.Fatalf("audit disabled → %d %q, want 404 audit_disabled", code, env.Error.Code)
 	}
 
-	unbooted, err := newServer(serverOpts{addr: "127.0.0.1:0", dataDir: t.TempDir(), auditWindow: 16}, nil)
+	cfg = testConfig()
+	cfg.broker.DataDir, cfg.broker.AuditWindow = t.TempDir(), 16
+	unbooted, err := newServer(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +564,9 @@ func TestDebugAuditDisabled(t *testing.T) {
 // endpoint — /healthz and /stats included — answers 503 with the uniform
 // error envelope while /metrics already serves.
 func TestServeRecoveryGate(t *testing.T) {
-	a, err := newServer(serverOpts{addr: "127.0.0.1:0", dataDir: t.TempDir()}, nil)
+	cfg := testConfig()
+	cfg.broker.DataDir = t.TempDir()
+	a, err := newServer(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,8 +638,8 @@ func TestServeRecoveryGate(t *testing.T) {
 // require the recovered /v1/stats to match the pre-shutdown counters
 // exactly.
 func TestServeRestartPersistence(t *testing.T) {
-	dir := t.TempDir()
-	opts := serverOpts{dataDir: dir, shards: 4}
+	opts := testConfig()
+	opts.broker.DataDir, opts.broker.Shards = t.TempDir(), 4
 
 	type statsBody struct {
 		Campaigns     int     `json:"Campaigns"`
@@ -660,11 +708,9 @@ func TestServeRestartPersistence(t *testing.T) {
 // answers the uniform 503 `unavailable` envelope while WAL recovery is in
 // progress, and flips to serving once boot stores the API pointer.
 func TestDebugEndpointsRecoveryGate(t *testing.T) {
-	a, err := newServer(serverOpts{
-		addr: "127.0.0.1:0", dataDir: t.TempDir(),
-		traceCapacity: 16, auditWindow: 16, auditEvery: time.Hour,
-		slo: "on", funnel: true,
-	}, nil)
+	cfg := armedConfig()
+	cfg.broker.DataDir = t.TempDir()
+	a, err := newServer(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -743,12 +789,15 @@ func TestDebugEndpointsRecoveryGate(t *testing.T) {
 	}
 }
 
-// TestDebugFunnelDisabled404 pins the envelope when muaa-serve runs with
-// -funnel=false: the funnel route answers 404 funnel_disabled (not a bare
-// 404), while the explain route keeps working — explain replays the scan
-// directly and does not depend on funnel attribution.
+// TestDebugFunnelDisabled404 pins the envelope when the broker runs without
+// funnel attribution (muaa-serve always enables it; an embedding broker.Config
+// may not): the funnel route answers 404 funnel_disabled (not a bare 404),
+// while the explain route keeps working — explain replays the scan directly
+// and does not depend on funnel attribution.
 func TestDebugFunnelDisabled404(t *testing.T) {
-	_, a := startServerOpts(t, serverOpts{funnel: false})
+	cfg := testConfig()
+	cfg.broker.Funnel.Enabled = false
+	_, a := startServerOpts(t, cfg)
 	dbgBase := startDebugListener(t, a)
 
 	resp, err := http.Get(dbgBase + "/v1/debug/campaigns/0/funnel")
@@ -764,7 +813,7 @@ func TestDebugFunnelDisabled404(t *testing.T) {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusNotFound || env.Error.Code != "funnel_disabled" {
-		t.Fatalf("funnel route with -funnel=false → %d %q, want 404 funnel_disabled",
+		t.Fatalf("funnel route with attribution off → %d %q, want 404 funnel_disabled",
 			resp.StatusCode, env.Error.Code)
 	}
 
@@ -773,7 +822,7 @@ func TestDebugFunnelDisabled404(t *testing.T) {
 	}
 	if code := postJSON(t, dbgBase+"/v1/debug/explain",
 		`{"loc":{"x":0.5,"y":0.5},"capacity":1,"viewProb":0.5}`, &rep); code != http.StatusOK {
-		t.Fatalf("POST /v1/debug/explain with -funnel=false → %d, want 200", code)
+		t.Fatalf("POST /v1/debug/explain with attribution off → %d, want 200", code)
 	}
 }
 
@@ -781,7 +830,7 @@ func TestDebugFunnelDisabled404(t *testing.T) {
 // new debug documents end to end: the retention rings carry real series and
 // the SLO document lists the default rule set.
 func TestDebugTimeseriesAndSLOServe(t *testing.T) {
-	base, a := startServerOpts(t, serverOpts{slo: "on"})
+	base, a := startServerOpts(t, armedConfig())
 	dbgBase := startDebugListener(t, a)
 
 	if code := postJSON(t, base+"/v1/campaigns",
@@ -820,15 +869,14 @@ func TestDebugTimeseriesAndSLOServe(t *testing.T) {
 }
 
 // TestDebugDisabledSubsystems pins the 404 envelopes when a debug subsystem
-// is turned off by flags, the constructor error for -slo without the
-// sampler it depends on, and — with the subsystems on — that the 400/405
+// is turned off by flags and — with the subsystems on — that the 400/405
 // replies the three handlers write themselves are the serving API's error
 // envelope: same struct, same two headers (obs.WriteError is the one writer;
 // TestJSONContentType pins the serving side).
 func TestDebugDisabledSubsystems(t *testing.T) {
-	_, a := startServerOpts(t, serverOpts{
-		traceCapacity: 0, sampleEvery: -1, slo: "",
-	})
+	cfg := testConfig()
+	cfg.trace.Capacity, cfg.sample.Every = 0, -1
+	_, a := startServerOpts(t, cfg)
 	dbgBase := startDebugListener(t, a)
 	var env struct {
 		Error struct{ Code string } `json:"error"`
@@ -843,11 +891,7 @@ func TestDebugDisabledSubsystems(t *testing.T) {
 		}
 	}
 
-	if _, err := newServer(serverOpts{addr: "127.0.0.1:0", sampleEvery: -1, slo: "on"}, nil); err == nil {
-		t.Fatal("-slo without the sampler must be a config error")
-	}
-
-	base, on := startServerOpts(t, serverOpts{traceCapacity: 64, slo: "on"})
+	base, on := startServerOpts(t, armedConfig())
 	onBase := startDebugListener(t, on)
 	for _, tc := range []struct {
 		method, url string
@@ -903,9 +947,7 @@ func TestDebugDisabledSubsystems(t *testing.T) {
 // both. The hand-written method checks this replaced answered HEAD with 405
 // on most GET routes and let it through on a few.
 func TestHeadFollowsGet(t *testing.T) {
-	base, a := startServerOpts(t, serverOpts{
-		traceCapacity: 16, auditWindow: 16, auditEvery: time.Hour, slo: "on", funnel: true,
-	})
+	base, a := startServerOpts(t, armedConfig())
 	dbgBase := startDebugListener(t, a)
 	if code := postJSON(t, base+"/v1/campaigns",
 		`{"loc":{"x":0.5,"y":0.5},"radius":0.1,"budget":20,"tags":[1,0,0.2]}`, nil); code != http.StatusCreated {

@@ -64,10 +64,9 @@ func tracedServer(t *testing.T) (string, *syncBuffer, *app) {
 	t.Helper()
 	buf := &syncBuffer{}
 	logger := slog.New(slog.NewJSONHandler(buf, nil))
-	base, _, a := startServerLogged(t, serverOpts{
-		traceCapacity: 64,
-		traceSlow:     time.Millisecond,
-	}, logger)
+	cfg := testConfig()
+	cfg.trace = trace.RecorderOptions{Capacity: 64, SlowThreshold: time.Millisecond}
+	base, _, a := startServerLogged(t, cfg, logger)
 	if code := postJSON(t, base+"/v1/campaigns",
 		`{"loc":{"x":0.5,"y":0.5},"radius":0.1,"budget":20,"tags":[1,0,0.2]}`, nil); code != http.StatusCreated {
 		t.Fatalf("POST /v1/campaigns → %d", code)

@@ -37,8 +37,8 @@ type Config struct {
 	// money, pacing decides *when* money may flow at all.
 	Pacing float64
 	// Shards is the number of spatial stripes campaign state is partitioned
-	// into for concurrent serving; zero selects a default scaled to
-	// GOMAXPROCS. The shard count never changes results — only how much of
+	// into for concurrent serving, at most 64; zero selects a default scaled
+	// to GOMAXPROCS. The shard count never changes results — only how much of
 	// the broker an arrival must lock.
 	Shards int
 	// Metrics, when non-nil, registers the broker's full instrument set on
@@ -290,8 +290,8 @@ func (cfg *Config) Validate() error {
 	if cfg.Pacing < 0 || math.IsNaN(cfg.Pacing) {
 		return fmt.Errorf("broker: pacing factor %g must be ≥ 0", cfg.Pacing)
 	}
-	if cfg.Shards < 0 {
-		return fmt.Errorf("broker: shard count %d must be ≥ 0", cfg.Shards)
+	if cfg.Shards < 0 || cfg.Shards > maxShards {
+		return fmt.Errorf("broker: shard count %d must be in [0, %d]", cfg.Shards, maxShards)
 	}
 	if cfg.Controller != nil {
 		return cfg.Controller.Validate()
@@ -302,6 +302,10 @@ func (cfg *Config) Validate() error {
 // gridCells is the resolution of each shard's spatial index over the service
 // area, the paper's unit square (geo.UnitSquare).
 const gridCells = 64
+
+// maxShards bounds the stripe count: each stripe costs a grid and two
+// registered per-stripe counter series (DESIGN.md §9 keeps those ≤ 64).
+const maxShards = 64
 
 // newMemory builds the in-memory broker every configuration shares;
 // recoverDurable layers durability on top.
@@ -364,8 +368,8 @@ func defaultShards() int {
 	if n < 4 {
 		n = 4
 	}
-	if n > 64 {
-		n = 64
+	if n > maxShards {
+		n = maxShards
 	}
 	return n
 }

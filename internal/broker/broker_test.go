@@ -40,6 +40,18 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{AdTypes: workload.DefaultAdTypes(), G: 6}); err != nil {
 		t.Errorf("g = 6 must be accepted: %v", err)
 	}
+	// The stripe count is capped where defaultShards clamps it: an uncapped
+	// -shards 1000000 once allocated a million grids before answering.
+	if err := (&Config{AdTypes: workload.DefaultAdTypes(), Shards: 65}).Validate(); err == nil {
+		t.Error("65 shards must be rejected")
+	}
+	ceiling := Config{AdTypes: workload.DefaultAdTypes(), Shards: 64}
+	if err := ceiling.Validate(); err != nil {
+		t.Errorf("64 shards must be accepted: %v", err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = ceiling.Validate() }); allocs != 0 {
+		t.Errorf("Validate allocated %g times; it must check, not build", allocs)
+	}
 }
 
 func TestRegisterAndState(t *testing.T) {
