@@ -19,7 +19,7 @@ func seedDir(t *testing.T) string {
 	b, err := broker.New(broker.Config{
 		AdTypes: workload.DefaultAdTypes(),
 		DataDir: dir,
-		WAL:     wal.Options{Retain: true, FlushEvery: 1, Sync: wal.SyncNone, FlushInterval: -1, SnapshotEvery: -1},
+		WAL:     wal.Options{Retain: true, Sync: wal.SyncNone, SnapshotEvery: -1},
 	})
 	if err != nil {
 		t.Fatal(err)

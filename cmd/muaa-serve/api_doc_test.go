@@ -12,10 +12,10 @@ import (
 	"muaa/internal/workload"
 )
 
-// debugMounts are the six endpoints newDebugServer mounts beside pprof.
+// debugMounts are the seven endpoints newDebugServer mounts beside pprof.
 var debugMounts = []string{
 	"/v1/debug/traces", "/v1/debug/timeseries", "/v1/debug/slo", "/v1/debug/audit",
-	"/v1/debug/explain", "/v1/debug/campaigns/{id}/funnel",
+	"/v1/debug/explain", "/v1/debug/campaigns/{id}/funnel", "/v1/debug/invariants",
 }
 
 // twoSpellings are the only paths served both with and without /v1: the

@@ -49,8 +49,9 @@
 // live quality audit under /v1/debug/audit, the time-series retention ring
 // under /v1/debug/timeseries, the SLO watchdog under /v1/debug/slo, the
 // read-only arrival explain-replay under POST /v1/debug/explain (wrapped by
-// cmd/muaa-explain) and per-campaign decision funnels under
-// GET /v1/debug/campaigns/{id}/funnel — opt-in and intended to stay on a
+// cmd/muaa-explain), per-campaign decision funnels under
+// GET /v1/debug/campaigns/{id}/funnel and the broker's contract check under
+// GET /v1/debug/invariants — opt-in and intended to stay on a
 // loopback or otherwise private address; the serving port never exposes
 // profiling, traces, audits or history. During WAL recovery every
 // /v1/debug/* endpoint answers the same 503 `unavailable` envelope as the
@@ -132,8 +133,9 @@ type config struct {
 }
 
 // defaultConfig is the production configuration, the flags' defaults. Funnel
-// attribution is always on; the 25 ms slow-trace threshold, the 360-point
-// rings and the 50 ms WAL flush bound are the libraries' zero-value defaults.
+// attribution is always on; the 25 ms slow-trace threshold and the 360-point
+// rings are the libraries' zero-value defaults, and the 50 ms WAL flush bound
+// is the log's constant.
 func defaultConfig() config {
 	return config{
 		addr:     ":8080",
@@ -345,9 +347,10 @@ func (a *app) serveHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // newDebugServer builds the opt-in debug listener: net/http/pprof at the
-// standard library's paths plus six endpoints, each at its /v1/debug/ path
+// standard library's paths plus seven endpoints, each at its /v1/debug/ path
 // only — traces, timeseries, slo (404 under their own code when the flag
-// switched the subsystem off), audit, explain and the campaign funnel.
+// switched the subsystem off), audit, explain, the campaign funnel and the
+// invariant check.
 // Anything else is the enveloped 404. The handlers are mounted on a private
 // mux (not http.DefaultServeMux) so nothing else in the process can
 // accidentally widen what this port serves. Every /v1/debug/* endpoint shares
@@ -393,6 +396,9 @@ func (a *app) newDebugServer(addr string) *http.Server {
 	}))
 	mount("/v1/debug/campaigns/{id}/funnel", get(func(w http.ResponseWriter, r *http.Request) {
 		a.b.Load().ServeCampaignFunnel(w, r)
+	}))
+	mount("/v1/debug/invariants", get(func(w http.ResponseWriter, r *http.Request) {
+		a.b.Load().ServeInvariants(w, r)
 	}))
 	return &http.Server{
 		Addr:              addr,

@@ -704,9 +704,10 @@ func TestServeRestartPersistence(t *testing.T) {
 }
 
 // TestDebugEndpointsRecoveryGate pins satellite contract #3: EVERY
-// /v1/debug/* endpoint — traces, audit, timeseries, slo, explain, funnel —
-// answers the uniform 503 `unavailable` envelope while WAL recovery is in
-// progress, and flips to serving once boot stores the API pointer.
+// /v1/debug/* endpoint — traces, audit, timeseries, slo, explain, funnel,
+// invariants — answers the uniform 503 `unavailable` envelope while WAL
+// recovery is in progress, and flips to serving once boot stores the API
+// pointer.
 func TestDebugEndpointsRecoveryGate(t *testing.T) {
 	cfg := armedConfig()
 	cfg.broker.DataDir = t.TempDir()
@@ -731,6 +732,7 @@ func TestDebugEndpointsRecoveryGate(t *testing.T) {
 		{"GET", "/v1/debug/slo", ""},
 		{"POST", "/v1/debug/explain", explainBody},
 		{"GET", "/v1/debug/campaigns/0/funnel", ""},
+		{"GET", "/v1/debug/invariants", ""},
 	}
 	do := func(method, path, body string) *http.Response {
 		t.Helper()
@@ -998,7 +1000,7 @@ func TestHeadFollowsGet(t *testing.T) {
 			t.Errorf("DELETE %s → %d Allow=%q, want 405 Allow=%q", url, refused.StatusCode, refused.Header.Get("Allow"), want)
 		}
 	}
-	if gets != 14 {
-		t.Errorf("%d GET routes probed, want 14 (4 probe spellings, 5 API, 5 debug)", gets)
+	if gets != 15 {
+		t.Errorf("%d GET routes probed, want 15 (4 probe spellings, 5 API, 6 debug)", gets)
 	}
 }

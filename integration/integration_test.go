@@ -184,14 +184,8 @@ func TestPipelineBrokerReplayIsFeasible(t *testing.T) {
 	if st.UtilityServed <= 0 {
 		t.Error("broker served no utility over a whole day of traffic")
 	}
-	for j := range p.Vendors {
-		c, err := b.CampaignState(int32(j))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.Spent > c.Budget+1e-9 {
-			t.Fatalf("campaign %d overspent", j)
-		}
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -140,6 +140,7 @@ func TestReplayAuditWindowMode(t *testing.T) {
 
 	// Audited while the writer is still up (a crash image; every record is
 	// flushed), so the window is not compacted into a final snapshot.
+	flushWAL(t, b)
 	cfg := defaultAuditConfig()
 	cfg.UseRecon = false
 	rep, err := ReplayAudit(dir, cfg)

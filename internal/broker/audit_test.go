@@ -186,7 +186,7 @@ func TestReplayAuditSpentMatchesStats(t *testing.T) {
 func TestReplayAuditTornTail(t *testing.T) {
 	dir := t.TempDir()
 	b := driveSeededLoad(t, dir, 16, 600, 11)
-	_ = b // crash: no Close. Tear the final segment mid-record.
+	flushWAL(t, b) // crash: no Close. Tear the final segment mid-record.
 	refs, err := wal.ListSegments(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -312,6 +312,8 @@ func TestBatchReplayBitExact(t *testing.T) {
 		}
 	}
 	flush()
+	flushWAL(t, serial)
+	flushWAL(t, batched)
 
 	// The batched WAL must actually contain batch records — otherwise this test
 	// is vacuously comparing two serial logs.
@@ -526,15 +528,15 @@ func TestArriveBatchTraced(t *testing.T) {
 // TestArriveAppendZeroAllocs is the tentpole's allocation bar: after warm-up
 // a serial arrival through ArriveAppend must not allocate at all — the arena
 // owns every scratch buffer and the caller owns the offer slice. The durable
-// row holds the same bar with the WAL on (flusher off, sync none): the
-// arrivals record is encoded into a pooled buffer and copied into the log's.
+// row holds the same bar with the WAL on (sync none): the arrivals record is
+// encoded into a pooled buffer and copied into the log's.
 func TestArriveAppendZeroAllocs(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		t.Run(fmt.Sprintf("durable=%t", durable), func(t *testing.T) {
 			cfg := Config{AdTypes: workload.DefaultAdTypes()}
 			if durable {
 				cfg.DataDir = t.TempDir()
-				cfg.WAL = wal.Options{Sync: wal.SyncNone, FlushInterval: -1, SnapshotEvery: -1}
+				cfg.WAL = crashWAL()
 			}
 			b, err := New(cfg)
 			if err != nil {
@@ -574,14 +576,13 @@ func TestArriveAppendZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchDurableSyncEvery exercises the batch record through a WAL with
-// grouped flushing (the production default) rather than the crash harness's
-// write-through tuning, then checks a clean Close/Recover round trip.
+// TestBatchDurableSyncEvery round-trips a batch record through a clean Close
+// and recovery.
 func TestBatchDurableSyncEvery(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
 		AdTypes: workload.DefaultAdTypes(), DataDir: dir,
-		WAL: wal.Options{FlushEvery: 8, Sync: wal.SyncNone, FlushInterval: -1, SnapshotEvery: -1},
+		WAL: crashWAL(),
 	}
 	b, err := New(cfg)
 	if err != nil {
@@ -759,6 +760,8 @@ func serialIsBatchOfOne(t *testing.T, load workload.BrokerLoadConfig, durable, t
 
 	// Crash both (no Close): the logs must be the same bytes and recover to
 	// the same state.
+	flushWAL(t, serial)
+	flushWAL(t, batched)
 	segs, err := filepath.Glob(filepath.Join(serialDir, "wal-*.log"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("serial twin left no WAL segments (err %v)", err)

@@ -51,7 +51,7 @@ func TestEscrowEviction(t *testing.T) {
 	var firstEvicted uint64
 	check := func(step int) {
 		t.Helper()
-		billedInvariants(t, b)
+		checkInvariants(t, b)
 		escrow := make(map[int32]float64)
 		for _, h := range open {
 			escrow[h.campaign] += h.amount
@@ -125,6 +125,7 @@ func TestEscrowEviction(t *testing.T) {
 
 	// The twin: Recover's own steps (snapshot, then every record) over the
 	// directory as a crash would leave it, under the same bound.
+	flushWAL(t, b)
 	v, err := wal.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -63,8 +63,8 @@ type Config struct {
 	// it. Empty selects the in-memory broker. The directory must have a
 	// single owning process.
 	DataDir string
-	// WAL tunes the write-ahead log (group-commit size, flush interval,
-	// fsync policy, snapshot cadence); ignored when DataDir is empty.
+	// WAL tunes the write-ahead log (fsync policy, snapshot cadence,
+	// segment retention); ignored when DataDir is empty.
 	// WAL.Metrics is overridden by Config.Metrics.
 	WAL wal.Options
 	// AuditWindow, when positive, keeps the last AuditWindow arrivals (with
@@ -636,9 +636,10 @@ func (b *Broker) unlockStripes(lo, hi int) {
 }
 
 // quiesce stops every mutator — regMu, then every stripe lock in the global
-// order — and returns the matching unlock. A snapshot and a controller epoch
-// run under it: every mutation appends its record under one of these locks,
-// so nothing is in flight while they read or rewrite the whole state.
+// order — and returns the matching unlock. A snapshot, a controller epoch and
+// CheckInvariants run under it: every mutation appends its record under one
+// of these locks, so nothing is in flight while they read or rewrite the
+// whole state.
 func (b *Broker) quiesce() (unlock func()) {
 	b.regMu.Lock()
 	b.lockStripes(0, len(b.shards)-1, nil)

@@ -390,8 +390,9 @@ func (r *fuzzDraw) arrival() Arrival {
 // FuzzKernelAdmitted is the kernel's half of "input hardening at one door":
 // whatever validateArrival admits, the kernel must answer without panicking
 // and every answer must be feasible — offers within the capacity, one per
-// campaign, only from campaigns whose disk covers the point, no campaign
-// past its budget, and every gathered candidate disposed of exactly once.
+// campaign, only from campaigns whose disk covers the point — and the broker
+// must hold its contract after every answer (CheckInvariants: no campaign
+// past its budget, every gathered candidate disposed of exactly once, ...).
 // The fleet mixes all four billing models, exhausted, paused, guaranteed,
 // zero-radius and (on some inputs) absurd-radius campaigns, and tag vectors
 // of three lengths.
@@ -471,17 +472,8 @@ func FuzzKernelAdmitted(f *testing.F) {
 					t.Fatalf("%+v: offer %+v", *a, o)
 				}
 			}
-			for _, c := range b.Campaigns() {
-				if !(c.Spent+c.Escrow <= c.Budget+1e-9) {
-					t.Fatalf("%+v: campaign %d spent %g + escrow %g past budget %g", *a, c.ID, c.Spent, c.Escrow, c.Budget)
-				}
-			}
-			var disposed uint64
-			for _, n := range b.funnel.walk(0).totals {
-				disposed += n
-			}
-			if g := b.funnel.gathered.Load(); disposed != g {
-				t.Fatalf("%+v: %d dispositions for %d gathered candidates", *a, disposed, g)
+			if err := b.CheckInvariants(); err != nil {
+				t.Fatalf("%+v: %v", *a, err)
 			}
 		}
 		for calls := 0; len(r.data) > 0 && calls < 64; calls++ {

@@ -227,13 +227,7 @@ func TestHTTPConcurrentArrivals(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c, err := b.CampaignState(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Spent > c.Budget+1e-9 {
-		t.Fatalf("concurrent arrivals overspent the budget: %g > %g", c.Spent, c.Budget)
-	}
+	checkInvariants(t, b)
 	if b.Stats().Arrivals != n {
 		t.Errorf("arrivals = %d, want %d", b.Stats().Arrivals, n)
 	}

@@ -51,6 +51,7 @@ func TestAuditTickerIdleDuringReplay(t *testing.T) {
 	want := controllerBits(writer)
 
 	// Crash: copy the abandoned writer's files and recover them.
+	flushWAL(t, writer)
 	dir := t.TempDir()
 	entries, err := os.ReadDir(cfg.DataDir)
 	if err != nil {
@@ -110,7 +111,7 @@ func controllerBits(b *Broker) ctlState {
 // abandons it, and recovers from the full log plus a dozen random torn
 // tails. At every cut the recovered broker must match the never-crashed
 // in-memory reference after exactly RecordsReplayed mutations — including
-// the controller bits — and no campaign may exceed its budget.
+// the controller bits — and hold the broker's contract.
 func TestControllerCrashRecoveryProperty(t *testing.T) {
 	const campaigns, ops, seed, stepEvery = 16, 1200, 13, 40
 	lc := workload.DefaultBrokerLoadConfig(campaigns, ops, seed)
@@ -140,6 +141,7 @@ func TestControllerCrashRecoveryProperty(t *testing.T) {
 	}
 	var trajectory []point
 	snap := func() {
+		checkInvariants(t, ref)
 		trajectory = append(trajectory, point{
 			state: refState{stats: ref.Stats(), campaigns: ref.Campaigns()},
 			ctl:   controllerBits(ref),
@@ -198,6 +200,7 @@ func TestControllerCrashRecoveryProperty(t *testing.T) {
 	if ref.pacingEpoch.Load() == 0 {
 		t.Fatal("reference controller never stepped; test is vacuous")
 	}
+	flushWAL(t, b)
 
 	segs, err := filepath.Glob(filepath.Join(srcDir, "wal-*.log"))
 	if err != nil || len(segs) != 1 {
@@ -241,10 +244,8 @@ func TestControllerCrashRecoveryProperty(t *testing.T) {
 		if got := controllerBits(rb); !reflect.DeepEqual(got, want.ctl) {
 			t.Fatalf("cut %d: controller state not bit-exact after %d records:\n got %+v\nwant %+v", cut, got, want.ctl, n)
 		}
-		for _, c := range rb.Campaigns() {
-			if c.Spent > c.Budget+1e-9 {
-				t.Fatalf("cut %d: campaign %d spent %g exceeds budget %g", cut, c.ID, c.Spent, c.Budget)
-			}
+		if err := rb.CheckInvariants(); err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
 		}
 		if err := rb.Close(); err != nil {
 			t.Fatalf("cut %d: close: %v", cut, err)

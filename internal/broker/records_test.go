@@ -188,6 +188,7 @@ func writeEveryRecord(tb testing.TB) ([]writtenRecord, []byte) {
 	}
 	out = append(out, writtenRecord{name: "controller", want: want})
 
+	flushWAL(tb, b)
 	v, err := wal.ReadDir(dir)
 	if err != nil {
 		tb.Fatal(err)

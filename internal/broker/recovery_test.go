@@ -18,19 +18,28 @@ import (
 	"muaa/internal/workload"
 )
 
-// crashWAL is the WAL tuning every crash test uses: write-through on each
-// append (so "kill the process" loses nothing already returned to the
-// caller), no fsync (page cache is enough for a process crash), no
-// background flusher and no automatic snapshots (an abandoned instance
-// must never compact the directory a recovery is reading).
+// crashWAL is the WAL tuning every crash test uses: no fsync (the page cache
+// is enough for a process crash) and no automatic snapshots (an abandoned
+// instance must never compact the directory a recovery is reading).
 func crashWAL() wal.Options {
-	return wal.Options{FlushEvery: 1, Sync: wal.SyncNone, FlushInterval: -1, SnapshotEvery: -1}
+	return wal.Options{Sync: wal.SyncNone, SnapshotEvery: -1}
+}
+
+// flushWAL writes every record b acknowledged to its log file and adds no
+// snapshot: the directory a kill leaves once the group commit reached the OS.
+// A crash test calls it before it abandons b or reads b's directory, since
+// the latest records may still wait in the group-commit buffer.
+func flushWAL(t testing.TB, b *Broker) {
+	t.Helper()
+	if err := b.wal.log.Flush(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // replayTranscriptRecovered renders the same transcript replayTranscript
 // does, but through a crash: the stream runs on a durable broker that is
-// abandoned without Close after crashAt ops (every record already on
-// disk — a kill at a record boundary), then a second broker recovers the
+// abandoned without Close after crashAt ops (every record flushed to the
+// OS — a kill at a record boundary), then a second broker recovers the
 // directory and serves the rest. Byte-equality with the uninterrupted
 // golden is the recovery-determinism acceptance bar. Both boots carry a
 // full instrument registry, pinning that instrumentation doesn't bend
@@ -60,7 +69,8 @@ func replayTranscriptRecovered(t *testing.T, cfg Config, campaigns, ops int, see
 	for i, op := range stream[:crashAt] {
 		applyTranscriptOp(t, b, &sb, i, op)
 	}
-	// Crash: no Close, no flush beyond what each append already wrote.
+	// Crash: every record flushed, no Close.
+	flushWAL(t, b)
 	cfg.Metrics = obs.NewRegistry()
 	b2, err := New(cfg)
 	if err != nil {
@@ -129,6 +139,7 @@ func TestRecoveredReplayDoubleCrash(t *testing.T) {
 		if cut == len(stream) {
 			break
 		}
+		flushWAL(t, b)
 		if b, err = New(cfg); err != nil { // crash + recover
 			t.Fatalf("recovering at op %d: %v", cut, err)
 		}
@@ -205,7 +216,8 @@ func (d *loadDriver) flush() {
 // recovered broker would write is byte-identical to the reference's at that
 // point — the one snapshot layout always carries every persistent field, so
 // the payload fingerprints all recovered state, not just the Stats/Campaigns
-// projection — and (c) no campaign has Spent exceeding Budget. The reference
+// projection — and (c) the recovered broker holds its contract
+// (CheckInvariants), as the reference does after every op. The reference
 // trajectory is recorded from an in-memory broker applying the same stream.
 // Every fleet variant runs serially and batched.
 func TestCrashRecoveryProperty(t *testing.T) {
@@ -245,6 +257,7 @@ func crashRecoveryProperty(t *testing.T, load workload.BrokerLoadConfig, cfg Con
 	}
 	var trajectory []refState
 	snap := func() {
+		checkInvariants(t, ref)
 		trajectory = append(trajectory, refState{stats: ref.Stats(), campaigns: ref.Campaigns(), snapshot: ref.encodeSnapshot()})
 	}
 	snap()
@@ -269,6 +282,7 @@ func crashRecoveryProperty(t *testing.T, load workload.BrokerLoadConfig, cfg Con
 	}
 	refDriver.flush()
 	driver.flush()
+	flushWAL(t, b)
 
 	segs, err := filepath.Glob(filepath.Join(srcDir, "wal-*.log"))
 	if err != nil || len(segs) != 1 {
@@ -313,10 +327,8 @@ func crashRecoveryProperty(t *testing.T, load workload.BrokerLoadConfig, cfg Con
 			t.Fatalf("cut %d: recovered snapshot payload (%d bytes) differs from the reference's (%d bytes) after %d records, first at byte %d",
 				cut, len(got), len(want.snapshot), info.RecordsReplayed, firstDiff(string(got), string(want.snapshot)))
 		}
-		for _, c := range rb.Campaigns() {
-			if c.Spent > c.Budget+1e-9 {
-				t.Fatalf("cut %d: campaign %d spent %g exceeds budget %g", cut, c.ID, c.Spent, c.Budget)
-			}
+		if err := rb.CheckInvariants(); err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
 		}
 		if err := rb.Close(); err != nil {
 			t.Fatalf("cut %d: close: %v", cut, err)
@@ -353,6 +365,7 @@ func TestForcedSlateRevenueSurvivesRecovery(t *testing.T) {
 		t.Fatalf("forced-slate fixed revenue %g, budget spent %g: the load must charge", got, b.Stats().BudgetSpent)
 	}
 
+	flushWAL(t, b)
 	crashed, err := New(cfg) // no Close: replay the log
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +408,7 @@ func TestSnapshotCycleRecovery(t *testing.T) {
 	cfg := Config{
 		AdTypes: workload.DefaultAdTypes(),
 		DataDir: dir,
-		WAL:     wal.Options{FlushEvery: 1, Sync: wal.SyncNone, FlushInterval: -1, SnapshotEvery: 64},
+		WAL:     wal.Options{Sync: wal.SyncNone, SnapshotEvery: 64},
 	}
 	b, err := New(cfg)
 	if err != nil {
@@ -441,9 +454,9 @@ func TestSnapshotCycleRecovery(t *testing.T) {
 // with an aggressive snapshot cadence, so background compactions (which
 // quiesce every shard) race live traffic throughout. After a clean close
 // and a reboot the recovered books must balance: counters equal to the
-// pre-close instance, no campaign overspent, per-campaign spend summing to
-// the global counter. Run under -race in CI — this is the lock-order pin
-// for the durability layer.
+// pre-close instance, and the contract holding throughout the traffic and
+// after recovery. Run under -race in CI — this is the lock-order pin for the
+// durability layer.
 func TestDurableConcurrentSoak(t *testing.T) {
 	workers := 2 * runtime.GOMAXPROCS(0)
 	if workers < 4 {
@@ -462,7 +475,7 @@ func TestDurableConcurrentSoak(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
 		AdTypes: workload.DefaultAdTypes(), Shards: 8, DataDir: dir,
-		WAL: wal.Options{FlushEvery: 8, Sync: wal.SyncNone, SnapshotEvery: 200},
+		WAL: wal.Options{Sync: wal.SyncNone, SnapshotEvery: 200},
 	}
 	b, err := New(cfg)
 	if err != nil {
@@ -473,6 +486,7 @@ func TestDurableConcurrentSoak(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	stop := invariantsDuring(t, b)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -484,6 +498,7 @@ func TestDurableConcurrentSoak(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	stop()
 	if t.Failed() {
 		t.FailNow()
 	}
@@ -504,17 +519,7 @@ func TestDurableConcurrentSoak(t *testing.T) {
 	if !reflect.DeepEqual(rb.Campaigns(), preCampaigns) {
 		t.Fatal("recovered campaigns diverge from pre-close state")
 	}
-	var campaignSpend float64
-	for _, c := range rb.Campaigns() {
-		campaignSpend += c.Spent
-		if c.Spent > c.Budget+1e-9 {
-			t.Errorf("campaign %d overspent after recovery: %g > %g", c.ID, c.Spent, c.Budget)
-		}
-	}
-	if math.Abs(campaignSpend-rb.Stats().BudgetSpent) > 1e-6 {
-		t.Errorf("per-campaign spend %g disagrees with recovered counter %g",
-			campaignSpend, rb.Stats().BudgetSpent)
-	}
+	checkInvariants(t, rb)
 }
 
 // TestRecoverValidation pins the constructor contract edges.

@@ -324,42 +324,6 @@ func TestSlateSecondPriceBounds(t *testing.T) {
 	}
 }
 
-// billedInvariants checks the money conservation laws on a broker serving
-// billed traffic: no campaign overspends budget even counting its escrow,
-// escrow is non-negative, and the per-campaign books sum to the global
-// counters.
-func billedInvariants(t *testing.T, b *Broker) {
-	t.Helper()
-	st := b.Stats()
-	var spent, escrow, converted float64
-	var conversions int64
-	for _, c := range b.Campaigns() {
-		if c.Escrow < -1e-9 {
-			t.Errorf("campaign %d negative escrow %g", c.ID, c.Escrow)
-		}
-		if c.Spent+c.Escrow > c.Budget+1e-9 {
-			t.Errorf("campaign %d spent %g + escrow %g exceeds budget %g",
-				c.ID, c.Spent, c.Escrow, c.Budget)
-		}
-		spent += c.Spent
-		escrow += c.Escrow
-		converted += c.Converted
-		conversions += c.Conversions
-	}
-	if math.Abs(spent-st.BudgetSpent) > 1e-6 {
-		t.Errorf("per-campaign spend %g disagrees with counter %g", spent, st.BudgetSpent)
-	}
-	if math.Abs(escrow-st.EscrowHeld) > 1e-6 {
-		t.Errorf("per-campaign escrow %g disagrees with held counter %g", escrow, st.EscrowHeld)
-	}
-	if math.Abs(converted-st.ConversionRevenue) > 1e-6 {
-		t.Errorf("per-campaign conversions %g disagree with counter %g", converted, st.ConversionRevenue)
-	}
-	if conversions != st.Conversions {
-		t.Errorf("conversion counts disagree: %d vs %d", conversions, st.Conversions)
-	}
-}
-
 // TestSlateWALRecovery pins WAL + snapshot bit-exactness: a billed
 // stream (CPM charges, CPC escrow, conversions) through a crash and then a
 // clean snapshot reboot must recover every counter and campaign field —
@@ -392,6 +356,7 @@ func TestSlateWALRecovery(t *testing.T) {
 	}
 
 	// Crash (no Close) → replay the log.
+	flushWAL(t, b)
 	rb, err := New(cfg)
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
@@ -402,7 +367,7 @@ func TestSlateWALRecovery(t *testing.T) {
 	if !reflect.DeepEqual(rb.Campaigns(), preCampaigns) {
 		t.Fatal("recovered campaigns diverge from pre-crash state")
 	}
-	billedInvariants(t, rb)
+	checkInvariants(t, rb)
 
 	// The recovered escrow table must still serve conversions: every open
 	// offer collected pre-crash remains convertible exactly once.
@@ -450,7 +415,7 @@ func TestSlateWALRecovery(t *testing.T) {
 	if !converted && len(open) > 1 {
 		t.Fatal("no recovered open offer was convertible after snapshot reboot")
 	}
-	billedInvariants(t, rb2)
+	checkInvariants(t, rb2)
 }
 
 // TestSlateTornTailRecovery is the billed torn-tail property test: cut the
@@ -472,7 +437,10 @@ func TestSlateTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	trajectory := []refState{{stats: ref.Stats(), campaigns: ref.Campaigns()}}
-	snap := func() { trajectory = append(trajectory, refState{stats: ref.Stats(), campaigns: ref.Campaigns()}) }
+	snap := func() {
+		checkInvariants(t, ref)
+		trajectory = append(trajectory, refState{stats: ref.Stats(), campaigns: ref.Campaigns()})
+	}
 	for _, c := range specs {
 		if _, err := ref.RegisterCampaignSpec(CampaignSpec{
 			Loc: c.Loc, Radius: c.Radius, Budget: c.Budget, Tags: c.Tags, Billing: c.Billing,
@@ -499,6 +467,7 @@ func TestSlateTornTailRecovery(t *testing.T) {
 	for _, op := range stream {
 		applyBilledOp(t, b, op, &open)
 	}
+	flushWAL(t, b)
 
 	segs, err := filepath.Glob(filepath.Join(srcDir, "wal-*.log"))
 	if err != nil || len(segs) != 1 {
@@ -540,7 +509,7 @@ func TestSlateTornTailRecovery(t *testing.T) {
 		if got := rb.Campaigns(); !reflect.DeepEqual(got, want.campaigns) {
 			t.Fatalf("cut %d: recovered campaigns diverge after %d records", cut, info.RecordsReplayed)
 		}
-		billedInvariants(t, rb)
+		checkInvariants(t, rb)
 		if err := rb.Close(); err != nil {
 			t.Fatalf("cut %d: close: %v", cut, err)
 		}
@@ -549,8 +518,8 @@ func TestSlateTornTailRecovery(t *testing.T) {
 
 // TestSlateConcurrentEscrowSoak hammers a billed durable broker from many
 // goroutines — arrivals escrowing holds, conversions draining them, stats
-// and campaign reads throughout — then closes and recovers. The books must
-// balance before and after; run under -race in CI, this is the lock-order
+// and campaign reads throughout, CheckInvariants cutting through it all —
+// then closes and recovers. The books must balance before and after; run under -race in CI, this is the lock-order
 // pin for the billing layer.
 func TestSlateConcurrentEscrowSoak(t *testing.T) {
 	workers := 8
@@ -576,6 +545,7 @@ func TestSlateConcurrentEscrowSoak(t *testing.T) {
 
 	var mu sync.Mutex
 	var open []uint64
+	stop := invariantsDuring(t, b)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -620,10 +590,10 @@ func TestSlateConcurrentEscrowSoak(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	stop()
 	if t.Failed() {
 		t.FailNow()
 	}
-	billedInvariants(t, b)
 	preStats, preCampaigns := b.Stats(), b.Campaigns()
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
@@ -639,7 +609,7 @@ func TestSlateConcurrentEscrowSoak(t *testing.T) {
 	if !reflect.DeepEqual(rb.Campaigns(), preCampaigns) {
 		t.Fatal("recovered campaigns diverge from pre-close state")
 	}
-	billedInvariants(t, rb)
+	checkInvariants(t, rb)
 }
 
 // TestSlateArriveZeroAllocs extends the zero-alloc bar to the slot-solver

@@ -10,7 +10,6 @@ package simulate
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"muaa/internal/broker"
@@ -116,13 +115,12 @@ type PacingResult struct {
 	// controller-off runs).
 	FinalBoost float64
 	Epochs     int64
-	// MaxOverspend is max over campaigns of Spent − Budget: the invariant
-	// every run must keep ≤ 0 regardless of controller settings.
-	MaxOverspend float64
-	Trace        []PacingStepTrace
+	Trace      []PacingStepTrace
 }
 
-// PacingRun replays one seeded scenario and returns its result. The broker's
+// PacingRun replays one seeded scenario and returns its result, or an error
+// if the broker ends the run breaking its contract (Broker.CheckInvariants:
+// no campaign past its budget, whatever the controller did). The broker's
 // background audit ticker is parked (AuditEvery = 1h) and the audit +
 // controller cycle is driven synchronously every StepEvery arrivals, so the
 // run — including every controller decision — is a pure function of the
@@ -208,11 +206,8 @@ func PacingRun(cfg PacingConfig) (PacingResult, error) {
 	res.Ratio = rep.EmpiricalRatio
 	res.FinalBoost = st.PhiBoost
 	res.Epochs = st.PacingEpoch
-	res.MaxOverspend = math.Inf(-1)
-	for _, c := range b.Campaigns() {
-		if over := c.Spent - c.Budget; over > res.MaxOverspend {
-			res.MaxOverspend = over
-		}
+	if err := b.CheckInvariants(); err != nil {
+		return PacingResult{}, fmt.Errorf("simulate: end of run: %w", err)
 	}
 	if cfg.DataDir != "" {
 		if err := b.Close(); err != nil {

@@ -89,7 +89,7 @@ func FuzzWALOpen(f *testing.F) {
 		if err := os.WriteFile(name, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, rec, err := Open(dir, Options{FlushInterval: -1})
+		l, rec, err := Open(dir, Options{})
 		if err != nil {
 			return // a loud failure (corrupt snapshot) is allowed; a panic is not
 		}
@@ -99,7 +99,7 @@ func FuzzWALOpen(f *testing.F) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		l2, rec2, err := Open(dir, Options{FlushInterval: -1})
+		l2, rec2, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatalf("reopen after recovery+append: %v", err)
 		}

@@ -26,7 +26,7 @@ func writeRecords(t *testing.T, l *Log, from, n int) [][]byte {
 // ReadDir reconstructs the complete record history from genesis.
 func TestRetainKeepsFullHistory(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Retain: true, FlushEvery: 1000, FlushInterval: -1, Sync: SyncNone}
+	opts := Options{Retain: true, Sync: SyncNone}
 	l, rec, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -35,8 +35,10 @@ func TestRetainKeepsFullHistory(t *testing.T) {
 		t.Fatalf("fresh dir recovered %+v", rec)
 	}
 	var want [][]byte
-	// Three snapshot cycles; FlushEvery is huge so rotation always finds
-	// buffered records — the seal path, not the flush path, must keep them.
+	// Three snapshot cycles of ten records, short of a group commit, so
+	// rotation usually finds them buffered and the seal path must keep them;
+	// when the 50 ms flusher ticks first they reach the segment by the flush
+	// path instead. Either way every record must be retained.
 	for cycle := 0; cycle < 3; cycle++ {
 		want = append(want, writeRecords(t, l, cycle*10, 10)...)
 		if err := l.Snapshot([]byte(fmt.Sprintf("snap-%d", cycle))); err != nil {
@@ -91,7 +93,7 @@ func TestRetainKeepsFullHistory(t *testing.T) {
 // rotation deletes the superseded segment and reopening prunes strays.
 func TestRetainOffStillCompacts(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, Options{FlushEvery: 1, FlushInterval: -1, Sync: SyncNone})
+	l, _, err := Open(dir, Options{Sync: SyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +120,7 @@ func TestRetainOffStillCompacts(t *testing.T) {
 // snapshot + tail records, not FullHistory.
 func TestReadDirWindowMode(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, Options{FlushEvery: 1, FlushInterval: -1, Sync: SyncNone})
+	l, _, err := Open(dir, Options{Sync: SyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +149,7 @@ func TestReadDirWindowMode(t *testing.T) {
 // repair a live writer's segment.
 func TestReadDirTornTailReadOnly(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Retain: true, FlushEvery: 1, FlushInterval: -1, Sync: SyncNone}
+	opts := Options{Retain: true, Sync: SyncNone}
 	l, _, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +195,7 @@ func TestReadDirTornTailReadOnly(t *testing.T) {
 // skipped — the history is broken and the reader must say so.
 func TestReadDirMidChainCorruption(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Retain: true, FlushEvery: 1, FlushInterval: -1, Sync: SyncNone}
+	opts := Options{Retain: true, Sync: SyncNone}
 	l, _, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -97,17 +97,17 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	return 0, fmt.Errorf("wal: unknown sync policy %q (want flush, always or none)", s)
 }
 
+// Group commit: appends are buffered in memory and written to the OS once
+// groupCommit records are pending, and a background flusher bounds how long
+// a buffered record waits to flushBound (fsynced under SyncOnFlush). Flush
+// and Close write whatever is buffered at once.
+const (
+	groupCommit = 64
+	flushBound  = 50 * time.Millisecond
+)
+
 // Options tunes a Log. The zero value selects the documented defaults.
 type Options struct {
-	// FlushEvery is the group-commit size: appends are buffered in memory
-	// and written to the OS once this many records are pending. Zero
-	// selects 64; 1 writes through on every append.
-	FlushEvery int
-	// FlushInterval bounds how long a buffered record may wait before the
-	// background flusher pushes it to the OS (and fsyncs under
-	// SyncOnFlush). Zero selects 50ms; negative disables the background
-	// flusher (flushes happen only on size, Flush and Close).
-	FlushInterval time.Duration
 	// Sync is the fsync policy.
 	Sync SyncPolicy
 	// SnapshotEvery is read by the log's owner (the broker), not the log
@@ -130,20 +130,6 @@ type Options struct {
 	// truncation at open (warn), the first sticky I/O error (error), and
 	// snapshot rotations (debug). Nil discards them.
 	Logger *slog.Logger
-}
-
-func (o Options) flushEvery() int {
-	if o.FlushEvery <= 0 {
-		return 64
-	}
-	return o.FlushEvery
-}
-
-func (o Options) flushInterval() time.Duration {
-	if o.FlushInterval == 0 {
-		return 50 * time.Millisecond
-	}
-	return o.FlushInterval
 }
 
 // SnapshotCadence resolves SnapshotEvery to the effective record count, or
@@ -284,11 +270,7 @@ func Open(dir string, opts Options) (*Log, Recovery, error) {
 	if opts.Metrics != nil {
 		l.metrics = newWALMetrics(opts.Metrics)
 	}
-	if opts.flushInterval() > 0 {
-		go l.flusher(opts.flushInterval())
-	} else {
-		close(l.done)
-	}
+	go l.flusher()
 	return l, rec, nil
 }
 
@@ -420,7 +402,7 @@ func (l *Log) Append(payload []byte) error {
 	}
 	l.buf = AppendFrame(l.buf, payload)
 	l.pending++
-	full := l.opts.Sync == SyncEveryRecord || l.pending >= l.opts.flushEvery()
+	full := l.opts.Sync == SyncEveryRecord || l.pending >= groupCommit
 	l.mu.Unlock()
 	if m := l.metrics; m != nil {
 		m.appends.Inc()
@@ -509,9 +491,9 @@ func (l *Log) flush(sync bool) error {
 
 // flusher is the group-commit timer: it bounds the time a buffered record
 // can wait before reaching the OS (and stable storage under SyncOnFlush).
-func (l *Log) flusher(every time.Duration) {
+func (l *Log) flusher() {
 	defer close(l.done)
-	t := time.NewTicker(every)
+	t := time.NewTicker(flushBound)
 	defer t.Stop()
 	for {
 		select {

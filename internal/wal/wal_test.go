@@ -12,10 +12,6 @@ import (
 	"muaa/internal/obs"
 )
 
-// noTimer disables the background flusher so tests control flush timing
-// explicitly.
-var noTimer = Options{FlushInterval: -1}
-
 func openT(t *testing.T, dir string, opts Options) (*Log, Recovery) {
 	t.Helper()
 	l, rec, err := Open(dir, opts)
@@ -27,7 +23,7 @@ func openT(t *testing.T, dir string, opts Options) (*Log, Recovery) {
 
 func TestAppendRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, rec := openT(t, dir, noTimer)
+	l, rec := openT(t, dir, Options{})
 	if rec.Snapshot != nil || len(rec.Records) != 0 || rec.Truncated {
 		t.Fatalf("fresh dir recovered %+v", rec)
 	}
@@ -43,7 +39,7 @@ func TestAppendRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, rec := openT(t, dir, noTimer)
+	l2, rec := openT(t, dir, Options{})
 	defer l2.Close()
 	if rec.Truncated {
 		t.Fatal("clean close reported a truncated tail")
@@ -62,21 +58,21 @@ func TestAppendRoundTrip(t *testing.T) {
 // records, so a reopened log extends rather than overwrites.
 func TestAppendAfterReopen(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openT(t, dir, noTimer)
+	l, _ := openT(t, dir, Options{})
 	if err := l.Append([]byte("first")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l, _ = openT(t, dir, noTimer)
+	l, _ = openT(t, dir, Options{})
 	if err := l.Append([]byte("second")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, rec := openT(t, dir, noTimer)
+	_, rec := openT(t, dir, Options{})
 	if len(rec.Records) != 2 || string(rec.Records[0]) != "first" || string(rec.Records[1]) != "second" {
 		t.Fatalf("recovered %q", rec.Records)
 	}
@@ -87,7 +83,7 @@ func TestAppendAfterReopen(t *testing.T) {
 // boundary, truncating the file so subsequent appends are intact.
 func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openT(t, dir, Options{FlushInterval: -1, FlushEvery: 1, Sync: SyncNone})
+	l, _ := openT(t, dir, Options{Sync: SyncNone})
 	for i := 0; i < 5; i++ {
 		if err := l.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
 			t.Fatal(err)
@@ -106,7 +102,7 @@ func TestTornTailTruncated(t *testing.T) {
 		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, rec := openT(t, dir, noTimer)
+		l, rec := openT(t, dir, Options{})
 		if !rec.Truncated {
 			t.Fatalf("cut at %d: truncation not reported", cut)
 		}
@@ -120,7 +116,7 @@ func TestTornTailTruncated(t *testing.T) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		_, rec2 := openT(t, dir, noTimer)
+		_, rec2 := openT(t, dir, Options{})
 		if len(rec2.Records) != 5 || string(rec2.Records[4]) != "after" {
 			t.Fatalf("cut at %d: post-repair records %q", cut, rec2.Records)
 		}
@@ -136,7 +132,7 @@ func TestTornTailTruncated(t *testing.T) {
 // record lengths are untrusted).
 func TestCorruptMiddleStops(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openT(t, dir, Options{FlushInterval: -1, FlushEvery: 1, Sync: SyncNone})
+	l, _ := openT(t, dir, Options{Sync: SyncNone})
 	for i := 0; i < 4; i++ {
 		if err := l.Append([]byte(fmt.Sprintf("payload-%d", i))); err != nil {
 			t.Fatal(err)
@@ -155,7 +151,7 @@ func TestCorruptMiddleStops(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l2, rec := openT(t, dir, noTimer)
+	l2, rec := openT(t, dir, Options{})
 	defer l2.Close()
 	if !rec.Truncated || len(rec.Records) != 1 || string(rec.Records[0]) != "payload-0" {
 		t.Fatalf("corrupt middle: truncated=%v records=%q", rec.Truncated, rec.Records)
@@ -164,7 +160,7 @@ func TestCorruptMiddleStops(t *testing.T) {
 
 func TestSnapshotCompacts(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openT(t, dir, noTimer)
+	l, _ := openT(t, dir, Options{})
 	for i := 0; i < 10; i++ {
 		if err := l.Append([]byte("pre-snapshot")); err != nil {
 			t.Fatal(err)
@@ -186,7 +182,7 @@ func TestSnapshotCompacts(t *testing.T) {
 	if _, err := os.Stat(segmentPath(dir, 1)); !os.IsNotExist(err) {
 		t.Fatalf("old segment not deleted: %v", err)
 	}
-	l2, rec := openT(t, dir, noTimer)
+	l2, rec := openT(t, dir, Options{})
 	defer l2.Close()
 	if string(rec.Snapshot) != "state-at-10" {
 		t.Fatalf("snapshot = %q", rec.Snapshot)
@@ -201,7 +197,7 @@ func TestSnapshotCompacts(t *testing.T) {
 // segment the rotation didn't get to delete.
 func TestStaleSegmentsRemoved(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openT(t, dir, noTimer)
+	l, _ := openT(t, dir, Options{})
 	if err := l.Append([]byte("live")); err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +208,7 @@ func TestStaleSegmentsRemoved(t *testing.T) {
 	if err := os.WriteFile(segmentPath(dir, 2), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, rec := openT(t, dir, noTimer)
+	l, rec := openT(t, dir, Options{})
 	if len(rec.Records) != 1 || string(rec.Records[0]) != "live" {
 		t.Fatalf("records = %q", rec.Records)
 	}
@@ -229,7 +225,7 @@ func TestStaleSegmentsRemoved(t *testing.T) {
 	if err := os.WriteFile(segmentPath(dir, 1), []byte("stale"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, rec = openT(t, dir, noTimer)
+	l, rec = openT(t, dir, Options{})
 	defer l.Close()
 	if string(rec.Snapshot) != "snap" || len(rec.Records) != 0 {
 		t.Fatalf("after rotation crash: snapshot=%q records=%q", rec.Snapshot, rec.Records)
@@ -241,7 +237,7 @@ func TestStaleSegmentsRemoved(t *testing.T) {
 
 func TestSyncEveryRecordWritesThrough(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openT(t, dir, Options{FlushInterval: -1, FlushEvery: 1024, Sync: SyncEveryRecord})
+	l, _ := openT(t, dir, Options{Sync: SyncEveryRecord})
 	if err := l.Append([]byte("durable")); err != nil {
 		t.Fatal(err)
 	}
@@ -259,9 +255,46 @@ func TestSyncEveryRecordWritesThrough(t *testing.T) {
 	}
 }
 
+// TestGroupCommitWritesThrough: no Append returns with a full group still
+// buffered — the append that fills one writes it before it returns, with no
+// Flush. The background flusher may tick at any point in the loop and write
+// part of the stream early, so the check is timer-independent: after every
+// append fewer than groupCommit records are pending, and at the end the file
+// and the buffer together hold every record, read with no flush in flight.
+func TestGroupCommitWritesThrough(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir, Options{Sync: SyncNone})
+	defer l.Close()
+	pending := func() int {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.pending
+	}
+	for i := 0; i < groupCommit; i++ {
+		if err := l.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+		if p := pending(); p >= groupCommit {
+			t.Fatalf("append %d returned with %d records buffered", i, p)
+		}
+	}
+	l.flushMu.Lock()
+	defer l.flushMu.Unlock()
+	data, err := os.ReadFile(segmentPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _ := ScanRecords(data[headerSize:])
+	if p := pending(); len(recs)+p != groupCommit {
+		t.Fatalf("file holds %d records and %d are buffered, want %d in all", len(recs), p, groupCommit)
+	}
+}
+
+// TestBackgroundFlusher: a record short of a group commit reaches the file
+// within the flush bound, without Flush or Close.
 func TestBackgroundFlusher(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openT(t, dir, Options{FlushInterval: 5 * time.Millisecond, FlushEvery: 1 << 20, Sync: SyncNone})
+	l, _ := openT(t, dir, Options{Sync: SyncNone})
 	defer l.Close()
 	if err := l.Append([]byte("buffered")); err != nil {
 		t.Fatal(err)
@@ -282,7 +315,7 @@ func TestBackgroundFlusher(t *testing.T) {
 
 func TestClosedLogRejectsOps(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openT(t, dir, noTimer)
+	l, _ := openT(t, dir, Options{})
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +335,7 @@ func TestClosedLogRejectsOps(t *testing.T) {
 
 func TestCorruptSnapshotIsAnError(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openT(t, dir, noTimer)
+	l, _ := openT(t, dir, Options{})
 	if err := l.Snapshot([]byte("good")); err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +351,7 @@ func TestCorruptSnapshotIsAnError(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Open(dir, noTimer); err == nil {
+	if _, _, err := Open(dir, Options{}); err == nil {
 		t.Fatal("corrupt snapshot must fail Open loudly, not be silently dropped")
 	}
 }
@@ -340,11 +373,14 @@ func TestParseSyncPolicy(t *testing.T) {
 func TestMetricsRegistered(t *testing.T) {
 	reg := obs.NewRegistry()
 	dir := t.TempDir()
-	l, _ := openT(t, dir, Options{FlushInterval: -1, FlushEvery: 2, Metrics: reg})
+	l, _ := openT(t, dir, Options{Metrics: reg})
 	if err := l.Append([]byte("one")); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append([]byte("two")); err != nil { // triggers a flush (+fsync)
+	if err := l.Append([]byte("two")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Flush(); err != nil { // write + fsync
 		t.Fatal(err)
 	}
 	if err := l.Snapshot([]byte("snap")); err != nil {
