@@ -87,15 +87,15 @@ func newBillingState() *billingState {
 // next one (a live commit), a recorded id is kept (WAL replay, so later
 // conversion records resolve). Caller holds the campaign's shard lock and
 // bl.mu; the campaign escrow and held accumulators are the caller's to update
-// (charge already has c in hand).
-func (bl *billingState) holdLocked(c *campaign, m model.BillingModel, hold float64, id uint64) uint64 {
+// (charge already has the row in hand).
+func (bl *billingState) holdLocked(campaign int32, m model.BillingModel, hold float64, id uint64) uint64 {
 	if id == 0 {
 		id = bl.nextID
 	}
 	if id >= bl.nextID {
 		bl.nextID = id + 1
 	}
-	bl.open[id] = openOffer{campaign: c.id, model: m, hold: hold}
+	bl.open[id] = openOffer{campaign: campaign, model: m, hold: hold}
 	bl.openCount.Add(1)
 	return id
 }
@@ -106,14 +106,14 @@ func (bl *billingState) holdLocked(c *campaign, m model.BillingModel, hold float
 // writes); the released campaigns' shards need not be locked — escrow
 // atomics only race with Stats-style readers, and the money flows back, so
 // no admission check can over-spend because of this write.
-func (bl *billingState) evictLocked(dir []*campaign) {
+func (bl *billingState) evictLocked(fl *fleet) {
 	for len(bl.open) > bl.maxOpen {
 		for {
 			if o, ok := bl.open[bl.evictNext]; ok {
 				delete(bl.open, bl.evictNext)
 				bl.evictNext++
-				c := dir[o.campaign]
-				c.escrow.Store(c.escrow.Load() - o.hold)
+				h := fl.row(o.campaign)
+				h.escrow.Store(h.escrow.Load() - o.hold)
 				bl.held.Add(-o.hold)
 				bl.released.Add(o.hold)
 				bl.openCount.Add(-1)
@@ -173,14 +173,14 @@ func (b *Broker) Convert(offerID uint64, idemKey string) (Conversion, error) {
 	if !ok {
 		return Conversion{}, ErrOfferUnknown
 	}
-	c, err := b.campaign(o.campaign)
+	fl, err := b.lookup(o.campaign)
 	if err != nil {
 		return Conversion{}, err
 	}
 	// Phase 2: re-validate and commit under shard lock → mu. The offer may
 	// have been converted or evicted between the phases; the re-check makes
 	// the move atomic.
-	sh := &b.shards[c.shard]
+	sh := &b.shards[fl.campaigns[o.campaign].shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	bl.mu.Lock()
@@ -195,7 +195,7 @@ func (b *Broker) Convert(offerID uint64, idemKey string) (Conversion, error) {
 		bl.mu.Unlock()
 		return Conversion{}, ErrOfferUnknown
 	}
-	b.settle(c, offerID, o, idemKey)
+	b.settle(fl, offerID, o, idemKey)
 	bl.mu.Unlock()
 	if b.wal != nil {
 		b.logRecord(&DecodedRecord{
@@ -207,20 +207,22 @@ func (b *Broker) Convert(offerID uint64, idemKey string) (Conversion, error) {
 }
 
 // settle collects open offer id: the table entry and its idempotency key are
-// consumed and the hold moves from c's escrow to its spend. The only place a
-// conversion moves money, for live events and WAL replay alike, so a replayed
-// history repeats the live accumulator sequence bit for bit (charge is the
-// offer-time twin). Live callers hold c's shard lock and bl.mu; replay is
-// single-goroutine and holds neither.
-func (b *Broker) settle(c *campaign, id uint64, o openOffer, key string) {
+// consumed and the hold moves from the campaign's escrow to its spend. The
+// only place a conversion moves money, for live events and WAL replay alike,
+// so a replayed history repeats the live accumulator sequence bit for bit
+// (charge is the offer-time twin). fl covers o.campaign. Live callers hold the
+// campaign's shard lock and bl.mu; replay is single-goroutine and holds
+// neither.
+func (b *Broker) settle(fl *fleet, id uint64, o openOffer, key string) {
 	bl := b.billing
 	delete(bl.open, id)
 	if key != "" {
 		bl.registerKeyLocked(key)
 	}
 	bl.openCount.Add(-1)
-	c.escrow.Store(c.escrow.Load() - o.hold)
-	c.spent.Store(c.spent.Load() + o.hold)
+	c, h := fl.campaigns[o.campaign], fl.row(o.campaign)
+	h.escrow.Store(h.escrow.Load() - o.hold)
+	h.spent.Store(h.spent.Load() + o.hold)
 	c.converted.Add(o.hold)
 	c.conversions.Add(1)
 	bl.held.Add(-o.hold)

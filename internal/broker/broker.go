@@ -446,17 +446,12 @@ func (b *Broker) RegisterCampaignSpec(spec CampaignSpec) (int32, error) {
 		})
 	}
 	c := &campaign{
-		id: id, loc: spec.Loc, radius: spec.Radius,
-		tags:       append([]float64(nil), spec.Tags...),
-		shard:      b.stripes.Of(spec.Loc),
-		guaranteed: spec.Guaranteed,
-		floor:      spec.Floor,
-		penalty:    spec.Penalty,
-		billing:    spec.Billing,
+		id: id, radius: spec.Radius,
+		tags:    append([]float64(nil), spec.Tags...),
+		shard:   b.stripes.Of(spec.Loc),
+		penalty: spec.Penalty,
 	}
-	c.budget.Store(spec.Budget)
 	c.rate.Store(1)
-	c.allowance.Store(math.Inf(1))
 	if !spec.Billing.Zero() {
 		// Flipped before the directory (and therefore grid) publication: an
 		// arrival that can see this campaign as a candidate acquired the
@@ -468,21 +463,30 @@ func (b *Broker) RegisterCampaignSpec(spec CampaignSpec) (int32, error) {
 	// campaigns only through a shard's grid (under its lock), so a campaign
 	// visible in a grid is always resolvable, while a directory entry not
 	// yet in a grid is merely invisible to arrivals. The fleet grows in place:
-	// each append writes past the length of every header published so far, so
-	// no reader indexes it, and the atomic store then publishes a longer header
-	// over the same backing arrays (or over append's geometric regrowth, which
-	// leaves the old array to its readers). The vendor slab entry is the
-	// campaign's UnitPearson.Prepare, copied; off's last entry is len(d), so
-	// the new run starts where the slab ended.
+	// the page row and each append are written past the length of every header
+	// published so far, so no reader indexes them, and the atomic store then
+	// publishes a longer header over the same pages and backing arrays (or over
+	// append's geometric regrowth, which leaves the old array to its readers).
+	// The vendor slab entry is the campaign's UnitPearson.Prepare, copied;
+	// off's last entry is len(d), so the new run starts where the slab ended.
 	var vendor model.UnitPearson
 	vendor.Prepare(c.tags)
 	d, cov := vendor.Vector()
 	next := &fleet{
 		campaigns: append(old.campaigns, c),
+		pages:     old.pages,
 		d:         append(old.d, d...),
 		cov:       append(old.cov, cov),
 	}
+	if id&pageMask == 0 {
+		next.pages = append(next.pages, new(page))
+	}
 	next.off = append(old.off, len(next.d))
+	h := next.row(id)
+	h.budget.Store(spec.Budget)
+	h.allowance.Store(math.Inf(1))
+	h.loc, h.floor, h.guaranteed = spec.Loc, spec.Floor, spec.Guaranteed
+	*next.billing(id) = spec.Billing
 	b.dir.Store(next)
 	b.maxRadius.Max(spec.Radius)
 	sh := &b.shards[c.shard]
@@ -499,20 +503,21 @@ func (b *Broker) TopUp(id int32, amount float64) error {
 	if amount < 0 || !finite(amount) {
 		return fmt.Errorf("broker: top-up amount %g", amount)
 	}
-	c, err := b.campaign(id)
+	fl, err := b.lookup(id)
 	if err != nil {
 		return err
 	}
 	// The shard lock serializes budget writes against the check-then-spend
 	// sequence of in-flight arrivals touching this campaign.
-	sh := &b.shards[c.shard]
+	h := fl.row(id)
+	sh := &b.shards[fl.campaigns[id].shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	budget := c.budget.Load() + amount
+	budget := h.budget.Load() + amount
 	if !finite(budget) {
 		return fmt.Errorf("broker: top-up amount %g overflows campaign %d's budget", amount, id)
 	}
-	c.budget.Store(budget)
+	h.budget.Store(budget)
 	if b.wal != nil {
 		b.logRecord(&DecodedRecord{Kind: RecordTopUp, Campaign: id, Amount: amount})
 	}
@@ -522,20 +527,21 @@ func (b *Broker) TopUp(id int32, amount float64) error {
 // SetPaused pauses or resumes a campaign; paused campaigns receive no
 // traffic but keep their budget.
 func (b *Broker) SetPaused(id int32, paused bool) error {
-	c, err := b.campaign(id)
+	fl, err := b.lookup(id)
 	if err != nil {
 		return err
 	}
+	h := fl.row(id)
 	if b.wal == nil {
-		c.paused.Store(paused)
+		h.paused.Store(paused)
 		return nil
 	}
 	// Durable: the shard lock serializes the flag flip with its record, so
 	// a snapshot (which quiesces all shards) can never capture the flip
 	// while the record is still in flight.
-	sh := &b.shards[c.shard]
+	sh := &b.shards[fl.campaigns[id].shard]
 	sh.mu.Lock()
-	c.paused.Store(paused)
+	h.paused.Store(paused)
 	b.logRecord(&DecodedRecord{Kind: RecordPause, Campaign: id, Paused: paused})
 	sh.mu.Unlock()
 	return nil
@@ -544,21 +550,21 @@ func (b *Broker) SetPaused(id int32, paused bool) error {
 // CampaignState returns a copy of the campaign's live state without
 // touching any lock.
 func (b *Broker) CampaignState(id int32) (Campaign, error) {
-	c, err := b.campaign(id)
+	fl, err := b.lookup(id)
 	if err != nil {
 		return Campaign{}, err
 	}
-	return c.snapshot(), nil
+	return fl.snapshot(id), nil
 }
 
 // Campaigns returns copies of every campaign's live state, in ID order. The
 // read is lock-free: per-campaign values are atomically consistent, the
 // set-wide view is a relaxed snapshot.
 func (b *Broker) Campaigns() []Campaign {
-	dir := b.dir.Load().campaigns
-	out := make([]Campaign, len(dir))
-	for i, c := range dir {
-		out[i] = c.snapshot()
+	fl := b.dir.Load()
+	out := make([]Campaign, len(fl.campaigns))
+	for i := range out {
+		out[i] = fl.snapshot(int32(i))
 	}
 	return out
 }
@@ -567,12 +573,13 @@ func (b *Broker) Campaigns() []Campaign {
 // broker never issued; the HTTP layer answers it with 404.
 var ErrUnknownCampaign = errors.New("broker: unknown campaign")
 
-func (b *Broker) campaign(id int32) (*campaign, error) {
-	dir := b.dir.Load().campaigns
-	if id < 0 || int(id) >= len(dir) {
+// lookup returns a fleet header that covers campaign id.
+func (b *Broker) lookup(id int32) (*fleet, error) {
+	fl := b.dir.Load()
+	if id < 0 || int(id) >= len(fl.campaigns) {
 		return nil, fmt.Errorf("%w %d", ErrUnknownCampaign, id)
 	}
-	return dir[id], nil
+	return fl, nil
 }
 
 // validateArrival is the one door for client-supplied arrival values: every

@@ -286,8 +286,8 @@ func replayAgainstSession(tc sessionCase) (fleet [numDispositions]uint64, both i
 		if !slices.Equal(got, want) {
 			return fleet, 0, fmt.Errorf("arrival %d (capacity %d): broker pushed %v, session %v", i, u.Capacity, got, want)
 		}
-		for j, c := range b.dir.Load().campaigns {
-			if bs, ss := c.spent.Load(), s.Spent(int32(j)); math.Float64bits(bs) != math.Float64bits(ss) {
+		for j, h := range b.Campaigns() {
+			if bs, ss := h.Spent, s.Spent(int32(j)); math.Float64bits(bs) != math.Float64bits(ss) {
 				return fleet, 0, fmt.Errorf("after arrival %d: vendor %d spent %v at the broker, %v in the session", i, j, bs, ss)
 			}
 		}

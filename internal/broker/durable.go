@@ -253,12 +253,12 @@ func (b *Broker) applyRecord(rec []byte) error {
 		b.phiBoost.bits.Store(d.BoostBits)
 		for i := range d.Controller {
 			e := &d.Controller[i]
-			c, err := b.campaign(e.Campaign)
+			fl, err := b.lookup(e.Campaign)
 			if err != nil {
 				return err
 			}
-			c.rate.bits.Store(e.RateBits)
-			c.allowance.bits.Store(e.AllowanceBits)
+			fl.campaigns[e.Campaign].rate.bits.Store(e.RateBits)
+			fl.row(e.Campaign).allowance.bits.Store(e.AllowanceBits)
 		}
 		return nil
 	case RecordTopUp:
@@ -291,11 +291,11 @@ func (b *Broker) applyArrival(e *ArrivalRecord, auction bool) error {
 	b.gammaMin.Min(e.GammaMin)
 	b.gammaMax.Max(e.GammaMax)
 	for i := range e.Offers {
-		c, err := b.campaign(e.Offers[i].Campaign)
+		fl, err := b.lookup(e.Offers[i].Campaign)
 		if err != nil {
 			return err
 		}
-		b.charge(c, &e.Offers[i], auction)
+		b.charge(fl.row(e.Offers[i].Campaign), &e.Offers[i], auction)
 	}
 	return nil
 }
@@ -310,11 +310,11 @@ func (b *Broker) applyConversion(d *DecodedRecord) error {
 	if !ok {
 		return fmt.Errorf("conversion for unknown offer %d", d.OfferID)
 	}
-	c, err := b.campaign(o.campaign)
+	fl, err := b.lookup(o.campaign)
 	if err != nil {
 		return err
 	}
-	b.settle(c, d.OfferID, o, d.EventKey)
+	b.settle(fl, d.OfferID, o, d.EventKey)
 	return nil
 }
 
@@ -332,7 +332,7 @@ func (b *Broker) encodeSnapshot() []byte {
 // the state is a consistent cut; every billing mutation holds a shard lock,
 // so the billing sidecar is read without its mutex too.
 func (b *Broker) snapshotState() SnapshotState {
-	dir := b.dir.Load().campaigns
+	fl := b.dir.Load()
 	bl := b.billing
 	s := SnapshotState{
 		Arrivals:     b.arrivals.Load(),
@@ -343,7 +343,7 @@ func (b *Broker) snapshotState() SnapshotState {
 		GammaMaxBits: b.gammaMax.bits.Load(),
 		PhiBoostBits: b.phiBoost.bits.Load(),
 		PacingEpoch:  b.pacingEpoch.Load(),
-		Campaigns:    make([]SnapshotCampaign, len(dir)),
+		Campaigns:    make([]SnapshotCampaign, len(fl.campaigns)),
 		Billing: SnapshotBilling{
 			NextID:           bl.nextID,
 			EvictNext:        bl.evictNext,
@@ -357,17 +357,18 @@ func (b *Broker) snapshotState() SnapshotState {
 			IdemKeys: bl.idemQ[bl.idemHead:],
 		},
 	}
-	for i, c := range dir {
+	for i, c := range fl.campaigns {
+		h, bi := fl.row(c.id), fl.billing(c.id)
 		s.Campaigns[i] = SnapshotCampaign{
-			ID: c.id, Loc: c.loc, Radius: c.radius,
-			BudgetBits: c.budget.bits.Load(), SpentBits: c.spent.bits.Load(),
-			Paused: c.paused.Load(), Tags: c.tags,
-			Guaranteed: c.guaranteed, Floor: c.floor, Penalty: c.penalty,
-			RateBits: c.rate.bits.Load(), AllowanceBits: c.allowance.bits.Load(),
-			BillingModel:  c.billing.Model,
-			ReserveBits:   math.Float64bits(c.billing.ReserveECPM),
-			EventRateBits: math.Float64bits(c.billing.EventRate),
-			EscrowBits:    c.escrow.bits.Load(),
+			ID: c.id, Loc: h.loc, Radius: c.radius,
+			BudgetBits: h.budget.bits.Load(), SpentBits: h.spent.bits.Load(),
+			Paused: h.paused.Load(), Tags: c.tags,
+			Guaranteed: h.guaranteed, Floor: h.floor, Penalty: c.penalty,
+			RateBits: c.rate.bits.Load(), AllowanceBits: h.allowance.bits.Load(),
+			BillingModel:  bi.Model,
+			ReserveBits:   math.Float64bits(bi.ReserveECPM),
+			EventRateBits: math.Float64bits(bi.EventRate),
+			EscrowBits:    h.escrow.bits.Load(),
 			ConvertedBits: c.converted.bits.Load(),
 			Conversions:   c.conversions.Load(),
 		}
@@ -407,12 +408,13 @@ func (b *Broker) applySnapshot(data []byte) error {
 		if got != sc.ID {
 			return fmt.Errorf("snapshot campaign %d re-registered as %d", sc.ID, got)
 		}
-		c := b.dir.Load().campaigns[got]
-		c.spent.bits.Store(sc.SpentBits)
-		c.paused.Store(sc.Paused)
+		fl := b.dir.Load()
+		c, h := fl.campaigns[got], fl.row(got)
+		h.spent.bits.Store(sc.SpentBits)
+		h.paused.Store(sc.Paused)
 		c.rate.bits.Store(sc.RateBits)
-		c.allowance.bits.Store(sc.AllowanceBits)
-		c.escrow.bits.Store(sc.EscrowBits)
+		h.allowance.bits.Store(sc.AllowanceBits)
+		h.escrow.bits.Store(sc.EscrowBits)
 		c.converted.bits.Store(sc.ConvertedBits)
 		c.conversions.Store(sc.Conversions)
 	}

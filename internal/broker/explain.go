@@ -7,7 +7,8 @@ package broker
 // over a hypothetical arrival, under the covering stripe locks, and renders
 // the per-candidate breakdown from what the kernel recorded instead of
 // committing anything. It is read-only by construction: the kernel's decide
-// stage writes nothing outside the arena it is handed, and Explain hands it
+// stage writes nothing outside the arena it is handed but the threshold memo
+// (a cache of g^δ that no result depends on), and Explain hands it
 // a private arena whose γ-state is seeded from the live bounds and then
 // thrown away — never merged back — so the predicted thresholds are exactly
 // what the real arrival would compute while the live bounds stay untouched.
@@ -223,12 +224,13 @@ func (b *Broker) Explain(a Arrival) (*ExplainReport, error) {
 		at(id).Score = s
 	}
 	nTypes := len(b.cfg.AdTypes)
-	for i, c := range ar.cand {
-		ec := at(c.id)
+	for i, k := range ar.cand {
+		id := ar.ids[k]
+		ec := at(id)
 		ec.Distance, ec.Score = why.terms[i].dist, why.terms[i].score
 		ec.Delta, ec.Relief, ec.Threshold = ar.delta[i], ar.relief[i], why.phi[i]
 		ec.Base, ec.Remaining, ec.Headroom = ar.base[i], ar.remaining[i], ar.headroom[i]
-		ec.Escrow = c.escrow.Load()
+		ec.Escrow = fl.row(id).escrow.Load()
 		ec.Bids = why.bids[i*nTypes : (i+1)*nTypes : (i+1)*nTypes]
 		if !auction {
 			for k := range ec.Bids {
@@ -238,7 +240,7 @@ func (b *Broker) Explain(a Arrival) (*ExplainReport, error) {
 	}
 	for i := range ar.reps {
 		r := &ar.reps[i]
-		at(ar.cand[r.ci].id).Bids[r.k].Chosen = true
+		at(ar.ids[ar.cand[r.ci]]).Bids[r.k].Chosen = true
 	}
 	for slot := range ar.cands {
 		cd := &ar.cands[slot]

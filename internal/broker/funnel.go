@@ -14,8 +14,8 @@ package broker
 // campaigns' rows after the scan, still under the stripe locks that own the
 // arena.
 //
-// The counters are exact for every campaign: a campaign's row is a field of
-// its directory entry (campaign.funnel, 72 B), so the store grows with the
+// The counters are exact for every campaign: a campaign's row (72 B) sits in
+// its page beside its hot row (see page), so the store grows with the
 // campaign directory and the fold is one plain increment per event — the row
 // is guarded by the campaign's shard lock, which the folding scan already
 // holds and the scrape-cadence readers take. What is bounded is the
@@ -89,13 +89,13 @@ type FunnelConfig struct {
 const funnelTopN = 16
 
 // funnelRegistry is the fleet-level view over the per-campaign rows. The rows
-// themselves live on the campaigns (campaign.funnel); there is deliberately
+// themselves live in the fleet's pages (page.funnel); there is deliberately
 // no per-row gathered counter — conservation (one disposition per gathered
 // candidate) makes gathered the sum of the row, so readers derive it and the
 // fold pays one increment per event.
 type funnelRegistry struct {
-	// b is the broker whose directory entries carry the rows and whose shard
-	// locks guard them.
+	// b is the broker whose pages carry the rows and whose shard locks guard
+	// them.
 	b *Broker
 
 	// gathered is the fleet-wide gathered count, fed from the gathered id
@@ -117,8 +117,8 @@ type funnelRegistry struct {
 
 // fold attributes one scan's gathered set and disposition events to their
 // campaigns. Caller still holds the stripe locks that own ar (the event
-// slice is arena scratch) and passes the directory the scan gathered against:
-// every event id came from a locked grid, so it indexes dir — and a campaign
+// slice is arena scratch) and passes the fleet the scan gathered against:
+// every event id came from a locked grid, so it indexes fl — and a campaign
 // sits only in its owning shard's grid, so the caller holds the lock that
 // guards its row: the increment is a plain add, and folds from disjoint
 // stripe intervals touch disjoint rows.
@@ -130,10 +130,10 @@ type funnelRegistry struct {
 // walk instead of being maintained on this path. The fleet gathered counter
 // still comes from ar.ids, keeping the gathered-set/event-set cross-check
 // observable.
-func (fr *funnelRegistry) fold(ar *scanArena, dir []*campaign) {
+func (fr *funnelRegistry) fold(ar *scanArena, fl *fleet) {
 	fr.gathered.Add(uint64(len(ar.ids)))
 	for _, ev := range ar.fev {
-		dir[ev.id].funnel[ev.disp]++
+		fl.funnel(ev.id)[ev.disp]++
 	}
 }
 
@@ -151,10 +151,9 @@ type funnelWalk struct {
 // campaign registered meanwhile has an all-zero row whichever header the walk
 // loads — and must never be called with a shard lock held. The top n are kept
 // by bounded insertion (like the kernel's trim), so the pass is
-// O(campaigns + n²) and allocates the n rows whatever the fleet size; at
-// 8 192 campaigns and n = 16 the locks are held ≈ 130 µs — four `dense`
-// arrivals' worth, a row's cache miss per campaign, the same straight after
-// a walk as after traffic (BenchmarkFunnelWalk). Scrape-cadence callers only.
+// O(campaigns + n²) and allocates the n rows whatever the fleet size. The rows
+// are read page by page in id order, one forward stream of 72-byte rows
+// (BenchmarkFunnelWalk prices the stall). Scrape-cadence callers only.
 func (fr *funnelRegistry) walk(n int) funnelWalk {
 	b := fr.b
 	var w funnelWalk
@@ -163,9 +162,12 @@ func (fr *funnelRegistry) walk(n int) funnelWalk {
 	}
 	b.lockStripes(0, len(b.shards)-1, nil)
 	defer b.unlockStripes(0, len(b.shards)-1)
-	for _, c := range b.dir.Load().campaigns {
+	fl := b.dir.Load()
+	for i := range fl.campaigns {
+		id := int32(i)
+		row := fl.funnel(id)
 		var g uint64
-		for d, v := range c.funnel {
+		for d, v := range row {
 			w.totals[d] += v
 			g += v
 		}
@@ -175,9 +177,9 @@ func (fr *funnelRegistry) walk(n int) funnelWalk {
 			continue
 		}
 		if len(w.top) < n {
-			w.top = append(w.top, c.funnelCounts())
+			w.top = append(w.top, funnelCounts(id, row))
 		} else {
-			w.top[n-1] = c.funnelCounts()
+			w.top[n-1] = funnelCounts(id, row)
 		}
 		for i := len(w.top) - 1; i > 0 && w.top[i].Gathered > w.top[i-1].Gathered; i-- {
 			w.top[i], w.top[i-1] = w.top[i-1], w.top[i]
@@ -240,16 +242,16 @@ func (fc *FunnelCounts) dispositions() [numDispositions]uint64 {
 	}
 }
 
-// funnelCounts reads the campaign's row, whose sum is Gathered. Caller holds
+// funnelCounts reads campaign id's row, whose sum is Gathered. Caller holds
 // the campaign's shard lock.
-func (c *campaign) funnelCounts() FunnelCounts {
-	disp := c.funnel
+func funnelCounts(id int32, row *[numDispositions]uint64) FunnelCounts {
+	disp := *row
 	var g uint64
 	for _, v := range disp {
 		g += v
 	}
 	return FunnelCounts{
-		Campaign: c.id, Gathered: g,
+		Campaign: id, Gathered: g,
 		Offered: disp[dispOffered], Paused: disp[dispPaused],
 		Exhausted: disp[dispExhausted], TagMismatch: disp[dispTagMismatch],
 		LowScore: disp[dispLowScore], Unaffordable: disp[dispUnaffordable],
@@ -266,14 +268,14 @@ func (b *Broker) CampaignFunnel(id int32) (FunnelCounts, error) {
 	if b.funnel == nil {
 		return FunnelCounts{}, ErrFunnelDisabled
 	}
-	c, err := b.campaign(id)
+	fl, err := b.lookup(id)
 	if err != nil {
 		return FunnelCounts{}, err
 	}
-	sh := &b.shards[c.shard]
+	sh := &b.shards[fl.campaigns[id].shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return c.funnelCounts(), nil
+	return funnelCounts(id, fl.funnel(id)), nil
 }
 
 // registerFunnelMetrics registers the muaa_funnel_* families. The fleet
@@ -282,8 +284,7 @@ func (b *Broker) CampaignFunnel(id int32) (FunnelCounts, error) {
 // collector over the walk's top-N heavy hitters, so its label set shifts with
 // traffic while its cardinality never exceeds funnelTopN × (1 +
 // numDispositions) series. Both render from one walk per scrape (see scrape):
-// one pass over the directory with every shard lock held, ≈ 130 µs at 8 192
-// campaigns.
+// one pass over the pages with every shard lock held.
 func registerFunnelMetrics(reg *obs.Registry, b *Broker) {
 	fr := b.funnel
 	reg.NewCounterFunc("muaa_funnel_gathered_total",

@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 
+	"muaa/internal/model"
 	"muaa/internal/obs"
 )
 
@@ -23,6 +24,8 @@ import (
 //     deferred-billing campaign, a positive hold and an id inside
 //     [eviction cursor, next id), the table fits its bound, and a
 //     campaign's open holds sum to its escrow;
+//   - the released holds are finite and ≥ 0, and the CPC and CPA revenue
+//     counters sum to the converted revenue;
 //   - the idempotency window is one consistent FIFO, within its bound, and
 //     holds no more keys than conversions were collected;
 //   - γ is unseen (γ_min = +Inf, γ_max = 0) or 0 < γ_min ≤ γ_max < +Inf;
@@ -49,10 +52,11 @@ func (b *Broker) CheckInvariants() error {
 		if c.id != int32(i) {
 			return fmt.Errorf("broker: directory slot %d holds campaign %d", i, c.id)
 		}
-		if c.shard != b.stripes.Of(c.loc) {
-			return fmt.Errorf("broker: campaign %d at %v sits in stripe %d, not %d", i, c.loc, c.shard, b.stripes.Of(c.loc))
+		h := f.row(c.id)
+		if c.shard != b.stripes.Of(h.loc) {
+			return fmt.Errorf("broker: campaign %d at %v sits in stripe %d, not %d", i, h.loc, c.shard, b.stripes.Of(h.loc))
 		}
-		cb, cs, ce, cv := c.budget.Load(), c.spent.Load(), c.escrow.Load(), c.converted.Load()
+		cb, cs, ce, cv := h.budget.Load(), h.spent.Load(), h.escrow.Load(), c.converted.Load()
 		switch {
 		case !finite(cb) || cb < 0:
 			return fmt.Errorf("broker: campaign %d budget %g", i, cb)
@@ -79,6 +83,11 @@ func (b *Broker) CheckInvariants() error {
 		return fmt.Errorf("broker: campaigns count %d conversions, counter %d", conversions, bl.conversions.Load())
 	case !finite(b.utility.Load()) || b.utility.Load() < 0:
 		return fmt.Errorf("broker: utility served %g", b.utility.Load())
+	case !finite(bl.released.Load()) || bl.released.Load() < 0:
+		return fmt.Errorf("broker: escrow released %g", bl.released.Load())
+	}
+	if deferred := bl.revenue[model.BillingCPC].Load() + bl.revenue[model.BillingCPA].Load(); !near(deferred, bl.convertedRev.Load()) {
+		return fmt.Errorf("broker: cpc+cpa revenue %g, converted revenue %g", deferred, bl.convertedRev.Load())
 	}
 
 	if len(bl.open) > bl.maxOpen || int64(len(bl.open)) != bl.openCount.Load() {
@@ -91,14 +100,14 @@ func (b *Broker) CheckInvariants() error {
 		if o.campaign < 0 || int(o.campaign) >= n || !o.model.Deferred() || !(o.hold > 0) || !finite(o.hold) {
 			return fmt.Errorf("broker: open offer %d is %+v", id, o)
 		}
-		if c := f.campaigns[o.campaign]; c.billing.Model != o.model {
-			return fmt.Errorf("broker: open offer %d bills %v, campaign %d bills %v", id, o.model, o.campaign, c.billing.Model)
+		if m := f.billing(o.campaign).Model; m != o.model {
+			return fmt.Errorf("broker: open offer %d bills %v, campaign %d bills %v", id, o.model, o.campaign, m)
 		}
 		holds[o.campaign] += o.hold
 	}
-	for i, c := range f.campaigns {
-		if !near(holds[i], c.escrow.Load()) {
-			return fmt.Errorf("broker: campaign %d escrow %g, its open holds sum to %g", i, c.escrow.Load(), holds[i])
+	for i := range f.campaigns {
+		if e := f.row(int32(i)).escrow.Load(); !near(holds[i], e) {
+			return fmt.Errorf("broker: campaign %d escrow %g, its open holds sum to %g", i, e, holds[i])
 		}
 	}
 
@@ -123,8 +132,8 @@ func (b *Broker) CheckInvariants() error {
 
 	if fr := b.funnel; fr != nil {
 		var rows uint64
-		for _, c := range f.campaigns {
-			for _, v := range c.funnel {
+		for i := range f.campaigns {
+			for _, v := range f.funnel(int32(i)) {
 				rows += v
 			}
 		}

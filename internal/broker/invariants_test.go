@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"muaa/internal/model"
 	"muaa/internal/workload"
 )
 
@@ -97,13 +98,16 @@ func TestCheckInvariantsCatchesEachRule(t *testing.T) {
 		want    string
 	}{
 		{"overspend", func(b *Broker) {
-			c := b.dir.Load().campaigns[3]
-			c.spent.Store(c.budget.Load() + 1)
+			h := b.dir.Load().row(3)
+			h.spent.Store(h.budget.Load() + 1)
 		}, "exceeds budget"},
-		{"negative escrow", func(b *Broker) { b.dir.Load().campaigns[0].escrow.Store(-1) }, "negative"},
+		{"negative escrow", func(b *Broker) { b.dir.Load().row(0).escrow.Store(-1) }, "negative"},
 		{"spend counter", func(b *Broker) { b.spent.Add(0.5) }, "campaigns spent"},
 		{"held counter", func(b *Broker) { b.billing.held.Add(0.5) }, "in escrow, counter"},
 		{"conversion counter", func(b *Broker) { b.billing.conversions.Add(1) }, "conversions, counter"},
+		{"negative release", func(b *Broker) { b.billing.released.Store(-1) }, "escrow released"},
+		{"NaN release", func(b *Broker) { b.billing.released.Store(math.NaN()) }, "escrow released"},
+		{"revenue split", func(b *Broker) { b.billing.revenue[model.BillingCPA].Add(0.5) }, "converted revenue"},
 		{"negative utility", func(b *Broker) { b.utility.Store(-b.utility.Load() - 1) }, "utility served"},
 		{"NaN utility", func(b *Broker) { b.utility.Store(math.NaN()) }, "utility served"},
 		{"lost hold", func(b *Broker) {
@@ -125,7 +129,7 @@ func TestCheckInvariantsCatchesEachRule(t *testing.T) {
 		}, "outside"},
 		{"unqueued key", func(b *Broker) { b.billing.idem["ghost"] = struct{}{} }, "idempotency window"},
 		{"γ inverted", func(b *Broker) { b.gammaMin.Store(2 * b.gammaMax.Load()) }, "γ bounds"},
-		{"funnel row", func(b *Broker) { b.dir.Load().campaigns[5].funnel[dispLowScore]++ }, "funnel rows"},
+		{"funnel row", func(b *Broker) { b.dir.Load().funnel(5)[dispLowScore]++ }, "funnel rows"},
 		{"wrong stripe", func(b *Broker) {
 			c := b.dir.Load().campaigns[1]
 			c.shard = (c.shard + 1) % len(b.shards)
@@ -200,8 +204,7 @@ func TestServeInvariants(t *testing.T) {
 	if rec := get(); rec.Code != http.StatusOK || strings.TrimSpace(rec.Body.String()) != `{"ok":true}` {
 		t.Fatalf("sound broker: %d %s", rec.Code, rec.Body)
 	}
-	c := b.dir.Load().campaigns[2]
-	c.spent.Store(math.Inf(1))
+	b.dir.Load().row(2).spent.Store(math.Inf(1))
 	rec := get()
 	var env errorEnvelope
 	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {

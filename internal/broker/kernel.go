@@ -10,17 +10,18 @@ package broker
 //
 //  1. gatherCandidates: grid probes into ar.ids, put in ascending order —
 //     the global scan order — through a bitset over the campaign directory.
-//  2. terms, two loops. The read sweep touches every gathered campaign once
-//     and copies what the stage needs of it — the mutable money fields, the
-//     immutable geometry and class, and Eq. 5's covariance against the
-//     fleet's vendor slab — into flat ar.rows, with no branch that depends
-//     on what it read, so the misses of many candidates overlap. The filter
-//     loop then runs the filter sequence (paused → budget → tag dimension →
-//     score) and the γ-independent per-candidate terms over the rows, into
-//     flat arrays. The score is Eq. 5 under unit activity weights: the
-//     arrival's half is prepared here once, each campaign's was at
-//     registration (model.UnitPearson). This stage never reads γ, so running
-//     it ahead of the walk cannot change a decision.
+//  2. terms, two loops. The read sweep touches every gathered campaign's two
+//     page rows once (hotRow, walkRow: a 64-byte line each) and copies them,
+//     with Eq. 5's covariance against the fleet's vendor slab, into flat
+//     ar.rows, with no branch that depends on what it read, so the misses of
+//     many candidates overlap; ids ascend, so the pages are read as forward
+//     streams, and *campaign is never touched. The filter loop then runs
+//     the filter sequence (paused → budget → tag dimension → score) and the
+//     γ-independent per-candidate terms over the rows, into flat arrays. The
+//     walk reads the rows too, not the fleet. The score is Eq. 5 under unit
+//     activity weights: the arrival's half is prepared here once, each
+//     campaign's was at registration (model.UnitPearson). This stage never
+//     reads γ, so running it ahead of the walk cannot change a decision.
 //  3. walk: the sequential threshold walk — the only loop that compares an
 //     efficiency with φ(δ). γ observations feed forward from candidate i to
 //     candidate i+1's threshold, so it must stay in candidate order. Every
@@ -129,6 +130,23 @@ func (g *gammaState) threshold(delta float64) float64 {
 	return g.min / math.E * math.Pow(g.base(), delta)
 }
 
+// powMemo is a threshold memo: pow = base^delta.
+type powMemo struct{ base, delta, pow float64 }
+
+// thresholdAt is threshold with g^δ taken from memo when memo priced the same
+// two floats — then it is the same bits; a miss reprices memo and stores it
+// through home, the campaign's walk row, for the next arrival.
+func (g *gammaState) thresholdAt(delta float64, memo, home *powMemo) float64 {
+	if g.max == 0 {
+		return 0
+	}
+	if base := g.base(); memo.base != base || memo.delta != delta {
+		*memo = powMemo{base, delta, math.Pow(base, delta)}
+		*home = *memo
+	}
+	return g.min / math.E * memo.pow
+}
+
 // reportedG is the reporting-only, unclamped base behind Stats.G and
 // muaa_broker_threshold_g: the configured value, else the raw e·γ_max/γ_min
 // once two distinct efficiencies exist, else 0. Golden-pinned; admission
@@ -173,11 +191,12 @@ type scanArena struct {
 	rows []termRow
 
 	// Struct-of-arrays terms for candidates that survived the filters,
-	// indexed together: cand[i]'s Eq. 4 base value is base[i], its
+	// indexed together: cand[i] is the survivor's index into ids and rows,
+	// and its Eq. 4 base value is base[i], its
 	// budget-usage ratio delta[i], its pacing-capped spendable budget
 	// remaining[i], its raw unspent budget headroom[i], and relief[i] marks a
 	// guaranteed campaign behind its pro-rated delivery floor.
-	cand      []*campaign
+	cand      []int32
 	base      []float64
 	delta     []float64
 	remaining []float64
@@ -211,17 +230,19 @@ type scanArena struct {
 	customer model.UnitPearson
 }
 
-// termRow is one gathered campaign as terms' read sweep found it: the mutable
-// money fields (allowance only on a controller broker), the immutable geometry
-// and delivery class, and the vendor half of Eq. 5 already folded with the
-// arrival's — covXY is the covariance of the two centred vectors (0 when
-// their dimensions differ, which mismatch records), covYY the campaign's own
-// sum of squares.
+// termRow is one gathered campaign as terms' read sweep found it: its hot row
+// (allowance only on a controller broker), its walk row, and the vendor half
+// of Eq. 5 already folded with the arrival's — covXY is the covariance of the
+// two centred vectors (0 when their dimensions differ, which mismatch
+// records), covYY the campaign's own sum of squares. The walk then reads
+// billing and the threshold memo here, not through the fleet.
 type termRow struct {
 	budget, spent, escrow, allowance float64
 	loc                              geo.Point
 	floor                            float64
 	covXY, covYY                     float64
+	billing                          model.Billing
+	memo                             powMemo
 	paused, guaranteed, mismatch     bool
 }
 
@@ -248,11 +269,11 @@ type slateItem struct {
 	bid    float64
 }
 
-// candidate pairs a priced offer with the campaign it draws on so commit can
+// candidate pairs a priced offer with the hot row it draws on so commit can
 // charge it without re-resolving the ID.
 type candidate struct {
 	Offer
-	c *campaign
+	row *hotRow
 }
 
 // scanTally counts how one decision disposed of its candidates, by funnel
@@ -365,13 +386,14 @@ func (b *Broker) scan(ar *scanArena, a *Arrival, fl *fleet, auction bool) scanTa
 	tally := b.decide(ar, a, fl, auction)
 	b.gammaMerge(&ar.gamma)
 	if b.funnel != nil {
-		b.funnel.fold(ar, fl.campaigns)
+		b.funnel.fold(ar, fl)
 	}
 	return tally
 }
 
 // decide runs terms → walk → resolve over ar.ids against ar.gamma, leaving
-// the priced winners in ar.cands. It writes nothing outside the arena.
+// the priced winners in ar.cands. It writes nothing outside the arena but the
+// threshold memo, a cache.
 // Caller holds the stripe locks that produced ar.ids.
 func (b *Broker) decide(ar *scanArena, a *Arrival, fl *fleet, auction bool) scanTally {
 	var tally scanTally
@@ -380,14 +402,14 @@ func (b *Broker) decide(ar *scanArena, a *Arrival, fl *fleet, auction bool) scan
 	ar.cands = ar.cands[:0]
 	b.terms(ar, a, fl, &tally)
 	slots := auction && a.Capacity > 1
-	b.walk(ar, &tally, slots)
+	b.walk(ar, fl, &tally, slots)
 	if len(ar.reps) == 0 {
 		return tally
 	}
 	if slots {
-		b.slots(ar, a.Capacity)
+		b.slots(ar, fl, a.Capacity)
 	} else {
-		b.trim(ar, a.Capacity)
+		b.trim(ar, fl, a.Capacity)
 	}
 	// Admitted candidates resolve only now: slot winners were offered, the
 	// rest were displaced by the slot race.
@@ -399,7 +421,7 @@ func (b *Broker) decide(ar *scanArena, a *Arrival, fl *fleet, auction bool) scan
 			if ar.reps[i].won {
 				d = dispOffered
 			}
-			ar.fev = append(ar.fev, funnelEvent{id: ar.cand[ar.reps[i].ci].id, disp: d})
+			ar.fev = append(ar.fev, funnelEvent{id: ar.ids[ar.cand[ar.reps[i].ci]], disp: d})
 		}
 	}
 	return tally
@@ -428,15 +450,16 @@ func (b *Broker) terms(ar *scanArena, a *Arrival, fl *fleet, tally *scanTally) {
 	rows := slices.Grow(ar.rows[:0], len(ar.ids))[:len(ar.ids)]
 	ar.rows = rows
 	for i, id := range ar.ids {
-		c, r := fl.campaigns[id], &rows[i]
-		r.paused = c.paused.Load()
-		r.budget = c.budget.Load()
-		r.spent = c.spent.Load()
-		r.escrow = c.escrow.Load()
+		h, w, r := fl.row(id), fl.walkRow(id), &rows[i]
+		r.paused = h.paused.Load()
+		r.budget = h.budget.Load()
+		r.spent = h.spent.Load()
+		r.escrow = h.escrow.Load()
 		if controller {
-			r.allowance = c.allowance.Load()
+			r.allowance = h.allowance.Load()
 		}
-		r.loc, r.guaranteed, r.floor = c.loc, c.guaranteed, c.floor
+		r.loc, r.guaranteed, r.floor = h.loc, h.guaranteed, h.floor
+		r.billing, r.memo = w.billing, w.memo
 		v := fl.vendor(id)
 		r.mismatch, r.covXY, r.covYY = len(v) != dim, 0, fl.cov[id]
 		if !r.mismatch {
@@ -500,7 +523,7 @@ func (b *Broker) terms(ar *scanArena, a *Arrival, fl *fleet, tally *scanTally) {
 				remaining = paced
 			}
 		}
-		ar.cand = append(ar.cand, fl.campaigns[id])
+		ar.cand = append(ar.cand, int32(i))
 		ar.base = append(ar.base, base)
 		ar.delta = append(ar.delta, delta)
 		ar.remaining = append(ar.remaining, remaining)
@@ -529,7 +552,7 @@ func (b *Broker) boost() float64 {
 // admitted item joins ar.reps carrying its best one; with slots set, every
 // admitted item additionally joins the candidate's MCKP class in the slot
 // solver, priced at billing-expected cost.
-func (b *Broker) walk(ar *scanArena, tally *scanTally, slots bool) {
+func (b *Broker) walk(ar *scanArena, fl *fleet, tally *scanTally, slots bool) {
 	adTypes := b.cfg.AdTypes
 	g, why := &ar.gamma, ar.why
 	boost := b.boost()
@@ -537,8 +560,9 @@ func (b *Broker) walk(ar *scanArena, tally *scanTally, slots bool) {
 	s.Reset()
 	ar.reps = ar.reps[:0]
 	ar.items = ar.items[:0]
-	for i, c := range ar.cand {
-		phi := g.threshold(ar.delta[i])
+	for i, k := range ar.cand {
+		id, r := ar.ids[k], &ar.rows[k]
+		phi := g.thresholdAt(ar.delta[i], &r.memo, &fl.walkRow(id).memo)
 		if boost != 1 {
 			phi *= boost
 		}
@@ -552,7 +576,7 @@ func (b *Broker) walk(ar *scanArena, tally *scanTally, slots bool) {
 		if why != nil {
 			why.phi = append(why.phi, phi)
 		}
-		bi := c.billing
+		bi := &r.billing
 		base, remaining := ar.base[i], ar.remaining[i]
 		bestK, bestU, bestEff, bestBid, item0 := -1, 0.0, 0.0, 0.0, len(ar.items)
 		affordable, aboveReserve := false, false
@@ -604,17 +628,17 @@ func (b *Broker) walk(ar *scanArena, tally *scanTally, slots bool) {
 			ar.reps = append(ar.reps, rep{ci: int32(i), k: int32(bestK), item0: int32(item0),
 				util: bestU, eff: bestEff, bid: bestBid})
 		case aboveReserve:
-			ar.drop(tally, c.id, dispBelowThreshold)
+			ar.drop(tally, id, dispBelowThreshold)
 		case affordable:
 			// Every affordable bid fell below the campaign's own reserve.
-			ar.drop(tally, c.id, dispBelowReserve)
+			ar.drop(tally, id, dispBelowReserve)
 		case ar.headroom[i] < b.minAdCost:
 			// Not even the cheapest ad fits the unspent budget: the campaign
 			// is spent out until a top-up.
-			ar.drop(tally, c.id, dispExhausted)
+			ar.drop(tally, id, dispExhausted)
 		default:
 			// Unspent budget exists but the pacing allowance withheld it.
-			ar.drop(tally, c.id, dispUnaffordable)
+			ar.drop(tally, id, dispUnaffordable)
 		}
 	}
 }
@@ -632,7 +656,7 @@ func ranksBefore(x, y *rep) bool {
 // every admitted candidate wins, in scan order; over capacity the top
 // `capacity` by ranksBefore win, in rank order, and the first one displaced
 // is the runner-up whose bid prices auction-billed winners.
-func (b *Broker) trim(ar *scanArena, capacity int) {
+func (b *Broker) trim(ar *scanArena, fl *fleet, capacity int) {
 	reps := ar.reps
 	n, runnerBid := len(reps), 0.0
 	if n > capacity {
@@ -658,7 +682,7 @@ func (b *Broker) trim(ar *scanArena, capacity int) {
 	}
 	for j := range reps[:n] {
 		reps[j].won = true
-		ar.cands = append(ar.cands, priceOffer(ar.cand[reps[j].ci], b.cfg.AdTypes, &reps[j], runnerBid))
+		ar.cands = append(ar.cands, priceOffer(fl, ar.ids[ar.cand[reps[j].ci]], b.cfg.AdTypes, &reps[j], runnerBid))
 	}
 }
 
@@ -667,7 +691,7 @@ func (b *Broker) trim(ar *scanArena, capacity int) {
 // decreasing hull-first efficiency and each serves its hull completion. The
 // first class denied a slot prices every winner: its hypothetical pick is
 // the bid the slate displaced.
-func (b *Broker) slots(ar *scanArena, capacity int) {
+func (b *Broker) slots(ar *scanArena, fl *fleet, capacity int) {
 	s := &ar.slot
 	s.Solve(capacity)
 	runnerBid := 0.0
@@ -680,7 +704,7 @@ func (b *Broker) slots(ar *scanArena, capacity int) {
 		r := &ar.reps[ci]
 		it := &ar.items[int(r.item0)+s.Pick(int(ci))]
 		r.k, r.util, r.eff, r.bid, r.won = it.adType, it.util, it.eff, it.bid, true
-		ar.cands = append(ar.cands, priceOffer(ar.cand[r.ci], b.cfg.AdTypes, r, runnerBid))
+		ar.cands = append(ar.cands, priceOffer(fl, ar.ids[ar.cand[r.ci]], b.cfg.AdTypes, r, runnerBid))
 	}
 }
 
@@ -689,12 +713,12 @@ func (b *Broker) slots(ar *scanArena, capacity int) {
 // Auction billing pays min(own bid, max(reserve, runner-up bid)) in eCPM
 // (second price with reserve) — charged now for CPM, escrowed as a per-event
 // hold for CPC/CPA.
-func priceOffer(c *campaign, adTypes []model.AdType, r *rep, runnerBid float64) candidate {
+func priceOffer(fl *fleet, id int32, adTypes []model.AdType, r *rep, runnerBid float64) candidate {
 	cd := candidate{
-		Offer: Offer{Campaign: c.id, AdType: int(r.k), Utility: r.util, Efficiency: r.eff},
-		c:     c,
+		Offer: Offer{Campaign: id, AdType: int(r.k), Utility: r.util, Efficiency: r.eff},
+		row:   fl.row(id),
 	}
-	bi := c.billing
+	bi := fl.billing(id)
 	if bi.Model == model.BillingFixed {
 		cd.Cost = adTypes[r.k].Cost
 		return cd
@@ -723,23 +747,25 @@ func (b *Broker) commit(ar *scanArena, dst []Offer, auction bool) []Offer {
 	m := b.metrics
 	for i := range ar.cands {
 		cd := &ar.cands[i]
-		oldSpent := cd.c.spent.Load()
-		newSpent := oldSpent + cd.Cost
-		b.charge(cd.c, &cd.Offer, auction)
+		before := cd.row.headroom()
+		b.charge(cd.row, &cd.Offer, auction)
 		dst = append(dst, cd.Offer)
 		if m != nil {
 			m.offersByType[cd.AdType].Inc()
-			// Exhaustion event: this commit pushed the remaining budget
-			// below the cheapest ad type, so the campaign can serve nothing
-			// further until a top-up.
-			budget := cd.c.budget.Load()
-			if budget-oldSpent >= b.minAdCost && budget-newSpent < b.minAdCost {
+			// Exhaustion event: this commit — its charge or its hold — pushed
+			// the headroom below the cheapest ad type, so the walk files the
+			// campaign as exhausted until a top-up or an expired hold refills it.
+			if before >= b.minAdCost && cd.row.headroom() < b.minAdCost {
 				m.exhaustedEvents.Inc()
 			}
 		}
 	}
 	return dst
 }
+
+// headroom is the budget neither spent nor held in escrow: the walk's
+// exhaustion line (terms computes it from the same three loads).
+func (h *hotRow) headroom() float64 { return h.budget.Load() - h.spent.Load() - h.escrow.Load() }
 
 // charge lands one offer's money: the only place an offer moves spent or
 // escrow, for live commits and WAL replay alike, so a replayed history
@@ -751,21 +777,21 @@ func (b *Broker) commit(ar *scanArena, dst []Offer, auction bool) []Offer {
 // when the arrival was auction-resolved. Writers hold the owning shard's
 // lock (every candidate came from a locked shard), so load+store is a safe
 // read-modify-write.
-func (b *Broker) charge(c *campaign, o *Offer, auction bool) {
+func (b *Broker) charge(h *hotRow, o *Offer, auction bool) {
 	bl := b.billing
 	if o.Hold > 0 {
 		bl.mu.Lock()
-		o.ID = bl.holdLocked(c, o.Model, o.Hold, o.ID)
-		c.escrow.Store(c.escrow.Load() + o.Hold)
+		o.ID = bl.holdLocked(o.Campaign, o.Model, o.Hold, o.ID)
+		h.escrow.Store(h.escrow.Load() + o.Hold)
 		bl.held.Add(o.Hold)
 		if len(bl.open) > bl.maxOpen {
-			bl.evictLocked(b.dir.Load().campaigns)
+			bl.evictLocked(b.dir.Load())
 		}
 		bl.mu.Unlock()
 	} else if auction {
 		bl.revenue[o.Model].Add(o.Cost)
 	}
-	c.spent.Store(c.spent.Load() + o.Cost)
+	h.spent.Store(h.spent.Load() + o.Cost)
 	b.spent.Add(o.Cost)
 	b.utility.Add(o.Utility)
 	b.offers.Add(1)

@@ -75,6 +75,33 @@ func TestVendorSlabMatchesPrepare(t *testing.T) {
 	}
 }
 
+// TestThresholdMemoMatchesThreshold: thresholdAt returns threshold's bits
+// whatever its memo holds — as γ's bounds move the base under an unchanged δ,
+// as δ moves under an unchanged base, and on the repeats that hit — and every
+// repricing is written back to the campaign's copy.
+func TestThresholdMemoMatchesThreshold(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	g := gammaState{min: math.Inf(1)}
+	var memo, home powMemo
+	deltas := []float64{0, 0.125, 0.5, 0.75, 1}
+	for i := 0; i < 4000; i++ {
+		if rng.Intn(3) == 0 {
+			g.observe(rng.ExpFloat64())
+		}
+		if i == 2000 {
+			g.cfgG = 5 // a configured base from here on
+		}
+		delta := deltas[rng.Intn(len(deltas))]
+		want := g.threshold(delta)
+		if got := g.thresholdAt(delta, &memo, &home); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d, δ %g, γ [%g, %g]: memo gives %x, threshold %x", i, delta, g.min, g.max, math.Float64bits(got), math.Float64bits(want))
+		}
+		if home != memo {
+			t.Fatalf("step %d: the campaign's memo %+v is not the priced one %+v", i, home, memo)
+		}
+	}
+}
+
 // BenchmarkTermsDense is the terms stage alone — read sweep and filter loop —
 // over the `dense` market's gathered sets (≈260 ids of 8 192, billed fleet),
 // so the rung has its own price beside BenchmarkOrderIDs and

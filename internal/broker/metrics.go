@@ -86,7 +86,7 @@ func newBrokerMetrics(reg *obs.Registry, b *Broker) *brokerMetrics {
 			"End-to-end latency of one single-arrival submission (Arrive, POST /v1/arrivals), lock wait through WAL append.",
 			arrivalBuckets),
 		exhaustedEvents: reg.NewCounter("muaa_broker_campaign_exhausted_total",
-			"Commits that left a campaign's remaining budget below the cheapest ad type."),
+			"Commits that left a campaign's budget net of spend and escrow below the cheapest ad type."),
 		batchSize: reg.NewHistogram("muaa_broker_batch_size",
 			"Arrivals per ArriveBatch call (validation rejects excluded).",
 			obs.ExpBuckets(1, 2, 11)),

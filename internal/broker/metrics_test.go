@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"muaa/internal/geo"
+	"muaa/internal/model"
 	"muaa/internal/obs"
 	"muaa/internal/workload"
 )
@@ -198,6 +199,40 @@ func TestBrokerMetricsExhaustion(t *testing.T) {
 		t.Fatalf("exhaustion events = %d, want exactly 1", got)
 	}
 	// The two post-exhaustion arrivals must show up as exhausted scans.
+	if got := b.metrics.scanOutcomes[dispExhausted].Value(); got != 2 {
+		t.Fatalf("exhausted scans = %d, want 2", got)
+	}
+}
+
+// TestBrokerMetricsExhaustionByHolds drains a CPC campaign with holds alone —
+// spend stays 0 while escrow eats the budget — and the exhaustion event fires
+// exactly once, at the commit whose hold crossed the line the scan files the
+// campaign as exhausted by.
+func TestBrokerMetricsExhaustionByHolds(t *testing.T) {
+	b, err := New(Config{
+		AdTypes: workload.DefaultAdTypes()[:1], // Text Link, cost 1
+		Metrics: obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Event rate 1 at a 1000 eCPM reserve: every offer holds exactly 1.
+	if _, err := b.RegisterCampaignSpec(CampaignSpec{Loc: geo.Point{X: 0.5, Y: 0.5}, Radius: 0.1, Budget: 2,
+		Tags: []float64{1, 0}, Billing: model.Billing{Model: model.BillingCPC, ReserveECPM: 1000, EventRate: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	arrival := Arrival{Loc: geo.Point{X: 0.5, Y: 0.5}, Capacity: 1, ViewProb: 1, Interests: []float64{1, 0}}
+	for i := 0; i < 4; i++ {
+		if _, err := b.Arrive(arrival); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := b.Stats(); st.EscrowHeld != 2 || st.BudgetSpent != 0 {
+		t.Fatalf("held %g, spent %g: want the budget 2 all in escrow", st.EscrowHeld, st.BudgetSpent)
+	}
+	if got := b.metrics.exhaustedEvents.Value(); got != 1 {
+		t.Fatalf("exhaustion events = %d, want exactly 1", got)
+	}
 	if got := b.metrics.scanOutcomes[dispExhausted].Value(); got != 2 {
 		t.Fatalf("exhausted scans = %d, want 2", got)
 	}

@@ -32,21 +32,22 @@ func (b *Broker) PacingStep() (pacing.Decision, error) {
 	if b.controller == nil {
 		return pacing.Decision{}, ErrControllerDisabled
 	}
-	dir := b.dir.Load().campaigns
+	fl := b.dir.Load()
 	snap := pacing.Snapshot{
 		Report:    b.AuditReport(),
 		Boost:     b.phiBoost.Load(),
-		Campaigns: make([]pacing.CampaignView, len(dir)),
+		Campaigns: make([]pacing.CampaignView, len(fl.campaigns)),
 	}
-	for i, c := range dir {
+	for i, c := range fl.campaigns {
+		h := fl.row(c.id)
 		snap.Campaigns[i] = pacing.CampaignView{
 			ID:         c.id,
-			Budget:     c.budget.Load(),
-			Spent:      c.spent.Load(),
+			Budget:     h.budget.Load(),
+			Spent:      h.spent.Load(),
 			Rate:       c.rate.Load(),
-			Guaranteed: c.guaranteed,
-			Floor:      c.floor,
-			Paused:     c.paused.Load(),
+			Guaranteed: h.guaranteed,
+			Floor:      h.floor,
+			Paused:     h.paused.Load(),
 		}
 	}
 	dec := pacing.Decide(*b.controller, snap)
@@ -67,16 +68,16 @@ func (b *Broker) applyDecision(dec pacing.Decision) {
 		Kind: RecordController, Epoch: b.pacingEpoch.Add(1), BoostBits: b.phiBoost.bits.Load(),
 		Controller: make([]ControllerEntry, 0, len(dec.Rates)),
 	}
-	dir := b.dir.Load().campaigns
+	fl := b.dir.Load()
 	for _, r := range dec.Rates {
-		if r.ID < 0 || int(r.ID) >= len(dir) {
+		if r.ID < 0 || int(r.ID) >= len(fl.campaigns) {
 			continue // registered after the snapshot; stays uncapped this epoch
 		}
-		c := dir[r.ID]
+		c, h := fl.campaigns[r.ID], fl.row(r.ID)
 		c.rate.Store(r.Rate)
-		c.allowance.Store(pacing.Allowance(c.budget.Load(), c.spent.Load(), c.allowance.Load(), r.Rate))
+		h.allowance.Store(pacing.Allowance(h.budget.Load(), h.spent.Load(), h.allowance.Load(), r.Rate))
 		rec.Controller = append(rec.Controller, ControllerEntry{
-			Campaign: c.id, RateBits: c.rate.bits.Load(), AllowanceBits: c.allowance.bits.Load()})
+			Campaign: c.id, RateBits: c.rate.bits.Load(), AllowanceBits: h.allowance.bits.Load()})
 	}
 	if b.wal != nil {
 		b.logRecord(&rec)
@@ -106,9 +107,9 @@ func registerPacingMetrics(reg *obs.Registry, b *Broker) {
 	reg.NewGaugeFunc("muaa_pacing_guaranteed_campaigns",
 		"Registered guaranteed-delivery campaigns.",
 		func() float64 {
-			n := 0
-			for _, c := range b.dir.Load().campaigns {
-				if c.guaranteed {
+			n, fl := 0, b.dir.Load()
+			for _, c := range fl.campaigns {
+				if fl.row(c.id).guaranteed {
 					n++
 				}
 			}
@@ -118,9 +119,10 @@ func registerPacingMetrics(reg *obs.Registry, b *Broker) {
 		"Budget units guaranteed campaigns still owe their end-of-day delivery floors (Σ max(0, floor·budget − spent)).",
 		func() float64 {
 			var s float64
-			for _, c := range b.dir.Load().campaigns {
-				if c.guaranteed {
-					if gap := c.floor*c.budget.Load() - c.spent.Load(); gap > 0 {
+			fl := b.dir.Load()
+			for _, c := range fl.campaigns {
+				if h := fl.row(c.id); h.guaranteed {
+					if gap := h.floor*h.budget.Load() - h.spent.Load(); gap > 0 {
 						s += gap
 					}
 				}
@@ -131,9 +133,10 @@ func registerPacingMetrics(reg *obs.Registry, b *Broker) {
 		"Penalty owed if every guaranteed campaign's current floor shortfall stood at end-of-day (Σ penalty · shortfall).",
 		func() float64 {
 			var s float64
-			for _, c := range b.dir.Load().campaigns {
-				if c.guaranteed && c.penalty > 0 {
-					if gap := c.floor*c.budget.Load() - c.spent.Load(); gap > 0 {
+			fl := b.dir.Load()
+			for _, c := range fl.campaigns {
+				if h := fl.row(c.id); h.guaranteed && c.penalty > 0 {
+					if gap := h.floor*h.budget.Load() - h.spent.Load(); gap > 0 {
 						s += c.penalty * gap
 					}
 				}
@@ -144,10 +147,12 @@ func registerPacingMetrics(reg *obs.Registry, b *Broker) {
 		"Spend headroom the current epoch's allowances leave across capped campaigns (Σ allowance − spent over rate < 1).",
 		func() float64 {
 			var s float64
-			for _, c := range b.dir.Load().campaigns {
+			fl := b.dir.Load()
+			for _, c := range fl.campaigns {
 				if c.rate.Load() < 1 {
-					if h := c.allowance.Load() - c.spent.Load(); h > 0 && !math.IsInf(h, 1) {
-						s += h
+					h := fl.row(c.id)
+					if room := h.allowance.Load() - h.spent.Load(); room > 0 && !math.IsInf(room, 1) {
+						s += room
 					}
 				}
 			}

@@ -97,11 +97,11 @@ type ctlState struct {
 }
 
 func controllerBits(b *Broker) ctlState {
-	dir := b.dir.Load().campaigns
+	fl := b.dir.Load()
 	st := ctlState{boostBits: b.phiBoost.bits.Load(), epoch: b.pacingEpoch.Load()}
-	for _, c := range dir {
+	for _, c := range fl.campaigns {
 		st.rates = append(st.rates, c.rate.bits.Load())
-		st.allowances = append(st.allowances, c.allowance.bits.Load())
+		st.allowances = append(st.allowances, fl.row(c.id).allowance.bits.Load())
 	}
 	return st
 }

@@ -182,9 +182,9 @@ func writeEveryRecord(tb testing.TB) ([]writtenRecord, []byte) {
 	}
 	want = DecodedRecord{Kind: RecordController, Epoch: 1, BoostBits: ref.phiBoost.bits.Load()}
 	for _, r := range dec.Rates {
-		c := ref.dir.Load().campaigns[r.ID]
+		fl := ref.dir.Load()
 		want.Controller = append(want.Controller, ControllerEntry{
-			Campaign: r.ID, RateBits: c.rate.bits.Load(), AllowanceBits: c.allowance.bits.Load()})
+			Campaign: r.ID, RateBits: fl.campaigns[r.ID].rate.bits.Load(), AllowanceBits: fl.row(r.ID).allowance.bits.Load()})
 	}
 	out = append(out, writtenRecord{name: "controller", want: want})
 

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"muaa/internal/model"
 	"muaa/internal/obs"
@@ -333,6 +334,70 @@ func crashRecoveryProperty(t *testing.T, load workload.BrokerLoadConfig, cfg Con
 		if err := rb.Close(); err != nil {
 			t.Fatalf("cut %d: close: %v", cut, err)
 		}
+	}
+}
+
+// TestStripeAndPageInvariance drives the crash-recovery property's billed
+// load through brokers striped 1, 4 and 64 ways, over a fleet that spans two
+// pages, and after every op requires their snapshot payloads, Stats and
+// Campaigns to be bit-identical: the stripe count is serving topology, never
+// state, so a row written on the wrong page or left unwritten under the wrong
+// stripe's lock shows as a divergence. Every hot row and walk row is one
+// aligned line.
+func TestStripeAndPageInvariance(t *testing.T) {
+	const campaigns, ops, seed = 1100, 800, 7
+	if unsafe.Sizeof(hotRow{}) != 64 || unsafe.Sizeof(walkRow{}) != 64 {
+		t.Fatalf("hot row %d bytes, walk row %d: want 64 each", unsafe.Sizeof(hotRow{}), unsafe.Sizeof(walkRow{}))
+	}
+	specs, stream, err := workload.BrokerLoad(workload.BilledBrokerLoadConfig(campaigns, ops, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var drivers []*loadDriver
+	for _, shards := range []int{1, 4, 64} {
+		b, err := New(Config{AdTypes: workload.DefaultAdTypes(), Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		registerLoad(t, b, specs)
+		drivers = append(drivers, &loadDriver{t: t, b: b, record: func() {}})
+	}
+	ref := drivers[0].b
+	for _, p := range ref.dir.Load().pages {
+		for _, at := range []uintptr{uintptr(unsafe.Pointer(&p.rows[0])), uintptr(unsafe.Pointer(&p.walk[0]))} {
+			if at%64 != 0 {
+				t.Fatalf("a page's rows start at %#x, not on a 64-byte line", at)
+			}
+		}
+	}
+	for i, op := range stream {
+		for _, d := range drivers {
+			d.apply(op)
+		}
+		want, stats, list := ref.encodeSnapshot(), ref.Stats(), ref.Campaigns()
+		for _, d := range drivers[1:] {
+			if got := d.b.encodeSnapshot(); !bytes.Equal(got, want) {
+				t.Fatalf("op %d: %d stripes' snapshot differs from 1 stripe's at byte %d", i, len(d.b.shards), firstDiff(string(got), string(want)))
+			}
+			if got := d.b.Stats(); got != stats {
+				t.Fatalf("op %d: %d stripes' stats %+v, 1 stripe's %+v", i, len(d.b.shards), got, stats)
+			}
+			if got := d.b.Campaigns(); !reflect.DeepEqual(got, list) {
+				t.Fatalf("op %d: %d stripes' campaigns differ from 1 stripe's", i, len(d.b.shards))
+			}
+		}
+	}
+	served := 0
+	for _, c := range ref.Campaigns()[1<<pageBits:] {
+		if c.Spent+c.Escrow > 0 {
+			served++
+		}
+	}
+	if served == 0 {
+		t.Fatal("no campaign on the second page was ever charged: the load never crossed the page boundary")
+	}
+	for _, d := range drivers {
+		checkInvariants(t, d.b)
 	}
 }
 

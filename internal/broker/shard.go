@@ -57,73 +57,96 @@ func (f *atomicFloat) Max(v float64) {
 	}
 }
 
-// campaign is the broker's internal per-campaign state. Immutable identity
-// (id, loc, radius, tags, shard) is set at registration — the campaign's half
-// of Eq. 5 is not here but in the fleet's vendor slab, addressed by id; the
-// mutable money fields are atomics written only while the owning shard's lock
-// is held — the lock serializes the check-then-spend sequence among writers,
-// the atomics let Stats/Campaigns read without joining the lock queue.
+// campaign is a campaign's cold state: what no candidate's scan reads.
+// Immutable identity (id, radius, tags, shard) is set at registration; the
+// conversion books (converted, conversions) move only under the owning
+// shard's lock plus the billing mutex; rate, the pacing controller's spend-rate
+// cap (1 = uncapped), only under the full quiescence PacingStep takes. The
+// per-candidate state lives in the campaign's page rows (hotRow, walkRow), the
+// campaign's half of Eq. 5 in the fleet's vendor slab, both addressed by id.
 type campaign struct {
-	id     int32
-	loc    geo.Point
-	radius float64
-	tags   []float64
-	shard  int // owning stripe index
+	id      int32
+	radius  float64
+	tags    []float64
+	shard   int     // owning stripe index
+	penalty float64 // guaranteed delivery's per-unit shortfall penalty
 
-	// AdCell-style class, immutable after registration: a guaranteed-delivery
-	// campaign carries a delivery floor (fraction of budget due by
-	// end-of-day, pro-rated by arrival hour) and a per-unit shortfall
-	// penalty; best-effort campaigns have all three zero.
-	guaranteed bool
-	floor      float64
-	penalty    float64
-
-	// billing is the campaign's billing contract, immutable after
-	// registration. The zero value is the seed fixed-cost contract.
-	billing model.Billing
-
-	budget atomicFloat
-	spent  atomicFloat
-	paused atomic.Bool
-
-	// Deferred-billing money, written only under the owning shard's lock
-	// (offer-time holds) or shard lock + billing mutex (conversion,
-	// expiry): escrow is budget held against open CPC/CPA offers,
-	// converted the revenue collected by conversions, conversions their
-	// count. All stay zero for non-deferred campaigns.
-	escrow      atomicFloat
 	converted   atomicFloat
 	conversions atomic.Int64
+	rate        atomicFloat
+}
 
-	// Pacing-controller actuators, written only under the full quiescence
-	// PacingStep takes (all shard locks held): rate is the spend-rate cap the
-	// last controller epoch chose (1 = uncapped), allowance the epoch's
-	// absolute spend ceiling (+Inf = uncapped). Both default to uncapped and
-	// stay there on a controller-less broker.
-	rate      atomicFloat
-	allowance atomicFloat
+// hotRow is the first of a campaign's two per-candidate lines (walkRow is the
+// second): 64 bytes, 64-aligned, what the filters read. The money and paused
+// are atomics written only while the owning shard's lock is held, and the
+// lock serializes the check-then-spend sequence among writers while the
+// atomics let Stats and Campaigns read without joining the lock queue: escrow
+// is budget held against open CPC/CPA offers (zero for other contracts),
+// allowance the last controller epoch's absolute spend ceiling (+Inf =
+// uncapped; written under PacingStep's full quiescence). loc and the
+// AdCell-style class are immutable after registration: a guaranteed-delivery
+// campaign carries a delivery floor, the fraction of budget due by end-of-day
+// pro-rated by arrival hour.
+type hotRow struct {
+	budget, spent, escrow, allowance atomicFloat
+	loc                              geo.Point
+	floor                            float64
+	paused                           atomic.Bool
+	guaranteed                       bool
+}
 
-	// funnel is the campaign's decision-funnel row, one counter per
-	// disposition (see funnel.go): plain words, written and read only under the
-	// owning shard's lock.
-	funnel [numDispositions]uint64
+// pageBits sizes a page at 1 024 campaigns; id&pageMask is a campaign's slot
+// in its page.
+const (
+	pageBits = 10
+	pageMask = 1<<pageBits - 1
+)
+
+// walkRow is what the walk reads of a campaign beyond the terms columns, one
+// 64-byte line: the billing contract (immutable; the zero value is the seed
+// fixed-cost contract) and the threshold memo — the last g^δ the walk priced
+// for the campaign and the base and δ it priced it at. δ moves only when the
+// campaign is charged and the base only when γ's bounds move, so almost every
+// candidate reuses the memo, and a memo that matches was computed from the
+// same two floats: φ is the same bits either way. The memo is written by the
+// walk under the campaign's shard lock.
+type walkRow struct {
+	billing model.Billing
+	memo    powMemo
+	_       [16]byte
+}
+
+// page holds the per-candidate state of the 1 024 campaigns with ids
+// [p<<pageBits, (p+1)<<pageBits): their hot rows, their walk rows and their
+// decision-funnel rows (one counter per disposition, plain words under the
+// owning shard's lock, see funnel.go). A page is allocated whole when the
+// first of its ids registers and never moves, so a scan over ascending ids
+// reads each of the three arrays as one forward stream. Allocations this large
+// start on a runtime page boundary, so every row and walk row is one aligned
+// line (TestStripeAndPageInvariance).
+type page struct {
+	rows   [1 << pageBits]hotRow
+	walk   [1 << pageBits]walkRow
+	funnel [1 << pageBits][numDispositions]uint64
 }
 
 // fleet is what a registration publishes, behind the one pointer Broker.dir:
-// the dense campaign directory and, beside it, the vendor slab — every
-// campaign's half of Eq. 5 (model.UnitPearson: centred tags, their sum of
-// squares) back to back and addressed by id, so scoring a candidate streams
-// one run of one array instead of chasing the campaign to a vector of its own.
-// Campaign id's centred tags are d[off[id]:off[id+1]] — any length, the
-// registration door caps no dimension — and cov[id] their sum of squares.
+// the dense campaign directory, the pages of per-candidate state, and the
+// vendor slab — every campaign's half of Eq. 5 (model.UnitPearson: centred
+// tags, their sum of squares) back to back and addressed by id, so scoring a
+// candidate streams one run of one array instead of chasing the campaign to a
+// vector of its own. Campaign id's centred tags are d[off[id]:off[id+1]] —
+// any length, the registration door caps no dimension — and cov[id] their sum
+// of squares.
 //
-// All four slices are append-only and a published fleet is immutable: a
-// registration appends past every published length and publishes a new header
-// (see RegisterCampaignSpec), so a reader indexes only what its own header
-// covers, one load gives one consistent view, and an old header keeps reading
-// its own ids correctly whatever regrows after it.
+// All five slices are append-only and a published fleet is immutable: a
+// registration writes its page row and appends past every published length,
+// then publishes a new header (see RegisterCampaignSpec), so a reader indexes
+// only what its own header covers, one load gives one consistent view, and an
+// old header keeps reading its own ids correctly whatever regrows after it.
 type fleet struct {
 	campaigns []*campaign
+	pages     []*page
 	d         []float64
 	off       []int // len(campaigns)+1 offsets into d
 	cov       []float64
@@ -132,16 +155,35 @@ type fleet struct {
 // vendor returns campaign id's centred tag vector.
 func (f *fleet) vendor(id int32) []float64 { return f.d[f.off[id]:f.off[id+1]] }
 
-// snapshot copies the live state into the exported value type.
-func (c *campaign) snapshot() Campaign {
+// row returns campaign id's hot row.
+func (f *fleet) row(id int32) *hotRow {
+	return &f.pages[id>>pageBits].rows[id&pageMask]
+}
+
+// funnel returns campaign id's decision-funnel row.
+func (f *fleet) funnel(id int32) *[numDispositions]uint64 {
+	return &f.pages[id>>pageBits].funnel[id&pageMask]
+}
+
+// walkRow returns campaign id's walk row.
+func (f *fleet) walkRow(id int32) *walkRow {
+	return &f.pages[id>>pageBits].walk[id&pageMask]
+}
+
+// billing returns campaign id's billing contract.
+func (f *fleet) billing(id int32) *model.Billing { return &f.walkRow(id).billing }
+
+// snapshot copies campaign id's live state into the exported value type.
+func (f *fleet) snapshot(id int32) Campaign {
+	c, h := f.campaigns[id], f.row(id)
 	return Campaign{
-		ID: c.id, Loc: c.loc, Radius: c.radius,
-		Budget: c.budget.Load(), Spent: c.spent.Load(),
-		Tags: append([]float64(nil), c.tags...), Paused: c.paused.Load(),
-		Guaranteed: c.guaranteed, Floor: c.floor, Penalty: c.penalty,
+		ID: id, Loc: h.loc, Radius: c.radius,
+		Budget: h.budget.Load(), Spent: h.spent.Load(),
+		Tags: append([]float64(nil), c.tags...), Paused: h.paused.Load(),
+		Guaranteed: h.guaranteed, Floor: h.floor, Penalty: c.penalty,
 		Rate:    c.rate.Load(),
-		Billing: c.billing,
-		Escrow:  c.escrow.Load(), Converted: c.converted.Load(),
+		Billing: *f.billing(id),
+		Escrow:  h.escrow.Load(), Converted: c.converted.Load(),
 		Conversions: c.conversions.Load(),
 	}
 }
