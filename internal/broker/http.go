@@ -48,9 +48,9 @@ type API struct {
 	// routes lists every path the mux serves, in registration order; see
 	// Routes.
 	routes []string
-	// adTypeNames holds each ad type's name as a quoted, escaped JSON string,
-	// encoded once here so the arrival renderer (wire.go) only copies it.
-	adTypeNames []string
+	// adTypes holds each ad type's reply fragments, rendered once here so
+	// the arrival renderer (wire.go) only copies them.
+	adTypes []wireAdType
 }
 
 // maxBodyBytes caps every request body the API reads.
@@ -64,8 +64,7 @@ const maxBatchArrivals = 1024
 func NewAPI(b *Broker) *API {
 	a := &API{broker: b, mux: http.NewServeMux()}
 	for _, t := range b.cfg.AdTypes {
-		name, _ := json.Marshal(t.Name) // a string always marshals
-		a.adTypeNames = append(a.adTypeNames, string(name))
+		a.adTypes = append(a.adTypes, newWireAdType(t))
 	}
 	a.handle("/campaigns", map[string]http.HandlerFunc{
 		http.MethodPost: a.postCampaign,

@@ -8,24 +8,27 @@ package broker
 // — the arrival object as every client library writes it: the five keys
 // spelled as documented, unescaped, at most once each, plain JSON numbers —
 // and for a body in that grammar it yields precisely the value encoding/json
-// with DisallowUnknownFields would (same strconv calls, same nil-versus-empty
-// interests). At the first byte it is not sure about (an unknown, escaped,
-// repeated or case-variant key, a null, a string, a fractional capacity, a
-// number strconv refuses, any syntax doubt) it reports false and the caller
-// hands the bytes it already holds to decodeStrict, so what is valid and what
-// every error message says keep their single definition there
-// (FuzzArrivalCodec holds the two together).
+// with DisallowUnknownFields would (strconv's float bits, the same
+// nil-versus-empty interests). At the first byte it is not sure about (an
+// unknown, escaped, repeated or case-variant key, a null, a string, a
+// fractional capacity, a number strconv refuses, any syntax doubt) it
+// reports false and the caller hands the bytes it already holds to
+// decodeStrict, so what is valid and what every error message says keep
+// their single definition there (FuzzArrivalCodec holds the two together).
 //
 // Rendering replaces the reflective encoder on these routes and must match
 // it byte for byte — key order, omitempty, HTML-escaped strings, ES6 float
 // format, trailing newline (TestArrivalRenderMatchesEncodingJSON).
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/big"
+	"math/bits"
 	"mime"
 	"net/http"
 	"strconv"
@@ -255,59 +258,190 @@ func (p *arrivalParser) key() ([]byte, bool) {
 	return nil, false
 }
 
-// number scans one literal of the JSON number grammar,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and reports whether it was
-// all integer part. What follows the literal is the caller's to check.
-func (p *arrivalParser) number() (lit []byte, integral, ok bool) {
-	start := p.i
-	p.eat('-')
-	switch {
-	case p.eat('0'):
-	case p.digits():
-	default:
-		return nil, false, false
-	}
-	integral = true
-	if p.eat('.') {
-		integral = false
-		if !p.digits() {
-			return nil, false, false
-		}
-	}
-	if p.eat('e') || p.eat('E') {
-		integral = false
-		if !p.eat('+') {
-			p.eat('-')
-		}
-		if !p.digits() {
-			return nil, false, false
-		}
-	}
-	return p.b[start:p.i], integral, true
+// number is one scanned literal's value, ±man·10^exp, exact while nd (its
+// significant digits) is ≤ 19.
+type number struct {
+	man     uint64
+	exp, nd int
+	neg     bool
 }
 
-// maxNumberLen bounds the literals the fast path converts: string(lit) of at
+// number scans one literal of the JSON number grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and its value in the same
+// pass (zeros leading a fraction only move exp), and says whether it was all
+// integer part. What follows the literal is the caller's to check.
+func (p *arrivalParser) number() (n number, integral, ok bool) {
+	b, i := p.b, p.i
+	if n.neg = i < len(b) && b[i] == '-'; n.neg {
+		i++
+	}
+	if i < len(b) && b[i] == '0' {
+		i++
+	} else if j, man := digits(b, i, 0); j > i {
+		n.man, n.nd, i = man, j-i, j
+	} else {
+		return n, false, false
+	}
+	intEnd := i
+	if i < len(b) && b[i] == '.' {
+		i++
+		at := i
+		for n.nd == 0 && i < len(b) && b[i] == '0' {
+			i++
+		}
+		j, man := digits(b, i, n.man)
+		if j == at {
+			return n, false, false
+		}
+		n.man, n.nd, n.exp, i = man, n.nd+j-i, at-j, j
+	}
+	if i < len(b) && b[i]|0x20 == 'e' {
+		i++
+		sign := 1
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			sign = int(',') - int(b[i]) // '+' and '-' sit either side of ','
+			i++
+		}
+		j, e := digits(b, i, 0)
+		if j == i {
+			return n, false, false
+		}
+		if j-i > 4 {
+			e = 1e4 // far past any float64, as strconv caps it
+		}
+		n.exp += sign * int(e)
+		i = j
+	}
+	p.i = i
+	return n, i == intEnd, true
+}
+
+// digits accumulates the run of digits at b[i:] onto man and returns where
+// it ends. Past 19 digits man wraps; the caller's digit count says so.
+func digits(b []byte, i int, man uint64) (int, uint64) {
+	for ; i+8 <= len(b); i += 8 { // eight at a time, as Lemire (2021) does
+		v := binary.LittleEndian.Uint64(b[i:])
+		if v&0xF0F0F0F0F0F0F0F0|(v+0x0606060606060606)&0xF0F0F0F0F0F0F0F0>>4 != 0x3333333333333333 {
+			break
+		}
+		v -= 0x3030303030303030
+		v = v*10 + v>>8
+		v = (v&0x000000FF000000FF*(100+1000000<<32) + v>>16&0x000000FF000000FF*(1+10000<<32)) >> 32
+		man = man*1e8 + v
+	}
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		man = man*10 + uint64(b[i]-'0')
+	}
+	return i, man
+}
+
+// maxNumberLen bounds the literals the fast path takes: string(lit) of at
 // most 32 bytes that does not escape stays on the stack, and no float64 or
 // int needs more to be written exactly.
 const maxNumberLen = 32
 
+// float and integer return exactly what strconv does for the literal, asking
+// it only what they cannot decide, so the take/decline line is strconv's.
 func (p *arrivalParser) float() (float64, bool) {
-	lit, _, ok := p.number()
-	if !ok || len(lit) > maxNumberLen {
+	start := p.i
+	n, _, ok := p.number()
+	if !ok || p.i-start > maxNumberLen {
 		return 0, false
 	}
-	f, err := strconv.ParseFloat(string(lit), 64)
+	if f, ok := n.float64(); ok {
+		return f, true
+	}
+	f, err := strconv.ParseFloat(string(p.b[start:p.i]), 64)
 	return f, err == nil
 }
 
 func (p *arrivalParser) integer() (int, bool) {
-	lit, integral, ok := p.number()
-	if !ok || !integral || len(lit) > maxNumberLen {
+	start := p.i
+	n, integral, ok := p.number()
+	if !ok || !integral || p.i-start > maxNumberLen {
 		return 0, false
 	}
-	n, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
-	return int(n), err == nil
+	if v := int(n.man); n.nd <= 19 && n.man <= math.MaxInt {
+		if n.neg {
+			v = -v
+		}
+		return v, true
+	}
+	v, err := strconv.ParseInt(string(p.b[start:p.i]), 10, strconv.IntSize)
+	return int(v), err == nil
 }
+
+// float64 converts n exactly where that is cheap: Clinger's fast path when
+// man and 10^-exp are exact float64s (one IEEE division rounds once), else
+// Eisel–Lemire. It declines > 19 significant digits and exponents past pow10Table.
+func (n number) float64() (f float64, ok bool) {
+	switch {
+	case n.nd > 19 || n.exp < pow10Min || n.exp > pow10Max:
+	case n.man == 0:
+		ok = true // ±0 at any scale
+	case n.man>>53 == 0 && n.exp <= 0 && n.exp >= -22: // math.Pow10 is exact to 1e22
+		f, ok = float64(n.man)/math.Pow10(-n.exp), true
+	default:
+		f, ok = eiselLemire(n.man, n.exp)
+	}
+	if n.neg {
+		f = -f
+	}
+	return f, ok
+}
+
+// eiselLemire is strconv's eiselLemire64 for man > 0 over pow10Table (Lemire,
+// "Number Parsing at a Gigabyte per Second", 2021): it declines non-normal
+// results and the half-way cases the 128-bit product cannot settle.
+func eiselLemire(man uint64, exp10 int) (float64, bool) {
+	clz := bits.LeadingZeros64(man)
+	man <<= uint(clz)
+	retExp2 := uint64(217706*exp10>>16+64+1023) - uint64(clz)
+	pow := &pow10Table[exp10-pow10Min]
+	xHi, xLo := bits.Mul64(man, pow[1])
+	if xHi&0x1FF == 0x1FF && xLo+man < man { // the product's tail is unsure: widen
+		yHi, yLo := bits.Mul64(man, pow[0])
+		lo, carry := bits.Add64(xLo, yHi, 0)
+		if hi := xHi + carry; hi&0x1FF == 0x1FF && lo+1 == 0 && yLo+man < man {
+			return 0, false
+		}
+		xHi, xLo = xHi+carry, lo
+	}
+	msb := xHi >> 63
+	retMantissa := xHi >> (msb + 9)
+	retExp2 -= 1 ^ msb
+	if xLo == 0 && xHi&0x1FF == 0 && retMantissa&3 == 1 { // half-way
+		return 0, false
+	}
+	retMantissa = (retMantissa + retMantissa&1) >> 1
+	if retMantissa>>53 > 0 {
+		retMantissa >>= 1
+		retExp2++
+	}
+	if retExp2-1 >= 0x7FF-1 { // subnormal, or past MaxFloat64
+		return 0, false
+	}
+	return math.Float64frombits(retExp2<<52 | retMantissa&(1<<52-1)), true
+}
+
+// pow10Table holds 10^e for e in [pow10Min, pow10Max] as strconv's
+// detailedPowersOfTen does: the leading 128 bits rounded down, low word
+// first. Arrival numbers (scores, coordinates, hours) sit well inside.
+const pow10Min, pow10Max = -64, 63
+
+var pow10Table = func() (t [pow10Max - pow10Min + 1][2]uint64) {
+	lo64 := new(big.Int).SetUint64(math.MaxUint64)
+	for e := pow10Min; e <= pow10Max; e++ {
+		p := new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(max(e, -e))), nil)
+		if e < 0 { // 2^k / 10^-e, with k making the quotient 128 bits long
+			p.Quo(new(big.Int).Lsh(big.NewInt(1), uint(127+p.BitLen())), p)
+		}
+		p.Lsh(p, 128) // then down to the leading 128 bits, truncating
+		p.Rsh(p, uint(p.BitLen()-128))
+		t[e-pow10Min] = [2]uint64{new(big.Int).And(p, lo64).Uint64(), p.Rsh(p, 64).Uint64()}
+	}
+	return t
+}()
 
 // floats parses an array of numbers into the shared backing.
 func (p *arrivalParser) floats() ([]float64, bool) {
@@ -344,16 +478,6 @@ func (p *arrivalParser) eat(c byte) bool {
 		return true
 	}
 	return false
-}
-
-func (p *arrivalParser) digits() bool {
-	b, i := p.b, p.i
-	for i < len(b) && b[i]-'0' <= 9 {
-		i++
-	}
-	start := p.i
-	p.i = i
-	return i > start
 }
 
 func (p *arrivalParser) space() {
@@ -455,6 +579,25 @@ func (r *replyBuf) float(f float64) {
 	r.b = b
 }
 
+// wireAdType is one ad type's reply fragments, rendered once: its quoted,
+// escaped name, and the cost and slate charge (cost*1000) of an offer
+// fixed-billed at the catalog cost (> 0, so == on it is bit equality).
+type wireAdType struct {
+	name, cost, ecpm string
+	catalog          float64 // NaN, matching no offer, if either will not render
+}
+
+func newWireAdType(t model.AdType) wireAdType {
+	name, _ := json.Marshal(t.Name) // a string always marshals
+	var r replyBuf
+	r.float(t.Cost)
+	n := len(r.b)
+	if r.float(t.Cost * 1000); r.err != nil {
+		t.Cost = math.NaN()
+	}
+	return wireAdType{name: string(name), cost: string(r.b[:n]), ecpm: string(r.b[n:]), catalog: t.Cost}
+}
+
 // offers appends the offers array: one object per committed offer, billing
 // fields only on auction-billed ones (and, like omitempty, only when
 // non-zero), so fixed-cost replies keep the seed schema byte for byte.
@@ -467,14 +610,19 @@ func (a *API) offers(r *replyBuf, offers []Offer) {
 		r.int(int64(o.Campaign))
 		r.raw(`,"adType":`)
 		r.int(int64(o.AdType))
+		t := &a.adTypes[o.AdType]
 		r.raw(`,"adTypeName":`)
-		r.raw(a.adTypeNames[o.AdType])
+		r.raw(t.name)
 		r.raw(`,"utility":`)
 		r.float(o.Utility)
 		r.raw(`,"efficiency":`)
 		r.float(o.Efficiency)
 		r.raw(`,"cost":`)
-		r.float(o.Cost)
+		if o.Model == model.BillingFixed && o.Cost == t.catalog {
+			r.raw(t.cost)
+		} else {
+			r.float(o.Cost)
+		}
 		if o.Model != model.BillingFixed {
 			if o.ID != 0 {
 				r.raw(`,"offer_id":`)
@@ -497,21 +645,24 @@ func (a *API) offers(r *replyBuf, offers []Offer) {
 // slate appends the slot view of the same offers: (vendor, ad_type,
 // charge_ecpm) per slot. A fixed-cost offer has no auction charge, so its
 // catalog cost is normalized to eCPM.
-func slate(r *replyBuf, offers []Offer) {
+func (a *API) slate(r *replyBuf, offers []Offer) {
 	r.raw("[")
 	for i := range offers {
 		o := &offers[i]
-		charge := o.ChargeECPM
-		if o.Model == model.BillingFixed {
-			charge = o.Cost * 1000
-		}
 		r.sep(i)
 		r.raw(`{"vendor":`)
 		r.int(int64(o.Campaign))
 		r.raw(`,"ad_type":`)
 		r.int(int64(o.AdType))
 		r.raw(`,"charge_ecpm":`)
-		r.float(charge)
+		switch t := &a.adTypes[o.AdType]; {
+		case o.Model == model.BillingFixed && o.Cost == t.catalog:
+			r.raw(t.ecpm)
+		case o.Model == model.BillingFixed:
+			r.float(o.Cost * 1000)
+		default:
+			r.float(o.ChargeECPM)
+		}
 		if o.ID != 0 {
 			r.raw(`,"offer_id":`)
 			r.uint(o.ID)
@@ -527,7 +678,7 @@ func (a *API) arrivalReply(r *replyBuf, offers []Offer) {
 	r.raw(`{"offers":`)
 	a.offers(r, offers)
 	r.raw(`,"slate":`)
-	slate(r, offers)
+	a.slate(r, offers)
 	r.raw("}\n")
 }
 

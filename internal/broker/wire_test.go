@@ -249,6 +249,13 @@ func FuzzArrivalCodec(f *testing.F) {
 		f.Add("[" + c.body + "]")
 		f.Add("[" + c.body + "," + c.body + "]")
 	}
+	// One arrival as encoding/json marshals the `batch` workload's, so the
+	// fuzzer mutates around real 16–17-digit literals.
+	marshalled := `{"loc":{"x":0.7124190777875817,"y":0.32022217381184537},"capacity":3,"viewProb":0.7163421971810742,` +
+		`"interests":[0.6150414164033798,0.19548995239627412,0.06639210716283439,0.8040680426523241,` +
+		`0.4722186652813115,0.7146034299862739,0.03049305925462076,0.6774724273029384],"hour":14.850604730583193}`
+	f.Add(marshalled)
+	f.Add("[" + marshalled + "," + marshalled + "]")
 	f.Add(`[]`)
 	f.Add(`[]x`)
 	f.Add(`[{}] {}`)
@@ -434,6 +441,12 @@ func TestArrivalRenderMatchesEncodingJSON(t *testing.T) {
 	offer := func() Offer {
 		o := Offer{Campaign: rng.Int31() - 1<<30, AdType: rng.Intn(len(adTypes)),
 			Utility: float(), Efficiency: float(), Cost: float()}
+		switch catalog := adTypes[o.AdType].Cost; rng.Intn(4) {
+		case 0:
+			o.Cost = catalog // pre-rendered, when fixed-billed
+		case 1:
+			o.Cost = math.Nextafter(catalog, 0)
+		}
 		if rng.Intn(2) == 0 {
 			o.Model = model.BillingModel(1 + rng.Intn(model.NumBillingModels-1))
 			o.ChargeECPM = float()
@@ -452,13 +465,23 @@ func TestArrivalRenderMatchesEncodingJSON(t *testing.T) {
 		}
 		return out
 	}
-	for round := 0; round < 2000; round++ {
-		single := offers()
+	checkArrival := func(offers []Offer) {
+		t.Helper()
 		reply := replyBuf{}
-		api.arrivalReply(&reply, single)
-		if want := api.oracleArrivalReply(t, single); reply.err != nil || !bytes.Equal(reply.b, want) {
+		api.arrivalReply(&reply, offers)
+		if want := api.oracleArrivalReply(t, offers); reply.err != nil || !bytes.Equal(reply.b, want) {
 			t.Fatalf("arrival reply (err %v)\n got %s\nwant %s", reply.err, reply.b, want)
 		}
+	}
+	// A fixed-billed offer at its catalog cost copies the bytes NewAPI
+	// rendered; one whose cost is not the catalog's, or one billed by
+	// auction, renders its own.
+	catalog := adTypes[1].Cost
+	checkArrival([]Offer{{AdType: 1, Cost: catalog}, {AdType: 1, Cost: catalog * 3},
+		{AdType: 1, Cost: catalog, Model: model.BillingCPM, ChargeECPM: 2.5}})
+	for round := 0; round < 2000; round++ {
+		checkArrival(offers())
+		reply := replyBuf{}
 		results := make([]BatchResult, rng.Intn(5))
 		for i := range results {
 			switch rng.Intn(4) {
