@@ -122,6 +122,25 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	}
 }
 
+// TestDocsBudget holds the three long documents to a line budget: DESIGN.md,
+// docs/OPERATIONS.md and docs/PERFORMANCE.md together may not grow past
+// docsBudget. A change that cuts lines lowers the constant; raising it
+// needs a stated reason.
+func TestDocsBudget(t *testing.T) {
+	const docsBudget = 2686
+	total := 0
+	for _, doc := range []string{"DESIGN.md", "docs/OPERATIONS.md", "docs/PERFORMANCE.md"} {
+		raw, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += strings.Count(string(raw), "\n")
+	}
+	if total > docsBudget {
+		t.Errorf("DESIGN + OPERATIONS + PERFORMANCE are %d lines, over the budget of %d: cut before adding", total, docsBudget)
+	}
+}
+
 // definedBenchmarks maps each directory (relative to root, "." for the root
 // package) to the Benchmark functions its _test.go files define, over both
 // modules in the tree.

@@ -25,9 +25,9 @@ func TestReplayAuditBilledRevenue(t *testing.T) {
 		t.Fatal(err)
 	}
 	registerLoad(t, b, specs)
-	var open []uint64
+	feed := &opFeed{tb: t, b: b}
 	for _, op := range stream {
-		applyBilledOp(t, b, op, &open)
+		feed.apply(op)
 	}
 	st := b.Stats()
 	if st.Conversions == 0 {
@@ -117,10 +117,10 @@ func TestReplayAuditWindowMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	registerLoad(t, b, specs)
-	var open []uint64
+	feed := &opFeed{tb: t, b: b}
 	half := len(stream) / 2
 	for _, op := range stream[:half] {
-		applyBilledOp(t, b, op, &open)
+		feed.apply(op)
 	}
 	if err := b.snapshotNow(); err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestReplayAuditWindowMode(t *testing.T) {
 		if op.Kind == workload.OpConvert && half+i >= len(stream)*4/5 {
 			continue
 		}
-		applyBilledOp(t, b, op, &open)
+		feed.apply(op)
 	}
 	st := b.Stats()
 	if st.Conversions == 0 || st.EscrowHeld <= 0 || st.Arrivals == arrivalsBefore {

@@ -65,13 +65,10 @@ func TestAuditNowSingleArrivalWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range specs {
-		if _, err := b.RegisterCampaign(c.Loc, c.Radius, c.Budget, c.Tags); err != nil {
-			t.Fatal(err)
-		}
-	}
+	registerLoad(t, b, specs)
+	feed := &opFeed{tb: t, b: b}
 	for _, op := range stream {
-		applyLoadOp(t, b, op)
+		feed.apply(op)
 	}
 	rep, err := b.AuditNow()
 	if err != nil {
@@ -104,9 +101,10 @@ func TestAuditNowAllPaused(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	feed := &opFeed{tb: t, b: b}
 	for _, op := range stream {
 		if op.Kind == workload.OpArrival {
-			applyLoadOp(t, b, op)
+			feed.apply(op)
 		}
 	}
 	rep, err := b.AuditNow()

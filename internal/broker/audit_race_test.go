@@ -34,11 +34,7 @@ func auditRaceBroker(t *testing.T, every time.Duration) (*Broker, []workload.Bro
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { b.Close() })
-	for _, c := range specs {
-		if _, err := b.RegisterCampaign(c.Loc, c.Radius, c.Budget, c.Tags); err != nil {
-			t.Fatal(err)
-		}
-	}
+	registerLoad(t, b, specs)
 	return b, stream
 }
 
@@ -68,8 +64,9 @@ func TestAuditRefreshNeverStepsController(t *testing.T) {
 	}
 	// The driver also refreshes inline so the test holds even when the
 	// background goroutines never get a scheduling slot.
+	feed := &opFeed{tb: t, b: b}
 	for i, op := range stream {
-		applyLoadOp(t, b, op)
+		feed.apply(op)
 		if i%50 == 0 {
 			if _, err := b.AuditNow(); err != nil {
 				t.Fatal(err)
@@ -134,8 +131,9 @@ func TestAuditRefreshTickerRace(t *testing.T) {
 			_ = b.Campaigns()
 		}
 	}()
+	feed := &opFeed{tb: t, b: b}
 	for _, op := range stream {
-		applyLoadOp(t, b, op)
+		feed.apply(op)
 	}
 	time.Sleep(10 * time.Millisecond) // let the ticker land a few cycles
 	// One inline step so the epoch assertion below never depends on the

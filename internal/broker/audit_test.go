@@ -34,13 +34,10 @@ func driveSeededLoad(t *testing.T, dir string, campaigns, ops int, seed int64) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range specs {
-		if _, err := b.RegisterCampaign(c.Loc, c.Radius, c.Budget, c.Tags); err != nil {
-			t.Fatal(err)
-		}
-	}
+	registerLoad(t, b, specs)
+	feed := &opFeed{tb: t, b: b}
 	for _, op := range stream {
-		applyLoadOp(t, b, op)
+		feed.apply(op)
 	}
 	return b
 }
@@ -237,13 +234,10 @@ func TestLiveAuditWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range specs {
-		if _, err := b.RegisterCampaign(c.Loc, c.Radius, c.Budget, c.Tags); err != nil {
-			t.Fatal(err)
-		}
-	}
+	registerLoad(t, b, specs)
+	feed := &opFeed{tb: t, b: b}
 	for _, op := range stream {
-		applyLoadOp(t, b, op)
+		feed.apply(op)
 	}
 	if got := b.AuditReport(); got != nil {
 		t.Fatal("no recompute ran yet; report must be nil")

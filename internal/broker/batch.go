@@ -13,7 +13,7 @@ package broker
 // no state outlives an element of the window, so for any split of a stream
 // into calls, Stats, per-campaign spend, every committed offer and the
 // recovered (WAL-replayed) state are bit-identical (TestSerialIsBatchOfOne,
-// TestBatchMatchesSerial*, TestBatchReplayBitExact). Stripe sorting happens
+// TestBrokerMatchesRefModel, TestBatchReplayBitExact). Stripe sorting happens
 // only in lock acquisition — the covering stripe interval is locked once,
 // ascending, before the first arrival is examined — never in processing
 // order.

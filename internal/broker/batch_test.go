@@ -94,10 +94,7 @@ func replayTranscriptBatched(t *testing.T, cfg Config, campaigns, ops int, seed,
 	for i, op := range stream {
 		if op.Kind == workload.OpArrival {
 			heldOps = append(heldOps, i)
-			ba.pending = append(ba.pending, Arrival{
-				Loc: op.Loc, Capacity: op.Capacity, ViewProb: op.ViewProb,
-				Interests: op.Interests, Hour: op.Hour,
-			})
+			ba.pending = append(ba.pending, arrivalOf(op))
 			if len(ba.pending) >= ba.window {
 				flush()
 			}
@@ -145,101 +142,6 @@ func TestBatchedReplayMatchesGolden(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSerialProperty is the equivalence property test: for
-// random workloads and random batch boundaries, a batched broker and a
-// serial broker fed the same stream must agree on every offer and on every
-// final counter, bit for bit.
-func TestBatchMatchesSerialProperty(t *testing.T) {
-	for _, seed := range []int64{3, 11, 29} {
-		cfg := Config{AdTypes: workload.DefaultAdTypes()}
-		serial, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batched, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		specs, stream, err := workload.BrokerLoad(workload.DefaultBrokerLoadConfig(24, 1200, seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range specs {
-			if _, err := serial.RegisterCampaign(c.Loc, c.Radius, c.Budget, c.Tags); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := batched.RegisterCampaign(c.Loc, c.Radius, c.Budget, c.Tags); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rng := rand.New(rand.NewSource(seed * 1000))
-		var window []Arrival
-		var serialOffers [][]Offer
-		limit := 1 + rng.Intn(9)
-		flush := func() {
-			if len(window) == 0 {
-				return
-			}
-			results := batched.ArriveBatch(window)
-			for i, res := range results {
-				if res.Err != nil {
-					t.Fatalf("batched arrival: %v", res.Err)
-				}
-				want := serialOffers[i]
-				got := res.Offers
-				if len(got) == 0 && len(want) == 0 {
-					continue
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d: batched offers diverged from serial:\n got %+v\nwant %+v", seed, got, want)
-				}
-			}
-			window = window[:0]
-			serialOffers = serialOffers[:0]
-			limit = 1 + rng.Intn(9)
-		}
-		for _, op := range stream {
-			switch op.Kind {
-			case workload.OpArrival:
-				a := Arrival{Loc: op.Loc, Capacity: op.Capacity, ViewProb: op.ViewProb,
-					Interests: op.Interests, Hour: op.Hour}
-				offers, err := serial.Arrive(a)
-				if err != nil {
-					t.Fatal(err)
-				}
-				window = append(window, a)
-				serialOffers = append(serialOffers, offers)
-				if len(window) >= limit {
-					flush()
-				}
-			case workload.OpTopUp:
-				flush()
-				if err := serial.TopUp(op.Campaign, op.Amount); err != nil {
-					t.Fatal(err)
-				}
-				if err := batched.TopUp(op.Campaign, op.Amount); err != nil {
-					t.Fatal(err)
-				}
-			case workload.OpPause:
-				flush()
-				if err := serial.SetPaused(op.Campaign, op.Paused); err != nil {
-					t.Fatal(err)
-				}
-				if err := batched.SetPaused(op.Campaign, op.Paused); err != nil {
-					t.Fatal(err)
-				}
-			case workload.OpStats:
-				// Stats are compared at the end; mid-stream the batched broker
-				// legitimately lags by the pending window.
-			}
-		}
-		flush()
-		if a, b := serial.Stats(), batched.Stats(); !reflect.DeepEqual(a, b) {
-			t.Fatalf("seed %d: final stats diverged:\nserial  %+v\nbatched %+v", seed, a, b)
-		}
-	}
-}
-
 // TestBatchReplayBitExact pins the multi-arrival record round trip: a durable
 // broker fed batches, crashed without Close, and recovered must match —
 // bit for bit — a serial durable broker crashed and recovered at the same
@@ -261,14 +163,8 @@ func TestBatchReplayBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range specs {
-		if _, err := serial.RegisterCampaign(c.Loc, c.Radius, c.Budget, c.Tags); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := batched.RegisterCampaign(c.Loc, c.Radius, c.Budget, c.Tags); err != nil {
-			t.Fatal(err)
-		}
-	}
+	registerLoad(t, serial, specs)
+	registerLoad(t, batched, specs)
 	var window []Arrival
 	flush := func() {
 		if len(window) == 0 {
@@ -284,8 +180,7 @@ func TestBatchReplayBitExact(t *testing.T) {
 	for _, op := range stream {
 		switch op.Kind {
 		case workload.OpArrival:
-			a := Arrival{Loc: op.Loc, Capacity: op.Capacity, ViewProb: op.ViewProb,
-				Interests: op.Interests, Hour: op.Hour}
+			a := arrivalOf(op)
 			if _, err := serial.Arrive(a); err != nil {
 				t.Fatal(err)
 			}
@@ -671,11 +566,12 @@ func serialIsBatchOfOne(t *testing.T, load workload.BrokerLoadConfig, durable, t
 	var buf []Offer
 	var open []uint64
 	arrivals, served, rejected, counted := 0, 0, 0, 0
+	serialFeed := &opFeed{tb: t, b: serial}
+	batchedFeed := &opFeed{tb: t, b: batched}
 	for i, op := range stream {
 		switch op.Kind {
 		case workload.OpArrival:
-			a := Arrival{Loc: op.Loc, Capacity: op.Capacity, ViewProb: op.ViewProb,
-				Interests: op.Interests, Hour: op.Hour}
+			a := arrivalOf(op)
 			switch arrivals % 11 {
 			case 3:
 				a.Capacity = 0
@@ -737,8 +633,8 @@ func serialIsBatchOfOne(t *testing.T, load workload.BrokerLoadConfig, durable, t
 				t.Fatalf("op %d: conversions differ: %+v/%v vs %+v/%v", i, sc, serr, bc, berr)
 			}
 		default:
-			applyLoadOp(t, serial, op)
-			applyLoadOp(t, batched, op)
+			serialFeed.apply(op)
+			batchedFeed.apply(op)
 		}
 		if s, b := serial.Stats(), batched.Stats(); s != b {
 			t.Fatalf("op %d: stats differ:\nserial        %+v\nwindow of one %+v", i, s, b)

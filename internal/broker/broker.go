@@ -91,7 +91,7 @@ type Config struct {
 	// a campaign registers with a non-fixed billing contract; this flag exists
 	// for benchmarks and equivalence tests that exercise the slot solver on an
 	// all-fixed fleet. At capacity 1 it changes no decision: both settings run
-	// the same trim resolver (TestSlateEquivalenceSerial).
+	// the same trim resolver (the reference model's slate configurations).
 	Slate bool
 	// Funnel configures per-campaign decision-funnel attribution (see
 	// funnel.go): with Funnel.Enabled every scan records which gate disposed
@@ -131,8 +131,10 @@ type Campaign struct {
 	Conversions int64
 }
 
-// Remaining returns the unspent budget.
-func (c *Campaign) Remaining() float64 { return c.Budget - c.Spent }
+// Remaining returns the budget neither spent nor held in escrow — what new
+// offers may still draw on, and the line the walk files a campaign as
+// exhausted against.
+func (c *Campaign) Remaining() float64 { return c.Budget - c.Spent - c.Escrow }
 
 // Offer is one ad pushed to an arriving customer. The billing fields (ID,
 // ChargeECPM, Hold, Model) are filled only for campaigns on auction billing;

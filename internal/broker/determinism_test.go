@@ -75,10 +75,7 @@ func applyTranscriptOpVia(t *testing.T, b *Broker, sb *strings.Builder, i int, o
 	t.Helper()
 	switch op.Kind {
 	case workload.OpArrival:
-		offers, err := arrive(Arrival{
-			Loc: op.Loc, Capacity: op.Capacity, ViewProb: op.ViewProb,
-			Interests: op.Interests, Hour: op.Hour,
-		})
+		offers, err := arrive(arrivalOf(op))
 		if err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}

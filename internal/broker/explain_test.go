@@ -279,18 +279,17 @@ func TestExplainPredictsArrive(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			var open []uint64
 			arrivals, slate, covered := 0, false, tc.covers == nil
+			feed := &opFeed{tb: t, b: b}
 			for i, op := range ops {
 				if op.Kind != workload.OpArrival {
-					applyBilledOp(t, b, op, &open)
+					feed.apply(op)
 					continue
 				}
 				if tc.tick != nil {
 					tc.tick(b, arrivals)
 				}
-				a := Arrival{Loc: op.Loc, Capacity: op.Capacity, ViewProb: op.ViewProb,
-					Interests: op.Interests, Hour: op.Hour}
+				a := arrivalOf(op)
 				rep, err := b.Explain(a)
 				if err != nil {
 					t.Fatalf("op %d: %v", i, err)
@@ -304,11 +303,7 @@ func TestExplainPredictsArrive(t *testing.T) {
 				}
 				matchPrediction(t, i, rep, offers)
 				matchFunnel(t, i, b, rep, before)
-				for _, o := range offers {
-					if o.ID != 0 {
-						open = append(open, o.ID)
-					}
-				}
+				feed.served(offers)
 				arrivals++
 				slate = slate || rep.Slate
 				covered = covered || tc.covers(rep)

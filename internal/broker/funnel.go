@@ -29,9 +29,7 @@ package broker
 import (
 	"errors"
 	"strconv"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"muaa/internal/obs"
 )
@@ -105,14 +103,6 @@ type funnelRegistry struct {
 	// fold path (plus one row increment per event) is what keeps attribution
 	// within noise of a funnel-off broker.
 	gathered atomic.Uint64
-
-	// scrapeMu guards the walk the two collector families share: last is its
-	// result, taken at lastAt, and served the families that have rendered from
-	// it (see scrape). Taken before the shard locks, never under one.
-	scrapeMu sync.Mutex
-	last     funnelWalk
-	lastAt   time.Time
-	served   funnelFamily
 }
 
 // fold attributes one scan's gathered set and disposition events to their
@@ -188,34 +178,6 @@ func (fr *funnelRegistry) walk(n int) funnelWalk {
 	return w
 }
 
-// funnelFamily names the two collector families that render from a walk.
-type funnelFamily uint8
-
-const (
-	familyDispositions funnelFamily = 1 << iota
-	familyCampaigns
-)
-
-// scrape returns the walk family f renders from. A scrape runs the two
-// collectors back to back, so one walk serves each family once: the first to
-// ask walks, the other takes the same cut, and a family asking again — the
-// next scrape — walks afresh. A cut left unclaimed (a scrape filtered to one
-// family) is not handed out after funnelScrapeShare.
-func (fr *funnelRegistry) scrape(f funnelFamily) funnelWalk {
-	fr.scrapeMu.Lock()
-	defer fr.scrapeMu.Unlock()
-	if fr.served&f != 0 || time.Since(fr.lastAt) > funnelScrapeShare {
-		fr.last, fr.lastAt, fr.served = fr.walk(funnelTopN), time.Now(), 0
-	}
-	fr.served |= f
-	return fr.last
-}
-
-// funnelScrapeShare bounds how old a walk one collector left behind may be
-// when the other picks it up: well over the gap between two collectors of one
-// scrape, well under any scrape interval.
-const funnelScrapeShare = 100 * time.Millisecond
-
 // FunnelCounts is one campaign's decision-funnel snapshot: how many times
 // the scan gathered the campaign as a candidate and which gate disposed of
 // each encounter.
@@ -283,8 +245,8 @@ func (b *Broker) CampaignFunnel(id int32) (FunnelCounts, error) {
 // (always all numDispositions series); the per-campaign family is a bounded
 // collector over the walk's top-N heavy hitters, so its label set shifts with
 // traffic while its cardinality never exceeds funnelTopN × (1 +
-// numDispositions) series. Both render from one walk per scrape (see scrape):
-// one pass over the pages with every shard lock held.
+// numDispositions) series. Each walks the pages on its own, with every shard
+// lock held: two walks per scrape, the price of one collector per family.
 func registerFunnelMetrics(reg *obs.Registry, b *Broker) {
 	fr := b.funnel
 	reg.NewCounterFunc("muaa_funnel_gathered_total",
@@ -294,7 +256,7 @@ func registerFunnelMetrics(reg *obs.Registry, b *Broker) {
 		"Gathered candidates by final funnel disposition, fleet-wide; the dispositions sum to muaa_funnel_gathered_total.",
 		"counter",
 		func() []obs.Sample {
-			tot := fr.scrape(familyDispositions).totals
+			tot := fr.walk(0).totals
 			out := make([]obs.Sample, 0, numDispositions)
 			for d := funnelDisposition(0); d < numDispositions; d++ {
 				out = append(out, obs.Sample{
@@ -308,7 +270,7 @@ func registerFunnelMetrics(reg *obs.Registry, b *Broker) {
 		"Decision-funnel counters for the current top campaigns by gathered count (bounded top-N; disposition=\"gathered\" is the funnel top).",
 		"counter",
 		func() []obs.Sample {
-			top := fr.scrape(familyCampaigns).top
+			top := fr.walk(funnelTopN).top
 			out := make([]obs.Sample, 0, len(top)*(1+int(numDispositions)))
 			for i := range top {
 				fc := &top[i]

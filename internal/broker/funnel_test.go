@@ -386,13 +386,9 @@ func TestFunnelConservationSoak(t *testing.T) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					var open []uint64
+					feed := &opFeed{tb: t, b: b}
 					for i := w; i < len(ops); i += workers {
-						if tc.billed {
-							applyBilledOp(t, b, ops[i], &open)
-						} else {
-							applyOp(t, b, ops[i])
-						}
+						feed.apply(ops[i])
 					}
 				}(w)
 			}
@@ -451,8 +447,7 @@ func TestFunnelRowsUnderShardLocks(t *testing.T) {
 	var arrivals []Arrival
 	for _, op := range ops {
 		if op.Kind == workload.OpArrival {
-			arrivals = append(arrivals, Arrival{Loc: op.Loc, Capacity: op.Capacity, ViewProb: op.ViewProb,
-				Interests: op.Interests, Hour: op.Hour})
+			arrivals = append(arrivals, arrivalOf(op))
 		}
 	}
 

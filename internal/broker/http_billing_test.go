@@ -67,6 +67,23 @@ func TestHTTPSlateView(t *testing.T) {
 	}
 }
 
+// TestRemainingExcludesEscrow: budget held for open CPC offers is not
+// remaining, on the Go API and on GET /v1/campaigns/{id} alike.
+func TestRemainingExcludesEscrow(t *testing.T) {
+	srv, b := newTestServer(t)
+	id := registerBilled(t, srv.URL, &billingDTO{Model: "cpc", ReserveECPM: 2.5, EventRate: 0.05})
+	arriveOnce(t, srv.URL)
+	c, _ := b.CampaignState(id)
+	resp, err := http.Get(fmt.Sprintf("%s/v1/campaigns/%d", srv.URL, id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := decodeBody[campaignStateResponse](t, resp).Remaining
+	if !(c.Escrow > 0) || c.Remaining() != c.Budget-c.Spent-c.Escrow || got != c.Remaining() {
+		t.Fatalf("budget %g, spent %g, escrow %g: Remaining() = %g, GET remaining = %g", c.Budget, c.Spent, c.Escrow, c.Remaining(), got)
+	}
+}
+
 // TestHTTPConversionFlow walks the CPC loop end to end over HTTP:
 // register with a billing block, serve an escrowed offer, read the
 // billing state, convert via /v1/events, and observe escrow → spend.

@@ -67,13 +67,13 @@ func billedTraffic(t *testing.T) *Broker {
 	registerLoad(t, b, specs)
 	// No conversions over the last fifth, so holds are still open at the end;
 	// half of those then convert under keys.
-	var open []uint64
+	feed := &opFeed{tb: t, b: b}
 	for i, op := range stream {
 		if op.Kind != workload.OpConvert || i < len(stream)*4/5 {
-			applyBilledOp(t, b, op, &open)
+			feed.apply(op)
 		}
 	}
-	for i, id := range open[:len(open)/2] {
+	for i, id := range feed.open[:len(feed.open)/2] {
 		if _, err := b.Convert(id, fmt.Sprintf("key-%d", i)); err != nil && err != ErrOfferUnknown {
 			t.Fatal(err)
 		}

@@ -32,33 +32,8 @@ func instrumentedBroker(t *testing.T, cfg Config, campaigns int, seed int64) (*B
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range specs {
-		if _, err := b.RegisterCampaign(c.Loc, c.Radius, c.Budget, c.Tags); err != nil {
-			t.Fatal(err)
-		}
-	}
+	registerLoad(t, b, specs)
 	return b, reg, ops
-}
-
-func applyTestOp(t *testing.T, b *Broker, op workload.BrokerOp) {
-	t.Helper()
-	switch op.Kind {
-	case workload.OpArrival:
-		if _, err := b.Arrive(Arrival{Loc: op.Loc, Capacity: op.Capacity,
-			ViewProb: op.ViewProb, Interests: op.Interests, Hour: op.Hour}); err != nil {
-			t.Fatal(err)
-		}
-	case workload.OpTopUp:
-		if err := b.TopUp(op.Campaign, op.Amount); err != nil {
-			t.Fatal(err)
-		}
-	case workload.OpPause:
-		if err := b.SetPaused(op.Campaign, op.Paused); err != nil {
-			t.Fatal(err)
-		}
-	default:
-		b.Stats()
-	}
 }
 
 // TestBrokerMetricsScrape drives traffic through an instrumented broker and
@@ -67,8 +42,9 @@ func applyTestOp(t *testing.T, b *Broker, op workload.BrokerOp) {
 // the live threshold/γ gauges, with values consistent with Stats.
 func TestBrokerMetricsScrape(t *testing.T) {
 	b, reg, ops := instrumentedBroker(t, Config{Shards: 4}, 24, 7)
+	feed := &opFeed{tb: t, b: b}
 	for _, op := range ops {
-		applyTestOp(t, b, op)
+		feed.apply(op)
 	}
 	st := b.Stats()
 	if st.OffersPushed == 0 {
@@ -253,12 +229,13 @@ func TestBrokerMetricsConcurrentSoak(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			local := int64(0)
+			feed := &opFeed{tb: t, b: b}
 			for i := w; i < len(ops); i += workers {
 				op := ops[i]
 				if op.Kind == workload.OpArrival && op.Capacity > 0 {
 					local++
 				}
-				applyTestOp(t, b, op)
+				feed.apply(op)
 			}
 			mu.Lock()
 			served += local

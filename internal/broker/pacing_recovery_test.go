@@ -7,7 +7,6 @@ package broker
 // law.
 
 import (
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -45,8 +44,9 @@ func TestAuditTickerIdleDuringReplay(t *testing.T) {
 	if _, err := writer.PacingStep(); err != nil {
 		t.Fatal(err)
 	}
+	feed := &opFeed{tb: t, b: writer}
 	for _, op := range stream {
-		applyLoadOp(t, writer, op)
+		feed.apply(op)
 	}
 	want := controllerBits(writer)
 
@@ -184,11 +184,11 @@ func TestControllerCrashRecoveryProperty(t *testing.T) {
 		}
 	}
 	arrivals := 0
+	refFeed := &opFeed{tb: t, b: ref, logged: snap}
+	feed := &opFeed{tb: t, b: b}
 	for _, op := range stream {
-		if applyLoadOp(t, ref, op) {
-			snap()
-		}
-		applyLoadOp(t, b, op)
+		refFeed.apply(op)
+		feed.apply(op)
 		if op.Kind == workload.OpArrival {
 			if arrivals++; arrivals%stepEvery == 0 {
 				step(ref)
@@ -202,35 +202,9 @@ func TestControllerCrashRecoveryProperty(t *testing.T) {
 	}
 	flushWAL(t, b)
 
-	segs, err := filepath.Glob(filepath.Join(srcDir, "wal-*.log"))
-	if err != nil || len(segs) != 1 {
-		t.Fatalf("want exactly one segment, got %v (err %v)", segs, err)
-	}
-	segName := filepath.Base(segs[0])
-	full, err := os.ReadFile(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rng := rand.New(rand.NewSource(31))
-	cuts := []int{0} // clean kill first, then random torn tails
-	for i := 0; i < 12; i++ {
-		cuts = append(cuts, 1+rng.Intn(len(full)/4))
-	}
-	for _, cut := range cuts {
-		dir := t.TempDir()
-		copyFile(t, filepath.Join(srcDir, "snapshot"), filepath.Join(dir, "snapshot"))
-		if err := os.WriteFile(filepath.Join(dir, segName), full[:len(full)-cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		rcfg := mkConfig()
-		rcfg.DataDir = dir
-		rcfg.WAL = crashWAL()
-		rb, err := New(rcfg)
-		if err != nil {
-			t.Fatalf("cut %d: recovery failed: %v", cut, err)
-		}
-		n := rb.RecoveryStats().RecordsReplayed
+	rcfg := mkConfig()
+	rcfg.WAL = crashWAL()
+	tornTails(t, srcDir, rcfg, 31, func(cut int, rb *Broker, n int) {
 		if n >= len(trajectory) {
 			t.Fatalf("cut %d: replayed %d records, reference has %d states", cut, n, len(trajectory))
 		}
@@ -244,11 +218,5 @@ func TestControllerCrashRecoveryProperty(t *testing.T) {
 		if got := controllerBits(rb); !reflect.DeepEqual(got, want.ctl) {
 			t.Fatalf("cut %d: controller state not bit-exact after %d records:\n got %+v\nwant %+v", cut, got, want.ctl, n)
 		}
-		if err := rb.CheckInvariants(); err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
-		}
-		if err := rb.Close(); err != nil {
-			t.Fatalf("cut %d: close: %v", cut, err)
-		}
-	}
+	})
 }

@@ -162,53 +162,6 @@ type refState struct {
 	snapshot  []byte
 }
 
-// loadDriver feeds a workload stream to one broker, serially (batch 0) or
-// through ArriveBatch windows of up to batch arrivals that flush before any
-// other op, and calls record after every mutation that appended a WAL record
-// — so a twin pair driven by equal drivers appends the same record sequence.
-type loadDriver struct {
-	t      *testing.T
-	b      *Broker
-	batch  int
-	record func()
-
-	window []Arrival
-	open   []uint64
-}
-
-func (d *loadDriver) apply(op workload.BrokerOp) {
-	if d.batch > 0 && op.Kind == workload.OpArrival {
-		d.window = append(d.window, Arrival{Loc: op.Loc, Capacity: op.Capacity,
-			ViewProb: op.ViewProb, Interests: op.Interests, Hour: op.Hour})
-		if len(d.window) >= d.batch {
-			d.flush()
-		}
-		return
-	}
-	d.flush()
-	if applyBilledOp(d.t, d.b, op, &d.open) {
-		d.record()
-	}
-}
-
-func (d *loadDriver) flush() {
-	if len(d.window) == 0 {
-		return
-	}
-	for _, res := range d.b.ArriveBatch(d.window) {
-		if res.Err != nil {
-			d.t.Fatal(res.Err)
-		}
-		for _, o := range res.Offers {
-			if o.ID != 0 {
-				d.open = append(d.open, o.ID)
-			}
-		}
-	}
-	d.window = d.window[:0]
-	d.record()
-}
-
 // TestCrashRecoveryProperty is the recovery property test: run a seeded
 // BrokerLoad on a durable broker, kill it at an arbitrary point — clean
 // record boundaries and torn tails cut at random byte offsets — recover,
@@ -275,59 +228,65 @@ func crashRecoveryProperty(t *testing.T, load workload.BrokerLoadConfig, cfg Con
 		snap()
 	}
 	registerLoad(t, b, specs)
-	refDriver := &loadDriver{t: t, b: ref, batch: batch, record: snap}
-	driver := &loadDriver{t: t, b: b, batch: batch, record: func() {}}
+	refFeed := &opFeed{tb: t, b: ref, batch: batch, logged: snap}
+	feed := &opFeed{tb: t, b: b, batch: batch}
 	for _, op := range stream {
-		refDriver.apply(op)
-		driver.apply(op)
+		refFeed.apply(op)
+		feed.apply(op)
 	}
-	refDriver.flush()
-	driver.flush()
+	refFeed.flush()
+	feed.flush()
 	flushWAL(t, b)
 
+	tornTails(t, srcDir, cfg, 99, func(cut int, rb *Broker, n int) {
+		if n >= len(trajectory) || (cut == 0 && n != len(trajectory)-1) {
+			t.Fatalf("cut %d: replayed %d records, reference has %d states", cut, n, len(trajectory))
+		}
+		want := trajectory[n]
+		if got := rb.Stats(); got != want.stats {
+			t.Fatalf("cut %d: recovered stats %+v != reference %+v after %d records", cut, got, want.stats, n)
+		}
+		if got := rb.Campaigns(); !reflect.DeepEqual(got, want.campaigns) {
+			t.Fatalf("cut %d: recovered campaigns diverge from reference after %d records", cut, n)
+		}
+		if got := rb.encodeSnapshot(); !bytes.Equal(got, want.snapshot) {
+			t.Fatalf("cut %d: recovered snapshot payload (%d bytes) differs from the reference's (%d bytes) after %d records, first at byte %d",
+				cut, len(got), len(want.snapshot), n, firstDiff(string(got), string(want.snapshot)))
+		}
+	})
+}
+
+// tornTails recovers srcDir's snapshot with its one WAL segment cut back by
+// nothing (a clean kill) and by 12 seeded offsets into its last quarter
+// (torn tails), hands each recovered broker to check with the records it
+// replayed, and holds every recovery to the contract.
+func tornTails(t *testing.T, srcDir string, cfg Config, seed int64, check func(cut int, rb *Broker, replayed int)) {
+	t.Helper()
 	segs, err := filepath.Glob(filepath.Join(srcDir, "wal-*.log"))
 	if err != nil || len(segs) != 1 {
 		t.Fatalf("want exactly one segment, got %v (err %v)", segs, err)
 	}
-	segName := filepath.Base(segs[0])
 	full, err := os.ReadFile(segs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	rng := rand.New(rand.NewSource(99))
-	cuts := []int{0} // clean kill first, then random torn tails
+	rng := rand.New(rand.NewSource(seed))
+	cuts := []int{0}
 	for i := 0; i < 12; i++ {
 		cuts = append(cuts, 1+rng.Intn(len(full)/4))
 	}
 	for _, cut := range cuts {
 		dir := t.TempDir()
 		copyFile(t, filepath.Join(srcDir, "snapshot"), filepath.Join(dir, "snapshot"))
-		if err := os.WriteFile(filepath.Join(dir, segName), full[:len(full)-cut], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(segs[0])), full[:len(full)-cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rcfg := cfg
-		rcfg.DataDir = dir
-		rb, err := New(rcfg)
+		cfg.DataDir = dir
+		rb, err := New(cfg)
 		if err != nil {
 			t.Fatalf("cut %d: recovery failed: %v", cut, err)
 		}
-		info := rb.RecoveryStats()
-		if info.RecordsReplayed >= len(trajectory) || (cut == 0 && info.RecordsReplayed != len(trajectory)-1) {
-			t.Fatalf("cut %d: replayed %d records, reference has %d states", cut, info.RecordsReplayed, len(trajectory))
-		}
-		want := trajectory[info.RecordsReplayed]
-		if got := rb.Stats(); got != want.stats {
-			t.Fatalf("cut %d: recovered stats %+v != reference %+v after %d records",
-				cut, got, want.stats, info.RecordsReplayed)
-		}
-		if got := rb.Campaigns(); !reflect.DeepEqual(got, want.campaigns) {
-			t.Fatalf("cut %d: recovered campaigns diverge from reference after %d records", cut, info.RecordsReplayed)
-		}
-		if got := rb.encodeSnapshot(); !bytes.Equal(got, want.snapshot) {
-			t.Fatalf("cut %d: recovered snapshot payload (%d bytes) differs from the reference's (%d bytes) after %d records, first at byte %d",
-				cut, len(got), len(want.snapshot), info.RecordsReplayed, firstDiff(string(got), string(want.snapshot)))
-		}
+		check(cut, rb, rb.RecoveryStats().RecordsReplayed)
 		if err := rb.CheckInvariants(); err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -353,16 +312,16 @@ func TestStripeAndPageInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var drivers []*loadDriver
+	var feeds []*opFeed
 	for _, shards := range []int{1, 4, 64} {
 		b, err := New(Config{AdTypes: workload.DefaultAdTypes(), Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
 		registerLoad(t, b, specs)
-		drivers = append(drivers, &loadDriver{t: t, b: b, record: func() {}})
+		feeds = append(feeds, &opFeed{tb: t, b: b})
 	}
-	ref := drivers[0].b
+	ref := feeds[0].b
 	for _, p := range ref.dir.Load().pages {
 		for _, at := range []uintptr{uintptr(unsafe.Pointer(&p.rows[0])), uintptr(unsafe.Pointer(&p.walk[0]))} {
 			if at%64 != 0 {
@@ -371,11 +330,11 @@ func TestStripeAndPageInvariance(t *testing.T) {
 		}
 	}
 	for i, op := range stream {
-		for _, d := range drivers {
+		for _, d := range feeds {
 			d.apply(op)
 		}
 		want, stats, list := ref.encodeSnapshot(), ref.Stats(), ref.Campaigns()
-		for _, d := range drivers[1:] {
+		for _, d := range feeds[1:] {
 			if got := d.b.encodeSnapshot(); !bytes.Equal(got, want) {
 				t.Fatalf("op %d: %d stripes' snapshot differs from 1 stripe's at byte %d", i, len(d.b.shards), firstDiff(string(got), string(want)))
 			}
@@ -396,7 +355,7 @@ func TestStripeAndPageInvariance(t *testing.T) {
 	if served == 0 {
 		t.Fatal("no campaign on the second page was ever charged: the load never crossed the page boundary")
 	}
-	for _, d := range drivers {
+	for _, d := range feeds {
 		checkInvariants(t, d.b)
 	}
 }
@@ -416,8 +375,9 @@ func TestForcedSlateRevenueSurvivesRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	registerLoad(t, b, specs)
+	feed := &opFeed{tb: t, b: b}
 	for _, op := range stream {
-		applyLoadOp(t, b, op)
+		feed.apply(op)
 	}
 	revenueBits := func(b *Broker) (bits [model.NumBillingModels]uint64) {
 		for m := range bits {
@@ -479,17 +439,13 @@ func TestSnapshotCycleRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range specs {
-		if _, err := ref.RegisterCampaign(c.Loc, c.Radius, c.Budget, c.Tags); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b.RegisterCampaign(c.Loc, c.Radius, c.Budget, c.Tags); err != nil {
-			t.Fatal(err)
-		}
-	}
+	registerLoad(t, ref, specs)
+	registerLoad(t, b, specs)
+	refFeed := &opFeed{tb: t, b: ref}
+	feed := &opFeed{tb: t, b: b}
 	for _, op := range stream {
-		applyLoadOp(t, ref, op)
-		applyLoadOp(t, b, op)
+		refFeed.apply(op)
+		feed.apply(op)
 	}
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
@@ -546,19 +502,16 @@ func TestDurableConcurrentSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range specs {
-		if _, err := b.RegisterCampaign(c.Loc, c.Radius, c.Budget, c.Tags); err != nil {
-			t.Fatal(err)
-		}
-	}
+	registerLoad(t, b, specs)
 	stop := invariantsDuring(t, b)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			feed := &opFeed{tb: t, b: b}
 			for i := w; i < len(ops); i += workers {
-				applyOp(t, b, ops[i])
+				feed.apply(ops[i])
 			}
 		}(w)
 	}
@@ -612,36 +565,6 @@ func TestInMemoryCloseNoop(t *testing.T) {
 	if got := b.RecoveryStats(); got != (RecoveryInfo{}) {
 		t.Fatalf("in-memory broker reports recovery %+v", got)
 	}
-}
-
-// applyLoadOp maps one workload op onto broker calls, reporting whether it
-// appended a WAL record (arrivals, top-ups and pauses do; stats reads
-// don't).
-func applyLoadOp(t *testing.T, b *Broker, op workload.BrokerOp) bool {
-	t.Helper()
-	switch op.Kind {
-	case workload.OpArrival:
-		if _, err := b.Arrive(Arrival{
-			Loc: op.Loc, Capacity: op.Capacity, ViewProb: op.ViewProb,
-			Interests: op.Interests, Hour: op.Hour,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return true
-	case workload.OpTopUp:
-		if err := b.TopUp(op.Campaign, op.Amount); err != nil {
-			t.Fatal(err)
-		}
-		return true
-	case workload.OpPause:
-		if err := b.SetPaused(op.Campaign, op.Paused); err != nil {
-			t.Fatal(err)
-		}
-		return true
-	case workload.OpStats:
-		_ = b.Stats()
-	}
-	return false
 }
 
 func copyFile(t *testing.T, src, dst string) {

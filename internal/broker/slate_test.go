@@ -7,8 +7,6 @@ package broker
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -18,7 +16,6 @@ import (
 	"muaa/internal/geo"
 	"muaa/internal/model"
 	"muaa/internal/obs"
-	"muaa/internal/stats"
 	"muaa/internal/workload"
 )
 
@@ -33,109 +30,6 @@ func registerLoad(t testing.TB, b *Broker, specs []workload.BrokerCampaign) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// applyBilledOp maps one billed-load op onto broker calls, maintaining the
-// open escrowed-offer set OpConvert draws from. Returns whether the op
-// appended a WAL record (a conversion miss doesn't).
-func applyBilledOp(t *testing.T, b *Broker, op workload.BrokerOp, open *[]uint64) bool {
-	t.Helper()
-	switch op.Kind {
-	case workload.OpArrival:
-		offers, err := b.Arrive(Arrival{
-			Loc: op.Loc, Capacity: op.Capacity, ViewProb: op.ViewProb,
-			Interests: op.Interests, Hour: op.Hour,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, o := range offers {
-			if o.ID != 0 {
-				*open = append(*open, o.ID)
-			}
-		}
-		return true
-	case workload.OpConvert:
-		if len(*open) == 0 {
-			return false
-		}
-		i := int(op.Pick % uint64(len(*open)))
-		id := (*open)[i]
-		*open = append((*open)[:i], (*open)[i+1:]...)
-		if _, err := b.Convert(id, ""); err != nil {
-			// Evicted holds are part of the contract; anything else is a bug.
-			if err != ErrOfferUnknown {
-				t.Fatal(err)
-			}
-			return false
-		}
-		return true
-	default:
-		return applyLoadOp(t, b, op)
-	}
-}
-
-// TestSlateEquivalenceSerial is the tentpole's equivalence pin: with every
-// arrival at capacity 1 and every campaign on fixed-cost billing, a broker
-// forced onto the slate path (Config.Slate) must take bit-identical
-// decisions to the legacy scan — same offers field for field, same final
-// campaign states, counters and γ estimator.
-func TestSlateEquivalenceSerial(t *testing.T) {
-	lcfg := workload.DefaultBrokerLoadConfig(24, 2500, 5)
-	lcfg.Capacity = stats.Range{Lo: 1, Hi: 1}
-	specs, stream, err := workload.BrokerLoad(lcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"default", Config{AdTypes: workload.DefaultAdTypes()}},
-		{"paced", Config{AdTypes: workload.DefaultAdTypes(), Pacing: 1.25}},
-		{"fixed_g", Config{AdTypes: workload.DefaultAdTypes(), G: 8}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			legacy, err := New(tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scfg := tc.cfg
-			scfg.Slate = true
-			slate, err := New(scfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			registerLoad(t, legacy, specs)
-			registerLoad(t, slate, specs)
-			for i, op := range stream {
-				if op.Kind != workload.OpArrival {
-					applyLoadOp(t, legacy, op)
-					applyLoadOp(t, slate, op)
-					continue
-				}
-				a := Arrival{Loc: op.Loc, Capacity: op.Capacity, ViewProb: op.ViewProb,
-					Interests: op.Interests, Hour: op.Hour}
-				lo, err := legacy.Arrive(a)
-				if err != nil {
-					t.Fatal(err)
-				}
-				so, err := slate.Arrive(a)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(lo, so) {
-					t.Fatalf("op %d: offers diverge\nlegacy: %+v\nslate:  %+v", i, lo, so)
-				}
-			}
-			if ls, ss := legacy.Stats(), slate.Stats(); ls != ss {
-				t.Fatalf("stats diverge\nlegacy: %+v\nslate:  %+v", ls, ss)
-			}
-			if !reflect.DeepEqual(legacy.Campaigns(), slate.Campaigns()) {
-				t.Fatal("campaign states diverge")
-			}
-		})
 	}
 }
 
@@ -279,21 +173,18 @@ func TestSlateSecondPriceBounds(t *testing.T) {
 	registerLoad(t, b, specs)
 	adTypes := workload.DefaultAdTypes()
 	checked := 0
-	var open []uint64
+	feed := &opFeed{tb: t, b: b}
 	for _, op := range stream {
 		if op.Kind != workload.OpArrival {
-			applyBilledOp(t, b, op, &open)
+			feed.apply(op)
 			continue
 		}
-		offers, err := b.Arrive(Arrival{Loc: op.Loc, Capacity: op.Capacity,
-			ViewProb: op.ViewProb, Interests: op.Interests, Hour: op.Hour})
+		offers, err := b.Arrive(arrivalOf(op))
 		if err != nil {
 			t.Fatal(err)
 		}
+		feed.served(offers)
 		for _, o := range offers {
-			if o.ID != 0 {
-				open = append(open, o.ID)
-			}
 			if o.Model == model.BillingFixed {
 				if o.ChargeECPM != 0 || o.Hold != 0 || o.ID != 0 {
 					t.Fatalf("fixed offer carries auction fields: %+v", o)
@@ -343,16 +234,16 @@ func TestSlateWALRecovery(t *testing.T) {
 	// Stop converting over the last fifth of the stream so holds survive to
 	// the crash point — otherwise the convert ops drain every open offer.
 	cutoff := len(stream) * 4 / 5
-	var open []uint64
+	feed := &opFeed{tb: t, b: b}
 	for i, op := range stream {
 		if op.Kind == workload.OpConvert && i >= cutoff {
 			continue
 		}
-		applyBilledOp(t, b, op, &open)
+		feed.apply(op)
 	}
 	preStats, preCampaigns := b.Stats(), b.Campaigns()
-	if preStats.EscrowHeld <= 0 || preStats.Conversions == 0 || len(open) == 0 {
-		t.Fatalf("load exercised no escrow: %+v, %d open", preStats, len(open))
+	if preStats.EscrowHeld <= 0 || preStats.Conversions == 0 || len(feed.open) == 0 {
+		t.Fatalf("load exercised no escrow: %+v, %d open", preStats, len(feed.open))
 	}
 
 	// Crash (no Close) → replay the log.
@@ -371,13 +262,13 @@ func TestSlateWALRecovery(t *testing.T) {
 
 	// The recovered escrow table must still serve conversions: every open
 	// offer collected pre-crash remains convertible exactly once.
-	if len(open) == 0 {
+	if len(feed.open) == 0 {
 		t.Fatal("no open offers survived the stream")
 	}
-	if _, err := rb.Convert(open[0], "post-crash"); err != nil {
-		t.Fatalf("converting recovered offer %d: %v", open[0], err)
+	if _, err := rb.Convert(feed.open[0], "post-crash"); err != nil {
+		t.Fatalf("converting recovered offer %d: %v", feed.open[0], err)
 	}
-	if _, err := rb.Convert(open[0], "post-crash-2"); err != ErrOfferUnknown {
+	if _, err := rb.Convert(feed.open[0], "post-crash-2"); err != ErrOfferUnknown {
 		t.Fatalf("double conversion after recovery: %v", err)
 	}
 
@@ -406,13 +297,13 @@ func TestSlateWALRecovery(t *testing.T) {
 		t.Fatalf("idempotency window lost in snapshot: %v", err)
 	}
 	converted := false
-	for _, id := range open[1:] {
+	for _, id := range feed.open[1:] {
 		if _, err := rb2.Convert(id, ""); err == nil {
 			converted = true
 			break
 		}
 	}
-	if !converted && len(open) > 1 {
+	if !converted && len(feed.open) > 1 {
 		t.Fatal("no recovered open offer was convertible after snapshot reboot")
 	}
 	checkInvariants(t, rb2)
@@ -424,96 +315,7 @@ func TestSlateWALRecovery(t *testing.T) {
 // RecordsReplayed mutations, with the escrow conservation laws intact at
 // every cut.
 func TestSlateTornTailRecovery(t *testing.T) {
-	const campaigns, ops, seed = 12, 1000, 31
-	specs, stream, err := workload.BrokerLoad(workload.BilledBrokerLoadConfig(campaigns, ops, seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Reference trajectory on an in-memory broker: serial determinism makes
-	// its offer IDs coincide with the durable run's.
-	ref, err := newMemory(Config{AdTypes: workload.DefaultAdTypes()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trajectory := []refState{{stats: ref.Stats(), campaigns: ref.Campaigns()}}
-	snap := func() {
-		checkInvariants(t, ref)
-		trajectory = append(trajectory, refState{stats: ref.Stats(), campaigns: ref.Campaigns()})
-	}
-	for _, c := range specs {
-		if _, err := ref.RegisterCampaignSpec(CampaignSpec{
-			Loc: c.Loc, Radius: c.Radius, Budget: c.Budget, Tags: c.Tags, Billing: c.Billing,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		snap()
-	}
-	var refOpen []uint64
-	for _, op := range stream {
-		if applyBilledOp(t, ref, op, &refOpen) {
-			snap()
-		}
-	}
-
-	srcDir := t.TempDir()
-	cfg := Config{AdTypes: workload.DefaultAdTypes(), DataDir: srcDir, WAL: crashWAL()}
-	b, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	registerLoad(t, b, specs)
-	var open []uint64
-	for _, op := range stream {
-		applyBilledOp(t, b, op, &open)
-	}
-	flushWAL(t, b)
-
-	segs, err := filepath.Glob(filepath.Join(srcDir, "wal-*.log"))
-	if err != nil || len(segs) != 1 {
-		t.Fatalf("want exactly one segment, got %v (err %v)", segs, err)
-	}
-	segName := filepath.Base(segs[0])
-	full, err := os.ReadFile(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rng := stats.NewRand(99)
-	cuts := []int{0} // clean kill first, then random torn tails
-	for i := 0; i < 12; i++ {
-		cuts = append(cuts, 1+rng.Intn(len(full)/4))
-	}
-	for _, cut := range cuts {
-		dir := t.TempDir()
-		copyFile(t, filepath.Join(srcDir, "snapshot"), filepath.Join(dir, "snapshot"))
-		if err := os.WriteFile(filepath.Join(dir, segName), full[:len(full)-cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		rcfg := cfg
-		rcfg.DataDir = dir
-		rb, err := New(rcfg)
-		if err != nil {
-			t.Fatalf("cut %d: recovery failed: %v", cut, err)
-		}
-		info := rb.RecoveryStats()
-		if info.RecordsReplayed >= len(trajectory) {
-			t.Fatalf("cut %d: replayed %d records, reference has %d states",
-				cut, info.RecordsReplayed, len(trajectory))
-		}
-		want := trajectory[info.RecordsReplayed]
-		if got := rb.Stats(); got != want.stats {
-			t.Fatalf("cut %d: recovered stats %+v != reference %+v after %d records",
-				cut, got, want.stats, info.RecordsReplayed)
-		}
-		if got := rb.Campaigns(); !reflect.DeepEqual(got, want.campaigns) {
-			t.Fatalf("cut %d: recovered campaigns diverge after %d records", cut, info.RecordsReplayed)
-		}
-		checkInvariants(t, rb)
-		if err := rb.Close(); err != nil {
-			t.Fatalf("cut %d: close: %v", cut, err)
-		}
-	}
+	crashRecoveryProperty(t, workload.BilledBrokerLoadConfig(12, 1000, 31), Config{AdTypes: workload.DefaultAdTypes()}, 0)
 }
 
 // TestSlateConcurrentEscrowSoak hammers a billed durable broker from many
@@ -551,12 +353,12 @@ func TestSlateConcurrentEscrowSoak(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			feed := &opFeed{tb: t, b: b}
 			for i := w; i < len(stream); i += workers {
 				op := stream[i]
 				switch op.Kind {
 				case workload.OpArrival:
-					offers, err := b.Arrive(Arrival{Loc: op.Loc, Capacity: op.Capacity,
-						ViewProb: op.ViewProb, Interests: op.Interests, Hour: op.Hour})
+					offers, err := b.Arrive(arrivalOf(op))
 					if err != nil {
 						t.Error(err)
 						return
@@ -584,7 +386,7 @@ func TestSlateConcurrentEscrowSoak(t *testing.T) {
 						}
 					}
 				default:
-					applyLoadOp(t, b, op)
+					feed.apply(op)
 				}
 			}
 		}(w)
@@ -671,8 +473,7 @@ func denseMarket(tb testing.TB, b *Broker, fixed bool) []Arrival {
 	registerLoad(tb, b, fleet)
 	arrivals := make([]Arrival, len(ops))
 	for i, op := range ops {
-		arrivals[i] = Arrival{Loc: op.Loc, Capacity: op.Capacity, ViewProb: op.ViewProb,
-			Interests: op.Interests, Hour: op.Hour}
+		arrivals[i] = arrivalOf(op)
 	}
 	return arrivals
 }

@@ -11,35 +11,6 @@ import (
 	"muaa/internal/workload"
 )
 
-// applyOp maps one workload op onto broker calls, returning the offers an
-// arrival produced (nil otherwise).
-func applyOp(tb testing.TB, b *Broker, op workload.BrokerOp) []Offer {
-	tb.Helper()
-	switch op.Kind {
-	case workload.OpArrival:
-		offers, err := b.Arrive(Arrival{
-			Loc: op.Loc, Capacity: op.Capacity, ViewProb: op.ViewProb,
-			Interests: op.Interests, Hour: op.Hour,
-		})
-		if err != nil {
-			tb.Error(err)
-		}
-		return offers
-	case workload.OpTopUp:
-		if err := b.TopUp(op.Campaign, op.Amount); err != nil {
-			tb.Error(err)
-		}
-	case workload.OpPause:
-		if err := b.SetPaused(op.Campaign, op.Paused); err != nil {
-			tb.Error(err)
-		}
-	default:
-		b.Stats()
-		b.Campaigns()
-	}
-	return nil
-}
-
 // TestConcurrentSoak hammers one broker with mixed traffic from many
 // goroutines while CheckInvariants cuts through it, then audits the money:
 // every arrival respected its capacity, the global spend/offer/utility
@@ -65,11 +36,7 @@ func TestConcurrentSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range specs {
-		if _, err := b.RegisterCampaign(c.Loc, c.Radius, c.Budget, c.Tags); err != nil {
-			t.Fatal(err)
-		}
-	}
+	registerLoad(t, b, specs)
 
 	// Per-worker observations, merged after the fact: offer counts, the
 	// exact cost and utility sums of the offers each worker was handed, and
@@ -89,9 +56,10 @@ func TestConcurrentSoak(t *testing.T) {
 			defer wg.Done()
 			// Interleave workers across the stream so shards see overlapping
 			// traffic rather than disjoint slices.
+			feed := &opFeed{tb: t, b: b}
 			for i := w; i < len(ops); i += workers {
 				op := ops[i]
-				offers := applyOp(t, b, op)
+				offers := feed.apply(op)
 				if op.Kind == workload.OpArrival {
 					tallies[w].arrivals++
 					if len(offers) > op.Capacity {
@@ -199,8 +167,9 @@ func TestConcurrentRegistrationDuringTraffic(t *testing.T) {
 		// Passes repeat until the last registration, then one more, so every
 		// campaign is also gathered by a full pass.
 		for pass, last := 0, false; ; pass++ {
+			feed := &opFeed{tb: t, b: b}
 			for i, op := range ops {
-				applyOp(t, b, op)
+				feed.apply(op)
 				if pass == 0 && i == 100 {
 					close(warm)
 				}
@@ -322,11 +291,7 @@ func TestConcurrentBatchSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range specs {
-		if _, err := b.RegisterCampaign(c.Loc, c.Radius, c.Budget, c.Tags); err != nil {
-			t.Fatal(err)
-		}
-	}
+	registerLoad(t, b, specs)
 
 	type tally struct {
 		arrivals int64
@@ -370,20 +335,18 @@ func TestConcurrentBatchSoak(t *testing.T) {
 				}
 				window, caps = window[:0], caps[:0]
 			}
+			feed := &opFeed{tb: t, b: b}
 			for i := w; i < len(ops); i += workers {
 				op := ops[i]
 				if op.Kind == workload.OpArrival && w%2 == 0 {
-					window = append(window, Arrival{
-						Loc: op.Loc, Capacity: op.Capacity, ViewProb: op.ViewProb,
-						Interests: op.Interests, Hour: op.Hour,
-					})
+					window = append(window, arrivalOf(op))
 					caps = append(caps, op.Capacity)
 					if len(window) >= 8 {
 						flush()
 					}
 					continue
 				}
-				offers := applyOp(t, b, op)
+				offers := feed.apply(op)
 				if op.Kind == workload.OpArrival {
 					count(op.Capacity, offers)
 				}
