@@ -19,7 +19,7 @@
 //	GET  /v1/campaigns            list all campaign states
 //	GET  /v1/map.svg              the live campaign map as SVG
 //	GET  /v1/metrics              Prometheus text exposition (docs/OPERATIONS.md)
-//	GET  /v1/healthz              readiness: 200 once recovery finished, 503 before
+//	GET  /v1/healthz              readiness: 200 while serving; 503 recovering, or read-only
 //
 // Example session:
 //
@@ -28,12 +28,14 @@
 //	curl -s localhost:8080/v1/stats
 //	curl -s localhost:8080/v1/metrics | grep muaa_broker_arrival_seconds
 //
-// With -data-dir set the broker is durable: every mutation is written to a
-// write-ahead log before it is acknowledged, compacting snapshots bound
-// replay time, and a restart rebuilds the exact pre-crash state. While that
-// replay is running the server already listens, but broker endpoints
-// (including /v1/healthz and /v1/stats) answer 503 with the error envelope so
-// load-balancers keep traffic away; /v1/metrics is live from boot. SIGINT or
+// With -data-dir set the broker is durable: every mutation is appended to a
+// write-ahead log before it is acknowledged (fsynced as -wal-sync says),
+// compacting snapshots bound replay time, and a restart rebuilds the exact
+// pre-crash state. While that replay is running the server already listens,
+// but broker endpoints (including /v1/healthz and /v1/stats) answer 503 with
+// the error envelope so load-balancers keep traffic away; /v1/metrics is
+// live from boot. The first failed log write or fsync makes the broker
+// read-only until a restart: mutations and /v1/healthz answer 503. SIGINT or
 // SIGTERM drains in-flight requests, flushes and fsyncs the log, writes a
 // final snapshot and exits cleanly.
 //
@@ -262,8 +264,9 @@ func newServer(cfg config, logger *slog.Logger) (*app, error) {
 	a.cfg = cfg.broker
 	a.cfg.Metrics, a.cfg.Tracer, a.cfg.Logger = a.reg, a.tracer, logger
 	// /metrics is live from process start — scrapes during recovery show the
-	// WAL replay progressing.
-	metrics, healthz := get(a.reg.Handler().ServeHTTP), get(a.serveHealthz)
+	// WAL replay progressing; everything else waits behind the recovery gate.
+	metrics, healthz := get(a.reg.Handler().ServeHTTP), a.gateRecovery(get(a.serveHealthz))
+	api := a.gateRecovery(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { a.api.Load().ServeHTTP(w, r) }))
 	a.srv = &http.Server{
 		Addr: cfg.addr,
 		// The tracing middleware derives/echoes traceparent, emits the
@@ -278,7 +281,7 @@ func newServer(cfg config, logger *slog.Logger) (*app, error) {
 			case "/healthz", "/v1/healthz":
 				healthz.ServeHTTP(w, r)
 			default:
-				a.serveAPI(w, r)
+				api.ServeHTTP(w, r)
 			}
 		}), logger, a.tracer),
 		ReadHeaderTimeout: 5 * time.Second,
@@ -314,23 +317,11 @@ func (a *app) shutdown(ctx context.Context) error {
 	return err
 }
 
-// serveAPI forwards to the broker API once recovery has finished; before
-// that every broker endpoint — /v1/stats and /v1/healthz included — answers
-// 503 with the uniform error envelope so probes and load-balancers back off.
-func (a *app) serveAPI(w http.ResponseWriter, r *http.Request) {
-	api := a.api.Load()
-	if api == nil {
-		unavailable(w)
-		return
-	}
-	api.ServeHTTP(w, r)
-}
-
-// unavailable is the one recovery-gate reply: 503 with Retry-After and the
-// uniform error envelope, from every listener, until boot stores the API.
-func unavailable(w http.ResponseWriter) {
+// unavailable is the one not-ready reply: 503 with Retry-After and the error
+// envelope, from the recovery gate and from /healthz while read-only.
+func unavailable(w http.ResponseWriter, why string) {
 	w.Header().Set("Retry-After", "1")
-	obs.WriteError(w, http.StatusServiceUnavailable, "unavailable", "recovery in progress")
+	obs.WriteError(w, http.StatusServiceUnavailable, "unavailable", why)
 }
 
 // get serves h for GET, and so HEAD, through the one method dispatcher.
@@ -339,8 +330,8 @@ func get(h http.HandlerFunc) http.Handler {
 }
 
 func (a *app) serveHealthz(w http.ResponseWriter, r *http.Request) {
-	if a.api.Load() == nil {
-		unavailable(w)
+	if err := a.b.Load().Err(); err != nil {
+		unavailable(w, err.Error())
 		return
 	}
 	obs.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
@@ -407,15 +398,15 @@ func (a *app) newDebugServer(addr string) *http.Server {
 	}
 }
 
-// gateRecovery holds a debug endpoint behind the WAL-recovery gate: until
-// boot stores the API pointer, it answers the same 503 `unavailable`
-// envelope as the serving mux, so scrapers and dashboards back off
-// uniformly. boot stores a.b before a.api, so a handler behind the gate
-// reads a.b without a nil check.
+// gateRecovery holds an endpoint behind the WAL-recovery gate: until boot
+// stores the API pointer, every broker and debug endpoint — /v1/stats and
+// /v1/healthz included — answers the same 503 `unavailable` envelope, so
+// probes, load-balancers and dashboards back off uniformly. boot stores a.b
+// before a.api, so a handler behind the gate reads a.b without a nil check.
 func (a *app) gateRecovery(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if a.api.Load() == nil {
-			unavailable(w)
+			unavailable(w, "recovery in progress")
 			return
 		}
 		h.ServeHTTP(w, r)

@@ -23,6 +23,7 @@ package broker
 // and what the trace looks like.
 
 import (
+	"errors"
 	"slices"
 	"time"
 
@@ -30,9 +31,9 @@ import (
 )
 
 // BatchResult is one arrival's outcome inside an ArriveBatch call: the
-// offers committed for it, or the validation error that rejected it (a
-// rejected arrival consumes nothing and is not counted or logged — partial
-// failure is per element, never whole-batch).
+// offers committed for it, the validation error that rejected it (a
+// rejected arrival consumes nothing and is not counted or logged), or the
+// ErrUnavailable every element of a refused window carries.
 type BatchResult struct {
 	Offers []Offer
 	Err    error
@@ -116,9 +117,10 @@ func (r *BatchResult) outcome() string {
 // arriveOne is single submission: the pipeline over a window of one, observed
 // as muaa_broker_arrival_seconds (with the trace ID as a candidate exemplar,
 // so the slowest observation in a scrape window links to its trace) and
-// traced as an "arrival". Committed offers are appended to dst — nil, the
-// caller's own buffer, or a pooled one the HTTP route lends — and the
-// extended slice returned. The window and its result live on this frame.
+// traced as an "arrival" (a refusal is HTTP's 503, which the middleware
+// traces). Committed offers are appended to dst — nil, the caller's own
+// buffer, or a pooled one the HTTP route lends — and the extended slice
+// returned. The window and its result live on this frame.
 func (b *Broker) arriveOne(a *Arrival, req *trace.Request, dst []Offer) ([]Offer, error) {
 	batch := [1]Arrival{*a}
 	var results [1]BatchResult
@@ -132,7 +134,7 @@ func (b *Broker) arriveOne(a *Arrival, req *trace.Request, dst []Offer) ([]Offer
 			m.arrival.ObserveShard(lane, elapsed.Seconds())
 		}
 	}
-	if t != nil {
+	if t != nil && refusal(results[:]) == nil {
 		t.Capacity = a.Capacity
 		t.Offers = len(r.Offers)
 		t.Outcome = r.outcome()
@@ -148,7 +150,7 @@ func (b *Broker) arriveOne(a *Arrival, req *trace.Request, dst []Offer) ([]Offer
 
 // arriveBatchTraced is batch submission: the pipeline over the window,
 // observed as muaa_broker_batch_size and traced as an "arrival_batch" with one
-// outcome row per submitted arrival.
+// outcome row per submitted arrival (a refused window as arriveOne's).
 func (b *Broker) arriveBatchTraced(batch []Arrival, req *trace.Request, sc *batchScratch) []BatchResult {
 	results := slices.Grow(sc.results[:0], len(batch))[:len(batch)]
 	clear(results)
@@ -159,7 +161,7 @@ func (b *Broker) arriveBatchTraced(batch []Arrival, req *trace.Request, sc *batc
 	if m := b.metrics; m != nil {
 		m.batchSize.Observe(float64(live))
 	}
-	if t != nil {
+	if t != nil && refusal(results) == nil {
 		t.Batch = len(batch)
 		t.BatchOutcomes = make([]trace.BatchOutcome, len(results))
 		for i := range results {
@@ -200,6 +202,22 @@ func (b *Broker) captureBatch(batch []Arrival, results []BatchResult) {
 	}
 }
 
+// refuse answers every arrival of a window with err: a window is logged,
+// and so refused, as a whole.
+func refuse(results []BatchResult, err error) {
+	for i := range results {
+		results[i] = BatchResult{Err: err}
+	}
+}
+
+// refusal is the ErrUnavailable a refused window's results carry, else nil.
+func refusal(results []BatchResult) error {
+	if len(results) > 0 && errors.Is(results[0].Err, ErrUnavailable) {
+		return results[0].Err
+	}
+	return nil
+}
+
 // stageClock cuts a pipeline call into back-to-back stage spans. One full
 // time.Now() anchors the wall-clock start; every boundary after it is a
 // time.Since delta (a single monotonic-clock read, about half the cost) off
@@ -236,6 +254,10 @@ func (c *stageClock) lap() time.Duration {
 // per arrival.
 func (b *Broker) arriveBatch(batch []Arrival, results []BatchResult, offers []Offer, t *trace.Trace) (_ []Offer, live, lane int, elapsed time.Duration) {
 	m := b.metrics
+	if err := b.Err(); err != nil {
+		refuse(results, err)
+		return offers, 0, 0, 0
+	}
 
 	// The covering stripe interval: the union of every accepted arrival's
 	// own stripe range. A covering campaign's center is within maxRadius of
@@ -335,7 +357,9 @@ func (b *Broker) arriveBatch(batch []Arrival, results []BatchResult, offers []Of
 	}
 	if b.wal != nil {
 		*bp = enc.buf
-		b.walAppend(bp)
+		if err := b.walAppend(bp); err != nil {
+			refuse(results, err) // in memory, but acknowledged to no one
+		}
 	}
 	if timed {
 		stages[trace.StageCommit] = clk.lap()

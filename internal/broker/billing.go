@@ -157,6 +157,9 @@ type Conversion struct {
 // Returns ErrOfferUnknown for IDs never issued, already converted, or
 // expired; ErrDuplicateEvent for a replayed key.
 func (b *Broker) Convert(offerID uint64, idemKey string) (Conversion, error) {
+	if err := b.Err(); err != nil {
+		return Conversion{}, err
+	}
 	bl := b.billing
 	// Phase 1: resolve the offer's campaign (and fail fast on duplicates)
 	// under mu alone — the shard to lock isn't known until the table is
@@ -198,10 +201,13 @@ func (b *Broker) Convert(offerID uint64, idemKey string) (Conversion, error) {
 	b.settle(fl, offerID, o, idemKey)
 	bl.mu.Unlock()
 	if b.wal != nil {
-		b.logRecord(&DecodedRecord{
+		err := b.logRecord(&DecodedRecord{
 			Kind: RecordConversion, OfferID: offerID, Campaign: o.campaign, Model: o.model,
 			Charge: o.hold, EventKey: idemKey,
 		})
+		if err != nil {
+			return Conversion{}, err
+		}
 	}
 	return Conversion{OfferID: offerID, Campaign: o.campaign, Model: o.model, Charged: o.hold}, nil
 }

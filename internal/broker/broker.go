@@ -402,6 +402,9 @@ type CampaignSpec struct {
 // RegisterCampaignSpec adds a campaign with its full spec (delivery class
 // included) and returns its ID.
 func (b *Broker) RegisterCampaignSpec(spec CampaignSpec) (int32, error) {
+	if err := b.Err(); err != nil {
+		return 0, err
+	}
 	// A NaN coordinate has no grid cell (the insert would panic after the WAL
 	// record and the directory entry, under the stripe lock) and neither it
 	// nor ±Inf renders as JSON; a finite one clamps to an edge cell.
@@ -441,11 +444,14 @@ func (b *Broker) RegisterCampaignSpec(spec CampaignSpec) (int32, error) {
 		// campaign can only start after publication, so its record is
 		// guaranteed to land after this one and replay never sees a
 		// campaign it hasn't registered.
-		b.logRecord(&DecodedRecord{
+		err := b.logRecord(&DecodedRecord{
 			Kind: RecordRegister, Campaign: id, Loc: spec.Loc, Radius: spec.Radius, Budget: spec.Budget,
 			Tags: spec.Tags, Guaranteed: spec.Guaranteed, Floor: spec.Floor, Penalty: spec.Penalty,
 			Billing: spec.Billing,
 		})
+		if err != nil {
+			return 0, err
+		}
 	}
 	c := &campaign{
 		id: id, radius: spec.Radius,
@@ -502,6 +508,9 @@ func (b *Broker) RegisterCampaignSpec(spec CampaignSpec) (int32, error) {
 // leaves must be finite: a budget of +Inf would void every δ = spent/budget
 // and cannot be rendered as JSON.
 func (b *Broker) TopUp(id int32, amount float64) error {
+	if err := b.Err(); err != nil {
+		return err
+	}
 	if amount < 0 || !finite(amount) {
 		return fmt.Errorf("broker: top-up amount %g", amount)
 	}
@@ -519,16 +528,22 @@ func (b *Broker) TopUp(id int32, amount float64) error {
 	if !finite(budget) {
 		return fmt.Errorf("broker: top-up amount %g overflows campaign %d's budget", amount, id)
 	}
-	h.budget.Store(budget)
 	if b.wal != nil {
-		b.logRecord(&DecodedRecord{Kind: RecordTopUp, Campaign: id, Amount: amount})
+		// Logged first, like a registration: a refused top-up changes nothing.
+		if err := b.logRecord(&DecodedRecord{Kind: RecordTopUp, Campaign: id, Amount: amount}); err != nil {
+			return err
+		}
 	}
+	h.budget.Store(budget)
 	return nil
 }
 
 // SetPaused pauses or resumes a campaign; paused campaigns receive no
 // traffic but keep their budget.
 func (b *Broker) SetPaused(id int32, paused bool) error {
+	if err := b.Err(); err != nil {
+		return err
+	}
 	fl, err := b.lookup(id)
 	if err != nil {
 		return err
@@ -540,12 +555,14 @@ func (b *Broker) SetPaused(id int32, paused bool) error {
 	}
 	// Durable: the shard lock serializes the flag flip with its record, so
 	// a snapshot (which quiesces all shards) can never capture the flip
-	// while the record is still in flight.
+	// while the record is still in flight; a refused record flips nothing.
 	sh := &b.shards[fl.campaigns[id].shard]
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if err := b.logRecord(&DecodedRecord{Kind: RecordPause, Campaign: id, Paused: paused}); err != nil {
+		return err
+	}
 	h.paused.Store(paused)
-	b.logRecord(&DecodedRecord{Kind: RecordPause, Campaign: id, Paused: paused})
-	sh.mu.Unlock()
 	return nil
 }
 

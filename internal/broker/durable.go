@@ -2,6 +2,7 @@ package broker
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -10,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"muaa/internal/obs"
 	"muaa/internal/wal"
 )
 
@@ -18,10 +18,9 @@ import (
 // cadence bookkeeping and the background compaction goroutine. nil on an
 // in-memory broker — every hot-path hook is gated on that one pointer.
 type durable struct {
-	log        *wal.Log
-	cadence    int          // records between automatic snapshots; 0 disables
-	appended   atomic.Int64 // records since the last snapshot
-	appendErrs atomic.Uint64
+	log      *wal.Log
+	cadence  int          // records between automatic snapshots; 0 disables
+	appended atomic.Int64 // records since the last snapshot
 
 	snapCh chan struct{} // nudges the snapshot loop (capacity 1)
 	stopCh chan struct{}
@@ -116,7 +115,9 @@ func recoverDurable(cfg Config) (*Broker, error) {
 		slog.Bool("truncated", info.Truncated),
 		slog.Float64("duration_ms", float64(info.Duration)/float64(time.Millisecond)))
 	if cfg.Metrics != nil {
-		registerRecoveryMetrics(cfg.Metrics, b)
+		cfg.Metrics.NewGaugeFunc("muaa_broker_recovery_records",
+			"WAL records replayed by the last boot's recovery.",
+			func() float64 { return float64(info.RecordsReplayed) })
 	}
 	// Only now, with replay and the boot snapshot done: an audit tick steps
 	// the controller, and one landing mid-replay would rewrite state the log
@@ -126,21 +127,26 @@ func recoverDurable(cfg Config) (*Broker, error) {
 	return b, nil
 }
 
-func registerRecoveryMetrics(reg *obs.Registry, b *Broker) {
-	d := b.wal
-	reg.NewGaugeFunc("muaa_broker_recovery_records",
-		"WAL records replayed by the last boot's recovery.",
-		func() float64 { return float64(d.info.RecordsReplayed) })
-	reg.NewCounterFunc("muaa_wal_append_errors_total",
-		"Broker mutations whose WAL append failed (state diverged from disk).",
-		func() float64 { return float64(d.appendErrs.Load()) })
+// ErrUnavailable is wrapped by every mutation a durable broker refuses once
+// its log failed a write or fsync (until a restart) or was closed: HTTP 503.
+var ErrUnavailable = errors.New("broker: unavailable, the write-ahead log refuses writes")
+
+// Err is nil while the broker takes mutations, else ErrUnavailable wrapping
+// the log's error (wal.Log.Err), which every mutator then returns.
+func (b *Broker) Err() error {
+	if b.wal == nil {
+		return nil
+	}
+	if err := b.wal.log.Err(); err != nil {
+		return fmt.Errorf("%w: %w", ErrUnavailable, err)
+	}
+	return nil
 }
 
 // Close makes the broker durable at rest: it stops the live-audit and
-// snapshot loops, writes a final compacting snapshot and closes the log.
-// The caller must quiesce traffic first — a mutation racing Close can land
-// in memory without reaching the log. Idempotent; on an in-memory broker it
-// only stops the audit loop.
+// snapshot loops, writes a final compacting snapshot and closes the log,
+// after which every mutation is refused with ErrUnavailable. Idempotent; on
+// an in-memory broker it only stops the audit loop.
 func (b *Broker) Close() error {
 	if b.audit != nil {
 		b.audit.stop()
@@ -198,32 +204,34 @@ var recPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }
 // walAppend hands one encoded record to the log and returns the buffer to
 // the pool. Called with the lock that serializes the recorded mutation
 // still held, which is what orders records consistently with memory
-// effects. An append error does not fail serving: it is counted
-// (muaa_wal_append_errors_total) and the log's sticky error stops further
-// appends, so the operator sees a frozen log rather than a corrupt one.
-func (b *Broker) walAppend(bp *[]byte) {
+// effects. A failed append is the mutation's refusal: the log's error
+// (sticky from the first fault on) comes back wrapped in ErrUnavailable,
+// and every later mutation is refused before it starts (Err).
+func (b *Broker) walAppend(bp *[]byte) error {
 	d := b.wal
-	if err := d.log.Append(*bp); err != nil {
-		d.appendErrs.Add(1)
-	}
+	err := d.log.Append(*bp)
 	recPool.Put(bp)
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrUnavailable, err)
+	}
 	if d.cadence > 0 && int(d.appended.Add(1)) >= d.cadence {
 		select {
 		case d.snapCh <- struct{}{}:
 		default:
 		}
 	}
+	return nil
 }
 
 // logRecord appends one mutation's record — the struct DecodeRecord would
 // return for it, run through the codec in write mode — under the lock that
 // serializes the mutation (see walAppend).
-func (b *Broker) logRecord(d *DecodedRecord) {
+func (b *Broker) logRecord(d *DecodedRecord) error {
 	bp := recPool.Get().(*[]byte)
 	c := codec{buf: (*bp)[:0]}
 	c.record(d)
 	*bp = c.buf
-	b.walAppend(bp)
+	return b.walAppend(bp)
 }
 
 // applyRecord replays one WAL record onto the (still-private) broker.

@@ -21,7 +21,6 @@ package broker
 // traffic.
 
 import (
-	"errors"
 	"net/http"
 	"slices"
 
@@ -273,7 +272,7 @@ func (b *Broker) ServeExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	rep, err := b.Explain(buf.arrivals[0])
 	if err != nil {
-		obs.WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
+		writeErr(w, err)
 		return
 	}
 	obs.WriteJSON(w, http.StatusOK, rep)
@@ -289,13 +288,7 @@ func (b *Broker) ServeCampaignFunnel(w http.ResponseWriter, r *http.Request) {
 	}
 	fc, err := b.CampaignFunnel(id)
 	if err != nil {
-		if errors.Is(err, ErrFunnelDisabled) {
-			obs.WriteError(w, http.StatusNotFound, "funnel_disabled",
-				"per-campaign funnel attribution is disabled; start the broker with the funnel enabled")
-			return
-		}
-		status, code := statusFor(err)
-		obs.WriteError(w, status, code, err.Error())
+		writeErr(w, err)
 		return
 	}
 	obs.WriteJSON(w, http.StatusOK, fc)

@@ -37,7 +37,7 @@ import (
 // ErrFunnelDisabled is returned by the funnel accessors on a broker built
 // without Config.Funnel.Enabled; the debug endpoint maps it to a 404
 // funnel_disabled envelope.
-var ErrFunnelDisabled = errors.New("broker: funnel disabled")
+var ErrFunnelDisabled = errors.New("broker: per-campaign funnel attribution is disabled; start the broker with the funnel enabled")
 
 // funnelDisposition indexes the per-campaign decision-funnel counters. The
 // dispositions partition every gathered candidate — each candidate a scan

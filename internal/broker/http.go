@@ -77,10 +77,10 @@ func NewAPI(b *Broker) *API {
 		http.MethodGet: a.getCampaignBilling,
 	})
 	a.handle("/campaigns/{id}/topup", map[string]http.HandlerFunc{
-		http.MethodPost: a.postTopUp,
+		http.MethodPost: postCampaignUpdate(func(id int32, req *topUpRequest) error { return b.TopUp(id, req.Amount) }),
 	})
 	a.handle("/campaigns/{id}/pause", map[string]http.HandlerFunc{
-		http.MethodPost: a.postPause,
+		http.MethodPost: postCampaignUpdate(func(id int32, req *pauseRequest) error { return b.SetPaused(id, req.Paused) }),
 	})
 	a.handle("/arrivals", map[string]http.HandlerFunc{
 		http.MethodPost: a.postArrival,
@@ -239,8 +239,7 @@ func (a *API) postCampaign(w http.ResponseWriter, r *http.Request) {
 	if req.Billing != nil {
 		m, err := model.ParseBillingModel(req.Billing.Model)
 		if err != nil {
-			obs.WriteError(w, http.StatusBadRequest, "bad_request",
-				fmt.Sprintf("broker: %v", err))
+			writeErr(w, fmt.Errorf("broker: %w", err))
 			return
 		}
 		billing = model.Billing{
@@ -256,44 +255,30 @@ func (a *API) postCampaign(w http.ResponseWriter, r *http.Request) {
 		Billing: billing,
 	})
 	if err != nil {
-		obs.WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
+		writeErr(w, err)
 		return
 	}
 	obs.WriteJSON(w, http.StatusCreated, campaignResponse{ID: id})
 }
 
-func (a *API) postTopUp(w http.ResponseWriter, r *http.Request) {
-	id, ok := pathID(w, r)
-	if !ok {
-		return
+// postCampaignUpdate serves POST /v1/campaigns/{id}/…: apply changes the
+// campaign by the body, decoded into a T; the reply is {"ok": true}.
+func postCampaignUpdate[T any](apply func(id int32, req *T) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id, ok := pathID(w, r)
+		if !ok {
+			return
+		}
+		var req T
+		if !decode(w, r, &req) {
+			return
+		}
+		if err := apply(id, &req); err != nil {
+			writeErr(w, err)
+			return
+		}
+		obs.WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 	}
-	var req topUpRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if err := a.broker.TopUp(id, req.Amount); err != nil {
-		status, code := statusFor(err)
-		obs.WriteError(w, status, code, err.Error())
-		return
-	}
-	obs.WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
-}
-
-func (a *API) postPause(w http.ResponseWriter, r *http.Request) {
-	id, ok := pathID(w, r)
-	if !ok {
-		return
-	}
-	var req pauseRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if err := a.broker.SetPaused(id, req.Paused); err != nil {
-		status, code := statusFor(err)
-		obs.WriteError(w, status, code, err.Error())
-		return
-	}
-	obs.WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
 func (a *API) listCampaigns(w http.ResponseWriter, r *http.Request) {
@@ -312,8 +297,7 @@ func (a *API) getCampaign(w http.ResponseWriter, r *http.Request) {
 	}
 	c, err := a.broker.CampaignState(id)
 	if err != nil {
-		status, code := statusFor(err)
-		obs.WriteError(w, status, code, err.Error())
+		writeErr(w, err)
 		return
 	}
 	obs.WriteJSON(w, http.StatusOK, stateResponse(c, true))
@@ -330,7 +314,7 @@ func (a *API) postArrival(w http.ResponseWriter, r *http.Request) {
 	offers, err := a.broker.arriveOne(&buf.arrivals[0], trace.FromContext(r.Context()), buf.batch.offers[:0])
 	buf.batch.offers = offers
 	if err != nil {
-		obs.WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
+		writeErr(w, err)
 		return
 	}
 	reply := replyBuf{b: buf.out[:0]}
@@ -342,9 +326,9 @@ func (a *API) postArrival(w http.ResponseWriter, r *http.Request) {
 // postArrivalBatch serves POST /v1/arrivals:batch: a JSON array of arrival
 // objects in, a results array out with one element per submitted arrival in
 // order. The whole request is rejected only for transport-level problems
-// (malformed JSON, > maxBatchArrivals elements, body cap); per-arrival
-// validation failures surface as error elements while the remaining
-// arrivals are still served.
+// (malformed JSON, > maxBatchArrivals elements, body cap) and for a broker
+// that refused the window (503); per-arrival validation failures surface as
+// error elements while the remaining arrivals are still served.
 func (a *API) postArrivalBatch(w http.ResponseWriter, r *http.Request) {
 	buf := wirePool.Get().(*wireBuf)
 	defer wirePool.Put(buf)
@@ -352,6 +336,10 @@ func (a *API) postArrivalBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	results := a.broker.arriveBatchTraced(buf.arrivals, trace.FromContext(r.Context()), &buf.batch)
+	if err := refusal(results); err != nil {
+		writeErr(w, err)
+		return
+	}
 	reply := replyBuf{b: buf.out[:0]}
 	a.batchReply(&reply, results)
 	buf.out = reply.b
@@ -384,14 +372,7 @@ func (a *API) postEvent(w http.ResponseWriter, r *http.Request) {
 	}
 	cv, err := a.broker.Convert(req.OfferID, req.IdempotencyKey)
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrOfferUnknown):
-			obs.WriteError(w, http.StatusNotFound, "not_found", err.Error())
-		case errors.Is(err, ErrDuplicateEvent):
-			obs.WriteError(w, http.StatusConflict, "conflict", err.Error())
-		default:
-			obs.WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
-		}
+		writeErr(w, err)
 		return
 	}
 	obs.WriteJSON(w, http.StatusOK, eventResponse{
@@ -411,8 +392,7 @@ func (a *API) getCampaignBilling(w http.ResponseWriter, r *http.Request) {
 	}
 	c, err := a.broker.CampaignState(id)
 	if err != nil {
-		status, code := statusFor(err)
-		obs.WriteError(w, status, code, err.Error())
+		writeErr(w, err)
 		return
 	}
 	obs.WriteJSON(w, http.StatusOK, campaignBillingResponse{
@@ -497,10 +477,28 @@ func decodeStrict(w http.ResponseWriter, body []byte, v any) bool {
 	return true
 }
 
+// statusFor is the one map from a broker error to its HTTP status and
+// envelope code; anything it does not name is the client's (400).
 func statusFor(err error) (int, string) {
-	// Unknown-campaign errors map to 404; everything else is a bad request.
-	if errors.Is(err, ErrUnknownCampaign) {
+	switch {
+	case errors.Is(err, ErrUnknownCampaign), errors.Is(err, ErrOfferUnknown):
 		return http.StatusNotFound, "not_found"
+	case errors.Is(err, ErrFunnelDisabled):
+		return http.StatusNotFound, "funnel_disabled"
+	case errors.Is(err, ErrDuplicateEvent):
+		return http.StatusConflict, "conflict"
+	case errors.Is(err, ErrUnavailable):
+		return http.StatusServiceUnavailable, "unavailable"
 	}
 	return http.StatusBadRequest, "bad_request"
+}
+
+// writeErr answers err with statusFor's status and code in the error
+// envelope; a refusal also says when to come back (Retry-After).
+func writeErr(w http.ResponseWriter, err error) {
+	status, code := statusFor(err)
+	if status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", "1")
+	}
+	obs.WriteError(w, status, code, err.Error())
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"muaa/internal/wal"
 	"muaa/internal/workload"
 )
 
@@ -725,6 +726,19 @@ func TestStatusForMatchesSentinel(t *testing.T) {
 	lookalike := fmt.Errorf("broker: top-up amount %q (unknown campaign currency)", "x")
 	if status, code := statusFor(lookalike); status != http.StatusBadRequest || code != "bad_request" {
 		t.Errorf("look-alike message → %d %s, want 400 bad_request", status, code)
+	}
+	for _, c := range []struct {
+		err    error
+		status int
+		code   string
+	}{
+		{ErrOfferUnknown, http.StatusNotFound, "not_found"},
+		{ErrDuplicateEvent, http.StatusConflict, "conflict"},
+		{fmt.Errorf("%w: %w", ErrUnavailable, wal.ErrClosed), http.StatusServiceUnavailable, "unavailable"},
+	} {
+		if status, code := statusFor(c.err); status != c.status || code != c.code {
+			t.Errorf("%v → %d %s, want %d %s", c.err, status, code, c.status, c.code)
+		}
 	}
 }
 

@@ -27,8 +27,12 @@ var ErrControllerDisabled = errors.New("broker: pacing controller disabled (Cont
 // case only utilization-based rate caps apply) and the live campaign
 // directory, then apply and WAL-log the decision. The background audit loop
 // calls this after every window recompute; simulations and tests drive it
-// directly for deterministic epochs. Returns the applied decision.
+// directly for deterministic epochs. Returns the applied decision, with
+// ErrUnavailable if its record was refused.
 func (b *Broker) PacingStep() (pacing.Decision, error) {
+	if err := b.Err(); err != nil {
+		return pacing.Decision{}, err
+	}
 	if b.controller == nil {
 		return pacing.Decision{}, ErrControllerDisabled
 	}
@@ -51,8 +55,7 @@ func (b *Broker) PacingStep() (pacing.Decision, error) {
 		}
 	}
 	dec := pacing.Decide(*b.controller, snap)
-	b.applyDecision(dec)
-	return dec, nil
+	return dec, b.applyDecision(dec)
 }
 
 // applyDecision installs one controller decision. It quiesces every mutator,
@@ -61,7 +64,7 @@ func (b *Broker) PacingStep() (pacing.Decision, error) {
 // applied bits read back from the atomics — exactly what memory holds — so
 // replay storing them reproduces the post-epoch state without re-running the
 // control law.
-func (b *Broker) applyDecision(dec pacing.Decision) {
+func (b *Broker) applyDecision(dec pacing.Decision) error {
 	defer b.quiesce()()
 	b.phiBoost.Store(dec.Boost)
 	rec := DecodedRecord{
@@ -80,8 +83,9 @@ func (b *Broker) applyDecision(dec pacing.Decision) {
 			Campaign: c.id, RateBits: c.rate.bits.Load(), AllowanceBits: h.allowance.bits.Load()})
 	}
 	if b.wal != nil {
-		b.logRecord(&rec)
+		return b.logRecord(&rec)
 	}
+	return nil
 }
 
 // registerPacingMetrics publishes the muaa_pacing_* instrument family; every

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+	"time"
 
 	"muaa/internal/broker"
 	"muaa/internal/geo"
@@ -49,10 +50,12 @@ var stripes = []int{1, 4, 64}
 
 // TestBrokerMatchesRefModel drives seeded random histories through a
 // durable broker and the model together, one over an all-fixed fleet and
-// one over a billed fleet per configuration, with clean restarts and
-// torn-tail crashes along the way. After every op the answers (offers,
-// receipts, controller decisions, error-ness) and the state (Stats,
-// Campaigns) must be bit-identical, and CheckInvariants must hold.
+// one over a billed fleet per configuration, with clean restarts, torn-tail
+// crashes and disk faults along the way. After every op the answers
+// (offers, receipts, controller decisions, error-ness) and the state
+// (Stats, Campaigns) must be bit-identical, and CheckInvariants must hold;
+// once an append met a disk fault, every mutation must be refused until
+// the next boot, which recovers every acknowledged op.
 func TestBrokerMatchesRefModel(t *testing.T) {
 	for _, shards := range stripes {
 		for _, v := range variants {
@@ -86,6 +89,35 @@ func TestRefModelEscrowBound(t *testing.T) {
 	}
 	for i := 0; i < 60; i++ {
 		r.do(r.convert())
+	}
+}
+
+// TestFlushFaultRefusesNextMutation is the fault under -wal-sync flush: a
+// mutation is acknowledged once buffered, the background flush (within
+// 50 ms) meets the fault, and from then on every mutation is refused.
+func TestFlushFaultRefusesNextMutation(t *testing.T) {
+	for _, fsync := range []bool{false, true} {
+		dir := t.TempDir()
+		b, err := broker.New(broker.Config{AdTypes: workload.DefaultAdTypes(), DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cause := faultSegment(t, dir, fsync)
+		id, err := b.RegisterCampaignSpec(broker.CampaignSpec{Loc: geo.Point{X: 0.5, Y: 0.5}, Radius: 0.2, Budget: 10})
+		if err != nil {
+			t.Fatalf("a buffered registration was refused: %v", err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); b.Err() == nil; time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the background flush never met the fault")
+			}
+		}
+		if err := b.TopUp(id, 5); !refused(err) || !errors.Is(err, cause) {
+			t.Errorf("top-up after the failed flush: %v, want ErrUnavailable wrapping %v", err, cause)
+		}
+		if err := b.Close(); err == nil {
+			t.Error("Close of a read-only broker reported no error")
+		}
 	}
 }
 
@@ -149,6 +181,14 @@ func arrive(w []broker.Arrival, batch bool) op {
 	}}
 }
 
+// A run's disk is healthy, faulted (a fault no append has met yet) or
+// read-only (an append met it, and the broker refuses every mutation).
+const (
+	healthy = iota
+	faulted
+	readOnly
+)
+
 // run is one history: the broker, the model, and what a crash recovers —
 // the model as of the broker's last snapshot, and the ops logged since.
 type run struct {
@@ -164,13 +204,18 @@ type run struct {
 	dir     string
 	base    *refModel
 	journal []func(api) (any, []error)
+
+	disk    int
+	cause   error                    // the injected fault's errno
+	refused func(api) (any, []error) // the op that met the fault
+	alt     *refModel                // m with refused applied, as memory may show it
 }
 
 func newRun(t testing.TB, cfg broker.Config, shards int, billed bool, dir string, draw func(int) int) *run {
 	cfg.AdTypes, cfg.Shards = workload.DefaultAdTypes(), shards
 	cfg.WAL = wal.Options{Sync: wal.SyncEveryRecord, SnapshotEvery: -1}
 	r := &run{t: t, cfg: cfg, billed: billed, draw: draw, m: newRefModel(cfg), dir: dir}
-	r.boot()
+	r.boot(0)
 	for i := 0; i < 6; i++ {
 		r.do(register(r.spec()))
 	}
@@ -178,23 +223,36 @@ func newRun(t testing.TB, cfg broker.Config, shards int, billed bool, dir string
 }
 
 // boot opens the broker on r.dir (in memory when empty) and makes the model
-// what it recovered: its last snapshot plus the logged ops it replayed.
-func (r *run) boot() {
+// what it recovered: its last snapshot plus the logged ops it replayed, at
+// least the first acked of them, and past the acknowledged ones at most the
+// op refused at a disk fault.
+func (r *run) boot(acked int) {
 	cfg := r.cfg
 	cfg.DataDir = r.dir
 	b, err := broker.New(cfg)
 	r.must(err)
-	n := b.RecoveryStats().RecordsReplayed
-	if r.b, r.op = b, fmt.Sprintf("%s, %d of %d logged ops replayed", r.op, n, len(r.journal)); n > len(r.journal) {
-		r.fail("replayed more records than were logged")
+	n, ops := b.RecoveryStats().RecordsReplayed, r.journal
+	if r.refused != nil {
+		ops = append(ops, r.refused)
 	}
-	for _, f := range r.journal[:n] {
+	if r.b, r.op = b, fmt.Sprintf("%s, %d of %d logged ops replayed", r.op, n, len(r.journal)); n > len(ops) || n < acked {
+		r.fail("replayed a record count no acknowledged history explains")
+	}
+	for _, f := range ops[:n] {
 		f(r.m)
 	}
 	r.base, r.journal = r.m.clone(), nil
+	r.disk, r.refused, r.alt = healthy, nil, nil
 }
 
-func (r *run) close() { r.must(r.b.Close()) }
+// close closes the broker: cleanly, except that a read-only one cannot
+// write its final snapshot and says so.
+func (r *run) close() {
+	r.t.Helper()
+	if err := r.b.Close(); (err != nil) != (r.disk == readOnly) {
+		r.fail("Close = %v with the disk in state %d", err, r.disk)
+	}
+}
 
 func (r *run) must(err error) {
 	if r.t.Helper(); err != nil {
@@ -219,18 +277,39 @@ func (r *run) same(what string, got, want any) {
 // do runs one op through both: each request must fail alike (with the
 // model's sentinel, if it names one), and the answers, the state and the
 // broker's invariants must hold. An op with an accepted request was logged.
+// Once a request met a disk fault, every request is refused and the model
+// stands still; memory may show the op that met the fault.
 func (r *run) do(o op) {
 	r.t.Helper()
 	r.op = o.name
 	switch o.name {
-	case "reopen": // Close snapshots: nothing is left to replay
+	case "reopen":
 		r.close()
-		r.journal = nil
-		r.boot()
+		if r.disk == readOnly { // Close could not snapshot: the log replays
+			r.m = r.base
+			r.boot(len(r.journal))
+			break
+		}
+		r.journal = nil // Close snapshots: nothing is left to replay
+		r.boot(0)
 	case "crash":
 		r.crash()
+	case "disk fault":
+		r.cause, r.disk = faultSegment(r.t, r.dir, r.draw(2) == 0), faulted
 	default:
 		got, gerrs := o.f(r.b)
+		if r.disk == readOnly || r.disk == faulted && slices.ContainsFunc(gerrs, refused) {
+			for i, err := range gerrs {
+				if !refused(err) || !errors.Is(err, r.cause) {
+					r.fail("request %d after the disk fault %v: %v, want ErrUnavailable", i, r.cause, err)
+				}
+			}
+			if r.disk == faulted {
+				r.disk, r.refused, r.alt = readOnly, o.f, r.m.clone()
+				o.f(r.alt)
+			}
+			break
+		}
 		want, werrs := o.f(r.m)
 		for i, err := range werrs {
 			if (gerrs[i] == nil) != (err == nil) || err != nil && err != errInvalid && !errors.Is(gerrs[i], err) {
@@ -243,9 +322,25 @@ func (r *run) do(o op) {
 		}
 	}
 	r.n++
-	r.same("stats", r.b.Stats(), r.m.Stats())
-	r.same("campaigns", r.b.Campaigns(), r.m.Campaigns())
+	if r.disk == readOnly {
+		if got := readout(r.b); got != readout(r.m) && got != readout(r.alt) {
+			r.fail("the read-only broker reads neither as the model nor as the model with the refused op:\n%s", got)
+		}
+	} else {
+		r.same("stats", r.b.Stats(), r.m.Stats())
+		r.same("campaigns", r.b.Campaigns(), r.m.Campaigns())
+	}
 	r.must(r.b.CheckInvariants())
+}
+
+func refused(err error) bool { return errors.Is(err, broker.ErrUnavailable) }
+
+// readout renders what a client reads of x, bit for bit.
+func readout(x interface {
+	Stats() broker.Stats
+	Campaigns() []broker.Campaign
+}) string {
+	return fmt.Sprintf("%#v\n%#v", x.Stats(), x.Campaigns())
 }
 
 // crash abandons the broker and boots a copy of its directory with the
@@ -264,7 +359,7 @@ func (r *run) crash() {
 	}
 	r.close()
 	r.m, r.dir = r.base, dir
-	r.boot()
+	r.boot(0)
 }
 
 // next draws a random op.
@@ -297,6 +392,8 @@ func (r *run) next() op {
 		return op{name: "reopen"}
 	case k < 94 && r.dir != "":
 		return op{name: "crash"}
+	case k < 96 && r.dir != "" && r.disk == healthy && canFault:
+		return op{name: "disk fault"}
 	}
 	return arrive(r.arrivals(1), false)
 }

@@ -693,7 +693,10 @@ func (a *API) batchReply(r *replyBuf, results []BatchResult) {
 			// Off the success path, so the message takes the reflective
 			// encoder's escaping as it is.
 			msg, _ := json.Marshal(err.Error()) // a string always marshals
-			r.raw(`{"error":{"code":"bad_request","message":`)
+			_, code := statusFor(err)
+			r.raw(`{"error":{"code":"`)
+			r.raw(code)
+			r.raw(`","message":`)
 			r.b = append(r.b, msg...)
 			r.raw("}}")
 			continue

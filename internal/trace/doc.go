@@ -38,6 +38,6 @@
 // derives the Request context from `traceparent`, echoes the resulting
 // header on the response, stores the context for handlers
 // (FromContext), emits one structured access-log line per request with
-// trace_id/status/duration, and records server-side "unavailable" arrival
-// traces that never reached the broker.
+// trace_id/status/duration, and records an "unavailable" trace for every
+// arrival request answered 503 (the recovery gate, a read-only broker).
 package trace

@@ -95,8 +95,9 @@ type requestState struct {
 // otherwise), echoes the resulting traceparent on the response, exposes the
 // context to handlers via FromContext, emits one structured access-log line
 // per request, and — when rec is non-nil — records an "unavailable" trace
-// for arrival requests the server turned away with 503 before they reached
-// the broker. logger and rec may each be nil.
+// for every arrival request answered 503: turned away by the recovery gate,
+// or refused by a read-only broker (which records no trace of its own).
+// logger and rec may each be nil.
 func Middleware(h http.Handler, logger *slog.Logger, rec *Recorder) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		start := time.Now()

@@ -29,8 +29,8 @@ const (
 	OutcomeNoOffers = "no_offers"
 	// OutcomeError — the broker rejected the arrival (validation error).
 	OutcomeError = "error"
-	// OutcomeUnavailable — the server turned the request away before it
-	// reached the broker (recovery gate 503); recorded by Middleware.
+	// OutcomeUnavailable — the server answered 503: the recovery gate, or
+	// a broker read-only after a storage fault; recorded by Middleware.
 	OutcomeUnavailable = "unavailable"
 )
 

@@ -195,8 +195,7 @@ type Log struct {
 	spare   []byte // recycled buffer swapped in when buf is stolen
 	pending int    // records in buf
 	dirty   bool   // bytes written to f since the last fsync
-	closed  bool
-	err     error // sticky I/O error; appends after it are dropped
+	err     error  // sticky: the first I/O error, or ErrClosed; refuses every write
 
 	stop chan struct{} // closes the background flusher
 	done chan struct{}
@@ -391,12 +390,7 @@ func (l *Log) Append(payload []byte) error {
 		return fmt.Errorf("wal: record of %d bytes exceeds MaxRecord", len(payload))
 	}
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	if l.err != nil {
-		err := l.err
+	if err := l.err; err != nil {
 		l.mu.Unlock()
 		return err
 	}
@@ -429,12 +423,7 @@ func (l *Log) flush(sync bool) error {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	if l.err != nil {
-		err := l.err
+	if err := l.err; err != nil {
 		l.mu.Unlock()
 		return err
 	}
@@ -474,19 +463,36 @@ func (l *Log) flush(sync bool) error {
 
 	l.mu.Lock()
 	l.spare = buf[:0]
-	first := err != nil && l.err == nil
+	l.mu.Unlock()
+	return l.retire(err)
+}
+
+// retire makes a non-nil err the log's sticky error unless one is set
+// already, and returns it; the first is logged, exactly once.
+func (l *Log) retire(err error) error {
+	if err == nil {
+		return nil
+	}
+	l.mu.Lock()
+	first := l.err == nil
 	if first {
 		l.err = err
 	}
 	l.mu.Unlock()
 	if first {
-		// Logged exactly once: the sticky error retires the log, so every
-		// later flush fails fast without re-reporting.
 		l.logger.Error("wal_flush_failed",
 			slog.String("dir", l.dir),
 			slog.String("error", err.Error()))
 	}
 	return err
+}
+
+// Err reports why the log refuses writes: the first I/O error, ErrClosed
+// after Close, or nil while it takes them.
+func (l *Log) Err() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.err
 }
 
 // flusher is the group-commit timer: it bounds the time a buffered record
@@ -501,7 +507,7 @@ func (l *Log) flusher() {
 			return
 		case <-t.C:
 			l.mu.Lock()
-			idle := l.closed || l.pending == 0
+			idle := l.err != nil || l.pending == 0
 			l.mu.Unlock()
 			if !idle {
 				_ = l.flush(l.opts.Sync != SyncNone)
@@ -514,8 +520,9 @@ func (l *Log) flusher() {
 // rotates to a fresh segment, atomically installs the snapshot naming that
 // segment, and deletes the old one. Buffered records are discarded — by
 // contract the payload already reflects every appended mutation (the
-// caller quiesces writers first). On error the old segment remains the
-// durable truth.
+// caller quiesces writers first). On error the old pair is the durable
+// truth, except after a failed directory fsync past the rename, when either
+// may be: both segments stay, and the log retires (Err).
 //
 // With Options.Retain the old segment is sealed instead of deleted:
 // buffered records are written into it first (so the retained history is
@@ -524,12 +531,7 @@ func (l *Log) Snapshot(payload []byte) error {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	if l.err != nil {
-		err := l.err
+	if err := l.err; err != nil {
 		l.mu.Unlock()
 		return err
 	}
@@ -548,12 +550,8 @@ func (l *Log) Snapshot(payload []byte) error {
 		l.mu.Lock()
 		l.spare = buf[:0]
 		if werr != nil {
-			err := fmt.Errorf("wal: sealing retained segment: %w", werr)
-			if l.err == nil {
-				l.err = err
-			}
 			l.mu.Unlock()
-			return err
+			return l.retire(fmt.Errorf("wal: sealing retained segment: %w", werr))
 		}
 	}
 	l.mu.Unlock()
@@ -567,6 +565,15 @@ func (l *Log) Snapshot(payload []byte) error {
 		newF.Close()
 		_ = os.Remove(segmentPath(l.dir, newSeq))
 		return err
+	}
+	d, err := os.Open(l.dir)
+	if err == nil {
+		err = d.Sync() // makes the rename durable
+		d.Close()
+	}
+	if err != nil {
+		newF.Close()
+		return l.retire(fmt.Errorf("wal: syncing %s after the snapshot rename: %w", l.dir, err))
 	}
 	// The snapshot now names the new segment: it is the durable truth, and
 	// the old segment (plus anything still buffered for it) is garbage.
@@ -591,8 +598,8 @@ func (l *Log) Snapshot(payload []byte) error {
 	return nil
 }
 
-// writeSnapshotFile writes snapshot.tmp, fsyncs it, renames it over
-// snapshot, and fsyncs the directory so the rename itself is durable.
+// writeSnapshotFile writes snapshot.tmp, fsyncs it and renames it over
+// snapshot.
 func writeSnapshotFile(dir string, logSeq uint64, payload []byte) error {
 	tmp := filepath.Join(dir, "snapshot.tmp")
 	buf := make([]byte, 0, headerSize+frameSize+len(payload))
@@ -616,10 +623,6 @@ func writeSnapshotFile(dir string, logSeq uint64, payload []byte) error {
 	}
 	if err := os.Rename(tmp, filepath.Join(dir, "snapshot")); err != nil {
 		return fmt.Errorf("wal: installing snapshot: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
 	}
 	return nil
 }
@@ -652,11 +655,11 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.mu.Lock()
-	if l.closed {
+	if l.err == ErrClosed {
 		l.mu.Unlock()
 		return flushErr
 	}
-	l.closed = true
+	l.err = ErrClosed
 	close(l.stop)
 	f := l.f
 	l.mu.Unlock()
@@ -665,12 +668,4 @@ func (l *Log) Close() error {
 		flushErr = fmt.Errorf("wal: closing segment: %w", err)
 	}
 	return flushErr
-}
-
-// Seq exposes the active segment sequence number (for tests and
-// diagnostics).
-func (l *Log) Seq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
 }

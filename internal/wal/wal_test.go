@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -169,8 +171,8 @@ func TestSnapshotCompacts(t *testing.T) {
 	if err := l.Snapshot([]byte("state-at-10")); err != nil {
 		t.Fatal(err)
 	}
-	if l.Seq() != 2 {
-		t.Fatalf("seq after snapshot = %d, want 2", l.Seq())
+	if _, err := os.Stat(segmentPath(dir, 2)); err != nil {
+		t.Fatalf("snapshot did not rotate onto segment 2: %v", err)
 	}
 	if err := l.Append([]byte("post-snapshot")); err != nil {
 		t.Fatal(err)
@@ -316,11 +318,17 @@ func TestBackgroundFlusher(t *testing.T) {
 func TestClosedLogRejectsOps(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{})
+	if err := l.Err(); err != nil {
+		t.Fatalf("Err on an open log = %v", err)
+	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+	if err := l.Err(); err != ErrClosed {
+		t.Fatalf("Err after Close = %v, want ErrClosed", err)
 	}
 	if err := l.Append([]byte("x")); err != ErrClosed {
 		t.Fatalf("Append after Close = %v, want ErrClosed", err)
@@ -330,6 +338,48 @@ func TestClosedLogRejectsOps(t *testing.T) {
 	}
 	if err := l.Snapshot(nil); err != ErrClosed {
 		t.Fatalf("Snapshot after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestSnapshotDirSyncFailureRetires takes the directory's read permission
+// away once the log is open, so Snapshot's rename lands but the directory
+// cannot be opened to fsync it. The log must retire with both segments
+// kept — a power loss may bring back either snapshot — and a reopen must
+// find the new snapshot.
+func TestSnapshotDirSyncFailureRetires(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir, Options{Sync: SyncEveryRecord})
+	if err := l.Append([]byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chmod(dir, 0o300); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = os.Chmod(dir, 0o755) })
+	if d, err := os.Open(dir); err == nil {
+		d.Close()
+		t.Skip("this process opens unreadable directories (root or CAP_DAC_READ_SEARCH)")
+	}
+	err := l.Snapshot([]byte("snap"))
+	if !errors.Is(err, fs.ErrPermission) || l.Err() != err {
+		t.Fatalf("Snapshot = %v, Err = %v; want the directory's permission error, sticky", err, l.Err())
+	}
+	if err := l.Append([]byte("b")); err != l.Err() {
+		t.Fatalf("Append on the retired log = %v", err)
+	}
+	if err := os.Chmod(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, seq := range []uint64{1, 2} {
+		if _, err := os.Stat(segmentPath(dir, seq)); err != nil {
+			t.Fatalf("segment %d: %v", seq, err)
+		}
+	}
+	l.Close()
+	l, rec := openT(t, dir, Options{})
+	defer l.Close()
+	if string(rec.Snapshot) != "snap" || len(rec.Records) != 0 {
+		t.Fatalf("recovered snapshot %q and %d records, want the renamed snapshot and none", rec.Snapshot, len(rec.Records))
 	}
 }
 
