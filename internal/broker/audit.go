@@ -61,35 +61,52 @@ func newAuditState(window int, every time.Duration) *auditState {
 	}
 }
 
-// capture appends one served arrival to the ring. Runs after the arrival
-// pipeline released its stripe locks; the only cost on the serving goroutine
-// is one small copy under the ring mutex. Under concurrent arrivals the ring
-// order is capture order, not commit order — the window report is an
-// approximation by design.
+// capture writes one served arrival into the ring slot it overwrites, after
+// the arrival pipeline released its stripe locks. Under the ring mutex it
+// copies the arrival's interests and offers into that slot's own backing
+// arrays, so once the ring has wrapped the serving goroutine allocates
+// nothing. Under concurrent arrivals the ring order is capture order, not
+// commit order — the window report is an approximation by design.
 func (s *auditState) capture(a *Arrival, offers []Offer) {
-	entry := auditArrival(a, offers)
-	// The interests alias the caller's (pooled) request buffer.
-	entry.Interests = append([]float64(nil), a.Interests...)
 	s.mu.Lock()
+	var e *audit.Arrival
 	if len(s.ring) < cap(s.ring) {
-		s.ring = append(s.ring, entry)
+		s.ring = s.ring[:len(s.ring)+1]
+		e = &s.ring[len(s.ring)-1]
 	} else {
-		s.ring[s.next] = entry
+		e = &s.ring[s.next]
 		s.next = (s.next + 1) % len(s.ring)
+	}
+	*e = audit.Arrival{
+		Loc: a.Loc, Capacity: a.Capacity, ViewProb: a.ViewProb, Hour: a.Hour,
+		Interests: append(e.Interests[:0], a.Interests...),
+		Offers:    appendAuditOffers(e.Offers[:0], offers),
 	}
 	s.mu.Unlock()
 }
 
-// window copies the ring contents oldest-first.
+// window deep-copies the ring oldest-first into two flat arenas, so the
+// recompute never reads a slot a later capture rewrites. Until the ring
+// wraps next is 0 and the first part is the whole ring.
 func (s *auditState) window() []audit.Arrival {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	nInterests, nOffers := 0, 0
+	for i := range s.ring {
+		nInterests += len(s.ring[i].Interests)
+		nOffers += len(s.ring[i].Offers)
+	}
 	out := make([]audit.Arrival, 0, len(s.ring))
-	if len(s.ring) == cap(s.ring) {
-		out = append(out, s.ring[s.next:]...)
-		out = append(out, s.ring[:s.next]...)
-	} else {
-		out = append(out, s.ring...)
+	interests := make([]float64, 0, nInterests)
+	offers := make([]audit.Offer, 0, nOffers)
+	for _, part := range [2][]audit.Arrival{s.ring[s.next:], s.ring[:s.next]} {
+		for _, e := range part {
+			i, o := len(interests), len(offers)
+			interests = append(interests, e.Interests...)
+			offers = append(offers, e.Offers...)
+			e.Interests, e.Offers = interests[i:len(interests):len(interests)], offers[o:len(offers):len(offers)]
+			out = append(out, e)
+		}
 	}
 	return out
 }
@@ -276,22 +293,26 @@ type AuditConfig struct {
 // auditArrival converts one arrival and its committed offers into the audit
 // stream's shape. Interests are shared with cu, not copied.
 func auditArrival(cu *Arrival, offers []Offer) audit.Arrival {
-	out := make([]audit.Offer, len(offers))
-	for j := range offers {
-		o := &offers[j]
-		out[j] = audit.Offer{
-			Campaign: o.Campaign, AdType: o.AdType, Cost: o.Cost, Utility: o.Utility,
-			Model: o.Model, ChargeECPM: o.ChargeECPM,
-		}
-	}
 	return audit.Arrival{
 		Loc:       cu.Loc,
 		Capacity:  cu.Capacity,
 		ViewProb:  cu.ViewProb,
 		Interests: cu.Interests,
 		Hour:      cu.Hour,
-		Offers:    out,
+		Offers:    appendAuditOffers(make([]audit.Offer, 0, len(offers)), offers),
 	}
+}
+
+// appendAuditOffers appends the audit stream's shape of offers to dst.
+func appendAuditOffers(dst []audit.Offer, offers []Offer) []audit.Offer {
+	for j := range offers {
+		o := &offers[j]
+		dst = append(dst, audit.Offer{
+			Campaign: o.Campaign, AdType: o.AdType, Cost: o.Cost, Utility: o.Utility,
+			Model: o.Model, ChargeECPM: o.ChargeECPM,
+		})
+	}
+	return dst
 }
 
 // ReplayAudit audits a broker durability directory offline: it reads the

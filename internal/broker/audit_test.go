@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"muaa/internal/geo"
 	"muaa/internal/obs"
 	"muaa/internal/wal"
 	"muaa/internal/workload"
@@ -275,6 +277,37 @@ func TestLiveAuditWindow(t *testing.T) {
 	// Idempotent, and the loop goroutine is gone (stop would hang otherwise).
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAuditWindowOwnsItsCopy: capture refills the slot it overwrites in
+// place, so the window a recompute reads must be a deep copy — one full ring
+// of later captures, each writing other interests and offers into the very
+// arrays the window was copied from, leaves it unchanged and oldest-first.
+func TestAuditWindowOwnsItsCopy(t *testing.T) {
+	const n = 8
+	s := newAuditState(n, 0)
+	capture := func(i int) {
+		f := float64(i)
+		a := Arrival{Loc: geo.Point{X: f, Y: -f}, Capacity: i, ViewProb: f / 256,
+			Interests: []float64{f, f + 1, f + 2}, Hour: f}
+		s.capture(&a, []Offer{{Campaign: int32(i), Cost: f, Utility: 2 * f}, {Campaign: -1, AdType: i}})
+	}
+	for i := 0; i < n+3; i++ { // wrapped: the oldest arrival is mid-ring
+		capture(i)
+	}
+	win := s.window()
+	want := fmt.Sprint(win)
+	for i := 100; i < 100+n; i++ {
+		capture(i)
+	}
+	if got := fmt.Sprint(win); got != want {
+		t.Fatalf("later captures rewrote the window:\n got %s\nwant %s", got, want)
+	}
+	for i := range win {
+		if win[i].Capacity != 3+i {
+			t.Fatalf("window[%d] is arrival %d, want %d (oldest first)", i, win[i].Capacity, 3+i)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"muaa/internal/geo"
 	"muaa/internal/obs"
@@ -420,54 +421,73 @@ func TestArriveBatchTraced(t *testing.T) {
 	}
 }
 
+// serveDefaults is muaa-serve's broker configuration: a live audit over the
+// last 4096 arrivals, funnel attribution and a metrics registry. The
+// recompute runs on its own goroutine, hourly here so that it stays out of
+// the allocation counts.
+func serveDefaults() Config {
+	return Config{
+		AdTypes: workload.DefaultAdTypes(), AuditWindow: 4096, AuditEvery: time.Hour,
+		Funnel: FunnelConfig{Enabled: true}, Metrics: obs.NewRegistry(),
+	}
+}
+
 // TestArriveAppendZeroAllocs is the tentpole's allocation bar: after warm-up
 // a serial arrival through ArriveAppend must not allocate at all — the arena
 // owns every scratch buffer and the caller owns the offer slice. The durable
-// row holds the same bar with the WAL on (sync none): the arrivals record is
-// encoded into a pooled buffer and copied into the log's.
+// rows hold the same bar with the WAL on (sync none): the arrivals record is
+// encoded into a pooled buffer and copied into the log's. The serve rows run
+// muaa-serve's defaults, warmed until the audit ring has wrapped: a capture
+// then refills the slot it overwrites.
 func TestArriveAppendZeroAllocs(t *testing.T) {
-	for _, durable := range []bool{false, true} {
-		t.Run(fmt.Sprintf("durable=%t", durable), func(t *testing.T) {
+	for _, serve := range []bool{false, true} {
+		for _, durable := range []bool{false, true} {
+			name := fmt.Sprintf("durable=%t", durable)
 			cfg := Config{AdTypes: workload.DefaultAdTypes()}
-			if durable {
-				cfg.DataDir = t.TempDir()
-				cfg.WAL = crashWAL()
+			if serve {
+				name, cfg = "serve,"+name, serveDefaults()
 			}
-			b, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer b.Close()
-			for i := 0; i < 64; i++ {
-				x := float64(i%8)/8 + 0.05
-				y := float64(i/8)/8 + 0.05
-				if _, err := b.RegisterCampaign(geo.Point{X: x, Y: y}, 0.15, 1e9, []float64{1, 0.5, 1}); err != nil {
-					t.Fatal(err)
+			t.Run(name, func(t *testing.T) {
+				if durable {
+					cfg.DataDir = t.TempDir()
+					cfg.WAL = crashWAL()
 				}
-			}
-			a := Arrival{Loc: geo.Point{X: 0.4, Y: 0.4}, Capacity: 2, ViewProb: 0.8,
-				Interests: []float64{1, 0.5, 1}, Hour: 12}
-			dst := make([]Offer, 0, 16)
-			// Warm up: grow the arena, the γ estimator and the record pool to
-			// steady state.
-			for i := 0; i < 16; i++ {
-				out, err := b.ArriveAppend(dst[:0], a)
+				b, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				dst = out[:0]
-			}
-			allocs := testing.AllocsPerRun(200, func() {
-				out, err := b.ArriveAppend(dst[:0], a)
-				if err != nil {
-					t.Fatal(err)
+				defer b.Close()
+				for i := 0; i < 64; i++ {
+					x := float64(i%8)/8 + 0.05
+					y := float64(i/8)/8 + 0.05
+					if _, err := b.RegisterCampaign(geo.Point{X: x, Y: y}, 0.15, 1e9, []float64{1, 0.5, 1}); err != nil {
+						t.Fatal(err)
+					}
 				}
-				dst = out[:0]
+				a := Arrival{Loc: geo.Point{X: 0.4, Y: 0.4}, Capacity: 2, ViewProb: 0.8,
+					Interests: []float64{1, 0.5, 1}, Hour: 12}
+				dst := make([]Offer, 0, 16)
+				// Warm up: grow the arena, the γ estimator and the record pool
+				// to steady state, and wrap the audit ring.
+				for i := 0; i < 16+cfg.AuditWindow; i++ {
+					out, err := b.ArriveAppend(dst[:0], a)
+					if err != nil {
+						t.Fatal(err)
+					}
+					dst = out[:0]
+				}
+				allocs := testing.AllocsPerRun(200, func() {
+					out, err := b.ArriveAppend(dst[:0], a)
+					if err != nil {
+						t.Fatal(err)
+					}
+					dst = out[:0]
+				})
+				if allocs != 0 {
+					t.Fatalf("serial arrival allocates %v times per op, want 0", allocs)
+				}
 			})
-			if allocs != 0 {
-				t.Fatalf("serial arrival allocates %v times per op, want 0", allocs)
-			}
-		})
+		}
 	}
 }
 

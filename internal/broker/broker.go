@@ -677,7 +677,8 @@ func (b *Broker) quiesce() (unlock func()) {
 
 // Stats returns a lock-free snapshot of the broker counters.
 func (b *Broker) Stats() Stats {
-	gs := b.gammaSeed()
+	var gs gammaState
+	b.gammaSeed(&gs)
 	if gs.max == 0 {
 		gs.min = 0 // report the unseen state as zeros, not +Inf
 	}

@@ -191,7 +191,7 @@ func (b *Broker) Explain(a Arrival) (*ExplainReport, error) {
 	why := &explainLog{lowScore: map[int32]float64{}}
 	ar := &scanArena{rec: true, why: why}
 	fl := b.gatherCandidates(ar, a.Loc, s0, s1)
-	ar.gamma = b.gammaSeed()
+	b.gammaSeed(&ar.gamma)
 	entry := ar.gamma
 	b.decide(ar, &a, fl, auction)
 

@@ -69,14 +69,17 @@ import (
 type gammaState struct {
 	min, max float64 // +Inf / 0 until the first observation
 	cfgG     float64
+	lnOf, ln float64 // pow's cache: ln = Log(lnOf); kept across gammaSeed
 }
 
-// gammaSeed snapshots the live bounds. γ_max is read first: writers lower
-// γ_min before raising γ_max (gammaMerge), so a snapshot that sees
-// γ_max > 0 — the "seen" signal — also holds a finite γ_min.
-func (b *Broker) gammaSeed() gammaState {
-	max := b.gammaMax.Load()
-	return gammaState{min: b.gammaMin.Load(), max: max, cfgG: b.cfg.G}
+// gammaSeed snapshots the live bounds into g, keeping g's ln cache (the
+// serving path reseeds its arena's γ-state once per arrival). γ_max is read
+// first: writers lower γ_min before raising γ_max (gammaMerge), so a
+// snapshot that sees γ_max > 0 — the "seen" signal — also holds a finite
+// γ_min.
+func (b *Broker) gammaSeed(g *gammaState) {
+	g.max = b.gammaMax.Load()
+	g.min, g.cfgG = b.gammaMin.Load(), b.cfg.G
 }
 
 // gammaMerge folds an arrival's γ-state back into the live bounds, γ_min
@@ -141,10 +144,25 @@ func (g *gammaState) thresholdAt(delta float64, memo, home *powMemo) float64 {
 		return 0
 	}
 	if base := g.base(); memo.base != base || memo.delta != delta {
-		*memo = powMemo{base, delta, math.Pow(base, delta)}
+		*memo = powMemo{base, delta, g.pow(base, delta)}
 		*home = *memo
 	}
 	return g.min / math.E * memo.pow
+}
+
+// pow is math.Pow(base, delta), bit for bit. For 0 < δ < 0.5 and a finite
+// base > 0, ≠ 1, Pow computes exactly Exp(δ·Log(base)) — its Modf leaves an
+// integer part of 0 and its closing Ldexp shifts by 0 — so that domain
+// reuses Log(base) until the base moves. Every other input, δ = 0.5's Sqrt
+// included, goes to Pow.
+func (g *gammaState) pow(base, delta float64) float64 {
+	if !(delta > 0 && delta < 0.5 && base > 0 && base != 1 && base <= math.MaxFloat64) {
+		return math.Pow(base, delta)
+	}
+	if g.lnOf != base {
+		g.lnOf, g.ln = base, math.Log(base)
+	}
+	return math.Exp(delta * g.ln)
 }
 
 // reportedG is the reporting-only, unclamped base behind Stats.G and
@@ -382,7 +400,7 @@ func (ar *scanArena) orderIDs(n int) {
 // lock after billing.active flipped, so it is never resolved unpriced.
 func (b *Broker) scan(ar *scanArena, a *Arrival, fl *fleet, auction bool) scanTally {
 	ar.rec = b.funnel != nil
-	ar.gamma = b.gammaSeed()
+	b.gammaSeed(&ar.gamma)
 	tally := b.decide(ar, a, fl, auction)
 	b.gammaMerge(&ar.gamma)
 	if b.funnel != nil {

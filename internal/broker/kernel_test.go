@@ -78,20 +78,42 @@ func TestVendorSlabMatchesPrepare(t *testing.T) {
 // TestThresholdMemoMatchesThreshold: thresholdAt returns threshold's bits
 // whatever its memo holds — as γ's bounds move the base under an unchanged δ,
 // as δ moves under an unchanged base, and on the repeats that hit — and every
-// repricing is written back to the campaign's copy.
+// repricing is written back to the campaign's copy. δ is drawn on both sides
+// of every edge of pow's Exp·Log domain (0, tiny, just below and at 0.5,
+// (0.5, 1]) and the base sits at each clamp: 2e from the first observations,
+// 1e9 once a tiny efficiency lands, then a configured 5.
 func TestThresholdMemoMatchesThreshold(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	g := gammaState{min: math.Inf(1)}
 	var memo, home powMemo
-	deltas := []float64{0, 0.125, 0.5, 0.75, 1}
-	for i := 0; i < 4000; i++ {
-		if rng.Intn(3) == 0 {
+	clamped := map[float64]int{}
+	fixed := []float64{0, math.SmallestNonzeroFloat64, 0.125, math.Nextafter(0.5, 0), 0.5,
+		math.Nextafter(0.5, 1), 0.75, 1}
+	delta := func() float64 {
+		switch rng.Intn(6) {
+		case 0:
+			return rng.Float64() * 1e-300
+		case 1:
+			return math.Nextafter(0.5, 0) - rng.Float64()*1e-12
+		case 2:
+			return 1 - rng.Float64()/2
+		case 3:
+			return rng.Float64()
+		}
+		return fixed[rng.Intn(len(fixed))]
+	}
+	for i := 0; i < 6000; i++ {
+		switch {
+		case i < 1000:
+			g.observe(1 + rng.Float64()/2) // e·γmax/γmin < 2e: clamped up
+		case i == 3000:
+			g.observe(1e-12) // e·γmax/γmin > 1e9: clamped down from here on
+		case i == 4000:
+			g.cfgG = 5 // a configured base from here on
+		case rng.Intn(3) == 0:
 			g.observe(rng.ExpFloat64())
 		}
-		if i == 2000 {
-			g.cfgG = 5 // a configured base from here on
-		}
-		delta := deltas[rng.Intn(len(deltas))]
+		delta := delta()
 		want := g.threshold(delta)
 		if got := g.thresholdAt(delta, &memo, &home); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("step %d, δ %g, γ [%g, %g]: memo gives %x, threshold %x", i, delta, g.min, g.max, math.Float64bits(got), math.Float64bits(want))
@@ -99,6 +121,12 @@ func TestThresholdMemoMatchesThreshold(t *testing.T) {
 		if home != memo {
 			t.Fatalf("step %d: the campaign's memo %+v is not the priced one %+v", i, home, memo)
 		}
+		if base := g.base(); base == 2*math.E || base == 1e9 {
+			clamped[base]++
+		}
+	}
+	if clamped[2*math.E] == 0 || clamped[1e9] == 0 {
+		t.Fatalf("steps at each clamp: %v; want both 2e and 1e9", clamped)
 	}
 }
 

@@ -142,7 +142,8 @@ func newBrokerMetrics(reg *obs.Registry, b *Broker) *brokerMetrics {
 	reg.NewGaugeFunc("muaa_broker_threshold_g",
 		"Adaptive threshold base g: configured, or derived as e·γ_max/γ_min once observations exist.",
 		func() float64 {
-			gs := b.gammaSeed()
+			var gs gammaState
+			b.gammaSeed(&gs)
 			return gs.reportedG()
 		})
 	for _, delta := range []float64{0, 0.5, 1} {
@@ -150,7 +151,8 @@ func newBrokerMetrics(reg *obs.Registry, b *Broker) *brokerMetrics {
 		reg.NewGaugeFunc("muaa_broker_threshold",
 			"Live admission threshold φ(δ) = γ_min/e · g^δ at reference budget-usage ratios δ.",
 			func() float64 {
-				gs := b.gammaSeed()
+				var gs gammaState
+				b.gammaSeed(&gs)
 				return gs.threshold(delta)
 			},
 			obs.L("delta", strconv.FormatFloat(delta, 'g', -1, 64)))

@@ -453,8 +453,9 @@ func TestGammaMergeLosesNothing(t *testing.T) {
 	readers.Add(1)
 	go func() {
 		defer readers.Done()
+		var gs gammaState
 		for {
-			if gs := conc.gammaSeed(); gs.max > 0 && math.IsInf(gs.min, 1) {
+			if conc.gammaSeed(&gs); gs.max > 0 && math.IsInf(gs.min, 1) {
 				t.Errorf("snapshot saw γ_max = %v with γ_min still +Inf", gs.max)
 				return
 			}

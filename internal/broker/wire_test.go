@@ -302,22 +302,28 @@ type codecFixture struct {
 }
 
 func codecLoad(tb testing.TB, n int, seed int64) *codecFixture {
+	return codecLoadOn(tb, Config{AdTypes: workload.DefaultAdTypes()}, n, seed)
+}
+
+// codecLoadOn is codecLoad on a broker built from bcfg.
+func codecLoadOn(tb testing.TB, bcfg Config, n int, seed int64) *codecFixture {
 	tb.Helper()
 	cfg := workload.ArrivalBrokerLoadConfig(512, n, seed)
 	cfg.Budget.Lo, cfg.Budget.Hi = 1e4*cfg.Budget.Lo, 1e4*cfg.Budget.Hi
-	return newCodecFixture(tb, cfg)
+	return newCodecFixture(tb, cfg, bcfg)
 }
 
-func newCodecFixture(tb testing.TB, cfg workload.BrokerLoadConfig) *codecFixture {
+func newCodecFixture(tb testing.TB, cfg workload.BrokerLoadConfig, bcfg Config) *codecFixture {
 	tb.Helper()
 	fleet, ops, err := workload.BrokerLoad(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	b, err := New(Config{AdTypes: workload.DefaultAdTypes()})
+	b, err := New(bcfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	tb.Cleanup(func() { b.Close() })
 	registerLoad(tb, b, fleet)
 	fx := &codecFixture{api: NewAPI(b)}
 	var reqs []arrivalRequest
@@ -356,7 +362,8 @@ func (fx *codecFixture) post(path string, body []byte) *httptest.ResponseRecorde
 func TestArrivalRoutesMatchOracle(t *testing.T) {
 	cfg := workload.BilledBrokerLoadConfig(256, 640, 3)
 	cfg.ArrivalFrac, cfg.ConvertFrac, cfg.TopUpFrac, cfg.PauseFrac = 1, 0, 0, 0
-	served, twin := newCodecFixture(t, cfg), newCodecFixture(t, cfg)
+	bcfg := Config{AdTypes: workload.DefaultAdTypes()}
+	served, twin := newCodecFixture(t, cfg, bcfg), newCodecFixture(t, cfg, bcfg)
 	check := func(what string, rec *httptest.ResponseRecorder, want []byte) {
 		t.Helper()
 		if rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), want) {
@@ -590,22 +597,29 @@ type benchBody struct{ bytes.Reader }
 
 func (*benchBody) Close() error { return nil }
 
-// benchmarkAPI posts bodies round-robin through API.ServeHTTP into a
-// discarding writer: the bench ladder's `api` arm (kernel + JSON, no
-// middleware, no socket) without the harness. perBody is arrivals per body.
-func benchmarkAPI(b *testing.B, api *API, path string, bodies [][]byte, perBody int) {
+// apiPoster returns post(i), which sends bodies[i%len(bodies)] through
+// API.ServeHTTP into a discarding writer on one rewound request: the bench
+// ladder's `api` arm (kernel + JSON, no middleware, no socket) without the
+// harness.
+func apiPoster(tb testing.TB, api *API, path string, bodies [][]byte) func(int) {
 	req := httptest.NewRequest("POST", path, nil)
 	req.Header.Set("Content-Type", "application/json")
 	body := &benchBody{}
 	req.Body = body
 	w := &discardWriter{h: http.Header{}}
-	post := func(i int) {
+	return func(i int) {
 		body.Reset(bodies[i%len(bodies)])
 		req.ContentLength = int64(body.Len())
 		if api.ServeHTTP(w, req); w.status != 200 {
-			b.Fatalf("status %d", w.status)
+			tb.Fatalf("status %d", w.status)
 		}
 	}
+}
+
+// benchmarkAPI posts bodies round-robin through apiPoster. perBody is
+// arrivals per body.
+func benchmarkAPI(b *testing.B, api *API, path string, bodies [][]byte, perBody int) {
+	post := apiPoster(b, api, path, bodies)
 	for i := range bodies {
 		post(i) // warm γ, arenas and pooled buffers
 	}
@@ -624,16 +638,41 @@ func BenchmarkAPIArrival(b *testing.B) {
 	benchmarkAPI(b, fx.api, "/v1/arrivals", fx.bodies, 1)
 }
 
+// batchBodies joins fx's arrivals into POST /v1/arrivals:batch bodies of 256.
+func batchBodies(fx *codecFixture) [][]byte {
+	var bodies [][]byte
+	for at := 0; at+256 <= len(fx.bodies); at += 256 {
+		body := append([]byte("["), bytes.Join(fx.bodies[at:at+256], []byte(","))...)
+		bodies = append(bodies, append(body, ']'))
+	}
+	return bodies
+}
+
 // BenchmarkAPIArrivalBatch is the `batch` workload's api rung (api.json_ns
 // plus the kernel under it): 256 arrivals per POST /v1/arrivals:batch.
 func BenchmarkAPIArrivalBatch(b *testing.B) {
 	fx := codecLoad(b, 16*256, 42)
-	var bodies [][]byte
-	for at := 0; at < len(fx.bodies); at += 256 {
-		body := append([]byte("["), bytes.Join(fx.bodies[at:at+256], []byte(","))...)
-		bodies = append(bodies, append(body, ']'))
+	benchmarkAPI(b, fx.api, "/v1/arrivals:batch", batchBodies(fx), 256)
+}
+
+// TestAPIArrivalBatchServeDefaultsAllocs holds a 256-arrival :batch through
+// API.ServeHTTP on muaa-serve's broker defaults to the 4 allocations per
+// request BenchmarkAPIArrivalBatch counts without them: once the audit ring
+// has wrapped, capturing an arrival allocates nothing.
+func TestAPIArrivalBatchServeDefaultsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled request buffers under -race")
 	}
-	benchmarkAPI(b, fx.api, "/v1/arrivals:batch", bodies, 256)
+	fx := codecLoadOn(t, serveDefaults(), 16*256, 42)
+	bodies := batchBodies(fx)
+	post := apiPoster(t, fx.api, "/v1/arrivals:batch", bodies)
+	for i := range 2 * len(bodies) {
+		post(i) // warm γ, arenas and pooled buffers; wrap the audit ring
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(32, func() { post(i); i++ }); allocs > 4 {
+		t.Fatalf("a 256-arrival :batch allocates %v times per request on the serve defaults, want ≤ 4", allocs)
+	}
 }
 
 // TestArrivalCodecConcurrent shares the buffer pool between handlers the way

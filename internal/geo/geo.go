@@ -53,10 +53,19 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 // Height returns the vertical extent of r.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 
-// Clamp returns the point inside r closest to p.
+// Clamp returns the point inside r closest to p. It clamps by comparison:
+// NaN passes through, as through math.Min/Max, and the one difference from
+// them is that a zero on a zero boundary keeps its sign.
 func (r Rect) Clamp(p Point) Point {
-	return Point{
-		X: math.Min(math.Max(p.X, r.Min.X), r.Max.X),
-		Y: math.Min(math.Max(p.Y, r.Min.Y), r.Max.Y),
+	return Point{X: clamp(p.X, r.Min.X, r.Max.X), Y: clamp(p.Y, r.Min.Y, r.Max.Y)}
+}
+
+func clamp(v, lo, hi float64) float64 {
+	if v < lo {
+		return lo
 	}
+	if v > hi {
+		return hi
+	}
+	return v
 }

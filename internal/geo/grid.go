@@ -48,6 +48,8 @@ type Grid struct {
 	pts      map[int32]Point
 	maxR     float64 // largest per-point radius seen by InsertWithRadius
 	hasRadii bool
+	rowLo    int // rows[rowLo..rowHi] hold every point; cellsY, -1 while empty
+	rowHi    int
 }
 
 // cellPoint is one indexed point as its row stores it. cx is its cell within
@@ -83,6 +85,8 @@ func NewGrid(bounds Rect, cells int) *Grid {
 		rows:   make([][]cellPoint, cells),
 		off:    make([]int32, cells*(cells+1)),
 		pts:    make(map[int32]Point),
+		rowLo:  cells,
+		rowHi:  -1,
 	}
 }
 
@@ -139,6 +143,7 @@ func (g *Grid) insert(id int32, p Point, r2 float64) {
 	g.pts[id] = p
 	cx, cy := g.cellOf(p)
 	g.rows[cy] = append(g.rows[cy], cellPoint{id: id, cx: int32(cx), p: p, r2: r2})
+	g.rowLo, g.rowHi = min(g.rowLo, cy), max(g.rowHi, cy)
 	g.dirty.Store(true)
 }
 
@@ -212,11 +217,13 @@ func (g *Grid) Point(id int32) (Point, bool) {
 }
 
 // cellRange returns the inclusive cell-coordinate window intersecting the
-// square circumscribing the disk (center, r).
+// square circumscribing the disk (center, r), its rows clipped to those that
+// hold points — a stripe's grid holds only its band — so y0 > y1 when none
+// does.
 func (g *Grid) cellRange(center Point, r float64) (x0, y0, x1, y1 int) {
 	x0, y0 = g.cellOf(Point{center.X - r, center.Y - r})
 	x1, y1 = g.cellOf(Point{center.X + r, center.Y + r})
-	return x0, y0, x1, y1
+	return x0, max(y0, g.rowLo), x1, min(y1, g.rowHi)
 }
 
 // Within appends to dst the IDs of indexed points p with Dist(p, center) ≤ r

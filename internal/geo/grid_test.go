@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -87,8 +88,25 @@ func TestGridWithinReusesDst(t *testing.T) {
 	}
 }
 
+// TestGridCoveredByMatchesBruteForce holds CoveredBy to a linear scan over
+// fleets spread across the unit square and over band-only fleets, as one
+// stripe's grid holds, whose rows the probe clips its window to — queried
+// from inside the band, above and below it, and outside the square.
 func TestGridCoveredByMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
+	check := func(what string, pts []Point, radii []float64, g *Grid, q Point) {
+		t.Helper()
+		var want []int32
+		for i, p := range pts {
+			if p.Dist2(q) <= radii[i]*radii[i] {
+				want = append(want, int32(i))
+			}
+		}
+		got := sortIDs(g.CoveredBy(nil, q))
+		if !equalIDs(got, sortIDs(want)) {
+			t.Fatalf("%s: CoveredBy(%v): got %v want %v", what, q, got, want)
+		}
+	}
 	for _, n := range []int{0, 1, 50, 500} {
 		pts := randomPoints(r, n)
 		radii := make([]float64, n)
@@ -98,16 +116,29 @@ func TestGridCoveredByMatchesBruteForce(t *testing.T) {
 			g.InsertWithRadius(int32(i), p, radii[i])
 		}
 		for trial := 0; trial < 25; trial++ {
-			q := Point{r.Float64(), r.Float64()}
-			var want []int32
-			for i, p := range pts {
-				if p.Dist2(q) <= radii[i]*radii[i] {
-					want = append(want, int32(i))
-				}
-			}
-			got := sortIDs(g.CoveredBy(nil, q))
-			if !equalIDs(got, sortIDs(want)) {
-				t.Fatalf("n=%d CoveredBy(%v): got %v want %v", n, q, got, want)
+			check(fmt.Sprintf("n=%d", n), pts, radii, g, Point{r.Float64(), r.Float64()})
+		}
+	}
+	for _, band := range [][2]float64{{0, 0.125}, {0.375, 0.5}, {0.875, 1}} {
+		lo, h := band[0], band[1]-band[0]
+		pts := make([]Point, 200)
+		radii := make([]float64, len(pts))
+		g := NewGrid(UnitSquare, 32)
+		for i := range pts {
+			pts[i] = Point{r.Float64(), lo + h*r.Float64()}
+			radii[i] = r.Float64() * 0.15
+			g.InsertWithRadius(int32(i), pts[i], radii[i])
+		}
+		what := fmt.Sprintf("band %v", band)
+		for trial := 0; trial < 50; trial++ {
+			x := r.Float64()*1.4 - 0.2
+			for _, y := range []float64{
+				lo + h*r.Float64(),        // inside the band
+				lo - 0.2*r.Float64(),      // below it, maybe below the square
+				band[1] + 0.2*r.Float64(), // above it, maybe above the square
+				r.Float64()*1.4 - 0.2,     // anywhere, in or out of the square
+			} {
+				check(what, pts, radii, g, Point{x, y})
 			}
 		}
 	}
