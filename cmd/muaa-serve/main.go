@@ -76,9 +76,9 @@
 // The broker keeps a sliding window of the last -audit-window arrivals and
 // every -audit-every recomputes an offline-oracle quality report off the
 // serving path: the empirical competitive ratio, the paper's (ln g + 1)/θ
-// bound, counterfactual fixed-threshold regret and per-campaign pacing all
-// land as muaa_broker_* gauges on /metrics, and the full report is served at
-// GET /v1/debug/audit (?refresh=true forces a recompute). -audit-window 0
+// bound, the fixed thresholds φ(δ) and per-campaign pacing. The ratio and
+// the pacing buckets land as muaa_broker_* gauges on /metrics; the full
+// report is at GET /v1/debug/audit (?refresh=true recomputes). -audit-window 0
 // disables live auditing. With -wal-retain (the default) superseded WAL
 // segments are kept after compaction so `muaa-audit -data-dir ...` can audit
 // the broker's whole life; -wal-retain=false restores reclaiming them.

@@ -105,9 +105,15 @@ type Config struct {
 	Epsilon float64
 	Workers int
 	Seed    int64
-	// Solver, when non-nil, replaces the greedy reference — the live window
-	// loop passes its amortized *core.WindowOracle here.
-	Solver core.Solver
+	// Solver, when non-nil, is the greedy reference's scratch — the live
+	// window loop passes its amortized oracle here; nil solves with fresh
+	// scratch. The report's θ comes from the oracle's own gather.
+	Solver *core.WindowOracle
+	// SkipReplays leaves out the three fixed-threshold replays: the
+	// RegretByDelta rows keep δ and φ, which the pacing controller reads,
+	// and carry no Utility or Regret. On for the live window, whose
+	// recompute is on the control path; muaa-audit computes the full rows.
+	SkipReplays bool
 }
 
 // deltaPoints are the budget-consumption points the fixed-threshold
@@ -179,9 +185,13 @@ func Compute(in Input, cfg Config) (Report, error) {
 		campaign, arrival int
 		cost              float64
 	}
-	var marks []chargeMark // offer charge points, for the pacing deciles
+	nOffers := 0
+	for ai := range in.Arrivals {
+		nOffers += len(in.Arrivals[ai].Offers)
+	}
+	marks := make([]chargeMark, 0, nOffers) // offer charge points, for the pacing deciles
 	onlineMix := make([]int, len(in.AdTypes))
-	var audited []int
+	audited := make([]int, 0, len(in.Arrivals))
 	for ai := range in.Arrivals {
 		a := &in.Arrivals[ai]
 		isAudited := a.Capacity > 0
@@ -222,6 +232,8 @@ func Compute(in Input, cfg Config) (Report, error) {
 	// oracle cannot see.
 	p := &model.Problem{
 		AdTypes:    in.AdTypes,
+		Customers:  make([]model.Customer, 0, len(audited)),
+		Vendors:    make([]model.Vendor, 0, len(in.Campaigns)),
 		Preference: safePreference{},
 		MinDist:    model.DefaultMinDist,
 	}
@@ -247,9 +259,9 @@ func Compute(in Input, cfg Config) (Report, error) {
 	}
 
 	// Offline references.
-	var offline core.Solver = core.Greedy{}
-	if cfg.Solver != nil {
-		offline = cfg.Solver
+	offline := cfg.Solver
+	if offline == nil {
+		offline = new(core.WindowOracle)
 	}
 	best, err := offline.Solve(p)
 	if err != nil {
@@ -284,7 +296,7 @@ func Compute(in Input, cfg Config) (Report, error) {
 	rep.Regret = math.Max(0, rep.OracleUtility-rep.OnlineUtility)
 
 	// The paper's bound, from observed g.
-	rep.Theta = p.Theta()
+	rep.Theta = offline.Theta()
 	rep.GObserved = observedG(in)
 	if rep.Theta > 0 {
 		rep.CompetitiveBound = (math.Log(rep.GObserved) + 1) / rep.Theta
@@ -303,16 +315,16 @@ func Compute(in Input, cfg Config) (Report, error) {
 		if in.GammaMax != 0 {
 			phi = core.AdaptiveThreshold{GammaMin: in.GammaMin, G: rep.GObserved}.Value(delta)
 		}
-		fixed, err := core.OnlineAFA{Threshold: core.StaticThreshold{Phi: phi}}.Solve(p)
-		if err != nil {
-			return Report{}, fmt.Errorf("audit: fixed-threshold replay at δ=%g: %w", delta, err)
+		row := DeltaRegret{Delta: delta, Threshold: phi}
+		if !cfg.SkipReplays {
+			fixed, err := core.OnlineAFA{Threshold: core.StaticThreshold{Phi: phi}}.Solve(p)
+			if err != nil {
+				return Report{}, fmt.Errorf("audit: fixed-threshold replay at δ=%g: %w", delta, err)
+			}
+			regret := math.Max(0, rep.OracleUtility-fixed.Utility)
+			row.Utility, row.Regret = &fixed.Utility, &regret
 		}
-		rep.RegretByDelta = append(rep.RegretByDelta, DeltaRegret{
-			Delta:     delta,
-			Threshold: phi,
-			Utility:   fixed.Utility,
-			Regret:    math.Max(0, rep.OracleUtility-fixed.Utility),
-		})
+		rep.RegretByDelta = append(rep.RegretByDelta, row)
 	}
 
 	// Offer mix and per-campaign oracle spend/utility from the winning

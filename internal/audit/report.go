@@ -23,12 +23,14 @@ const ReportSchema = "muaa-audit/1"
 // DeltaRegret is the counterfactual quality of a fixed admission threshold
 // φ(δ) on the audited stream: what a broker pinned at budget-consumption
 // point δ of the adaptive schedule would have achieved, and how far that
-// falls short of the oracle.
+// falls short of the oracle. Utility and Regret come from replaying the
+// stream; they are nil, and absent from the JSON, when the report was
+// computed without the replays (Config.SkipReplays, the live window).
 type DeltaRegret struct {
-	Delta     float64 `json:"delta"`
-	Threshold float64 `json:"threshold"`
-	Utility   float64 `json:"utility"`
-	Regret    float64 `json:"regret"`
+	Delta     float64  `json:"delta"`
+	Threshold float64  `json:"threshold"`
+	Utility   *float64 `json:"utility,omitempty"`
+	Regret    *float64 `json:"regret,omitempty"`
 }
 
 // MixEntry compares how often one ad type was used online vs by the oracle.

@@ -185,7 +185,7 @@ func (b *Broker) AuditNow() (*audit.Report, error) {
 	s.computeMu.Lock()
 	defer s.computeMu.Unlock()
 	in := b.windowInput(s.window())
-	rep, err := audit.Compute(in, audit.Config{Solver: &s.oracle})
+	rep, err := audit.Compute(in, audit.Config{Solver: &s.oracle, SkipReplays: true})
 	if err != nil {
 		return nil, err
 	}

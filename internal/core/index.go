@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"muaa/internal/geo"
 	"muaa/internal/model"
 )
@@ -9,10 +11,14 @@ import (
 // fixed problem: the vendors whose disks cover a customer (online filtering,
 // Algorithm 2 line 2) and the customers inside a vendor's disk (RECON's
 // valid-customer sets, Algorithm 1 line 3). Build once per problem; safe for
-// concurrent readers.
+// concurrent readers. The customer grid is built by the first
+// ValidCustomers call, so solvers that never ask pay nothing for it.
 type Index struct {
 	p            *model.Problem
 	vendorGrid   *geo.Grid
+	bounds       geo.Rect
+	cres         int
+	customerOnce sync.Once
 	customerGrid *geo.Grid
 }
 
@@ -35,11 +41,7 @@ func NewIndex(p *model.Problem) *Index {
 	}
 	vres := geo.GridResolution(len(p.Vendors), maxR/scale)
 	cres := geo.GridResolution(len(p.Customers), maxR/scale)
-	ix := &Index{
-		p:            p,
-		vendorGrid:   geo.NewGrid(bounds, vres),
-		customerGrid: geo.NewGrid(bounds, cres),
-	}
+	ix := &Index{p: p, vendorGrid: geo.NewGrid(bounds, vres), bounds: bounds, cres: cres}
 	for j := range p.Vendors {
 		// Paused vendors never enter the grid: every solver funnels vendor
 		// discovery through ValidVendors/NearestVendors, so exclusion here
@@ -49,9 +51,6 @@ func NewIndex(p *model.Problem) *Index {
 			continue
 		}
 		ix.vendorGrid.InsertWithRadius(int32(j), p.Vendors[j].Loc, p.Vendors[j].Radius)
-	}
-	for i := range p.Customers {
-		ix.customerGrid.Insert(int32(i), p.Customers[i].Loc)
 	}
 	return ix
 }
@@ -93,6 +92,12 @@ func (ix *Index) ValidVendors(dst []int32, ui int32) []int32 {
 // ValidCustomers appends to dst the customers inside vendor vj's disk and
 // returns the extended slice.
 func (ix *Index) ValidCustomers(dst []int32, vj int32) []int32 {
+	ix.customerOnce.Do(func() {
+		ix.customerGrid = geo.NewGrid(ix.bounds, ix.cres)
+		for i := range ix.p.Customers {
+			ix.customerGrid.Insert(int32(i), ix.p.Customers[i].Loc)
+		}
+	})
 	v := &ix.p.Vendors[vj]
 	return ix.customerGrid.Within(dst, v.Loc, v.Radius)
 }

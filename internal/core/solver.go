@@ -11,8 +11,8 @@
 //     measure empirical approximation/competitive ratios;
 //   - OnlineBatch: the micro-batching extension (A6 ablation) — O-AFA
 //     admission with bounded look-ahead inside an arrival window;
-//   - WindowOracle: GREEDY tuned for repeated sliding-window solves, the
-//     allocation-free oracle behind the live quality audit.
+//   - WindowOracle: GREEDY's kernel with scratch kept between solves, the
+//     oracle behind the live quality audit.
 //
 // Every solver returns an Assignment that satisfies model.Problem.Check —
 // range, capacity, budget and pair-uniqueness constraints — for any valid
@@ -61,36 +61,6 @@ type candidate struct {
 	adType   int
 	utility  float64
 	eff      float64 // budget efficiency γ = utility / cost
-}
-
-// allCandidates enumerates every valid (customer, vendor, ad type) triple
-// with positive utility, using the index for range filtering.
-func allCandidates(p *model.Problem, ix *Index) []candidate {
-	var out []candidate
-	var buf []int32
-	for ui := range p.Customers {
-		buf = ix.ValidVendors(buf[:0], int32(ui))
-		for _, vj := range buf {
-			base := p.UtilityBase(int32(ui), vj)
-			if base <= 0 {
-				continue
-			}
-			for k := range p.AdTypes {
-				u := base * p.AdTypes[k].Effect
-				if u <= 0 {
-					continue
-				}
-				out = append(out, candidate{
-					customer: int32(ui),
-					vendor:   vj,
-					adType:   k,
-					utility:  u,
-					eff:      u / p.AdTypes[k].Cost,
-				})
-			}
-		}
-	}
-	return out
 }
 
 // ledger tracks the mutable feasibility state shared by the constructive
