@@ -114,9 +114,10 @@ func parseVector(s string) ([]float64, error) {
 }
 
 // render prints the human view: a summary header, then one line per
-// candidate in scan order with its disposition verdict. The resolver is the
-// kernel's own choice: slots for an auction-resolved arrival with more than
-// one slot, trim otherwise.
+// candidate in scan order with its disposition verdict. The header's
+// resolver names the slot rules the kernel's one race applies (DESIGN.md
+// §15): slots for an auction-resolved arrival with more than one slot, trim
+// otherwise.
 func render(w io.Writer, rep *broker.ExplainReport, capacity int) {
 	resolver := "trim"
 	if rep.Slate && capacity > 1 {

@@ -8,9 +8,9 @@ import (
 )
 
 // TestRenderNamesTheKernelsResolver renders canned reports and checks the
-// header names the resolver the kernel runs (trim | slots, kernel.go): only
-// an auction-resolved arrival with more than one slot reaches the slot
-// solver.
+// header names the slot rules the kernel applies (trim | slots, kernel.go):
+// only an auction-resolved arrival with more than one slot races under the
+// slate rules.
 func TestRenderNamesTheKernelsResolver(t *testing.T) {
 	offer := &broker.ExplainOffer{Name: "banner", Cost: 0.5, ChargeECPM: 120}
 	cands := []broker.ExplainCandidate{

@@ -45,7 +45,7 @@ type openOffer struct {
 type billingState struct {
 	// active flips true — monotonically, never cleared — when the first
 	// campaign with a non-fixed billing contract registers. Arrivals read
-	// it once, after their stripe locks are held, to pick the slot resolver.
+	// it once, after their stripe locks are held, to pick the slot rules.
 	active atomic.Bool
 
 	mu sync.Mutex

@@ -85,13 +85,14 @@ type Config struct {
 	// also be driven manually (simulations, tests). Nil disables the
 	// controller entirely — the hot path then pays one pointer check.
 	Controller *pacing.Config
-	// Slate forces auction resolution (the MCKP slot fill at capacity ≥ 2,
-	// per-model revenue accounting) even when no billed campaign is
-	// registered. Arrivals are auction-resolved automatically from the moment
-	// a campaign registers with a non-fixed billing contract; this flag exists
-	// for benchmarks and equivalence tests that exercise the slot solver on an
-	// all-fixed fleet. At capacity 1 it changes no decision: both settings run
-	// the same trim resolver (the reference model's slate configurations).
+	// Slate forces auction resolution (the slate rules of the slot race at
+	// capacity ≥ 2, per-model revenue accounting) even when no billed
+	// campaign is registered. Arrivals are auction-resolved automatically
+	// from the moment a campaign registers with a non-fixed billing contract;
+	// this flag exists for benchmarks and equivalence tests that exercise the
+	// slate rules on an all-fixed fleet. At capacity 1 it changes no
+	// decision: both settings race under the same rules (the reference
+	// model's slate configurations).
 	Slate bool
 	// Funnel configures per-campaign decision-funnel attribution (see
 	// funnel.go): with Funnel.Enabled every scan records which gate disposed
@@ -257,7 +258,7 @@ type Broker struct {
 	// billing is the escrow/auction sidecar, always allocated (cheap). Its
 	// active flag flips true — monotonically — when the first campaign with
 	// a non-fixed contract registers; arrivals check it once, after their
-	// stripe locks are held, to pick the slot resolver.
+	// stripe locks are held, to pick the slot rules.
 	billing *billingState
 
 	// funnel is nil unless Config.Funnel.Enabled; set once in newMemory and

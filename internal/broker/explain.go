@@ -32,7 +32,7 @@ import (
 type ExplainReport struct {
 	// Slate reports whether the arrival was auction-resolved (billing active
 	// or Config.Slate): reserve gates and second-price charges apply, and at
-	// capacity ≥ 2 the MCKP slot solver fills the slate.
+	// capacity ≥ 2 the slot race runs under its slate rules.
 	Slate bool `json:"slate"`
 	// Boost is the pacing controller's threshold multiplier the scan applied
 	// (1 without a controller).
@@ -107,8 +107,7 @@ type ExplainBid struct {
 	Utility    float64 `json:"utility,omitempty"`
 	Efficiency float64 `json:"efficiency,omitempty"`
 	// Admitted: efficiency met the threshold. Chosen: the ad type the
-	// candidate serves if it holds a slot — its best admitted pick, or the
-	// slot solver's pick for a slate winner.
+	// candidate serves if it holds a slot (DESIGN.md §15's serve rule).
 	Admitted bool `json:"admitted,omitempty"`
 	Chosen   bool `json:"chosen,omitempty"`
 }

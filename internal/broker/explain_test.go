@@ -167,9 +167,9 @@ func matchFunnel(t *testing.T, op int, b *Broker, rep *ExplainReport, before []F
 // arrival, asks Explain for its prediction: the immediately-following Arrive
 // must commit exactly the predicted offers and move every candidate's funnel
 // row by exactly the predicted disposition — explain and funnel are the same
-// kernel events, so they must agree candidate by candidate. Covers the trim
-// resolver plain, paced, with fixed g, forced onto the auction path and under
-// single-slot auction; the MCKP slots resolver; a pacing controller (boost
+// kernel events, so they must agree candidate by candidate. Covers the
+// single-offer rules plain, paced, with fixed g, forced onto the auction path
+// and under single-slot auction; the slate rules; a pacing controller (boost
 // and allowance caps); and guaranteed campaigns behind their floor (relief).
 func TestExplainPredictsArrive(t *testing.T) {
 	type tcase struct {

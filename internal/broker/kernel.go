@@ -2,7 +2,7 @@ package broker
 
 // The decision kernel: PAPER.md's O-AFA (Alg. 2) written once.
 //
-//	gather → terms → walk → resolve (trim | slots) → commit
+//	gather → terms → walk → trim → commit
 //
 // Serving (arriveBatch, the one arrival pipeline) and Explain run the same
 // stages over a scanArena; they differ only in whose arena it is, where the
@@ -28,15 +28,17 @@ package broker
 //     ad type is priced through the campaign's billing contract; for the
 //     fixed contract bid, reserve and expected cost reduce to the catalog
 //     cost bit for bit, so an all-fixed fleet computes the seed arithmetic.
-//  4. resolve: two genuinely different algorithms. trim keeps each
-//     candidate's best item and the top a_i candidates by (efficiency desc,
-//     id asc) — an exact MCKP hull-greedy only at a_i = 1; slots hands every
-//     admitted item to knapsack.SlotSolver, which ranks by hull-first
-//     efficiency and may serve a class a different item than its best. They
-//     disagree on fixed fleets at capacity 2–4 (the golden transcripts pin
-//     trim there), so the code selects from what it observes: slots when
-//     the arrival is auction-resolved (a billed campaign exists, or
-//     Config.Slate) and has more than one slot, trim otherwise.
+//  4. trim: the slot race. Every admitted candidate serves one item and
+//     ranks by one efficiency; the top a_i by (rank desc, id asc) win. Slots
+//     apply when the arrival is auction-resolved (a billed campaign exists,
+//     or Config.Slate) and has more than one slot. Then a candidate serves
+//     its max-utility item, an equal-utility tie going to the cheaper
+//     expected cost, ranks by its best admitted efficiency, and the winners
+//     are ordered even when all fit — the MCKP hull-greedy under a slot
+//     count, whose classes open at their first hull increment and serve
+//     their hull completion. Otherwise it serves the first max-utility item
+//     in catalog order and ranks by that item's efficiency, and winners
+//     that all fit keep scan order.
 //  5. commit: one charge per winner (Broker.charge, shared with WAL replay).
 //
 // The floating-point operation sequence is pinned by the golden transcripts
@@ -55,7 +57,6 @@ import (
 	"slices"
 
 	"muaa/internal/geo"
-	"muaa/internal/knapsack"
 	"muaa/internal/model"
 	"muaa/internal/trace"
 )
@@ -224,11 +225,8 @@ type scanArena struct {
 	// gamma is the γ-state the walk reads and feeds.
 	gamma gammaState
 
-	// reps holds one entry per candidate the walk admitted, in scan order;
-	// items is the flat mirror of the slot solver's items (slots only).
-	reps  []rep
-	slot  knapsack.SlotSolver
-	items []slateItem
+	// reps holds one entry per candidate the walk admitted, in scan order.
+	reps []rep
 
 	// cands holds the priced winners, in slot order, awaiting commit.
 	cands []candidate
@@ -264,27 +262,17 @@ type termRow struct {
 	paused, guaranteed, mismatch     bool
 }
 
-// rep is one admitted candidate awaiting slot resolution: its best admitted
-// item by utility, which trim serves; slots overwrites a winner's item with
-// the solver's pick.
+// rep is one admitted candidate awaiting the slot race: the item it serves
+// (ad type k, its utility, efficiency and eCPM bid) and the efficiency it
+// ranks by.
 type rep struct {
-	ci    int32 // index into ar.cand
-	k     int32 // ad type
-	item0 int32 // slots: the class's first index in ar.items
-	won   bool
-	util  float64
-	eff   float64
-	bid   float64
-}
-
-// slateItem mirrors one solver item: an admitted (candidate, ad-type) choice
-// with its utility, expected-cost efficiency and eCPM bid, index-aligned with
-// the SlotSolver's item order via rep.item0.
-type slateItem struct {
-	adType int32
-	util   float64
-	eff    float64
-	bid    float64
+	ci   int32 // index into ar.cand
+	k    int32 // ad type
+	won  bool
+	util float64
+	eff  float64
+	bid  float64
+	rank float64
 }
 
 // candidate pairs a priced offer with the hot row it draws on so commit can
@@ -424,11 +412,7 @@ func (b *Broker) decide(ar *scanArena, a *Arrival, fl *fleet, auction bool) scan
 	if len(ar.reps) == 0 {
 		return tally
 	}
-	if slots {
-		b.slots(ar, fl, a.Capacity)
-	} else {
-		b.trim(ar, fl, a.Capacity)
-	}
+	b.trim(ar, fl, a.Capacity, slots)
 	// Admitted candidates resolve only now: slot winners were offered, the
 	// rest were displaced by the slot race.
 	tally.disp[dispOffered] = uint64(len(ar.cands))
@@ -567,17 +551,13 @@ func (b *Broker) boost() float64 {
 // walk is the sequential O-AFA threshold walk over the surviving candidates,
 // in candidate order — each candidate's threshold reads the γ bounds as
 // updated by every earlier candidate's observations. A candidate with an
-// admitted item joins ar.reps carrying its best one; with slots set, every
-// admitted item additionally joins the candidate's MCKP class in the slot
-// solver, priced at billing-expected cost.
+// admitted item joins ar.reps carrying the item it serves and its rank under
+// the slot rules in force (see the stage 4 note above).
 func (b *Broker) walk(ar *scanArena, fl *fleet, tally *scanTally, slots bool) {
 	adTypes := b.cfg.AdTypes
 	g, why := &ar.gamma, ar.why
 	boost := b.boost()
-	s := &ar.slot
-	s.Reset()
 	ar.reps = ar.reps[:0]
-	ar.items = ar.items[:0]
 	for i, k := range ar.cand {
 		id, r := ar.ids[k], &ar.rows[k]
 		phi := g.thresholdAt(ar.delta[i], &r.memo, &fl.walkRow(id).memo)
@@ -596,7 +576,7 @@ func (b *Broker) walk(ar *scanArena, fl *fleet, tally *scanTally, slots bool) {
 		}
 		bi := &r.billing
 		base, remaining := ar.base[i], ar.remaining[i]
-		bestK, bestU, bestEff, bestBid, item0 := -1, 0.0, 0.0, 0.0, len(ar.items)
+		bestK, bestU, bestEff, bestBid, bestExp, rank := -1, 0.0, 0.0, 0.0, 0.0, 0.0
 		affordable, aboveReserve := false, false
 		for k, t := range adTypes {
 			if t.Cost > remaining+1e-12 {
@@ -620,7 +600,7 @@ func (b *Broker) walk(ar *scanArena, fl *fleet, tally *scanTally, slots bool) {
 			eff := util / expCost
 			g.observe(eff)
 			// A zero-utility item can meet φ only while φ is still 0; it is
-			// worth no slot (and the slot solver ignores it), so it stays out.
+			// worth no slot, so it stays out.
 			if eff < phi || util <= 0 {
 				if why != nil {
 					why.bid(k, t, bidBelowThreshold, bid, util, eff)
@@ -630,21 +610,18 @@ func (b *Broker) walk(ar *scanArena, fl *fleet, tally *scanTally, slots bool) {
 			if why != nil {
 				why.bid(k, t, bidAdmitted, bid, util, eff)
 			}
-			if slots {
-				if bestK < 0 {
-					s.Begin()
-				}
-				s.Item(expCost, util)
-				ar.items = append(ar.items, slateItem{adType: int32(k), util: util, eff: eff, bid: bid})
+			if util > bestU || slots && util == bestU && expCost < bestExp {
+				bestK, bestU, bestEff, bestBid, bestExp = k, util, eff, bid, expCost
 			}
-			if util > bestU {
-				bestK, bestU, bestEff, bestBid = k, util, eff, bid
-			}
+			rank = max(rank, eff)
 		}
 		switch {
 		case bestK >= 0:
-			ar.reps = append(ar.reps, rep{ci: int32(i), k: int32(bestK), item0: int32(item0),
-				util: bestU, eff: bestEff, bid: bestBid})
+			if !slots {
+				rank = bestEff
+			}
+			ar.reps = append(ar.reps, rep{ci: int32(i), k: int32(bestK),
+				util: bestU, eff: bestEff, bid: bestBid, rank: rank})
 		case aboveReserve:
 			ar.drop(tally, id, dispBelowThreshold)
 		case affordable:
@@ -661,28 +638,29 @@ func (b *Broker) walk(ar *scanArena, fl *fleet, tally *scanTally, slots bool) {
 	}
 }
 
-// ranksBefore is the slot race's total order: efficiency descending, then
-// scan position — i.e. campaign id — ascending (candidates are unique).
+// ranksBefore is the slot race's total order: rank descending, then scan
+// position — i.e. campaign id — ascending (candidates are unique).
 func ranksBefore(x, y *rep) bool {
-	if x.eff != y.eff {
-		return x.eff > y.eff
+	if x.rank != y.rank {
+		return x.rank > y.rank
 	}
 	return x.ci < y.ci
 }
 
-// trim resolves the slot race by best item per candidate: within capacity
-// every admitted candidate wins, in scan order; over capacity the top
-// `capacity` by ranksBefore win, in rank order, and the first one displaced
-// is the runner-up whose bid prices auction-billed winners.
-func (b *Broker) trim(ar *scanArena, fl *fleet, capacity int) {
+// trim resolves the slot race: the top `capacity` candidates by ranksBefore
+// win, in rank order, and the first one displaced is the runner-up whose
+// served item's bid prices auction-billed winners. When all fit and slots do
+// not apply, every candidate wins in scan order.
+func (b *Broker) trim(ar *scanArena, fl *fleet, capacity int, slots bool) {
 	reps := ar.reps
 	n, runnerBid := len(reps), 0.0
-	if n > capacity {
+	if slots || n > capacity {
 		// Partial insertion selection: reps[:top] becomes the ranked best
-		// top = capacity+1, the rest stays behind it unordered. The order is
-		// total, so any selection yields the same winners in the same order;
-		// this one is a single pass when capacity is small, as it always is.
-		top := capacity + 1
+		// top = capacity+1 (all n when fewer), the rest stays behind it
+		// unordered. The order is total, so any selection yields the same
+		// winners in the same order; this one is a single pass when capacity
+		// is small, as it always is.
+		top := min(capacity+1, n)
 		for j := 1; j < n; j++ {
 			i := j
 			if j >= top {
@@ -696,33 +674,13 @@ func (b *Broker) trim(ar *scanArena, fl *fleet, capacity int) {
 				reps[i], reps[i-1] = reps[i-1], reps[i]
 			}
 		}
+	}
+	if n > capacity {
 		n, runnerBid = capacity, reps[capacity].bid
 	}
 	for j := range reps[:n] {
 		reps[j].won = true
 		ar.cands = append(ar.cands, priceOffer(fl, ar.ids[ar.cand[reps[j].ci]], b.cfg.AdTypes, &reps[j], runnerBid))
-	}
-}
-
-// slots resolves the slot race with the MCKP slot solver over the classes
-// the walk built (class j is ar.reps[j]): up to `capacity` classes open in
-// decreasing hull-first efficiency and each serves its hull completion. The
-// first class denied a slot prices every winner: its hypothetical pick is
-// the bid the slate displaced.
-func (b *Broker) slots(ar *scanArena, fl *fleet, capacity int) {
-	s := &ar.slot
-	s.Solve(capacity)
-	runnerBid := 0.0
-	if rc := s.Runner(); rc >= 0 {
-		if rp := s.RunnerPick(); rp >= 0 {
-			runnerBid = ar.items[int(ar.reps[rc].item0)+rp].bid
-		}
-	}
-	for _, ci := range s.Order() {
-		r := &ar.reps[ci]
-		it := &ar.items[int(r.item0)+s.Pick(int(ci))]
-		r.k, r.util, r.eff, r.bid, r.won = it.adType, it.util, it.eff, it.bid, true
-		ar.cands = append(ar.cands, priceOffer(fl, ar.ids[ar.cand[r.ci]], b.cfg.AdTypes, r, runnerBid))
 	}
 }
 

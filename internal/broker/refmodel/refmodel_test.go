@@ -44,6 +44,7 @@ var variants = []struct {
 	{"g8", broker.Config{G: 8}},
 	{"slate", broker.Config{Slate: true}},
 	{"controller", broker.Config{Controller: &controller}},
+	{"slate-ties", broker.Config{Slate: true, AdTypes: ties}},
 }
 
 var stripes = []int{1, 4, 64}
@@ -70,6 +71,51 @@ func TestBrokerMatchesRefModel(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// ties is a catalog (cost, effect) on which the two slot rules of DESIGN.md
+// §15 decide: two types of equal effect at different costs, two of equal
+// efficiency, and a best-efficiency type that is not the best-utility type.
+// The costs straddle the budgets spec draws, so campaigns differ in which
+// types they can afford.
+var ties = []model.AdType{{Cost: 10, Effect: 0.2}, {Cost: 20, Effect: 0.4}, {Cost: 15, Effect: 0.4}, {Cost: 30, Effect: 0.5}}
+
+// TestSlotRaceTies pins the serve and rank rules of an auction-resolved
+// slate where they differ from a single slot's: a crowded market on the
+// ties catalog, where most arrivals admit several candidates, each with
+// several admitted types. Eighteen campaigns sit near the centre with radii
+// covering every arrival, which come at capacity 2–4, alone or batched;
+// top-ups keep budgets straddling the costs.
+func TestSlotRaceTies(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		slate  bool
+		billed bool
+	}{{"slate/fixed", true, false}, {"slate/billed", true, true}, {"billed", false, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRun(t, broker.Config{Slate: c.slate, AdTypes: ties}, 4, c.billed, "", rand.New(rand.NewSource(41)).Intn)
+			for i := 0; i < 18; i++ {
+				s := r.spec()
+				s.Loc, s.Radius = geo.Point{X: 0.45 + r.unit()*0.1, Y: 0.45 + r.unit()*0.1}, 0.6
+				r.do(register(s))
+			}
+			for r.n < 400 {
+				switch k := r.draw(8); {
+				case k == 0:
+					r.do(r.next())
+				case k < 3:
+					r.do(topUp(r.id(), r.unit()*40))
+				default:
+					w := r.arrivals(1 + r.draw(4))
+					for i := range w {
+						w[i].Loc, w[i].Capacity = geo.Point{X: 0.4 + r.unit()*0.2, Y: 0.4 + r.unit()*0.2}, 2+r.draw(3)
+					}
+					r.do(arrive(w, len(w) > 1))
+				}
+			}
+			r.close()
+		})
 	}
 }
 
@@ -165,6 +211,12 @@ func register(s broker.CampaignSpec) op {
 	}}
 }
 
+func topUp(id int32, amount float64) op {
+	return op{fmt.Sprintf("topup %d %g", id, amount), func(x api) (any, []error) {
+		return nil, []error{x.TopUp(id, amount)}
+	}}
+}
+
 // arrive submits w alone (one arrival) or as one ArriveBatch window.
 func arrive(w []broker.Arrival, batch bool) op {
 	return op{fmt.Sprintf("arrive %+v (batch %v)", w, batch), func(x api) (any, []error) {
@@ -212,7 +264,10 @@ type run struct {
 }
 
 func newRun(t testing.TB, cfg broker.Config, shards int, billed bool, dir string, draw func(int) int) *run {
-	cfg.AdTypes, cfg.Shards = workload.DefaultAdTypes(), shards
+	if cfg.AdTypes == nil {
+		cfg.AdTypes = workload.DefaultAdTypes()
+	}
+	cfg.Shards = shards
 	cfg.WAL = wal.Options{Sync: wal.SyncEveryRecord, SnapshotEvery: -1}
 	r := &run{t: t, cfg: cfg, billed: billed, draw: draw, m: newRefModel(cfg), dir: dir}
 	r.boot(0)
@@ -368,10 +423,7 @@ func (r *run) next() op {
 	case k < 5:
 		return register(r.spec())
 	case k < 10:
-		id, amount := r.id(), []float64{-1, math.MaxFloat64, r.unit() * 50}[min(r.draw(10), 2)]
-		return op{fmt.Sprintf("topup %d %g", id, amount), func(x api) (any, []error) {
-			return nil, []error{x.TopUp(id, amount)}
-		}}
+		return topUp(r.id(), []float64{-1, math.MaxFloat64, r.unit() * 50}[min(r.draw(10), 2)])
 	case k < 14:
 		id, paused := r.id(), r.draw(3) == 0
 		return op{fmt.Sprintf("pause %d %v", id, paused), func(x api) (any, []error) {

@@ -1,14 +1,15 @@
 package knapsack
 
-// SlotSolver is the arena-friendly entry point to the MCKP hull-greedy for
-// the broker's serving path. The serving problem differs from the budgeted
-// MCKP Greedy solves in one way: the binding resource is the arrival's slot
-// capacity a_i (at most a_i classes may serve), not a shared money budget —
-// each class's affordability is enforced per campaign before its items are
-// added. SlotSolver therefore runs the same machinery as Greedy — per-class
-// upper-left convex hulls, increments walked in decreasing incremental
-// efficiency with the prefix rule — but opens a class only while slots
-// remain.
+// SlotSolver is the MCKP hull-greedy under a slot count, the problem the
+// broker's slot race solves; the broker states it as a sort (DESIGN.md §15),
+// and the benchmark ladder times this solver as a side arm. The problem
+// differs from the budgeted MCKP Greedy solves in one way: the binding
+// resource is the arrival's slot capacity a_i (at most a_i classes may
+// serve), not a shared money budget — each class's affordability is enforced
+// per campaign before its items are added. SlotSolver therefore runs the
+// same machinery as Greedy — per-class upper-left convex hulls, increments
+// walked in decreasing incremental efficiency with the prefix rule — but
+// opens a class only while slots remain.
 //
 // With no shared money budget every increment of an opened class applies
 // (within a class efficiency strictly decreases along the hull, so the
@@ -26,8 +27,7 @@ package knapsack
 // tail is given an empty hull and left closed (see Solve).
 //
 // Unlike Greedy, SlotSolver allocates nothing in steady state: all working
-// storage is retained flat slices grown by append, so it can live inside the
-// per-stripe scanArena on the zero-alloc serial path.
+// storage is retained flat slices grown by append.
 
 type slotInc struct {
 	class int32

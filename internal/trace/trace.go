@@ -53,8 +53,7 @@ type ScanCounts struct {
 	Unaffordable   uint64 `json:"unaffordable,omitempty"`
 	BelowThreshold uint64 `json:"below_threshold,omitempty"`
 	BelowReserve   uint64 `json:"below_reserve,omitempty"`
-	// Displaced counts admitted candidates that lost the slot race (the
-	// capacity trim or the slot solver's displacement).
+	// Displaced counts admitted candidates that lost the slot race.
 	Displaced uint64 `json:"displaced_by_slate,omitempty"`
 }
 
