@@ -494,19 +494,9 @@ func main() {
 	go func() { serveErr <- a.srv.ListenAndServe() }()
 	bootErr := make(chan error, 1)
 	go func() {
-		start := time.Now()
 		if err := a.boot(); err != nil {
 			bootErr <- err
 			return
-		}
-		if cfg.broker.DataDir != "" {
-			info := a.b.Load().RecoveryStats()
-			logger.Info("recovered",
-				slog.String("data_dir", cfg.broker.DataDir),
-				slog.Float64("duration_ms", float64(time.Since(start))/float64(time.Millisecond)),
-				slog.Bool("snapshot", info.SnapshotLoaded),
-				slog.Int("records", info.RecordsReplayed),
-				slog.Bool("truncated", info.Truncated))
 		}
 		logger.Info("ready",
 			slog.String("addr", cfg.addr),

@@ -4,9 +4,10 @@ package broker
 // recent arrivals (captured after the arrival pipeline returns, outside the
 // stripe locks) and periodically recomputes an audit.Report against an
 // amortized greedy oracle; gauges read the latest report. The offline side,
-// ReplayAudit, rebuilds the full decision stream from a durability
-// directory's snapshot + WAL — read-only, through wal.ReadDir and the
-// exported record decoders — and hands it to audit.Compute.
+// ReplayAudit, replays a durability directory's snapshot + WAL (read-only,
+// through wal.ReadDir) onto a shadow broker with recovery's own replay, and
+// hands the arrival stream and the shadow's books to audit.Compute. Both
+// sides build the audit input from a broker's Campaigns and Stats.
 
 import (
 	"errors"
@@ -193,9 +194,9 @@ func (b *Broker) AuditNow() (*audit.Report, error) {
 	return &rep, nil
 }
 
-// windowInput assembles the audit input for one window copy: current
-// campaign states with the window's own spend subtracted back out (the
-// oracle may re-spend what the window spent), plus the current γ bounds.
+// windowInput assembles the audit input for one window copy: the window's
+// own spend is subtracted back out of each campaign's (the oracle may
+// re-spend what the window spent).
 func (b *Broker) windowInput(win []audit.Arrival) audit.Input {
 	winSpend := make(map[int32]float64)
 	for i := range win {
@@ -203,26 +204,32 @@ func (b *Broker) windowInput(win []audit.Arrival) audit.Input {
 			winSpend[o.Campaign] += o.Cost
 		}
 	}
+	return b.auditInput("window", "live", win, func(c *Campaign) float64 {
+		return max(c.Spent-winSpend[c.ID], 0)
+	})
+}
+
+// auditInput is the audit problem of arrivals against the broker's current
+// books: every campaign, with spentBefore(c) as its spend before the
+// stream, and the γ bounds and billing telemetry of Stats.
+func (b *Broker) auditInput(mode, source string, arrivals []audit.Arrival, spentBefore func(c *Campaign) float64) audit.Input {
 	campaigns := b.Campaigns()
 	acs := make([]audit.Campaign, len(campaigns))
-	for i, c := range campaigns {
-		before := c.Spent - winSpend[c.ID]
-		if before < 0 {
-			before = 0
-		}
+	for i := range campaigns {
+		c := &campaigns[i]
 		acs[i] = audit.Campaign{
 			ID: c.ID, Loc: c.Loc, Radius: c.Radius, Tags: c.Tags,
-			Budget: c.Budget, SpentBefore: before,
+			Budget: c.Budget, SpentBefore: spentBefore(c),
 			Paused: c.Paused, Billing: c.Billing,
 		}
 	}
 	st := b.Stats()
 	return audit.Input{
-		Mode:             "window",
-		Source:           "live",
+		Mode:             mode,
+		Source:           source,
 		AdTypes:          b.cfg.AdTypes,
 		Campaigns:        acs,
-		Arrivals:         win,
+		Arrivals:         arrivals,
 		GammaMin:         st.GammaMin,
 		GammaMax:         st.GammaMax,
 		G:                b.cfg.G,
@@ -317,11 +324,12 @@ func appendAuditOffers(dst []audit.Offer, offers []Offer) []audit.Offer {
 
 // ReplayAudit audits a broker durability directory offline: it reads the
 // snapshot and WAL segments read-only (never interfering with a live
-// writer's group commit), rebuilds the decision stream through the exported
-// record decoders, and computes the quality report. With a retained full
-// segment chain (wal.Options.Retain) the audit covers the broker's whole
-// life; otherwise it covers the window after the last compaction, with the
-// snapshot's accumulators as the pre-window spend.
+// writer's group commit), replays them onto a shadow in-memory broker
+// through recovery's own replay, and computes the quality report from the
+// arrival stream and the shadow's books. With a retained full segment chain
+// (wal.Options.Retain) the audit covers the broker's whole life; otherwise
+// it covers the window after the last compaction, each campaign's spend at
+// the snapshot being its pre-window spend.
 func ReplayAudit(dir string, cfg AuditConfig) (audit.Report, error) {
 	if len(cfg.AdTypes) == 0 {
 		return audit.Report{}, fmt.Errorf("broker: ReplayAudit needs the ad-type catalog")
@@ -330,92 +338,36 @@ func ReplayAudit(dir string, cfg AuditConfig) (audit.Report, error) {
 	if err != nil {
 		return audit.Report{}, err
 	}
-	in := audit.Input{
-		Mode:    "window",
-		Source:  dir,
-		AdTypes: cfg.AdTypes,
-		G:       cfg.G,
+	sh, err := newMemory(Config{AdTypes: cfg.AdTypes, G: cfg.G})
+	if err != nil {
+		return audit.Report{}, err
 	}
+	var arrivals []audit.Arrival
+	var before []Campaign // the campaigns as the first record found them
+	err = sh.replay(v, func(d *DecodedRecord) {
+		if before == nil {
+			before = sh.Campaigns()
+		}
+		for i := range d.Arrivals {
+			arrivals = append(arrivals, auditArrival(&d.Arrivals[i].Customer, d.Arrivals[i].Offers))
+		}
+	})
+	if err != nil {
+		return audit.Report{}, err
+	}
+	if before == nil {
+		before = sh.Campaigns()
+	}
+	mode := "window"
 	if v.FullHistory {
-		in.Mode = "full-history"
+		mode = "full-history"
 	}
-	gammaMin, gammaMax := math.Inf(1), 0.0
-	byID := make(map[int32]int)
-	if !v.FullHistory && v.Snapshot != nil {
-		s, err := DecodeSnapshot(v.Snapshot)
-		if err != nil {
-			return audit.Report{}, fmt.Errorf("broker: audit snapshot: %w", err)
+	in := sh.auditInput(mode, dir, arrivals, func(c *Campaign) float64 {
+		if int(c.ID) < len(before) {
+			return before[c.ID].Spent
 		}
-		for i := range s.Campaigns {
-			sc := &s.Campaigns[i]
-			byID[sc.ID] = len(in.Campaigns)
-			in.Campaigns = append(in.Campaigns, audit.Campaign{
-				ID: sc.ID, Loc: sc.Loc, Radius: sc.Radius, Tags: sc.Tags,
-				Budget: sc.Budget(), SpentBefore: sc.Spent(),
-				Paused: sc.Paused, Billing: sc.Billing(),
-			})
-			in.EscrowHeld += math.Float64frombits(sc.EscrowBits)
-			in.ConvertedRevenue += math.Float64frombits(sc.ConvertedBits)
-			in.Conversions += sc.Conversions
-		}
-		gammaMin, gammaMax = s.GammaMin(), math.Max(gammaMax, s.GammaMax())
-	}
-	for i, rec := range v.Records {
-		d, err := DecodeRecord(rec)
-		if err != nil {
-			return audit.Report{}, fmt.Errorf("broker: audit record %d of %d: %w", i+1, len(v.Records), err)
-		}
-		switch d.Kind {
-		case RecordRegister:
-			byID[d.Campaign] = len(in.Campaigns)
-			in.Campaigns = append(in.Campaigns, audit.Campaign{
-				ID: d.Campaign, Loc: d.Loc, Radius: d.Radius, Tags: d.Tags,
-				Budget: d.Budget, Billing: d.Billing,
-			})
-		case RecordController:
-			// Controller epochs shape which offers were committed, but the
-			// committed offers themselves are already in the arrival records;
-			// the oracle problem doesn't model the actuators.
-		case RecordTopUp:
-			ci, ok := byID[d.Campaign]
-			if !ok {
-				return audit.Report{}, fmt.Errorf("broker: audit record %d tops up unknown campaign %d", i+1, d.Campaign)
-			}
-			in.Campaigns[ci].Budget += d.Amount
-		case RecordPause:
-			// Mid-stream pause dynamics are not modeled — a campaign paused
-			// for part of the stream keeps its budget, which can only make
-			// the oracle stronger. The *final* pause state, however, excludes
-			// the campaign from the oracle problem entirely: its budget was
-			// out of reach, so a counterfactual spending it would depress the
-			// ratio for reasons no admission policy can fix (DESIGN §13).
-			ci, ok := byID[d.Campaign]
-			if !ok {
-				return audit.Report{}, fmt.Errorf("broker: audit record %d pauses unknown campaign %d", i+1, d.Campaign)
-			}
-			in.Campaigns[ci].Paused = d.Paused
-		case RecordArrivals:
-			for j := range d.Arrivals {
-				e := &d.Arrivals[j]
-				gammaMin = math.Min(gammaMin, e.GammaMin)
-				gammaMax = math.Max(gammaMax, e.GammaMax)
-				in.Arrivals = append(in.Arrivals, auditArrival(&e.Customer, e.Offers))
-				for k := range e.Offers {
-					in.EscrowHeld += e.Offers[k].Hold
-				}
-			}
-		case RecordConversion:
-			// A conversion moves its escrow hold into realized revenue. Holds
-			// evicted by the open-offer cap are not logged, so EscrowHeld is
-			// an upper bound on streams that overflow the cap.
-			in.EscrowHeld -= d.Charge
-			in.ConvertedRevenue += d.Charge
-			in.Conversions++
-		}
-	}
-	if gammaMax > 0 {
-		in.GammaMin, in.GammaMax = gammaMin, gammaMax
-	}
+		return 0
+	})
 	return audit.Compute(in, audit.Config{
 		UseRecon: cfg.UseRecon,
 		Epsilon:  cfg.Epsilon,

@@ -4,9 +4,12 @@ package broker
 // (slate arrivals, conversions) and the pause-aware oracle.
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
+	"muaa/internal/stats"
 	"muaa/internal/workload"
 )
 
@@ -47,11 +50,11 @@ func TestReplayAuditBilledRevenue(t *testing.T) {
 	if rep.Conversions != st.Conversions {
 		t.Fatalf("audit conversions %d, broker %d", rep.Conversions, st.Conversions)
 	}
-	if math.Abs(rep.ConvertedRevenue-st.ConversionRevenue) > 1e-9 {
-		t.Fatalf("audit converted revenue %g, broker %g", rep.ConvertedRevenue, st.ConversionRevenue)
+	if math.Float64bits(rep.ConvertedRevenue) != math.Float64bits(st.ConversionRevenue) {
+		t.Fatalf("audit converted revenue %v, broker %v", rep.ConvertedRevenue, st.ConversionRevenue)
 	}
-	if math.Abs(rep.EscrowHeld-st.EscrowHeld) > 1e-9 {
-		t.Fatalf("audit escrow %g, broker %g", rep.EscrowHeld, st.EscrowHeld)
+	if math.Float64bits(rep.EscrowHeld) != math.Float64bits(st.EscrowHeld) {
+		t.Fatalf("audit escrow %v, broker %v", rep.EscrowHeld, st.EscrowHeld)
 	}
 	if rep.OnlineRevenue <= 0 || rep.OracleRevenue <= 0 {
 		t.Fatalf("revenue sides must be positive: online %g oracle %g", rep.OnlineRevenue, rep.OracleRevenue)
@@ -173,13 +176,131 @@ func TestReplayAuditWindowMode(t *testing.T) {
 	if rep.Conversions != st.Conversions {
 		t.Fatalf("audit conversions %d, broker %d", rep.Conversions, st.Conversions)
 	}
-	if math.Abs(rep.ConvertedRevenue-st.ConversionRevenue) > 1e-9 {
-		t.Fatalf("audit converted revenue %g, broker %g", rep.ConvertedRevenue, st.ConversionRevenue)
+	if math.Float64bits(rep.ConvertedRevenue) != math.Float64bits(st.ConversionRevenue) {
+		t.Fatalf("audit converted revenue %v, broker %v", rep.ConvertedRevenue, st.ConversionRevenue)
 	}
-	if math.Abs(rep.EscrowHeld-st.EscrowHeld) > 1e-9 {
-		t.Fatalf("audit escrow %g, broker %g", rep.EscrowHeld, st.EscrowHeld)
+	if math.Float64bits(rep.EscrowHeld) != math.Float64bits(st.EscrowHeld) {
+		t.Fatalf("audit escrow %v, broker %v", rep.EscrowHeld, st.EscrowHeld)
 	}
 	if !(rep.EmpiricalRatio > 0 && rep.EmpiricalRatio <= 1) {
 		t.Fatalf("empirical ratio %g outside (0, 1]", rep.EmpiricalRatio)
+	}
+}
+
+// TestReplayAuditMatchesBroker: the audit replays the log through recovery's
+// own replay, so its books are the live broker's bit for bit — also on a
+// stream that overflows the escrow table, whose evictions release holds no
+// record names. Full history (retained chain, audited after Close) and a
+// window (snapshot mid-stream, retention off, audited from the flushed log)
+// are both held to the live Campaigns and Stats, and the audit leaves the
+// directory's files as it found them.
+func TestReplayAuditMatchesBroker(t *testing.T) {
+	load := workload.BilledBrokerLoadConfig(256, 14000, 23)
+	load.CPMFrac, load.CPCFrac, load.ConvertFrac = 0, 1, 0.001
+	load.Capacity = stats.Range{Lo: 8, Hi: 12}
+	load.Radius = stats.Range{Lo: 0.4, Hi: 0.6}
+	load.Budget = stats.Range{Lo: 1e9, Hi: 2e9}
+	specs, stream, err := workload.BrokerLoad(load)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, window := range []bool{false, true} {
+		name := "full-history"
+		if window {
+			name = "window"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := auditWAL()
+			opts.Retain = !window
+			b, err := New(Config{AdTypes: workload.DefaultAdTypes(), DataDir: dir, WAL: opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			registerLoad(t, b, specs)
+			feed := &opFeed{tb: t, b: b}
+			var atSnapshot []Campaign
+			var before Stats
+			for i, op := range stream {
+				if window && i == len(stream)/2 {
+					if err := b.snapshotNow(); err != nil {
+						t.Fatal(err)
+					}
+					atSnapshot, before = b.Campaigns(), b.Stats()
+				}
+				feed.apply(op)
+			}
+			if window {
+				flushWAL(t, b)
+			} else if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
+			live, st := b.Campaigns(), b.Stats()
+			if st.EscrowReleased-before.EscrowReleased <= 0 || st.Conversions == 0 {
+				t.Fatalf("the audited stream evicted or converted nothing: %+v", st)
+			}
+
+			files := hashDir(t, dir)
+			rep, err := ReplayAudit(dir, AuditConfig{AdTypes: workload.DefaultAdTypes()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after := hashDir(t, dir); !reflect.DeepEqual(files, after) {
+				t.Fatalf("the audit modified the directory:\nbefore %v\nafter  %v", files, after)
+			}
+			if rep.Mode != name {
+				t.Fatalf("mode %q, want %q", rep.Mode, name)
+			}
+			same := func(what string, got, want float64) {
+				t.Helper()
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: audit %v (%x), broker %v (%x)", what, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+			if len(rep.CampaignAudits) != len(live) {
+				t.Fatalf("audit saw %d campaigns, broker has %d", len(rep.CampaignAudits), len(live))
+			}
+			// The audit scores the decision stream, where a CPC offer costs
+			// nothing until it converts: a campaign's audited spend is the
+			// live one unless a conversion in the stream charged it.
+			paused, spentChecked := 0, 0
+			for i, ca := range rep.CampaignAudits {
+				lc := live[i]
+				if ca.ID != lc.ID {
+					t.Fatalf("campaign order diverged at %d", i)
+				}
+				spentBefore, converted := 0.0, lc.Conversions
+				if window {
+					spentBefore, converted = atSnapshot[i].Spent, converted-atSnapshot[i].Conversions
+				}
+				same(fmt.Sprintf("campaign %d budget", lc.ID), ca.Budget, lc.Budget)
+				same(fmt.Sprintf("campaign %d spent before", lc.ID), ca.SpentBefore, spentBefore)
+				if converted == 0 {
+					same(fmt.Sprintf("campaign %d spent", lc.ID), ca.SpentTotal, lc.Spent)
+					spentChecked++
+				}
+				if lc.Paused {
+					paused++
+				}
+			}
+			if spentChecked == 0 {
+				t.Fatal("every campaign converted in the stream; the spend assertions are vacuous")
+			}
+			if rep.PausedCampaigns != paused {
+				t.Fatalf("audit paused %d, broker %d", rep.PausedCampaigns, paused)
+			}
+			same("escrow_held", rep.EscrowHeld, st.EscrowHeld)
+			same("converted_revenue", rep.ConvertedRevenue, st.ConversionRevenue)
+			same("gamma_min", rep.GammaMin, st.GammaMin)
+			same("gamma_max", rep.GammaMax, st.GammaMax)
+			if rep.Conversions != st.Conversions {
+				t.Fatalf("audit conversions %d, broker %d", rep.Conversions, st.Conversions)
+			}
+			if int64(rep.Arrivals) != st.Arrivals-before.Arrivals || int64(rep.Offers) != st.OffersPushed-before.OffersPushed {
+				t.Fatalf("audit %d arrivals / %d offers, broker %d / %d after the snapshot",
+					rep.Arrivals, rep.Offers, st.Arrivals-before.Arrivals, st.OffersPushed-before.OffersPushed)
+			}
+		})
 	}
 }

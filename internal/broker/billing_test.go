@@ -123,7 +123,7 @@ func TestEscrowEviction(t *testing.T) {
 		t.Fatalf("live key: %v, want ErrDuplicateEvent", err)
 	}
 
-	// The twin: Recover's own steps (snapshot, then every record) over the
+	// The twin: recovery's own replay (snapshot, then every record) over the
 	// directory as a crash would leave it, under the same bound.
 	flushWAL(t, b)
 	v, err := wal.ReadDir(dir)
@@ -135,15 +135,8 @@ func TestEscrowEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	twin.billing.maxOpen = bound
-	if !v.FullHistory && v.Snapshot != nil {
-		if err := twin.applySnapshot(v.Snapshot); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, rec := range v.Records {
-		if err := twin.applyRecord(rec); err != nil {
-			t.Fatalf("record %d of %d: %v", i+1, len(v.Records), err)
-		}
+	if err := twin.replay(v, nil); err != nil {
+		t.Fatal(err)
 	}
 	if got, want := twin.Stats(), b.Stats(); got != want {
 		t.Fatalf("twin stats %+v != live %+v", got, want)

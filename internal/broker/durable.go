@@ -64,30 +64,19 @@ func recoverDurable(cfg Config) (*Broker, error) {
 	opts := cfg.WAL
 	opts.Metrics = cfg.Metrics
 	opts.Logger = cfg.Logger
-	log, rec, err := wal.Open(cfg.DataDir, opts)
+	log, v, err := wal.Open(cfg.DataDir, opts)
 	if err != nil {
 		return nil, err
 	}
 	b, err := newMemory(cfg)
+	if err == nil {
+		err = b.replay(v, nil)
+	}
 	if err != nil {
 		log.Close()
 		return nil, err
 	}
-	info := RecoveryInfo{Truncated: rec.Truncated}
-	if rec.Snapshot != nil {
-		if err := b.applySnapshot(rec.Snapshot); err != nil {
-			log.Close()
-			return nil, fmt.Errorf("broker: recovering snapshot: %w", err)
-		}
-		info.SnapshotLoaded = true
-	}
-	for i, r := range rec.Records {
-		if err := b.applyRecord(r); err != nil {
-			log.Close()
-			return nil, fmt.Errorf("broker: replaying record %d of %d: %w", i+1, len(rec.Records), err)
-		}
-	}
-	info.RecordsReplayed = len(rec.Records)
+	info := RecoveryInfo{SnapshotLoaded: v.Snapshot != nil, RecordsReplayed: len(v.Records), Truncated: v.Truncated}
 
 	d := &durable{
 		log:     log,
@@ -100,7 +89,7 @@ func recoverDurable(cfg Config) (*Broker, error) {
 	// Compact immediately when anything was replayed (or nothing was ever
 	// written): boot cost is then bounded by one snapshot plus one cadence
 	// window of records, no matter how many crash/restart cycles accrue.
-	if len(rec.Records) > 0 || rec.Snapshot == nil {
+	if len(v.Records) > 0 || v.Snapshot == nil {
 		if err := b.snapshotNow(); err != nil {
 			log.Close()
 			return nil, fmt.Errorf("broker: boot snapshot: %w", err)
@@ -234,60 +223,58 @@ func (b *Broker) logRecord(d *DecodedRecord) error {
 	return b.walAppend(bp)
 }
 
-// applyRecord replays one WAL record onto the (still-private) broker.
-func (b *Broker) applyRecord(rec []byte) error {
-	d, err := DecodeRecord(rec)
-	if err != nil {
-		return err
+// replay rebuilds the state v describes onto b, a fresh in-memory broker:
+// v's snapshot unless v is the full history, then every record in append
+// order through the mutators the live broker ran, so the result is
+// bit-identical to the broker that wrote the log. each, when non-nil, sees
+// every decoded record before it is applied. Recovery and ReplayAudit read
+// the log here and nowhere else.
+func (b *Broker) replay(v wal.View, each func(*DecodedRecord)) error {
+	if v.Snapshot != nil && !v.FullHistory {
+		if err := b.applySnapshot(v.Snapshot); err != nil {
+			return fmt.Errorf("broker: replaying snapshot: %w", err)
+		}
 	}
-	switch d.Kind {
-	case RecordRegister:
-		got, err := b.RegisterCampaignSpec(CampaignSpec{
-			Loc: d.Loc, Radius: d.Radius, Budget: d.Budget, Tags: d.Tags,
-			Guaranteed: d.Guaranteed, Floor: d.Floor, Penalty: d.Penalty,
-			Billing: d.Billing,
-		})
+	for i, rec := range v.Records {
+		d, err := DecodeRecord(rec)
+		if err == nil {
+			if each != nil {
+				each(&d)
+			}
+			switch d.Kind {
+			case RecordRegister:
+				var got int32
+				got, err = b.RegisterCampaignSpec(CampaignSpec{
+					Loc: d.Loc, Radius: d.Radius, Budget: d.Budget, Tags: d.Tags,
+					Guaranteed: d.Guaranteed, Floor: d.Floor, Penalty: d.Penalty,
+					Billing: d.Billing,
+				})
+				if err == nil && got != d.Campaign {
+					err = fmt.Errorf("replayed registration got id %d, logged %d", got, d.Campaign)
+				}
+			case RecordController:
+				err = b.applyController(&d)
+			case RecordTopUp:
+				err = b.TopUp(d.Campaign, d.Amount)
+			case RecordPause:
+				err = b.SetPaused(d.Campaign, d.Paused)
+			case RecordArrivals:
+				// In the original commit order, one body at a time — counter, γ
+				// fold, then each offer's charge, the accumulator sequence the
+				// live path performed — so serial and batched histories of one
+				// stream recover to the same bits (TestBatchReplayBitExact).
+				for j := 0; j < len(d.Arrivals) && err == nil; j++ {
+					err = b.applyArrival(&d.Arrivals[j], d.Auction)
+				}
+			case RecordConversion:
+				err = b.applyConversion(&d)
+			}
+		}
 		if err != nil {
-			return err
+			return fmt.Errorf("broker: replaying record %d of %d: %w", i+1, len(v.Records), err)
 		}
-		if got != d.Campaign {
-			return fmt.Errorf("replayed registration got id %d, logged %d", got, d.Campaign)
-		}
-		return nil
-	case RecordController:
-		// Stored bits, never recomputed: replay must not depend on the
-		// control law, only on what the original broker applied.
-		b.pacingEpoch.Store(d.Epoch)
-		b.phiBoost.bits.Store(d.BoostBits)
-		for i := range d.Controller {
-			e := &d.Controller[i]
-			fl, err := b.lookup(e.Campaign)
-			if err != nil {
-				return err
-			}
-			fl.campaigns[e.Campaign].rate.bits.Store(e.RateBits)
-			fl.row(e.Campaign).allowance.bits.Store(e.AllowanceBits)
-		}
-		return nil
-	case RecordTopUp:
-		return b.TopUp(d.Campaign, d.Amount)
-	case RecordPause:
-		return b.SetPaused(d.Campaign, d.Paused)
-	case RecordArrivals:
-		// Replay in the original commit order, one body at a time — counter,
-		// γ fold, then each offer's charge, the same accumulator sequence the
-		// live path performed — so serial and batched histories of one stream
-		// recover to the same bits (TestBatchReplayBitExact).
-		for i := range d.Arrivals {
-			if err := b.applyArrival(&d.Arrivals[i], d.Auction); err != nil {
-				return err
-			}
-		}
-		return nil
-	case RecordConversion:
-		return b.applyConversion(&d)
 	}
-	return fmt.Errorf("unknown record type %d", byte(d.Kind))
+	return nil
 }
 
 // applyArrival folds one logged arrival into the recovering broker: the
@@ -304,6 +291,24 @@ func (b *Broker) applyArrival(e *ArrivalRecord, auction bool) error {
 			return err
 		}
 		b.charge(fl.row(e.Offers[i].Campaign), &e.Offers[i], auction)
+	}
+	return nil
+}
+
+// applyController stores one controller epoch's applied bits, never
+// recomputed: replay must not depend on the control law, only on what the
+// original broker applied.
+func (b *Broker) applyController(d *DecodedRecord) error {
+	b.pacingEpoch.Store(d.Epoch)
+	b.phiBoost.bits.Store(d.BoostBits)
+	for i := range d.Controller {
+		e := &d.Controller[i]
+		fl, err := b.lookup(e.Campaign)
+		if err != nil {
+			return err
+		}
+		fl.campaigns[e.Campaign].rate.bits.Store(e.RateBits)
+		fl.row(e.Campaign).allowance.bits.Store(e.AllowanceBits)
 	}
 	return nil
 }

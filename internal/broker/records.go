@@ -2,9 +2,9 @@ package broker
 
 // The structured form of the broker's WAL records and snapshot, and their
 // exported decoders. Writers fill these same structs and run the codec
-// (codec.go) in write mode; the broker's own recovery (applyRecord/
-// applySnapshot) and the audit path (ReplayAudit, cmd/muaa-audit) run it in
-// read mode — one statement of each byte layout.
+// (codec.go) in write mode; replay (durable.go), which both recovery and
+// ReplayAudit run, reads them back in read mode — one statement of each
+// byte layout, and one reader of it.
 
 import (
 	"fmt"
@@ -125,8 +125,7 @@ func DecodeRecord(rec []byte) (DecodedRecord, error) {
 
 // SnapshotCampaign is one campaign's state inside a decoded snapshot.
 // BudgetBits/SpentBits carry the exact IEEE-754 bits the snapshot recorded,
-// so replay restores bit-identical accumulators; Budget/Spent are the same
-// values as floats for consumers that only read.
+// so replay restores bit-identical accumulators.
 type SnapshotCampaign struct {
 	ID         int32
 	Loc        geo.Point
@@ -154,9 +153,6 @@ type SnapshotCampaign struct {
 
 // Budget returns the campaign budget as a float.
 func (c *SnapshotCampaign) Budget() float64 { return math.Float64frombits(c.BudgetBits) }
-
-// Spent returns the spent accumulator as a float.
-func (c *SnapshotCampaign) Spent() float64 { return math.Float64frombits(c.SpentBits) }
 
 // Billing returns the campaign's recorded billing contract.
 func (c *SnapshotCampaign) Billing() model.Billing {
@@ -204,13 +200,6 @@ type SnapshotOpenOffer struct {
 	Model    model.BillingModel
 	Hold     float64
 }
-
-// GammaMin returns the recorded γ lower bound as a float (+Inf when nothing
-// was observed yet).
-func (s *SnapshotState) GammaMin() float64 { return math.Float64frombits(s.GammaMinBits) }
-
-// GammaMax returns the recorded γ upper bound as a float.
-func (s *SnapshotState) GammaMax() float64 { return math.Float64frombits(s.GammaMaxBits) }
 
 // DecodeSnapshot decodes a compacted-state payload. Like DecodeRecord it is
 // total: malformed input errors, never panics.

@@ -55,11 +55,12 @@ func ReadSegment(ref SegmentRef) (records [][]byte, truncated bool, err error) {
 	return records, headerSize+good != len(data), nil
 }
 
-// View is the read-only reconstruction of a durability directory.
+// View is a durability directory as a replay reads it: ReadDir's read-only
+// reconstruction, or what Open found in the directory its log continues.
 type View struct {
-	// FullHistory reports that a contiguous segment chain starting at
-	// sequence 1 is present (Options.Retain kept every rotation), so
-	// Records is the complete mutation history from the empty state and
+	// FullHistory reports that Records is the complete mutation history
+	// from the empty state — a contiguous chain from segment 1, because
+	// Options.Retain kept every rotation or none happened yet — so
 	// Snapshot can be ignored for replay.
 	FullHistory bool
 	// Snapshot is the latest intact snapshot payload, nil if none exists.
@@ -70,10 +71,9 @@ type View struct {
 	// Records are the record payloads in append order: from segment 1 when
 	// FullHistory, otherwise from SnapshotSeq onward.
 	Records [][]byte
-	// Segments is the number of segment files contributing to Records.
-	Segments int
 	// Truncated reports a torn tail on the final segment — expected after a
-	// crash; Records then holds the intact prefix.
+	// crash; Records then holds the intact prefix, to which Open has cut
+	// the file back.
 	Truncated bool
 }
 
@@ -140,7 +140,6 @@ func ReadDir(dir string) (View, error) {
 			return View{}, err
 		}
 		v.Records = append(v.Records, records...)
-		v.Segments++
 		if truncated {
 			if i != len(refs[start:])-1 {
 				return View{}, fmt.Errorf("wal: segment %d is corrupt mid-chain", r.Seq)

@@ -144,17 +144,6 @@ func (o Options) SnapshotCadence() int {
 	return o.SnapshotEvery
 }
 
-// Recovery is what Open found in the directory.
-type Recovery struct {
-	// Snapshot is the latest intact snapshot payload, nil if none exists.
-	Snapshot []byte
-	// Records are the payloads appended after that snapshot, in order.
-	Records [][]byte
-	// Truncated reports that the log had a torn or corrupt tail which was
-	// discarded (the file was truncated back to the last intact record).
-	Truncated bool
-}
-
 // walMetrics is the registered instrument set; nil when Options.Metrics is
 // nil, checked once per operation like the broker's own instruments.
 type walMetrics struct {
@@ -201,24 +190,25 @@ type Log struct {
 	done chan struct{}
 }
 
-// Open opens (creating if necessary) the durability directory, recovers
-// the latest snapshot and the intact records appended after it, and
-// returns a log ready for appends. A torn tail is truncated away and
-// reported via Recovery.Truncated, never as an error.
-func Open(dir string, opts Options) (*Log, Recovery, error) {
+// Open opens (creating if necessary) the durability directory and returns
+// a log ready for appends, plus the View it continues: the latest snapshot
+// and the intact records appended after it (the full history when no
+// snapshot exists). A torn tail is truncated away and reported via
+// View.Truncated, never as an error.
+func Open(dir string, opts Options) (*Log, View, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, Recovery{}, fmt.Errorf("wal: creating %s: %w", dir, err)
+		return nil, View{}, fmt.Errorf("wal: creating %s: %w", dir, err)
 	}
-	var rec Recovery
+	var v View
 	activeSeq := uint64(1)
 	snap, snapSeq, err := readSnapshotFile(filepath.Join(dir, "snapshot"))
 	switch {
 	case errors.Is(err, os.ErrNotExist):
 		// Fresh directory, or one that never compacted.
 	case err != nil:
-		return nil, Recovery{}, err
+		return nil, View{}, err
 	default:
-		rec.Snapshot = snap
+		v.Snapshot, v.SnapshotSeq = snap, snapSeq
 		activeSeq = snapSeq
 	}
 
@@ -227,26 +217,22 @@ func Open(dir string, opts Options) (*Log, Recovery, error) {
 	// record (rotation writes the snapshot before switching appends). With
 	// Retain the superseded segments below are the audit history and stay;
 	// only the never-used ones above are stale.
-	entries, err := os.ReadDir(dir)
+	refs, err := ListSegments(dir)
 	if err != nil {
-		return nil, Recovery{}, fmt.Errorf("wal: reading %s: %w", dir, err)
+		return nil, View{}, err
 	}
-	for _, e := range entries {
-		if seq, ok := segmentSeq(e.Name()); ok && seq != activeSeq {
-			if opts.Retain && seq < activeSeq {
-				continue
-			}
-			_ = os.Remove(filepath.Join(dir, e.Name()))
+	for _, r := range refs {
+		if r.Seq != activeSeq && !(opts.Retain && r.Seq < activeSeq) {
+			_ = os.Remove(r.Path)
 		}
 	}
 
-	path := segmentPath(dir, activeSeq)
-	f, records, truncated, err := openSegment(path, activeSeq)
+	f, records, truncated, err := openSegment(segmentPath(dir, activeSeq), activeSeq)
 	if err != nil {
-		return nil, Recovery{}, err
+		return nil, View{}, err
 	}
-	rec.Records = records
-	rec.Truncated = truncated
+	v.FullHistory = v.Snapshot == nil
+	v.Records, v.Truncated = records, truncated
 
 	l := &Log{
 		dir:    dir,
@@ -270,7 +256,7 @@ func Open(dir string, opts Options) (*Log, Recovery, error) {
 		l.metrics = newWALMetrics(opts.Metrics)
 	}
 	go l.flusher()
-	return l, rec, nil
+	return l, v, nil
 }
 
 func segmentPath(dir string, seq uint64) string {

@@ -14,7 +14,7 @@ import (
 	"muaa/internal/obs"
 )
 
-func openT(t *testing.T, dir string, opts Options) (*Log, Recovery) {
+func openT(t *testing.T, dir string, opts Options) (*Log, View) {
 	t.Helper()
 	l, rec, err := Open(dir, opts)
 	if err != nil {
