@@ -178,8 +178,9 @@ func Compute(in Input, cfg Config) (Report, error) {
 		}
 	}
 
-	// Replay the stream: charge every offer in commit order (the same serial
-	// float accumulation the broker performed, so SpentTotal is bit-exact),
+	// Replay the stream: charge every offer in commit order (for immediate
+	// charges the same serial float accumulation the broker performed, so
+	// SpentTotal is bit-exact; conversion charges are not in the stream),
 	// and collect the audited arrivals for the oracle problem.
 	type chargeMark struct {
 		campaign, arrival int

@@ -50,8 +50,11 @@ type CampaignAudit struct {
 	SpentBefore float64 `json:"spent_before"`
 	SpentWindow float64 `json:"spent_window"`
 	// SpentTotal is SpentBefore plus every audited offer's cost, accumulated
-	// in stream order — the same serial float sum the live broker performed,
-	// so it equals the broker's per-campaign Spent bit for bit.
+	// in stream order. Where every charge is immediate (fixed, CPM) that is
+	// the serial float sum the live broker performed, so it equals the
+	// broker's per-campaign Spent bit for bit. CPC/CPA conversion charges are
+	// not included: a deferred offer costs 0 in the stream, so a campaign a
+	// conversion charged reads below its Spent.
 	SpentTotal    float64 `json:"spent_total"`
 	Utilization   float64 `json:"utilization"`
 	OnlineUtility float64 `json:"online_utility"`

@@ -62,26 +62,35 @@ func newAuditState(window int, every time.Duration) *auditState {
 	}
 }
 
-// capture writes one served arrival into the ring slot it overwrites, after
-// the arrival pipeline released its stripe locks. Under the ring mutex it
-// copies the arrival's interests and offers into that slot's own backing
-// arrays, so once the ring has wrapped the serving goroutine allocates
-// nothing. Under concurrent arrivals the ring order is capture order, not
-// commit order — the window report is an approximation by design.
-func (s *auditState) capture(a *Arrival, offers []Offer) {
+// capture writes a window's served arrivals (those whose result carries no
+// error) into the ring slots they overwrite, in submission order, after the
+// arrival pipeline released its stripe locks. It takes the ring mutex once
+// per window and fills each slot in place, copying the arrival's interests
+// and offers into that slot's own backing arrays, so once the ring has
+// wrapped the serving goroutine allocates nothing. A window's arrivals are
+// contiguous in ring order; across concurrent windows the ring order is
+// capture order, not commit order — the window report is an approximation
+// by design.
+func (s *auditState) capture(batch []Arrival, results []BatchResult) {
 	s.mu.Lock()
-	var e *audit.Arrival
-	if len(s.ring) < cap(s.ring) {
-		s.ring = s.ring[:len(s.ring)+1]
-		e = &s.ring[len(s.ring)-1]
-	} else {
-		e = &s.ring[s.next]
-		s.next = (s.next + 1) % len(s.ring)
-	}
-	*e = audit.Arrival{
-		Loc: a.Loc, Capacity: a.Capacity, ViewProb: a.ViewProb, Hour: a.Hour,
-		Interests: append(e.Interests[:0], a.Interests...),
-		Offers:    appendAuditOffers(e.Offers[:0], offers),
+	for i := range results {
+		if results[i].Err != nil {
+			continue
+		}
+		var e *audit.Arrival
+		if len(s.ring) < cap(s.ring) {
+			s.ring = s.ring[:len(s.ring)+1]
+			e = &s.ring[len(s.ring)-1]
+		} else {
+			e = &s.ring[s.next]
+			if s.next++; s.next == len(s.ring) {
+				s.next = 0
+			}
+		}
+		a := &batch[i]
+		e.Loc, e.Capacity, e.ViewProb, e.Hour = a.Loc, a.Capacity, a.ViewProb, a.Hour
+		e.Interests = append(e.Interests[:0], a.Interests...)
+		e.Offers = appendAuditOffers(e.Offers[:0], results[i].Offers)
 	}
 	s.mu.Unlock()
 }

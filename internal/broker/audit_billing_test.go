@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"muaa/internal/model"
 	"muaa/internal/stats"
 	"muaa/internal/workload"
 )
@@ -300,6 +301,72 @@ func TestReplayAuditMatchesBroker(t *testing.T) {
 			if int64(rep.Arrivals) != st.Arrivals-before.Arrivals || int64(rep.Offers) != st.OffersPushed-before.OffersPushed {
 				t.Fatalf("audit %d arrivals / %d offers, broker %d / %d after the snapshot",
 					rep.Arrivals, rep.Offers, st.Arrivals-before.Arrivals, st.OffersPushed-before.OffersPushed)
+			}
+		})
+	}
+}
+
+// TestReplayAuditSpentTotalImmediateOnly: spent_total sums the audited
+// offers' costs, so it is the broker's Spent bit for bit where every charge
+// is immediate (fixed, CPM), and reads below it for a CPC campaign a
+// conversion charged — a CPC offer costs 0 in the stream, and the charge its
+// conversion makes later is not in the sum.
+func TestReplayAuditSpentTotalImmediateOnly(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		cpm, cpc, convert float64
+	}{
+		{"fixed+cpm", 0.5, 0, 0},
+		{"cpc", 0, 1, 0.05},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			load := workload.BilledBrokerLoadConfig(32, 3000, 5)
+			load.CPMFrac, load.CPCFrac, load.ConvertFrac = tc.cpm, tc.cpc, tc.convert
+			specs, stream, err := workload.BrokerLoad(load)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			b, err := New(Config{AdTypes: workload.DefaultAdTypes(), DataDir: dir, WAL: auditWAL()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			registerLoad(t, b, specs)
+			feed := &opFeed{tb: t, b: b}
+			for _, op := range stream {
+				feed.apply(op)
+			}
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
+			live := b.Campaigns()
+			rep, err := ReplayAudit(dir, AuditConfig{AdTypes: workload.DefaultAdTypes()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.CampaignAudits) != len(live) {
+				t.Fatalf("audit saw %d campaigns, broker has %d", len(rep.CampaignAudits), len(live))
+			}
+			equal, below := 0, 0
+			for i, ca := range rep.CampaignAudits {
+				lc := live[i]
+				switch {
+				case lc.Conversions == 0 && math.Float64bits(ca.SpentTotal) != math.Float64bits(lc.Spent):
+					t.Fatalf("campaign %d (%s, no conversions): spent_total %v, broker Spent %v", lc.ID, lc.Billing.Model, ca.SpentTotal, lc.Spent)
+				case lc.Conversions > 0 && !(ca.SpentTotal < lc.Spent):
+					t.Fatalf("campaign %d (%d conversions): spent_total %v, want below broker Spent %v", lc.ID, lc.Conversions, ca.SpentTotal, lc.Spent)
+				case lc.Conversions > 0:
+					below++
+				case lc.Spent > 0 && lc.Billing.Model != model.BillingFixed:
+					equal++ // an immediate auction charge, not only fixed costs
+				}
+			}
+			if tc.convert == 0 && equal == 0 {
+				t.Fatal("no CPM campaign spent: the bit-equality is only checked on fixed costs")
+			}
+			if tc.convert > 0 && below == 0 {
+				t.Fatal("no conversion charged a campaign: the CPC case is vacuous")
 			}
 		})
 	}

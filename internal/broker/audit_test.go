@@ -5,10 +5,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"muaa/internal/audit"
 	"muaa/internal/geo"
 	"muaa/internal/obs"
 	"muaa/internal/wal"
@@ -280,35 +282,56 @@ func TestLiveAuditWindow(t *testing.T) {
 	}
 }
 
-// TestAuditWindowOwnsItsCopy: capture refills the slot it overwrites in
+// TestAuditWindowOwnsItsCopy: capture refills the slots it overwrites in
 // place, so the window a recompute reads must be a deep copy — one full ring
 // of later captures, each writing other interests and offers into the very
 // arrays the window was copied from, leaves it unchanged and oldest-first.
+// Captures go in as windows: a rejected element takes no slot, and a window
+// may wrap the ring part-way through.
 func TestAuditWindowOwnsItsCopy(t *testing.T) {
 	const n = 8
 	s := newAuditState(n, 0)
-	capture := func(i int) {
-		f := float64(i)
-		a := Arrival{Loc: geo.Point{X: f, Y: -f}, Capacity: i, ViewProb: f / 256,
-			Interests: []float64{f, f + 1, f + 2}, Hour: f}
-		s.capture(&a, []Offer{{Campaign: int32(i), Cost: f, Utility: 2 * f}, {Campaign: -1, AdType: i}})
+	// capture submits arrivals from … to-1 as one window, rejecting those
+	// listed; arrival i has capacity i.
+	capture := func(from, to int, rejected ...int) {
+		var batch []Arrival
+		var results []BatchResult
+		for i := from; i < to; i++ {
+			f := float64(i)
+			batch = append(batch, Arrival{Loc: geo.Point{X: f, Y: -f}, Capacity: i, ViewProb: f / 256,
+				Interests: []float64{f, f + 1, f + 2}, Hour: f})
+			r := BatchResult{Offers: []Offer{{Campaign: int32(i), Cost: f, Utility: 2 * f}, {Campaign: -1, AdType: i}}}
+			if slices.Contains(rejected, i) {
+				r = BatchResult{Err: fmt.Errorf("broker: arrival %d rejected", i)}
+			}
+			results = append(results, r)
+		}
+		s.capture(batch, results)
 	}
-	for i := 0; i < n+3; i++ { // wrapped: the oldest arrival is mid-ring
-		capture(i)
+	holds := func(win []audit.Arrival, want ...int) {
+		t.Helper()
+		var got []int
+		for _, e := range win {
+			got = append(got, e.Capacity)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("window holds arrivals %v, want %v (oldest first)", got, want)
+		}
+	}
+	capture(0, 5, 1, 3)
+	holds(s.window(), 0, 2, 4)
+	capture(5, 13) // five free slots, then wraps over 0, 2, 4: the oldest is mid-ring
+	if s.next != 3 {
+		t.Fatalf("after the wrapping window the oldest slot is %d, want 3", s.next)
 	}
 	win := s.window()
+	holds(win, 5, 6, 7, 8, 9, 10, 11, 12)
 	want := fmt.Sprint(win)
-	for i := 100; i < 100+n; i++ {
-		capture(i)
-	}
+	capture(100, 100+n)
 	if got := fmt.Sprint(win); got != want {
 		t.Fatalf("later captures rewrote the window:\n got %s\nwant %s", got, want)
 	}
-	for i := range win {
-		if win[i].Capacity != 3+i {
-			t.Fatalf("window[%d] is arrival %d, want %d (oldest first)", i, win[i].Capacity, 3+i)
-		}
-	}
+	holds(s.window(), 100, 101, 102, 103, 104, 105, 106, 107)
 }
 
 // BenchmarkAuditNowDense is the live audit's recompute at the benchmark's

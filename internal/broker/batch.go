@@ -192,13 +192,8 @@ func (b *Broker) arriveBatchTraced(batch []Arrival, req *trace.Request, sc *batc
 // captureBatch feeds the accepted arrivals to the live-audit window in
 // submission order, after the stripe locks have been released.
 func (b *Broker) captureBatch(batch []Arrival, results []BatchResult) {
-	if b.audit == nil {
-		return
-	}
-	for i := range results {
-		if results[i].Err == nil {
-			b.audit.capture(&batch[i], results[i].Offers)
-		}
+	if b.audit != nil {
+		b.audit.capture(batch, results)
 	}
 }
 

@@ -145,20 +145,28 @@ func TestParseNumberMatchesStrconv(t *testing.T) {
 	}
 }
 
-// TestPow10TableMatchesStrconv checks the built table against rows copied
-// from strconv's detailedPowersOfTen.
+// TestPow10TableMatchesStrconv checks the built table, at its ends and
+// inside the parse's window, against rows copied from strconv's
+// detailedPowersOfTen, and that the window is a view of it.
 func TestPow10TableMatchesStrconv(t *testing.T) {
 	for _, row := range []struct {
 		exp int
 		lo  uint64
 		hi  uint64
 	}{
+		{-348, 0x1732C869CD60E453, 0xFA8FD5A0081C0288},
 		{-22, 0x5324C68B12DD6338, 0xF1C90080BAF72CB1},
 		{-1, 0xCCCCCCCCCCCCCCCC, 0xCCCCCCCCCCCCCCCC},
 		{0, 0x0000000000000000, 0x8000000000000000},
+		{347, 0x4B7195F2D2D1A9FB, 0xD13EB46469447567},
 	} {
-		if got := pow10Table[row.exp-pow10Min]; got != [2]uint64{row.lo, row.hi} {
+		if got := pow10s[row.exp-pow10sMin]; got != [2]uint64{row.lo, row.hi} {
 			t.Errorf("1e%d: %#x, strconv has {%#x, %#x}", row.exp, got, row.lo, row.hi)
+		}
+	}
+	for _, e := range []int{pow10Min, pow10Max} {
+		if &pow10Table[e-pow10Min] != &pow10s[e-pow10sMin] {
+			t.Errorf("pow10Table's 1e%d is not pow10s's", e)
 		}
 	}
 }

@@ -27,10 +27,10 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/big"
 	"math/bits"
 	"mime"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -424,24 +424,12 @@ func eiselLemire(man uint64, exp10 int) (float64, bool) {
 	return math.Float64frombits(retExp2<<52 | retMantissa&(1<<52-1)), true
 }
 
-// pow10Table holds 10^e for e in [pow10Min, pow10Max] as strconv's
-// detailedPowersOfTen does: the leading 128 bits rounded down, low word
-// first. Arrival numbers (scores, coordinates, hours) sit well inside.
+// pow10Table is the window of pow10s the parse converts over: arrival
+// numbers (scores, coordinates, hours) sit well inside [pow10Min, pow10Max],
+// and strconv takes the rest.
 const pow10Min, pow10Max = -64, 63
 
-var pow10Table = func() (t [pow10Max - pow10Min + 1][2]uint64) {
-	lo64 := new(big.Int).SetUint64(math.MaxUint64)
-	for e := pow10Min; e <= pow10Max; e++ {
-		p := new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(max(e, -e))), nil)
-		if e < 0 { // 2^k / 10^-e, with k making the quotient 128 bits long
-			p.Quo(new(big.Int).Lsh(big.NewInt(1), uint(127+p.BitLen())), p)
-		}
-		p.Lsh(p, 128) // then down to the leading 128 bits, truncating
-		p.Rsh(p, uint(p.BitLen()-128))
-		t[e-pow10Min] = [2]uint64{new(big.Int).And(p, lo64).Uint64(), p.Rsh(p, 64).Uint64()}
-	}
-	return t
-}()
+var pow10Table = (*[pow10Max - pow10Min + 1][2]uint64)(pow10s[pow10Min-pow10sMin:])
 
 // floats parses an array of numbers into the shared backing.
 func (p *arrivalParser) floats() ([]float64, bool) {
@@ -559,25 +547,90 @@ func (r *replyBuf) sep(i int) {
 	}
 }
 
-// float appends f as encoding/json writes a float64: ES6 number formatting —
-// 'f' inside [1e-6, 1e21), else 'e' with a one-digit negative exponent
-// unpadded (e-07 → e-7).
+// float appends f as encoding/json writes a float64: the shortest digits
+// that read back as f, laid out in ES6 number formatting — fixed for
+// 1e-6 ≤ |f| < 1e21 (decimal point position dp in [-5, 21], ES6's own test,
+// which encoding/json's float comparisons agree with), else exponential with
+// the exponent unpadded (1e-7, 1e+21).
 func (r *replyBuf) float(f float64) {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
+	u := math.Float64bits(f)
+	exp, mant := int(u>>52)&0x7FF, u&(1<<52-1)
+	switch exp {
+	case 0x7FF:
 		r.err = errNonFinite
 		return
+	case 0: // subnormal
+		exp++
+	default:
+		mant |= 1 << 52
 	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
+	var buf [32]byte
+	d := decimalSlice{d: buf[:]}
+	ryuShortest(&d, mant, exp-1023-52)
+	digits := d.d[:d.nd]
+
+	n := len(r.b)
+	b := slices.Grow(r.b, maxFloatLen)
+	out := b[n : n+maxFloatLen]
+	i := 0
+	if u>>63 != 0 {
+		out[i] = '-'
+		i++
 	}
-	b := strconv.AppendFloat(r.b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
+	switch dp := d.dp; {
+	case d.nd == 0: // ±0
+		out[i] = '0'
+		i++
+	case dp < -5 || dp > 21:
+		out[i] = digits[0]
+		i++
+		if d.nd > 1 {
+			out[i] = '.'
+			i++
+			i += copy(out[i:], digits[1:])
+		}
+		x := dp - 1
+		out[i], out[i+1] = 'e', '+'
+		if x < 0 {
+			out[i+1], x = '-', -x
+		}
+		i += 2
+		if x >= 100 {
+			out[i] = byte(x/100) + '0'
+			i++
+		}
+		if x >= 10 {
+			out[i] = byte(x/10%10) + '0'
+			i++
+		}
+		out[i] = byte(x%10) + '0'
+		i++
+	case dp <= 0: // 0.000ddd
+		out[i], out[i+1] = '0', '.'
+		i += 2
+		for ; dp < 0; dp++ {
+			out[i] = '0'
+			i++
+		}
+		i += copy(out[i:], digits)
+	case dp < d.nd: // ddd.ddd
+		i += copy(out[i:], digits[:dp])
+		out[i] = '.'
+		i++
+		i += copy(out[i:], digits[dp:])
+	default: // ddd000
+		i += copy(out[i:], digits)
+		for ; dp > d.nd; dp-- {
+			out[i] = '0'
+			i++
+		}
 	}
-	r.b = b
+	r.b = b[:n+i]
 }
+
+// maxFloatLen bounds what float writes: a sign, "0.", five zeros and 17
+// digits.
+const maxFloatLen = 25
 
 // wireAdType is one ad type's reply fragments, rendered once: its quoted,
 // escaped name, and the cost and slate charge (cost*1000) of an offer
