@@ -24,6 +24,7 @@ package broker
 
 import (
 	"errors"
+	"math"
 	"slices"
 	"time"
 
@@ -218,6 +219,8 @@ func refusal(results []BatchResult) error {
 // time.Since delta (a single monotonic-clock read, about half the cost) off
 // that anchor. mark is the elapsed time at the previous boundary, so the laps
 // partition [0, mark] exactly and a trace's child spans sum to its root span.
+// Boundaries fall between phases, never between arrivals: a window reads the
+// clock 2·chunks + 3 times, whatever its size.
 type stageClock struct {
 	start time.Time
 	mark  time.Duration
@@ -231,22 +234,32 @@ func (c *stageClock) lap() time.Duration {
 	return d
 }
 
+// chunkIDs bounds a chunk's gathered ids: 4 096 int32 are 16 KiB, so a
+// chunk's ids are still in L1 when its scan reads them back.
+const chunkIDs = 4096
+
 // arriveBatch is the arrival pipeline: validate every element, lock the
-// covering stripe interval, then per accepted arrival the kernel stages —
-// gather, scan, commit (see kernel.go) — and one WAL record for the window.
-// results is the caller's zeroed, index-aligned out-buffer; committed offers
-// are appended to offers and the extended slice returned. It also reports how
-// many elements were accepted, the lowest locked stripe (an uncontended
-// histogram lane for the caller) and, when timed, the elapsed time from lock
-// wait through WAL append.
+// covering stripe interval, then the kernel stages (see kernel.go) over the
+// accepted arrivals in chunks of two phases — gather every arrival's
+// candidates into the arena, then scan and commit each arrival in submission
+// order — and one WAL record for the window. results is the caller's
+// zeroed, index-aligned out-buffer; committed offers are appended to offers
+// and the extended slice returned. It also reports how many elements were
+// accepted, the lowest locked stripe (an uncontended histogram lane for the
+// caller) and, when timed, the elapsed time from lock wait through WAL
+// append.
+//
+// Gathering a chunk ahead of its scans returns the ids gathering each
+// arrival just before its scan would: a grid changes only under its shard's
+// lock, and the window holds every covering stripe.
 //
 // Timed (metrics or t set), the call is cut into four stage spans, the same
 // for every window size and fed to both the stage histograms and the trace,
 // so tracing adds no clock reads: lock_wait is the interval acquisition,
-// gather the sum of the grid probes, scan the sum of score + walk + resolve +
-// charge (and the element's WAL body encoding), commit the one WAL append —
-// next to nothing on an in-memory broker. That is two monotonic-clock reads
-// per arrival.
+// gather the chunks' grid probes, scan their score + walk + resolve + charge
+// (and WAL body encoding), commit the one WAL append — next to nothing on an
+// in-memory broker. The clock is read once per phase, not per arrival: a
+// window of one reads it five times, a window of any size 2·chunks + 3.
 func (b *Broker) arriveBatch(batch []Arrival, results []BatchResult, offers []Offer, t *trace.Trace) (_ []Offer, live, lane int, elapsed time.Duration) {
 	m := b.metrics
 	if err := b.Err(); err != nil {
@@ -259,10 +272,13 @@ func (b *Broker) arriveBatch(batch []Arrival, results []BatchResult, offers []Of
 	// the arrival, so only the stripes overlapping that Y-window can hold one;
 	// a zero-capacity arrival is only counted, which its home stripe
 	// serializes against snapshot quiescence like every other mutation.
-	// Contiguous by construction — stripe ranges are intervals — and locked
-	// once, ascending, the global lock order.
+	// Stripe lookup is monotone in Y, so the union is spanned by the extreme
+	// arrivals of each kind, and each arrival's own range is computed once,
+	// by its gather. Contiguous by construction — stripe ranges are
+	// intervals — and locked once, ascending, the global lock order.
 	maxR := b.maxRadius.Load()
-	lo, hi := len(b.shards), -1
+	yLo, yHi := math.Inf(1), math.Inf(-1) // arrivals that gather
+	zLo, zHi := math.Inf(1), math.Inf(-1) // zero-capacity arrivals
 	for i := range batch {
 		a := &batch[i]
 		if err := validateArrival(a); err != nil {
@@ -270,14 +286,11 @@ func (b *Broker) arriveBatch(batch []Arrival, results []BatchResult, offers []Of
 			continue
 		}
 		live++
-		var s0, s1 int
 		if a.Capacity == 0 {
-			s0 = b.stripes.Of(a.Loc)
-			s1 = s0
+			zLo, zHi = min(zLo, a.Loc.Y), max(zHi, a.Loc.Y)
 		} else {
-			s0, s1 = b.stripes.Range(a.Loc.Y-maxR, a.Loc.Y+maxR)
+			yLo, yHi = min(yLo, a.Loc.Y), max(yHi, a.Loc.Y)
 		}
-		lo, hi = min(lo, s0), max(hi, s1)
 	}
 	if live == 0 {
 		if t != nil {
@@ -286,6 +299,14 @@ func (b *Broker) arriveBatch(batch []Arrival, results []BatchResult, offers []Of
 			t.Start = time.Now()
 		}
 		return offers, 0, 0, 0
+	}
+	lo, hi := len(b.shards), -1
+	if yLo <= yHi {
+		lo, hi = b.stripes.Range(yLo-maxR, yHi+maxR)
+	}
+	if zLo <= zHi {
+		s0, s1 := b.stripes.Range(zLo, zHi)
+		lo, hi = min(lo, s0), max(hi, s1)
 	}
 
 	timed := m != nil || t != nil
@@ -318,37 +339,52 @@ func (b *Broker) arriveBatch(batch []Arrival, results []BatchResult, offers []Of
 	// are held (see scanArena's ownership rule).
 	ar := &b.shards[lo].arena
 	var agg scanTally
-	for i := range batch {
-		if results[i].Err != nil {
-			continue
-		}
-		a := &batch[i]
-		// Inside the stripe locks, so the bump is atomic with the record this
-		// call logs before unlocking: the counter is recovered state.
-		b.arrivals.Add(1)
-		if a.Capacity > 0 {
-			s0, s1 := b.stripes.Range(a.Loc.Y-maxR, a.Loc.Y+maxR)
-			fl := b.gatherCandidates(ar, a.Loc, s0, s1)
-			if timed {
-				stages[trace.StageGather] += clk.lap()
+	for c0 := 0; c0 < len(batch); {
+		// Phase 1: gather the chunk, one run of ar.wids per arrival.
+		var fl *fleet
+		ar.wids, ar.woff = ar.wids[:0], append(ar.woff[:0], 0)
+		c1 := c0
+		for ; c1 < len(batch) && len(ar.wids) < chunkIDs; c1++ {
+			if a := &batch[c1]; results[c1].Err == nil && a.Capacity > 0 {
+				s0, s1 := b.stripes.Range(a.Loc.Y-maxR, a.Loc.Y+maxR)
+				fl = b.gather(ar, a.Loc, s0, s1)
 			}
-			agg.add(b.scan(ar, a, fl, auction))
-			if n0 := len(offers); len(ar.cands) > 0 {
-				offers = b.commit(ar, offers, auction)
-				// Full-slice expression: a later arrival's append can grow past
-				// this segment's length but never overwrite it.
-				results[i].Offers = offers[n0:len(offers):len(offers)]
-			}
+			ar.woff = append(ar.woff, int32(len(ar.wids)))
 		}
-		if b.wal != nil {
-			enc.arrivalBody(&ArrivalRecord{
-				GammaMin: b.gammaMin.Load(), GammaMax: b.gammaMax.Load(),
-				Customer: *a, Offers: results[i].Offers,
-			})
+		if timed {
+			stages[trace.StageGather] += clk.lap()
+		}
+
+		// Phase 2: scan, commit and encode the chunk in submission order.
+		for i := c0; i < c1; i++ {
+			if results[i].Err != nil {
+				continue
+			}
+			a := &batch[i]
+			// Inside the stripe locks, so the bump is atomic with the record
+			// this call logs before unlocking: the counter is recovered state.
+			b.arrivals.Add(1)
+			if a.Capacity > 0 {
+				ar.ids = ar.wids[ar.woff[i-c0]:ar.woff[i-c0+1]]
+				agg.add(b.scan(ar, a, fl, auction))
+				if n0 := len(offers); len(ar.cands) > 0 {
+					offers = b.commit(ar, offers, auction)
+					// Full-slice expression: a later arrival's append can grow
+					// past this segment's length but never overwrite it.
+					results[i].Offers = offers[n0:len(offers):len(offers)]
+				}
+			}
+			if b.wal != nil {
+				enc.arrivalBody(&ArrivalRecord{
+					GammaMin: b.gammaMin.Load(), GammaMax: b.gammaMax.Load(),
+					Customer: *a, Offers: results[i].Offers,
+				})
+			}
 		}
 		if timed {
 			stages[trace.StageScan] += clk.lap()
 		}
+		c0 = c1
 	}
 	if b.wal != nil {
 		*bp = enc.buf

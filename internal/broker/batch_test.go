@@ -419,6 +419,52 @@ func TestArriveBatchTraced(t *testing.T) {
 	if res := plain.ArriveBatchTraced([]Arrival{{ViewProb: 0.5}}, newTraceReq()); len(res) != 1 {
 		t.Fatalf("untraced batch returned %d results", len(res))
 	}
+
+	t.Run("dense-chunks", arriveBatchTracedDense)
+}
+
+// arriveBatchTracedDense holds the stage accounting at the `dense` shape:
+// ≈260 candidates per arrival in windows of 64, so every window gathers
+// several chunks and laps the clock once per phase of each. The spans must
+// still partition the root exactly, and each stage histogram must take one
+// observation per call, not one per chunk.
+func arriveBatchTracedDense(t *testing.T) {
+	rec := trace.NewRecorder(trace.RecorderOptions{})
+	reg := obs.NewRegistry()
+	b, err := New(Config{AdTypes: workload.DefaultAdTypes(), Metrics: reg, Tracer: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrivals := denseMarket(t, b, false)[:256]
+	const window = 64
+	calls := 0
+	for at := 0; at < len(arrivals); at += window {
+		req := newTraceReq()
+		b.ArriveBatchTraced(arrivals[at:at+window], req)
+		calls++
+		tr := rec.Snapshot(trace.Filter{Limit: 1})[0]
+		if tr.TraceID != req.TraceID {
+			t.Fatalf("window %d: newest trace is not this call's", calls)
+		}
+		if tr.Scan.Gathered <= chunkIDs {
+			t.Fatalf("window %d gathered %d ids, want more than one chunk (%d)", calls, tr.Scan.Gathered, chunkIDs)
+		}
+		var sum time.Duration
+		for _, d := range tr.Stages {
+			sum += d
+		}
+		if sum != tr.Duration {
+			t.Fatalf("window %d: stage spans %v sum to %v, root is %v", calls, tr.Stages, sum, tr.Duration)
+		}
+		if tr.Stages[trace.StageGather] <= 0 || tr.Stages[trace.StageScan] <= 0 {
+			t.Fatalf("window %d: stage spans %v: gather and scan must both be positive", calls, tr.Stages)
+		}
+	}
+	for _, stage := range trace.StageNames {
+		if got := reg.FindHistogram("muaa_broker_arrival_stage_seconds", obs.L("stage", stage)).Snapshot().Count; got != uint64(calls) {
+			t.Errorf("stage %q observed %d times over %d calls, want one per call", stage, got, calls)
+		}
+	}
 }
 
 // serveDefaults is muaa-serve's broker configuration: a live audit over the
@@ -554,6 +600,126 @@ func TestSerialIsBatchOfOne(t *testing.T) {
 				})
 			}
 		}
+	}
+	t.Run("dense-chunks", serialIsBatchDense)
+}
+
+// serialIsBatchDense holds the same bar where a window is many gather
+// chunks: the `dense` market (≈260 candidates per arrival) in windows of 64,
+// each mixing in zero-capacity and invalid arrivals, against the same
+// arrivals submitted one by one. Results, Stats, γ bits and the funnel's
+// gathered count must match after every window, Campaigns and every
+// campaign's funnel row at the end; and every record of the windowed
+// WAL must be byte-equal to the serial WAL's records it spans — a
+// registration as is, an arrivals record as the serial bodies framed as
+// one window.
+func serialIsBatchDense(t *testing.T) {
+	mk := func(dir string) *Broker {
+		b, err := New(Config{
+			AdTypes: workload.DefaultAdTypes(), DataDir: dir, WAL: crashWAL(),
+			Funnel: FunnelConfig{Enabled: true}, Metrics: obs.NewRegistry(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	serialDir, batchDir := t.TempDir(), t.TempDir()
+	serial, batched := mk(serialDir), mk(batchDir)
+	arrivals := denseMarket(t, serial, false)[:512]
+	denseMarket(t, batched, false)
+	for i := range arrivals {
+		switch i % 11 {
+		case 3:
+			arrivals[i].Capacity = 0
+		case 6:
+			arrivals[i].Capacity = -1
+		}
+	}
+	const window = 64
+	for at := 0; at < len(arrivals); at += window {
+		w := arrivals[at : at+window]
+		g0 := batched.funnel.gathered.Load()
+		res := batched.ArriveBatch(w)
+		if g := batched.funnel.gathered.Load() - g0; g <= chunkIDs {
+			t.Fatalf("window at %d gathered %d ids, want more than one chunk (%d)", at, g, chunkIDs)
+		}
+		for i, a := range w {
+			got, err := serial.Arrive(a)
+			if (err == nil) != (res[i].Err == nil) || (err != nil && err.Error() != res[i].Err.Error()) {
+				t.Fatalf("arrival %d: errors differ: serial %v, window %v", at+i, err, res[i].Err)
+			}
+			if !reflect.DeepEqual(got, res[i].Offers) && len(got)+len(res[i].Offers) > 0 {
+				t.Fatalf("arrival %d: offers differ:\nserial %+v\nwindow %+v", at+i, got, res[i].Offers)
+			}
+		}
+		if s, b := serial.Stats(), batched.Stats(); s != b {
+			t.Fatalf("window at %d: stats differ:\nserial %+v\nwindow %+v", at, s, b)
+		}
+		if serial.gammaMin.bits.Load() != batched.gammaMin.bits.Load() ||
+			serial.gammaMax.bits.Load() != batched.gammaMax.bits.Load() {
+			t.Fatalf("window at %d: γ bits differ", at)
+		}
+		if s, b := serial.funnel.gathered.Load(), batched.funnel.gathered.Load(); s != b {
+			t.Fatalf("window at %d: funnels gathered %d vs %d candidates", at, s, b)
+		}
+	}
+	if s, b := serial.Campaigns(), batched.Campaigns(); !reflect.DeepEqual(s, b) {
+		t.Fatal("final campaign states differ")
+	}
+	sf, bf := serial.dir.Load(), batched.dir.Load()
+	for id := range sf.campaigns {
+		if s, b := sf.funnel(int32(id)), bf.funnel(int32(id)); *s != *b {
+			t.Fatalf("campaign %d: funnel rows differ: serial %v, window %v", id, *s, *b)
+		}
+	}
+
+	flushWAL(t, serial)
+	flushWAL(t, batched)
+	sv, err := wal.ReadDir(serialDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bv, err := wal.ReadDir(batchDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func(rec []byte) DecodedRecord {
+		d, err := DecodeRecord(rec)
+		if err != nil {
+			t.Fatalf("undecodable WAL record: %v", err)
+		}
+		return d
+	}
+	k := 0 // the next serial record
+	for i, rec := range bv.Records {
+		want := rec[:0]
+		if d := decode(rec); d.Kind != RecordArrivals {
+			if k < len(sv.Records) {
+				want = sv.Records[k]
+				k++
+			}
+		} else {
+			framed := DecodedRecord{Kind: RecordArrivals}
+			for first := k; len(framed.Arrivals) < len(d.Arrivals) && k < len(sv.Records); k++ {
+				sd := decode(sv.Records[k])
+				if sd.Kind != RecordArrivals || k > first && sd.Auction != framed.Auction {
+					t.Fatalf("windowed record %d: serial record %d is not an arrival of the same window", i, k)
+				}
+				framed.Auction = sd.Auction
+				framed.Arrivals = append(framed.Arrivals, sd.Arrivals...)
+			}
+			var c codec
+			c.record(&framed)
+			want = c.buf
+		}
+		if string(rec) != string(want) {
+			t.Fatalf("windowed record %d: %d vs %d bytes, first difference at byte %d",
+				i, len(rec), len(want), firstDiff(string(rec), string(want)))
+		}
+	}
+	if k != len(sv.Records) {
+		t.Fatalf("windowed WAL spans %d of the serial WAL's %d records", k, len(sv.Records))
 	}
 }
 

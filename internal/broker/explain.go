@@ -189,7 +189,7 @@ func (b *Broker) Explain(a Arrival) (*ExplainReport, error) {
 	auction := b.cfg.Slate || b.billing.active.Load()
 	why := &explainLog{lowScore: map[int32]float64{}}
 	ar := &scanArena{rec: true, why: why}
-	fl := b.gatherCandidates(ar, a.Loc, s0, s1)
+	fl := b.gather(ar, a.Loc, s0, s1)
 	b.gammaSeed(&ar.gamma)
 	entry := ar.gamma
 	b.decide(ar, &a, fl, auction)

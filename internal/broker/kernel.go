@@ -8,8 +8,9 @@ package broker
 // stages over a scanArena; they differ only in whose arena it is, where the
 // γ-state goes afterwards, and how much the kernel is asked to write down:
 //
-//  1. gatherCandidates: grid probes into ar.ids, put in ascending order —
-//     the global scan order — through a bitset over the campaign directory.
+//  1. gather: grid probes into ar.ids, put in ascending order — the global
+//     scan order — through a bitset over the campaign directory. A window
+//     gathers a chunk of arrivals before it scans the first of them.
 //  2. terms, two loops. The read sweep touches every gathered campaign's two
 //     page rows once (hotRow, walkRow: a 64-byte line each) and copies them,
 //     with Eq. 5's covariance against the fleet's vendor slab, into flat
@@ -205,6 +206,12 @@ type scanArena struct {
 	mark    []uint64
 	summary []uint64
 
+	// wids is a window chunk's gathered ids, one ascending run per arrival:
+	// the chunk's k-th arrival owns wids[woff[k]:woff[k+1]], and ids is the
+	// run being decided.
+	wids []int32
+	woff []int32
+
 	// rows is terms' read sweep: rows[i] is what gathered campaign ids[i]
 	// looked like, each field read once under the stripe locks. Pointer-free.
 	rows []termRow
@@ -328,20 +335,23 @@ func (ar *scanArena) drop(t *scanTally, id int32, d funnelDisposition) {
 	}
 }
 
-// gatherCandidates probes the locked shards' grids for campaigns covering
-// loc, puts the ids in ascending order (global ID order — the same order the
-// single-mutex broker scanned in), and returns the fleet — the campaign
-// directory and the vendor slab, one header. Loaded after the shard locks and
-// the probes: any id a locked grid returned was inserted under that shard's
-// lock, and its registration published the fleet header before the grid
-// entry, so this load observes it — every gathered id indexes the directory
-// and the slab, and so the bitset sized to them.
-func (b *Broker) gatherCandidates(ar *scanArena, loc geo.Point, s0, s1 int) *fleet {
-	ar.ids = ar.ids[:0]
+// gather probes the locked shards' grids for campaigns covering loc,
+// appends their ids to ar.wids as one run in ascending order (global ID order
+// — the same order the single-mutex broker scanned in), leaves ar.ids viewing
+// that run, and returns the fleet — the campaign directory and the vendor
+// slab, one header. Loaded after the shard locks and the probes: any id a
+// locked grid returned was inserted under that shard's lock, and its
+// registration published the fleet header before the grid entry, so this
+// load observes it — every gathered id indexes the directory and the slab,
+// and so the bitset sized to them. The directory is append-only, so the last
+// header a chunk loads covers every run gathered before it.
+func (b *Broker) gather(ar *scanArena, loc geo.Point, s0, s1 int) *fleet {
+	n0 := len(ar.wids)
 	for i := s0; i <= s1; i++ {
-		ar.ids = b.shards[i].grid.CoveredBy(ar.ids, loc)
+		ar.wids = b.shards[i].grid.CoveredBy(ar.wids, loc)
 	}
 	fl := b.dir.Load()
+	ar.ids = ar.wids[n0:]
 	ar.orderIDs(len(fl.campaigns))
 	return fl
 }

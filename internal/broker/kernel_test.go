@@ -144,7 +144,7 @@ func BenchmarkTermsDense(b *testing.B) {
 	gathered := make([][]int32, len(arrivals))
 	var fl *fleet
 	for i := range arrivals {
-		fl = br.gatherCandidates(ar, arrivals[i].Loc, 0, len(br.shards)-1)
+		fl = br.gather(ar, arrivals[i].Loc, 0, len(br.shards)-1)
 		gathered[i] = slices.Clone(ar.ids)
 	}
 	var tally scanTally

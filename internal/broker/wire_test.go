@@ -649,16 +649,29 @@ func batchBodies(fx *codecFixture) [][]byte {
 }
 
 // BenchmarkAPIArrivalBatch is the `batch` workload's api rung (api.json_ns
-// plus the kernel under it): 256 arrivals per POST /v1/arrivals:batch.
+// plus the kernel under it): 256 arrivals per POST /v1/arrivals:batch. The
+// bare arm's broker has no telemetry; the serve arm runs muaa-serve's
+// defaults, so it prices the timed path the server always runs — stage
+// clock, histograms, funnel and audit capture.
 func BenchmarkAPIArrivalBatch(b *testing.B) {
-	fx := codecLoad(b, 16*256, 42)
-	benchmarkAPI(b, fx.api, "/v1/arrivals:batch", batchBodies(fx), 256)
+	for _, arm := range []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"bare", func() Config { return Config{AdTypes: workload.DefaultAdTypes()} }},
+		{"serve", serveDefaults},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			fx := codecLoadOn(b, arm.cfg(), 16*256, 42)
+			benchmarkAPI(b, fx.api, "/v1/arrivals:batch", batchBodies(fx), 256)
+		})
+	}
 }
 
 // TestAPIArrivalBatchServeDefaultsAllocs holds a 256-arrival :batch through
 // API.ServeHTTP on muaa-serve's broker defaults to the 4 allocations per
-// request BenchmarkAPIArrivalBatch counts without them: once the audit ring
-// has wrapped, capturing an arrival allocates nothing.
+// request BenchmarkAPIArrivalBatch/bare counts without them: once the audit
+// ring has wrapped, capturing an arrival allocates nothing.
 func TestAPIArrivalBatchServeDefaultsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled request buffers under -race")

@@ -71,13 +71,22 @@ func (o *WindowOracle) Theta() float64 { return o.theta }
 // once every customer with a pair is full.
 func (o *WindowOracle) Solve(p *model.Problem) (model.Assignment, error) {
 	ix := NewIndex(p)
-	o.pairs, o.theta = o.pairs[:0], 1
-	open := 0 // customers with headroom and a pair to fill it
+	// A counting pass sizes the pair table before the fill: grown by append,
+	// a first solve's table allocated about twice its final size. Pairs that
+	// score 0 are dropped, so the count is an upper bound.
+	o.theta = 1
+	valid := 0
 	for ui := range p.Customers {
 		o.vbuf = ix.ValidVendors(o.vbuf[:0], int32(ui))
+		valid += len(o.vbuf)
 		if nc := max(len(o.vbuf), p.Customers[ui].Capacity); nc > 0 {
 			o.theta = min(o.theta, float64(p.Customers[ui].Capacity)/float64(nc))
 		}
+	}
+	o.pairs = slices.Grow(o.pairs[:0], valid)
+	open := 0 // customers with headroom and a pair to fill it
+	for ui := range p.Customers {
+		o.vbuf = ix.ValidVendors(o.vbuf[:0], int32(ui))
 		slices.Sort(o.vbuf)
 		n := len(o.pairs)
 		for _, vj := range o.vbuf {
