@@ -65,7 +65,6 @@ type Config struct {
 	DataDir string
 	// WAL tunes the write-ahead log (fsync policy, snapshot cadence,
 	// segment retention); ignored when DataDir is empty.
-	// WAL.Metrics is overridden by Config.Metrics.
 	WAL wal.Options
 	// AuditWindow, when positive, keeps the last AuditWindow arrivals (with
 	// their committed offers) in a ring and periodically recomputes a

@@ -18,9 +18,8 @@ import (
 // cadence bookkeeping and the background compaction goroutine. nil on an
 // in-memory broker — every hot-path hook is gated on that one pointer.
 type durable struct {
-	log      *wal.Log
-	cadence  int          // records between automatic snapshots; 0 disables
-	appended atomic.Int64 // records since the last snapshot
+	log     *wal.Log
+	cadence int // records between automatic snapshots; 0 disables
 
 	snapCh chan struct{} // nudges the snapshot loop (capacity 1)
 	stopCh chan struct{}
@@ -61,10 +60,7 @@ func (b *Broker) RecoveryStats() RecoveryInfo {
 // log is not advisory-locked.
 func recoverDurable(cfg Config) (*Broker, error) {
 	start := time.Now()
-	opts := cfg.WAL
-	opts.Metrics = cfg.Metrics
-	opts.Logger = cfg.Logger
-	log, v, err := wal.Open(cfg.DataDir, opts)
+	log, v, err := wal.Open(cfg.DataDir, cfg.WAL, cfg.Metrics, cfg.Logger)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +76,7 @@ func recoverDurable(cfg Config) (*Broker, error) {
 
 	d := &durable{
 		log:     log,
-		cadence: opts.SnapshotCadence(),
+		cadence: cfg.WAL.SnapshotCadence(),
 		snapCh:  make(chan struct{}, 1),
 		stopCh:  make(chan struct{}),
 		doneCh:  make(chan struct{}),
@@ -158,7 +154,8 @@ func (b *Broker) Close() error {
 }
 
 // snapshotLoop runs automatic compaction off the serving path: walAppend
-// nudges it once a cadence worth of records has accumulated.
+// nudges it at every cadence-th record of the active segment. A failed
+// rotation keeps that segment, so the next nudge comes a cadence later.
 func (b *Broker) snapshotLoop() {
 	d := b.wal
 	defer close(d.doneCh)
@@ -181,9 +178,7 @@ func (b *Broker) snapshotLoop() {
 // records appended so far: nothing in flight, nothing lost.
 func (b *Broker) snapshotNow() error {
 	defer b.quiesce()()
-	err := b.wal.log.Snapshot(b.encodeSnapshot())
-	b.wal.appended.Store(0)
-	return err
+	return b.wal.log.Snapshot(b.encodeSnapshot())
 }
 
 // recPool recycles record-encoding buffers so a durable arrival does not
@@ -198,12 +193,12 @@ var recPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }
 // and every later mutation is refused before it starts (Err).
 func (b *Broker) walAppend(bp *[]byte) error {
 	d := b.wal
-	err := d.log.Append(*bp)
+	n, err := d.log.Append(*bp)
 	recPool.Put(bp)
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrUnavailable, err)
 	}
-	if d.cadence > 0 && int(d.appended.Add(1)) >= d.cadence {
+	if d.cadence > 0 && n%d.cadence == 0 {
 		select {
 		case d.snapCh <- struct{}{}:
 		default:

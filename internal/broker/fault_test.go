@@ -169,3 +169,56 @@ func TestRotationFaultKeepsServing(t *testing.T) {
 		})
 	}
 }
+
+// TestSnapshotCadence pins when walAppend nudges the snapshot loop: at every
+// SnapshotEvery-th record of the active segment. A successful rotation
+// starts a new segment; a failed one (a directory squats on snapshot.tmp)
+// keeps the segment, so the next attempt comes SnapshotEvery records later,
+// not on every append. The test stops the loop and plays it, taking each
+// nudge as it is sent.
+func TestSnapshotCadence(t *testing.T) {
+	const every = 3
+	cfg := Config{AdTypes: workload.DefaultAdTypes(), DataDir: t.TempDir(),
+		WAL: wal.Options{Sync: wal.SyncNone, SnapshotEvery: every}}
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := b.wal
+	close(d.stopCh)
+	<-d.doneCh
+	d.stopCh, d.doneCh = make(chan struct{}), make(chan struct{})
+	close(d.doneCh) // Close finds the loop stopped
+	id, err := b.RegisterCampaign(geo.Point{X: 0.5, Y: 0.5}, 0.2, 10, []float64{1, 0, 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obstacle := filepath.Join(cfg.DataDir, "snapshot.tmp")
+	for rec := 2; rec <= 8*every; rec++ {
+		failing := rec > 3*every
+		if rec == 3*every+1 {
+			if err := os.Mkdir(obstacle, 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.TopUp(id, 1); err != nil {
+			t.Fatalf("record %d: %v", rec, err)
+		}
+		nudged := len(d.snapCh) == 1
+		if nudged != (rec%every == 0) {
+			t.Fatalf("record %d (rotations failing: %v): nudged %v", rec, failing, nudged)
+		}
+		if nudged {
+			<-d.snapCh
+			if err := b.snapshotNow(); (err != nil) != failing {
+				t.Fatalf("record %d: snapshot = %v, want failing %v", rec, err, failing)
+			}
+		}
+	}
+	if err := os.Remove(obstacle); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

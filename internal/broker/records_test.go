@@ -526,11 +526,11 @@ func TestRetiredFormatsRefused(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	log, _, err := wal.Open(dir, cfg.WAL)
+	log, _, err := wal.Open(dir, cfg.WAL, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := log.Append(retired[5]); err != nil {
+	if _, err := log.Append(retired[5]); err != nil {
 		t.Fatal(err)
 	}
 	if err := log.Close(); err != nil {

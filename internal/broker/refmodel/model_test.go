@@ -31,8 +31,9 @@ type refModel struct {
 	cs         []broker.Campaign
 	allowance  []float64 // controller spend ceiling per campaign, +Inf when uncapped
 	st         broker.Stats
-	gmin, gmax float64 // bounds of every observed efficiency; +Inf and 0 before the first
-	billed     bool    // a campaign with a non-fixed contract was registered
+	gmin, gmax float64  // bounds of every observed efficiency; +Inf and 0 before the first
+	billed     bool     // a campaign with a non-fixed contract was registered
+	gathered   []uint64 // per campaign, served arrivals inside its radius since boot
 
 	open      map[uint64]broker.Conversion // escrowed offers by id, as converting one pays
 	nextID    uint64                       // the next offer id; ids start at 1
@@ -49,7 +50,7 @@ func newRefModel(cfg broker.Config) *refModel {
 
 func (m *refModel) clone() *refModel {
 	c := *m
-	c.cs, c.allowance, c.keyQ = slices.Clone(m.cs), slices.Clone(m.allowance), slices.Clone(m.keyQ)
+	c.cs, c.allowance, c.keyQ, c.gathered = slices.Clone(m.cs), slices.Clone(m.allowance), slices.Clone(m.keyQ), slices.Clone(m.gathered)
 	c.open, c.keys = maps.Clone(m.open), maps.Clone(m.keys)
 	return &c
 }
@@ -87,6 +88,7 @@ func (m *refModel) RegisterCampaignSpec(s broker.CampaignSpec) (int32, error) {
 		Tags: append([]float64(nil), s.Tags...), Guaranteed: s.Guaranteed, Floor: s.Floor, Penalty: s.Penalty,
 		Rate: 1, Billing: s.Billing})
 	m.allowance = append(m.allowance, math.Inf(1))
+	m.gathered = append(m.gathered, 0)
 	m.billed = m.billed || !s.Billing.Zero()
 	return id, nil
 }
@@ -146,13 +148,17 @@ type rep struct {
 	rank    float64
 }
 
-// candidates walks the campaigns covering a in id order, feeding γ with
-// every efficiency it prices, and returns those with an admitted item.
+// candidates walks the campaigns covering a in id order, counting each as
+// gathered, feeding γ with every efficiency it prices, and returns those
+// with an admitted item.
 func (m *refModel) candidates(a broker.Arrival) []rep {
 	var reps []rep
 	for id := range m.cs {
 		c := &m.cs[id]
-		if a.Loc.Dist2(c.Loc) > c.Radius*c.Radius || c.Paused || c.Budget <= 0 || len(c.Tags) != len(a.Interests) {
+		if a.Loc.Dist2(c.Loc) > c.Radius*c.Radius {
+			continue
+		}
+		if m.gathered[id]++; c.Paused || c.Budget <= 0 || len(c.Tags) != len(a.Interests) {
 			continue
 		}
 		s := model.PearsonPreference{}.Score(&model.Customer{Interests: a.Interests}, &model.Vendor{Tags: c.Tags}, a.Hour)

@@ -45,6 +45,7 @@ var variants = []struct {
 	{"slate", broker.Config{Slate: true}},
 	{"controller", broker.Config{Controller: &controller}},
 	{"slate-ties", broker.Config{Slate: true, AdTypes: ties}},
+	{"funnel", broker.Config{Funnel: broker.FunnelConfig{Enabled: true}}},
 }
 
 var stripes = []int{1, 4, 64}
@@ -54,7 +55,8 @@ var stripes = []int{1, 4, 64}
 // one over a billed fleet per configuration, with clean restarts, torn-tail
 // crashes and disk faults along the way. After every op the answers
 // (offers, receipts, controller decisions, error-ness) and the state
-// (Stats, Campaigns) must be bit-identical, and CheckInvariants must hold;
+// (Stats, Campaigns, and with the funnel on each campaign's gathered count)
+// must be bit-identical, and CheckInvariants must hold;
 // once an append met a disk fault, every mutation must be refused until
 // the next boot, which recovers every acknowledged op.
 func TestBrokerMatchesRefModel(t *testing.T) {
@@ -296,6 +298,7 @@ func (r *run) boot(acked int) {
 	for _, f := range ops[:n] {
 		f(r.m)
 	}
+	clear(r.m.gathered) // the funnel is not recovered state
 	r.base, r.journal = r.m.clone(), nil
 	r.disk, r.refused, r.alt = healthy, nil, nil
 }
@@ -384,6 +387,17 @@ func (r *run) do(o op) {
 	} else {
 		r.same("stats", r.b.Stats(), r.m.Stats())
 		r.same("campaigns", r.b.Campaigns(), r.m.Campaigns())
+	}
+	if r.cfg.Funnel.Enabled {
+		got := make([]uint64, len(r.b.Campaigns()))
+		for id := range got {
+			fc, err := r.b.CampaignFunnel(int32(id))
+			r.must(err)
+			got[id] = fc.Gathered
+		}
+		if !slices.Equal(got, r.m.gathered) && (r.alt == nil || !slices.Equal(got, r.alt.gathered)) {
+			r.fail("funnel gathered counts diverge\nbroker: %v\nmodel:  %v", got, r.m.gathered)
+		}
 	}
 	r.must(r.b.CheckInvariants())
 }

@@ -64,7 +64,9 @@ func FuzzWALDecode(f *testing.F) {
 // FuzzWALOpen feeds arbitrary bytes in as a segment file (and, flipped, as
 // a snapshot file): Open must never panic and must either recover cleanly
 // or fail with an error — and whatever it recovers must survive an
-// append+reopen cycle.
+// append+reopen cycle. Where Open cuts a segment, the cut must be a torn
+// tail, not corruption: the frame there is not one whose length is in
+// bounds and whose checksum fails with an intact non-empty frame after it.
 func FuzzWALOpen(f *testing.F) {
 	f.Add([]byte{}, false)
 	f.Add([]byte("short"), false)
@@ -79,6 +81,15 @@ func FuzzWALOpen(f *testing.F) {
 	snap = AppendFrame(snap, []byte("snapshot payload"))
 	f.Add(snap, true)
 	f.Add(snap[:len(snap)-1], true)
+	three := AppendFrame(AppendFrame(bytes.Clone(good), []byte("second record")), []byte("third"))
+	last := len(three) - frameSize - len("third")
+	middle := append([]byte(nil), three...)
+	middle[len(good)+frameSize] ^= 0xFF // a payload byte of the middle record
+	f.Add(middle, false)
+	f.Add(three[:last+5], false) // a cut inside the last frame's header
+	lastSum := append([]byte(nil), three...)
+	lastSum[last+4] ^= 0xFF // the last frame's checksum
+	f.Add(lastSum, false)
 
 	f.Fuzz(func(t *testing.T, data []byte, asSnapshot bool) {
 		dir := t.TempDir()
@@ -89,17 +100,30 @@ func FuzzWALOpen(f *testing.F) {
 		if err := os.WriteFile(name, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, rec, err := Open(dir, Options{})
+		l, rec, err := Open(dir, Options{}, nil, nil)
 		if err != nil {
-			return // a loud failure (corrupt snapshot) is allowed; a panic is not
+			return // a loud failure (corruption) is allowed; a panic is not
 		}
-		if err := l.Append([]byte("post-recovery")); err != nil {
+		if st, err := os.Stat(name); err == nil && !asSnapshot && validHeader(data, 1) && rec.Truncated {
+			cut := int(st.Size())
+			rest := data[cut:]
+			if n := len(rest) - frameSize; n >= 0 {
+				size := binary.LittleEndian.Uint32(rest[:4])
+				if size <= MaxRecord && int(size) <= n &&
+					crc32.ChecksumIEEE(rest[frameSize:frameSize+int(size)]) != binary.LittleEndian.Uint32(rest[4:8]) {
+					if after, _ := ScanRecords(rest[frameSize+int(size):]); len(after) > 0 && len(after[0]) > 0 {
+						t.Fatalf("Open cut at byte %d, a bad frame with an intact one after it", cut)
+					}
+				}
+			}
+		}
+		if _, err := l.Append([]byte("post-recovery")); err != nil {
 			t.Fatalf("recovered log rejects appends: %v", err)
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		l2, rec2, err := Open(dir, Options{})
+		l2, rec2, err := Open(dir, Options{}, nil, nil)
 		if err != nil {
 			t.Fatalf("reopen after recovery+append: %v", err)
 		}

@@ -1,13 +1,13 @@
 package wal
 
-// Read-only access to a durability directory for offline auditing. Nothing
-// in this file mutates the directory: segments are opened read-only, torn
-// tails are reported instead of truncated, and no lock is taken against a
-// live writer — the only write-side coordination needed is that a segment,
-// once superseded by a rotation, is never appended to again, so every
-// retained (non-active) segment is immutable.
+// Reading a durability directory: one scan and one segment parser, shared by
+// Open, which then repairs and continues the active segment, and ReadDir,
+// which assembles the retained chain and modifies nothing. ReadDir takes no
+// lock against a live writer: a segment superseded by a rotation is sealed,
+// never appended to again.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -22,8 +22,7 @@ type SegmentRef struct {
 }
 
 // ListSegments enumerates the wal-*.log segments in dir in ascending
-// sequence order. It is the entry point of the read-only segment iterator:
-// walk the refs, ReadSegment each.
+// sequence order.
 func ListSegments(dir string) ([]SegmentRef, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -39,20 +38,75 @@ func ListSegments(dir string) ([]SegmentRef, error) {
 	return refs, nil
 }
 
-// ReadSegment reads one segment without modifying it: the file is opened
-// read-only and a torn or corrupt tail is reported via truncated, not
-// repaired. An empty or partially-written header (a crash window the writer
-// would reset) reads as zero records with truncated set.
-func ReadSegment(ref SegmentRef) (records [][]byte, truncated bool, err error) {
-	data, err := os.ReadFile(ref.Path)
-	if err != nil {
-		return nil, false, fmt.Errorf("wal: reading segment: %w", err)
+// dirScan is one read of a durability directory.
+type dirScan struct {
+	snap    []byte // the snapshot payload, nil without a snapshot file
+	snapSeq uint64 // the segment the snapshot hands over to
+	active  uint64 // the segment appends continue: snapSeq, or 1 without a snapshot
+	refs    []SegmentRef
+}
+
+// scanDir reads dir's snapshot, failing on a damaged one, and lists its
+// segments; every segment below the active one is sealed.
+func scanDir(dir string) (dirScan, error) {
+	s := dirScan{active: 1}
+	path := filepath.Join(dir, "snapshot")
+	data, err := os.ReadFile(path)
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		// Fresh directory, or one that never compacted.
+	case err != nil:
+		return dirScan{}, err
+	case len(data) < headerSize || [8]byte(data[:8]) != snapMagic:
+		return dirScan{}, fmt.Errorf("wal: %s is not a snapshot file", path)
+	default:
+		payload, _, ok := frameAt(data[headerSize:])
+		if !ok || headerSize+frameSize+len(payload) != len(data) {
+			return dirScan{}, fmt.Errorf("wal: snapshot %s is corrupt", path)
+		}
+		s.snap, s.snapSeq = payload, binary.LittleEndian.Uint64(data[8:16])
+		s.active = s.snapSeq
 	}
-	if !validHeader(data, ref.Seq) {
-		return nil, true, nil
+	s.refs, err = ListSegments(dir)
+	return s, err
+}
+
+// segment is one segment file as parseSegment reads it.
+type segment struct {
+	records [][]byte // the intact records, aliasing the file image
+	good    int      // bytes of header and intact records; 0 without an intact header
+	torn    bool     // bytes follow good: a torn tail
+}
+
+// parseSegment reads segment seq's file image under the log's one
+// corruption rule. A frame whose length is in bounds but whose checksum
+// fails, with an intact non-empty frame right after it, is corruption: a
+// crash tears only a file's end, so the records after it were acknowledged.
+// A sealed segment has no tail to tear, so any bad frame or header in it is
+// corruption. Corruption is an error naming the file and the bad frame's
+// offset. Any other bad frame, or a partial header, in the active segment
+// is a torn tail. (An empty frame is eight zero bytes, like the zero fill a
+// crash can leave past a file's end, so it does not count as intact.)
+func parseSegment(path string, seq uint64, data []byte, sealed bool) (segment, error) {
+	if !validHeader(data, seq) {
+		if sealed {
+			return segment{}, fmt.Errorf("wal: segment %s is corrupt at byte 0: bad header", path)
+		}
+		return segment{torn: len(data) > 0}, nil
 	}
-	records, good := ScanRecords(data[headerSize:])
-	return records, headerSize+good != len(data), nil
+	records, off := ScanRecords(data[headerSize:])
+	at := headerSize + off
+	if at < len(data) {
+		corrupt := sealed
+		if payload, fits, _ := frameAt(data[at:]); fits {
+			next, _, ok := frameAt(data[at+frameSize+len(payload):])
+			corrupt = corrupt || ok && len(next) > 0
+		}
+		if corrupt {
+			return segment{}, fmt.Errorf("wal: segment %s is corrupt at byte %d", path, at)
+		}
+	}
+	return segment{records: records, good: at, torn: at < len(data)}, nil
 }
 
 // View is a durability directory as a replay reads it: ReadDir's read-only
@@ -71,8 +125,8 @@ type View struct {
 	// Records are the record payloads in append order: from segment 1 when
 	// FullHistory, otherwise from SnapshotSeq onward.
 	Records [][]byte
-	// Truncated reports a torn tail on the final segment — expected after a
-	// crash; Records then holds the intact prefix, to which Open has cut
+	// Truncated reports a torn tail on the active segment — expected after
+	// a crash; Records then holds the intact prefix, to which Open has cut
 	// the file back.
 	Truncated bool
 }
@@ -84,68 +138,44 @@ var ErrNoHistory = errors.New("wal: directory has no snapshot and no contiguous 
 // ReadDir assembles the read-only view of a durability directory: the full
 // record history when a retained contiguous chain from segment 1 exists,
 // otherwise snapshot + the records appended after it. A torn tail on the
-// final segment yields the intact prefix (View.Truncated); a torn interior
-// segment is corruption and errors loudly.
+// active segment yields the intact prefix (View.Truncated); corruption
+// (parseSegment) is an error.
 func ReadDir(dir string) (View, error) {
-	var v View
-	snap, snapSeq, err := readSnapshotFile(filepath.Join(dir, "snapshot"))
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		// No snapshot: genesis replay or nothing at all.
-	case err != nil:
-		return View{}, err
-	default:
-		v.Snapshot = snap
-		v.SnapshotSeq = snapSeq
-	}
-	refs, err := ListSegments(dir)
+	s, err := scanDir(dir)
 	if err != nil {
 		return View{}, err
 	}
-	// Segments above the snapshot's never received a record (rotation
-	// installs the snapshot before switching appends); a stale one from an
-	// interrupted rotation is not history.
-	if v.Snapshot != nil {
-		trimmed := refs[:0]
-		for _, r := range refs {
-			if r.Seq <= v.SnapshotSeq {
-				trimmed = append(trimmed, r)
-			}
-		}
-		refs = trimmed
+	v := View{Snapshot: s.snap, SnapshotSeq: s.snapSeq}
+	// Segments above the active one never received a record (rotation
+	// installs the snapshot before switching appends): they are not history.
+	refs := s.refs
+	for len(refs) > 0 && refs[len(refs)-1].Seq > s.active {
+		refs = refs[:len(refs)-1]
 	}
-	start := 0
 	if len(refs) > 0 && refs[0].Seq == 1 && contiguous(refs) {
 		v.FullHistory = true
 	} else {
-		if v.Snapshot == nil {
+		if s.snap == nil {
 			return View{}, ErrNoHistory
 		}
 		// Without the full chain, replayable records start at the segment
 		// the snapshot names; anything older is already folded in.
-		start = len(refs)
-		for i, r := range refs {
-			if r.Seq >= v.SnapshotSeq {
-				start = i
-				break
-			}
-		}
-		if !contiguous(refs[start:]) {
-			return View{}, fmt.Errorf("wal: segment chain after snapshot (seq %d) has gaps", v.SnapshotSeq)
+		refs = refs[sort.Search(len(refs), func(i int) bool { return refs[i].Seq >= s.active }):]
+		if !contiguous(refs) {
+			return View{}, fmt.Errorf("wal: segment chain after snapshot (seq %d) has gaps", s.snapSeq)
 		}
 	}
-	for i, r := range refs[start:] {
-		records, truncated, err := ReadSegment(r)
+	for _, r := range refs {
+		data, err := os.ReadFile(r.Path)
+		if err != nil {
+			return View{}, fmt.Errorf("wal: reading segment: %w", err)
+		}
+		seg, err := parseSegment(r.Path, r.Seq, data, r.Seq < s.active)
 		if err != nil {
 			return View{}, err
 		}
-		v.Records = append(v.Records, records...)
-		if truncated {
-			if i != len(refs[start:])-1 {
-				return View{}, fmt.Errorf("wal: segment %d is corrupt mid-chain", r.Seq)
-			}
-			v.Truncated = true
-		}
+		v.Records = append(v.Records, seg.records...)
+		v.Truncated = v.Truncated || seg.torn
 	}
 	return v, nil
 }

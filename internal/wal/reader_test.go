@@ -13,7 +13,7 @@ func writeRecords(t *testing.T, l *Log, from, n int) [][]byte {
 	var out [][]byte
 	for i := from; i < from+n; i++ {
 		p := []byte(fmt.Sprintf("record-%04d", i))
-		if err := l.Append(p); err != nil {
+		if _, err := l.Append(p); err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, p)
@@ -27,7 +27,7 @@ func writeRecords(t *testing.T, l *Log, from, n int) [][]byte {
 func TestRetainKeepsFullHistory(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Retain: true, Sync: SyncNone}
-	l, rec, err := Open(dir, opts)
+	l, rec, err := Open(dir, opts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestRetainKeepsFullHistory(t *testing.T) {
 	}
 
 	// Serving recovery must still read only snapshot + active segment.
-	l2, rec2, err := Open(dir, opts)
+	l2, rec2, err := Open(dir, opts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestRetainKeepsFullHistory(t *testing.T) {
 // rotation deletes the superseded segment and reopening prunes strays.
 func TestRetainOffStillCompacts(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, Options{Sync: SyncNone})
+	l, _, err := Open(dir, Options{Sync: SyncNone}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestRetainOffStillCompacts(t *testing.T) {
 // snapshot + tail records, not FullHistory.
 func TestReadDirWindowMode(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, Options{Sync: SyncNone})
+	l, _, err := Open(dir, Options{Sync: SyncNone}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestReadDirWindowMode(t *testing.T) {
 func TestReadDirTornTailReadOnly(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Retain: true, Sync: SyncNone}
-	l, _, err := Open(dir, opts)
+	l, _, err := Open(dir, opts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestReadDirTornTailReadOnly(t *testing.T) {
 func TestReadDirMidChainCorruption(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Retain: true, Sync: SyncNone}
-	l, _, err := Open(dir, opts)
+	l, _, err := Open(dir, opts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,10 @@
 //
 // all little-endian. The snapshot file is magic "MUAASNP\x01", the
 // sequence number of the log segment that continues it, and one framed
-// payload. A torn or corrupt record tail is expected after a crash: Open
-// truncates the segment back to the last intact record and reports it.
+// payload. A torn record tail is expected after a crash: Open truncates the
+// segment back to the last intact record and reports it. A corrupt frame
+// with intact records after it is not a tail, and fails Open and ReadDir
+// alike (parseSegment states the rule).
 //
 // # Compaction
 //
@@ -111,9 +113,9 @@ type Options struct {
 	// Sync is the fsync policy.
 	Sync SyncPolicy
 	// SnapshotEvery is read by the log's owner (the broker), not the log
-	// itself: the number of appended records between automatic snapshot
-	// compactions. Zero selects 262144; negative disables automatic
-	// snapshots (Close still writes one).
+	// itself: it snapshots at every SnapshotEvery-th record of the active
+	// segment (the number Append returns). Zero selects 262144; negative
+	// disables automatic snapshots (Close still writes one).
 	SnapshotEvery int
 	// Retain keeps superseded segments on disk after a snapshot rotation
 	// instead of deleting them, and flushes any still-buffered records into
@@ -123,13 +125,6 @@ type Options struct {
 	// snapshot + active segment. Retained segments grow the directory
 	// unboundedly — the operator prunes or disables as policy dictates.
 	Retain bool
-	// Metrics, when non-nil, registers the wal instrument families
-	// (appends, bytes, fsyncs, flush latency, snapshots) on the registry.
-	Metrics *obs.Registry
-	// Logger, when non-nil, receives the log's structured events: torn-tail
-	// truncation at open (warn), the first sticky I/O error (error), and
-	// snapshot rotations (debug). Nil discards them.
-	Logger *slog.Logger
 }
 
 // SnapshotCadence resolves SnapshotEvery to the effective record count, or
@@ -144,8 +139,8 @@ func (o Options) SnapshotCadence() int {
 	return o.SnapshotEvery
 }
 
-// walMetrics is the registered instrument set; nil when Options.Metrics is
-// nil, checked once per operation like the broker's own instruments.
+// walMetrics is the registered instrument set; nil when Open got no
+// registry, checked once per operation like the broker's own instruments.
 type walMetrics struct {
 	appends  *obs.Counter
 	fsyncs   *obs.Counter
@@ -173,7 +168,7 @@ type Log struct {
 	dir     string
 	opts    Options
 	metrics *walMetrics
-	logger  *slog.Logger // never nil; a discard logger when Options.Logger was
+	logger  *slog.Logger // never nil; a discard logger when Open got none
 
 	flushMu sync.Mutex // held (outside mu) across write/fsync/rotate
 
@@ -183,6 +178,7 @@ type Log struct {
 	buf     []byte // framed records awaiting a flush
 	spare   []byte // recycled buffer swapped in when buf is stolen
 	pending int    // records in buf
+	n       int    // records in the active segment, buffered ones included
 	dirty   bool   // bytes written to f since the last fsync
 	err     error  // sticky: the first I/O error, or ErrClosed; refuses every write
 
@@ -194,69 +190,57 @@ type Log struct {
 // a log ready for appends, plus the View it continues: the latest snapshot
 // and the intact records appended after it (the full history when no
 // snapshot exists). A torn tail is truncated away and reported via
-// View.Truncated, never as an error.
-func Open(dir string, opts Options) (*Log, View, error) {
+// View.Truncated; a corrupt frame (see parseSegment) is an error, and the
+// segment is left as it was. reg, when non-nil, gets the wal instrument
+// families (appends, fsyncs, flush latency); logger, when non-nil, the log's
+// structured events: torn-tail truncation (warn), the first sticky I/O
+// error (error) and snapshot rotations (debug).
+func Open(dir string, opts Options, reg *obs.Registry, logger *slog.Logger) (*Log, View, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, View{}, fmt.Errorf("wal: creating %s: %w", dir, err)
 	}
-	var v View
-	activeSeq := uint64(1)
-	snap, snapSeq, err := readSnapshotFile(filepath.Join(dir, "snapshot"))
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		// Fresh directory, or one that never compacted.
-	case err != nil:
-		return nil, View{}, err
-	default:
-		v.Snapshot, v.SnapshotSeq = snap, snapSeq
-		activeSeq = snapSeq
-	}
-
-	// Remove segments stranded by interrupted rotations: anything below the
-	// snapshot's segment is superseded, anything above it never received a
-	// record (rotation writes the snapshot before switching appends). With
-	// Retain the superseded segments below are the audit history and stay;
-	// only the never-used ones above are stale.
-	refs, err := ListSegments(dir)
+	s, err := scanDir(dir)
 	if err != nil {
 		return nil, View{}, err
 	}
-	for _, r := range refs {
-		if r.Seq != activeSeq && !(opts.Retain && r.Seq < activeSeq) {
+	seq := s.active
+	f, seg, err := openSegment(segmentPath(dir, seq), seq)
+	if err != nil {
+		return nil, View{}, err
+	}
+	// Remove segments stranded by interrupted rotations: those above the
+	// active one never received a record, and those below are superseded —
+	// unless Retain keeps them as the audit history.
+	for _, r := range s.refs {
+		if r.Seq != seq && !(opts.Retain && r.Seq < seq) {
 			_ = os.Remove(r.Path)
 		}
 	}
-
-	f, records, truncated, err := openSegment(segmentPath(dir, activeSeq), activeSeq)
-	if err != nil {
-		return nil, View{}, err
+	if logger == nil {
+		logger = slog.New(slog.NewJSONHandler(io.Discard, nil))
 	}
-	v.FullHistory = v.Snapshot == nil
-	v.Records, v.Truncated = records, truncated
-
+	if seg.torn {
+		logger.Warn("wal_torn_tail_truncated",
+			slog.String("dir", dir),
+			slog.Uint64("segment", seq),
+			slog.Int("records_recovered", len(seg.records)))
+	}
 	l := &Log{
 		dir:    dir,
 		opts:   opts,
-		logger: opts.Logger,
+		logger: logger,
 		f:      f,
-		seq:    activeSeq,
+		seq:    seq,
+		n:      len(seg.records),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	if l.logger == nil {
-		l.logger = slog.New(slog.NewJSONHandler(io.Discard, nil))
-	}
-	if truncated {
-		l.logger.Warn("wal_torn_tail_truncated",
-			slog.String("dir", dir),
-			slog.Uint64("segment", activeSeq),
-			slog.Int("records_recovered", len(records)))
-	}
-	if opts.Metrics != nil {
-		l.metrics = newWALMetrics(opts.Metrics)
+	if reg != nil {
+		l.metrics = newWALMetrics(reg)
 	}
 	go l.flusher()
-	return l, v, nil
+	return l, View{FullHistory: s.snap == nil, Snapshot: s.snap, SnapshotSeq: s.snapSeq,
+		Records: seg.records, Truncated: seg.torn}, nil
 }
 
 func segmentPath(dir string, seq uint64) string {
@@ -272,47 +256,40 @@ func segmentSeq(name string) (uint64, bool) {
 	return seq, true
 }
 
-// openSegment opens or creates one log segment, validates its header,
-// scans its records, and truncates away any torn tail so the write offset
-// lands on the last intact record boundary.
-func openSegment(path string, seq uint64) (*os.File, [][]byte, bool, error) {
+// openSegment opens or creates the active segment, parses it, and repairs
+// a torn tail so the write offset lands on the last intact record boundary:
+// a header a crash left partial is rewritten, bytes past the intact frames
+// are cut. A corrupt segment is closed unmodified.
+func openSegment(path string, seq uint64) (*os.File, segment, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("wal: opening segment: %w", err)
+		return nil, segment{}, fmt.Errorf("wal: opening segment: %w", err)
 	}
 	data, err := io.ReadAll(f)
+	var seg segment
+	if err == nil {
+		if seg, err = parseSegment(path, seq, data, false); err != nil {
+			f.Close()
+			return nil, segment{}, err
+		}
+		if seg.good == 0 {
+			err = writeHeader(f, seq)
+		} else if seg.torn {
+			err = f.Truncate(int64(seg.good))
+		}
+	}
+	if err == nil {
+		_, err = f.Seek(int64(max(seg.good, headerSize)), io.SeekStart)
+	}
 	if err != nil {
 		f.Close()
-		return nil, nil, false, fmt.Errorf("wal: reading segment: %w", err)
+		return nil, segment{}, fmt.Errorf("wal: opening segment: %w", err)
 	}
-	// An empty file is a new segment. A header shorter than headerSize or
-	// with the wrong magic means the file is not (yet) a log: a crash can
-	// leave a zero-padded or partial header. Either is an empty segment,
-	// given its header; only the second counts as a truncation.
-	if !validHeader(data, seq) {
-		if err := writeHeader(f, seq); err != nil {
-			f.Close()
-			return nil, nil, false, fmt.Errorf("wal: writing segment header: %w", err)
-		}
-		return f, nil, len(data) > 0, nil
-	}
-	records, good := ScanRecords(data[headerSize:])
-	truncated := headerSize+good != len(data)
-	if truncated {
-		if err := f.Truncate(int64(headerSize + good)); err != nil {
-			f.Close()
-			return nil, nil, false, fmt.Errorf("wal: truncating torn tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(int64(headerSize+good), io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, false, err
-	}
-	return f, records, truncated, nil
+	return f, seg, nil
 }
 
 // writeHeader makes f an empty segment seq: the 16-byte header (magic, then
-// the sequence), synced, with the write offset just past it.
+// the sequence), synced.
 func writeHeader(f *os.File, seq uint64) error {
 	var hdr [headerSize]byte
 	copy(hdr[:8], logMagic[:])
@@ -320,10 +297,7 @@ func writeHeader(f *os.File, seq uint64) error {
 	if err := f.Truncate(0); err != nil {
 		return err
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	if _, err := f.Write(hdr[:]); err != nil {
+	if _, err := f.WriteAt(hdr[:], 0); err != nil {
 		return err
 	}
 	return f.Sync()
@@ -336,27 +310,35 @@ func validHeader(data []byte, seq uint64) bool {
 }
 
 // ScanRecords decodes framed records from data, stopping cleanly at the
-// first torn or corrupt frame. It returns the intact payloads and the byte
-// offset of the first byte it could not accept; offset == len(data) means
-// the input was fully intact. It never panics on any input.
+// first torn or corrupt frame. It returns the intact payloads, which alias
+// data, and the byte offset of the first byte it could not accept;
+// offset == len(data) means the input was fully intact. It never panics on
+// any input.
 func ScanRecords(data []byte) (records [][]byte, offset int) {
 	for {
-		rest := data[offset:]
-		if len(rest) < frameSize {
+		payload, _, ok := frameAt(data[offset:])
+		if !ok {
 			return records, offset
 		}
-		n := binary.LittleEndian.Uint32(rest[:4])
-		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if n > MaxRecord || len(rest)-frameSize < int(n) {
-			return records, offset
-		}
-		payload := rest[frameSize : frameSize+int(n)]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return records, offset
-		}
-		records = append(records, append([]byte(nil), payload...))
-		offset += frameSize + int(n)
+		records = append(records, payload)
+		offset += frameSize + len(payload)
 	}
+}
+
+// frameAt decodes the frame at the start of b. fits reports that its
+// length is within MaxRecord and its payload within b; ok that the checksum
+// matches too. payload is set whenever fits, capped so an append to it
+// cannot reach the next frame.
+func frameAt(b []byte) (payload []byte, fits, ok bool) {
+	if len(b) < frameSize {
+		return nil, false, false
+	}
+	n := binary.LittleEndian.Uint32(b[:4])
+	if n > MaxRecord || len(b)-frameSize < int(n) {
+		return nil, false, false
+	}
+	payload = b[frameSize : frameSize+int(n) : frameSize+int(n)]
+	return payload, true, crc32.ChecksumIEEE(payload) == binary.LittleEndian.Uint32(b[4:8])
 }
 
 // AppendFrame frames one payload onto dst exactly as the log writes it —
@@ -370,27 +352,32 @@ func AppendFrame(dst, payload []byte) []byte {
 }
 
 // Append frames payload and buffers it for group commit, flushing per the
-// configured policy. The payload is copied; the caller may reuse it.
-func (l *Log) Append(payload []byte) error {
+// configured policy, and returns the record's number in the active segment:
+// 1 for its first record, counting on across a failed rotation and from 1
+// again after a successful one. The number means nothing when the error is
+// set. The payload is copied; the caller may reuse it.
+func (l *Log) Append(payload []byte) (int, error) {
 	if len(payload) > MaxRecord {
-		return fmt.Errorf("wal: record of %d bytes exceeds MaxRecord", len(payload))
+		return 0, fmt.Errorf("wal: record of %d bytes exceeds MaxRecord", len(payload))
 	}
 	l.mu.Lock()
 	if err := l.err; err != nil {
 		l.mu.Unlock()
-		return err
+		return 0, err
 	}
 	l.buf = AppendFrame(l.buf, payload)
 	l.pending++
+	l.n++
+	n := l.n
 	full := l.opts.Sync == SyncEveryRecord || l.pending >= groupCommit
 	l.mu.Unlock()
 	if m := l.metrics; m != nil {
 		m.appends.Inc()
 	}
 	if full {
-		return l.flush(l.opts.Sync != SyncNone)
+		return n, l.flush(l.opts.Sync != SyncNone)
 	}
-	return nil
+	return n, nil
 }
 
 // Flush pushes all buffered records to the OS and fsyncs unless the policy
@@ -543,7 +530,7 @@ func (l *Log) Snapshot(payload []byte) error {
 	l.mu.Unlock()
 
 	newSeq := seq + 1
-	newF, _, _, err := openSegment(segmentPath(l.dir, newSeq), newSeq)
+	newF, _, err := openSegment(segmentPath(l.dir, newSeq), newSeq)
 	if err != nil {
 		return err
 	}
@@ -565,7 +552,7 @@ func (l *Log) Snapshot(payload []byte) error {
 	// the old segment (plus anything still buffered for it) is garbage.
 	l.mu.Lock()
 	old := l.f
-	l.f, l.seq = newF, newSeq
+	l.f, l.seq, l.n = newF, newSeq, 0
 	l.buf = l.buf[:0]
 	l.pending = 0
 	l.dirty = false
@@ -611,24 +598,6 @@ func writeSnapshotFile(dir string, logSeq uint64, payload []byte) error {
 		return fmt.Errorf("wal: installing snapshot: %w", err)
 	}
 	return nil
-}
-
-// readSnapshotFile loads and validates a snapshot file, returning the
-// payload and the sequence of the log segment that continues it.
-func readSnapshotFile(path string) ([]byte, uint64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(data) < headerSize+frameSize || [8]byte(data[:8]) != snapMagic {
-		return nil, 0, fmt.Errorf("wal: %s is not a snapshot file", path)
-	}
-	logSeq := binary.LittleEndian.Uint64(data[8:16])
-	records, good := ScanRecords(data[headerSize:])
-	if len(records) != 1 || headerSize+good != len(data) {
-		return nil, 0, fmt.Errorf("wal: snapshot %s is corrupt", path)
-	}
-	return records[0], logSeq, nil
 }
 
 // Close flushes buffered records (fsyncing unless SyncNone), stops the

@@ -2,11 +2,13 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -16,7 +18,7 @@ import (
 
 func openT(t *testing.T, dir string, opts Options) (*Log, View) {
 	t.Helper()
-	l, rec, err := Open(dir, opts)
+	l, rec, err := Open(dir, opts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +35,7 @@ func TestAppendRoundTrip(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		p := []byte(fmt.Sprintf("record-%03d-%s", i, strings.Repeat("x", i)))
 		want = append(want, p)
-		if err := l.Append(p); err != nil {
+		if _, err := l.Append(p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,14 +63,14 @@ func TestAppendRoundTrip(t *testing.T) {
 func TestAppendAfterReopen(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{})
-	if err := l.Append([]byte("first")); err != nil {
+	if _, err := l.Append([]byte("first")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	l, _ = openT(t, dir, Options{})
-	if err := l.Append([]byte("second")); err != nil {
+	if _, err := l.Append([]byte("second")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -87,7 +89,7 @@ func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{Sync: SyncNone})
 	for i := 0; i < 5; i++ {
-		if err := l.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
+		if _, err := l.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,7 +114,7 @@ func TestTornTailTruncated(t *testing.T) {
 			t.Fatalf("cut at %d: recovered %d records, want 4", cut, len(rec.Records))
 		}
 		// The log must be appendable after tail repair.
-		if err := l.Append([]byte("after")); err != nil {
+		if _, err := l.Append([]byte("after")); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Close(); err != nil {
@@ -129,14 +131,14 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 }
 
-// TestCorruptMiddleStops flips a payload byte mid-log: everything from the
-// corrupt record on is dropped (a checksum mismatch cannot be skipped —
-// record lengths are untrusted).
+// TestCorruptMiddleStops flips a payload byte mid-log: the records after
+// it were acknowledged, so Open refuses the segment, naming it and the bad
+// frame's offset, and leaves the file as it found it.
 func TestCorruptMiddleStops(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{Sync: SyncNone})
 	for i := 0; i < 4; i++ {
-		if err := l.Append([]byte(fmt.Sprintf("payload-%d", i))); err != nil {
+		if _, err := l.Append([]byte(fmt.Sprintf("payload-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,15 +150,165 @@ func TestCorruptMiddleStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recLen := frameSize + len("payload-0")
-	data[headerSize+recLen+frameSize] ^= 0xFF // first payload byte of record 1
+	bad := headerSize + frameSize + len("payload-0")
+	data[bad+frameSize] ^= 0xFF // first payload byte of record 1
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l2, rec := openT(t, dir, Options{})
-	defer l2.Close()
-	if !rec.Truncated || len(rec.Records) != 1 || string(rec.Records[0]) != "payload-0" {
-		t.Fatalf("corrupt middle: truncated=%v records=%q", rec.Truncated, rec.Records)
+	_, _, err = Open(dir, Options{}, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), fmt.Sprintf("byte %d", bad)) {
+		t.Fatalf("Open = %v, want an error naming %s and byte %d", err, path, bad)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+		t.Fatalf("a refused Open modified the segment (%v)", err)
+	}
+}
+
+// segmentImage is segment seq's file: the header, then payloads framed, and
+// the offset of each frame.
+func segmentImage(seq uint64, payloads ...string) ([]byte, []int) {
+	img := binary.LittleEndian.AppendUint64(append([]byte(nil), logMagic[:]...), seq)
+	var at []int
+	for _, p := range payloads {
+		at = append(at, len(img))
+		img = AppendFrame(img, []byte(p))
+	}
+	return img, at
+}
+
+// TestCorruptionRule runs each case of the one corruption rule through Open
+// and ReadDir. Four records sit in the active segment 1 or, in the sealed
+// cases, in segment 1 retained behind a snapshot that hands over to an
+// intact segment 2. A torn tail yields the intact prefix from both, which
+// Open cuts the file back to and ReadDir leaves byte-identical; corruption
+// is an error from every reader of that segment, naming it and the bad
+// frame's offset, and nothing is modified.
+func TestCorruptionRule(t *testing.T) {
+	payloads := []string{"alpha", "bravo-bravo", "charlie", "delta-delta-delta"}
+	img, at := segmentImage(1, payloads...)
+	last := at[3]
+	cut := func(n int) func([]byte) []byte { return func(b []byte) []byte { return b[:n] } }
+	flip := func(i int) func([]byte) []byte { return func(b []byte) []byte { b[i] ^= 0xFF; return b } }
+	zeroFill := func(b []byte) []byte { // the last payload never written, the file extended anyway
+		clear(b[last+frameSize:])
+		return append(b, make([]byte, 2*frameSize)...)
+	}
+	for _, c := range []struct {
+		name   string
+		sealed bool
+		damage func([]byte) []byte
+		bad    int  // offset of the first bad frame
+		torn   bool // a torn tail, not corruption
+	}{
+		{"cut in frame header", false, cut(last + 3), last, true},
+		{"cut in payload", false, cut(last + frameSize + 2), last, true},
+		{"checksum flipped on last frame", false, flip(last + 4), last, true},
+		{"zero fill after last frame header", false, zeroFill, last, true},
+		{"payload byte flipped in middle frame", false, flip(at[1] + frameSize), at[1], false},
+		{"checksum flipped in middle frame", false, flip(at[2] + 4), at[2], false},
+		{"sealed: cut in payload", true, cut(last + frameSize + 2), last, false},
+		{"sealed: checksum flipped on last frame", true, flip(last + 4), last, false},
+		{"sealed: payload byte flipped in middle frame", true, flip(at[1] + frameSize), at[1], false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := segmentPath(dir, 1)
+			damaged := c.damage(bytes.Clone(img))
+			if err := os.WriteFile(path, damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if c.sealed {
+				seg2, _ := segmentImage(2, "echo")
+				if err := os.WriteFile(segmentPath(dir, 2), seg2, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if err := writeSnapshotFile(dir, 2, []byte("snap")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			unchanged := func(reader string) {
+				t.Helper()
+				if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, damaged) {
+					t.Fatalf("%s modified segment 1 (%v)", reader, err)
+				}
+			}
+			names := func(reader string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), fmt.Sprintf("byte %d", c.bad)) {
+					t.Fatalf("%s = %v, want an error naming %s and byte %d", reader, err, path, c.bad)
+				}
+			}
+			v, err := ReadDir(dir)
+			unchanged("ReadDir")
+			switch {
+			case c.torn:
+				if err != nil || !v.Truncated || !reflect.DeepEqual(v.Records, [][]byte{[]byte("alpha"), []byte("bravo-bravo"), []byte("charlie")}) {
+					t.Fatalf("ReadDir: %v, truncated %v, records %q; want the three intact records", err, v.Truncated, v.Records)
+				}
+			default:
+				names("ReadDir", err)
+			}
+			l, v, err := Open(dir, Options{Retain: true}, nil, nil)
+			switch {
+			case c.torn:
+				if err != nil || !v.Truncated || len(v.Records) != 3 {
+					t.Fatalf("Open: %v, truncated %v, %d records; want the three intact records", err, v.Truncated, len(v.Records))
+				}
+				if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, img[:last]) {
+					t.Fatalf("Open did not cut the segment back to byte %d (%v)", last, err)
+				}
+			case c.sealed: // Open continues segment 2 and reads no sealed segment
+				if err != nil || len(v.Records) != 1 || string(v.Records[0]) != "echo" {
+					t.Fatalf("Open: %v, records %q; want segment 2's one record", err, v.Records)
+				}
+				unchanged("Open")
+			default:
+				names("Open", err)
+				unchanged("Open")
+			}
+			if l != nil {
+				l.Close()
+			}
+		})
+	}
+}
+
+// TestAppendNumbersRecords: Append numbers each record within the active
+// segment, counting on across a reopen and a failed rotation and from 1
+// again after a successful one.
+func TestAppendNumbersRecords(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir, Options{Sync: SyncNone})
+	next := func(want int) {
+		t.Helper()
+		if n, err := l.Append([]byte("r")); err != nil || n != want {
+			t.Fatalf("Append = %d, %v; want record %d", n, err, want)
+		}
+	}
+	next(1)
+	next(2)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, _ = openT(t, dir, Options{Sync: SyncNone})
+	next(3)
+	obstacle := filepath.Join(dir, "snapshot.tmp")
+	if err := os.Mkdir(obstacle, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Snapshot([]byte("s")); err == nil {
+		t.Fatal("a rotation onto a squatted snapshot.tmp succeeded")
+	}
+	next(4)
+	if err := os.Remove(obstacle); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Snapshot([]byte("s")); err != nil {
+		t.Fatal(err)
+	}
+	next(1)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -164,7 +316,7 @@ func TestSnapshotCompacts(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{})
 	for i := 0; i < 10; i++ {
-		if err := l.Append([]byte("pre-snapshot")); err != nil {
+		if _, err := l.Append([]byte("pre-snapshot")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -174,7 +326,7 @@ func TestSnapshotCompacts(t *testing.T) {
 	if _, err := os.Stat(segmentPath(dir, 2)); err != nil {
 		t.Fatalf("snapshot did not rotate onto segment 2: %v", err)
 	}
-	if err := l.Append([]byte("post-snapshot")); err != nil {
+	if _, err := l.Append([]byte("post-snapshot")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -200,7 +352,7 @@ func TestSnapshotCompacts(t *testing.T) {
 func TestStaleSegmentsRemoved(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{})
-	if err := l.Append([]byte("live")); err != nil {
+	if _, err := l.Append([]byte("live")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -240,7 +392,7 @@ func TestStaleSegmentsRemoved(t *testing.T) {
 func TestSyncEveryRecordWritesThrough(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{Sync: SyncEveryRecord})
-	if err := l.Append([]byte("durable")); err != nil {
+	if _, err := l.Append([]byte("durable")); err != nil {
 		t.Fatal(err)
 	}
 	// No Close, no Flush: the record must already be in the file.
@@ -273,7 +425,7 @@ func TestGroupCommitWritesThrough(t *testing.T) {
 		return l.pending
 	}
 	for i := 0; i < groupCommit; i++ {
-		if err := l.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
+		if _, err := l.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 		if p := pending(); p >= groupCommit {
@@ -298,7 +450,7 @@ func TestBackgroundFlusher(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{Sync: SyncNone})
 	defer l.Close()
-	if err := l.Append([]byte("buffered")); err != nil {
+	if _, err := l.Append([]byte("buffered")); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -330,7 +482,7 @@ func TestClosedLogRejectsOps(t *testing.T) {
 	if err := l.Err(); err != ErrClosed {
 		t.Fatalf("Err after Close = %v, want ErrClosed", err)
 	}
-	if err := l.Append([]byte("x")); err != ErrClosed {
+	if _, err := l.Append([]byte("x")); err != ErrClosed {
 		t.Fatalf("Append after Close = %v, want ErrClosed", err)
 	}
 	if err := l.Flush(); err != ErrClosed {
@@ -349,7 +501,7 @@ func TestClosedLogRejectsOps(t *testing.T) {
 func TestSnapshotDirSyncFailureRetires(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{Sync: SyncEveryRecord})
-	if err := l.Append([]byte("a")); err != nil {
+	if _, err := l.Append([]byte("a")); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Chmod(dir, 0o300); err != nil {
@@ -364,7 +516,7 @@ func TestSnapshotDirSyncFailureRetires(t *testing.T) {
 	if !errors.Is(err, fs.ErrPermission) || l.Err() != err {
 		t.Fatalf("Snapshot = %v, Err = %v; want the directory's permission error, sticky", err, l.Err())
 	}
-	if err := l.Append([]byte("b")); err != l.Err() {
+	if _, err := l.Append([]byte("b")); err != l.Err() {
 		t.Fatalf("Append on the retired log = %v", err)
 	}
 	if err := os.Chmod(dir, 0o755); err != nil {
@@ -401,7 +553,7 @@ func TestCorruptSnapshotIsAnError(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Open(dir, Options{}); err == nil {
+	if _, _, err := Open(dir, Options{}, nil, nil); err == nil {
 		t.Fatal("corrupt snapshot must fail Open loudly, not be silently dropped")
 	}
 }
@@ -423,11 +575,14 @@ func TestParseSyncPolicy(t *testing.T) {
 func TestMetricsRegistered(t *testing.T) {
 	reg := obs.NewRegistry()
 	dir := t.TempDir()
-	l, _ := openT(t, dir, Options{Metrics: reg})
-	if err := l.Append([]byte("one")); err != nil {
+	l, _, err := Open(dir, Options{}, reg, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append([]byte("two")); err != nil {
+	if _, err := l.Append([]byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append([]byte("two")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Flush(); err != nil { // write + fsync
