@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -700,6 +701,74 @@ func TestServeRestartPersistence(t *testing.T) {
 	if code := postJSON(t, base2+"/v1/arrivals",
 		`{"loc":{"x":0.3,"y":0.3},"capacity":2,"viewProb":0.7,"interests":[0.9,0.1,0.3]}`, nil); code != http.StatusOK {
 		t.Fatalf("arrival after restart → %d", code)
+	}
+}
+
+// TestShutdownDrainsBeforeClosingBroker pins app.shutdown's order: the
+// server drains in-flight requests before the broker closes its log. An
+// arrival whose body is still arriving when shutdown begins must be answered
+// 200 and logged, and the final snapshot must hold it, so the next boot
+// recovers it while replaying no record.
+func TestShutdownDrainsBeforeClosingBroker(t *testing.T) {
+	cfg := testConfig()
+	cfg.broker.DataDir = t.TempDir()
+	base, a := startServerOpts(t, cfg)
+	if code := postJSON(t, base+"/v1/campaigns", `{"loc":{"x":0.5,"y":0.5},"radius":0.2,"budget":50,"tags":[1,0.2,0.3]}`, nil); code != http.StatusCreated {
+		t.Fatalf("campaign → %d", code)
+	}
+
+	addr := strings.TrimPrefix(base, "http://")
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	body := `{"loc":{"x":0.51,"y":0.49},"capacity":2,"viewProb":0.7,"interests":[0.9,0.1,0.4],"hour":12}`
+	head := fmt.Sprintf("POST /v1/arrivals HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", addr, len(body))
+	if _, err := io.WriteString(conn, head+body[:len(body)/2]); err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		done <- a.shutdown(ctx)
+	}()
+	// Shutdown has begun once the listener refuses new connections.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			break
+		}
+		c.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("listener still accepting 5 s after shutdown began")
+		}
+	}
+	if _, err := io.WriteString(conn, body[len(body)/2:]); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("arrival in flight at shutdown → %d %s", resp.StatusCode, reply)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+
+	base2, a2 := startServerOpts(t, cfg)
+	if info := a2.b.Load().RecoveryStats(); !info.SnapshotLoaded || info.RecordsReplayed != 0 {
+		t.Errorf("restart should recover from the final snapshot alone: %+v", info)
+	}
+	var stats struct{ Arrivals int64 }
+	if code := getJSON(t, base2+"/v1/stats", &stats); code != http.StatusOK || stats.Arrivals != 1 {
+		t.Fatalf("after restart: /v1/stats → %d, %d arrivals, want the one in flight at shutdown", code, stats.Arrivals)
 	}
 }
 

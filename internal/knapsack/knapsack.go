@@ -9,7 +9,8 @@
 // MUAA, a class is one valid customer of the vendor and the class's items
 // are the ad types (cost c_k, profit λ_ijk).
 //
-// Three solvers are provided:
+// Four MCKP solvers are provided; the first three read each class's
+// upper-left convex hull from classHull, the package's one hull builder:
 //
 //   - Greedy: the classical Dantzig/LP-derived greedy over incremental hull
 //     items. Its value is within the most profitable single hull increment
@@ -19,11 +20,18 @@
 //     the same hull structure without a simplex run.
 //   - Exact: branch-and-bound with the LP bound, exact for the small
 //     instances used to validate approximation ratios.
+//   - FPTAS: the profit-scaling dynamic program, within (1−ε) of Exact.
+//
+// Knapsack01 solves the 0-1 problem (SingletonClasses states it as MCKP),
+// and SlotSolver states the slot rule — the hull-greedy under a slot count
+// instead of a budget — item by item, without building a hull.
 package knapsack
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -88,11 +96,10 @@ func classHull(c Class) []hullPoint {
 		}
 		pts = append(pts, hullPoint{item: i, cost: it.Cost, profit: it.Profit})
 	}
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].cost != pts[j].cost {
-			return pts[i].cost < pts[j].cost
-		}
-		return pts[i].profit > pts[j].profit
+	// A total order, so of several identical points the earliest item
+	// reaches the hull whatever the sort does with equal keys.
+	slices.SortFunc(pts, func(a, b hullPoint) int {
+		return cmp.Or(cmp.Compare(a.cost, b.cost), cmp.Compare(b.profit, a.profit), a.item-b.item)
 	})
 	// Graham-style scan anchored at (0,0).
 	hull := make([]hullPoint, 0, len(pts))
@@ -151,14 +158,8 @@ func buildIncrements(classes []Class) ([]increment, [][]hullPoint) {
 			prevCost, prevProfit = p.cost, p.profit
 		}
 	}
-	sort.Slice(incs, func(i, j int) bool {
-		if incs[i].eff != incs[j].eff {
-			return incs[i].eff > incs[j].eff
-		}
-		if incs[i].class != incs[j].class {
-			return incs[i].class < incs[j].class
-		}
-		return incs[i].level < incs[j].level
+	slices.SortFunc(incs, func(a, b increment) int {
+		return cmp.Or(cmp.Compare(b.eff, a.eff), a.class-b.class, a.level-b.level)
 	})
 	return incs, hulls
 }

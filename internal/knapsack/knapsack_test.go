@@ -3,6 +3,7 @@ package knapsack
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -40,6 +41,24 @@ func TestClassHullIgnoresZeroProfit(t *testing.T) {
 	h := classHull(Class{Items: []Item{{Cost: 1, Profit: 0}}})
 	if len(h) != 0 {
 		t.Errorf("zero-profit item must not reach the hull: %+v", h)
+	}
+}
+
+// Of several identical (cost, profit) items the earliest reaches the hull,
+// also past 12 items, where the sort stops being an insertion sort and keeps
+// equal keys in no particular order: Greedy's picks must not depend on it.
+func TestClassHullKeepsEarliestDuplicate(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		var c Class
+		for i, n := 0, 13+rng.Intn(20); i < n; i++ {
+			c.Items = append(c.Items, Item{Cost: float64(1 + rng.Intn(3)), Profit: float64(1 + rng.Intn(3))})
+		}
+		for _, p := range classHull(c) {
+			if first := slices.Index(c.Items, c.Items[p.item]); first != p.item {
+				t.Fatalf("trial %d: hull holds item %d, an equal item %d comes first: %v", trial, p.item, first, c.Items)
+			}
+		}
 	}
 }
 
