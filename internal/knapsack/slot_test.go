@@ -71,50 +71,150 @@ func checkSlots(t *testing.T, s *SlotSolver, classes []Class, slots int) {
 	if slots < len(classes) {
 		return
 	}
-	nonneg := make([]Class, len(classes))
-	for ci, c := range classes {
-		for _, it := range c.Items {
-			nonneg[ci].Items = append(nonneg[ci].Items, Item{Cost: it.Cost, Profit: max(it.Profit, 0)})
-		}
-	}
-	if want := Greedy(nonneg, 1e18).Pick; !slices.Equal(got, want) {
+	if want := Greedy(nonnegative(classes), 1e18).Pick; !slices.Equal(got, want) {
 		t.Fatalf("slots %d: picks %v, Greedy %v", slots, got, want)
 	}
 }
 
-// The rule against its restatement on continuous and lattice instances (the
-// lattice repeats (cost, profit) pairs, ties ranks and puts collinear items
-// an ulp apart) of 0–400 classes, at slot counts -1…classes+1 when small, a
-// spread when large, and MaxInt and MinInt, which a client can send.
+// nonnegative copies classes with every negative profit raised to 0.
+func nonnegative(classes []Class) []Class {
+	out := make([]Class, len(classes))
+	for ci, c := range classes {
+		for _, it := range c.Items {
+			out[ci].Items = append(out[ci].Items, Item{Cost: it.Cost, Profit: max(it.Profit, 0)})
+		}
+	}
+	return out
+}
+
+// fullSortSlotPick is the hull greedy under a slot limit: every class's hull
+// increments in one full sort, walked in order, a class's first increment
+// taking a slot while one is left and each later one upgrading a class
+// already served, so a served class ends at its hull completion. As the
+// SlotSolver comment says, a first increment ranks by the class's best item
+// profit/cost, which can sit an ulp above its dv/dc when the hull keeps the
+// dearer of collinear points. It shares no code with the solver's bounded
+// insertion or with referenceSlotPick.
+func fullSortSlotPick(classes []Class, slots int) []int {
+	incs, hulls := buildIncrements(classes)
+	for i := range incs {
+		if incs[i].level > 0 {
+			continue
+		}
+		for _, it := range classes[incs[i].class].Items {
+			if it.Profit > 0 {
+				incs[i].eff = max(incs[i].eff, it.Profit/it.Cost)
+			}
+		}
+	}
+	// The best ratio is at least every increment's dv/dc, so a class's first
+	// increment still comes before its others.
+	slices.SortFunc(incs, func(a, b increment) int {
+		return cmp.Or(cmp.Compare(b.eff, a.eff), a.class-b.class, a.level-b.level)
+	})
+	level := make([]int, len(classes))
+	for _, inc := range incs {
+		if level[inc.class] != inc.level || (inc.level == 0 && slots <= 0) {
+			continue
+		}
+		if inc.level == 0 {
+			slots--
+		}
+		level[inc.class] = inc.level + 1
+	}
+	picks := make([]int, len(classes))
+	for ci, l := range level {
+		picks[ci] = -1
+		if l > 0 {
+			picks[ci] = hulls[ci][l-1].item
+		}
+	}
+	return picks
+}
+
+// randSlotClasses draws 0–11 classes of 1–6 items, 0–400 on every tenth
+// trial. Two trials in three draw from a lattice, which repeats (cost,
+// profit) pairs, ties ranks and puts collinear items an ulp apart; the rest
+// are continuous. Profits run negative.
+func randSlotClasses(rng *rand.Rand, trial int) []Class {
+	n := rng.Intn(12)
+	if trial%10 == 0 {
+		n = rng.Intn(401)
+	}
+	lattice := trial%3 != 0
+	classes := make([]Class, n)
+	for ci := range classes {
+		for i, items := 0, 1+rng.Intn(6); i < items; i++ {
+			cost, profit := 0.1+rng.Float64()*9.9, rng.Float64()*10-1
+			if lattice {
+				cost, profit = float64(1+rng.Intn(4))*0.3, float64(rng.Intn(7)-1)*0.7
+			}
+			classes[ci].Items = append(classes[ci].Items, Item{Cost: cost, Profit: profit})
+		}
+	}
+	return classes
+}
+
+// slotCounts is -1…n+1 for small n, a spread for large, and MaxInt and
+// MinInt, which a client can send.
+func slotCounts(rng *rand.Rand, n int) []int {
+	slots := []int{0, 1, 2, 4, rng.Intn(n + 1), n, n + 1, math.MaxInt, math.MinInt}
+	if n <= 12 {
+		slots = slots[len(slots)-2:]
+		for k := -1; k <= n+1; k++ {
+			slots = append(slots, k)
+		}
+	}
+	return slots
+}
+
+// The rule against its restatement on randSlotClasses instances at every
+// slotCounts count.
 func TestSlotSolverMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	var s SlotSolver
 	for trial := 0; trial < 400; trial++ {
-		n := rng.Intn(12)
-		if trial%10 == 0 {
-			n = rng.Intn(401)
-		}
-		lattice := trial%3 != 0
-		classes := make([]Class, n)
-		for ci := range classes {
-			for i, items := 0, 1+rng.Intn(6); i < items; i++ {
-				cost, profit := 0.1+rng.Float64()*9.9, rng.Float64()*10-1
-				if lattice {
-					cost, profit = float64(1+rng.Intn(4))*0.3, float64(rng.Intn(7)-1)*0.7
-				}
-				classes[ci].Items = append(classes[ci].Items, Item{Cost: cost, Profit: profit})
-			}
-		}
+		classes := randSlotClasses(rng, trial)
 		load(&s, classes)
-		slots := []int{0, 1, 2, 4, rng.Intn(n + 1), n, n + 1, math.MaxInt, math.MinInt}
-		if n <= 12 {
-			slots = slots[len(slots)-2:]
-			for k := -1; k <= n+1; k++ {
-				slots = append(slots, k)
+		for _, k := range slotCounts(rng, len(classes)) {
+			checkSlots(t, &s, classes, k)
+		}
+	}
+}
+
+// The rule against the hull greedy's full sort under a slot limit, at every
+// slot count and not only where every class has one.
+func TestSlotSolverMatchesFullSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	var s SlotSolver
+	for trial := 0; trial < 300; trial++ {
+		classes := randSlotClasses(rng, trial)
+		load(&s, classes)
+		for _, k := range slotCounts(rng, len(classes)) {
+			if got, want := s.Solve(k), fullSortSlotPick(classes, k); !slices.Equal(got, want) {
+				t.Fatalf("trial %d, slots %d: picks %v, full-sort oracle %v", trial, k, got, want)
 			}
 		}
-		for _, k := range slots {
-			checkSlots(t, &s, classes, k)
+	}
+}
+
+// With a slot for every class the slot limit is slack, and the picks reach
+// the total profit of Greedy given unlimited money: every class serves its
+// best item.
+func TestSlotSolverUnboundedMatchesGreedy(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var s SlotSolver
+	for trial := 0; trial < 200; trial++ {
+		classes := randSlotClasses(rng, trial)
+		load(&s, classes)
+		value := 0.0
+		for ci, ii := range s.Solve(len(classes)) {
+			if ii >= 0 {
+				value += classes[ci].Items[ii].Profit
+			}
+		}
+		if want := Greedy(nonnegative(classes), 1e18).Value; math.Abs(value-want) > 1e-9*max(1, want) {
+			t.Fatalf("trial %d: slot value %g, Greedy value %g", trial, value, want)
 		}
 	}
 }
