@@ -195,9 +195,9 @@ func quickSessionCase(seed int64, vendors, customers uint8, stripes int) session
 }
 
 // replayAgainstSession runs tc's customers through a broker and a session
-// side by side and returns the broker's fleet funnel and the number of
-// in-range pairs that were both budgetless and low-scoring, or the first
-// disagreement.
+// side by side and returns the column sums of the broker's funnel rows and
+// the number of in-range pairs that were both budgetless and low-scoring, or
+// the first disagreement.
 func replayAgainstSession(tc sessionCase) (fleet [numDispositions]uint64, both int, err error) {
 	p, stripes := tc.p, tc.stripes
 	isPaused := func(j int) bool { return tc.paused != nil && tc.paused[j] }
@@ -303,6 +303,9 @@ func replayAgainstSession(tc sessionCase) (fleet [numDispositions]uint64, both i
 		if err != nil {
 			return fleet, 0, err
 		}
+		for d, v := range fc.dispositions() {
+			fleet[d] += v
+		}
 		want := FunnelCounts{Campaign: int32(j), Gathered: gathered[j]}
 		switch {
 		case isPaused(j):
@@ -319,5 +322,5 @@ func replayAgainstSession(tc sessionCase) (fleet [numDispositions]uint64, both i
 				j, p.Vendors[j].Budget, fc, want)
 		}
 	}
-	return b.funnel.walk(0).totals, both, nil
+	return fleet, both, nil
 }

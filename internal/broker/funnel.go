@@ -97,11 +97,10 @@ type funnelRegistry struct {
 	b *Broker
 
 	// gathered is the fleet-wide gathered count, fed from the gathered id
-	// set rather than the event stream; walk derives the exact
-	// per-disposition fleet counts, and the two agreeing is the
-	// conservation cross-check. Keeping only this one shared counter on the
-	// fold path (plus one row increment per event) is what keeps attribution
-	// within noise of a funnel-off broker.
+	// set rather than the event stream; the rows summing to it is the
+	// conservation cross-check CheckInvariants makes. Keeping only this one
+	// shared counter on the fold path (plus one row increment per event) is
+	// what keeps attribution within noise of a funnel-off broker.
 	gathered atomic.Uint64
 }
 
@@ -116,10 +115,10 @@ type funnelRegistry struct {
 // One pass over the events and one increment per event: the scan emits
 // exactly one event per gathered id (the conservation invariant the -race
 // soak pins), so a campaign's gathered count is the sum of its disposition
-// row, and the fleet per-disposition totals are derived at scrape time by
-// walk instead of being maintained on this path. The fleet gathered counter
-// still comes from ar.ids, keeping the gathered-set/event-set cross-check
-// observable.
+// row. The fleet per-disposition counts are the scan tally's
+// (muaa_broker_scan_outcomes_total), folded from the same scans. The fleet
+// gathered counter still comes from ar.ids, keeping the gathered-set/event-set
+// cross-check observable.
 func (fr *funnelRegistry) fold(ar *scanArena, fl *fleet) {
 	fr.gathered.Add(uint64(len(ar.ids)))
 	for _, ev := range ar.fev {
@@ -127,29 +126,19 @@ func (fr *funnelRegistry) fold(ar *scanArena, fl *fleet) {
 	}
 }
 
-// funnelWalk is one pass over every campaign's row: the exact fleet-wide
-// per-disposition counts (the column sums) and the top campaigns by gathered
-// count, ties broken by ascending id.
-type funnelWalk struct {
-	totals [numDispositions]uint64
-	top    []FunnelCounts
-}
-
-// walk reads every row in one pass under every shard lock, so the totals and
-// the top rows are one consistent cut: no fold is in flight anywhere. It takes
-// the shard locks only, ascending — the global lock order, without regMu: a
-// campaign registered meanwhile has an all-zero row whichever header the walk
-// loads — and must never be called with a shard lock held. The top n are kept
-// by bounded insertion (like the kernel's trim), so the pass is
+// walk returns the top n ≥ 1 campaigns by gathered count, ties broken by
+// ascending id, read in one pass under every shard lock, so the rows are one
+// consistent cut: no fold is in flight anywhere. It takes the shard locks
+// only, ascending — the global lock order, without regMu: a campaign
+// registered meanwhile has an all-zero row whichever header the walk loads —
+// and must never be called with a shard lock held. The top n are kept by
+// bounded insertion (like the kernel's trim), so the pass is
 // O(campaigns + n²) and allocates the n rows whatever the fleet size. The rows
 // are read page by page in id order, one forward stream of 72-byte rows
 // (BenchmarkFunnelWalk prices the stall). Scrape-cadence callers only.
-func (fr *funnelRegistry) walk(n int) funnelWalk {
+func (fr *funnelRegistry) walk(n int) []FunnelCounts {
 	b := fr.b
-	var w funnelWalk
-	if n > 0 {
-		w.top = make([]FunnelCounts, 0, n)
-	}
+	top := make([]FunnelCounts, 0, n)
 	b.lockStripes(0, len(b.shards)-1, nil)
 	defer b.unlockStripes(0, len(b.shards)-1)
 	fl := b.dir.Load()
@@ -157,25 +146,24 @@ func (fr *funnelRegistry) walk(n int) funnelWalk {
 		id := int32(i)
 		row := fl.funnel(id)
 		var g uint64
-		for d, v := range row {
-			w.totals[d] += v
+		for _, v := range row {
 			g += v
 		}
 		// Ids ascend along the walk, so only a strictly larger count moves
 		// ahead of a row already kept.
-		if g == 0 || n <= 0 || (len(w.top) == n && g <= w.top[n-1].Gathered) {
+		if g == 0 || (len(top) == n && g <= top[n-1].Gathered) {
 			continue
 		}
-		if len(w.top) < n {
-			w.top = append(w.top, funnelCounts(id, row))
+		if len(top) < n {
+			top = append(top, funnelCounts(id, row))
 		} else {
-			w.top[n-1] = funnelCounts(id, row)
+			top[n-1] = funnelCounts(id, row)
 		}
-		for i := len(w.top) - 1; i > 0 && w.top[i].Gathered > w.top[i-1].Gathered; i-- {
-			w.top[i], w.top[i-1] = w.top[i-1], w.top[i]
+		for i := len(top) - 1; i > 0 && top[i].Gathered > top[i-1].Gathered; i-- {
+			top[i], top[i-1] = top[i-1], top[i]
 		}
 	}
-	return w
+	return top
 }
 
 // FunnelCounts is one campaign's decision-funnel snapshot: how many times
@@ -240,37 +228,22 @@ func (b *Broker) CampaignFunnel(id int32) (FunnelCounts, error) {
 	return funnelCounts(id, fl.funnel(id)), nil
 }
 
-// registerFunnelMetrics registers the muaa_funnel_* families. The fleet
-// per-disposition family is a collector over the walk's exact column sums
-// (always all numDispositions series); the per-campaign family is a bounded
-// collector over the walk's top-N heavy hitters, so its label set shifts with
-// traffic while its cardinality never exceeds funnelTopN × (1 +
-// numDispositions) series. Each walks the pages on its own, with every shard
-// lock held: two walks per scrape, the price of one collector per family.
+// registerFunnelMetrics registers the muaa_funnel_* families: the fleet
+// gathered count, and a bounded collector over the walk's top-N heavy
+// hitters, whose label set shifts with traffic while its cardinality never
+// exceeds funnelTopN × (1 + numDispositions) series. A scrape walks the pages
+// once, with every shard lock held. The fleet per-disposition counts are not
+// repeated here: muaa_broker_scan_outcomes_total carries them.
 func registerFunnelMetrics(reg *obs.Registry, b *Broker) {
 	fr := b.funnel
 	reg.NewCounterFunc("muaa_funnel_gathered_total",
 		"Candidate campaigns gathered by arrival scans (top of the decision funnel).",
 		func() float64 { return float64(fr.gathered.Load()) })
-	reg.NewCollectorFunc("muaa_funnel_dispositions_total",
-		"Gathered candidates by final funnel disposition, fleet-wide; the dispositions sum to muaa_funnel_gathered_total.",
-		"counter",
-		func() []obs.Sample {
-			tot := fr.walk(0).totals
-			out := make([]obs.Sample, 0, numDispositions)
-			for d := funnelDisposition(0); d < numDispositions; d++ {
-				out = append(out, obs.Sample{
-					Labels: []obs.Label{obs.L("disposition", dispositionNames[d])},
-					Value:  float64(tot[d]),
-				})
-			}
-			return out
-		})
 	reg.NewCollectorFunc("muaa_funnel_campaign_total",
 		"Decision-funnel counters for the current top campaigns by gathered count (bounded top-N; disposition=\"gathered\" is the funnel top).",
 		"counter",
 		func() []obs.Sample {
-			top := fr.walk(funnelTopN).top
+			top := fr.walk(funnelTopN)
 			out := make([]obs.Sample, 0, len(top)*(1+int(numDispositions)))
 			for i := range top {
 				fc := &top[i]

@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"muaa/internal/geo"
+	"muaa/internal/model"
 	"muaa/internal/obs"
 	"muaa/internal/pacing"
 	"muaa/internal/workload"
@@ -46,6 +47,64 @@ func conserved(t *testing.T, fc FunnelCounts) {
 		t.Errorf("campaign %d: dispositions sum %d != gathered %d (%+v)",
 			fc.Campaign, sum, fc.Gathered, fc)
 	}
+}
+
+// fleetColumns sums every campaign's funnel row column by column and, at
+// quiescence, checks the sums against the fleet families that export them:
+// muaa_broker_scan_outcomes_total by outcome (its "offered" is every admitted
+// candidate, offered + displaced_by_slate; its "dimension_mismatch" is
+// tag_mismatch; every other label is the disposition's own name),
+// muaa_broker_offers_pushed_total is the offered column, and the columns sum
+// to muaa_funnel_gathered_total.
+func fleetColumns(t *testing.T, b *Broker, reg *obs.Registry) [numDispositions]uint64 {
+	t.Helper()
+	var columns [numDispositions]uint64
+	var rows uint64
+	for id := range b.dir.Load().campaigns {
+		fc, err := b.CampaignFunnel(int32(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		conserved(t, fc)
+		rows += fc.Gathered
+		for d, v := range fc.dispositions() {
+			columns[d] += v
+		}
+	}
+	outcomes := make(map[string]float64)
+	var pushed, gathered float64
+	for _, p := range reg.Gather() {
+		switch p.Name {
+		case "muaa_broker_scan_outcomes_total":
+			outcomes[p.Labels] = p.Value
+		case "muaa_broker_offers_pushed_total":
+			pushed = p.Value
+		case "muaa_funnel_gathered_total":
+			gathered = p.Value
+		}
+	}
+	for d := funnelDisposition(0); d < dispDisplaced; d++ {
+		label, want := dispositionNames[d], columns[d]
+		switch d {
+		case dispOffered:
+			want += columns[dispDisplaced]
+		case dispTagMismatch:
+			label = "dimension_mismatch"
+		}
+		if got := outcomes[`{outcome="`+label+`"}`]; got != float64(want) {
+			t.Errorf("muaa_broker_scan_outcomes_total{outcome=%q} = %v, funnel columns say %d", label, got, want)
+		}
+	}
+	if len(outcomes) != int(dispDisplaced) {
+		t.Errorf("muaa_broker_scan_outcomes_total has %d outcomes, want %d: %v", len(outcomes), dispDisplaced, outcomes)
+	}
+	if pushed != float64(columns[dispOffered]) {
+		t.Errorf("muaa_broker_offers_pushed_total = %v, funnel offered column %d", pushed, columns[dispOffered])
+	}
+	if gathered != float64(rows) {
+		t.Errorf("muaa_funnel_gathered_total = %v, funnel rows sum to %d", gathered, rows)
+	}
+	return columns
 }
 
 func TestFunnelDisabledByDefault(t *testing.T) {
@@ -76,7 +135,8 @@ func TestFunnelDisabledByDefault(t *testing.T) {
 // TestFunnelAttributionGates drives one arrival shape through a fleet built
 // so every campaign lands in a known, distinct gate.
 func TestFunnelAttributionGates(t *testing.T) {
-	b := funnelBroker(t, Config{AdTypes: workload.DefaultAdTypes()})
+	reg := obs.NewRegistry()
+	b := funnelBroker(t, Config{AdTypes: workload.DefaultAdTypes(), Metrics: reg})
 	at := geo.Point{X: 0.5, Y: 0.5}
 	winner, _ := b.RegisterCampaign(at, 0.1, 1e6, []float64{1, 0})
 	loser, _ := b.RegisterCampaign(geo.Point{X: 0.5, Y: 0.58}, 0.1, 1e6, []float64{1, 0})
@@ -130,16 +190,10 @@ func TestFunnelAttributionGates(t *testing.T) {
 	if got := b.funnel.gathered.Load(); got != 4*n {
 		t.Errorf("fleet gathered %d, want %d", got, 4*n)
 	}
-	var sum uint64
-	for _, v := range b.funnel.walk(0).totals {
-		sum += v
-	}
-	if sum != 4*n {
-		t.Errorf("fleet disposition sum %d != gathered %d", sum, 4*n)
-	}
+	fleetColumns(t, b, reg)
 
 	// top ranks by gathered (all equal here) then ascending id.
-	top := b.funnel.walk(2).top
+	top := b.funnel.walk(2)
 	if len(top) != 2 || top[0].Campaign != winner || top[1].Campaign != loser {
 		t.Errorf("top(2) = %+v, want campaigns %d, %d", top, winner, loser)
 	}
@@ -175,9 +229,10 @@ func TestFunnelExhaustionGate(t *testing.T) {
 // a fleet of any size. A fleet past 4096 campaigns takes concurrent arrivals
 // that touch well over 64 distinct ids ≥ 4096 (the sizes at which rows were
 // once shared and evicted); every row must be conserved, the rows must sum to
-// muaa_funnel_gathered_total and to the walk's totals column by column, a count
-// seen in one top(16) read must never be lower in a later one, and top(n)
-// must equal the first n rows of a full sort by (gathered desc, id asc).
+// muaa_funnel_gathered_total and, column by column, to the scan-outcome and
+// offer families, a count seen in one top(16) read must never be lower in a
+// later one, and top(n) must equal the first n rows of a full sort by
+// (gathered desc, id asc).
 func TestFunnelExactForEveryCampaign(t *testing.T) {
 	const (
 		side      = 66 // side² ≥ campaigns
@@ -233,13 +288,13 @@ func TestFunnelExactForEveryCampaign(t *testing.T) {
 	}
 
 	drive(0, arrivals/2)
-	before := b.funnel.walk(16).top
+	before := b.funnel.walk(16)
 	if len(before) != 16 {
 		t.Fatalf("top(16) after %d arrivals returned %d rows", arrivals/2, len(before))
 	}
 	drive(arrivals/2, arrivals)
 	after := make(map[int32]uint64)
-	for _, fc := range b.funnel.walk(16).top {
+	for _, fc := range b.funnel.walk(16) {
 		after[fc.Campaign] = fc.Gathered
 	}
 	for _, fc := range before {
@@ -256,18 +311,11 @@ func TestFunnelExactForEveryCampaign(t *testing.T) {
 	}
 
 	all := make([]FunnelCounts, 0, campaigns)
-	var rowsGathered uint64
-	var columns [numDispositions]uint64
 	highTouched := 0
 	for id := int32(0); id < campaigns; id++ {
 		fc, err := b.CampaignFunnel(id)
 		if err != nil {
 			t.Fatal(err)
-		}
-		conserved(t, fc)
-		rowsGathered += fc.Gathered
-		for d, v := range fc.dispositions() {
-			columns[d] += v
 		}
 		if fc.Gathered > 0 {
 			all = append(all, fc)
@@ -279,18 +327,7 @@ func TestFunnelExactForEveryCampaign(t *testing.T) {
 	if highTouched <= 64 {
 		t.Fatalf("only %d campaigns with id ≥ %d were gathered; the load must touch more than 64", highTouched, highID)
 	}
-	var scraped float64
-	for _, p := range reg.Gather() {
-		if p.Name == "muaa_funnel_gathered_total" {
-			scraped = p.Value
-		}
-	}
-	if float64(rowsGathered) != scraped || rowsGathered == 0 {
-		t.Errorf("per-campaign gathered sum %d != muaa_funnel_gathered_total %v", rowsGathered, scraped)
-	}
-	if fleet := b.funnel.walk(0).totals; fleet != columns {
-		t.Errorf("walk totals %v != per-campaign column sums %v", fleet, columns)
-	}
+	columns := fleetColumns(t, b, reg)
 	for _, d := range []funnelDisposition{dispOffered, dispPaused, dispExhausted, dispTagMismatch, dispDisplaced} {
 		if columns[d] == 0 {
 			t.Errorf("load never produced disposition %s", dispositionNames[d])
@@ -308,51 +345,68 @@ func TestFunnelExactForEveryCampaign(t *testing.T) {
 		if n < len(all) {
 			want = all[:n]
 		}
-		if got := b.funnel.walk(n).top; !slices.Equal(got, want) {
+		if got := b.funnel.walk(n); !slices.Equal(got, want) {
 			t.Errorf("top(%d) differs from the first %d rows of the full sort", n, len(want))
 		}
-	}
-	if b.funnel.walk(0).top != nil {
-		t.Error("top(0) should be nil")
 	}
 }
 
 // TestFunnelMetricsExposition: the muaa_funnel_* families land in the obs
-// registry — exact fleet totals whose dispositions sum to gathered, and the
-// bounded per-campaign collector.
+// registry — the fleet gathered count and the bounded per-campaign collector
+// — and the funnel's fleet-wide column sums are exactly what the scan-outcome
+// and offer families export, on the legacy path and on a billed slate whose
+// solver displaces admitted candidates.
 func TestFunnelMetricsExposition(t *testing.T) {
-	reg := obs.NewRegistry()
-	b := funnelBroker(t, Config{AdTypes: workload.DefaultAdTypes(), Metrics: reg})
-	if _, err := b.RegisterCampaign(geo.Point{X: 0.5, Y: 0.5}, 0.1, 1e6, []float64{1, 0}); err != nil {
-		t.Fatal(err)
-	}
-	a := Arrival{Loc: geo.Point{X: 0.5, Y: 0.5}, Capacity: 1, ViewProb: 0.8,
-		Interests: []float64{1, 0}, Hour: 12}
-	for i := 0; i < 7; i++ {
-		if _, err := b.Arrive(a); err != nil {
+	t.Run("legacy", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		b := funnelBroker(t, Config{AdTypes: workload.DefaultAdTypes(), Metrics: reg})
+		if _, err := b.RegisterCampaign(geo.Point{X: 0.5, Y: 0.5}, 0.1, 1e6, []float64{1, 0}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	var sb strings.Builder
-	reg.WriteText(&sb)
-	out := sb.String()
-	for _, want := range []string{
-		"muaa_funnel_gathered_total 7",
-		`muaa_funnel_dispositions_total{disposition="offered"} 7`,
-		`muaa_funnel_dispositions_total{disposition="below_threshold"} 0`,
-		`muaa_funnel_campaign_total{campaign="0",disposition="gathered"} 7`,
-		`muaa_funnel_campaign_total{campaign="0",disposition="offered"} 7`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
+		a := Arrival{Loc: geo.Point{X: 0.5, Y: 0.5}, Capacity: 1, ViewProb: 0.8,
+			Interests: []float64{1, 0}, Hour: 12}
+		for i := 0; i < 7; i++ {
+			if _, err := b.Arrive(a); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
+		var sb strings.Builder
+		reg.WriteText(&sb)
+		out := sb.String()
+		for _, want := range []string{
+			"muaa_funnel_gathered_total 7",
+			`muaa_funnel_campaign_total{campaign="0",disposition="gathered"} 7`,
+			`muaa_funnel_campaign_total{campaign="0",disposition="offered"} 7`,
+			`muaa_funnel_campaign_total{campaign="0",disposition="below_threshold"} 0`,
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("exposition missing %q:\n%s", want, out)
+			}
+		}
+		if columns := fleetColumns(t, b, reg); columns[dispOffered] != 7 {
+			t.Errorf("offered column %d, want 7", columns[dispOffered])
+		}
+	})
+	t.Run("slate", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		b := funnelBroker(t, Config{AdTypes: workload.DefaultAdTypes(), Metrics: reg})
+		slateFleet(t, b, 6, model.Billing{Model: model.BillingCPM, ReserveECPM: 1})
+		for i := 0; i < 7; i++ {
+			if _, err := b.Arrive(slateArrival(2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if columns := fleetColumns(t, b, reg); columns[dispOffered] == 0 || columns[dispDisplaced] == 0 {
+			t.Errorf("funnel columns %v: the slate must both offer and displace", columns)
+		}
+	})
 }
 
 // TestFunnelConservationSoak is the -race conservation gate: under
 // concurrent mixed traffic — on both the legacy and the slate scan path —
 // the rows sum to the fleet gathered count at every cut CheckInvariants
-// takes, and the walk's fleet-wide totals agree with it at the end.
+// takes, and at the end their column sums are what the scan-outcome and
+// offer families export.
 func TestFunnelConservationSoak(t *testing.T) {
 	workers := 2 * runtime.GOMAXPROCS(0)
 	if workers < 4 {
@@ -377,7 +431,8 @@ func TestFunnelConservationSoak(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b := funnelBroker(t, Config{AdTypes: workload.DefaultAdTypes(), Shards: 8})
+			reg := obs.NewRegistry()
+			b := funnelBroker(t, Config{AdTypes: workload.DefaultAdTypes(), Shards: 8, Metrics: reg})
 			registerLoad(t, b, specs)
 
 			stop := invariantsDuring(t, b)
@@ -395,22 +450,8 @@ func TestFunnelConservationSoak(t *testing.T) {
 			wg.Wait()
 			stop()
 
-			for id := int32(0); id < campaigns; id++ {
-				fc, err := b.CampaignFunnel(id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				conserved(t, fc)
-			}
-			fleet := b.funnel.gathered.Load()
-			var totals uint64
-			for _, v := range b.funnel.walk(0).totals {
-				totals += v
-			}
-			if totals != fleet {
-				t.Errorf("fleet disposition totals %d != gathered %d", totals, fleet)
-			}
-			if fleet == 0 {
+			fleetColumns(t, b, reg)
+			if b.funnel.gathered.Load() == 0 {
 				t.Error("soak gathered nothing; load shape is wrong")
 			}
 		})
@@ -427,8 +468,8 @@ func TestFunnelConservationSoak(t *testing.T) {
 // locks only, ascending, so the global order regMu → shards ascending →
 // billing mutex holds with them in it, and CheckInvariants, taking all three,
 // races them too. A count must never run backwards between two reads; after
-// quiescence the contract holds and the rows, the walk's column sums and the
-// scraped families all agree with muaa_funnel_gathered_total.
+// quiescence the contract holds and the rows' column sums agree with the
+// scraped scan-outcome, offer and gathered families.
 func TestFunnelRowsUnderShardLocks(t *testing.T) {
 	const (
 		seeded  = 96 // campaigns registered before traffic
@@ -517,21 +558,23 @@ func TestFunnelRowsUnderShardLocks(t *testing.T) {
 		seen[next], next = fc.Gathered, (next+1)%seeded
 	})
 	observe(func() { reg.WriteText(io.Discard) })
-	var lastWalk uint64
+	topSeen := make(map[int32]uint64) // the walk reader's own
 	observe(func() {
-		w := b.funnel.walk(funnelTopN)
+		top := b.funnel.walk(funnelTopN)
 		var sum uint64
-		for _, v := range w.totals {
-			sum += v
-		}
-		// One cut under every shard lock: no fold is half in it, so the columns
-		// sum to a gathered count some moment had — at most what it is now.
-		if now := b.funnel.gathered.Load(); sum < lastWalk || sum > now {
-			t.Errorf("walk totals sum %d after %d, fleet gathered %d", sum, lastWalk, now)
-		}
-		lastWalk = sum
-		for _, fc := range w.top {
+		for _, fc := range top {
 			conserved(t, fc)
+			if fc.Gathered < topSeen[fc.Campaign] {
+				t.Errorf("campaign %d: gathered ran backwards between walks, %d → %d", fc.Campaign, topSeen[fc.Campaign], fc.Gathered)
+			}
+			topSeen[fc.Campaign] = fc.Gathered
+			sum += fc.Gathered
+		}
+		// One cut under every shard lock: no fold is half in it, and a fold
+		// bumps the fleet counter before its rows, so the rows read sum to at
+		// most what the fleet has gathered by now.
+		if now := b.funnel.gathered.Load(); sum > now {
+			t.Errorf("top rows sum %d, fleet gathered only %d", sum, now)
 		}
 	})
 	observe(func() {
@@ -557,40 +600,15 @@ func TestFunnelRowsUnderShardLocks(t *testing.T) {
 	}
 
 	checkInvariants(t, b)
-	var mismatched uint64
-	var columns [numDispositions]uint64
-	for id := 0; id < seeded+late; id++ {
-		fc, err := b.CampaignFunnel(int32(id))
-		if err != nil {
-			t.Fatal(err)
-		}
-		conserved(t, fc)
-		mismatched += fc.TagMismatch
-		for d, v := range fc.dispositions() {
-			columns[d] += v
-		}
+	if n := len(b.dir.Load().campaigns); n != seeded+late {
+		t.Fatalf("%d campaigns registered, want %d", n, seeded+late)
 	}
-	fleet := b.funnel.gathered.Load()
-	if fleet == 0 {
+	columns := fleetColumns(t, b, reg)
+	if b.funnel.gathered.Load() == 0 {
 		t.Error("traffic gathered nothing")
 	}
-	if got := b.funnel.walk(0).totals; got != columns {
-		t.Errorf("walk totals %v != per-campaign column sums %v", got, columns)
-	}
-	if mismatched == 0 {
+	if columns[dispTagMismatch] == 0 {
 		t.Error("no campaign of the second taxonomy was ever gathered")
-	}
-	var scrapedGathered, scrapedColumns float64
-	for _, p := range reg.Gather() {
-		switch p.Name {
-		case "muaa_funnel_gathered_total":
-			scrapedGathered = p.Value
-		case "muaa_funnel_dispositions_total":
-			scrapedColumns += p.Value
-		}
-	}
-	if scrapedGathered != float64(fleet) || scrapedColumns != float64(fleet) {
-		t.Errorf("scrape: gathered %v, dispositions sum %v, fleet counter %d", scrapedGathered, scrapedColumns, fleet)
 	}
 }
 

@@ -38,7 +38,8 @@ type brokerMetrics struct {
 	// disposition the scan tallied it under. "offered" counts every candidate
 	// the walk admitted, the ones the capacity resolve then displaced
 	// included: offered − muaa_broker_offers_pushed_total is the number
-	// displaced.
+	// displaced, until a restart (the offers counter is recovered from the
+	// log, these start at zero).
 	scanOutcomes    [dispDisplaced]*obs.Counter
 	exhaustedEvents *obs.Counter
 	offersByType    []*obs.Counter // indexed like cfg.AdTypes

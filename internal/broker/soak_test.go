@@ -193,7 +193,7 @@ func TestConcurrentRegistrationDuringTraffic(t *testing.T) {
 				done = true
 			default:
 			}
-			for _, fc := range b.funnel.walk(16).top {
+			for _, fc := range b.funnel.walk(16) {
 				if fc.Gathered < seen[fc.Campaign] {
 					t.Errorf("campaign %d: gathered fell from %d to %d between top reads",
 						fc.Campaign, seen[fc.Campaign], fc.Gathered)

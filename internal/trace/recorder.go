@@ -109,15 +109,6 @@ func NewRecorder(o RecorderOptions) *Recorder {
 	}
 }
 
-// SlowThreshold returns the duration at or above which a trace is pinned
-// in the kept ring.
-func (r *Recorder) SlowThreshold() time.Duration {
-	if r == nil {
-		return 0
-	}
-	return r.slow
-}
-
 // Record files a completed trace by value: the recorder copies *t into its
 // rings, so the caller keeps ownership and t can live on the caller's
 // stack — recording allocates nothing. Safe for concurrent use; wait-free

@@ -113,13 +113,6 @@ type BatchOutcome struct {
 	Error   string `json:"error,omitempty"`
 }
 
-// Slow reports whether the trace met the recorder's slow threshold when it
-// was recorded.
-func (t *Trace) Slow() bool { return t.slow }
-
-// Seq returns the recorder-assigned sequence number (zero if unrecorded).
-func (t *Trace) Seq() uint64 { return t.seq }
-
 // wireSpan is one child span in the JSON view.
 type wireSpan struct {
 	Name          string `json:"name"`

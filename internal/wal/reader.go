@@ -120,10 +120,8 @@ type View struct {
 	// Snapshot is the latest intact snapshot payload, nil if none exists.
 	// When FullHistory is false, replay must start from it.
 	Snapshot []byte
-	// SnapshotSeq is the segment the snapshot hands over to (0 without one).
-	SnapshotSeq uint64
 	// Records are the record payloads in append order: from segment 1 when
-	// FullHistory, otherwise from SnapshotSeq onward.
+	// FullHistory, otherwise from the segment the snapshot hands over to.
 	Records [][]byte
 	// Truncated reports a torn tail on the active segment — expected after
 	// a crash; Records then holds the intact prefix, to which Open has cut
@@ -145,7 +143,7 @@ func ReadDir(dir string) (View, error) {
 	if err != nil {
 		return View{}, err
 	}
-	v := View{Snapshot: s.snap, SnapshotSeq: s.snapSeq}
+	v := View{Snapshot: s.snap}
 	// Segments above the active one never received a record (rotation
 	// installs the snapshot before switching appends): they are not history.
 	refs := s.refs

@@ -239,8 +239,8 @@ func Open(dir string, opts Options, reg *obs.Registry, logger *slog.Logger) (*Lo
 		l.metrics = newWALMetrics(reg)
 	}
 	go l.flusher()
-	return l, View{FullHistory: s.snap == nil, Snapshot: s.snap, SnapshotSeq: s.snapSeq,
-		Records: seg.records, Truncated: seg.torn}, nil
+	return l, View{FullHistory: s.snap == nil, Snapshot: s.snap, Records: seg.records,
+		Truncated: seg.torn}, nil
 }
 
 func segmentPath(dir string, seq uint64) string {
