@@ -24,6 +24,7 @@ import (
 	"muaa/internal/model"
 	"muaa/internal/obs"
 	"muaa/internal/pacing"
+	"muaa/internal/stats"
 	"muaa/internal/workload"
 )
 
@@ -417,14 +418,23 @@ func TestFunnelConservationSoak(t *testing.T) {
 		workers, opsPerWorker = 4, 80
 	}
 	const campaigns = 40
+	// The slate load's own shape, so it reaches the slate's two gates: wide
+	// disks put several campaigns in each arrival's gather, room for two or
+	// more offers lets the slot race displace, and reserves straddle the
+	// bids (cpm 1000–3000 eCPM, cpc 50–1500) so some campaigns price
+	// themselves out.
+	slate := workload.BilledBrokerLoadConfig(campaigns, workers*opsPerWorker, 78)
+	slate.Radius = stats.Range{Lo: 0.15, Hi: 0.3}
+	slate.Capacity = stats.Range{Lo: 2, Hi: 4}
+	slate.ReserveECPM = stats.Range{Lo: 500, Hi: 2500}
 
 	for _, tc := range []struct {
-		name   string
-		load   workload.BrokerLoadConfig
-		billed bool
+		name  string
+		load  workload.BrokerLoadConfig
+		gates []funnelDisposition // the load must reach each
 	}{
-		{"legacy", workload.DefaultBrokerLoadConfig(campaigns, workers*opsPerWorker, 77), false},
-		{"slate", workload.BilledBrokerLoadConfig(campaigns, workers*opsPerWorker, 78), true},
+		{"legacy", workload.DefaultBrokerLoadConfig(campaigns, workers*opsPerWorker, 77), nil},
+		{"slate", slate, []funnelDisposition{dispBelowReserve, dispDisplaced}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			specs, ops, err := workload.BrokerLoad(tc.load)
@@ -450,9 +460,14 @@ func TestFunnelConservationSoak(t *testing.T) {
 			wg.Wait()
 			stop()
 
-			fleetColumns(t, b, reg)
+			columns := fleetColumns(t, b, reg)
 			if b.funnel.gathered.Load() == 0 {
 				t.Error("soak gathered nothing; load shape is wrong")
+			}
+			for _, d := range tc.gates {
+				if columns[d] == 0 {
+					t.Errorf("load never produced disposition %s: %v", dispositionNames[d], columns)
+				}
 			}
 		})
 	}

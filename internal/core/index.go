@@ -44,8 +44,8 @@ func NewIndex(p *model.Problem) *Index {
 	ix := &Index{p: p, vendorGrid: geo.NewGrid(bounds, vres), bounds: bounds, cres: cres}
 	for j := range p.Vendors {
 		// Paused vendors never enter the grid: every solver funnels vendor
-		// discovery through ValidVendors/NearestVendors, so exclusion here
-		// makes the whole solver family pause-aware at zero per-query cost.
+		// discovery through ValidVendors, so exclusion here makes the
+		// whole solver family pause-aware at zero per-query cost.
 		// (Recon iterates vendors directly and carries its own skip.)
 		if p.Vendors[j].Paused {
 			continue
@@ -100,10 +100,4 @@ func (ix *Index) ValidCustomers(dst []int32, vj int32) []int32 {
 	})
 	v := &ix.p.Vendors[vj]
 	return ix.customerGrid.Within(dst, v.Loc, v.Radius)
-}
-
-// NearestVendors returns up to k vendors closest to customer ui (regardless
-// of coverage); used by the NEAREST baseline before range filtering.
-func (ix *Index) NearestVendors(ui int32, k int) []int32 {
-	return ix.vendorGrid.KNearest(ix.p.Customers[ui].Loc, k)
 }

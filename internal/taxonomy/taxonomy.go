@@ -51,10 +51,6 @@ func (t *Taxonomy) Name(id TagID) string { return t.nodes[id].name }
 // Parent returns the tag's parent; the root is its own parent.
 func (t *Taxonomy) Parent(id TagID) TagID { return t.nodes[id].parent }
 
-// Children returns the tag's direct children in insertion order. The
-// returned slice is shared; callers must not modify it.
-func (t *Taxonomy) Children(id TagID) []TagID { return t.nodes[id].children }
-
 // Depth returns the number of edges from the root to id (root has depth 0).
 func (t *Taxonomy) Depth(id TagID) int { return t.nodes[id].depth }
 
