@@ -114,7 +114,7 @@ func parseVector(s string) ([]float64, error) {
 }
 
 // render prints the human view: a summary header, then one line per
-// candidate in scan order with its disposition verdict. The header's
+// candidate, by campaign id, with its disposition verdict. The header's
 // resolver names the slot rules the kernel's one race applies (DESIGN.md
 // §15): slots for an auction-resolved arrival with more than one slot, trim
 // otherwise.

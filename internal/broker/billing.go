@@ -176,16 +176,18 @@ func (b *Broker) Convert(offerID uint64, idemKey string) (Conversion, error) {
 	if !ok {
 		return Conversion{}, ErrOfferUnknown
 	}
-	fl, err := b.lookup(o.campaign)
+	c, err := b.lookup(o.campaign)
 	if err != nil {
 		return Conversion{}, err
 	}
 	// Phase 2: re-validate and commit under shard lock → mu. The offer may
 	// have been converted or evicted between the phases; the re-check makes
-	// the move atomic.
-	sh := &b.shards[fl.campaigns[o.campaign].shard]
+	// the move atomic. The row is resolved under the shard lock, where no
+	// re-layout can move it.
+	sh := &b.shards[c.shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	fl := b.dir.Load()
 	bl.mu.Lock()
 	if idemKey != "" {
 		if _, dup := bl.idem[idemKey]; dup {

@@ -321,7 +321,7 @@ func newMemory(cfg Config) (*Broker, error) {
 	}
 	b := &Broker{
 		cfg:     cfg,
-		stripes: geo.NewStripes(geo.UnitSquare, nShards),
+		stripes: geo.NewStripes(geo.UnitSquare, nShards, gridCells),
 		shards:  make([]shard, nShards),
 	}
 	for i := range b.shards {
@@ -471,36 +471,42 @@ func (b *Broker) RegisterCampaignSpec(spec CampaignSpec) (int32, error) {
 	// campaigns only through a shard's grid (under its lock), so a campaign
 	// visible in a grid is always resolvable, while a directory entry not
 	// yet in a grid is merely invisible to arrivals. The fleet grows in place:
-	// the page row and each append are written past the length of every header
-	// published so far, so no reader indexes them, and the atomic store then
-	// publishes a longer header over the same pages and backing arrays (or over
-	// append's geometric regrowth, which leaves the old array to its readers).
-	// The vendor slab entry is the campaign's UnitPearson.Prepare, copied;
-	// off's last entry is len(d), so the new run starts where the slab ended.
+	// the new row is the next one, len(campaigns), and the page row and each
+	// append are written past the length of every header published so far, so
+	// no reader indexes them, and the atomic store then publishes a longer
+	// header over the same pages and backing arrays (or over append's
+	// geometric regrowth, which leaves the old array to its readers). The
+	// vendor slab entry is the campaign's UnitPearson.Prepare, copied; off's
+	// last entry is len(d), so the new run starts where the slab ended.
 	var vendor model.UnitPearson
 	vendor.Prepare(c.tags)
 	d, cov := vendor.Vector()
 	next := &fleet{
 		campaigns: append(old.campaigns, c),
+		rowOf:     append(old.rowOf, id),
 		pages:     old.pages,
 		d:         append(old.d, d...),
 		cov:       append(old.cov, cov),
+		laid:      old.laid,
 	}
 	if id&pageMask == 0 {
 		next.pages = append(next.pages, new(page))
 	}
 	next.off = append(old.off, len(next.d))
-	h := next.row(id)
+	h := next.hotAt(id)
 	h.budget.Store(spec.Budget)
 	h.allowance.Store(math.Inf(1))
 	h.loc, h.floor, h.guaranteed = spec.Loc, spec.Floor, spec.Guaranteed
-	*next.billing(id) = spec.Billing
+	next.walkAt(id).billing = spec.Billing
 	b.dir.Store(next)
 	b.maxRadius.Max(spec.Radius)
 	sh := &b.shards[c.shard]
 	sh.mu.Lock()
 	sh.grid.InsertWithRadius(id, spec.Loc, spec.Radius)
 	sh.mu.Unlock()
+	if n := len(next.campaigns); n-next.laid >= max(n>>relayoutShift, relayoutMin) {
+		b.relayout()
+	}
 	return id, nil
 }
 
@@ -514,16 +520,17 @@ func (b *Broker) TopUp(id int32, amount float64) error {
 	if amount < 0 || !finite(amount) {
 		return fmt.Errorf("broker: top-up amount %g", amount)
 	}
-	fl, err := b.lookup(id)
+	c, err := b.lookup(id)
 	if err != nil {
 		return err
 	}
 	// The shard lock serializes budget writes against the check-then-spend
-	// sequence of in-flight arrivals touching this campaign.
-	h := fl.row(id)
-	sh := &b.shards[fl.campaigns[id].shard]
+	// sequence of in-flight arrivals touching this campaign; the row is
+	// resolved under it, so a re-layout cannot move it in between.
+	sh := &b.shards[c.shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	h := b.dir.Load().row(id)
 	budget := h.budget.Load() + amount
 	if !finite(budget) {
 		return fmt.Errorf("broker: top-up amount %g overflows campaign %d's budget", amount, id)
@@ -544,36 +551,33 @@ func (b *Broker) SetPaused(id int32, paused bool) error {
 	if err := b.Err(); err != nil {
 		return err
 	}
-	fl, err := b.lookup(id)
+	c, err := b.lookup(id)
 	if err != nil {
 		return err
 	}
-	h := fl.row(id)
-	if b.wal == nil {
-		h.paused.Store(paused)
-		return nil
-	}
-	// Durable: the shard lock serializes the flag flip with its record, so
-	// a snapshot (which quiesces all shards) can never capture the flip
-	// while the record is still in flight; a refused record flips nothing.
-	sh := &b.shards[fl.campaigns[id].shard]
+	// The shard lock puts the flip on the row a re-layout left current, and,
+	// when durable, serializes it with its record, so a snapshot (which
+	// quiesces all shards) can never capture the flip while the record is
+	// still in flight; a refused record flips nothing.
+	sh := &b.shards[c.shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if err := b.logRecord(&DecodedRecord{Kind: RecordPause, Campaign: id, Paused: paused}); err != nil {
-		return err
+	if b.wal != nil {
+		if err := b.logRecord(&DecodedRecord{Kind: RecordPause, Campaign: id, Paused: paused}); err != nil {
+			return err
+		}
 	}
-	h.paused.Store(paused)
+	b.dir.Load().row(id).paused.Store(paused)
 	return nil
 }
 
 // CampaignState returns a copy of the campaign's live state without
 // touching any lock.
 func (b *Broker) CampaignState(id int32) (Campaign, error) {
-	fl, err := b.lookup(id)
-	if err != nil {
+	if _, err := b.lookup(id); err != nil {
 		return Campaign{}, err
 	}
-	return fl.snapshot(id), nil
+	return b.dir.Load().snapshot(id), nil
 }
 
 // Campaigns returns copies of every campaign's live state, in ID order. The
@@ -592,13 +596,15 @@ func (b *Broker) Campaigns() []Campaign {
 // broker never issued; the HTTP layer answers it with 404.
 var ErrUnknownCampaign = errors.New("broker: unknown campaign")
 
-// lookup returns a fleet header that covers campaign id.
-func (b *Broker) lookup(id int32) (*fleet, error) {
+// lookup returns campaign id's cold state, which no re-layout moves. Its
+// rows are resolved through a header loaded after any covering one: writers
+// load it under the campaign's shard lock.
+func (b *Broker) lookup(id int32) (*campaign, error) {
 	fl := b.dir.Load()
 	if id < 0 || int(id) >= len(fl.campaigns) {
 		return nil, fmt.Errorf("%w %d", ErrUnknownCampaign, id)
 	}
-	return fl, nil
+	return fl.campaigns[id], nil
 }
 
 // validateArrival is the one door for client-supplied arrival values: every

@@ -269,6 +269,13 @@ func (b *Broker) replay(v wal.View, each func(*DecodedRecord)) error {
 			return fmt.Errorf("broker: replaying record %d of %d: %w", i+1, len(v.Records), err)
 		}
 	}
+	// Registrations re-lay the fleet as it grows, which can leave a tail of
+	// appended rows; a rebuilt fleet starts laid out whole.
+	b.regMu.Lock()
+	defer b.regMu.Unlock()
+	if fl := b.dir.Load(); fl.laid < len(fl.campaigns) {
+		b.relayout()
+	}
 	return nil
 }
 
@@ -281,11 +288,10 @@ func (b *Broker) applyArrival(e *ArrivalRecord, auction bool) error {
 	b.gammaMin.Min(e.GammaMin)
 	b.gammaMax.Max(e.GammaMax)
 	for i := range e.Offers {
-		fl, err := b.lookup(e.Offers[i].Campaign)
-		if err != nil {
+		if _, err := b.lookup(e.Offers[i].Campaign); err != nil {
 			return err
 		}
-		b.charge(fl.row(e.Offers[i].Campaign), &e.Offers[i], auction)
+		b.charge(b.dir.Load().row(e.Offers[i].Campaign), &e.Offers[i], auction)
 	}
 	return nil
 }
@@ -298,12 +304,12 @@ func (b *Broker) applyController(d *DecodedRecord) error {
 	b.phiBoost.bits.Store(d.BoostBits)
 	for i := range d.Controller {
 		e := &d.Controller[i]
-		fl, err := b.lookup(e.Campaign)
+		c, err := b.lookup(e.Campaign)
 		if err != nil {
 			return err
 		}
-		fl.campaigns[e.Campaign].rate.bits.Store(e.RateBits)
-		fl.row(e.Campaign).allowance.bits.Store(e.AllowanceBits)
+		c.rate.bits.Store(e.RateBits)
+		b.dir.Load().row(e.Campaign).allowance.bits.Store(e.AllowanceBits)
 	}
 	return nil
 }
@@ -318,11 +324,10 @@ func (b *Broker) applyConversion(d *DecodedRecord) error {
 	if !ok {
 		return fmt.Errorf("conversion for unknown offer %d", d.OfferID)
 	}
-	fl, err := b.lookup(o.campaign)
-	if err != nil {
+	if _, err := b.lookup(o.campaign); err != nil {
 		return err
 	}
-	b.settle(fl, d.OfferID, o, d.EventKey)
+	b.settle(b.dir.Load(), d.OfferID, o, d.EventKey)
 	return nil
 }
 

@@ -53,7 +53,9 @@ type ExplainReport struct {
 	// many offers the arrival would receive.
 	Gathered int `json:"gathered"`
 	Offered  int `json:"offered"`
-	// Candidates carries one entry per gathered candidate, in scan order.
+	// Candidates carries one entry per gathered candidate, by ascending
+	// campaign id. The walk visits them in scan order (by grid cell row, cell,
+	// then id), which is the order γ feeds forward in.
 	Candidates []ExplainCandidate `json:"candidates"`
 }
 
@@ -205,18 +207,21 @@ func (b *Broker) Explain(a Arrival) (*ExplainReport, error) {
 	rep.Gathered = len(ar.ids)
 	rep.Offered = len(ar.cands)
 
-	// Render: candidates are ar.ids in scan order (ascending, unique), so
-	// everything the kernel keyed by campaign id joins by binary search.
-	rep.Candidates = make([]ExplainCandidate, len(ar.ids))
-	for i, id := range ar.ids {
+	// Render: candidates are listed by ascending campaign id (the walk met
+	// them in scan order), so everything the kernel recorded joins by binary
+	// search.
+	ids := slices.Clone(ar.ids)
+	slices.Sort(ids)
+	rep.Candidates = make([]ExplainCandidate, len(ids))
+	for i, id := range ids {
 		rep.Candidates[i].Campaign = id
 	}
 	at := func(id int32) *ExplainCandidate {
-		i, _ := slices.BinarySearch(ar.ids, id)
+		i, _ := slices.BinarySearch(ids, id)
 		return &rep.Candidates[i]
 	}
 	for _, ev := range ar.fev {
-		at(ev.id).Disposition = dispositionNames[ev.disp]
+		at(ar.ids[ev.at]).Disposition = dispositionNames[ev.disp]
 	}
 	for id, s := range why.lowScore {
 		at(id).Score = s
@@ -228,7 +233,7 @@ func (b *Broker) Explain(a Arrival) (*ExplainReport, error) {
 		ec.Distance, ec.Score = why.terms[i].dist, why.terms[i].score
 		ec.Delta, ec.Relief, ec.Threshold = ar.delta[i], ar.relief[i], why.phi[i]
 		ec.Base, ec.Remaining, ec.Headroom = ar.base[i], ar.remaining[i], ar.headroom[i]
-		ec.Escrow = fl.row(id).escrow.Load()
+		ec.Escrow = fl.hotAt(ar.rows[k].row).escrow.Load()
 		ec.Bids = why.bids[i*nTypes : (i+1)*nTypes : (i+1)*nTypes]
 		if !auction {
 			for k := range ec.Bids {
@@ -238,7 +243,7 @@ func (b *Broker) Explain(a Arrival) (*ExplainReport, error) {
 	}
 	for i := range ar.reps {
 		r := &ar.reps[i]
-		at(ar.ids[ar.cand[r.ci]]).Bids[r.k].Chosen = true
+		at(r.id).Bids[r.k].Chosen = true
 	}
 	for slot := range ar.cands {
 		cd := &ar.cands[slot]

@@ -100,14 +100,21 @@ func matchPrediction(t *testing.T, op int, rep *ExplainReport, offers []Offer) {
 // explainSelfConsistent asserts the report's own γ summary reproduces the
 // threshold its first walked candidate saw: gamma_min/e · g^delta, then the
 // boost and relief factors, in the kernel's operation order — exact, not
-// approximate. (Fails if G is the unclamped reporting value.)
-func explainSelfConsistent(t *testing.T, op int, rep *ExplainReport) {
+// approximate. (Fails if G is the unclamped reporting value.) The report lists
+// candidates by id; the walk met them in scan order.
+func explainSelfConsistent(t *testing.T, b *Broker, op int, rep *ExplainReport) {
 	t.Helper()
+	var first *ExplainCandidate
 	for i := range rep.Candidates {
 		c := &rep.Candidates[i]
 		if len(c.Bids) == 0 {
 			continue // filtered before the walk
 		}
+		if first == nil || scanKey(b, c.Campaign) < scanKey(b, first.Campaign) {
+			first = c
+		}
+	}
+	if c := first; c != nil {
 		want := rep.GammaMin / math.E * math.Pow(rep.G, c.Delta)
 		if rep.Boost != 1 {
 			want *= rep.Boost
@@ -119,7 +126,6 @@ func explainSelfConsistent(t *testing.T, op int, rep *ExplainReport) {
 			t.Fatalf("op %d: candidate %d threshold %v, but gamma_min %v / e · g %v ^ delta %v · boost %v (relief %v) = %v",
 				op, c.Campaign, c.Threshold, rep.GammaMin, rep.G, c.Delta, rep.Boost, c.Relief, want)
 		}
-		return
 	}
 }
 
@@ -295,7 +301,7 @@ func TestExplainPredictsArrive(t *testing.T) {
 					t.Fatalf("op %d: %v", i, err)
 				}
 				explainConserved(t, rep)
-				explainSelfConsistent(t, i, rep)
+				explainSelfConsistent(t, b, i, rep)
 				before := funnelRows(t, b, rep)
 				offers, err := b.Arrive(a)
 				if err != nil {
@@ -351,7 +357,7 @@ func TestExplainReportsBaseInEffect(t *testing.T) {
 	if len(rep.Candidates) != 1 || rep.Candidates[0].Delta == 0 || rep.Candidates[0].Threshold == 0 {
 		t.Fatalf("report = %+v, want one walked candidate with spend behind it", rep)
 	}
-	explainSelfConsistent(t, 0, rep)
+	explainSelfConsistent(t, b, 0, rep)
 }
 
 // TestReplayMatchesGoldenExplainInterleaved is the read-only pin: replaying

@@ -7,6 +7,15 @@ import (
 	"muaa/internal/workload"
 )
 
+// scanKey orders campaigns the way gather emits them and the walk meets
+// them: by the row, then the column, of the grid cell holding the campaign's
+// location, then by id.
+func scanKey(b *Broker, id int32) int64 {
+	loc := b.dir.Load().row(id).loc
+	cell := func(v float64) int64 { return min(int64(min(max(v, 0), 1)*gridCells), gridCells-1) }
+	return (cell(loc.Y)*gridCells+cell(loc.X))<<32 | int64(id)
+}
+
 // arrivalOf is the arrival a workload op describes.
 func arrivalOf(op workload.BrokerOp) Arrival {
 	return Arrival{Loc: op.Loc, Capacity: op.Capacity, ViewProb: op.ViewProb, Interests: op.Interests, Hour: op.Hour}

@@ -68,9 +68,10 @@ var dispositionNames = [numDispositions]string{
 }
 
 // funnelEvent is one candidate disposition awaiting the post-scan fold:
-// 8 bytes, kept flat in the arena.
+// 8 bytes, kept flat in the arena. at is the candidate's index into the
+// arena's ids and rows.
 type funnelEvent struct {
-	id   int32
+	at   int32
 	disp funnelDisposition
 }
 
@@ -107,10 +108,11 @@ type funnelRegistry struct {
 // fold attributes one scan's gathered set and disposition events to their
 // campaigns. Caller still holds the stripe locks that own ar (the event
 // slice is arena scratch) and passes the fleet the scan gathered against:
-// every event id came from a locked grid, so it indexes fl — and a campaign
-// sits only in its owning shard's grid, so the caller holds the lock that
-// guards its row: the increment is a plain add, and folds from disjoint
-// stripe intervals touch disjoint rows.
+// every event names a candidate whose row terms resolved in fl — and a
+// campaign sits only in its owning shard's grid, so the caller holds the lock
+// that guards its row: the increment is a plain add, and folds from disjoint
+// stripe intervals touch disjoint rows. The events follow the scan order, and
+// so, near enough, the rows.
 //
 // One pass over the events and one increment per event: the scan emits
 // exactly one event per gathered id (the conservation invariant the -race
@@ -122,7 +124,7 @@ type funnelRegistry struct {
 func (fr *funnelRegistry) fold(ar *scanArena, fl *fleet) {
 	fr.gathered.Add(uint64(len(ar.ids)))
 	for _, ev := range ar.fev {
-		fl.funnel(ev.id)[ev.disp]++
+		fl.funnelAt(ar.rows[ev.at].row)[ev.disp]++
 	}
 }
 
@@ -134,8 +136,8 @@ func (fr *funnelRegistry) fold(ar *scanArena, fl *fleet) {
 // and must never be called with a shard lock held. The top n are kept by
 // bounded insertion (like the kernel's trim), so the pass is
 // O(campaigns + n²) and allocates the n rows whatever the fleet size. The rows
-// are read page by page in id order, one forward stream of 72-byte rows
-// (BenchmarkFunnelWalk prices the stall). Scrape-cadence callers only.
+// are read in id order through the id → row map (BenchmarkFunnelWalk prices
+// the stall). Scrape-cadence callers only.
 func (fr *funnelRegistry) walk(n int) []FunnelCounts {
 	b := fr.b
 	top := make([]FunnelCounts, 0, n)
@@ -218,14 +220,14 @@ func (b *Broker) CampaignFunnel(id int32) (FunnelCounts, error) {
 	if b.funnel == nil {
 		return FunnelCounts{}, ErrFunnelDisabled
 	}
-	fl, err := b.lookup(id)
+	c, err := b.lookup(id)
 	if err != nil {
 		return FunnelCounts{}, err
 	}
-	sh := &b.shards[fl.campaigns[id].shard]
+	sh := &b.shards[c.shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return funnelCounts(id, fl.funnel(id)), nil
+	return funnelCounts(id, b.dir.Load().funnel(id)), nil
 }
 
 // registerFunnelMetrics registers the muaa_funnel_* families: the fleet

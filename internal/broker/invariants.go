@@ -14,7 +14,8 @@ import (
 // simulation and the debug listener all check the contract through it:
 //
 //   - the directory is dense: campaign i has id i and lives in the stripe
-//     its location falls in;
+//     its location falls in, and the id → row map is a permutation of the
+//     rows;
 //   - per campaign, budget is finite and ≥ 0, spent and escrow are ≥ 0,
 //     spent + escrow ≤ budget, and converted revenue ≤ spent;
 //   - the campaign books sum to the broker's counters: spent, escrow held,
@@ -48,10 +49,15 @@ func (b *Broker) CheckInvariants() error {
 	var spent, escrow, converted float64
 	var conversions int64
 	holds := make([]float64, n)
+	taken := make([]bool, n)
 	for i, c := range f.campaigns {
 		if c.id != int32(i) {
 			return fmt.Errorf("broker: directory slot %d holds campaign %d", i, c.id)
 		}
+		if r := f.rowOf[i]; r < 0 || int(r) >= n || taken[r] {
+			return fmt.Errorf("broker: campaign %d maps to row %d, outside [0, %d) or shared", i, r, n)
+		}
+		taken[f.rowOf[i]] = true
 		h := f.row(c.id)
 		if c.shard != b.stripes.Of(h.loc) {
 			return fmt.Errorf("broker: campaign %d at %v sits in stripe %d, not %d", i, h.loc, c.shard, b.stripes.Of(h.loc))

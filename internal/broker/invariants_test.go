@@ -130,6 +130,10 @@ func TestCheckInvariantsCatchesEachRule(t *testing.T) {
 		{"unqueued key", func(b *Broker) { b.billing.idem["ghost"] = struct{}{} }, "idempotency window"},
 		{"γ inverted", func(b *Broker) { b.gammaMin.Store(2 * b.gammaMax.Load()) }, "γ bounds"},
 		{"funnel row", func(b *Broker) { b.dir.Load().funnel(5)[dispLowScore]++ }, "funnel rows"},
+		{"shared row", func(b *Broker) {
+			fl := b.dir.Load()
+			fl.rowOf[2] = fl.rowOf[1]
+		}, "maps to row"},
 		{"wrong stripe", func(b *Broker) {
 			c := b.dir.Load().campaigns[1]
 			c.shard = (c.shard + 1) % len(b.shards)

@@ -8,14 +8,19 @@ package broker
 // stages over a scanArena; they differ only in whose arena it is, where the
 // γ-state goes afterwards, and how much the kernel is asked to write down:
 //
-//  1. gather: grid probes into ar.ids, put in ascending order — the global
-//     scan order — through a bitset over the campaign directory. A window
-//     gathers a chunk of arrivals before it scans the first of them.
+//  1. gather: grid probes into ar.ids, stripe by stripe, so the ids come out
+//     in the grids' scan order — by cell row, then cell, then registration
+//     (stripes fall on whole cell rows, so this is one order at every stripe
+//     count). That is the walk order: PAPER.md leaves open in which order an
+//     arrival's valid vendors are examined, and only the broker's own online
+//     γ estimate depends on it. A window gathers a chunk of arrivals before
+//     it scans the first of them.
 //  2. terms, two loops. The read sweep touches every gathered campaign's two
 //     page rows once (hotRow, walkRow: a 64-byte line each) and copies them,
 //     with Eq. 5's covariance against the fleet's vendor slab, into flat
 //     ar.rows, with no branch that depends on what it read, so the misses of
-//     many candidates overlap; ids ascend, so the pages are read as forward
+//     many candidates overlap; the fleet's rows are laid out in the same scan
+//     order (see fleet), so the pages and the slab are read as near-forward
 //     streams, and *campaign is never touched. The filter loop then runs
 //     the filter sequence (paused → budget → tag dimension → score) and the
 //     γ-independent per-candidate terms over the rows, into flat arrays. The
@@ -39,7 +44,7 @@ package broker
 //     count, whose classes open at their first hull increment and serve
 //     their hull completion. Otherwise it serves the first max-utility item
 //     in catalog order and ranks by that item's efficiency, and winners
-//     that all fit keep scan order.
+//     that all fit are offered in ascending id.
 //  5. commit: one charge per winner (Broker.charge, shared with WAL replay).
 //
 // The floating-point operation sequence is pinned by the golden transcripts
@@ -53,8 +58,8 @@ package broker
 // conversion (escrow → spent, 1:1) and expiry (escrow released).
 
 import (
+	"cmp"
 	"math"
-	"math/bits"
 	"slices"
 
 	"muaa/internal/geo"
@@ -185,9 +190,9 @@ const guaranteeRelief = 0.25
 
 // scanArena is the reusable scratch one decision runs in. All slices are
 // grown by append and retained at high-water capacity — rows to the largest
-// gathered set, whatever the fleet or its slab grow to — and the id bitset and
-// the prepared customer are reused across arrivals, so the steady-state
-// serving path allocates nothing and scoring runs over dense float64 arrays.
+// gathered set, whatever the fleet or its slab grow to — and the prepared
+// customer is reused across arrivals, so the steady-state serving path
+// allocates nothing and scoring runs over dense float64 arrays.
 //
 // Ownership rule: an arrival (or batch) that locks the contiguous stripe
 // interval [s0, s1] uses the arena of shard s0 — the lowest locked stripe.
@@ -198,15 +203,10 @@ const guaranteeRelief = 0.25
 // private arena instead, so diagnostic traffic never moves a stripe arena's
 // high-water marks.
 type scanArena struct {
-	// ids is the gathered candidate id set, ascending. mark and summary are
-	// the two-level bitset orderIDs sorts it through — bit id of mark, bit w of
-	// summary set iff mark[w] != 0 — sized to the campaign directory and all
-	// zero between calls.
-	ids     []int32
-	mark    []uint64
-	summary []uint64
+	// ids is the gathered candidate id set, in scan order.
+	ids []int32
 
-	// wids is a window chunk's gathered ids, one ascending run per arrival:
+	// wids is a window chunk's gathered ids, one scan-order run per arrival:
 	// the chunk's k-th arrival owns wids[woff[k]:woff[k+1]], and ids is the
 	// run being decided.
 	wids []int32
@@ -238,12 +238,12 @@ type scanArena struct {
 	// cands holds the priced winners, in slot order, awaiting commit.
 	cands []candidate
 
-	// rec turns per-candidate attribution on: every gathered id then appends
-	// exactly one disposition event to fev (see funnel.go) — the serving path
-	// sets it when the funnel is enabled, Explain always. why, set only by
-	// Explain, additionally keeps the walk's per-candidate detail. Both are
-	// tested as plain fields, never through an interface, so the disabled
-	// cost is a predictable branch.
+	// rec turns per-candidate attribution on: every gathered candidate then
+	// appends exactly one disposition event to fev (see funnel.go) — the
+	// serving path sets it when the funnel is enabled, Explain always. why,
+	// set only by Explain, additionally keeps the walk's per-candidate
+	// detail. Both are tested as plain fields, never through an interface, so
+	// the disabled cost is a predictable branch.
 	rec bool
 	fev []funnelEvent
 	why *explainLog
@@ -253,12 +253,13 @@ type scanArena struct {
 	customer model.UnitPearson
 }
 
-// termRow is one gathered campaign as terms' read sweep found it: its hot row
-// (allowance only on a controller broker), its walk row, and the vendor half
-// of Eq. 5 already folded with the arrival's — covXY is the covariance of the
-// two centred vectors (0 when their dimensions differ, which mismatch
-// records), covYY the campaign's own sum of squares. The walk then reads
-// billing and the threshold memo here, not through the fleet.
+// termRow is one gathered campaign as terms' read sweep found it: its fleet
+// row index, its hot row (allowance only on a controller broker), its walk
+// row, and the vendor half of Eq. 5 already folded with the arrival's — covXY
+// is the covariance of the two centred vectors (0 when their dimensions
+// differ, which mismatch records), covYY the campaign's own sum of squares.
+// The walk then reads billing and the threshold memo here, and the memo's
+// home and the funnel row through row, not through the id → row map.
 type termRow struct {
 	budget, spent, escrow, allowance float64
 	loc                              geo.Point
@@ -266,15 +267,17 @@ type termRow struct {
 	covXY, covYY                     float64
 	billing                          model.Billing
 	memo                             powMemo
+	row                              int32
 	paused, guaranteed, mismatch     bool
 }
 
-// rep is one admitted candidate awaiting the slot race: the item it serves
-// (ad type k, its utility, efficiency and eCPM bid) and the efficiency it
-// ranks by.
+// rep is one admitted candidate awaiting the slot race: its campaign id, the
+// item it serves (ad type k, its utility, efficiency and eCPM bid) and the
+// efficiency it ranks by.
 type rep struct {
 	ci   int32 // index into ar.cand
 	k    int32 // ad type
+	id   int32
 	won  bool
 	util float64
 	eff  float64
@@ -327,66 +330,33 @@ func (t *scanTally) counts() trace.ScanCounts {
 	}
 }
 
-// drop disposes of one candidate that will not be offered.
-func (ar *scanArena) drop(t *scanTally, id int32, d funnelDisposition) {
+// drop disposes of gathered candidate at (its index into ar.ids), which will
+// not be offered.
+func (ar *scanArena) drop(t *scanTally, at int, d funnelDisposition) {
 	t.disp[d]++
 	if ar.rec {
-		ar.fev = append(ar.fev, funnelEvent{id: id, disp: d})
+		ar.fev = append(ar.fev, funnelEvent{at: int32(at), disp: d})
 	}
 }
 
 // gather probes the locked shards' grids for campaigns covering loc,
-// appends their ids to ar.wids as one run in ascending order (global ID order
-// — the same order the single-mutex broker scanned in), leaves ar.ids viewing
-// that run, and returns the fleet — the campaign directory and the vendor
+// appends their ids to ar.wids as one run in scan order — stripe by stripe,
+// each grid's by cell row, cell and registration — leaves ar.ids viewing that
+// run, and returns the fleet: the campaign directory, the rows and the vendor
 // slab, one header. Loaded after the shard locks and the probes: any id a
 // locked grid returned was inserted under that shard's lock, and its
 // registration published the fleet header before the grid entry, so this
-// load observes it — every gathered id indexes the directory and the slab,
-// and so the bitset sized to them. The directory is append-only, so the last
-// header a chunk loads covers every run gathered before it.
+// load observes it — every gathered id indexes the directory. A re-layout
+// takes every stripe lock, so none replaces the header while the caller holds
+// its locks; registrations only append, so the last header a chunk loads
+// covers every run gathered before it.
 func (b *Broker) gather(ar *scanArena, loc geo.Point, s0, s1 int) *fleet {
 	n0 := len(ar.wids)
 	for i := s0; i <= s1; i++ {
 		ar.wids = b.shards[i].grid.CoveredBy(ar.wids, loc)
 	}
-	fl := b.dir.Load()
 	ar.ids = ar.wids[n0:]
-	ar.orderIDs(len(fl.campaigns))
-	return fl
-}
-
-// orderIDs rewrites ar.ids — distinct ids in [0, n) — in ascending order
-// without comparing them: mark each id's bit, then read the set bits back
-// lowest first, visiting only the mark words the summary names and clearing
-// both levels on the way. O(len(ids) + n/4096) for any fleet size; 260 ids
-// over 8 192 cost a quarter of the comparison sort they replace
-// (BenchmarkOrderIDs).
-func (ar *scanArena) orderIDs(n int) {
-	words := (n + 63) >> 6
-	if words > len(ar.mark) {
-		// The directory outgrew the bitset. Nothing to copy: it is all zero.
-		ar.mark = make([]uint64, max(words, 2*len(ar.mark)))
-		ar.summary = make([]uint64, (len(ar.mark)+63)>>6)
-	}
-	mark, summary := ar.mark, ar.summary
-	for _, id := range ar.ids {
-		w := uint32(id) >> 6
-		mark[w] |= 1 << (id & 63)
-		summary[w>>6] |= 1 << (w & 63)
-	}
-	ids := ar.ids[:0]
-	for si, s := range summary[:(words+63)>>6] {
-		for ; s != 0; s &= s - 1 {
-			w := si<<6 | bits.TrailingZeros64(s)
-			for m := mark[w]; m != 0; m &= m - 1 {
-				ids = append(ids, int32(w<<6|bits.TrailingZeros64(m)))
-			}
-			mark[w] = 0
-		}
-		summary[si] = 0
-	}
-	ar.ids = ids
+	return b.dir.Load()
 }
 
 // scan is the serving path's decision step: seed the arena's γ-state from
@@ -433,7 +403,7 @@ func (b *Broker) decide(ar *scanArena, a *Arrival, fl *fleet, auction bool) scan
 			if ar.reps[i].won {
 				d = dispOffered
 			}
-			ar.fev = append(ar.fev, funnelEvent{id: ar.ids[ar.cand[ar.reps[i].ci]], disp: d})
+			ar.fev = append(ar.fev, funnelEvent{at: ar.cand[ar.reps[i].ci], disp: d})
 		}
 	}
 	return tally
@@ -462,7 +432,9 @@ func (b *Broker) terms(ar *scanArena, a *Arrival, fl *fleet, tally *scanTally) {
 	rows := slices.Grow(ar.rows[:0], len(ar.ids))[:len(ar.ids)]
 	ar.rows = rows
 	for i, id := range ar.ids {
-		h, w, r := fl.row(id), fl.walkRow(id), &rows[i]
+		row := fl.rowOf[id]
+		h, w, r := fl.hotAt(row), fl.walkAt(row), &rows[i]
+		r.row = row
 		r.paused = h.paused.Load()
 		r.budget = h.budget.Load()
 		r.spent = h.spent.Load()
@@ -472,35 +444,35 @@ func (b *Broker) terms(ar *scanArena, a *Arrival, fl *fleet, tally *scanTally) {
 		}
 		r.loc, r.guaranteed, r.floor = h.loc, h.guaranteed, h.floor
 		r.billing, r.memo = w.billing, w.memo
-		v := fl.vendor(id)
-		r.mismatch, r.covXY, r.covYY = len(v) != dim, 0, fl.cov[id]
+		v := fl.vendorAt(row)
+		r.mismatch, r.covXY, r.covYY = len(v) != dim, 0, fl.cov[row]
 		if !r.mismatch {
 			r.covXY = ar.customer.Cov(v)
 		}
 	}
 
-	for i, id := range ar.ids {
+	for i := range rows {
 		r := &rows[i]
 		if r.paused {
-			ar.drop(tally, id, dispPaused)
+			ar.drop(tally, i, dispPaused)
 			continue
 		}
 		budget := r.budget
 		if budget <= 0 {
-			ar.drop(tally, id, dispExhausted)
+			ar.drop(tally, i, dispExhausted)
 			continue
 		}
 		if r.mismatch {
 			// Mismatched taxonomies: preference undefined, not served.
-			ar.drop(tally, id, dispTagMismatch)
+			ar.drop(tally, i, dispTagMismatch)
 			continue
 		}
 		spent := r.spent
 		s := ar.customer.Correlate(r.covXY, r.covYY)
 		if s <= 0 || math.IsNaN(s) {
-			ar.drop(tally, id, dispLowScore)
+			ar.drop(tally, i, dispLowScore)
 			if ar.why != nil {
-				ar.why.lowScore[id] = s
+				ar.why.lowScore[ar.ids[i]] = s
 			}
 			continue
 		}
@@ -569,8 +541,8 @@ func (b *Broker) walk(ar *scanArena, fl *fleet, tally *scanTally, slots bool) {
 	boost := b.boost()
 	ar.reps = ar.reps[:0]
 	for i, k := range ar.cand {
-		id, r := ar.ids[k], &ar.rows[k]
-		phi := g.thresholdAt(ar.delta[i], &r.memo, &fl.walkRow(id).memo)
+		r := &ar.rows[k]
+		phi := g.thresholdAt(ar.delta[i], &r.memo, &fl.walkAt(r.row).memo)
 		if boost != 1 {
 			phi *= boost
 		}
@@ -630,37 +602,37 @@ func (b *Broker) walk(ar *scanArena, fl *fleet, tally *scanTally, slots bool) {
 			if !slots {
 				rank = bestEff
 			}
-			ar.reps = append(ar.reps, rep{ci: int32(i), k: int32(bestK),
+			ar.reps = append(ar.reps, rep{ci: int32(i), k: int32(bestK), id: ar.ids[k],
 				util: bestU, eff: bestEff, bid: bestBid, rank: rank})
 		case aboveReserve:
-			ar.drop(tally, id, dispBelowThreshold)
+			ar.drop(tally, int(k), dispBelowThreshold)
 		case affordable:
 			// Every affordable bid fell below the campaign's own reserve.
-			ar.drop(tally, id, dispBelowReserve)
+			ar.drop(tally, int(k), dispBelowReserve)
 		case ar.headroom[i] < b.minAdCost:
 			// Not even the cheapest ad fits the unspent budget: the campaign
 			// is spent out until a top-up.
-			ar.drop(tally, id, dispExhausted)
+			ar.drop(tally, int(k), dispExhausted)
 		default:
 			// Unspent budget exists but the pacing allowance withheld it.
-			ar.drop(tally, id, dispUnaffordable)
+			ar.drop(tally, int(k), dispUnaffordable)
 		}
 	}
 }
 
-// ranksBefore is the slot race's total order: rank descending, then scan
-// position — i.e. campaign id — ascending (candidates are unique).
+// ranksBefore is the slot race's total order: rank descending, then campaign
+// id ascending (candidates are unique).
 func ranksBefore(x, y *rep) bool {
 	if x.rank != y.rank {
 		return x.rank > y.rank
 	}
-	return x.ci < y.ci
+	return x.id < y.id
 }
 
 // trim resolves the slot race: the top `capacity` candidates by ranksBefore
 // win, in rank order, and the first one displaced is the runner-up whose
 // served item's bid prices auction-billed winners. When all fit and slots do
-// not apply, every candidate wins in scan order.
+// not apply, every candidate wins, in ascending id.
 func (b *Broker) trim(ar *scanArena, fl *fleet, capacity int, slots bool) {
 	reps := ar.reps
 	n, runnerBid := len(reps), 0.0
@@ -684,13 +656,17 @@ func (b *Broker) trim(ar *scanArena, fl *fleet, capacity int, slots bool) {
 				reps[i], reps[i-1] = reps[i-1], reps[i]
 			}
 		}
+	} else {
+		// Everyone wins and no rank orders them: offers go out by campaign
+		// id, whatever order the walk met them in.
+		slices.SortFunc(reps, func(x, y rep) int { return cmp.Compare(x.id, y.id) })
 	}
 	if n > capacity {
 		n, runnerBid = capacity, reps[capacity].bid
 	}
 	for j := range reps[:n] {
 		reps[j].won = true
-		ar.cands = append(ar.cands, priceOffer(fl, ar.ids[ar.cand[reps[j].ci]], b.cfg.AdTypes, &reps[j], runnerBid))
+		ar.cands = append(ar.cands, priceOffer(fl, &ar.rows[ar.cand[reps[j].ci]], b.cfg.AdTypes, &reps[j], runnerBid))
 	}
 }
 
@@ -699,12 +675,12 @@ func (b *Broker) trim(ar *scanArena, fl *fleet, capacity int, slots bool) {
 // Auction billing pays min(own bid, max(reserve, runner-up bid)) in eCPM
 // (second price with reserve) — charged now for CPM, escrowed as a per-event
 // hold for CPC/CPA.
-func priceOffer(fl *fleet, id int32, adTypes []model.AdType, r *rep, runnerBid float64) candidate {
+func priceOffer(fl *fleet, tr *termRow, adTypes []model.AdType, r *rep, runnerBid float64) candidate {
 	cd := candidate{
-		Offer: Offer{Campaign: id, AdType: int(r.k), Utility: r.util, Efficiency: r.eff},
-		row:   fl.row(id),
+		Offer: Offer{Campaign: r.id, AdType: int(r.k), Utility: r.util, Efficiency: r.eff},
+		row:   fl.hotAt(tr.row),
 	}
-	bi := fl.billing(id)
+	bi := &tr.billing
 	if bi.Model == model.BillingFixed {
 		cd.Cost = adTypes[r.k].Cost
 		return cd

@@ -1,10 +1,13 @@
 package broker
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"muaa/internal/geo"
 	"muaa/internal/model"
@@ -30,7 +33,7 @@ func TestVendorSlabMatchesPrepare(t *testing.T) {
 		var want model.UnitPearson
 		want.Prepare(tags[id])
 		d, cov := want.Vector()
-		got := fl.vendor(int32(id))
+		got := fl.vendorAt(fl.rowOf[id])
 		if len(got) != len(d) {
 			t.Fatalf("%s: campaign %d has a %d-dimension run for %d tags", when, id, len(got), len(d))
 		}
@@ -39,8 +42,8 @@ func TestVendorSlabMatchesPrepare(t *testing.T) {
 				t.Fatalf("%s: campaign %d, tag %d: slab %x, Prepare %x", when, id, i, math.Float64bits(got[i]), math.Float64bits(d[i]))
 			}
 		}
-		if math.Float64bits(fl.cov[id]) != math.Float64bits(cov) {
-			t.Fatalf("%s: campaign %d: slab cov %x, Prepare %x", when, id, math.Float64bits(fl.cov[id]), math.Float64bits(cov))
+		if got := fl.cov[fl.rowOf[id]]; math.Float64bits(got) != math.Float64bits(cov) {
+			t.Fatalf("%s: campaign %d: slab cov %x, Prepare %x", when, id, math.Float64bits(got), math.Float64bits(cov))
 		}
 	}
 	var outgrown []*fleet
@@ -132,8 +135,8 @@ func TestThresholdMemoMatchesThreshold(t *testing.T) {
 
 // BenchmarkTermsDense is the terms stage alone — read sweep and filter loop —
 // over the `dense` market's gathered sets (≈260 ids of 8 192, billed fleet),
-// so the rung has its own price beside BenchmarkOrderIDs and
-// BenchmarkUnitPearsonScore. One op is one arrival.
+// so the rung has its own price beside BenchmarkUnitPearsonScore. One op is
+// one arrival.
 func BenchmarkTermsDense(b *testing.B) {
 	br, err := New(Config{AdTypes: workload.DefaultAdTypes()})
 	if err != nil {
@@ -159,82 +162,85 @@ func BenchmarkTermsDense(b *testing.B) {
 	}
 }
 
-// TestOrderIDsMatchesSort holds the bitset ordering to slices.Sort over
-// directories on both sides of every word and summary-word boundary, with one
-// arena carried across all of them — so each call also runs on whatever the
-// previous one left behind, and a directory that outgrows the bitset regrows
-// it mid-stream. Both levels must be all zero after every call: a stale bit
-// would surface as a phantom candidate in some later arrival.
-func TestOrderIDsMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	var ar scanArena
-	check := func(n int, ids []int32) {
-		t.Helper()
-		want := slices.Clone(ids)
-		slices.Sort(want)
-		ar.ids = append(ar.ids[:0], ids...)
-		ar.orderIDs(n)
-		if !slices.Equal(ar.ids, want) {
-			t.Fatalf("dir %d, %d ids: got %v, want %v", n, len(ids), ar.ids, want)
-		}
-		for _, level := range [][]uint64{ar.mark, ar.summary} {
-			if i := slices.IndexFunc(level, func(w uint64) bool { return w != 0 }); i >= 0 {
-				t.Fatalf("dir %d, %d ids: word %d of a %d-word level left at %#x", n, len(ids), i, len(level), level[i])
+// BenchmarkRelayout prices one re-layout of a `dense`-style fleet — every
+// row's hot row, walk row, funnel row and slab run copied into fresh pages in
+// scan order — which holds every stripe lock while it runs, so max-ns, the
+// longest one, is the longest stall it can put on serving. One op is one
+// re-layout.
+func BenchmarkRelayout(b *testing.B) {
+	for _, n := range []int{8192, 65536} {
+		b.Run(fmt.Sprintf("campaigns=%d", n), func(b *testing.B) {
+			br, err := New(Config{AdTypes: workload.DefaultAdTypes()})
+			if err != nil {
+				b.Fatal(err)
 			}
-		}
+			cfg := workload.BilledBrokerLoadConfig(n, 1, 1)
+			specs, _, err := workload.BrokerLoad(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			registerLoad(b, br, specs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var longest time.Duration
+			for i := 0; i < b.N; i++ {
+				start := time.Now()
+				br.regMu.Lock()
+				br.relayout()
+				br.regMu.Unlock()
+				longest = max(longest, time.Since(start))
+			}
+			b.ReportMetric(float64(longest.Nanoseconds()), "max-ns")
+		})
 	}
-	for _, n := range []int{1, 63, 64, 65, 4095, 4096, 4097, 70000, 64} { // and back down: the bitset only grows
-		last := int32(n - 1)
-		check(n, nil)
-		check(n, []int32{0})
-		check(n, []int32{last})
-		if last != 0 {
-			check(n, []int32{last, 0})
-		}
-		for trial := 0; trial < 40; trial++ {
-			k := 1 + rng.Intn(min(n, 600))
-			ids := make([]int32, 0, k+2)
-			for _, id := range rng.Perm(n)[:k] {
-				ids = append(ids, int32(id))
-			}
-			if trial%2 == 0 && !slices.Contains(ids, 0) {
-				ids = append(ids, 0)
-			}
-			if trial%3 == 0 && !slices.Contains(ids, last) {
-				ids = append(ids, last)
-			}
-			check(n, ids)
-		}
-	}
-	all := make([]int32, 70000)
-	for i := range all {
-		all[i] = int32(len(all) - 1 - i)
-	}
-	check(len(all), all) // every bit of every word, descending in
 }
 
-// BenchmarkOrderIDs is the gather stage's ordering step at the `dense`
-// workload's shape — 260 ids out of a directory of 8 192 — against the
-// comparison sort it replaced.
-func BenchmarkOrderIDs(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	const dir, k = 8192, 260
-	ids := make([]int32, k)
-	for i, id := range rng.Perm(dir)[:k] {
-		ids[i] = int32(id)
+// TestGatherOrderIsStripeFree: gather emits an arrival's candidates in scan
+// order — by the grid cell row, then cell, of each campaign's location, then
+// by id — and so in the same order at every stripe count, including counts
+// that do not divide the grid's 64 cell rows. The walk feeds γ in this order,
+// so a stripe band that split a cell row would make decisions depend on the
+// shard count.
+func TestGatherOrderIsStripeFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	type spec struct {
+		loc geo.Point
+		r   float64
 	}
-	b.Run("bitset", func(b *testing.B) {
-		var ar scanArena
-		for i := 0; i < b.N; i++ {
-			ar.ids = append(ar.ids[:0], ids...)
-			ar.orderIDs(dir)
+	fleet := make([]spec, 3000)
+	for i := range fleet {
+		fleet[i] = spec{geo.Point{X: rng.Float64()*1.1 - 0.05, Y: rng.Float64()*1.1 - 0.05}, 0.02 + 0.1*rng.Float64()}
+	}
+	arrivals := make([]geo.Point, 300)
+	for i := range arrivals {
+		arrivals[i] = geo.Point{X: rng.Float64(), Y: rng.Float64()}
+	}
+	var want [][]int32
+	for _, shards := range []int{1, 3, 5, 6, 7, 64} {
+		b, err := New(Config{AdTypes: workload.DefaultAdTypes(), Shards: shards})
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	b.Run("slices.Sort", func(b *testing.B) {
-		buf := make([]int32, k)
-		for i := 0; i < b.N; i++ {
-			copy(buf, ids)
-			slices.Sort(buf)
+		for _, s := range fleet {
+			if _, err := b.RegisterCampaign(s.loc, s.r, 10, []float64{1, 0.5}); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
+		maxR := b.maxRadius.Load()
+		for i, p := range arrivals {
+			s0, s1 := b.stripes.Range(p.Y-maxR, p.Y+maxR)
+			ar := &scanArena{}
+			b.lockStripes(s0, s1, nil)
+			b.gather(ar, p, s0, s1)
+			b.unlockStripes(s0, s1)
+			if shards == 1 {
+				if !slices.IsSortedFunc(ar.ids, func(x, y int32) int { return cmp.Compare(scanKey(b, x), scanKey(b, y)) }) {
+					t.Fatalf("arrival %d: gathered %v, not in scan order", i, ar.ids)
+				}
+				want = append(want, ar.ids)
+			} else if !slices.Equal(ar.ids, want[i]) {
+				t.Fatalf("arrival %d at %d stripes: gathered %v, at 1 stripe %v", i, shards, ar.ids, want[i])
+			}
+		}
+	}
 }

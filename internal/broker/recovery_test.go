@@ -13,6 +13,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"muaa/internal/geo"
 	"muaa/internal/model"
 	"muaa/internal/obs"
 	"muaa/internal/wal"
@@ -297,14 +298,16 @@ func tornTails(t *testing.T, srcDir string, cfg Config, seed int64, check func(c
 }
 
 // TestStripeAndPageInvariance drives the crash-recovery property's billed
-// load through brokers striped 1, 4 and 64 ways, over a fleet that spans two
-// pages, and after every op requires their snapshot payloads, Stats and
-// Campaigns to be bit-identical: the stripe count is serving topology, never
-// state, so a row written on the wrong page or left unwritten under the wrong
-// stripe's lock shows as a divergence. Every hot row and walk row is one
-// aligned line.
+// load through brokers striped 1, 3, 4, 6 and 64 ways, over a fleet that spans
+// two pages and keeps registering during the load, crossing re-layouts, and
+// after every op requires their snapshot payloads and Stats (and every 16th op
+// their Campaigns) to be bit-identical: the stripe count is serving topology,
+// never state — 3 and 6 do not divide the grid's 64 cell rows, and the walk
+// order must still be the same — so a row written on the wrong page, left
+// unwritten under the wrong stripe's lock or lost to a re-layout shows as a
+// divergence. Every hot row and walk row is one aligned line.
 func TestStripeAndPageInvariance(t *testing.T) {
-	const campaigns, ops, seed = 1100, 800, 7
+	const campaigns, late, ops, seed = 1100, 400, 800, 7
 	if unsafe.Sizeof(hotRow{}) != 64 || unsafe.Sizeof(walkRow{}) != 64 {
 		t.Fatalf("hot row %d bytes, walk row %d: want 64 each", unsafe.Sizeof(hotRow{}), unsafe.Sizeof(walkRow{}))
 	}
@@ -313,7 +316,7 @@ func TestStripeAndPageInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	var feeds []*opFeed
-	for _, shards := range []int{1, 4, 64} {
+	for _, shards := range []int{1, 3, 4, 6, 64} {
 		b, err := New(Config{AdTypes: workload.DefaultAdTypes(), Shards: shards})
 		if err != nil {
 			t.Fatal(err)
@@ -322,18 +325,35 @@ func TestStripeAndPageInvariance(t *testing.T) {
 		feeds = append(feeds, &opFeed{tb: t, b: b})
 	}
 	ref := feeds[0].b
-	for _, p := range ref.dir.Load().pages {
-		for _, at := range []uintptr{uintptr(unsafe.Pointer(&p.rows[0])), uintptr(unsafe.Pointer(&p.walk[0]))} {
-			if at%64 != 0 {
-				t.Fatalf("a page's rows start at %#x, not on a 64-byte line", at)
+	layouts, laid := 0, ref.dir.Load().laid
+	for i, op := range stream {
+		if i < late {
+			// A late registration before each of the first late ops: a spec
+			// again, mirrored, so the fleet grows under the load and re-lays
+			// itself more than once.
+			c := specs[i%campaigns]
+			spec := CampaignSpec{Loc: geo.Point{X: 1 - c.Loc.X, Y: c.Loc.Y}, Radius: c.Radius, Budget: c.Budget,
+				Tags: c.Tags, Billing: c.Billing}
+			for _, d := range feeds {
+				if _, err := d.b.RegisterCampaignSpec(spec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if fl := ref.dir.Load(); fl.laid != laid {
+				layouts, laid = layouts+1, fl.laid
 			}
 		}
-	}
-	for i, op := range stream {
 		for _, d := range feeds {
 			d.apply(op)
 		}
-		want, stats, list := ref.encodeSnapshot(), ref.Stats(), ref.Campaigns()
+		// The snapshot payload carries every campaign's state, so the
+		// lock-free Campaigns view, the costly compare, is taken every 16th
+		// op and after the last.
+		want, stats := ref.encodeSnapshot(), ref.Stats()
+		var list []Campaign
+		if i%16 == 0 || i == len(stream)-1 {
+			list = ref.Campaigns()
+		}
 		for _, d := range feeds[1:] {
 			if got := d.b.encodeSnapshot(); !bytes.Equal(got, want) {
 				t.Fatalf("op %d: %d stripes' snapshot differs from 1 stripe's at byte %d", i, len(d.b.shards), firstDiff(string(got), string(want)))
@@ -341,14 +361,26 @@ func TestStripeAndPageInvariance(t *testing.T) {
 			if got := d.b.Stats(); got != stats {
 				t.Fatalf("op %d: %d stripes' stats %+v, 1 stripe's %+v", i, len(d.b.shards), got, stats)
 			}
-			if got := d.b.Campaigns(); !reflect.DeepEqual(got, list) {
+			if list != nil && !reflect.DeepEqual(d.b.Campaigns(), list) {
 				t.Fatalf("op %d: %d stripes' campaigns differ from 1 stripe's", i, len(d.b.shards))
 			}
 		}
 	}
-	served := 0
-	for _, c := range ref.Campaigns()[1<<pageBits:] {
-		if c.Spent+c.Escrow > 0 {
+	if layouts < 2 {
+		t.Fatalf("the late registrations crossed %d re-layouts, want at least 2", layouts)
+	}
+	for _, d := range feeds {
+		for _, p := range d.b.dir.Load().pages {
+			for _, at := range []uintptr{uintptr(unsafe.Pointer(&p.rows[0])), uintptr(unsafe.Pointer(&p.walk[0]))} {
+				if at%64 != 0 {
+					t.Fatalf("a page's rows start at %#x, not on a 64-byte line", at)
+				}
+			}
+		}
+	}
+	served, fl := 0, ref.dir.Load()
+	for _, c := range ref.Campaigns() {
+		if fl.rowOf[c.ID] >= 1<<pageBits && c.Spent+c.Escrow > 0 {
 			served++
 		}
 	}

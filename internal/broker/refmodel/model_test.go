@@ -127,7 +127,9 @@ func (m *refModel) ArriveBatch(batch []broker.Arrival) []broker.BatchResult {
 			!(a.Hour >= 0 && a.Hour <= 24) || !finite(a.Loc.X, a.Loc.Y) || !finite(a.Interests...) {
 			out[i].Err = errInvalid
 		} else if m.st.Arrivals++; a.Capacity > 0 {
-			out[i].Offers = m.resolve(m.candidates(a), a.Capacity)
+			reps := m.candidates(a)
+			slices.SortFunc(reps, func(x, y rep) int { return cmp.Compare(x.id, y.id) })
+			out[i].Offers = m.resolve(reps, a.Capacity)
 		}
 	}
 	return out
@@ -148,16 +150,31 @@ type rep struct {
 	rank    float64
 }
 
-// candidates walks the campaigns covering a in id order, counting each as
-// gathered, feeding γ with every efficiency it prices, and returns those
-// with an admitted item.
+// gridCells is the resolution of the broker's grid over the unit square.
+const gridCells = 64
+
+// scanKey is where the walk meets a campaign: by the row, then the column, of
+// the broker's grid cell holding its location (clamped into the unit square),
+// then by id.
+func scanKey(c *broker.Campaign) int64 {
+	cell := func(v float64) int64 { return min(int64(min(max(v, 0), 1)*gridCells), gridCells-1) }
+	return (cell(c.Loc.Y)*gridCells+cell(c.Loc.X))<<32 | int64(c.ID)
+}
+
+// candidates walks the campaigns covering a in scan order (scanKey),
+// counting each as gathered, feeding γ with every efficiency it prices, and
+// returns those with an admitted item, in that order.
 func (m *refModel) candidates(a broker.Arrival) []rep {
-	var reps []rep
+	var covering []int
 	for id := range m.cs {
-		c := &m.cs[id]
-		if a.Loc.Dist2(c.Loc) > c.Radius*c.Radius {
-			continue
+		if c := &m.cs[id]; a.Loc.Dist2(c.Loc) <= c.Radius*c.Radius {
+			covering = append(covering, id)
 		}
+	}
+	slices.SortFunc(covering, func(x, y int) int { return cmp.Compare(scanKey(&m.cs[x]), scanKey(&m.cs[y])) })
+	var reps []rep
+	for _, id := range covering {
+		c := &m.cs[id]
 		if m.gathered[id]++; c.Paused || c.Budget <= 0 || len(c.Tags) != len(a.Interests) {
 			continue
 		}
@@ -211,8 +228,9 @@ func (m *refModel) candidates(a broker.Arrival) []rep {
 }
 
 // resolve is the slot race of DESIGN.md §15 — serve, rank, take the top
-// capacity (in scan order when all fit and no auction runs), price every
-// winner by the runner-up's bid — then commits the winners in offer order.
+// capacity (in the given id order when all fit and no auction runs), price
+// every winner by the runner-up's bid — then commits the winners in offer
+// order.
 func (m *refModel) resolve(reps []rep, capacity int) []broker.Offer {
 	slots := (m.cfg.Slate || m.billed) && capacity > 1
 	for i := range reps {

@@ -6,6 +6,7 @@ package broker
 // the concurrent escrow soak the -race gate runs.
 
 import (
+	"cmp"
 	"math"
 	"reflect"
 	"slices"
@@ -506,18 +507,18 @@ func TestSlateArriveZeroAllocsDense(t *testing.T) {
 		t.Fatalf("dense slate stream allocates %v times per pass, want 0", allocs)
 	}
 
-	// A campaign registered after the arenas warmed: id 8 192 is one past what
-	// their id bitsets cover, and its run lands in a vendor slab that has
-	// regrown many times since the first. It must be gathered and scanned last
-	// — by the stripe arena and by Explain's private one — and once the
-	// bitsets have regrown the stream allocates nothing again: the slab is the
+	// A campaign registered after the arenas warmed: its run lands in a vendor
+	// slab that has regrown many times since the first, on a row appended past
+	// the laid-out fleet. It must be gathered and scanned in grid order — by
+	// the stripe arena; Explain's private one lists it by id, last — and the
+	// stream allocates nothing again: the slab and the rows are the
 	// registration's to grow, never the arrival's.
 	late, err := b.RegisterCampaign(arrivals[0].Loc, 0.01, 1e9, arrivals[0].Interests)
 	if err != nil || late != 8192 {
 		t.Fatalf("late registration: id %d, %v", late, err)
 	}
-	if fl := b.dir.Load(); len(fl.vendor(late)) != len(arrivals[0].Interests) || fl.off[late+1] != len(fl.d) {
-		t.Fatalf("late registration's slab run: %d tags ending at %d of %d", len(fl.vendor(late)), fl.off[late+1], len(fl.d))
+	if fl := b.dir.Load(); len(fl.vendorAt(fl.rowOf[late])) != len(arrivals[0].Interests) || fl.rowOf[late] != late || fl.off[late+1] != len(fl.d) {
+		t.Fatalf("late registration's slab run: row %d, %d tags ending at %d of %d", fl.rowOf[late], len(fl.vendorAt(fl.rowOf[late])), fl.off[fl.rowOf[late]+1], len(fl.d))
 	}
 	serve()
 	if _, err := b.ArriveAppend(dst[:0], arrivals[0]); err != nil {
@@ -537,13 +538,15 @@ func TestSlateArriveZeroAllocsDense(t *testing.T) {
 	for i := range rep.Candidates {
 		explained[i] = rep.Candidates[i].Campaign
 	}
-	for name, ids := range map[string][]int32{"stripe arena": served, "explain arena": explained} {
-		if len(ids) < 200 || !slices.IsSorted(ids) || ids[len(ids)-1] != late {
-			t.Errorf("%s after a late registration: %d ids, sorted %v, want campaign %d last", name, len(ids), slices.IsSorted(ids), late)
-		}
+	inScanOrder := slices.IsSortedFunc(served, func(x, y int32) int { return cmp.Compare(scanKey(b, x), scanKey(b, y)) })
+	if len(served) < 200 || !inScanOrder || !slices.Contains(served, late) {
+		t.Errorf("stripe arena after a late registration: %d ids, in scan order %v, holding campaign %d %v", len(served), inScanOrder, late, slices.Contains(served, late))
+	}
+	if len(explained) != len(served) || !slices.IsSorted(explained) || explained[len(explained)-1] != late {
+		t.Errorf("explain after a late registration: %d ids, sorted %v, want campaign %d last", len(explained), slices.IsSorted(explained), late)
 	}
 	if allocs := testing.AllocsPerRun(5, serve); allocs != 0 {
-		t.Fatalf("dense slate stream allocates %v times per pass after the bitsets regrew, want 0", allocs)
+		t.Fatalf("dense slate stream allocates %v times per pass after a late registration, want 0", allocs)
 	}
 }
 

@@ -1,13 +1,16 @@
 package broker
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"muaa/internal/geo"
+	"muaa/internal/model"
 	"muaa/internal/workload"
 )
 
@@ -489,5 +492,162 @@ func TestGammaMergeLosesNothing(t *testing.T) {
 	}
 	if got.Arrivals != want.Arrivals {
 		t.Fatalf("arrivals %d, want %d", got.Arrivals, want.Arrivals)
+	}
+}
+
+// TestWritesSurviveRelayouts: registrations that cross several re-layouts
+// race arrivals, top-ups, pause flips and conversions. A re-layout moves every
+// campaign to a fresh row under every stripe lock, and each writer resolves
+// its campaign's row only under the campaign's shard lock, so no write lands
+// on a superseded page: at the end every budget is its registered amount plus
+// its top-ups, added in the order they were made, every pause flag is the one
+// last set, the contract holds and the funnel conserves. Run under -race in
+// CI, repeated.
+func TestWritesSurviveRelayouts(t *testing.T) {
+	const seeded, registrations = 256, 2048
+	b, err := New(Config{AdTypes: workload.DefaultAdTypes(), Shards: 6, Funnel: FunnelConfig{Enabled: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tags := []float64{1, 0, 0.5, 0.2}
+	spec := func(i int) CampaignSpec {
+		s := CampaignSpec{
+			Loc:    geo.Point{X: float64(i*37%101) / 101, Y: float64(i*53%97) / 97},
+			Radius: 0.08, Budget: 40 + float64(i%7), Tags: tags,
+		}
+		if i%2 == 0 {
+			s.Billing = model.Billing{Model: model.BillingCPC, ReserveECPM: 1000, EventRate: 0.5}
+		}
+		return s
+	}
+	for i := 0; i < seeded; i++ {
+		if _, err := b.RegisterCampaignSpec(spec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var (
+		wg       sync.WaitGroup
+		live     atomic.Int32 // campaigns the writers may name
+		layouts  int
+		holds    = make(chan uint64, 1024) // slack so arrivals seldom drop a hold the converter is behind on
+		done     = make(chan struct{})
+		budgets  = make([]float64, registrations) // the top-up writer's own books
+		paused   = make([]bool, registrations)    // the pause writer's own books
+		finished = func() bool {
+			select {
+			case <-done:
+				return true
+			default:
+				return false
+			}
+		}
+	)
+	live.Store(seeded)
+	for i := range budgets {
+		budgets[i] = spec(i).Budget
+	}
+	wg.Add(5)
+	go func() { // registrations, crossing re-layouts
+		defer wg.Done()
+		defer close(done)
+		laid := b.dir.Load().laid
+		for i := seeded; i < registrations; i++ {
+			if _, err := b.RegisterCampaignSpec(spec(i)); err != nil {
+				t.Error(err)
+				return
+			}
+			live.Store(int32(i + 1))
+			if fl := b.dir.Load(); fl.laid != laid {
+				laid, layouts = fl.laid, layouts+1
+			}
+			runtime.Gosched()
+		}
+	}()
+	go func() { // arrivals, batched; their holds go to the converter
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(1))
+		batch := make([]Arrival, 8)
+		for !finished() {
+			for i := range batch {
+				batch[i] = Arrival{Loc: geo.Point{X: rng.Float64(), Y: rng.Float64()}, Capacity: 1 + rng.Intn(3),
+					ViewProb: 0.9, Interests: tags, Hour: 12}
+			}
+			for _, r := range b.ArriveBatch(batch) {
+				for _, o := range r.Offers {
+					if o.ID != 0 {
+						select {
+						case holds <- o.ID:
+						default:
+						}
+					}
+				}
+			}
+		}
+	}()
+	go func() { // top-ups
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(2))
+		for !finished() {
+			id := int32(rng.Intn(int(live.Load())))
+			amount := float64(1+rng.Intn(8)) / 8
+			if err := b.TopUp(id, amount); err != nil {
+				t.Error(err)
+				return
+			}
+			budgets[id] += amount
+		}
+	}()
+	go func() { // pause flips
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(3))
+		for !finished() {
+			id := int32(rng.Intn(int(live.Load())))
+			p := rng.Intn(3) == 0
+			if err := b.SetPaused(id, p); err != nil {
+				t.Error(err)
+				return
+			}
+			paused[id] = p
+		}
+	}()
+	go func() { // conversions
+		defer wg.Done()
+		for {
+			select {
+			case id := <-holds:
+				if _, err := b.Convert(id, ""); err != nil && !errors.Is(err, ErrOfferUnknown) {
+					t.Error(err)
+					return
+				}
+			case <-done:
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if layouts < 3 {
+		t.Fatalf("%d registrations crossed %d re-layouts, want several", registrations-seeded, layouts)
+	}
+	checkInvariants(t, b)
+	var converted int64
+	for i, c := range b.Campaigns() {
+		if c.Budget != budgets[i] {
+			t.Errorf("campaign %d budget %v, want %v: a top-up was lost", i, c.Budget, budgets[i])
+		}
+		if c.Paused != paused[i] {
+			t.Errorf("campaign %d paused %v, last set %v: a pause flip was lost", i, c.Paused, paused[i])
+		}
+		converted += c.Conversions
+		fc, err := b.CampaignFunnel(c.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conserved(t, fc)
+	}
+	if converted == 0 {
+		t.Fatal("no conversion landed: the converter never raced a re-layout")
 	}
 }

@@ -118,16 +118,21 @@ func (g *Grid) Len() int { return len(g.pts) }
 func (g *Grid) Bounds() Rect { return g.bounds }
 
 func (g *Grid) cellOf(p Point) (cx, cy int) {
-	p = g.bounds.Clamp(p)
-	cx = int((p.X - g.bounds.Min.X) / g.cellW)
-	cy = int((p.Y - g.bounds.Min.Y) / g.cellH)
-	if cx >= g.cellsX {
-		cx = g.cellsX - 1
+	return axisCell(p.X, g.bounds.Min.X, g.bounds.Max.X, g.cellW, g.cellsX),
+		axisCell(p.Y, g.bounds.Min.Y, g.bounds.Max.Y, g.cellH, g.cellsY)
+}
+
+// axisCell is the index of the cell holding v along one axis of cells cells
+// of width w from lo: v is clamped into [lo, hi] first, so every value maps
+// somewhere. Grid.cellOf and Stripes share it, so a stripe's band edges fall
+// on exactly the grid's cell rows. The clamp is taken as a float (a NaN too
+// lands in cell 0): converting one outside int's range is
+// implementation-defined.
+func axisCell(v, lo, hi, w float64, cells int) int {
+	if !(v > lo) {
+		return 0
 	}
-	if cy >= g.cellsY {
-		cy = g.cellsY - 1
-	}
-	return cx, cy
+	return min(int((min(v, hi)-lo)/w), cells-1)
 }
 
 // Insert adds a point with the given ID. Inserting the same ID twice panics:
@@ -208,6 +213,19 @@ func (g *Grid) InsertWithRadius(id int32, p Point, r float64) {
 	if r > g.maxR {
 		g.maxR = r
 	}
+}
+
+// AppendIDs appends every indexed id to dst in scan order — by row, then cell,
+// then insertion — the order Within and CoveredBy emit a window in, and
+// returns the extended slice.
+func (g *Grid) AppendIDs(dst []int32) []int32 {
+	g.settle()
+	for _, row := range g.rows {
+		for i := range row {
+			dst = append(dst, row[i].id)
+		}
+	}
+	return dst
 }
 
 // Point returns the location stored for id and whether it exists.

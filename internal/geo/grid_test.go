@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -545,4 +546,23 @@ func BenchmarkGridCoveredByDense(b *testing.B) {
 		candidates += len(ids)
 	}
 	b.ReportMetric(float64(candidates)/float64(b.N), "candidates/op")
+}
+
+// TestAppendIDsIsScanOrder: AppendIDs lists every point once, in the order a
+// probe over the whole grid emits them — by row, then cell, then insertion —
+// including points appended since the last regrouping.
+func TestAppendIDsIsScanOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	g := NewGrid(UnitSquare, 16)
+	for id := int32(0); id < 500; id++ {
+		g.InsertWithRadius(id, Point{X: rng.Float64(), Y: rng.Float64()}, 0.01)
+		if id == 300 {
+			g.Within(nil, Point{X: 0.5, Y: 0.5}, 0.1) // regroup, then append more
+		}
+	}
+	got := g.AppendIDs([]int32{-1})
+	want := g.Within([]int32{-1}, Point{X: 0.5, Y: 0.5}, 2)
+	if !slices.Equal(got, want) || len(got) != 501 {
+		t.Fatalf("AppendIDs gave %d ids, a whole-grid probe %d, or in another order", len(got), len(want))
+	}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 func TestStripesOf(t *testing.T) {
-	s := NewStripes(UnitSquare, 4)
+	s := NewStripes(UnitSquare, 4, 64)
 	if s.N() != 4 || s.Bounds() != UnitSquare {
 		t.Fatalf("stripes %+v", s)
 	}
@@ -27,7 +27,7 @@ func TestStripesOf(t *testing.T) {
 }
 
 func TestStripesRange(t *testing.T) {
-	s := NewStripes(UnitSquare, 8)
+	s := NewStripes(UnitSquare, 8, 64)
 	// A disk straddling a band boundary overlaps both bands.
 	if lo, hi := s.Range(0.24, 0.26); lo != 1 || hi != 2 {
 		t.Errorf("Range(0.24, 0.26) = [%d, %d], want [1, 2]", lo, hi)
@@ -54,7 +54,7 @@ func TestStripesRange(t *testing.T) {
 }
 
 func TestStripesSingleBand(t *testing.T) {
-	s := NewStripes(UnitSquare, 1)
+	s := NewStripes(UnitSquare, 1, 64)
 	if s.Of(Point{Y: 0.9}) != 0 {
 		t.Error("single band must own every point")
 	}
@@ -72,6 +72,45 @@ func TestStripesPanics(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("zero bands", func() { NewStripes(UnitSquare, 0) })
-	mustPanic("degenerate bounds", func() { NewStripes(Rect{}, 2) })
+	mustPanic("zero bands", func() { NewStripes(UnitSquare, 0, 64) })
+	mustPanic("more bands than cell rows", func() { NewStripes(UnitSquare, 65, 64) })
+	mustPanic("degenerate bounds", func() { NewStripes(Rect{}, 2, 64) })
+}
+
+// TestStripesFollowGridRows: every band is a run of whole cell rows of the
+// grid over the same bounds, for every band count up to the row count — so a
+// point's band is a function of its grid cell row, and the bands tile the rows
+// in order, ⌊64/n⌋ or ⌈64/n⌉ rows each.
+func TestStripesFollowGridRows(t *testing.T) {
+	const cells = 64
+	g := NewGrid(UnitSquare, cells)
+	for n := 1; n <= cells; n++ {
+		s := NewStripes(UnitSquare, n, cells)
+		bandOf := make([]int, cells)
+		for cy := range bandOf {
+			bandOf[cy] = s.Of(Point{Y: (float64(cy) + 0.5) / cells})
+		}
+		rows := make([]int, n)
+		for cy, band := range bandOf {
+			if cy > 0 && band != bandOf[cy-1] && band != bandOf[cy-1]+1 {
+				t.Fatalf("%d bands: row %d in band %d after row %d in band %d", n, cy, band, cy-1, bandOf[cy-1])
+			}
+			rows[band]++
+		}
+		for band, k := range rows {
+			if k != cells/n && k != (cells+n-1)/n {
+				t.Fatalf("%d bands: band %d holds %d cell rows", n, band, k)
+			}
+		}
+		// Probe each row's edges and the values past the bounds.
+		for cy := 0; cy <= cells; cy++ {
+			edge := float64(cy) / cells
+			for _, y := range []float64{math.Nextafter(edge, -1), edge, math.Nextafter(edge, 2), -1, 2, math.NaN()} {
+				_, row := g.cellOf(Point{Y: y})
+				if got := s.Of(Point{Y: y}); got != bandOf[row] {
+					t.Fatalf("%d bands: y=%g in cell row %d (band %d) but Of says band %d", n, y, row, bandOf[row], got)
+				}
+			}
+		}
+	}
 }
