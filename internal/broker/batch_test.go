@@ -430,8 +430,7 @@ func TestArriveBatchTraced(t *testing.T) {
 // observation per call, not one per chunk.
 func arriveBatchTracedDense(t *testing.T) {
 	rec := trace.NewRecorder(trace.RecorderOptions{})
-	reg := obs.NewRegistry()
-	b, err := New(Config{AdTypes: workload.DefaultAdTypes(), Metrics: reg, Tracer: rec})
+	b, err := New(Config{AdTypes: workload.DefaultAdTypes(), Metrics: obs.NewRegistry(), Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,8 +459,8 @@ func arriveBatchTracedDense(t *testing.T) {
 			t.Fatalf("window %d: stage spans %v: gather and scan must both be positive", calls, tr.Stages)
 		}
 	}
-	for _, stage := range trace.StageNames {
-		if got := reg.FindHistogram("muaa_broker_arrival_stage_seconds", obs.L("stage", stage)).Snapshot().Count; got != uint64(calls) {
+	for s, stage := range trace.StageNames {
+		if got := b.metrics.stages[s].Snapshot().Count; got != uint64(calls) {
 			t.Errorf("stage %q observed %d times over %d calls, want one per call", stage, got, calls)
 		}
 	}

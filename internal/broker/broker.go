@@ -208,6 +208,11 @@ type Stats struct {
 type Broker struct {
 	cfg       Config
 	minAdCost float64 // cheapest configured ad type; the exhaustion line
+	maxAdCost float64 // dearest configured ad type; the walk's skip affords it
+
+	// exactWalk, set only by tests, walks every candidate through the ad-type
+	// loop: the reference arm the walk's skip is compared against.
+	exactWalk bool
 
 	// metrics is nil for an uninstrumented broker; set once in New and
 	// read-only afterwards, so Arrive checks it without synchronization.
@@ -327,11 +332,9 @@ func newMemory(cfg Config) (*Broker, error) {
 	for i := range b.shards {
 		b.shards[i].grid = geo.NewGrid(geo.UnitSquare, gridCells)
 	}
-	b.minAdCost = cfg.AdTypes[0].Cost
+	b.minAdCost, b.maxAdCost = cfg.AdTypes[0].Cost, cfg.AdTypes[0].Cost
 	for _, t := range cfg.AdTypes[1:] {
-		if t.Cost < b.minAdCost {
-			b.minAdCost = t.Cost
-		}
+		b.minAdCost, b.maxAdCost = min(b.minAdCost, t.Cost), max(b.maxAdCost, t.Cost)
 	}
 	b.dir.Store(&fleet{off: []int{0}})
 	b.gammaMin.Store(math.Inf(1))
@@ -497,7 +500,9 @@ func (b *Broker) RegisterCampaignSpec(spec CampaignSpec) (int32, error) {
 	h.budget.Store(spec.Budget)
 	h.allowance.Store(math.Inf(1))
 	h.loc, h.floor, h.guaranteed = spec.Loc, spec.Floor, spec.Guaranteed
-	next.walkAt(id).billing = spec.Billing
+	w := next.walkAt(id)
+	w.billing = spec.Billing
+	w.qMin, w.qMax = effBounds(b.cfg.AdTypes, spec.Billing)
 	b.dir.Store(next)
 	b.maxRadius.Max(spec.Radius)
 	sh := &b.shards[c.shard]

@@ -34,8 +34,17 @@ package broker
 //     ad type is priced through the campaign's billing contract; for the
 //     fixed contract bid, reserve and expected cost reduce to the catalog
 //     cost bit for bit, so an all-fixed fleet computes the seed arithmetic.
+//     A candidate that provably cannot place skips the ad-type loop: every
+//     item affordable and above reserve, and its efficiencies, bounded by
+//     [base·qMin, base·qMax] (effBounds) and widened by skipSlack, strictly
+//     inside γ's bounds and below the (capacity+1)-th rank so far. The loop
+//     would observe nothing and add a rep that neither wins nor prices the
+//     winners, so only its disposition is left: displaced if base·qMax
+//     clears φ, below threshold if it falls short, and the loop after all
+//     within the slack of φ. Explain never skips.
 //  4. trim: the slot race. Every admitted candidate serves one item and
-//     ranks by one efficiency; the top a_i by (rank desc, id asc) win. Slots
+//     ranks by one efficiency; the top a_i by (rank desc, id asc) win — the
+//     walk ranks each admitted candidate in as it comes (rankIn). Slots
 //     apply when the arrival is auction-resolved (a billed campaign exists,
 //     or Config.Slate) and has more than one slot. Then a candidate serves
 //     its max-utility item, an equal-utility tie going to the cheaper
@@ -232,8 +241,14 @@ type scanArena struct {
 	// gamma is the γ-state the walk reads and feeds.
 	gamma gammaState
 
-	// reps holds one entry per candidate the walk admitted, in scan order.
+	// reps holds one entry per candidate the walk admitted, the best
+	// capacity+1 ranked first (see rankIn), the rest behind them.
 	reps []rep
+
+	// walked and skipped count, over the arena's life, the candidates the
+	// walk took and those of them it disposed of without the ad-type loop.
+	// Nothing on the serving path reads them; tests and benchmarks do.
+	walked, skipped int
 
 	// cands holds the priced winners, in slot order, awaiting commit.
 	cands []candidate
@@ -258,8 +273,9 @@ type scanArena struct {
 // row, and the vendor half of Eq. 5 already folded with the arrival's — covXY
 // is the covariance of the two centred vectors (0 when their dimensions
 // differ, which mismatch records), covYY the campaign's own sum of squares.
-// The walk then reads billing and the threshold memo here, and the memo's
-// home and the funnel row through row, not through the id → row map.
+// The walk then reads billing, the threshold memo and the efficiency bounds
+// here, and the memo's home and the funnel row through row, not through the
+// id → row map.
 type termRow struct {
 	budget, spent, escrow, allowance float64
 	loc                              geo.Point
@@ -267,6 +283,7 @@ type termRow struct {
 	covXY, covYY                     float64
 	billing                          model.Billing
 	memo                             powMemo
+	qMin, qMax                       float64
 	row                              int32
 	paused, guaranteed, mismatch     bool
 }
@@ -388,15 +405,16 @@ func (b *Broker) decide(ar *scanArena, a *Arrival, fl *fleet, auction bool) scan
 	ar.cands = ar.cands[:0]
 	b.terms(ar, a, fl, &tally)
 	slots := auction && a.Capacity > 1
-	b.walk(ar, fl, &tally, slots)
+	b.walk(ar, fl, &tally, a.Capacity, slots)
 	if len(ar.reps) == 0 {
 		return tally
 	}
 	b.trim(ar, fl, a.Capacity, slots)
 	// Admitted candidates resolve only now: slot winners were offered, the
-	// rest were displaced by the slot race.
+	// rest were displaced by the slot race — added to those the walk's skip
+	// already filed as displaced.
 	tally.disp[dispOffered] = uint64(len(ar.cands))
-	tally.disp[dispDisplaced] = uint64(len(ar.reps) - len(ar.cands))
+	tally.disp[dispDisplaced] += uint64(len(ar.reps) - len(ar.cands))
 	if ar.rec {
 		for i := range ar.reps {
 			d := dispDisplaced
@@ -443,7 +461,7 @@ func (b *Broker) terms(ar *scanArena, a *Arrival, fl *fleet, tally *scanTally) {
 			r.allowance = h.allowance.Load()
 		}
 		r.loc, r.guaranteed, r.floor = h.loc, h.guaranteed, h.floor
-		r.billing, r.memo = w.billing, w.memo
+		r.billing, r.memo, r.qMin, r.qMax = w.billing, w.memo, w.qMin, w.qMax
 		v := fl.vendorAt(row)
 		r.mismatch, r.covXY, r.covYY = len(v) != dim, 0, fl.cov[row]
 		if !r.mismatch {
@@ -530,15 +548,63 @@ func (b *Broker) boost() float64 {
 	return b.phiBoost.Load()
 }
 
+// skipSlack is the relative margin the walk's skip keeps around every bound
+// it tests. The walk computes an efficiency as (base·Effect)/cost, the bound
+// as base·(Effect/cost); while every intermediate is a normal float the two
+// differ by a few ulps (≈ 1e-16 relative), so a margin of 1e-9 leaves nothing
+// to rounding. skipSpan keeps them normal: the skip holds efficiencies inside
+// [1/skipSpan, skipSpan] and effBounds expected costs inside the same range,
+// so base·Effect lies within [1/skipSpan², skipSpan²].
+const (
+	skipSlack = 1e-9
+	skipSpan  = 1e100
+)
+
+// effBounds returns a campaign's efficiency bounds per unit of Eq. 4 base: the
+// least and greatest Effect_k / ExpectedCost(Cost_k) over the catalog, so every
+// efficiency the walk computes for the campaign at base lies in
+// [base·qMin, base·qMax] up to rounding. Billing and the catalog are
+// immutable, so registration computes them once. Both are 0, and the walk
+// never skips the campaign, when an ad type is reserve-priced out (static:
+// the bid depends on the catalog cost alone), has no positive efficiency, or
+// has an expected cost outside [1/skipSpan, skipSpan].
+func effBounds(adTypes []model.AdType, bi model.Billing) (qMin, qMax float64) {
+	qMin = math.Inf(1)
+	for _, t := range adTypes {
+		c := bi.ExpectedCost(t.Cost)
+		q := t.Effect / c
+		if bi.BidECPM(t.Cost) < bi.ReserveECPM || !(c >= 1/skipSpan && c <= skipSpan) || !(q > 0) {
+			return 0, 0
+		}
+		qMin, qMax = min(qMin, q), max(qMax, q)
+	}
+	return qMin, qMax
+}
+
+// skipWindow is the open interval the walk's skip holds a candidate's
+// efficiencies strictly inside: γ's bounds, where an observation moves
+// nothing, narrowed to [1/skipSpan, skipSpan]. Empty until γ has seen two
+// distinct efficiencies.
+func skipWindow(g *gammaState) (lo, hi float64) {
+	return max(g.min, 1/skipSpan), min(g.max, skipSpan)
+}
+
 // walk is the sequential O-AFA threshold walk over the surviving candidates,
 // in candidate order — each candidate's threshold reads the γ bounds as
 // updated by every earlier candidate's observations. A candidate with an
 // admitted item joins ar.reps carrying the item it serves and its rank under
-// the slot rules in force (see the stage 4 note above).
-func (b *Broker) walk(ar *scanArena, fl *fleet, tally *scanTally, slots bool) {
+// the slot rules in force (see the stage 4 note above), and is ranked in at
+// once, so the walk always knows the (capacity+1)-th rank so far. A candidate
+// that provably cannot place skips the ad-type loop (see the stage 3 note).
+func (b *Broker) walk(ar *scanArena, fl *fleet, tally *scanTally, capacity int, slots bool) {
 	adTypes := b.cfg.AdTypes
 	g, why := &ar.gamma, ar.why
 	boost := b.boost()
+	skip, skipped := why == nil && !b.exactWalk, 0
+	lo, hi := skipWindow(g)
+	cut := math.Inf(-1) // the (capacity+1)-th rank so far
+	// Reps are ranked as they come wherever trim wants them in rank order.
+	ranked := slots || len(ar.cand) > capacity
 	ar.reps = ar.reps[:0]
 	for i, k := range ar.cand {
 		r := &ar.rows[k]
@@ -558,6 +624,25 @@ func (b *Broker) walk(ar *scanArena, fl *fleet, tally *scanTally, slots bool) {
 		}
 		bi := &r.billing
 		base, remaining := ar.base[i], ar.remaining[i]
+		if skip {
+			// Every item affordable and above reserve, every efficiency inside
+			// γ's bounds and below the (capacity+1)-th rank: the loop would
+			// observe nothing and rank nothing that places. Only the
+			// disposition remains, unless φ falls within the slack.
+			top := base * r.qMax
+			if up := top * (1 + skipSlack); up < cut && up < hi && base*r.qMin*(1-skipSlack) > lo && !(b.maxAdCost > remaining+1e-12) {
+				if top*(1-skipSlack) >= phi {
+					ar.drop(tally, int(k), dispDisplaced)
+					skipped++
+					continue
+				}
+				if up < phi {
+					ar.drop(tally, int(k), dispBelowThreshold)
+					skipped++
+					continue
+				}
+			}
+		}
 		bestK, bestU, bestEff, bestBid, bestExp, rank := -1, 0.0, 0.0, 0.0, 0.0, 0.0
 		affordable, aboveReserve := false, false
 		for k, t := range adTypes {
@@ -597,6 +682,7 @@ func (b *Broker) walk(ar *scanArena, fl *fleet, tally *scanTally, slots bool) {
 			}
 			rank = max(rank, eff)
 		}
+		lo, hi = skipWindow(g)
 		switch {
 		case bestK >= 0:
 			if !slots {
@@ -604,6 +690,9 @@ func (b *Broker) walk(ar *scanArena, fl *fleet, tally *scanTally, slots bool) {
 			}
 			ar.reps = append(ar.reps, rep{ci: int32(i), k: int32(bestK), id: ar.ids[k],
 				util: bestU, eff: bestEff, bid: bestBid, rank: rank})
+			if n := len(ar.reps); ranked && rankIn(ar.reps, n-1, capacity+1) && n > capacity {
+				cut = ar.reps[capacity].rank
+			}
 		case aboveReserve:
 			ar.drop(tally, int(k), dispBelowThreshold)
 		case affordable:
@@ -618,6 +707,8 @@ func (b *Broker) walk(ar *scanArena, fl *fleet, tally *scanTally, slots bool) {
 			ar.drop(tally, int(k), dispUnaffordable)
 		}
 	}
+	ar.walked += len(ar.cand)
+	ar.skipped += skipped
 }
 
 // ranksBefore is the slot race's total order: rank descending, then campaign
@@ -629,34 +720,35 @@ func ranksBefore(x, y *rep) bool {
 	return x.id < y.id
 }
 
-// trim resolves the slot race: the top `capacity` candidates by ranksBefore
-// win, in rank order, and the first one displaced is the runner-up whose
-// served item's bid prices auction-billed winners. When all fit and slots do
-// not apply, every candidate wins, in ascending id.
+// rankIn is one step of a partial insertion selection: with reps[:min(j, top)]
+// the ranked best of reps[:j], it ranks reps[j] in by bounded insertion, so
+// reps[:min(j+1, top)] becomes the ranked best of reps[:j+1] and the rest
+// stays behind it, unordered. The order is total, so the steps j = 1, 2, …
+// leave the same top whatever order the reps came in — a single pass when top
+// is small, as it always is. It reports whether reps[j] entered the top.
+func rankIn(reps []rep, j, top int) bool {
+	i := j
+	if j >= top {
+		if !ranksBefore(&reps[j], &reps[top-1]) {
+			return false
+		}
+		i = top - 1
+		reps[i], reps[j] = reps[j], reps[i]
+	}
+	for ; i > 0 && ranksBefore(&reps[i], &reps[i-1]); i-- {
+		reps[i], reps[i-1] = reps[i-1], reps[i]
+	}
+	return true
+}
+
+// trim resolves the slot race over the reps the walk ranked: the top
+// `capacity` by ranksBefore win, in rank order, and the first one displaced is
+// the runner-up whose served item's bid prices auction-billed winners. When
+// all fit and slots do not apply, every candidate wins, in ascending id.
 func (b *Broker) trim(ar *scanArena, fl *fleet, capacity int, slots bool) {
 	reps := ar.reps
 	n, runnerBid := len(reps), 0.0
-	if slots || n > capacity {
-		// Partial insertion selection: reps[:top] becomes the ranked best
-		// top = capacity+1 (all n when fewer), the rest stays behind it
-		// unordered. The order is total, so any selection yields the same
-		// winners in the same order; this one is a single pass when capacity
-		// is small, as it always is.
-		top := min(capacity+1, n)
-		for j := 1; j < n; j++ {
-			i := j
-			if j >= top {
-				if !ranksBefore(&reps[j], &reps[top-1]) {
-					continue
-				}
-				i = top - 1
-				reps[i], reps[j] = reps[j], reps[i]
-			}
-			for ; i > 0 && ranksBefore(&reps[i], &reps[i-1]); i-- {
-				reps[i], reps[i-1] = reps[i-1], reps[i]
-			}
-		}
-	} else {
+	if !slots && n <= capacity {
 		// Everyone wins and no rank orders them: offers go out by campaign
 		// id, whatever order the walk met them in.
 		slices.SortFunc(reps, func(x, y rep) int { return cmp.Compare(x.id, y.id) })

@@ -12,6 +12,7 @@ import (
 	"muaa/internal/geo"
 	"muaa/internal/model"
 	"muaa/internal/obs"
+	"muaa/internal/trace"
 	"muaa/internal/workload"
 )
 
@@ -85,11 +86,7 @@ func TestBrokerMetricsScrape(t *testing.T) {
 	}
 
 	// Cross-check the sampled counters against Stats.
-	h := reg.FindHistogram("muaa_broker_arrival_seconds")
-	if h == nil {
-		t.Fatal("arrival histogram not registered")
-	}
-	snap := h.Snapshot()
+	snap := b.metrics.arrival.Snapshot()
 	if snap.Count == 0 || snap.Count > uint64(st.Arrivals) {
 		t.Fatalf("arrival histogram count %d vs %d arrivals", snap.Count, st.Arrivals)
 	}
@@ -100,12 +97,8 @@ func TestBrokerMetricsScrape(t *testing.T) {
 	// observes all four stages exactly once — here one call per arrival, so
 	// each stage counts what the arrival histogram counts, commit included
 	// whether or not the arrival committed anything.
-	for _, stage := range []string{"lock_wait", "gather", "scan", "commit"} {
-		sh := reg.FindHistogram("muaa_broker_arrival_stage_seconds", obs.L("stage", stage))
-		if sh == nil {
-			t.Fatalf("stage %q histogram not registered", stage)
-		}
-		if got := sh.Snapshot().Count; got != uint64(st.Arrivals) {
+	for s, stage := range trace.StageNames {
+		if got := b.metrics.stages[s].Snapshot().Count; got != uint64(st.Arrivals) {
 			t.Errorf("stage %q observed %d times, want one per pipeline call (%d)", stage, got, st.Arrivals)
 		}
 	}
@@ -219,7 +212,7 @@ func TestBrokerMetricsExhaustionByHolds(t *testing.T) {
 // counts exactly the served arrivals, and per-stripe lock acquisitions are
 // at least one per served arrival.
 func TestBrokerMetricsConcurrentSoak(t *testing.T) {
-	b, reg, ops := instrumentedBroker(t, Config{Shards: 8}, 32, 11)
+	b, _, ops := instrumentedBroker(t, Config{Shards: 8}, 32, 11)
 	const workers = 8
 	var wg sync.WaitGroup
 	var served int64
@@ -244,8 +237,7 @@ func TestBrokerMetricsConcurrentSoak(t *testing.T) {
 	}
 	wg.Wait()
 
-	h := reg.FindHistogram("muaa_broker_arrival_seconds")
-	snap := h.Snapshot()
+	snap := b.metrics.arrival.Snapshot()
 	if snap.Count != uint64(served) {
 		t.Fatalf("arrival histogram count = %d, want %d (one per positive-capacity arrival)", snap.Count, served)
 	}
@@ -257,9 +249,8 @@ func TestBrokerMetricsConcurrentSoak(t *testing.T) {
 		t.Fatalf("stripe lock acquisitions %d < served arrivals %d", locks, served)
 	}
 	// Stage histograms must agree with each other on the arrival count.
-	for _, stage := range []string{"lock_wait", "gather", "scan"} {
-		sh := reg.FindHistogram("muaa_broker_arrival_stage_seconds", obs.L("stage", stage))
-		if got := sh.Snapshot().Count; got != uint64(served) {
+	for s, stage := range trace.StageNames[:trace.StageCommit] {
+		if got := b.metrics.stages[s].Snapshot().Count; got != uint64(served) {
 			t.Fatalf("stage %q count = %d, want %d", stage, got, served)
 		}
 	}

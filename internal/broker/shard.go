@@ -122,11 +122,13 @@ const (
 // campaign is charged and the base only when γ's bounds move, so almost every
 // candidate reuses the memo, and a memo that matches was computed from the
 // same two floats: φ is the same bits either way. The memo is written by the
-// walk under the campaign's shard lock.
+// walk under the campaign's shard lock. qMin and qMax are the campaign's
+// static efficiency bounds per unit of Eq. 4 base (see effBounds), set at
+// registration: the walk's test for a candidate that cannot place.
 type walkRow struct {
-	billing model.Billing
-	memo    powMemo
-	_       [16]byte
+	billing    model.Billing
+	memo       powMemo
+	qMin, qMax float64
 }
 
 // page holds the per-candidate state of the 1 024 rows

@@ -63,7 +63,7 @@ func TestPointIn(t *testing.T) {
 	}
 }
 
-func TestRectContainsAndClamp(t *testing.T) {
+func TestRectContains(t *testing.T) {
 	r := Rect{Point{0, 0}, Point{1, 2}}
 	if !r.Contains(Point{0, 0}) || !r.Contains(Point{1, 2}) || !r.Contains(Point{0.5, 1}) {
 		t.Error("boundary and interior points must be contained")
@@ -71,27 +71,8 @@ func TestRectContainsAndClamp(t *testing.T) {
 	if r.Contains(Point{1.01, 1}) || r.Contains(Point{0.5, -0.01}) {
 		t.Error("exterior points must not be contained")
 	}
-	if got := r.Clamp(Point{-1, 5}); got != (Point{0, 2}) {
-		t.Errorf("Clamp = %v, want (0,2)", got)
-	}
-	if got := r.Clamp(Point{0.3, 0.7}); got != (Point{0.3, 0.7}) {
-		t.Errorf("Clamp of interior point must be identity, got %v", got)
-	}
 	if r.Width() != 1 || r.Height() != 2 {
 		t.Errorf("Width/Height = %g/%g, want 1/2", r.Width(), r.Height())
-	}
-}
-
-func TestClampedPointAlwaysContained(t *testing.T) {
-	r := Rect{Point{0.2, 0.3}, Point{0.8, 0.9}}
-	f := func(x, y float64) bool {
-		if math.IsNaN(x) || math.IsNaN(y) {
-			return true
-		}
-		return r.Contains(r.Clamp(Point{x, y}))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

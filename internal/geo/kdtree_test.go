@@ -244,7 +244,7 @@ func BenchmarkGridInsert(b *testing.B) {
 				centers := randomPoints(r, 8)
 				for i := range pts {
 					c := centers[i%len(centers)]
-					pts[i] = UnitSquare.Clamp(Point{c.X + 0.02*r.NormFloat64(), c.Y + 0.02*r.NormFloat64()})
+					pts[i] = Point{min(max(c.X+0.02*r.NormFloat64(), 0), 1), min(max(c.Y+0.02*r.NormFloat64(), 0), 1)}
 				}
 			}
 			var dst []int32

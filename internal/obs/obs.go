@@ -178,25 +178,6 @@ func (r *Registry) NewGaugeFunc(name, help string, fn func() float64, labels ...
 	})
 }
 
-// FindHistogram returns the registered histogram with the given identity,
-// or nil. It exists for offline consumers (cmd/muaa-bench) that need to
-// read quantiles out of an instrumented component they did not build.
-func (r *Registry) FindHistogram(name string, labels ...Label) *Histogram {
-	want := renderLabels(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.families[name]
-	if f == nil {
-		return nil
-	}
-	for _, m := range f.metrics {
-		if m.labels == want {
-			return m.hist
-		}
-	}
-	return nil
-}
-
 // WriteText renders every registered metric in the Prometheus text
 // exposition format (version 0.0.4). Families are sorted by name and
 // samples by label set, so successive scrapes of a quiescent registry are

@@ -291,20 +291,6 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
-func TestFindHistogram(t *testing.T) {
-	r := NewRegistry()
-	h := r.NewHistogram("lat", "latency", []float64{1}, L("stage", "scan"))
-	if got := r.FindHistogram("lat", L("stage", "scan")); got != h {
-		t.Fatal("FindHistogram did not return the registered histogram")
-	}
-	if got := r.FindHistogram("lat", L("stage", "commit")); got != nil {
-		t.Fatal("FindHistogram invented a histogram")
-	}
-	if got := r.FindHistogram("nope"); got != nil {
-		t.Fatal("FindHistogram invented a family")
-	}
-}
-
 // TestWriteErrorIsJSON: the envelope is JSON-quoted, not Go-quoted — a
 // message with a control byte, a quote and non-ASCII text must survive a
 // json.Unmarshal round trip (fmt's %q writes \x01, which JSON rejects).

@@ -199,9 +199,6 @@ func (s *Sampler) Every() time.Duration { return s.every }
 // Capacity returns the per-series ring capacity in points.
 func (s *Sampler) Capacity() int { return s.capacity }
 
-// SeriesCount returns the number of series currently retained.
-func (s *Sampler) SeriesCount() int { return int(s.nseries.Load()) }
-
 // Start launches the background sampling loop. Idempotent; pair with Stop.
 func (s *Sampler) Start() {
 	if !s.started.CompareAndSwap(false, true) {

@@ -439,14 +439,14 @@ func TestSamplerEvictsSilentSeries(t *testing.T) {
 	sample := func() {
 		s.SampleAt(tsBase.Add(time.Duration(samples) * time.Second))
 		samples++
-		if n := s.SeriesCount(); n > ceiling {
+		if n := int(s.nseries.Load()); n > ceiling {
 			t.Fatalf("sample %d: %d series alive, ceiling %d", samples, n, ceiling)
 		}
 	}
 	for ; first < labels; first += perSample {
 		sample()
 	}
-	if n := s.SeriesCount(); n != ceiling {
+	if n := int(s.nseries.Load()); n != ceiling {
 		t.Fatalf("steady state holds %d series, want exactly %d", n, ceiling)
 	}
 	var text strings.Builder
@@ -530,7 +530,7 @@ func TestSamplerConcurrentSoak(t *testing.T) {
 			t.Fatalf("series %s holds %d points, capacity 8 violated", sr.Name, len(sr.Points))
 		}
 	}
-	if s.SeriesCount() == 0 {
+	if int(s.nseries.Load()) == 0 {
 		t.Fatal("soak recorded no series")
 	}
 }

@@ -539,12 +539,7 @@ func (l *Log) Snapshot(payload []byte) error {
 		_ = os.Remove(segmentPath(l.dir, newSeq))
 		return err
 	}
-	d, err := os.Open(l.dir)
-	if err == nil {
-		err = d.Sync() // makes the rename durable
-		d.Close()
-	}
-	if err != nil {
+	if err := syncDir(l.dir); err != nil { // makes the rename durable
 		newF.Close()
 		return l.retire(fmt.Errorf("wal: syncing %s after the snapshot rename: %w", l.dir, err))
 	}
@@ -569,6 +564,16 @@ func (l *Log) Snapshot(payload []byte) error {
 		slog.Uint64("segment", newSeq),
 		slog.Int("bytes", len(payload)))
 	return nil
+}
+
+// syncDir fsyncs directory dir. A variable so a test can fail it.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // writeSnapshotFile writes snapshot.tmp, fsyncs it and renames it over

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -493,35 +492,28 @@ func TestClosedLogRejectsOps(t *testing.T) {
 	}
 }
 
-// TestSnapshotDirSyncFailureRetires takes the directory's read permission
-// away once the log is open, so Snapshot's rename lands but the directory
-// cannot be opened to fsync it. The log must retire with both segments
-// kept — a power loss may bring back either snapshot — and a reopen must
-// find the new snapshot.
+// TestSnapshotDirSyncFailureRetires fails the directory fsync once the log
+// is open, so Snapshot's rename lands but is not made durable. The log must
+// retire with both segments kept — a power loss may bring back either
+// snapshot — and a reopen must find the new snapshot.
 func TestSnapshotDirSyncFailureRetires(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{Sync: SyncEveryRecord})
 	if _, err := l.Append([]byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Chmod(dir, 0o300); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = os.Chmod(dir, 0o755) })
-	if d, err := os.Open(dir); err == nil {
-		d.Close()
-		t.Skip("this process opens unreadable directories (root or CAP_DAC_READ_SEARCH)")
-	}
+	fault := errors.New("injected directory fsync fault")
+	sync := syncDir
+	syncDir = func(string) error { return fault }
+	t.Cleanup(func() { syncDir = sync })
 	err := l.Snapshot([]byte("snap"))
-	if !errors.Is(err, fs.ErrPermission) || l.Err() != err {
-		t.Fatalf("Snapshot = %v, Err = %v; want the directory's permission error, sticky", err, l.Err())
+	if !errors.Is(err, fault) || l.Err() != err {
+		t.Fatalf("Snapshot = %v, Err = %v; want the injected fault, sticky", err, l.Err())
 	}
 	if _, err := l.Append([]byte("b")); err != l.Err() {
 		t.Fatalf("Append on the retired log = %v", err)
 	}
-	if err := os.Chmod(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
+	syncDir = sync
 	for _, seq := range []uint64{1, 2} {
 		if _, err := os.Stat(segmentPath(dir, seq)); err != nil {
 			t.Fatalf("segment %d: %v", seq, err)
