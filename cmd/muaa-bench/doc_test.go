@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -19,7 +20,8 @@ import (
 // reader to run is defined — in the packages the command line names, when
 // it is a `go test -bench` line. Deleting a benchmark arm without its prose
 // (or the reverse) fails here. The other direction for the system inventory:
-// every internal/* and cmd/* directory has its row in DESIGN.md §2.
+// every internal/* and cmd/* directory has its row in DESIGN.md §2. And every
+// section reference resolves (see checkSectionRefs).
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	root := filepath.Join("..", "..")
 	design, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
@@ -56,6 +58,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		ids[id] = true
 	}
 	benches := definedBenchmarks(t, root)
+	checkSectionRefs(t, root, docs)
 
 	var (
 		expRe   = regexp.MustCompile(`-exp[ =]+([A-Za-z0-9]+)`)
@@ -127,7 +130,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 // docsBudget. A change that cuts lines lowers the constant; raising it
 // needs a stated reason.
 func TestDocsBudget(t *testing.T) {
-	const docsBudget = 2589
+	const docsBudget = 1965
 	total := 0
 	for _, doc := range []string{"DESIGN.md", "docs/OPERATIONS.md", "docs/PERFORMANCE.md"} {
 		raw, err := os.ReadFile(filepath.Join("..", "..", doc))
@@ -138,6 +141,127 @@ func TestDocsBudget(t *testing.T) {
 	}
 	if total > docsBudget {
 		t.Errorf("DESIGN + OPERATIONS + PERFORMANCE are %d lines, over the budget of %d: cut before adding", total, docsBudget)
+	}
+}
+
+// checkSectionRefs holds every section sign in the Go files and in docs to
+// a section that exists. After DESIGN, a sign and a number (two signs and a
+// list, "9, 11" or "15/17") must name numbered sections. After OPERATIONS,
+// PERFORMANCE or API, a sign and text must start with a heading of that doc.
+// A sign with no doc name before it is read only in those four docs: before
+// a number it names a DESIGN section, before text a heading of the doc
+// itself (in DESIGN, where such signs name the paper's sections, it is not
+// read). References are read across line wraps and // comment markers.
+// CHANGES.md and ROADMAP.md are not read: they are history, and keep the
+// numbers of their day.
+func checkSectionRefs(t *testing.T, root string, docs []string) {
+	t.Helper()
+	const sign = "\u00a7"
+	targets := map[string]string{"DESIGN": "DESIGN.md", "OPERATIONS": "docs/OPERATIONS.md",
+		"PERFORMANCE": "docs/PERFORMANCE.md", "API": "docs/API.md"}
+	headings := map[string][]string{}
+	for name, doc := range targets {
+		raw, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fenced := false
+		for _, line := range strings.Split(string(raw), "\n") {
+			if strings.HasPrefix(line, "```") {
+				fenced = !fenced
+			}
+			if h, ok := strings.CutPrefix(line, "#"); ok && !fenced {
+				headings[name] = append(headings[name], strings.TrimSpace(strings.TrimLeft(h, "#")))
+			}
+		}
+	}
+	numbered := map[string]bool{}
+	for _, h := range headings["DESIGN"] {
+		if n, _, ok := strings.Cut(h, ". "); ok {
+			numbered[n] = true
+		}
+	}
+
+	sources := slices.Clone(docs)
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "out") {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") {
+			rel, err := filepath.Rel(root, path)
+			sources = append(sources, rel)
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A line break, its indent and a // marker become spaces, so offsets
+	// still give the line.
+	wrap := regexp.MustCompile(`\n[ \t]*(?://[ \t]*)?`)
+	ref := regexp.MustCompile(`(?:\b([A-Z]+)(?:\.md)?\)?[ \t]*)?` + sign + `(` + sign + `)?[ \t]*`)
+	list := regexp.MustCompile(`^\d+(?:(?:[/–]|, ?| and )\d+)*`)
+	number := regexp.MustCompile(`\d+`)
+	space := regexp.MustCompile(`\s+`)
+	checked := 0
+	for _, src := range sources {
+		raw, err := os.ReadFile(filepath.Join(root, src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		self := ""
+		for name, doc := range targets {
+			if filepath.ToSlash(src) == doc {
+				self = name
+			}
+		}
+		text := wrap.ReplaceAllStringFunc(string(raw), func(s string) string { return strings.Repeat(" ", len(s)) })
+		for _, m := range ref.FindAllStringSubmatchIndex(text, -1) {
+			name, rest := self, text[m[1]:]
+			switch {
+			case m[2] >= 0:
+				name = text[m[2]:m[3]]
+			case self == "":
+				continue
+			case list.MatchString(rest):
+				name = "DESIGN"
+			case self == "DESIGN":
+				continue
+			}
+			if _, ok := targets[name]; !ok {
+				continue
+			}
+			checked++
+			at := fmt.Sprintf("%s:%d", src, 1+strings.Count(string(raw[:m[0]]), "\n"))
+			if name == "DESIGN" {
+				nums := number.FindAllString(list.FindString(rest), -1)
+				if m[4] < 0 {
+					nums = nums[:min(len(nums), 1)] // one sign, one section
+				}
+				if len(nums) == 0 {
+					t.Errorf("%s: a DESIGN.md reference names no section number", at)
+				}
+				for _, n := range nums {
+					if !numbered[n] {
+						t.Errorf("%s: DESIGN.md has no section %s", at, n)
+					}
+				}
+				continue
+			}
+			rest = space.ReplaceAllString(rest[:min(len(rest), 200)], " ")
+			if !slices.ContainsFunc(headings[name], func(h string) bool { return strings.HasPrefix(rest, h) }) {
+				t.Errorf("%s: %s %s %q starts with no heading of %s", at, name, sign, rest[:min(len(rest), 40)], targets[name])
+			}
+		}
+	}
+	t.Logf("%d section references read", checked)
+	if checked < 100 {
+		t.Errorf("checked only %d section references: is the pattern still reading them?", checked)
 	}
 }
 

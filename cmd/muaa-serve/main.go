@@ -3,94 +3,16 @@
 //
 //	muaa-serve -addr :8080 -data-dir /var/lib/muaa
 //
-// Every route exists once, under /v1 (JSON bodies, uniform
-// `{"error":{"code":...,"message":...}}` envelope on every failure; a GET
-// route also answers HEAD). Only the two probe endpoints keep a second,
-// unversioned spelling — /healthz and /metrics — because load-balancer and
-// scraper configs carry those paths by convention:
+// With -data-dir set the broker is durable: every mutation is logged before
+// it is acknowledged, and a restart rebuilds the exact pre-crash state. The
+// listener comes up before that replay ends; until it does, broker and debug
+// endpoints answer 503 `unavailable`. The first failed log write or fsync
+// makes the broker read-only until a restart. SIGINT or SIGTERM drains
+// in-flight requests, then flushes the log and writes a final snapshot.
 //
-//	POST /v1/campaigns            register a vendor campaign → {id}
-//	POST /v1/campaigns/{id}/topup add budget
-//	POST /v1/campaigns/{id}/pause pause / resume
-//	GET  /v1/campaigns/{id}       live campaign state
-//	POST /v1/arrivals             a customer arrival → the ads to deliver now
-//	POST /v1/arrivals:batch       an arrival window → per-arrival results (docs/API.md)
-//	GET  /v1/stats                broker counters (γ bounds, derived g, spend)
-//	GET  /v1/campaigns            list all campaign states
-//	GET  /v1/map.svg              the live campaign map as SVG
-//	GET  /v1/metrics              Prometheus text exposition (docs/OPERATIONS.md)
-//	GET  /v1/healthz              readiness: 200 while serving; 503 recovering, or read-only
-//
-// Example session:
-//
-//	curl -s localhost:8080/v1/campaigns -H 'Content-Type: application/json' -d '{"loc":{"x":0.5,"y":0.5},"radius":0.1,"budget":20,"tags":[1,0,0.2]}'
-//	curl -s localhost:8080/v1/arrivals  -H 'Content-Type: application/json' -d '{"loc":{"x":0.49,"y":0.51},"capacity":2,"viewProb":0.7,"interests":[0.9,0.1,0.3]}'
-//	curl -s localhost:8080/v1/stats
-//	curl -s localhost:8080/v1/metrics | grep muaa_broker_arrival_seconds
-//
-// With -data-dir set the broker is durable: every mutation is appended to a
-// write-ahead log before it is acknowledged (fsynced as -wal-sync says),
-// compacting snapshots bound replay time, and a restart rebuilds the exact
-// pre-crash state. While that replay is running the server already listens,
-// but broker endpoints (including /v1/healthz and /v1/stats) answer 503 with
-// the error envelope so load-balancers keep traffic away; /v1/metrics is
-// live from boot. The first failed log write or fsync makes the broker
-// read-only until a restart: mutations and /v1/healthz answer 503. SIGINT or
-// SIGTERM drains in-flight requests, flushes and fsyncs the log, writes a
-// final snapshot and exits cleanly.
-//
-// The broker shards campaign state by spatial stripe so arrivals in
-// different regions are served in parallel; -shards overrides the
-// GOMAXPROCS-scaled default (at most 64). Every flag and every exported
-// metric is documented in docs/OPERATIONS.md. The flags bind straight onto
-// one config value (the broker, recorder and sampler option structs plus
-// the SLO rules), and newServer refuses a bad one before it builds anything.
-//
-// -debug-addr starts a second, separate listener exposing net/http/pprof
-// under /debug/pprof/, the flight recorder under /v1/debug/traces, the
-// live quality audit under /v1/debug/audit, the time-series retention ring
-// under /v1/debug/timeseries, the SLO watchdog under /v1/debug/slo, the
-// read-only arrival explain-replay under POST /v1/debug/explain (wrapped by
-// cmd/muaa-explain), per-campaign decision funnels under
-// GET /v1/debug/campaigns/{id}/funnel and the broker's contract check under
-// GET /v1/debug/invariants — opt-in and intended to stay on a
-// loopback or otherwise private address; the serving port never exposes
-// profiling, traces, audits or history. During WAL recovery every
-// /v1/debug/* endpoint answers the same 503 `unavailable` envelope as the
-// serving API.
-//
-// Every scan disposition is attributed to its campaign's own exact counter
-// row, exposed as muaa_funnel_* metrics (per-campaign series for the top 16
-// by gathered count) and the funnel endpoint.
-//
-// A background sampler snapshots the whole metrics registry every
-// -sample-every (counter deltas become rates, gauges are stored as-is,
-// histograms as windowed p50/p95/p99) into fixed rings of 360 points per
-// series — the process's own short-term memory, queryable at
-// GET /v1/debug/timeseries and rendered live by cmd/muaa-top.
-// -slo arms the burn-rate watchdog over those rings (arrival latency,
-// empirical-ratio dips, WAL fsync stalls, escrow growth, runtime runaway;
-// see internal/slo): rules fire as structured slo_firing log events,
-// muaa_slo_* gauges, and GET /v1/debug/slo.
-//
-// The broker keeps a sliding window of the last -audit-window arrivals and
-// every -audit-every recomputes an offline-oracle quality report off the
-// serving path: the empirical competitive ratio, the paper's (ln g + 1)/θ
-// bound, the fixed thresholds φ(δ) and per-campaign pacing. The ratio and
-// the pacing buckets land as muaa_broker_* gauges on /metrics; the full
-// report is at GET /v1/debug/audit (?refresh=true recomputes). -audit-window 0
-// disables live auditing. With -wal-retain (the default) superseded WAL
-// segments are kept after compaction so `muaa-audit -data-dir ...` can audit
-// the broker's whole life; -wal-retain=false restores reclaiming them.
-//
-// Every request is traced: the server honors an incoming W3C traceparent
-// header (minting IDs otherwise), echoes the resulting traceparent on the
-// response, and emits one JSON access-log line per request with the
-// trace_id. Completed arrival traces land in a flight recorder sized by
-// -trace-capacity, with slow (≥ 25 ms) and anomalous ones retained
-// preferentially. All process logs are structured JSON on stderr (slog),
-// batched by obs.LogHandler (docs/OPERATIONS.md "Tracing & logs"); nothing
-// in this binary writes through the stdlib global logger.
+// The flags bind onto one config value, and newServer refuses a bad one
+// before it builds anything. docs/API.md lists the routes; docs/OPERATIONS.md
+// the flags, metrics, logs and debug endpoints.
 package main
 
 import (

@@ -58,6 +58,18 @@ func startServerOpts(t *testing.T, cfg config) (string, *app) {
 	return base, a
 }
 
+// recoveryEvent is the broker_recovery line of a durable server's log.
+func recoveryEvent(t *testing.T, logs *syncBuffer) map[string]any {
+	t.Helper()
+	for _, m := range logs.logLines(t) {
+		if m["msg"] == "broker_recovery" {
+			return m
+		}
+	}
+	t.Fatal("the boot logged no broker_recovery event")
+	return nil
+}
+
 // startServerLogged additionally wires a slog logger (nil = discard) and
 // returns the app for log- and trace-focused tests.
 func startServerLogged(t *testing.T, cfg config, logger *slog.Logger) (string, *slog.Logger, *app) {
@@ -252,7 +264,10 @@ func parseFlags(args ...string) (config, error) {
 func TestServeRejectsBadConfig(t *testing.T) {
 	for _, args := range [][]string{
 		{"-g", "1"},
+		{"-g", "NaN"},
+		{"-g", "+Inf"},
 		{"-pacing", "-1"},
+		{"-pacing", "+Inf"},
 		{"-shards", "-1"},
 		{"-shards", "65"},
 		{"-sample-every", "-1s", "-slo", "on"},
@@ -685,10 +700,10 @@ func TestServeRestartPersistence(t *testing.T) {
 		t.Fatalf("clean shutdown: %v", err)
 	}
 
-	base2, a2 := startServerOpts(t, opts)
-	info := a2.b.Load().RecoveryStats()
-	if !info.SnapshotLoaded || info.RecordsReplayed != 0 || info.Truncated {
-		t.Errorf("clean restart should recover from the snapshot alone: %+v", info)
+	var logs syncBuffer
+	base2, _, _ := startServerLogged(t, opts, slog.New(slog.NewJSONHandler(&logs, nil)))
+	if ev := recoveryEvent(t, &logs); ev["snapshot_loaded"] != true || ev["records_replayed"] != 0.0 || ev["truncated"] != false {
+		t.Errorf("clean restart should recover from the snapshot alone: %v", ev)
 	}
 	var after statsBody
 	if code := getJSON(t, base2+"/v1/stats", &after); code != http.StatusOK {
@@ -762,9 +777,10 @@ func TestShutdownDrainsBeforeClosingBroker(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 
-	base2, a2 := startServerOpts(t, cfg)
-	if info := a2.b.Load().RecoveryStats(); !info.SnapshotLoaded || info.RecordsReplayed != 0 {
-		t.Errorf("restart should recover from the final snapshot alone: %+v", info)
+	var logs syncBuffer
+	base2, _, _ := startServerLogged(t, cfg, slog.New(slog.NewJSONHandler(&logs, nil)))
+	if ev := recoveryEvent(t, &logs); ev["snapshot_loaded"] != true || ev["records_replayed"] != 0.0 {
+		t.Errorf("restart should recover from the final snapshot alone: %v", ev)
 	}
 	var stats struct{ Arrivals int64 }
 	if code := getJSON(t, base2+"/v1/stats", &stats); code != http.StatusOK || stats.Arrivals != 1 {

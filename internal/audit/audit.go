@@ -60,7 +60,7 @@ type Campaign struct {
 	// (the state the live window sees "now"). Paused campaigns are excluded
 	// from the oracle problem entirely: the online broker was forbidden to
 	// spend their budgets, so a counterfactual that spends them measures
-	// nothing any admission policy could achieve (the DESIGN §13 artifact).
+	// nothing any admission policy could achieve (the DESIGN.md §12 exclusion).
 	Paused bool
 	// Billing is the campaign's billing contract; the zero value is the seed
 	// fixed-cost contract. It prices the oracle assignment's revenue.

@@ -1,6 +1,6 @@
 package audit
 
-// Regression tests for the DESIGN §13 artifact fix (pause-aware oracle) and
+// Regression tests for the pause-aware oracle (DESIGN.md §12) and
 // the revenue accounting of the slate economics layer.
 
 import (
@@ -11,8 +11,8 @@ import (
 	"muaa/internal/model"
 )
 
-// pauseHeavyInput models the §13 ramp: one active campaign the online broker
-// actually served, plus whale campaigns that are paused at the end of the
+// pauseHeavyInput models a pause-heavy stream: one active campaign the online
+// broker actually served, plus whale campaigns that are paused at the end of the
 // stream. The recorded offer's utility is the model-computed value (base
 // 0.8·1/0.1 = 8 times the rich effect 1.5), so online and oracle price the
 // same instance identically.

@@ -287,15 +287,15 @@ func (cfg *Config) Validate() error {
 		return errors.New("broker: no ad types configured")
 	}
 	for k, t := range cfg.AdTypes {
-		if !(t.Cost > 0) || t.Effect < 0 {
+		if !(t.Cost > 0) || !(t.Effect >= 0) || !finite(t.Cost) || !finite(t.Effect) {
 			return fmt.Errorf("broker: ad type %d (%s) has cost %g / effect %g", k, t.Name, t.Cost, t.Effect)
 		}
 	}
-	if cfg.G != 0 && cfg.G <= math.E {
-		return fmt.Errorf("broker: g = %g must exceed e", cfg.G)
+	if !finite(cfg.G) || (cfg.G != 0 && cfg.G <= math.E) {
+		return fmt.Errorf("broker: g = %g must be 0 or a finite value above e", cfg.G)
 	}
-	if cfg.Pacing < 0 || math.IsNaN(cfg.Pacing) {
-		return fmt.Errorf("broker: pacing factor %g must be ≥ 0", cfg.Pacing)
+	if !(cfg.Pacing >= 0) || !finite(cfg.Pacing) {
+		return fmt.Errorf("broker: pacing factor %g must be finite and ≥ 0", cfg.Pacing)
 	}
 	if cfg.Shards < 0 || cfg.Shards > maxShards {
 		return fmt.Errorf("broker: shard count %d must be in [0, %d]", cfg.Shards, maxShards)

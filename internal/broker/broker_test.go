@@ -40,6 +40,25 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{AdTypes: workload.DefaultAdTypes(), G: 6}); err != nil {
 		t.Errorf("g = 6 must be accepted: %v", err)
 	}
+	// Non-finite values are configuration errors: a NaN g once booted and made
+	// GET /v1/stats a 500, and a NaN effect or an infinite cost makes an ad
+	// type that can never be offered.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"effect NaN", Config{AdTypes: []model.AdType{{Name: "x", Cost: 1, Effect: nan}}}},
+		{"effect +Inf", Config{AdTypes: []model.AdType{{Name: "x", Cost: 1, Effect: inf}}}},
+		{"cost +Inf", Config{AdTypes: []model.AdType{{Name: "x", Cost: inf, Effect: 1}}}},
+		{"g NaN", Config{AdTypes: workload.DefaultAdTypes(), G: nan}},
+		{"g +Inf", Config{AdTypes: workload.DefaultAdTypes(), G: inf}},
+		{"pacing +Inf", Config{AdTypes: workload.DefaultAdTypes(), Pacing: inf}},
+	} {
+		if err := tc.cfg.Validate(); err == nil {
+			t.Errorf("%s must be rejected", tc.name)
+		}
+	}
 	// The stripe count is capped where defaultShards clamps it: an uncapped
 	// -shards 1000000 once allocated a million grids before answering.
 	if err := (&Config{AdTypes: workload.DefaultAdTypes(), Shards: 65}).Validate(); err == nil {

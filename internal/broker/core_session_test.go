@@ -29,7 +29,7 @@ import (
 //
 // A zero-budget vendor that some in-range customer also scores ≤ 0 makes the
 // order of the terms filters observable: both sides skip it, but the funnel
-// must file it under the first filter that applies (DESIGN.md §4).
+// must file it under the first filter that applies (DESIGN.md §6).
 //
 // The session scores through the one-shot model.PearsonPreference.Score, the
 // kernel through model.UnitPearson prepared at registration and per arrival,

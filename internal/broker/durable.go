@@ -25,31 +25,6 @@ type durable struct {
 	stopCh chan struct{}
 	doneCh chan struct{}
 	closed atomic.Bool
-
-	info RecoveryInfo
-}
-
-// RecoveryInfo describes what New rebuilt from the data directory at boot.
-type RecoveryInfo struct {
-	// SnapshotLoaded reports that a compacted snapshot seeded the state.
-	SnapshotLoaded bool
-	// RecordsReplayed is the number of WAL records applied after the
-	// snapshot.
-	RecordsReplayed int
-	// Truncated reports that the log had a torn tail (expected after a
-	// crash) which was discarded back to the last intact record.
-	Truncated bool
-	// Duration is the wall time of the whole rebuild.
-	Duration time.Duration
-}
-
-// RecoveryStats returns how this broker was recovered; the zero value for
-// an in-memory broker.
-func (b *Broker) RecoveryStats() RecoveryInfo {
-	if b.wal == nil {
-		return RecoveryInfo{}
-	}
-	return b.wal.info
 }
 
 // recoverDurable opens (creating if necessary) the durability directory
@@ -72,8 +47,6 @@ func recoverDurable(cfg Config) (*Broker, error) {
 		log.Close()
 		return nil, err
 	}
-	info := RecoveryInfo{SnapshotLoaded: v.Snapshot != nil, RecordsReplayed: len(v.Records), Truncated: v.Truncated}
-
 	d := &durable{
 		log:     log,
 		cadence: cfg.WAL.SnapshotCadence(),
@@ -91,18 +64,17 @@ func recoverDurable(cfg Config) (*Broker, error) {
 			return nil, fmt.Errorf("broker: boot snapshot: %w", err)
 		}
 	}
-	info.Duration = time.Since(start)
-	d.info = info
+	replayed := len(v.Records)
 	b.logger.Info("broker_recovery",
 		slog.String("dir", cfg.DataDir),
-		slog.Bool("snapshot_loaded", info.SnapshotLoaded),
-		slog.Int("records_replayed", info.RecordsReplayed),
-		slog.Bool("truncated", info.Truncated),
-		slog.Float64("duration_ms", float64(info.Duration)/float64(time.Millisecond)))
+		slog.Bool("snapshot_loaded", v.Snapshot != nil),
+		slog.Int("records_replayed", replayed),
+		slog.Bool("truncated", v.Truncated),
+		slog.Float64("duration_ms", float64(time.Since(start))/float64(time.Millisecond)))
 	if cfg.Metrics != nil {
 		cfg.Metrics.NewGaugeFunc("muaa_broker_recovery_records",
 			"WAL records replayed by the last boot's recovery.",
-			func() float64 { return float64(info.RecordsReplayed) })
+			func() float64 { return float64(replayed) })
 	}
 	// Only now, with replay and the boot snapshot done: an audit tick steps
 	// the controller, and one landing mid-replay would rewrite state the log

@@ -157,13 +157,9 @@ func TestRotationFaultKeepsServing(t *testing.T) {
 			if err := os.Remove(filepath.Join(cfg.DataDir, name)); err != nil {
 				t.Fatal(err)
 			}
-			cfg.Logger = nil
-			b2, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			b2, ev, _ := bootLogged(t, cfg)
 			defer b2.Close()
-			if got, n := state(b2), b2.RecoveryStats().RecordsReplayed; got != want || n != 2 {
+			if got, n := state(b2), ev.RecordsReplayed; got != want || n != 2 {
 				t.Errorf("recovered from the old pair with %d records replayed:\n%s\nwant 2 and\n%s", n, got, want)
 			}
 		})

@@ -62,12 +62,9 @@ func TestAuditTickerIdleDuringReplay(t *testing.T) {
 	}
 	rcfg := cfg
 	rcfg.DataDir, rcfg.AuditEvery = dir, time.Millisecond
-	rb, err := New(rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rb, ev, _ := bootLogged(t, rcfg)
 	defer rb.Close()
-	if d := rb.RecoveryStats().Duration; d < 5*rcfg.AuditEvery {
+	if d := time.Duration(ev.DurationMS * float64(time.Millisecond)); d < 5*rcfg.AuditEvery {
 		t.Fatalf("recovery took %v, under 5 ticks of %v: the log is too short to test anything", d, rcfg.AuditEvery)
 	}
 	v, err := wal.ReadDir(dir)

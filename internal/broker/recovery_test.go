@@ -2,6 +2,8 @@ package broker
 
 import (
 	"bytes"
+	"encoding/json"
+	"log/slog"
 	"math"
 	"math/rand"
 	"os"
@@ -25,6 +27,37 @@ import (
 // instance must never compact the directory a recovery is reading).
 func crashWAL() wal.Options {
 	return wal.Options{Sync: wal.SyncNone, SnapshotEvery: -1}
+}
+
+// recovery is the broker_recovery event a durable boot logs.
+type recovery struct {
+	SnapshotLoaded  bool    `json:"snapshot_loaded"`
+	RecordsReplayed int     `json:"records_replayed"`
+	Truncated       bool    `json:"truncated"`
+	DurationMS      float64 `json:"duration_ms"`
+}
+
+// bootLogged is New with cfg.Logger writing JSON lines to a buffer. It returns
+// the broker and the broker_recovery event its boot logged; ok is false when
+// it logged none, as an in-memory boot does.
+func bootLogged(t testing.TB, cfg Config) (b *Broker, ev recovery, ok bool) {
+	t.Helper()
+	var logs lockedBuffer
+	cfg.Logger = slog.New(slog.NewJSONHandler(&logs, nil))
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(logs.String(), "\n") {
+		var e struct {
+			Msg string `json:"msg"`
+			recovery
+		}
+		if json.Unmarshal([]byte(line), &e) == nil && e.Msg == "broker_recovery" {
+			return b, e.recovery, true
+		}
+	}
+	return b, ev, false
 }
 
 // flushWAL writes every record b acknowledged to its log file and adds no
@@ -283,11 +316,8 @@ func tornTails(t *testing.T, srcDir string, cfg Config, seed int64, check func(c
 			t.Fatal(err)
 		}
 		cfg.DataDir = dir
-		rb, err := New(cfg)
-		if err != nil {
-			t.Fatalf("cut %d: recovery failed: %v", cut, err)
-		}
-		check(cut, rb, rb.RecoveryStats().RecordsReplayed)
+		rb, ev, _ := bootLogged(t, cfg)
+		check(cut, rb, ev.RecordsReplayed)
 		if err := rb.CheckInvariants(); err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -433,12 +463,9 @@ func TestForcedSlateRevenueSurvivesRecovery(t *testing.T) {
 	if err := crashed.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rebooted, err := New(cfg) // clean Close: load the snapshot
-	if err != nil {
-		t.Fatal(err)
-	}
+	rebooted, info, _ := bootLogged(t, cfg) // clean Close: load the snapshot
 	defer rebooted.Close()
-	if info := rebooted.RecoveryStats(); !info.SnapshotLoaded || info.RecordsReplayed != 0 {
+	if !info.SnapshotLoaded || info.RecordsReplayed != 0 {
 		t.Fatalf("clean reboot should load snapshot only, got %+v", info)
 	}
 	if got := revenueBits(rebooted); got != want {
@@ -486,12 +513,8 @@ func TestSnapshotCycleRecovery(t *testing.T) {
 		t.Fatalf("after close: %d segments on disk, compaction should leave 1", seq)
 	}
 
-	rb, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rb, info, _ := bootLogged(t, cfg)
 	defer rb.Close()
-	info := rb.RecoveryStats()
 	if !info.SnapshotLoaded || info.RecordsReplayed != 0 || info.Truncated {
 		t.Fatalf("clean reboot should load snapshot only, got %+v", info)
 	}
@@ -587,15 +610,12 @@ func TestRecoverValidation(t *testing.T) {
 
 // TestInMemoryCloseNoop: Close on an in-memory broker is a safe no-op.
 func TestInMemoryCloseNoop(t *testing.T) {
-	b, err := New(Config{AdTypes: workload.DefaultAdTypes()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b, got, logged := bootLogged(t, Config{AdTypes: workload.DefaultAdTypes()})
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.RecoveryStats(); got != (RecoveryInfo{}) {
-		t.Fatalf("in-memory broker reports recovery %+v", got)
+	if logged {
+		t.Fatalf("in-memory broker logged a recovery %+v", got)
 	}
 }
 

@@ -1,14 +1,18 @@
 package refmodel
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -279,6 +283,35 @@ func newRun(t testing.TB, cfg broker.Config, shards int, billed bool, dir string
 	return r
 }
 
+// recoveryLog is the log sink of one boot and of the broker it booted.
+type recoveryLog struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (l *recoveryLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+// replayed is the records_replayed of the boot's broker_recovery event; an
+// in-memory boot logs none and replays nothing.
+func (l *recoveryLog) replayed() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, line := range bytes.Split(l.buf.Bytes(), []byte("\n")) {
+		var e struct {
+			Msg     string `json:"msg"`
+			Records int    `json:"records_replayed"`
+		}
+		if json.Unmarshal(line, &e) == nil && e.Msg == "broker_recovery" {
+			return e.Records
+		}
+	}
+	return 0
+}
+
 // boot opens the broker on r.dir (in memory when empty) and makes the model
 // what it recovered: its last snapshot plus the logged ops it replayed, at
 // least the first acked of them, and past the acknowledged ones at most the
@@ -286,9 +319,11 @@ func newRun(t testing.TB, cfg broker.Config, shards int, billed bool, dir string
 func (r *run) boot(acked int) {
 	cfg := r.cfg
 	cfg.DataDir = r.dir
+	var logs recoveryLog
+	cfg.Logger = slog.New(slog.NewJSONHandler(&logs, nil))
 	b, err := broker.New(cfg)
 	r.must(err)
-	n, ops := b.RecoveryStats().RecordsReplayed, r.journal
+	n, ops := logs.replayed(), r.journal
 	if r.refused != nil {
 		ops = append(ops, r.refused)
 	}

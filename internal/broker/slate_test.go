@@ -278,12 +278,9 @@ func TestSlateWALRecovery(t *testing.T) {
 	if err := rb.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rb2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rb2, info, _ := bootLogged(t, cfg)
 	defer rb2.Close()
-	if info := rb2.RecoveryStats(); !info.SnapshotLoaded || info.RecordsReplayed != 0 {
+	if !info.SnapshotLoaded || info.RecordsReplayed != 0 {
 		t.Fatalf("clean reboot should load snapshot only, got %+v", info)
 	}
 	if got := rb2.Stats(); got != postStats {

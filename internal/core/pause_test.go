@@ -27,7 +27,7 @@ func pausedProblem() *model.Problem {
 
 // TestPausedVendorExcluded: every solver family skips paused vendors — the
 // index never surfaces them, Recon's per-vendor loop skips them — so the
-// counterfactual grid cannot spend paused budgets (the DESIGN §13 fix).
+// counterfactual grid cannot spend paused budgets (DESIGN.md §12).
 func TestPausedVendorExcluded(t *testing.T) {
 	p := pausedProblem()
 	solvers := []Solver{Greedy{}, &WindowOracle{}, Recon{Workers: 1}, Exact{}, OnlineAFA{}}
