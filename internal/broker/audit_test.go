@@ -263,7 +263,7 @@ func TestLiveAuditWindow(t *testing.T) {
 		t.Fatal("AuditReport must return the recomputed report")
 	}
 	var sb strings.Builder
-	reg.WriteText(&sb)
+	reg.WriteTextFiltered(&sb, "")
 	text := sb.String()
 	for _, want := range []string{
 		"muaa_broker_empirical_ratio",

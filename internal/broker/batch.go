@@ -130,7 +130,7 @@ func (b *Broker) arriveOne(a *Arrival, req *trace.Request, dst []Offer) ([]Offer
 	r := &results[0]
 	if m := b.metrics; m != nil && live > 0 {
 		if t != nil {
-			m.arrival.ObserveShardExemplar(lane, elapsed.Seconds(), t.TraceID.String())
+			m.arrival.ObserveShardExemplar(lane, elapsed.Seconds(), t.TraceID)
 		} else {
 			m.arrival.ObserveShard(lane, elapsed.Seconds())
 		}

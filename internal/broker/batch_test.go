@@ -483,14 +483,21 @@ func serveDefaults() Config {
 // rows hold the same bar with the WAL on (sync none): the arrivals record is
 // encoded into a pooled buffer and copied into the log's. The serve rows run
 // muaa-serve's defaults, warmed until the audit ring has wrapped: a capture
-// then refills the slot it overwrites.
+// then refills the slot it overwrites. The traced rows add muaa-serve's
+// flight recorder and call arriveOne with a trace request and a caller
+// buffer, as POST /v1/arrivals does: the latency exemplar keeps the trace ID
+// as its 16 bytes.
 func TestArriveAppendZeroAllocs(t *testing.T) {
-	for _, serve := range []bool{false, true} {
+	for _, mode := range []string{"", "serve,", "serve,traced,"} {
 		for _, durable := range []bool{false, true} {
-			name := fmt.Sprintf("durable=%t", durable)
+			name := fmt.Sprintf("%sdurable=%t", mode, durable)
 			cfg := Config{AdTypes: workload.DefaultAdTypes()}
-			if serve {
-				name, cfg = "serve,"+name, serveDefaults()
+			if mode != "" {
+				cfg = serveDefaults()
+			}
+			traced := mode == "serve,traced,"
+			if traced {
+				cfg.Tracer = trace.NewRecorder(trace.RecorderOptions{Capacity: 256})
 			}
 			t.Run(name, func(t *testing.T) {
 				if durable {
@@ -511,24 +518,27 @@ func TestArriveAppendZeroAllocs(t *testing.T) {
 				}
 				a := Arrival{Loc: geo.Point{X: 0.4, Y: 0.4}, Capacity: 2, ViewProb: 0.8,
 					Interests: []float64{1, 0.5, 1}, Hour: 12}
+				req := trace.StartRequest("")
 				dst := make([]Offer, 0, 16)
-				// Warm up: grow the arena, the γ estimator and the record pool
-				// to steady state, and wrap the audit ring.
-				for i := 0; i < 16+cfg.AuditWindow; i++ {
-					out, err := b.ArriveAppend(dst[:0], a)
+				arrive := func() {
+					var out []Offer
+					var err error
+					if traced {
+						out, err = b.arriveOne(&a, &req, dst[:0])
+					} else {
+						out, err = b.ArriveAppend(dst[:0], a)
+					}
 					if err != nil {
 						t.Fatal(err)
 					}
 					dst = out[:0]
 				}
-				allocs := testing.AllocsPerRun(200, func() {
-					out, err := b.ArriveAppend(dst[:0], a)
-					if err != nil {
-						t.Fatal(err)
-					}
-					dst = out[:0]
-				})
-				if allocs != 0 {
+				// Warm up: grow the arena, the γ estimator and the record pool
+				// to steady state, and wrap the audit ring.
+				for i := 0; i < 16+cfg.AuditWindow; i++ {
+					arrive()
+				}
+				if allocs := testing.AllocsPerRun(200, arrive); allocs != 0 {
 					t.Fatalf("serial arrival allocates %v times per op, want 0", allocs)
 				}
 			})

@@ -145,13 +145,15 @@ func TestRegisterChecksTags(t *testing.T) {
 // to an edge cell.
 func TestRegisterChecksLocation(t *testing.T) {
 	dir := t.TempDir()
-	b, err := New(Config{AdTypes: workload.DefaultAdTypes(), DataDir: dir, WAL: crashWAL()})
+	// Every record reaches the log file before its mutation returns, so the
+	// directory can be read between operations.
+	b, err := New(Config{AdTypes: workload.DefaultAdTypes(), DataDir: dir,
+		WAL: wal.Options{Sync: wal.SyncEveryRecord, SnapshotEvery: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	walRecords := func() int {
 		t.Helper()
-		flushWAL(t, b)
 		v, err := wal.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)

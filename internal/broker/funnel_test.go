@@ -372,7 +372,7 @@ func TestFunnelMetricsExposition(t *testing.T) {
 			}
 		}
 		var sb strings.Builder
-		reg.WriteText(&sb)
+		reg.WriteTextFiltered(&sb, "")
 		out := sb.String()
 		for _, want := range []string{
 			"muaa_funnel_gathered_total 7",
@@ -572,7 +572,7 @@ func TestFunnelRowsUnderShardLocks(t *testing.T) {
 		}
 		seen[next], next = fc.Gathered, (next+1)%seeded
 	})
-	observe(func() { reg.WriteText(io.Discard) })
+	observe(func() { reg.WriteTextFiltered(io.Discard, "") })
 	topSeen := make(map[int32]uint64) // the walk reader's own
 	observe(func() {
 		top := b.funnel.walk(funnelTopN)

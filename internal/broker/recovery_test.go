@@ -60,13 +60,14 @@ func bootLogged(t testing.TB, cfg Config) (b *Broker, ev recovery, ok bool) {
 	return b, ev, false
 }
 
-// flushWAL writes every record b acknowledged to its log file and adds no
-// snapshot: the directory a kill leaves once the group commit reached the OS.
-// A crash test calls it before it abandons b or reads b's directory, since
-// the latest records may still wait in the group-commit buffer.
+// flushWAL leaves b's directory as a kill leaves it once the group commit
+// reached the OS: it closes b's log, which writes every record b acknowledged
+// to the log file and adds no snapshot. A crash test calls it before it
+// abandons b or reads b's directory, since the latest records may still wait
+// in the group-commit buffer; b takes no mutation after it.
 func flushWAL(t testing.TB, b *Broker) {
 	t.Helper()
-	if err := b.wal.log.Flush(); err != nil {
+	if err := b.wal.log.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -147,7 +147,7 @@ func TestSlateAllBelowReserve(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	reg.WriteText(&sb)
+	reg.WriteTextFiltered(&sb, "")
 	scrape := sb.String()
 	if !strings.Contains(scrape, `muaa_broker_scan_outcomes_total{outcome="below_reserve"} 8`) {
 		t.Fatalf("below_reserve counter missing or wrong:\n%s", scrape)

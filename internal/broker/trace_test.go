@@ -199,7 +199,7 @@ func TestArrivalExemplar(t *testing.T) {
 	}
 
 	var sb strings.Builder
-	reg.WriteText(&sb)
+	reg.WriteTextFiltered(&sb, "")
 	text := sb.String()
 	marker := "# EXEMPLAR muaa_broker_arrival_seconds"
 	if !strings.Contains(text, marker) {
@@ -211,7 +211,7 @@ func TestArrivalExemplar(t *testing.T) {
 
 	// Consumed by the scrape: a second scrape with no new traffic has none.
 	sb.Reset()
-	reg.WriteText(&sb)
+	reg.WriteTextFiltered(&sb, "")
 	if strings.Contains(sb.String(), marker) {
 		t.Fatal("exemplar survived the scrape window")
 	}

@@ -19,7 +19,7 @@ func TestRegister(t *testing.T) {
 	reg := obs.NewRegistry()
 	Register(reg)
 	var sb strings.Builder
-	reg.WriteText(&sb)
+	reg.WriteTextFiltered(&sb, "")
 	text := sb.String()
 	if !strings.Contains(text, "muaa_build_info{") {
 		t.Fatalf("exposition missing build info gauge:\n%s", text)

@@ -13,15 +13,17 @@
 // flat table of where each cell starts — so a range query reads one
 // contiguous run per row of its window; an insert appends to its row and the
 // first query after it regroups the rows appended to (grid.go). A k-d tree
-// (kdtree.go) answers the same queries for comparison; ablation A8 races the
-// two.
+// (kdtree.go) answers the same two queries for comparison, and k nearest
+// neighbours besides; ablation A8 races the two.
 //
 // Two structures serve the concurrent broker specifically:
 //
-//   - Stripes (stripes.go) partitions a Rect into equal-height horizontal
-//     bands. The broker shards campaign state by stripe, and the contiguous
-//     band interval Range returns for a query disk doubles as its
-//     deadlock-free lock-acquisition order (DESIGN.md §8).
+//   - Stripes (stripes.go) partitions a Rect into horizontal bands whose
+//     edges fall on the grid's cell rows, so the stripes' grid scans
+//     concatenate into one order. The broker shards campaign state by
+//     stripe, and the contiguous band interval Range returns for a query
+//     disk doubles as its deadlock-free lock-acquisition order (DESIGN.md
+//     §8).
 //   - Grid.InsertWithRadius indexes a disk by its center so CoveredBy can
 //     answer "which disks cover this point" per shard.
 //

@@ -42,11 +42,6 @@ type Rect struct {
 // UnitSquare is the paper's data space.
 var UnitSquare = Rect{Min: Point{0, 0}, Max: Point{1, 1}}
 
-// Contains reports whether p lies inside r (inclusive of the boundary).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
 // Width returns the horizontal extent of r.
 func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 

@@ -28,8 +28,7 @@ import (
 // an append to the point's row, O(1) however crowded the row; the first query
 // after it regroups each row appended to — one stable counting sort by cell,
 // O(row) — so a bulk build groups every row once and a registration between
-// queries costs one row. The id → location map serves only Point, Len and the
-// duplicate check.
+// queries costs one row.
 //
 // The zero value is not usable; construct with NewGrid. Grid is safe for
 // concurrent readers once built (the regrouping a first query does is
@@ -45,8 +44,7 @@ type Grid struct {
 	dirty    atomic.Bool   // some row has been appended to since it was grouped
 	regroup  sync.Mutex    // serialises settle among concurrent readers
 	scratch  []cellPoint   // settle's copy of the row it is regrouping
-	pts      map[int32]Point
-	maxR     float64 // largest per-point radius seen by InsertWithRadius
+	maxR     float64       // largest per-point radius seen by InsertWithRadius
 	hasRadii bool
 	rowLo    int // rows[rowLo..rowHi] hold every point; cellsY, -1 while empty
 	rowHi    int
@@ -84,7 +82,6 @@ func NewGrid(bounds Rect, cells int) *Grid {
 		cellH:  bounds.Height() / float64(cells),
 		rows:   make([][]cellPoint, cells),
 		off:    make([]int32, cells*(cells+1)),
-		pts:    make(map[int32]Point),
 		rowLo:  cells,
 		rowHi:  -1,
 	}
@@ -111,12 +108,6 @@ func GridResolution(n int, r float64) int {
 	return cells
 }
 
-// Len returns the number of indexed points.
-func (g *Grid) Len() int { return len(g.pts) }
-
-// Bounds returns the indexed region.
-func (g *Grid) Bounds() Rect { return g.bounds }
-
 func (g *Grid) cellOf(p Point) (cx, cy int) {
 	return axisCell(p.X, g.bounds.Min.X, g.bounds.Max.X, g.cellW, g.cellsX),
 		axisCell(p.Y, g.bounds.Min.Y, g.bounds.Max.Y, g.cellH, g.cellsY)
@@ -135,17 +126,13 @@ func axisCell(v, lo, hi, w float64, cells int) int {
 	return min(int((min(v, hi)-lo)/w), cells-1)
 }
 
-// Insert adds a point with the given ID. Inserting the same ID twice panics:
-// IDs are the caller's dense indexes and a duplicate indicates a bug.
+// Insert adds a point with the given ID, the caller's index of it; each ID is
+// inserted once.
 func (g *Grid) Insert(id int32, p Point) {
 	g.insert(id, p, noRadius)
 }
 
 func (g *Grid) insert(id int32, p Point, r2 float64) {
-	if _, dup := g.pts[id]; dup {
-		panic(fmt.Sprintf("geo: duplicate insert of id %d", id))
-	}
-	g.pts[id] = p
 	cx, cy := g.cellOf(p)
 	g.rows[cy] = append(g.rows[cy], cellPoint{id: id, cx: int32(cx), p: p, r2: r2})
 	g.rowLo, g.rowHi = min(g.rowLo, cy), max(g.rowHi, cy)
@@ -198,9 +185,6 @@ func (g *Grid) run(cy, x0, x1 int) []cellPoint {
 	return g.rows[cy][off[x0]:off[x1+1]]
 }
 
-// cell returns the points of cell (cx, cy) in insertion order.
-func (g *Grid) cell(cx, cy int) []cellPoint { return g.run(cy, cx, cx) }
-
 // InsertWithRadius adds a point that owns a disk of radius r (a vendor and
 // its advertising range). Points inserted this way participate in CoveredBy
 // queries.
@@ -226,12 +210,6 @@ func (g *Grid) AppendIDs(dst []int32) []int32 {
 		}
 	}
 	return dst
-}
-
-// Point returns the location stored for id and whether it exists.
-func (g *Grid) Point(id int32) (Point, bool) {
-	p, ok := g.pts[id]
-	return p, ok
 }
 
 // cellRange returns the inclusive cell-coordinate window intersecting the
@@ -295,114 +273,4 @@ func (g *Grid) CoveredBy(dst []int32, p Point) []int32 {
 		dst = dst[:n]
 	}
 	return dst
-}
-
-// Nearest returns the ID of the indexed point closest to p and its distance.
-// The second result is false when the grid is empty. Ties break toward the
-// smaller ID so results are deterministic.
-func (g *Grid) Nearest(p Point) (int32, float64, bool) {
-	ids := g.KNearest(p, 1)
-	if len(ids) == 0 {
-		return 0, 0, false
-	}
-	return ids[0], math.Sqrt(g.pts[ids[0]].Dist2(p)), true
-}
-
-// KNearest returns the IDs of the k points closest to p, ordered by
-// increasing distance (ties toward smaller ID). It returns fewer than k IDs
-// when the grid holds fewer points. The implementation scans outward by
-// rings, stopping once the k-th best distance is closed off by ring geometry.
-func (g *Grid) KNearest(p Point, k int) []int32 {
-	if k <= 0 || len(g.pts) == 0 {
-		return nil
-	}
-	g.settle()
-	var cands []distCand
-	cx, cy := g.cellOf(p)
-	maxRing := g.cellsX
-	if g.cellsY > maxRing {
-		maxRing = g.cellsY
-	}
-	cellMin := math.Min(g.cellW, g.cellH)
-	for ring := 0; ring <= maxRing; ring++ {
-		if len(cands) >= k {
-			// A point in a farther ring is at least (ring-1)*cellMin away;
-			// stop when that exceeds the current k-th distance.
-			kth := kthD2(cands, k)
-			if d := float64(ring-1) * cellMin; d > 0 && d*d > kth {
-				break
-			}
-		}
-		g.collectRing(p, cx, cy, ring, func(id int32, d2 float64) {
-			cands = append(cands, distCand{id, d2})
-		})
-	}
-	sortCands := func(a, b distCand) bool {
-		if a.d2 != b.d2 {
-			return a.d2 < b.d2
-		}
-		return a.id < b.id
-	}
-	// Insertion sort is fine: candidate sets are tiny for grid-scale queries.
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && sortCands(cands[j], cands[j-1]); j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
-		}
-	}
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	out := make([]int32, len(cands))
-	for i, c := range cands {
-		out[i] = c.id
-	}
-	return out
-}
-
-// distCand pairs a point ID with its squared distance from a query point.
-type distCand struct {
-	id int32
-	d2 float64
-}
-
-func kthD2(cands []distCand, k int) float64 {
-	// Selection over tiny slices; k is small in every caller.
-	worst := math.Inf(-1)
-	cnt := 0
-	used := make([]bool, len(cands))
-	for cnt < k && cnt < len(cands) {
-		bi, bd := -1, math.Inf(1)
-		for i, c := range cands {
-			if !used[i] && c.d2 < bd {
-				bi, bd = i, c.d2
-			}
-		}
-		used[bi] = true
-		worst = bd
-		cnt++
-	}
-	return worst
-}
-
-func (g *Grid) collectRing(p Point, cx, cy, ring int, emit func(int32, float64)) {
-	visit := func(x, y int) {
-		if x < 0 || x >= g.cellsX || y < 0 || y >= g.cellsY {
-			return
-		}
-		for _, e := range g.cell(x, y) {
-			emit(e.id, e.p.Dist2(p))
-		}
-	}
-	if ring == 0 {
-		visit(cx, cy)
-		return
-	}
-	for x := cx - ring; x <= cx+ring; x++ {
-		visit(x, cy-ring)
-		visit(x, cy+ring)
-	}
-	for y := cy - ring + 1; y <= cy+ring-1; y++ {
-		visit(cx-ring, y)
-		visit(cx+ring, y)
-	}
 }

@@ -156,87 +156,6 @@ func TestGridCoveredByIgnoresRadiusless(t *testing.T) {
 	}
 }
 
-func TestGridNearest(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	for _, n := range []int{1, 2, 17, 300} {
-		pts := randomPoints(r, n)
-		g := buildGrid(pts, 16)
-		for trial := 0; trial < 40; trial++ {
-			q := Point{r.Float64(), r.Float64()}
-			id, d, ok := g.Nearest(q)
-			if !ok {
-				t.Fatalf("Nearest on non-empty grid reported no result")
-			}
-			bestD := math.Inf(1)
-			for _, p := range pts {
-				if dd := p.Dist(q); dd < bestD {
-					bestD = dd
-				}
-			}
-			if math.Abs(d-bestD) > 1e-9 {
-				t.Fatalf("n=%d Nearest(%v) id=%d d=%g, brute force d=%g", n, q, id, d, bestD)
-			}
-			if got := pts[id].Dist(q); math.Abs(got-bestD) > 1e-9 {
-				t.Fatalf("Nearest returned id %d at distance %g, want %g", id, got, bestD)
-			}
-		}
-	}
-}
-
-func TestGridNearestEmpty(t *testing.T) {
-	g := NewGrid(UnitSquare, 4)
-	if _, _, ok := g.Nearest(Point{0.5, 0.5}); ok {
-		t.Error("Nearest on empty grid must report !ok")
-	}
-}
-
-func TestGridKNearestMatchesBruteForce(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	pts := randomPoints(r, 120)
-	g := buildGrid(pts, 16)
-	for trial := 0; trial < 30; trial++ {
-		q := Point{r.Float64(), r.Float64()}
-		for _, k := range []int{1, 3, 7, 120, 500} {
-			got := g.KNearest(q, k)
-			wantLen := min(k, len(pts))
-			want := bruteNearest(pts, q)[:wantLen]
-			if len(got) != wantLen {
-				t.Fatalf("k=%d: got %d ids, want %d", k, len(got), wantLen)
-			}
-			for i := range got {
-				// Compare by distance (ids may legitimately differ on exact ties).
-				dg := pts[got[i]].Dist2(q)
-				dw := pts[want[i]].Dist2(q)
-				if math.Abs(dg-dw) > 1e-12 {
-					t.Fatalf("k=%d pos=%d: got id %d (d2=%g) want id %d (d2=%g)", k, i, got[i], dg, want[i], dw)
-				}
-			}
-		}
-	}
-}
-
-func TestGridKNearestDegenerate(t *testing.T) {
-	g := NewGrid(UnitSquare, 4)
-	if got := g.KNearest(Point{0.5, 0.5}, 3); got != nil {
-		t.Errorf("KNearest on empty grid = %v, want nil", got)
-	}
-	g.Insert(0, Point{0.1, 0.1})
-	if got := g.KNearest(Point{0.5, 0.5}, 0); got != nil {
-		t.Errorf("KNearest k=0 = %v, want nil", got)
-	}
-}
-
-func TestGridDuplicateInsertPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Insert must panic")
-		}
-	}()
-	g := NewGrid(UnitSquare, 4)
-	g.Insert(1, Point{0.1, 0.1})
-	g.Insert(1, Point{0.2, 0.2})
-}
-
 func TestNewGridValidation(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()
@@ -264,22 +183,6 @@ func TestGridResolution(t *testing.T) {
 	}
 	if got := GridResolution(4, 1e-9); got > 512 {
 		t.Errorf("GridResolution must cap at 512, got %d", got)
-	}
-}
-
-func TestGridPointLookup(t *testing.T) {
-	g := buildGrid([]Point{{0.25, 0.75}}, 4)
-	if p, ok := g.Point(0); !ok || p != (Point{0.25, 0.75}) {
-		t.Errorf("Point(0) = %v,%v", p, ok)
-	}
-	if _, ok := g.Point(42); ok {
-		t.Error("Point on unknown id must report !ok")
-	}
-	if g.Len() != 1 {
-		t.Errorf("Len = %d, want 1", g.Len())
-	}
-	if g.Bounds() != UnitSquare {
-		t.Errorf("Bounds = %v", g.Bounds())
 	}
 }
 
@@ -344,8 +247,8 @@ func (m *mapGrid) coveredBy(p Point, maxR float64) []int32 {
 // checkLayout asserts the row-run invariants a query relies on once it has
 // settled the grid: each row's offsets start at 0, never decrease and end at
 // the row's length, every point sits in the run of the cell it maps to, and
-// the rows together hold Len() points.
-func checkLayout(t *testing.T, g *Grid) {
+// the rows together hold the n points inserted.
+func checkLayout(t *testing.T, g *Grid, n int) {
 	t.Helper()
 	g.settle()
 	total := 0
@@ -358,7 +261,7 @@ func checkLayout(t *testing.T, g *Grid) {
 			if off[cx] > off[cx+1] {
 				t.Fatalf("row %d: offset of cell %d (%d) past cell %d's (%d)", cy, cx, off[cx], cx+1, off[cx+1])
 			}
-			for _, e := range g.cell(cx, cy) {
+			for _, e := range g.run(cy, cx, cx) {
 				if x, y := g.cellOf(e.p); x != cx || y != cy {
 					t.Fatalf("id %d of cell (%d, %d) is stored in cell (%d, %d)", e.id, x, y, cx, cy)
 				}
@@ -366,26 +269,9 @@ func checkLayout(t *testing.T, g *Grid) {
 		}
 		total += len(row)
 	}
-	if total != g.Len() {
-		t.Fatalf("rows hold %d points, Len() = %d", total, g.Len())
+	if total != n {
+		t.Fatalf("rows hold %d points, want %d", total, n)
 	}
-}
-
-// bruteNearest ranks ids by (squared distance to q, id), the order Nearest
-// and KNearest promise.
-func bruteNearest(pts []Point, q Point) []int32 {
-	ids := make([]int32, len(pts))
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		da, db := pts[ids[a]].Dist2(q), pts[ids[b]].Dist2(q)
-		if da != db {
-			return da < db
-		}
-		return ids[a] < ids[b]
-	})
-	return ids
 }
 
 // Row runs answer exactly as the map-backed layout did, element for element:
@@ -394,7 +280,7 @@ func bruteNearest(pts []Point, q Point) []int32 {
 // as well as at random — between inserts, singly and in bursts, as the broker
 // registers campaigns while it serves (so a regrouping finds one appended
 // point in one row, or several across rows), and then at length on the full
-// grid. The nearest-point queries are held to brute force on the same grids.
+// grid.
 func TestGridQueriesKeepMapLayoutOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	edge := []float64{0, 1, 0.5, -0.1, 1.1}
@@ -418,14 +304,6 @@ func TestGridQueriesKeepMapLayoutOrder(t *testing.T) {
 			if got, want := g.Within(nil, q, r), m.within(q, r); !equalIDs(got, want) {
 				t.Fatalf("cells=%d n=%d Within(%v, %g) = %v, map layout %v", cells, len(pts), q, r, got, want)
 			}
-			want := bruteNearest(pts, q)
-			if id, d, ok := g.Nearest(q); !ok || id != want[0] || d != math.Sqrt(pts[id].Dist2(q)) {
-				t.Fatalf("cells=%d n=%d Nearest(%v) = %d, %g, %v; brute force %d", cells, len(pts), q, id, d, ok, want[0])
-			}
-			k := 1 + rng.Intn(12)
-			if got := g.KNearest(q, k); !equalIDs(got, want[:min(k, len(want))]) {
-				t.Fatalf("cells=%d n=%d KNearest(%v, %d) = %v, brute force %v", cells, len(pts), q, k, got, want[:min(k, len(want))])
-			}
 		}
 		for id := int32(0); id < 600; id++ {
 			p := Point{rng.Float64(), rng.Float64()}
@@ -446,7 +324,7 @@ func TestGridQueriesKeepMapLayoutOrder(t *testing.T) {
 				maxR = math.Max(maxR, m.radii[id])
 			}
 			if id%16 < 10 || id%16 == 15 { // ten single inserts, then a burst of six
-				checkLayout(t, g)
+				checkLayout(t, g, len(pts))
 				query(int(id))
 			}
 		}
@@ -508,24 +386,6 @@ func TestGridFirstQueriesMayBeConcurrent(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-}
-
-func TestGridDuplicateInsertWithRadiusPanics(t *testing.T) {
-	for name, second := range map[string]func(*Grid){
-		"radius then radius": func(g *Grid) { g.InsertWithRadius(1, Point{0.2, 0.2}, 0.1) },
-		"radius then plain":  func(g *Grid) { g.Insert(1, Point{0.2, 0.2}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: duplicate id must panic", name)
-				}
-			}()
-			g := NewGrid(UnitSquare, 4)
-			g.InsertWithRadius(1, Point{0.1, 0.1}, 0.1)
-			second(g)
-		}()
-	}
 }
 
 // BenchmarkGridCoveredByDense probes the dense-market grid: 8 192 campaigns

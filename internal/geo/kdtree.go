@@ -7,7 +7,8 @@ import (
 )
 
 // KDTree is a static 2-d tree over a fixed point set — the alternative to
-// Grid for the same three queries (Within, CoveredBy, KNearest). Grids win
+// Grid for the same two range queries (Within, CoveredBy), plus KNearest,
+// which only the tree answers. Grids win
 // when points are near-uniform in a bounded box (the paper's workloads);
 // k-d trees win under heavy clustering or unbounded coordinates, and need no
 // resolution parameter. The index ablation benchmarks compare the two.

@@ -267,19 +267,6 @@ func BenchmarkGridInsert(b *testing.B) {
 	}
 }
 
-func BenchmarkGridKNearest(b *testing.B) {
-	ids, pts, _ := benchPoints(2000)
-	g := NewGrid(UnitSquare, GridResolution(len(pts), 0.03))
-	for i := range pts {
-		g.Insert(ids[i], pts[i])
-	}
-	q := Point{X: 0.5, Y: 0.5}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.KNearest(q, 10)
-	}
-}
-
 func BenchmarkKDTreeKNearest(b *testing.B) {
 	ids, pts, _ := benchPoints(2000)
 	kd := BuildKDTree(ids, pts)

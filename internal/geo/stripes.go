@@ -34,12 +34,6 @@ func NewStripes(bounds Rect, n, cells int) Stripes {
 	return Stripes{bounds: bounds, n: n, cells: cells, cellH: bounds.Height() / float64(cells)}
 }
 
-// N returns the number of bands.
-func (s Stripes) N() int { return s.n }
-
-// Bounds returns the partitioned region.
-func (s Stripes) Bounds() Rect { return s.bounds }
-
 // Of returns the index of the band containing p, clamping points outside the
 // bounds to the nearest band so every point maps somewhere.
 func (s Stripes) Of(p Point) int { return s.ofY(p.Y) }

@@ -7,7 +7,7 @@ import (
 
 func TestStripesOf(t *testing.T) {
 	s := NewStripes(UnitSquare, 4, 64)
-	if s.N() != 4 || s.Bounds() != UnitSquare {
+	if s.n != 4 || s.bounds != UnitSquare {
 		t.Fatalf("stripes %+v", s)
 	}
 	cases := []struct {

@@ -124,11 +124,10 @@ func lengthMismatch(interests, tags int) string {
 // Vector — and an arrival's once per arrival; a candidate then costs Cov
 // against its slab run and Correlate on the result. Prepare, Cov and Correlate
 // evaluate the expressions of PearsonPreference{UniformActivity{}}.Score in
-// the same order — a weight of 1.0 multiplies exactly — so Score, written
-// through them, returns that score bit for bit
-// (TestUnitPearsonMatchesScoreBits). The zero value is the empty vector;
-// Prepare reuses the buffer, so a retained value allocates nothing in steady
-// state.
+// the same order — a weight of 1.0 multiplies exactly — so Correlate(Cov(…))
+// returns that score bit for bit (TestUnitPearsonMatchesScoreBits). The zero
+// value is the empty vector; Prepare reuses the buffer, so a retained value
+// allocates nothing in steady state.
 type UnitPearson struct {
 	d   []float64 // v[i] − mean(v)
 	cov float64   // Σ d[i]·d[i]
@@ -178,15 +177,6 @@ func (p *UnitPearson) Correlate(covXY, covYY float64) float64 {
 		return 0
 	}
 	return covXY / math.Sqrt(p.cov*covYY)
-}
-
-// Score returns Eq. 5 between the two prepared vectors, which must have equal
-// length; a mismatch panics.
-func (p *UnitPearson) Score(q *UnitPearson) float64 {
-	if len(p.d) != len(q.d) {
-		panic(lengthMismatch(len(p.d), len(q.d)))
-	}
-	return p.Correlate(p.Cov(q.d), q.cov)
 }
 
 // TablePreference looks preference scores up in a dense table indexed by

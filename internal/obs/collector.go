@@ -9,7 +9,7 @@ package obs
 // the bound; the registry guarantees hygiene — label values are sanitized and
 // escaped through the same renderLabels path as static labels, and samples
 // are sorted by label set so successive scrapes of a quiescent collector stay
-// byte-identical (the WriteText determinism contract).
+// byte-identical (the WriteTextFiltered determinism contract).
 //
 // The time-series sampler needs no special handling: Gather expands a
 // collector into one MetricPoint per sample, and the sampler allocates a ring

@@ -30,7 +30,7 @@ func TestLabelHygiene(t *testing.T) {
 	})
 
 	var sb strings.Builder
-	r.WriteText(&sb)
+	r.WriteTextFiltered(&sb, "")
 	out := sb.String()
 
 	for _, want := range []string{
@@ -65,7 +65,7 @@ func TestLabelHygiene(t *testing.T) {
 }
 
 // TestCollectorFunc: dynamic samples render sorted by label set (the
-// WriteText determinism contract), Gather expands the collector into one
+// scrape's determinism contract), Gather expands the collector into one
 // MetricPoint per sample, and registration misuse panics.
 func TestCollectorFunc(t *testing.T) {
 	r := NewRegistry()
@@ -80,8 +80,8 @@ func TestCollectorFunc(t *testing.T) {
 	})
 
 	var s1, s2 strings.Builder
-	r.WriteText(&s1)
-	r.WriteText(&s2)
+	r.WriteTextFiltered(&s1, "")
+	r.WriteTextFiltered(&s2, "")
 	if s1.String() != s2.String() {
 		t.Fatalf("quiescent collector scrapes differ:\n%s\n---\n%s", s1.String(), s2.String())
 	}

@@ -19,16 +19,16 @@
 //     broker's adaptive threshold.
 //   - Histogram: observation counts over fixed upper-bound buckets plus a
 //     running sum. Buckets are fixed at construction — see DESIGN.md §9 for
-//     why — and ExpBuckets/LinearBuckets build the common layouts.
+//     why — and ExpBuckets builds the usual latency layout.
 //     Snapshot() merges the shards into a consistent view with quantile
 //     estimation for offline reporting.
 //
 // # Exposition
 //
-// Registry.WriteText emits the v0.0.4 Prometheus text format: one # HELP /
-// # TYPE header per metric family, samples sorted by name then label set,
-// histograms as cumulative name_bucket{le="..."} series with name_sum and
-// name_count. Registry.Handler serves it over HTTP for GET /metrics. Output
+// Registry.WriteTextFiltered emits the v0.0.4 Prometheus text format: one
+// # HELP / # TYPE header per metric family, samples sorted by name then label
+// set, histograms as cumulative name_bucket{le="..."} series with name_sum
+// and name_count. Registry.Handler serves it over HTTP for GET /metrics. Output
 // ordering is deterministic so tests can diff scrapes.
 //
 // Registering two metrics with the same name and label set panics: metric

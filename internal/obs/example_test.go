@@ -22,7 +22,7 @@ func Example() {
 	latency.Observe(0.125)
 	latency.Observe(0.5)
 
-	reg.WriteText(os.Stdout)
+	reg.WriteTextFiltered(os.Stdout, "")
 	// Output:
 	// # HELP ads_served_total Ads pushed to arriving customers.
 	// # TYPE ads_served_total counter

@@ -14,12 +14,12 @@ import (
 // its own bucket array and sum word, so concurrent observers on different
 // shards never contend on a cache line — the same stripe discipline the
 // broker applies to campaign state. Shards are merged only by Snapshot /
-// WriteText, which is the cold scrape path.
+// WriteTextFiltered, which is the cold scrape path.
 //
 // The bucket layout is fixed at construction and never changes: a histogram
 // that re-bucketed itself under load could not be merged across scrapes or
 // compared across processes, and the hot path would need a lock to read the
-// layout. Choose buckets with ExpBuckets or LinearBuckets.
+// layout. Choose buckets with ExpBuckets or list the bounds.
 type Histogram struct {
 	upper  []float64 // ascending finite upper bounds; +Inf bucket is implicit
 	shards []histShard
@@ -36,7 +36,7 @@ type Histogram struct {
 // to jump from a p99 spike on a dashboard to the trace behind it.
 type Exemplar struct {
 	Value   float64
-	TraceID string
+	TraceID [16]byte // W3C trace ID, rendered as 32 lowercase hex digits
 }
 
 // histShard is one writer lane: a private bucket array plus a sum word.
@@ -123,9 +123,10 @@ func (h *Histogram) ObserveShard(lane int, v float64) {
 // ObserveShardExemplar is ObserveShard plus exemplar capture: when v is the
 // largest exemplar-bearing observation since the last scrape, traceID is
 // retained and rendered alongside the histogram (as an exposition comment).
-// The capture is a lock-free CAS-max; losing the race just means a larger
-// observation won.
-func (h *Histogram) ObserveShardExemplar(lane int, v float64, traceID string) {
+// The ID is taken as its 16 bytes, so a traced observation formats nothing;
+// the scrape hex-encodes it. The capture is a lock-free CAS-max; losing the
+// race just means a larger observation won.
+func (h *Histogram) ObserveShardExemplar(lane int, v float64, traceID [16]byte) {
 	h.ObserveShard(lane, v)
 	if math.IsNaN(v) {
 		return
@@ -253,7 +254,7 @@ func (h *Histogram) writeSamples(w io.Writer, name, labels string) {
 	// slowest traced observation rides along as a comment line that every
 	// compliant parser skips. Taking it here resets the window per scrape.
 	if e, ok := h.TakeExemplar(); ok {
-		fmt.Fprintf(w, "# EXEMPLAR %s%s %s trace_id=%q\n", name, labels, formatFloat(e.Value), e.TraceID)
+		fmt.Fprintf(w, "# EXEMPLAR %s%s %s trace_id=\"%x\"\n", name, labels, formatFloat(e.Value), e.TraceID)
 	}
 }
 
@@ -268,19 +269,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	for i := range out {
 		out[i] = start
 		start *= factor
-	}
-	return out
-}
-
-// LinearBuckets returns n bounds start, start+width, start+2·width, ….
-func LinearBuckets(start, width float64, n int) []float64 {
-	if width <= 0 || n < 1 {
-		panic(fmt.Sprintf("obs: LinearBuckets(%g, %g, %d)", start, width, n))
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start += width
 	}
 	return out
 }

@@ -178,17 +178,12 @@ func (r *Registry) NewGaugeFunc(name, help string, fn func() float64, labels ...
 	})
 }
 
-// WriteText renders every registered metric in the Prometheus text
+// WriteTextFiltered renders the registered families whose name starts with
+// prefix — every family for an empty prefix — in the Prometheus text
 // exposition format (version 0.0.4). Families are sorted by name and
 // samples by label set, so successive scrapes of a quiescent registry are
-// byte-identical.
-func (r *Registry) WriteText(w io.Writer) { r.WriteTextFiltered(w, "") }
-
-// WriteTextFiltered is WriteText restricted to the families whose name
-// starts with prefix. An empty prefix renders everything, byte-identical to
-// WriteText (pinned by TestWriteTextFilteredIdentity). Filtering happens at
-// the family level before any sampler runs, so a scrape that excludes a
-// histogram never pays its shard merge.
+// byte-identical. Filtering happens at the family level before any sampler
+// runs, so a scrape that excludes a histogram never pays its shard merge.
 func (r *Registry) WriteTextFiltered(w io.Writer, prefix string) {
 	for _, f := range r.snapshotFamilies(prefix) {
 		if f.help != "" {
@@ -248,7 +243,7 @@ type MetricPoint struct {
 }
 
 // Gather returns a point-in-time snapshot of every registered instrument in
-// WriteText order (families by name, samples by label set) — the
+// WriteTextFiltered order (families by name, samples by label set) — the
 // programmatic twin of the text scrape, consumed by the time-series
 // sampler. Value funcs run with no registry locks held.
 func (r *Registry) Gather() []MetricPoint {

@@ -12,12 +12,12 @@ func TestHistogramExemplar(t *testing.T) {
 	if _, ok := h.TakeExemplar(); ok {
 		t.Fatal("fresh histogram has an exemplar")
 	}
-	h.ObserveShardExemplar(0, 0.002, "trace-a")
-	h.ObserveShardExemplar(1, 0.050, "trace-b") // larger: must win
-	h.ObserveShardExemplar(2, 0.004, "trace-c") // smaller: must lose
+	h.ObserveShardExemplar(0, 0.002, [16]byte{0xa})
+	h.ObserveShardExemplar(1, 0.050, [16]byte{0xb}) // larger: must win
+	h.ObserveShardExemplar(2, 0.004, [16]byte{0xc}) // smaller: must lose
 
 	e, ok := h.TakeExemplar()
-	if !ok || e.TraceID != "trace-b" || e.Value != 0.050 {
+	if !ok || e.TraceID != [16]byte{0xb} || e.Value != 0.050 {
 		t.Fatalf("exemplar = %+v ok=%v, want trace-b@0.05", e, ok)
 	}
 	if _, ok := h.TakeExemplar(); ok {
@@ -31,10 +31,10 @@ func TestHistogramExemplar(t *testing.T) {
 
 	// The exposition renders the exemplar as a comment line (invisible to
 	// the v0.0.4 parser) and consumes it.
-	h.ObserveShardExemplar(0, 0.020, "trace-d")
+	h.ObserveShardExemplar(0, 0.020, [16]byte{0: 0x4b, 15: 0xd6})
 	var sb strings.Builder
-	r.WriteText(&sb)
-	if !strings.Contains(sb.String(), `# EXEMPLAR lat_seconds 0.02 trace_id="trace-d"`) {
+	r.WriteTextFiltered(&sb, "")
+	if !strings.Contains(sb.String(), `# EXEMPLAR lat_seconds 0.02 trace_id="4b0000000000000000000000000000d6"`) {
 		t.Fatalf("exemplar comment missing:\n%s", sb.String())
 	}
 	samples, _ := parseExposition(t, sb.String())
@@ -42,7 +42,7 @@ func TestHistogramExemplar(t *testing.T) {
 		t.Fatalf("parser saw count %g, want 4", samples["lat_seconds_count"])
 	}
 	sb.Reset()
-	r.WriteText(&sb)
+	r.WriteTextFiltered(&sb, "")
 	if strings.Contains(sb.String(), "# EXEMPLAR") {
 		t.Fatal("exemplar not consumed by scrape")
 	}
@@ -52,7 +52,7 @@ func TestRegisterRuntimeMetrics(t *testing.T) {
 	r := NewRegistry()
 	RegisterRuntimeMetrics(r)
 	var sb strings.Builder
-	r.WriteText(&sb)
+	r.WriteTextFiltered(&sb, "")
 	samples, types := parseExposition(t, sb.String())
 
 	for name, typ := range map[string]string{

@@ -193,12 +193,6 @@ func NewSampler(reg *Registry, opts SamplerOptions) *Sampler {
 	return s
 }
 
-// Every returns the configured sampling cadence.
-func (s *Sampler) Every() time.Duration { return s.every }
-
-// Capacity returns the per-series ring capacity in points.
-func (s *Sampler) Capacity() int { return s.capacity }
-
 // Start launches the background sampling loop. Idempotent; pair with Stop.
 func (s *Sampler) Start() {
 	if !s.started.CompareAndSwap(false, true) {

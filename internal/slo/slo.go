@@ -153,9 +153,6 @@ func New(sampler *obs.Sampler, reg *obs.Registry, logger *slog.Logger, rules []R
 	return w
 }
 
-// Rules returns the configured rule set (read-only).
-func (w *Watchdog) Rules() []Rule { return w.rules }
-
 // EvalAt evaluates every rule against the rings as of now. muaa-serve
 // calls it from the sampler's OnSample hook; tests call it directly after
 // SampleAt with the same synthetic clock.

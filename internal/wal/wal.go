@@ -101,8 +101,8 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 
 // Group commit: appends are buffered in memory and written to the OS once
 // groupCommit records are pending, and a background flusher bounds how long
-// a buffered record waits to flushBound (fsynced under SyncOnFlush). Flush
-// and Close write whatever is buffered at once.
+// a buffered record waits to flushBound (fsynced under SyncOnFlush). Close
+// writes whatever is buffered at once.
 const (
 	groupCommit = 64
 	flushBound  = 50 * time.Millisecond
@@ -159,7 +159,7 @@ func newWALMetrics(reg *obs.Registry) *walMetrics {
 	}
 }
 
-// Log is an open write-ahead log. Append/Flush/Snapshot/Close are safe for
+// Log is an open write-ahead log. Append/Snapshot/Close are safe for
 // concurrent use. The locking is two-level: mu guards only the in-memory
 // append buffer (the hot path pays one short lock plus a copy), while
 // flushMu serializes the slow file work — write, fsync, rotation — so an
@@ -378,12 +378,6 @@ func (l *Log) Append(payload []byte) (int, error) {
 		return n, l.flush(l.opts.Sync != SyncNone)
 	}
 	return n, nil
-}
-
-// Flush pushes all buffered records to the OS and fsyncs unless the policy
-// is SyncNone.
-func (l *Log) Flush() error {
-	return l.flush(l.opts.Sync != SyncNone)
 }
 
 // flush is the group-commit step: it steals the append buffer under mu,

@@ -394,7 +394,7 @@ func TestSyncEveryRecordWritesThrough(t *testing.T) {
 	if _, err := l.Append([]byte("durable")); err != nil {
 		t.Fatal(err)
 	}
-	// No Close, no Flush: the record must already be in the file.
+	// No Close, no flush: the record must already be in the file.
 	data, err := os.ReadFile(segmentPath(dir, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -444,7 +444,7 @@ func TestGroupCommitWritesThrough(t *testing.T) {
 }
 
 // TestBackgroundFlusher: a record short of a group commit reaches the file
-// within the flush bound, without Flush or Close.
+// within the flush bound, without a flush call or Close.
 func TestBackgroundFlusher(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{Sync: SyncNone})
@@ -484,8 +484,8 @@ func TestClosedLogRejectsOps(t *testing.T) {
 	if _, err := l.Append([]byte("x")); err != ErrClosed {
 		t.Fatalf("Append after Close = %v, want ErrClosed", err)
 	}
-	if err := l.Flush(); err != ErrClosed {
-		t.Fatalf("Flush after Close = %v, want ErrClosed", err)
+	if err := l.flush(l.opts.Sync != SyncNone); err != ErrClosed {
+		t.Fatalf("flush after Close = %v, want ErrClosed", err)
 	}
 	if err := l.Snapshot(nil); err != ErrClosed {
 		t.Fatalf("Snapshot after Close = %v, want ErrClosed", err)
@@ -577,7 +577,7 @@ func TestMetricsRegistered(t *testing.T) {
 	if _, err := l.Append([]byte("two")); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Flush(); err != nil { // write + fsync
+	if err := l.flush(l.opts.Sync != SyncNone); err != nil { // write + fsync
 		t.Fatal(err)
 	}
 	if err := l.Snapshot([]byte("snap")); err != nil {
@@ -587,7 +587,7 @@ func TestMetricsRegistered(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	reg.WriteText(&sb)
+	reg.WriteTextFiltered(&sb, "")
 	out := sb.String()
 	for _, want := range []string{
 		"muaa_wal_appends_total 2",
