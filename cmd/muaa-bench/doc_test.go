@@ -130,7 +130,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 // docsBudget. A change that cuts lines lowers the constant; raising it
 // needs a stated reason.
 func TestDocsBudget(t *testing.T) {
-	const docsBudget = 1965
+	const docsBudget = 1963
 	total := 0
 	for _, doc := range []string{"DESIGN.md", "docs/OPERATIONS.md", "docs/PERFORMANCE.md"} {
 		raw, err := os.ReadFile(filepath.Join("..", "..", doc))

@@ -57,9 +57,8 @@ type config struct {
 }
 
 // defaultConfig is the production configuration, the flags' defaults. Funnel
-// attribution is always on; the 25 ms slow-trace threshold and the 360-point
-// rings are the libraries' zero-value defaults, and the 50 ms WAL flush bound
-// is the log's constant.
+// attribution is always on; the 25 ms slow-trace threshold, the 360-point
+// rings and the 50 ms WAL flush bound are their libraries' constants.
 func defaultConfig() config {
 	return config{
 		addr:     ":8080",

@@ -65,7 +65,7 @@ func tracedServer(t *testing.T) (string, *syncBuffer, *app) {
 	buf := &syncBuffer{}
 	logger := slog.New(slog.NewJSONHandler(buf, nil))
 	cfg := testConfig()
-	cfg.trace = trace.RecorderOptions{Capacity: 64, SlowThreshold: time.Millisecond}
+	cfg.trace = trace.RecorderOptions{Capacity: 64}
 	base, _, a := startServerLogged(t, cfg, logger)
 	if code := postJSON(t, base+"/v1/campaigns",
 		`{"loc":{"x":0.5,"y":0.5},"radius":0.1,"budget":20,"tags":[1,0,0.2]}`, nil); code != http.StatusCreated {

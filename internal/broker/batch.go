@@ -20,7 +20,8 @@ package broker
 //
 // What differs by submission shape lives in the two wrappers, arriveOne and
 // arriveBatchTraced, not in the pipeline: which latency family is observed
-// and what the trace looks like.
+// and whether the trace counts a batch. Both file their trace through finish,
+// so a window's trace is an arrival's with window totals.
 
 import (
 	"errors"
@@ -77,8 +78,8 @@ func (b *Broker) ArriveBatch(batch []Arrival) []BatchResult {
 }
 
 // ArriveBatchTraced is ArriveBatch plus request tracing: one root span named
-// "arrival_batch" covering the whole call, with per-arrival outcomes in the
-// trace's batch table. With no recorder or no trace context it is exactly
+// "arrival_batch" covering the whole call, its outcome and counts totalled
+// over the window. With no recorder or no trace context it is exactly
 // ArriveBatch.
 func (b *Broker) ArriveBatchTraced(batch []Arrival, req *trace.Request) []BatchResult {
 	return b.arriveBatchTraced(batch, req, &batchScratch{})
@@ -104,30 +105,17 @@ func (b *Broker) startTrace(req *trace.Request) *trace.Trace {
 	return &trace.Trace{TraceID: req.TraceID, SpanID: req.SpanID, ParentSpanID: req.ParentSpanID}
 }
 
-// outcome classifies one arrival's result for its trace.
-func (r *BatchResult) outcome() string {
-	switch {
-	case r.Err != nil:
-		return trace.OutcomeError
-	case len(r.Offers) > 0:
-		return trace.OutcomeOffered
-	}
-	return trace.OutcomeNoOffers
-}
-
 // arriveOne is single submission: the pipeline over a window of one, observed
 // as muaa_broker_arrival_seconds (with the trace ID as a candidate exemplar,
 // so the slowest observation in a scrape window links to its trace) and
-// traced as an "arrival" (a refusal is HTTP's 503, which the middleware
-// traces). Committed offers are appended to dst — nil, the caller's own
-// buffer, or a pooled one the HTTP route lends — and the extended slice
-// returned. The window and its result live on this frame.
+// traced as an "arrival". Committed offers are appended to dst — nil, the
+// caller's own buffer, or a pooled one the HTTP route lends — and the
+// extended slice returned. The window and its result live on this frame.
 func (b *Broker) arriveOne(a *Arrival, req *trace.Request, dst []Offer) ([]Offer, error) {
 	batch := [1]Arrival{*a}
 	var results [1]BatchResult
 	t := b.startTrace(req)
 	dst, live, lane, elapsed := b.arriveBatch(batch[:], results[:], dst, t)
-	r := &results[0]
 	if m := b.metrics; m != nil && live > 0 {
 		if t != nil {
 			m.arrival.ObserveShardExemplar(lane, elapsed.Seconds(), t.TraceID)
@@ -135,44 +123,42 @@ func (b *Broker) arriveOne(a *Arrival, req *trace.Request, dst []Offer) ([]Offer
 			m.arrival.ObserveShard(lane, elapsed.Seconds())
 		}
 	}
-	if t != nil && refusal(results[:]) == nil {
-		t.Capacity = a.Capacity
-		t.Offers = len(r.Offers)
-		t.Outcome = r.outcome()
-		if r.Err != nil {
-			t.Error = r.Err.Error()
-		}
-		t.Anomalous = r.Err != nil || t.Scan.Exhausted > 0
-		b.tracer.Record(t)
-	}
-	b.captureBatch(batch[:], results[:])
-	return dst, r.Err
+	b.finish(t, batch[:], results[:], live)
+	return dst, results[0].Err
 }
 
 // arriveBatchTraced is batch submission: the pipeline over the window,
-// observed as muaa_broker_batch_size and traced as an "arrival_batch" with one
-// outcome row per submitted arrival (a refused window as arriveOne's).
+// observed as muaa_broker_batch_size and traced as an "arrival_batch".
 func (b *Broker) arriveBatchTraced(batch []Arrival, req *trace.Request, sc *batchScratch) []BatchResult {
 	results := slices.Grow(sc.results[:0], len(batch))[:len(batch)]
 	clear(results)
 	sc.results = results
 	t := b.startTrace(req)
+	if t != nil {
+		t.Batch = len(batch)
+	}
 	offers, live, _, _ := b.arriveBatch(batch, results, sc.offers[:0], t)
 	sc.offers = offers
 	if m := b.metrics; m != nil {
 		m.batchSize.Observe(float64(live))
 	}
+	b.finish(t, batch, results, live)
+	return results
+}
+
+// finish closes a submission after the stripe locks have been released. It
+// files the trace, if any, with the window's outcome (error when no element
+// was accepted), its capacity and offer totals and the first rejection's
+// message, anomalous when an element was rejected or a candidate exhausted
+// (a refused window is HTTP's 503, which the middleware traces). Then it
+// feeds the accepted arrivals to the live-audit window in submission order.
+func (b *Broker) finish(t *trace.Trace, batch []Arrival, results []BatchResult, live int) {
 	if t != nil && refusal(results) == nil {
-		t.Batch = len(batch)
-		t.BatchOutcomes = make([]trace.BatchOutcome, len(results))
 		for i := range results {
-			r, o := &results[i], &t.BatchOutcomes[i]
-			o.Outcome = r.outcome()
-			o.Offers = len(r.Offers)
-			if r.Err != nil {
-				o.Error = r.Err.Error()
+			if err := results[i].Err; err != nil && t.Error == "" {
+				t.Error = err.Error()
 			}
-			t.Offers += len(r.Offers)
+			t.Offers += len(results[i].Offers)
 			t.Capacity += batch[i].Capacity
 		}
 		switch {
@@ -186,13 +172,6 @@ func (b *Broker) arriveBatchTraced(batch []Arrival, req *trace.Request, sc *batc
 		t.Anomalous = live < len(batch) || t.Scan.Exhausted > 0
 		b.tracer.Record(t)
 	}
-	b.captureBatch(batch, results)
-	return results
-}
-
-// captureBatch feeds the accepted arrivals to the live-audit window in
-// submission order, after the stripe locks have been released.
-func (b *Broker) captureBatch(batch []Arrival, results []BatchResult) {
 	if b.audit != nil {
 		b.audit.capture(batch, results)
 	}

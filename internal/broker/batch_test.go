@@ -344,9 +344,10 @@ func TestBatchEdgeCases(t *testing.T) {
 	}
 }
 
-// TestArriveBatchTraced pins the batch trace shape: root named by Batch > 0,
-// one outcome per submitted arrival in order, summed capacity/offers, and
-// stage spans that partition the root.
+// TestArriveBatchTraced pins the batch trace shape: an arrival's trace with
+// window totals — root named by Batch > 0, summed capacity and offers, the
+// first rejection's message, the window's scan tally — and stage spans that
+// partition the root.
 func TestArriveBatchTraced(t *testing.T) {
 	rec := trace.NewRecorder(trace.RecorderOptions{})
 	b := tracedBroker(t, rec, nil)
@@ -356,6 +357,7 @@ func TestArriveBatchTraced(t *testing.T) {
 		{Capacity: -5},
 		{Loc: geo.Point{X: 0.99, Y: 0.01}, Capacity: 1, ViewProb: 0.5,
 			Interests: []float64{1, 0, 1}, Hour: 1},
+		{Capacity: 1, ViewProb: 2},
 	}
 	results := b.ArriveBatchTraced(batch, newTraceReq())
 	traces := rec.Snapshot(trace.Filter{})
@@ -363,27 +365,31 @@ func TestArriveBatchTraced(t *testing.T) {
 		t.Fatalf("recorded %d traces, want 1 (one root per batch)", len(traces))
 	}
 	tr := traces[0]
-	if tr.Batch != 3 {
-		t.Fatalf("trace batch = %d, want 3", tr.Batch)
+	if tr.Batch != len(batch) {
+		t.Fatalf("trace batch = %d, want %d", tr.Batch, len(batch))
 	}
-	if len(tr.BatchOutcomes) != 3 {
-		t.Fatalf("trace carries %d outcomes, want 3", len(tr.BatchOutcomes))
+	if len(results[0].Offers) == 0 || results[1].Err == nil || results[3].Err == nil {
+		t.Fatalf("fixture drifted: results %+v", results)
 	}
-	if tr.BatchOutcomes[0].Outcome != trace.OutcomeOffered ||
-		tr.BatchOutcomes[0].Offers != len(results[0].Offers) {
-		t.Fatalf("outcome[0] = %+v", tr.BatchOutcomes[0])
+	if tr.Outcome != trace.OutcomeOffered {
+		t.Fatalf("trace outcome = %q, want offered", tr.Outcome)
 	}
-	if tr.BatchOutcomes[1].Outcome != trace.OutcomeError || tr.BatchOutcomes[1].Error == "" {
-		t.Fatalf("outcome[1] = %+v", tr.BatchOutcomes[1])
-	}
-	if tr.BatchOutcomes[2].Outcome != trace.OutcomeNoOffers {
-		t.Fatalf("outcome[2] = %+v", tr.BatchOutcomes[2])
+	if tr.Error != results[1].Err.Error() {
+		t.Fatalf("trace error = %q, want the first rejection's %q", tr.Error, results[1].Err)
 	}
 	if !tr.Anomalous {
 		t.Fatal("batch with a rejected element not marked anomalous")
 	}
+	if want := 2 - 5 + 1 + 1; tr.Capacity != want {
+		t.Fatalf("trace capacity = %d, want the window's %d", tr.Capacity, want)
+	}
 	if tr.Offers != len(results[0].Offers) {
 		t.Fatalf("trace offers = %d, want %d", tr.Offers, len(results[0].Offers))
+	}
+	// The far arrival gathers nothing, so the window's tally is the first
+	// arrival's: its committed offers are its admissions less the displaced.
+	if tr.Scan.Gathered == 0 || tr.Scan.Offered-tr.Scan.Displaced != uint64(tr.Offers) {
+		t.Fatalf("trace scan = %+v, want gathered > 0 and offered − displaced = %d", tr.Scan, tr.Offers)
 	}
 	if !tr.Staged {
 		t.Fatal("batch trace missing stage spans")
@@ -407,8 +413,15 @@ func TestArriveBatchTraced(t *testing.T) {
 	if !strings.Contains(string(js), `"name":"arrival_batch"`) {
 		t.Fatalf("batch trace JSON missing arrival_batch root: %s", js)
 	}
-	if !strings.Contains(string(js), `"arrivals":[`) {
-		t.Fatalf("batch trace JSON missing per-arrival outcomes: %s", js)
+	if !strings.Contains(string(js), `"batch":4,`) || strings.Contains(string(js), `"arrivals"`) {
+		t.Fatalf("batch trace JSON wants a batch count and no per-arrival table: %s", js)
+	}
+
+	// Nothing accepted → outcome "error", carrying the first message.
+	rejected := b.ArriveBatchTraced([]Arrival{{Capacity: -1}, {Capacity: 1, ViewProb: 2}}, newTraceReq())
+	tr = rec.Snapshot(trace.Filter{Limit: 1})[0]
+	if tr.Outcome != trace.OutcomeError || !tr.Anomalous || tr.Error != rejected[0].Err.Error() {
+		t.Fatalf("all-rejected window traced as %q anomalous=%t error=%q", tr.Outcome, tr.Anomalous, tr.Error)
 	}
 
 	// Recorder absent → plain ArriveBatch semantics, nothing recorded.
@@ -425,9 +438,10 @@ func TestArriveBatchTraced(t *testing.T) {
 
 // arriveBatchTracedDense holds the stage accounting at the `dense` shape:
 // ≈260 candidates per arrival in windows of 64, so every window gathers
-// several chunks and laps the clock once per phase of each. The spans must
-// still partition the root exactly, and each stage histogram must take one
-// observation per call, not one per chunk.
+// several chunks and laps the clock once per phase of each. The trace must
+// total the window's offers and capacity, the spans must still partition the
+// root exactly, and each stage histogram must take one observation per call,
+// not one per chunk.
 func arriveBatchTracedDense(t *testing.T) {
 	rec := trace.NewRecorder(trace.RecorderOptions{})
 	b, err := New(Config{AdTypes: workload.DefaultAdTypes(), Metrics: obs.NewRegistry(), Tracer: rec})
@@ -439,11 +453,20 @@ func arriveBatchTracedDense(t *testing.T) {
 	calls := 0
 	for at := 0; at < len(arrivals); at += window {
 		req := newTraceReq()
-		b.ArriveBatchTraced(arrivals[at:at+window], req)
+		win := arrivals[at : at+window]
+		results := b.ArriveBatchTraced(win, req)
 		calls++
 		tr := rec.Snapshot(trace.Filter{Limit: 1})[0]
 		if tr.TraceID != req.TraceID {
 			t.Fatalf("window %d: newest trace is not this call's", calls)
+		}
+		offers, capacity := 0, 0
+		for i := range win {
+			offers += len(results[i].Offers)
+			capacity += win[i].Capacity
+		}
+		if tr.Offers != offers || tr.Capacity != capacity {
+			t.Fatalf("window %d: trace totals %d offers / %d capacity, want %d / %d", calls, tr.Offers, tr.Capacity, offers, capacity)
 		}
 		if tr.Scan.Gathered <= chunkIDs {
 			t.Fatalf("window %d gathered %d ids, want more than one chunk (%d)", calls, tr.Scan.Gathered, chunkIDs)
@@ -486,20 +509,27 @@ func serveDefaults() Config {
 // then refills the slot it overwrites. The traced rows add muaa-serve's
 // flight recorder and call arriveOne with a trace request and a caller
 // buffer, as POST /v1/arrivals does: the latency exemplar keeps the trace ID
-// as its 16 bytes.
+// as its 16 bytes. The window rows submit 256-arrival windows through
+// arriveBatchTraced with a reused scratch, as POST /v1/arrivals:batch does:
+// a window's trace is an arrival's, totals and all, copied by value. The
+// durable window row skips under -race, where sync.Pool drops buffers.
 func TestArriveAppendZeroAllocs(t *testing.T) {
-	for _, mode := range []string{"", "serve,", "serve,traced,"} {
+	for _, mode := range []string{"", "serve,", "serve,traced,", "serve,traced,window,"} {
 		for _, durable := range []bool{false, true} {
 			name := fmt.Sprintf("%sdurable=%t", mode, durable)
 			cfg := Config{AdTypes: workload.DefaultAdTypes()}
 			if mode != "" {
 				cfg = serveDefaults()
 			}
-			traced := mode == "serve,traced,"
+			traced := strings.HasPrefix(mode, "serve,traced,")
 			if traced {
 				cfg.Tracer = trace.NewRecorder(trace.RecorderOptions{Capacity: 256})
 			}
+			window := mode == "serve,traced,window,"
 			t.Run(name, func(t *testing.T) {
+				if window && durable && raceEnabled {
+					t.Skip("sync.Pool drops the pooled record buffer under -race")
+				}
 				if durable {
 					cfg.DataDir = t.TempDir()
 					cfg.WAL = crashWAL()
@@ -520,7 +550,21 @@ func TestArriveAppendZeroAllocs(t *testing.T) {
 					Interests: []float64{1, 0.5, 1}, Hour: 12}
 				req := trace.StartRequest("")
 				dst := make([]Offer, 0, 16)
+				win := make([]Arrival, 256)
+				for i := range win {
+					win[i] = a
+					win[i].Loc = geo.Point{X: float64(i%16)/16 + 0.03, Y: float64(i/16)/16 + 0.03}
+				}
+				var sc batchScratch
 				arrive := func() {
+					if window {
+						for _, r := range b.arriveBatchTraced(win, &req, &sc) {
+							if r.Err != nil {
+								t.Fatal(r.Err)
+							}
+						}
+						return
+					}
 					var out []Offer
 					var err error
 					if traced {
@@ -535,11 +579,15 @@ func TestArriveAppendZeroAllocs(t *testing.T) {
 				}
 				// Warm up: grow the arena, the γ estimator and the record pool
 				// to steady state, and wrap the audit ring.
-				for i := 0; i < 16+cfg.AuditWindow; i++ {
+				warm := 16 + cfg.AuditWindow
+				if window {
+					warm = 16 + cfg.AuditWindow/len(win)
+				}
+				for i := 0; i < warm; i++ {
 					arrive()
 				}
 				if allocs := testing.AllocsPerRun(200, arrive); allocs != 0 {
-					t.Fatalf("serial arrival allocates %v times per op, want 0", allocs)
+					t.Fatalf("submission allocates %v times per op, want 0", allocs)
 				}
 			})
 		}

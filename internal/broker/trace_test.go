@@ -218,8 +218,8 @@ func TestArrivalExemplar(t *testing.T) {
 }
 
 // TestArriveTracedAllocs pins the traced single submission's allocation
-// budget: the one trace.Trace the flight recorder retains, and nothing else —
-// the window of one and its result stay on the caller's frame.
+// budget at zero: the window of one, its result and its trace stay on the
+// caller's frame, and the flight recorder copies the trace by value.
 func TestArriveTracedAllocs(t *testing.T) {
 	rec := trace.NewRecorder(trace.RecorderOptions{})
 	b := tracedBroker(t, rec, nil)
@@ -232,7 +232,7 @@ func TestArriveTracedAllocs(t *testing.T) {
 		if _, err := b.ArriveTraced(a, req); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs > 1 {
-		t.Fatalf("traced arrival allocates %v times per call, want at most 1 (the retained trace)", allocs)
+	}); allocs != 0 {
+		t.Fatalf("traced arrival allocates %v times per call, want 0", allocs)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"muaa/internal/core"
 	"muaa/internal/stats"
-	"muaa/internal/workload"
 )
 
 func smallDataset(t *testing.T) *Dataset {
@@ -149,16 +148,6 @@ func TestToProblem(t *testing.T) {
 	for i, u := range p.Customers {
 		if len(u.Interests) != ds.Taxonomy.NumTags() {
 			t.Fatalf("customer %d interests dimension %d", i, len(u.Interests))
-		}
-	}
-	// Ad-type catalog matches the shared default.
-	shared := workload.DefaultAdTypes()
-	if len(p.AdTypes) != len(shared) {
-		t.Fatalf("ad types diverge from workload.DefaultAdTypes")
-	}
-	for k := range shared {
-		if p.AdTypes[k] != shared[k] {
-			t.Fatalf("ad type %d diverges: %+v vs %+v", k, p.AdTypes[k], shared[k])
 		}
 	}
 }

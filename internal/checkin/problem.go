@@ -7,6 +7,7 @@ import (
 	"muaa/internal/model"
 	"muaa/internal/stats"
 	"muaa/internal/taxonomy"
+	"muaa/internal/workload"
 )
 
 // ProblemConfig controls the dataset → MUAA problem conversion, carrying the
@@ -100,7 +101,7 @@ func ToProblem(ds *Dataset, cfg ProblemConfig) (*model.Problem, error) {
 		}
 	}
 
-	p := &model.Problem{AdTypes: defaultAdTypes()}
+	p := &model.Problem{AdTypes: workload.DefaultAdTypes()}
 	p.Vendors = make([]model.Vendor, len(venues))
 	for j, v := range venues {
 		p.Vendors[j] = model.Vendor{
@@ -137,16 +138,4 @@ func sampleRecords(rng *stats.Rand, records []Record, n int) []Record {
 		out[i] = records[j]
 	}
 	return out
-}
-
-// defaultAdTypes mirrors workload.DefaultAdTypes without importing it (the
-// two packages are independent substrates; the shared catalog is asserted
-// equal in tests).
-func defaultAdTypes() []model.AdType {
-	return []model.AdType{
-		{Name: "Text Link", Cost: 1, Effect: 0.1},
-		{Name: "Banner", Cost: 1.5, Effect: 0.22},
-		{Name: "Photo Link", Cost: 2, Effect: 0.4},
-		{Name: "In-App Video", Cost: 3, Effect: 0.55},
-	}
 }

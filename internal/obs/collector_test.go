@@ -126,7 +126,7 @@ func TestCollectorSamplerRings(t *testing.T) {
 	r := NewRegistry()
 	var set []Sample
 	r.NewCollectorFunc("top_total", "top-k", "counter", func() []Sample { return set })
-	s := NewSampler(r, SamplerOptions{Capacity: 8})
+	s := NewSampler(r, SamplerOptions{})
 
 	set = []Sample{{Labels: []Label{L("id", "1")}, Value: 10}}
 	s.SampleAt(tsBase)

@@ -19,15 +19,15 @@ package obs
 // window with no observations records NaN quantiles (rendered as JSON
 // null), so idle periods are distinguishable from fast ones.
 //
-// Memory is strictly bounded: capacity × series × 16 bytes, all allocated
+// Memory is strictly bounded: ringPoints × series × 16 bytes, all allocated
 // by the first sample that sees each series (the ring arrays never grow or
-// shrink afterwards). At the defaults — 360 points, the ~200-series
-// registry a fully instrumented broker registers — that is under 1.5 MiB.
-// The series count is itself bounded: a series that received no point for
-// capacity consecutive samples (a collector label that left its top-K) holds
-// only points older than the retention horizon and is dropped, so at most
-// capacity × (series per sample) rings are alive however many label values a
-// collector rotates through.
+// shrink afterwards). For the ~200-series registry a fully instrumented
+// broker registers that is under 1.5 MiB. The series count is itself
+// bounded: a series that received no point for ringPoints consecutive
+// samples (a collector label that left its top-K) holds only points older
+// than the retention horizon and is dropped, so at most ringPoints × (series
+// per sample) rings are alive however many label values a collector rotates
+// through.
 
 import (
 	"encoding/json"
@@ -44,6 +44,10 @@ import (
 
 // TimeSeriesSchema is the schema tag of every timeseries snapshot document.
 const TimeSeriesSchema = "muaa-timeseries/1"
+
+// ringPoints is every series' ring size: half an hour at the default 5 s
+// cadence.
+const ringPoints = 360
 
 // Point is one sampled value: Unix is the sample wall time in seconds,
 // Value the derived sample (NaN = no data in the window, marshaled null).
@@ -123,9 +127,6 @@ type SamplerOptions struct {
 	// Every is the sampling cadence of Start's background loop; ≤ 0 selects
 	// 5 s. Tests drive SampleAt directly and may ignore it.
 	Every time.Duration
-	// Capacity is the per-series ring size in points; ≤ 0 selects 360 (half
-	// an hour at the default cadence).
-	Capacity int
 	// OnSample, when non-nil, runs on the sampling goroutine after each
 	// sample lands (the SLO watchdog hangs its evaluation here, so rule
 	// state always sees the sample that triggered it).
@@ -140,7 +141,6 @@ type SamplerOptions struct {
 type Sampler struct {
 	reg      *Registry
 	every    time.Duration
-	capacity int
 	onSample func(time.Time)
 
 	// sampleMu serializes samplers (the Start loop vs SampleAt callers);
@@ -170,13 +170,9 @@ func NewSampler(reg *Registry, opts SamplerOptions) *Sampler {
 	if opts.Every <= 0 {
 		opts.Every = 5 * time.Second
 	}
-	if opts.Capacity <= 0 {
-		opts.Capacity = 360
-	}
 	s := &Sampler{
 		reg:      reg,
 		every:    opts.Every,
-		capacity: opts.Capacity,
 		onSample: opts.OnSample,
 		prev:     make(map[string]float64),
 		prevHist: make(map[string]HistogramSnapshot),
@@ -278,7 +274,7 @@ func (s *Sampler) SampleAt(now time.Time) {
 	for _, e := range entries {
 		r := s.series[e.key]
 		if r == nil {
-			r = &ring{pts: make([]Point, s.capacity), src: e.src}
+			r = &ring{pts: make([]Point, ringPoints), src: e.src}
 			s.series[e.key] = r
 			i := sort.SearchStrings(s.names, e.key)
 			s.names = append(s.names, "")
@@ -294,7 +290,7 @@ func (s *Sampler) SampleAt(now time.Time) {
 	// (first rate NaN) instead of differencing against a stale total.
 	s.names = slices.DeleteFunc(s.names, func(name string) bool {
 		r := s.series[name]
-		if seq-r.last < uint64(s.capacity) {
+		if seq-r.last < ringPoints {
 			return false
 		}
 		delete(s.series, name)
@@ -369,7 +365,7 @@ func (s *Sampler) Query(q TimeSeriesQuery) TimeSeriesSnapshot {
 	out := TimeSeriesSnapshot{
 		Schema:          TimeSeriesSchema,
 		IntervalSeconds: s.every.Seconds(),
-		Capacity:        s.capacity,
+		Capacity:        ringPoints,
 		Samples:         s.samples.Load(),
 		Series:          []Series{},
 	}

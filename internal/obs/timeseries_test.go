@@ -136,7 +136,7 @@ func TestSamplerDerivations(t *testing.T) {
 	c := r.NewCounter("ev_total", "events")
 	g := r.NewGauge("depth", "queue depth")
 	h := r.NewHistogram("lat_seconds", "latency", []float64{0.001, 0.01, 0.1, 1})
-	s := NewSampler(r, SamplerOptions{Capacity: 8})
+	s := NewSampler(r, SamplerOptions{})
 
 	g.Set(3)
 	s.SampleAt(tsBase) // first sample: rates/quantiles unknown
@@ -186,7 +186,7 @@ func TestSamplerCounterResetClampsToZero(t *testing.T) {
 	r := NewRegistry()
 	val := 100.0
 	r.NewCounterFunc("restarts_total", "x", func() float64 { return val })
-	s := NewSampler(r, SamplerOptions{Capacity: 8})
+	s := NewSampler(r, SamplerOptions{})
 
 	s.SampleAt(tsBase)
 	val = 150
@@ -211,15 +211,16 @@ func TestSamplerCounterResetClampsToZero(t *testing.T) {
 func TestSamplerRingWraparound(t *testing.T) {
 	r := NewRegistry()
 	g := r.NewGauge("wrap", "x")
-	s := NewSampler(r, SamplerOptions{Capacity: 4})
+	s := NewSampler(r, SamplerOptions{})
 
-	for i := 0; i < 10; i++ {
+	const samples = ringPoints + 6
+	for i := 0; i < samples; i++ {
 		g.Set(float64(i))
 		s.SampleAt(tsBase.Add(time.Duration(i) * time.Second))
 	}
 	pts := seriesOf(t, s, "wrap")
-	if len(pts) != 4 {
-		t.Fatalf("ring holds %d points, want capacity 4", len(pts))
+	if len(pts) != ringPoints {
+		t.Fatalf("ring holds %d points, want %d", len(pts), ringPoints)
 	}
 	for i, p := range pts {
 		wantV := float64(6 + i)
@@ -228,14 +229,14 @@ func TestSamplerRingWraparound(t *testing.T) {
 			t.Fatalf("pts[%d] = %+v, want t=%g v=%g (oldest-first tail)", i, p, wantT, wantV)
 		}
 	}
-	if snap := s.Query(TimeSeriesQuery{}); snap.Samples != 10 {
-		t.Fatalf("Samples = %d, want 10", snap.Samples)
+	if snap := s.Query(TimeSeriesQuery{}); snap.Samples != samples {
+		t.Fatalf("Samples = %d, want %d", snap.Samples, samples)
 	}
 }
 
 func TestSamplerEmptyRegistry(t *testing.T) {
 	r := NewRegistry()
-	s := NewSampler(r, SamplerOptions{Capacity: 4})
+	s := NewSampler(r, SamplerOptions{})
 	s.SampleAt(tsBase)
 	s.SampleAt(tsBase.Add(time.Second))
 	// Only the sampler's own instruments exist: one counter (→ :rate) and
@@ -257,7 +258,7 @@ func TestSamplerQueryFilters(t *testing.T) {
 	r := NewRegistry()
 	a := r.NewGauge("aa", "x")
 	r.NewGauge("bb", "x").Set(1)
-	s := NewSampler(r, SamplerOptions{Capacity: 16})
+	s := NewSampler(r, SamplerOptions{})
 	for i := 0; i < 10; i++ {
 		a.Set(float64(i))
 		s.SampleAt(tsBase.Add(time.Duration(i) * time.Second))
@@ -267,7 +268,7 @@ func TestSamplerQueryFilters(t *testing.T) {
 	if len(snap.Series) != 2 || snap.Series[0].Name != "aa" || snap.Series[1].Name != "bb" {
 		t.Fatalf("prefix filter returned %+v", snap.Series)
 	}
-	if snap.Schema != TimeSeriesSchema || snap.Capacity != 16 {
+	if snap.Schema != TimeSeriesSchema || snap.Capacity != ringPoints {
 		t.Fatalf("snapshot header = %+v", snap)
 	}
 
@@ -317,7 +318,7 @@ func TestSamplerGoldenJSON(t *testing.T) {
 	c := r.NewCounter("muaa_demo_events_total", "seeded events")
 	g := r.NewGauge("muaa_demo_ratio", "seeded ratio")
 	h := r.NewHistogram("muaa_demo_lat_seconds", "seeded latency", []float64{0.001, 0.01, 0.1})
-	s := NewSampler(r, SamplerOptions{Every: 5 * time.Second, Capacity: 360})
+	s := NewSampler(r, SamplerOptions{Every: 5 * time.Second})
 
 	ratios := []float64{1, 0.95, 0.7, 0.82, 1}
 	for i, ratio := range ratios {
@@ -410,18 +411,18 @@ func TestSamplerHandlerErrors(t *testing.T) {
 }
 
 // TestSamplerEvictsSilentSeries pins the bound on the series count: a
-// collector whose 16-label set rotates through 5 000 values (the funnel's
-// shifting top-K) keeps at most capacity samples' worth of rings alive, the
-// previous-value maps shrink with them, and a label that returns after its
-// ring was evicted starts a fresh one.
+// collector whose 4-label set rotates through 1 840 values (the funnel's
+// shifting top-K, narrowed to keep the rings small) keeps at most
+// ringPoints samples' worth of rings alive, the previous-value maps shrink
+// with them, and a label that returns after its ring was evicted starts a
+// fresh one.
 func TestSamplerEvictsSilentSeries(t *testing.T) {
 	const (
-		capacity  = 8
-		perSample = 16
-		labels    = 5000
-		// Rings written by the last `capacity` samples, plus the sampler's
+		perSample = 4
+		labels    = perSample * (ringPoints + 100)
+		// Rings written by the last ringPoints samples, plus the sampler's
 		// two self-instruments.
-		ceiling = capacity*perSample + 2
+		ceiling = ringPoints*perSample + 2
 	)
 	r := NewRegistry()
 	first := 0
@@ -432,7 +433,7 @@ func TestSamplerEvictsSilentSeries(t *testing.T) {
 		}
 		return out
 	})
-	s := NewSampler(r, SamplerOptions{Capacity: capacity})
+	s := NewSampler(r, SamplerOptions{})
 
 	samples := 0
 	sample := func() {
@@ -457,7 +458,7 @@ func TestSamplerEvictsSilentSeries(t *testing.T) {
 		t.Fatalf("prev holds %d counters for %d series", len(s.prev), ceiling)
 	}
 
-	// id="160" left the set ~300 samples ago; its ring and its previous total
+	// id="160" left the set ~420 samples ago; its ring and its previous total
 	// are gone, so on return it is a new series whose first rate is unknown.
 	const back = `rot_total{id="160"}:rate`
 	first = 160
@@ -465,7 +466,7 @@ func TestSamplerEvictsSilentSeries(t *testing.T) {
 	if pts := seriesOf(t, s, back); len(pts) != 1 || !math.IsNaN(pts[0].Value) {
 		t.Fatalf("returning label resumed an old ring: %+v", pts)
 	}
-	// A series silent for fewer than capacity samples keeps its history.
+	// A series silent for fewer than ringPoints samples keeps its history.
 	first += perSample
 	sample()
 	if pts := seriesOf(t, s, back); len(pts) != 1 {
@@ -475,13 +476,13 @@ func TestSamplerEvictsSilentSeries(t *testing.T) {
 
 // TestSamplerConcurrentSoak races the background loop against scrapes,
 // queries, and instrument traffic (run under -race in CI). It also pins
-// the bounded-memory contract: rings never exceed capacity.
+// the bounded-memory contract: rings never exceed ringPoints.
 func TestSamplerConcurrentSoak(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("soak_total", "x")
 	g := r.NewGauge("soak_gauge", "x")
 	h := r.NewHistogram("soak_lat", "x", []float64{0.001, 0.01})
-	s := NewSampler(r, SamplerOptions{Every: time.Millisecond, Capacity: 8})
+	s := NewSampler(r, SamplerOptions{Every: time.Millisecond})
 	s.Start()
 
 	var wg sync.WaitGroup
@@ -525,8 +526,8 @@ func TestSamplerConcurrentSoak(t *testing.T) {
 	s.Stop() // idempotent
 
 	for _, sr := range s.Query(TimeSeriesQuery{}).Series {
-		if len(sr.Points) > 8 {
-			t.Fatalf("series %s holds %d points, capacity 8 violated", sr.Name, len(sr.Points))
+		if len(sr.Points) > ringPoints {
+			t.Fatalf("series %s holds %d points, capacity %d violated", sr.Name, len(sr.Points), ringPoints)
 		}
 	}
 	if int(s.nseries.Load()) == 0 {

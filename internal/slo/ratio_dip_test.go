@@ -77,7 +77,7 @@ func TestRatioDipTripsSLOAndRecovers(t *testing.T) {
 	wcfg.RatioTarget = 0.5
 
 	logs := &bytes.Buffer{}
-	sampler := obs.NewSampler(reg, obs.SamplerOptions{Every: 5 * time.Second, Capacity: 128})
+	sampler := obs.NewSampler(reg, obs.SamplerOptions{Every: 5 * time.Second})
 	wd := New(sampler, reg, slog.New(slog.NewJSONHandler(logs, nil)), wcfg.Rules())
 
 	now := time.Unix(1_700_000_000, 0).UTC()

@@ -27,7 +27,7 @@ type rig struct {
 func newRig(t *testing.T, rules []Rule) *rig {
 	t.Helper()
 	r := &rig{reg: obs.NewRegistry(), logs: &bytes.Buffer{}, now: base}
-	r.sampler = obs.NewSampler(r.reg, obs.SamplerOptions{Capacity: 64})
+	r.sampler = obs.NewSampler(r.reg, obs.SamplerOptions{})
 	logger := slog.New(slog.NewJSONHandler(r.logs, nil))
 	r.wd = New(r.sampler, r.reg, logger, rules)
 	return r

@@ -45,7 +45,7 @@ func getTraces(t *testing.T, h http.Handler, url string) (*http.Response, traces
 }
 
 func TestTracesHandlerFiltersAndPagination(t *testing.T) {
-	r := NewRecorder(RecorderOptions{Capacity: 64, KeepCapacity: 8, SlowThreshold: time.Hour})
+	r := NewRecorder(RecorderOptions{Capacity: 64})
 	for i := 0; i < 20; i++ {
 		tr := mkTrace(time.Duration(i+1)*time.Millisecond, OutcomeOffered, false)
 		tr.Stages = [NumStages]time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond, 4 * time.Millisecond}

@@ -7,23 +7,20 @@ import (
 	"time"
 )
 
-// RecorderOptions sizes the flight recorder. Zero values take defaults.
+// RecorderOptions sizes the flight recorder.
 type RecorderOptions struct {
 	// Capacity is the recent-reservoir size (rounded up to a power of two).
-	// Default 256.
+	// ≤ 0 selects 256.
 	Capacity int
-	// KeepCapacity is the guaranteed-kept ring size for slow/anomalous
-	// traces (rounded up to a power of two). Default 64.
-	KeepCapacity int
-	// SlowThreshold marks traces at or above this duration as slow, pinning
-	// them in the kept ring. Default 25ms.
-	SlowThreshold time.Duration
 }
 
 const (
-	defaultCapacity      = 256
-	defaultKeepCapacity  = 64
-	defaultSlowThreshold = 25 * time.Millisecond
+	defaultCapacity = 256
+	// keepCapacity is the size of the ring that keeps slow and anomalous
+	// traces.
+	keepCapacity = 64
+	// slowThreshold marks a trace at or above it as slow, which keeps it.
+	slowThreshold = 25 * time.Millisecond
 )
 
 // ring is a non-blocking overwrite-on-wrap buffer of completed traces.
@@ -85,7 +82,6 @@ func (r *ring) collect(dst []*Trace) []*Trace {
 // traffic cannot evict the outliers an operator is chasing. A nil
 // *Recorder is valid and records nothing.
 type Recorder struct {
-	slow   time.Duration
 	seq    atomic.Uint64
 	recent *ring
 	kept   *ring
@@ -96,17 +92,7 @@ func NewRecorder(o RecorderOptions) *Recorder {
 	if o.Capacity <= 0 {
 		o.Capacity = defaultCapacity
 	}
-	if o.KeepCapacity <= 0 {
-		o.KeepCapacity = defaultKeepCapacity
-	}
-	if o.SlowThreshold <= 0 {
-		o.SlowThreshold = defaultSlowThreshold
-	}
-	return &Recorder{
-		slow:   o.SlowThreshold,
-		recent: newRing(o.Capacity),
-		kept:   newRing(o.KeepCapacity),
-	}
+	return &Recorder{recent: newRing(o.Capacity), kept: newRing(keepCapacity)}
 }
 
 // Record files a completed trace by value: the recorder copies *t into its
@@ -119,7 +105,7 @@ func (r *Recorder) Record(t *Trace) {
 		return
 	}
 	t.seq = r.seq.Add(1)
-	t.slow = t.Duration >= r.slow
+	t.slow = t.Duration >= slowThreshold
 	r.recent.put(t)
 	if t.slow || t.Anomalous {
 		r.kept.put(t)

@@ -27,9 +27,9 @@ func TestRecorderNilSafe(t *testing.T) {
 }
 
 func TestRecorderNewestFirstAndDedup(t *testing.T) {
-	r := NewRecorder(RecorderOptions{Capacity: 8, KeepCapacity: 4, SlowThreshold: 10 * time.Millisecond})
+	r := NewRecorder(RecorderOptions{Capacity: 8})
 	fast := mkTrace(time.Millisecond, OutcomeOffered, false)
-	slow := mkTrace(20*time.Millisecond, OutcomeNoOffers, false) // lands in both rings
+	slow := mkTrace(slowThreshold, OutcomeNoOffers, false) // lands in both rings
 	r.Record(fast)
 	r.Record(slow)
 
@@ -52,8 +52,8 @@ func TestRecorderNewestFirstAndDedup(t *testing.T) {
 func TestRecorderTailRetention(t *testing.T) {
 	// Flood the recent ring with fast traces after recording one slow and
 	// one anomalous trace: both must survive via the kept ring.
-	r := NewRecorder(RecorderOptions{Capacity: 8, KeepCapacity: 8, SlowThreshold: 10 * time.Millisecond})
-	slow := mkTrace(50*time.Millisecond, OutcomeOffered, false)
+	r := NewRecorder(RecorderOptions{Capacity: 8})
+	slow := mkTrace(2*slowThreshold, OutcomeOffered, false)
 	anom := mkTrace(time.Millisecond, OutcomeError, true)
 	r.Record(slow)
 	r.Record(anom)
@@ -79,7 +79,7 @@ func TestRecorderTailRetention(t *testing.T) {
 }
 
 func TestRecorderFilters(t *testing.T) {
-	r := NewRecorder(RecorderOptions{Capacity: 64, KeepCapacity: 8, SlowThreshold: time.Hour})
+	r := NewRecorder(RecorderOptions{Capacity: 64})
 	for i := 0; i < 10; i++ {
 		r.Record(mkTrace(time.Duration(i+1)*time.Millisecond, OutcomeOffered, false))
 	}
@@ -108,7 +108,7 @@ func TestRecorderFilters(t *testing.T) {
 // snapshot continuously; run under -race this is the flight recorder's
 // concurrency gate.
 func TestRecorderSoak(t *testing.T) {
-	r := NewRecorder(RecorderOptions{Capacity: 32, KeepCapacity: 8, SlowThreshold: 5 * time.Millisecond})
+	r := NewRecorder(RecorderOptions{Capacity: 32})
 	const writers, perWriter = 4, 2000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -118,7 +118,7 @@ func TestRecorderSoak(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				d := time.Duration(i%10) * time.Millisecond
+				d := time.Duration(i%10) * slowThreshold / 5
 				r.Record(mkTrace(d, OutcomeOffered, i%97 == 0))
 			}
 		}(w)

@@ -80,7 +80,9 @@ type Trace struct {
 	Staged bool
 
 	Outcome string
-	// Error is the broker's rejection message when Outcome is "error".
+	// Error is the broker's rejection message (for a batch, the first
+	// rejected element's; the outcome is "error" only when none was
+	// accepted).
 	Error string
 	// Anomalous forces retention in the kept ring regardless of duration:
 	// errors, unavailable rejections, and arrivals that saw an exhausted
@@ -99,18 +101,9 @@ type Trace struct {
 
 	// Batch is the number of arrivals submitted in an ArriveBatch call; zero
 	// for a single-arrival trace. A batch trace's root span is named
-	// "arrival_batch", its stage spans mean what a single arrival's do (gather
-	// and scan summed over the window), and BatchOutcomes carries one entry
-	// per submitted arrival in submission order.
-	Batch         int
-	BatchOutcomes []BatchOutcome
-}
-
-// BatchOutcome is one arrival's disposition inside a batch trace.
-type BatchOutcome struct {
-	Outcome string `json:"outcome"`
-	Offers  int    `json:"offers,omitempty"`
-	Error   string `json:"error,omitempty"`
+	// "arrival_batch", and every other field means what it does for one
+	// arrival, totalled over the window.
+	Batch int
 }
 
 // wireSpan is one child span in the JSON view.
@@ -123,24 +116,23 @@ type wireSpan struct {
 // wireTrace is the stable JSON schema served by /v1/debug/traces; see
 // docs/OPERATIONS.md "Tracing & logs".
 type wireTrace struct {
-	TraceID       string         `json:"trace_id"`
-	SpanID        string         `json:"span_id"`
-	ParentSpanID  string         `json:"parent_span_id,omitempty"`
-	Name          string         `json:"name"`
-	StartUnixNano int64          `json:"start_unix_nano"`
-	DurationNS    int64          `json:"duration_ns"`
-	Outcome       string         `json:"outcome"`
-	Error         string         `json:"error,omitempty"`
-	Slow          bool           `json:"slow,omitempty"`
-	Anomalous     bool           `json:"anomalous,omitempty"`
-	StripeLo      int            `json:"stripe_lo"`
-	StripeHi      int            `json:"stripe_hi"`
-	Capacity      int            `json:"capacity"`
-	Offers        int            `json:"offers"`
-	Scan          *ScanCounts    `json:"scan,omitempty"`
-	Batch         int            `json:"batch,omitempty"`
-	Arrivals      []BatchOutcome `json:"arrivals,omitempty"`
-	Spans         []wireSpan     `json:"spans,omitempty"`
+	TraceID       string      `json:"trace_id"`
+	SpanID        string      `json:"span_id"`
+	ParentSpanID  string      `json:"parent_span_id,omitempty"`
+	Name          string      `json:"name"`
+	StartUnixNano int64       `json:"start_unix_nano"`
+	DurationNS    int64       `json:"duration_ns"`
+	Outcome       string      `json:"outcome"`
+	Error         string      `json:"error,omitempty"`
+	Slow          bool        `json:"slow,omitempty"`
+	Anomalous     bool        `json:"anomalous,omitempty"`
+	StripeLo      int         `json:"stripe_lo"`
+	StripeHi      int         `json:"stripe_hi"`
+	Capacity      int         `json:"capacity"`
+	Offers        int         `json:"offers"`
+	Scan          *ScanCounts `json:"scan,omitempty"`
+	Batch         int         `json:"batch,omitempty"`
+	Spans         []wireSpan  `json:"spans,omitempty"`
 }
 
 // MarshalJSON renders the trace in the /v1/debug/traces schema: hex IDs, a
@@ -167,13 +159,10 @@ func (t *Trace) MarshalJSON() ([]byte, error) {
 		StripeHi:      t.StripeHi,
 		Capacity:      t.Capacity,
 		Offers:        t.Offers,
+		Batch:         t.Batch,
 	}
 	if !t.ParentSpanID.IsZero() {
 		w.ParentSpanID = t.ParentSpanID.String()
-	}
-	if t.Batch > 0 {
-		w.Batch = t.Batch
-		w.Arrivals = t.BatchOutcomes
 	}
 	if t.Staged {
 		scan := t.Scan
